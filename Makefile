@@ -1,6 +1,6 @@
 # Convenience entry points; `check` is the tier-1 gate.
 
-.PHONY: all build check test ci bench bench-json audit clean
+.PHONY: all build check test ci perfbench-build bench bench-json audit clean
 
 all: build
 
@@ -28,10 +28,17 @@ check:
 
 test: check
 
-# What CI runs (see .github/workflows/ci.yml): the tier-1 gate plus the
-# invariant auditor. Kept as a make target so CI and a local pre-push
-# run are the same command.
-ci: check audit
+# What CI runs (see .github/workflows/ci.yml): the tier-1 gate, the
+# invariant auditor and a build of the benchmark program. Kept as a make
+# target so CI and a local pre-push run are the same command.
+ci: check audit perfbench-build
+
+# perfbench/pwbench.exe is enabled only under the perfbench profile, so
+# `dune build` never compiles it; build it here (into its own build
+# directory, leaving _build alone) so a library change that breaks the
+# benchmark fails CI instead of the next benchmark run.
+perfbench-build:
+	dune build --profile perfbench --build-dir _build_perfbench ./perfbench/pwbench.exe
 
 # Runtime invariant auditor over the full benchmark registry:
 # per-mechanism structural checks (FMM shape/monotonicity, distribution
@@ -69,3 +76,4 @@ bench-json:
 
 clean:
 	dune clean
+	rm -rf _build_perfbench

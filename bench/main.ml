@@ -80,13 +80,17 @@ let banner title =
   Printf.printf "\n=== %s %s\n\n" title (String.make (max 0 (66 - String.length title)) '=')
 
 (* Stamped into the machine-readable BENCH_*.json emitters so archived
-   results stay attributable to the code that produced them. *)
+   results stay attributable to the code that produced them. A run on
+   uncommitted changes is marked "-dirty": HEAD alone would credit the
+   commit with code it does not contain. *)
 let git_commit () =
   try
     let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
     let line = try input_line ic with End_of_file -> "unknown" in
     ignore (Unix.close_process_in ic);
-    line
+    if line <> "unknown" && Sys.command "git diff --quiet HEAD -- 2>/dev/null" = 1 then
+      line ^ "-dirty"
+    else line
   with _ -> "unknown"
 
 (* --- eqs. 1-3 ------------------------------------------------------------ *)

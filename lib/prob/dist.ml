@@ -79,6 +79,60 @@ let support t = Array.to_list (Array.map2 (fun x p -> (x, p)) t.penalties t.prob
 let size t = Array.length t.penalties
 let total_mass t = if size t = 0 then 0.0 else t.suffix.(0)
 
+(* Radix selection over probabilities. For non-negative floats the
+   IEEE-754 bit patterns order exactly like the values, so the k-th
+   largest value can be found one 13-bit digit at a time, top digit
+   (sign + exponent) first: histogram the candidates' digit, find the
+   bucket holding rank k, keep only that bucket's candidates. Five
+   passes cover all 63 non-sign bits, after which every remaining
+   candidate has the same bit pattern. O(n) whatever the input — no
+   pivot choice, no comparison sort — and deterministic. *)
+let radix_bits = 13
+let radix_mask = (1 lsl radix_bits) - 1
+
+let digit p shift =
+  Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float p) shift) land radix_mask
+
+(* [select_top probs len k], for [1 <= k <= len] and finite non-negative
+   [probs.(0 .. len-1)]: [(t, outside)] where [t] is the k-th largest
+   value and [outside] the number of elements equal to [t] that fall
+   outside the top k. *)
+let select_top probs len k =
+  let hist = Array.make (radix_mask + 1) 0 in
+  let cand = ref probs and cand_len = ref len and k = ref k in
+  (* The 52 mantissa bits are four digits; the fifth (top) digit is the
+     sign and exponent. *)
+  let shift = ref (4 * radix_bits) in
+  while !shift >= 0 do
+    let s = !shift and c = !cand and len = !cand_len in
+    Array.fill hist 0 (radix_mask + 1) 0;
+    for i = 0 to len - 1 do
+      let d = digit (Array.unsafe_get c i) s in
+      Array.unsafe_set hist d (Array.unsafe_get hist d + 1)
+    done;
+    let b = ref radix_mask and above = ref 0 in
+    while !above + hist.(!b) < !k do
+      above := !above + hist.(!b);
+      decr b
+    done;
+    k := !k - !above;
+    if hist.(!b) < len then begin
+      let next = Array.make hist.(!b) 0.0 in
+      let w = ref 0 in
+      for i = 0 to len - 1 do
+        let p = Array.unsafe_get c i in
+        if digit p s = !b then begin
+          Array.unsafe_set next !w p;
+          incr w
+        end
+      done;
+      cand := next;
+      cand_len := !w
+    end;
+    shift := s - radix_bits
+  done;
+  (!cand.(0), !cand_len - !k)
+
 (* Fold the lowest-probability points into their upward neighbour until
    at most [max_points] remain. Probability only moves to higher
    penalties, so exceedance curves of the result dominate the input's:
@@ -86,43 +140,42 @@ let total_mass t = if size t = 0 then 0.0 else t.suffix.(0)
    index, so duplicated probabilities cannot inflate the kept set past
    [max_points] (a probability threshold would keep every tied point).
 
+   The kept set is the top-penalty point (folded mass needs somewhere
+   to go) plus the top [max_points - 1] of the other points under the
+   total order (probability, index): every point above the selected
+   threshold probability [t], and of the points tied at [t] the
+   highest-indexed ones — so the walk below skips the lowest-indexed
+   ties that fall outside the top.
+
    Array core shared by the list path (reference engine) and the merge
-   kernel, so capping is bit-identical across engines. [n >= 1]. *)
+   kernel, so capping is bit-identical across engines.
+   [1 <= max_points < n]. *)
 let cap_arrays max_points pens probs n =
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      let c = compare probs.(i) probs.(j) in
-      if c <> 0 then c else compare i j)
-    order;
-  (* Keep the top-penalty point (folded mass needs somewhere to go),
-     then the highest-probability points until the budget is full. *)
-  let keep = Array.make n false in
-  keep.(n - 1) <- true;
-  let kept = ref 1 in
-  let r = ref (n - 1) in
-  while !kept < max_points && !r >= 0 do
-    let i = order.(!r) in
-    if not keep.(i) then begin
-      keep.(i) <- true;
-      incr kept
-    end;
-    decr r
-  done;
+  let t, skip =
+    if max_points = 1 then (infinity, 0) else select_top probs (n - 1) (max_points - 1)
+  in
   (* Walk in ascending penalty order; a dropped point's mass rides
      along until the next kept (higher-penalty) point absorbs it. The
      top point is always kept, so no mass is left over. *)
-  let out_pen = Array.make !kept 0 and out_prob = Array.make !kept 0.0 in
-  let k = ref 0 in
-  let carried = ref 0.0 in
+  let out_pen = Array.make max_points 0 and out_prob = Array.make max_points 0.0 in
+  let k = ref 0 and carried = ref 0.0 and skip = ref skip in
   for i = 0 to n - 1 do
-    if keep.(i) then begin
+    let p = probs.(i) in
+    let keep =
+      if i = n - 1 || p > t then true
+      else if p = t && !skip > 0 then begin
+        decr skip;
+        false
+      end
+      else p = t
+    in
+    if keep then begin
       out_pen.(!k) <- pens.(i);
-      out_prob.(!k) <- probs.(i) +. !carried;
+      out_prob.(!k) <- p +. !carried;
       carried := 0.0;
       incr k
     end
-    else carried := !carried +. probs.(i)
+    else carried := !carried +. p
   done;
   (out_pen, out_prob)
 
@@ -168,7 +221,7 @@ let convolve_reference ~max_points a b =
 
 (* Merge convolution kernel, two regimes sharing one contract: emit the
    n*m pairwise sums in ascending order with equal sums accumulated in
-   ascending i (outer operand) order — no hash table, no intermediate
+   ascending i (index into [a]) order — no hash table, no intermediate
    list, no comparison sort of the product set.
 
    Bit-compatibility with [convolve_reference]: the reference's hash
@@ -176,8 +229,9 @@ let convolve_reference ~max_points a b =
    i a given sum occurs at most once (b's support is strictly
    ascending). Both regimes below add the identical products in that
    identical order and cap with the shared [cap_arrays], so the engines
-   agree bit for bit (float addition is commutative, so the bucket
-   regime's [acc +. p] matches the reference's [p +. acc]).
+   agree bit for bit (float addition and multiplication are
+   commutative, so the bucket regime's [acc +. p] matches the
+   reference's [p +. acc], and [b_j *. a_i] matches [a_i *. b_j]).
 
    Regime 1 (dense buckets): penalty sums in this domain are small
    multiples of the miss penalty, so once supports have grown past a few
@@ -186,10 +240,9 @@ let convolve_reference ~max_points a b =
    value range is within a small factor of the pair count (and an
    absolute ceiling bounds the scratch allocation).
 
-   Regime 2 (k-way run merge): the sorted supports make the n*m sums n
-   sorted runs {a_i + b_0, a_i + b_1, ...}; a binary min-heap keyed on
-   (sum, run index) pops sums ascending with the (sum, run) tie-break
-   reproducing the i-ascending accumulation order. O(n*m log n), no
+   Regime 2 (k-way run merge): the sorted supports make the n*m sums
+   sorted runs, one per point of the smaller operand; a binary min-heap
+   over those runs pops sums ascending in O(n*m log (min n m)) with no
    range-proportional scratch: the fallback for sparse or huge-range
    supports. *)
 
@@ -218,32 +271,31 @@ let convolve_dense ~max_points ~lo ~step ~buckets a b =
      the scratch proportional to the number of achievable sums, not the
      cycle range. *)
   let boff = Array.init m (fun j -> (bp.(j) - bp.(0)) / step) in
-  (* Untouched buckets hold the -1.0 sentinel: probability products can
-     underflow to exactly 0.0 deep in the tail, and the reference keeps
-     such points, so presence cannot be inferred from a nonzero bucket.
-     The first touch writes the product directly, which matches the
-     reference's [p +. 0.0] accumulation from an absent hash entry bit
-     for bit (adding 0.0 to a non-negative float is exact). *)
-  let acc = Array.make buckets (-1.0) in
+  (* Untouched buckets hold -0.0, so the inner loop is a branch-free
+     multiply-add. Products are never negative, and under round to
+     nearest [-0.0 +. p = p] for every [p >= 0.0] (including a product
+     that underflowed to +0.0), so the first touch matches the
+     reference's [p +. 0.0] from an absent hash entry bit for bit.
+     Presence is a clear sign bit: it survives an underflowed product,
+     which the reference keeps as a point of probability 0.0. *)
+  let acc = Array.make buckets (-0.0) in
   for i = 0 to n - 1 do
     let pa = aw.(i) in
     let base = (ap.(i) - ap.(0)) / step in
     for j = 0 to m - 1 do
       let k = base + Array.unsafe_get boff j in
-      let p = pa *. Array.unsafe_get bw j in
-      let v = Array.unsafe_get acc k in
-      Array.unsafe_set acc k (if v >= 0.0 then v +. p else p)
+      Array.unsafe_set acc k (Array.unsafe_get acc k +. (pa *. Array.unsafe_get bw j))
     done
   done;
   let count = ref 0 in
   for k = 0 to buckets - 1 do
-    if Array.unsafe_get acc k >= 0.0 then incr count
+    if not (Float.sign_bit (Array.unsafe_get acc k)) then incr count
   done;
   let out_pen = Array.make !count 0 and out_prob = Array.make !count 0.0 in
   let idx = ref 0 in
   for k = 0 to buckets - 1 do
     let v = Array.unsafe_get acc k in
-    if v >= 0.0 then begin
+    if not (Float.sign_bit v) then begin
       out_pen.(!idx) <- lo + (k * step);
       out_prob.(!idx) <- v;
       incr idx
@@ -255,12 +307,109 @@ let convolve_dense ~max_points ~lo ~step ~buckets a b =
   in
   of_sorted_arrays pens probs
 
+(* The heap keys on (sum, rank) over the runs of the smaller operand
+   [r], each run walking the larger operand [w]. Within a run sums
+   strictly increase, so equal sums come from distinct runs and the rank
+   alone must order them by ascending i. Over [a] the runs are the i
+   themselves: rank = i. Over [b], run j meets a sum s at the [a] point
+   s - b_j, so a larger j means a smaller a-penalty and hence a smaller
+   i: ascending i is descending j, and rank = m - 1 - j. *)
+let convolve_heap ~max_points a b =
+  let n = size a and m = size b in
+  let over_a = n <= m in
+  let rp, rw, nr, wp, ww, nw =
+    if over_a then (a.penalties, a.probs, n, b.penalties, b.probs, m)
+    else (b.penalties, b.probs, m, a.penalties, a.probs, n)
+  in
+  (* Maps a run to its rank and back (an involution). *)
+  let flip x = if over_a then x else nr - 1 - x in
+  (* Slot k holds the run of rank [heap_rank.(k)] at its current sum
+     [heap_sum.(k)]; [jpos.(rank)] is that run's position in [w]. The
+     initial sums r_k + w_0 strictly ascend in k, so the array starts
+     heap-ordered whatever the ranks. *)
+  let heap_sum = Array.make nr 0 and heap_rank = Array.make nr 0 in
+  let jpos = Array.make nr 0 in
+  for k = 0 to nr - 1 do
+    heap_sum.(k) <- rp.(k) + wp.(0);
+    heap_rank.(k) <- flip k
+  done;
+  let heap_len = ref nr in
+  (* Move the root's hole down to where (s, rk) belongs. *)
+  let sift_down s rk =
+    let len = !heap_len in
+    let k = ref 0 and sinking = ref true in
+    while !sinking do
+      let l = (2 * !k) + 1 in
+      if l >= len then sinking := false
+      else begin
+        let c =
+          let r = l + 1 in
+          if r < len
+             && (heap_sum.(r) < heap_sum.(l)
+                || (heap_sum.(r) = heap_sum.(l) && heap_rank.(r) < heap_rank.(l)))
+          then r
+          else l
+        in
+        let cs = heap_sum.(c) and crk = heap_rank.(c) in
+        if cs < s || (cs = s && crk < rk) then begin
+          heap_sum.(!k) <- cs;
+          heap_rank.(!k) <- crk;
+          k := c
+        end
+        else sinking := false
+      end
+    done;
+    heap_sum.(!k) <- s;
+    heap_rank.(!k) <- rk
+  in
+  (* Output buffers, grown by doubling: after duplicate folding the
+     support is usually far smaller than n*m. *)
+  let out_pen = ref (Array.make (min (n * m) 1024) 0) in
+  let out_prob = ref (Array.make (min (n * m) 1024) 0.0) in
+  let out_len = ref 0 in
+  let emit x p =
+    if !out_len > 0 && !out_pen.(!out_len - 1) = x then
+      !out_prob.(!out_len - 1) <- p +. !out_prob.(!out_len - 1)
+    else begin
+      if !out_len = Array.length !out_pen then begin
+        let cap = 2 * !out_len in
+        let pen' = Array.make cap 0 and prob' = Array.make cap 0.0 in
+        Array.blit !out_pen 0 pen' 0 !out_len;
+        Array.blit !out_prob 0 prob' 0 !out_len;
+        out_pen := pen';
+        out_prob := prob'
+      end;
+      !out_pen.(!out_len) <- x;
+      !out_prob.(!out_len) <- p;
+      incr out_len
+    end
+  in
+  while !heap_len > 0 do
+    let rk = heap_rank.(0) in
+    let r = flip rk in
+    let j = jpos.(rk) in
+    emit heap_sum.(0) (rw.(r) *. ww.(j));
+    if j + 1 < nw then begin
+      jpos.(rk) <- j + 1;
+      sift_down (rp.(r) + wp.(j + 1)) rk
+    end
+    else begin
+      decr heap_len;
+      sift_down heap_sum.(!heap_len) heap_rank.(!heap_len)
+    end
+  done;
+  let pens, probs =
+    if !out_len <= max_points then
+      (Array.sub !out_pen 0 !out_len, Array.sub !out_prob 0 !out_len)
+    else cap_arrays max_points !out_pen !out_prob !out_len
+  in
+  of_sorted_arrays pens probs
+
 let convolve_merge ~max_points a b =
   let n = size a and m = size b in
   if n = 0 || m = 0 then of_sorted_arrays [||] [||]
   else begin
-    let ap = a.penalties and aw = a.probs in
-    let bp = b.penalties and bw = b.probs in
+    let ap = a.penalties and bp = b.penalties in
     let lo = ap.(0) + bp.(0) in
     (* Sums live on the lattice lo + k * step: step divides every
        pairwise difference on both sides. *)
@@ -268,86 +417,13 @@ let convolve_merge ~max_points a b =
     let buckets = ((ap.(n - 1) + bp.(m - 1) - lo) / step) + 1 in
     if buckets <= dense_range_ceiling && buckets <= 4 * n * m then
       convolve_dense ~max_points ~lo ~step ~buckets a b
-    else begin
-    (* Heap slot k holds run [heap_run.(k)] whose current element is
-       [heap_sum.(k)]; [jpos.(i)] is run i's position in b. The initial
-       sums a_i + b_0 are ascending in i, so the array starts heap-ordered. *)
-    let heap_sum = Array.make n 0 in
-    let heap_run = Array.make n 0 in
-    let jpos = Array.make n 0 in
-    for i = 0 to n - 1 do
-      heap_sum.(i) <- ap.(i) + bp.(0);
-      heap_run.(i) <- i
-    done;
-    let heap_len = ref n in
-    let less s1 r1 s2 r2 = s1 < s2 || (s1 = s2 && r1 < r2) in
-    let sift_down k0 =
-      let k = ref k0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !k) + 1 and r = (2 * !k) + 2 in
-        let smallest = ref !k in
-        if l < !heap_len && less heap_sum.(l) heap_run.(l) heap_sum.(!smallest) heap_run.(!smallest)
-        then smallest := l;
-        if r < !heap_len && less heap_sum.(r) heap_run.(r) heap_sum.(!smallest) heap_run.(!smallest)
-        then smallest := r;
-        if !smallest = !k then continue := false
-        else begin
-          let s = heap_sum.(!k) and ri = heap_run.(!k) in
-          heap_sum.(!k) <- heap_sum.(!smallest);
-          heap_run.(!k) <- heap_run.(!smallest);
-          heap_sum.(!smallest) <- s;
-          heap_run.(!smallest) <- ri;
-          k := !smallest
-        end
-      done
-    in
-    (* Output buffers, grown by doubling: after duplicate folding the
-       support is usually far smaller than n*m. *)
-    let out_pen = ref (Array.make (min (n * m) 1024) 0) in
-    let out_prob = ref (Array.make (min (n * m) 1024) 0.0) in
-    let out_len = ref 0 in
-    let emit x p =
-      if !out_len > 0 && !out_pen.(!out_len - 1) = x then
-        !out_prob.(!out_len - 1) <- p +. !out_prob.(!out_len - 1)
-      else begin
-        if !out_len = Array.length !out_pen then begin
-          let cap = 2 * !out_len in
-          let pen' = Array.make cap 0 and prob' = Array.make cap 0.0 in
-          Array.blit !out_pen 0 pen' 0 !out_len;
-          Array.blit !out_prob 0 prob' 0 !out_len;
-          out_pen := pen';
-          out_prob := prob'
-        end;
-        !out_pen.(!out_len) <- x;
-        !out_prob.(!out_len) <- p;
-        incr out_len
-      end
-    in
-    while !heap_len > 0 do
-      let i = heap_run.(0) in
-      emit heap_sum.(0) (aw.(i) *. bw.(jpos.(i)));
-      let j = jpos.(i) + 1 in
-      if j < m then begin
-        jpos.(i) <- j;
-        heap_sum.(0) <- ap.(i) + bp.(j);
-        sift_down 0
-      end
-      else begin
-        decr heap_len;
-        heap_sum.(0) <- heap_sum.(!heap_len);
-        heap_run.(0) <- heap_run.(!heap_len);
-        sift_down 0
-      end
-    done;
-    let pens, probs =
-      if !out_len <= max_points then
-        (Array.sub !out_pen 0 !out_len, Array.sub !out_prob 0 !out_len)
-      else cap_arrays max_points !out_pen !out_prob !out_len
-    in
-    of_sorted_arrays pens probs
-    end
+    else convolve_heap ~max_points a b
   end
+
+(* A cap below one point cannot hold any mass: reject it rather than
+   quietly returning a larger result than promised. *)
+let check_max_points caller max_points =
+  if max_points < 1 then invalid_arg (caller ^ ": max_points must be at least 1")
 
 (* Weighted mixture. The per-penalty accumulation order is the given
    part order (Hashtbl bucket per penalty, like the reference convolution
@@ -357,6 +433,7 @@ let convolve_merge ~max_points a b =
    (~1e-323) there is nothing left to keep, ~300 orders of magnitude
    past any exceedance target this pipeline answers. *)
 let mixture ?(max_points = 65536) parts =
+  check_max_points "Dist.mixture" max_points;
   let points = ref [] in
   List.iter
     (fun (w, t) ->
@@ -378,6 +455,7 @@ let mixture ?(max_points = 65536) parts =
       (Array.of_list (List.map snd merged))
 
 let convolve ?(impl = `Merge) ?(max_points = 65536) a b =
+  check_max_points "Dist.convolve" max_points;
   match impl with
   | `Merge -> convolve_merge ~max_points a b
   | `Reference -> convolve_reference ~max_points a b
@@ -388,6 +466,7 @@ let convolve ?(impl = `Merge) ?(max_points = 65536) a b =
    tree-sum of products, and capping (when it triggers) applies to
    balanced operands rather than degrading one long chain. *)
 let convolve_all ?impl ?max_points dists =
+  Option.iter (check_max_points "Dist.convolve_all") max_points;
   let rec pair_up = function
     | a :: b :: rest -> convolve ?impl ?max_points a b :: pair_up rest
     | tail -> tail
@@ -411,6 +490,7 @@ let convolve_all ?impl ?max_points dists =
    match the tree once capping triggers). *)
 let convolve_pow ?impl ?max_points d k =
   if k < 0 then invalid_arg "Dist.convolve_pow: negative power";
+  Option.iter (check_max_points "Dist.convolve_pow") max_points;
   if k = 0 then point 0
   else begin
     let conv a b = convolve ?impl ?max_points a b in
@@ -501,7 +581,9 @@ let of_wire data =
   if len < 8 then Error "Dist.of_wire: truncated header"
   else begin
     let n = Int64.to_int (String.get_int64_le data 0) in
-    if n < 0 || len <> 8 + (16 * n) then
+    (* Bound [n] before multiplying: a huge header would make
+       [8 + 16 * n] wrap around to [len]. *)
+    if n < 0 || n > (len - 8) / 16 || len <> 8 + (16 * n) then
       Error (Printf.sprintf "Dist.of_wire: length %d inconsistent with %d points" len n)
     else begin
       let penalties = Array.make n 0 in

@@ -45,8 +45,8 @@ val mixture : ?max_points:int -> (float * t) list -> t
     [max_points] (default 65536) is the same upward-conservative fold
     as {!convolve}. Weighted masses that underflow to exactly [0.0]
     are dropped, consistent with the engine-wide [p > 0] invariant.
-    @raise Invalid_argument on a weight outside [0,1] or total mass
-    beyond [1 + 1e-9]. *)
+    @raise Invalid_argument on a weight outside [0,1], total mass
+    beyond [1 + 1e-9], or [max_points < 1]. *)
 
 val support : t -> (int * float) list
 (** Ascending penalties with their probabilities. *)
@@ -61,14 +61,23 @@ val convolve : ?impl:[ `Merge | `Reference ] -> ?max_points:int -> t -> t -> t
     the result never has more than [max_points] points, even when tied
     probabilities straddle the cut.
 
-    [impl] selects the engine. [`Merge] (default) runs a k-way
-    sorted-run merge over preallocated buffers — the support arrays are
-    already sorted, so the n*m pairwise sums are n sorted runs and no
-    hash table or comparison sort is needed. [`Reference] is the
-    original hash-table engine, kept for differential testing and
-    benchmarking. The engines are {e bit-identical}: equal sums are
-    accumulated in the same order (see the kernel comment in the
-    implementation) and both share the same capping code. *)
+    [impl] selects the engine. [`Merge] (default) exploits the sorted
+    supports, with no hash table and no comparison sort of the product
+    set. When the achievable sums tile their range densely it
+    accumulates into one bucket per sum with a branch-free multiply-add
+    (untouched buckets hold [-0.0], so presence is a clear sign bit,
+    which survives a product that underflowed to [0.0]). Sparse or huge-range supports go through a k-way merge of
+    sorted runs, one per point of the {e smaller} operand, so it costs
+    O(n*m log (min n m)); with runs over the second operand, equal sums
+    pop in descending run order, which is ascending order in the first
+    operand. [`Reference] is the original hash-table engine, kept for
+    differential testing and benchmarking. The engines are
+    {e bit-identical}: equal sums are accumulated in the same order (see
+    the kernel comment in the implementation) and both share the same
+    capping code. The cap keeps the top penalty plus the [max_points - 1]
+    most probable other points (ties broken towards higher penalties),
+    chosen by a linear-time radix selection.
+    @raise Invalid_argument when [max_points < 1]. *)
 
 val convolve_all : ?impl:[ `Merge | `Reference ] -> ?max_points:int -> t list -> t
 (** Convolution of a list of independent variables ([{!point} 0] for the
@@ -77,7 +86,8 @@ val convolve_all : ?impl:[ `Merge | `Reference ] -> ?max_points:int -> t list ->
     is associative); when capping does trigger, the result still
     conservatively dominates every uncapped ordering (see the soundness
     convention above), but individual points may differ from the
-    fold's. *)
+    fold's.
+    @raise Invalid_argument when [max_points < 1]. *)
 
 val convolve_pow : ?impl:[ `Merge | `Reference ] -> ?max_points:int -> t -> int -> t
 (** [convolve_pow d k] is the distribution of the sum of [k] independent
@@ -91,7 +101,7 @@ val convolve_pow : ?impl:[ `Merge | `Reference ] -> ?max_points:int -> t -> int 
     whenever capping never triggers and the probabilities are exactly
     representable (convolution is associative and commutative; see
     DESIGN.md §7 for the multiset argument).
-    @raise Invalid_argument when [k < 0]. *)
+    @raise Invalid_argument when [k < 0] or [max_points < 1]. *)
 
 (** {2 Exceedance convention}
 
@@ -141,4 +151,6 @@ val of_wire : string -> (t, string) result
 (** Validates shape and content (strictly ascending non-negative
     penalties, finite positive probabilities, total mass at most 1) —
     a corrupted or adversarial payload yields [Error], never a
-    distribution that violates the module invariants. *)
+    distribution that violates the module invariants, and never an
+    exception: a point count too large for the payload is rejected
+    before anything is allocated. *)

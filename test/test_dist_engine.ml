@@ -81,6 +81,181 @@ let test_convolve_all_impls_match () =
       [ 24; 65536 ]
   done
 
+(* --- regime forcing -------------------------------------------------------- *)
+
+(* The merge kernel picks its regime from the operands: dense buckets
+   when the achievable sums (on the lattice of the supports' gcd step)
+   number at most 4*n*m and at most 2^22, the heap merge otherwise. The
+   generators below land in one regime by construction, with many sums
+   reached from several pairs so that the accumulation order shows in
+   the low bits. *)
+
+let check_regime label a b =
+  List.iter
+    (fun max_points ->
+      Alcotest.check support
+        (Printf.sprintf "%s: merge = reference, cap %d" label max_points)
+        (D.support (D.convolve ~impl:`Reference ~max_points a b))
+        (D.support (D.convolve ~impl:`Merge ~max_points a b)))
+    [ 1; 5; 64; max_int ]
+
+(* Probabilities drawn from [0.02, 1) / 64 and multiplied by [scale]: a
+   sub-distribution of at most 64 points never exceeds mass 1. *)
+let random_sub_dist state ~pens ~scale =
+  D.of_sub_points
+    (List.map (fun x -> (x, scale *. (0.02 +. Random.State.float state 0.98) /. 64.0)) pens)
+
+(* [k] distinct values from [0, bound), ascending. *)
+let random_support state ~k ~bound =
+  let seen = Hashtbl.create k in
+  while Hashtbl.length seen < k do
+    Hashtbl.replace seen (Random.State.int state bound) ()
+  done;
+  List.sort compare (Hashtbl.fold (fun x () acc -> x :: acc) seen [])
+
+(* Heap regime: a dense low cluster (many cross-run equal sums) plus one
+   far outlier that makes the sum range dwarf 4*n*m. Sizes are drawn on
+   both sides of n = m, so runs go over [a] and over [b]. *)
+let test_heap_regime () =
+  let state = Random.State.make [| 211 |] in
+  for trial = 1 to 60 do
+    let n = 2 + Random.State.int state 30 and m = 2 + Random.State.int state 30 in
+    let support k = random_support state ~k:(k - 1) ~bound:(2 * k) @ [ 1_000_000_007 ] in
+    let a = random_sub_dist state ~pens:(support n) ~scale:1.0 in
+    let b = random_sub_dist state ~pens:(support m) ~scale:1.0 in
+    check_regime (Printf.sprintf "heap %d: %dx%d" trial n m) a b
+  done;
+  (* Pinned shapes: n < m and n > m with equal sums across every run. *)
+  let a = random_sub_dist state ~pens:[ 0; 5; 10; 3_000_000_001 ] ~scale:1.0 in
+  let b =
+    random_sub_dist state ~pens:[ 0; 5; 10; 15; 20; 25; 30; 4_000_000_003 ] ~scale:1.0
+  in
+  check_regime "heap n < m" a b;
+  check_regime "heap n > m" b a
+
+(* Dense regime with products that underflow to exactly 0.0: operands
+   near 1e-200 (and a few ordinary probabilities, so some buckets mix
+   zero and nonzero products). The reference keeps the zero-mass points,
+   so the kernel must not read presence from a nonzero bucket. *)
+let test_dense_underflow () =
+  let state = Random.State.make [| 223 |] in
+  for trial = 1 to 40 do
+    let n = 1 + Random.State.int state 40 and m = 1 + Random.State.int state 40 in
+    let dist k =
+      D.of_sub_points
+        (List.map
+           (fun x ->
+             let p = 0.5 +. Random.State.float state 0.5 in
+             (x, if Random.State.int state 3 = 0 then p /. 64.0 else p *. 1e-200))
+           (random_support state ~k ~bound:(2 * k)))
+    in
+    let a = dist n and b = dist m in
+    check_regime (Printf.sprintf "underflow %d: %dx%d" trial n m) a b
+  done;
+  let tiny = D.of_sub_points [ (0, 1e-200); (7, 3e-200); (14, 0.25) ] in
+  let conv = D.convolve ~max_points:max_int tiny tiny in
+  Alcotest.(check bool) "an underflowed point is kept" true
+    (List.exists (fun (_, p) -> p = 0.0) (D.support conv))
+
+(* Dense regime, no underflow possible: both lattice supports on a
+   common step of 99 cycles, as in the analysis. *)
+let test_dense_lattice () =
+  let state = Random.State.make [| 227 |] in
+  for trial = 1 to 60 do
+    let n = 1 + Random.State.int state 60 and m = 1 + Random.State.int state 60 in
+    let pens k = List.map (fun x -> 99 * x) (random_support state ~k ~bound:(2 * k)) in
+    let a = random_sub_dist state ~pens:(pens n) ~scale:1.0 in
+    let b = random_sub_dist state ~pens:(pens m) ~scale:1e-150 in
+    check_regime (Printf.sprintf "dense %d: %dx%d" trial n m) a b
+  done
+
+(* --- cap oracle ---------------------------------------------------------- *)
+
+(* The capping rule by its definition, written the slow way: sort the
+   points by (probability, index), keep the top-penalty point plus the
+   highest [max_points - 1] others, and fold each dropped point's mass
+   into the next kept point above it. Both engines share the kernel's
+   cap, so merge = reference cannot see a cap regression; this can. *)
+let oracle_cap max_points pts =
+  let pts = Array.of_list pts in
+  let n = Array.length pts in
+  if n <= max_points then Array.to_list pts
+  else begin
+    let keep = Array.make n false in
+    keep.(n - 1) <- true;
+    List.init (n - 1) Fun.id
+    |> List.sort (fun i j -> compare (snd pts.(j), j) (snd pts.(i), i))
+    |> List.iteri (fun rank i -> if rank < max_points - 1 then keep.(i) <- true);
+    let carried = ref 0.0 in
+    List.filter_map
+      (fun i ->
+        let x, p = pts.(i) in
+        if keep.(i) then begin
+          let p = p +. !carried in
+          carried := 0.0;
+          Some (x, p)
+        end
+        else begin
+          carried := !carried +. p;
+          None
+        end)
+      (List.init n Fun.id)
+  end
+
+(* Every capping path against the oracle: a convolution with the point 0
+   (all products exact), a one-part mixture, and a capped convolution
+   against the oracle applied to the uncapped one. *)
+let check_cap label d other =
+  let n = D.size d in
+  let caps = List.sort_uniq compare [ 1; 2; max 1 (n / 2); max 1 (n - 1) ] in
+  List.iter
+    (fun max_points ->
+      let label = Printf.sprintf "%s, cap %d of %d" label max_points n in
+      let expected = oracle_cap max_points (D.support d) in
+      List.iter
+        (fun impl ->
+          Alcotest.check support (label ^ ", with point 0") expected
+            (D.support (D.convolve ~impl ~max_points d (D.point 0))))
+        [ `Merge; `Reference ];
+      Alcotest.check support (label ^ ", mixture") expected
+        (D.support (D.mixture ~max_points [ (1.0, d) ]));
+      let full = D.convolve ~max_points:max_int d other in
+      let caps' = List.sort_uniq compare [ 1; 2; max 1 (D.size full - 1); max_points ] in
+      List.iter
+        (fun max_points ->
+          Alcotest.check support
+            (Printf.sprintf "%s, convolution capped at %d" label max_points)
+            (oracle_cap max_points (D.support full))
+            (D.support (D.convolve ~max_points d other)))
+        caps')
+    caps
+
+let test_cap_oracle () =
+  let state = Random.State.make [| 229 |] in
+  let tied k = float_of_int (1 + Random.State.int state k) /. 4096.0 in
+  (* Values equal in sign and exponent and apart only in the low
+     mantissa bits, so selection has to look at every digit. *)
+  let near () =
+    Float.ldexp (1.0 +. Float.ldexp (float_of_int (Random.State.int state 4)) (-50)) (-12)
+  in
+  let spread () =
+    Float.ldexp (0.5 +. Random.State.float state 0.5) (-6 - Random.State.int state 900)
+  in
+  List.iter
+    (fun (label, draw) ->
+      for trial = 1 to 25 do
+        let n = 2 + Random.State.int state 40 in
+        let pens = random_support state ~k:n ~bound:(3 * n) in
+        let d = D.of_sub_points (List.map (fun x -> (x, draw ())) pens) in
+        let other = D.of_sub_points [ (0, draw ()); (1, draw ()); (5, draw ()) ] in
+        check_cap (Printf.sprintf "%s %d" label trial) d other
+      done)
+    [ ("two-valued ties", fun () -> tied 2); ("three-valued ties", fun () -> tied 3)
+    ; ("low-bit ties", near); ("wide exponents", spread) ];
+  (* All points tied, the top one included: it must not use up a slot. *)
+  let flat = D.of_sub_points (List.init 10 (fun k -> (k, 1.0 /. 16.0))) in
+  check_cap "all tied" flat (D.point 3)
+
 (* --- convolve_pow ------------------------------------------------------- *)
 
 let copies d k = List.init k (fun _ -> d)
@@ -221,6 +396,33 @@ let test_random_fmm_differential =
               (fun target -> D.quantile reference ~target = D.quantile grouped ~target)
               quantile_targets))
 
+(* Byte identity of the default engine, registry-wide: the digest of
+   every [Dist.to_wire (Penalty.total_distribution ...)] at the paper's
+   16x4x16 geometry and pfail 1e-4, for all three mechanisms. The
+   expected value was computed before the kernel's cap, heap and dense
+   paths were rewritten; any later kernel change that moves a single
+   bit of any distribution fails here. *)
+let registry_wire_digest = "6f9b360d0a2e3b14f496226ed6a917da"
+
+let test_registry_byte_identity () =
+  let config = Cache.Config.make ~sets:16 ~ways:4 ~line_bytes:16 () in
+  let pbf = Fault.Model.pbf_of_config ~pfail:1e-4 config in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (e : Benchmarks.Registry.entry) ->
+      let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
+      let task = Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config () in
+      List.iter
+        (fun (mechanism, fmm) ->
+          let wire = D.to_wire (Pwcet.Penalty.total_distribution ~fmm ~pbf ()) in
+          Printf.bprintf buf "%s/%s %s\n" e.Benchmarks.Registry.name
+            (Pwcet.Mechanism.short_name mechanism)
+            (Digest.to_hex (Digest.string wire)))
+        (Pwcet.Estimator.fmm_grid task ~mechanisms:Pwcet.Mechanism.all ()))
+    Benchmarks.Registry.all;
+  Alcotest.(check string) "registry total-distribution digest" registry_wire_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- shared-PMF hoist ---------------------------------------------------- *)
 
 let test_shared_pmf_identity () =
@@ -293,6 +495,12 @@ let () =
         ; Alcotest.test_case "edge cases" `Quick test_kernel_edge_cases
         ; Alcotest.test_case "convolve_all impls" `Quick test_convolve_all_impls_match
         ] )
+    ; ( "regimes",
+        [ Alcotest.test_case "heap, runs over either side" `Quick test_heap_regime
+        ; Alcotest.test_case "dense, underflowing products" `Quick test_dense_underflow
+        ; Alcotest.test_case "dense, step-99 lattice" `Quick test_dense_lattice
+        ; Alcotest.test_case "cap = sort-based oracle" `Quick test_cap_oracle
+        ] )
     ; ( "power",
         [ Alcotest.test_case "pow = tree (capping incl.)" `Quick test_pow_matches_tree
         ; Alcotest.test_case "pow = fold, dyadic uncapped" `Quick test_pow_matches_fold_uncapped
@@ -303,6 +511,7 @@ let () =
         [ Alcotest.test_case "registry differential" `Quick test_registry_differential
         ; test_random_fmm_differential
         ; Alcotest.test_case "shared pmf" `Quick test_shared_pmf_identity
+        ; Alcotest.test_case "registry byte identity" `Quick test_registry_byte_identity
         ] )
     ; ( "sweep",
         [ Alcotest.test_case "sweep = independent estimates" `Quick test_sweep_matches_estimates

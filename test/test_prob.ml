@@ -261,6 +261,28 @@ let test_capping_tied_probabilities () =
         (D.exceedance capped x +. 1e-12 >= D.exceedance d x))
     pts
 
+(* A cap below one point cannot hold the result: every capping entry
+   point rejects it instead of quietly returning more points than
+   [max_points]. *)
+let test_capping_rejects_empty_cap () =
+  let d = D.of_points [ (0, 0.5); (3, 0.5) ] in
+  List.iter
+    (fun (label, run) ->
+      List.iter
+        (fun max_points ->
+          match run max_points with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s accepted max_points %d" label max_points)
+        [ 0; -1; min_int ])
+    [ ("convolve", fun max_points -> D.convolve ~max_points d d)
+    ; ("convolve reference", fun max_points -> D.convolve ~impl:`Reference ~max_points d d)
+    ; ("convolve_all", fun max_points -> D.convolve_all ~max_points [ d; d; d ])
+    ; ("convolve_all singleton", fun max_points -> D.convolve_all ~max_points [ d ])
+    ; ("convolve_pow", fun max_points -> D.convolve_pow ~max_points d 3)
+    ; ("convolve_pow zero", fun max_points -> D.convolve_pow ~max_points d 0)
+    ; ("mixture", fun max_points -> D.mixture ~max_points [ (0.5, d); (0.5, d) ])
+    ]
+
 (* --- tree reduction vs left fold --------------------------------------------- *)
 
 let fold_convolve ?max_points = function
@@ -433,6 +455,7 @@ let () =
     ; ( "capping",
         [ Alcotest.test_case "conservative" `Quick test_capping_is_conservative
         ; Alcotest.test_case "tied probabilities" `Quick test_capping_tied_probabilities
+        ; Alcotest.test_case "max_points < 1 rejected" `Quick test_capping_rejects_empty_cap
         ] )
     ; ( "tree reduction",
         [ Alcotest.test_case "matches fold uncapped" `Quick test_tree_matches_fold_uncapped

@@ -612,13 +612,19 @@ let test_budgeted_request_degrades () =
   let store = Store.Artifact.open_store ~dir () in
   Fun.protect ~finally:(fun () -> rm dir) @@ fun () ->
   with_server ~store (fun socket _scheduler ->
+      (* The budget starts when the request is admitted; [delay_ms]
+         holds the worker back past the 1 ms deadline before it starts,
+         so the deadline has expired whatever the host's speed (crc's
+         whole analysis can finish inside 1 ms on a fast host). *)
       let req =
-        { (Protocol.default_analyze ~bench:"crc") with Protocol.timeout_ms = Some 1 }
+        { (Protocol.default_analyze ~bench:"crc") with
+          Protocol.timeout_ms = Some 1;
+          delay_ms = 5 }
       in
       (match Client.request ~socket (Protocol.Analyze req) with
       | Ok (Protocol.Result r) ->
-        (* 1 ms cannot cover crc's preparation: the bound degraded but
-           exists — and was counted as its own computation. *)
+        (* The bound degraded but exists — and was counted as its own
+           computation. *)
         check "degraded rung" true (r.Protocol.rung <> "exact");
         check "bound still positive" true (r.Protocol.pwcet > 0)
       | Ok other ->

@@ -460,6 +460,20 @@ let test_dist_wire_rejects_invalid () =
     ; ("mass above one", [ (1, 0.7); (2, 0.7) ])
     ]
 
+(* A point count whose byte length [8 + 16 * n] wraps around to the
+   payload's real length must come back as [Error], not reach
+   [Array.make]: n = 2^59 + 1 makes 16 * n wrap to 16, so a 24-byte
+   payload passed the old length check. *)
+let test_dist_wire_rejects_wrapped_length () =
+  let n = (1 lsl 59) + 1 in
+  Alcotest.(check int) "byte length wraps" 24 (8 + (16 * n));
+  let b = Bytes.make 24 '\000' in
+  Bytes.set_int64_le b 0 (Int64.of_int n);
+  match D.of_wire (Bytes.to_string b) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "wrapped length accepted"
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+
 let test_fmm_wire_roundtrip () =
   let program = task_of "bs" in
   let config = Cache.Config.paper_default in
@@ -688,6 +702,8 @@ let () =
     ; ( "domain codecs",
         [ Alcotest.test_case "dist roundtrip" `Quick test_dist_wire_roundtrip
         ; Alcotest.test_case "dist rejects invalid" `Quick test_dist_wire_rejects_invalid
+        ; Alcotest.test_case "dist rejects wrapped length" `Quick
+            test_dist_wire_rejects_wrapped_length
         ; Alcotest.test_case "fmm roundtrip" `Quick test_fmm_wire_roundtrip
         ; Alcotest.test_case "fmm corruption never crashes" `Quick
             test_fmm_wire_rejects_corruption
