@@ -478,7 +478,7 @@ let section_fmm_json () =
      1. total-distribution stage: the grouped engine (shared way PMF,
         equal-row grouping, power convolution by squaring, merge kernel)
         vs the reference engine (per-set hash-table convolutions);
-     2. a pfail sweep through Estimator.sweep (FMM computed once) vs
+     2. a pfail sweep through Grid.run (FMM computed once) vs
         independent end-to-end estimates per grid point.
    Both comparisons assert equal pWCET tables before any timing is
    reported. *)
@@ -530,9 +530,18 @@ let section_dist_json () =
   let prepare () =
     Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config:wide_config ()
   in
+  let spec =
+    { Grid.benchmarks = [ ("adpcm", compiled.Minic.Compile.program) ];
+      configs = [ wide_config ]; mechanisms = [ mechanism ]; pfail_grid = grid; targets;
+      engine = `Path; exact = false; impl = `Sliced }
+  in
+  (* The sweep's estimates, in grid order, collected through [on_cell]
+     (jobs:1, so cells complete in canonical order). *)
   let swept, sweep_s =
     time ~reps:2 (fun () ->
-        Pwcet.Estimator.sweep (prepare ()) ~pfail_grid:grid ~mechanism ())
+        let ests = ref [] in
+        ignore (Grid.run ~on_cell:(fun _ est -> ests := est :: !ests) spec);
+        List.rev !ests)
   in
   let independent, independent_s =
     time ~reps:2 (fun () ->
@@ -551,7 +560,7 @@ let section_dist_json () =
   let sweep_speedup = independent_s /. sweep_s in
   Printf.printf "  pfail sweep (%d points):\n" (List.length grid);
   Printf.printf "    independent runs : %10.6f s\n" independent_s;
-  Printf.printf "    Estimator.sweep  : %10.6f s   (%.2fx)\n" sweep_s sweep_speedup;
+  Printf.printf "    Grid.run sweep   : %10.6f s   (%.2fx)\n" sweep_s sweep_speedup;
   let identical = dist_identical && sweep_identical in
   Printf.printf "  tables identical: %b\n" identical;
   if not identical then failwith "dist-json: engines disagree on pWCET tables";

@@ -20,9 +20,9 @@
    violation, or corrupt store entries found by cache verify; 2 invalid
    input (bad benchmark, source, cache geometry, probability, budget or
    jobs count); 3 a client request shed by the daemon's admission
-   control; 130 sweep/suite cancelled cleanly by SIGINT/SIGTERM, or a
-   serve run ended by those signals after a clean drain; cmdliner's own
-   codes for CLI errors. *)
+   control; 130 sweep/suite/grid/sched analyze cancelled cleanly by
+   SIGINT/SIGTERM, or a serve run ended by those signals after a clean
+   drain; cmdliner's own codes for CLI errors. *)
 
 open Cmdliner
 
@@ -181,8 +181,9 @@ let cache_dir_arg =
                  penalty distributions are stored under $(docv) (created as needed), \
                  keyed by code version, program content and analysis flags, and \
                  integrity-checked on every read — a corrupt entry is quarantined and \
-                 transparently recomputed. Also the home of sweep/suite resume journals. \
-                 Budget-limited runs (--timeout/--ilp-nodes) bypass the cache.")
+                 transparently recomputed. Also the home of the resume journals of \
+                 sweep, suite, grid (one record per cell) and sched analyze (one per \
+                 task set). Budget-limited runs (--timeout/--ilp-nodes) bypass the cache.")
 
 let no_cache_arg =
   Arg.(value & flag
@@ -194,11 +195,11 @@ let resume_arg =
   Arg.(value & flag
        & info [ "resume" ]
            ~doc:"Resume an interrupted run from its journal under --cache-dir: completed \
-                 (mechanism, pfail-point) or benchmark units are replayed from the \
-                 journal (integrity-checked; a torn trailing record from a crash is \
-                 dropped and recomputed) and only the remainder is analysed. The final \
-                 output is bit-identical to an uninterrupted run. Requires --cache-dir; \
-                 incompatible with --verify and with budget options.")
+                 units (cells for sweep, suite and grid; task sets for sched analyze) are \
+                 replayed from the journal (integrity-checked; a torn trailing record from \
+                 a crash is dropped and recomputed) and only the remainder is analysed. \
+                 The final output is bit-identical to an uninterrupted run. Requires \
+                 --cache-dir; incompatible with --verify and with budget options.")
 
 (* Deterministic crash injection for the crash-safety gate in `make
    check`: kill this very process with SIGKILL — no cleanup, no
@@ -221,22 +222,70 @@ let report_store_stats store =
   | Some st ->
     Format.eprintf "cache: %a@." Store.Artifact.pp_stats (Store.Artifact.stats st)
 
-(* SIGINT/SIGTERM request a clean cancel: the flag is checked between
-   units, so the journal is left consistent (every appended record
-   complete and fsynced), no partial JSON is emitted, and the exit
-   code is 130. A second Ctrl-C still kills the process the hard way —
-   which the torn-record handling tolerates by design. *)
-let cancel_requested = ref false
+(* The options of every journaled run: worker count, budget, store and
+   the resume/crash hooks. *)
+type run_opts = {
+  jobs : int;
+  ilp_nodes : int option;
+  timeout : float option;
+  cache_dir : string option;
+  no_cache : bool;
+  resume : bool;
+  crash_after : int option;
+}
+
+let run_opts_term =
+  let make jobs ilp_nodes timeout cache_dir no_cache resume crash_after =
+    { jobs; ilp_nodes; timeout; cache_dir; no_cache; resume; crash_after }
+  in
+  Term.(const make $ jobs_arg $ ilp_nodes_arg $ timeout_arg $ cache_dir_arg $ no_cache_arg
+        $ resume_arg $ crash_after_arg)
+
+(* The one --resume validation. *)
+let check_resume ~label ?(verify = false) opts =
+  let invalid msg =
+    Printf.eprintf "%s: %s\n" label msg;
+    exit exit_invalid_input
+  in
+  if opts.resume && opts.cache_dir = None then
+    invalid "--resume requires --cache-dir (the journal lives there)";
+  if opts.resume && verify then
+    invalid "--resume is incompatible with --verify (replayed units have no distribution to \
+             cross-check); rerun the verification without --resume";
+  if opts.resume && (opts.ilp_nodes <> None || opts.timeout <> None) then
+    invalid "--resume is incompatible with budget options (budgeted results depend on \
+             wall-clock and are never journalled)"
+
+(* SIGINT/SIGTERM request a clean cancel: the flag is checked as each
+   unit completes, so the journal is left consistent (every appended
+   record complete and fsynced), no partial JSON is emitted, and the
+   exit code is 130. A second Ctrl-C still kills the process the hard
+   way — which the torn-record handling tolerates by design. *)
+let cancel_requested = Atomic.make false
 
 let install_cancel_handlers () =
-  let handle = Sys.Signal_handle (fun _ -> cancel_requested := true) in
+  let handle = Sys.Signal_handle (fun _ -> Atomic.set cancel_requested true) in
   List.iter
     (fun signal -> try Sys.set_signal signal handle with Invalid_argument _ | Sys_error _ -> ())
     [ Sys.sigint; Sys.sigterm ]
 
+(* A run's resume journal: one record per completed unit, appended
+   from any domain under [lock]. [writer] is [None] without a store and
+   for budgeted runs, whose results are never journalled. *)
+type journal = {
+  mutable writer : (Store.Journal.writer * string) option;  (* writer, path *)
+  lock : Mutex.t;
+  mutable appended : int;
+  crash_after : int option;
+}
+
+let close_journal j =
+  Option.iter (fun (w, _) -> Store.Journal.close w) j.writer;
+  j.writer <- None
+
 let bail_if_cancelled ?journal label =
-  if !cancel_requested then begin
-    Option.iter Store.Journal.close journal;
+  if Atomic.get cancel_requested then begin
+    Option.iter close_journal journal;
     Printf.eprintf
       "%s: cancelled by signal; completed units are journalled, rerun with --resume to \
        continue\n"
@@ -244,20 +293,47 @@ let bail_if_cancelled ?journal label =
     exit exit_cancelled
   end
 
-let maybe_crash crash_after ~appended ~journal_path =
-  match crash_after with
-  | Some n when appended >= n ->
-    (* Torn trailing record: a length prefix promising far more bytes
-       than will ever arrive. [resume] must drop it. *)
-    let oc = open_out_gen [ Open_append; Open_binary ] 0o644 journal_path in
-    output_string oc "\xff\xff\xff\xff\xff\xff\xff\x7ftorn";
-    flush oc;
-    Unix.kill (Unix.getpid ()) Sys.sigkill
-  | _ -> ()
+(* The one journal open: creates the journal keyed by [run_key], or
+   with --resume replays it, returning the records [decode] accepts. *)
+let open_journal ~label ~units ~store ~budget ~run_key ~decode opts =
+  let writer, replayed =
+    match store with
+    | Some st when budget = None ->
+      let run_key = Store.Artifact.key run_key in
+      let path = Store.Artifact.journal_path st ~run_key in
+      if opts.resume then
+        let w, records = Store.Journal.resume ~path ~run_key () in
+        (Some (w, path), List.filter_map (fun r -> Result.to_option (decode r)) records)
+      else (Some (Store.Journal.create ~path ~run_key (), path), [])
+    | _ -> (None, [])
+  in
+  if replayed <> [] then
+    Printf.eprintf "%s: resuming: %d completed %s replayed from the journal\n" label
+      (List.length replayed) units;
+  ({ writer; lock = Mutex.create (); appended = 0; crash_after = opts.crash_after }, replayed)
 
-let float_key f = Int64.to_string (Int64.bits_of_float f)
-let engine_tag = function `Path -> "path" | `Ilp -> "ilp"
-let impl_tag = function `Naive -> "naive" | `Sliced -> "sliced"
+(* One unit completed, possibly on a worker domain: under the lock,
+   append [payload ()], then stop the run if it was cancelled, else run
+   [also]. The crash hook fires under the same lock, so the append
+   count is exact. *)
+let record ?(also = ignore) ~label j payload =
+  Mutex.protect j.lock (fun () ->
+      (match j.writer with
+      | None -> ()
+      | Some (w, path) -> (
+        Store.Journal.append w (payload ());
+        j.appended <- j.appended + 1;
+        match j.crash_after with
+        | Some n when j.appended >= n ->
+          (* Torn trailing record: a length prefix promising far more
+             bytes than will ever arrive. [resume] must drop it. *)
+          let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+          output_string oc "\xff\xff\xff\xff\xff\xff\xff\x7ftorn";
+          flush oc;
+          Unix.kill (Unix.getpid ()) Sys.sigkill
+        | _ -> ()));
+      bail_if_cancelled ~journal:j label;
+      also ())
 
 let exits =
   Cmd.Exit.info 1
@@ -268,9 +344,10 @@ let exits =
              geometry, probability outside (0, 1), a malformed budget, an out-of-range \
              jobs count, or an inconsistent --resume combination."
   :: Cmd.Exit.info exit_cancelled
-       ~doc:"when SIGINT/SIGTERM cancels a sweep/suite run cleanly: the resume journal \
-             is left consistent, no partial JSON is emitted, and completed units can be \
-             replayed with --resume."
+       ~doc:"when SIGINT/SIGTERM cancels a sweep, suite, grid or sched analyze run \
+             cleanly: the per-cell (per-set for sched analyze) resume journal is left \
+             consistent, no partial JSON is emitted, and completed units can be replayed \
+             with --resume."
   :: Cmd.Exit.defaults
 
 let cmd_info name ~doc = Cmd.info name ~doc ~exits
@@ -407,271 +484,229 @@ let analyze_cmd =
           $ engine_arg $ exact_arg $ jobs_arg $ impl_arg $ ilp_nodes_arg $ timeout_arg
           $ curve_arg $ fmm_arg $ check_arg $ cache_dir_arg $ no_cache_arg)
 
-(* --- sweep ------------------------------------------------------------------ *)
+(* --- one evaluation path: sweep, grid and suite ----------------------------- *)
 
-(* A sweep point as displayed, journalled and emitted as JSON —
-   identical in shape whether freshly computed or replayed from a
-   resume journal, which is what makes resumed output bit-identical to
-   an uninterrupted run. *)
-type sweep_point = {
-  sp_pfail : float;
-  sp_pbf : float;
-  sp_rung : Robust.Rung.t;
-  sp_pwcets : int list;  (* one per target, in --targets order *)
+(* sweep, grid and suite are slices of one benchmark x geometry x
+   mechanism x pfail cross-product: each front end builds a [Grid.spec]
+   and prints its own table; [evaluate] does the rest — resume checks,
+   the per-cell journal, cancellation, the failure report and
+   --verify. *)
+type evaluation = {
+  results : (Grid.point * (Grid.cell, Robust.Pwcet_error.t) result) list;
+  replayed : int;
+  fresh : (string, Pwcet.Estimator.estimate) Hashtbl.t;
+      (* freshly computed estimates by point key, kept with [keep_estimates] or --verify *)
+  store : Store.Artifact.t option;
 }
 
-let sweep_point_payload ~mech_name point =
-  let w = Store.Wire.writer () in
-  Store.Wire.put_string w mech_name;
-  Store.Wire.put_float w point.sp_pfail;
-  Store.Wire.put_float w point.sp_pbf;
-  Store.Wire.put_int w (Robust.Rung.to_tag point.sp_rung);
-  Store.Wire.put_int_array w (Array.of_list point.sp_pwcets);
-  Store.Wire.contents w
+let ok_cells ev =
+  List.filter_map (fun (_, outcome) -> Result.to_option outcome) ev.results
 
-let sweep_point_of_payload payload =
-  match
-    Store.Wire.decode payload (fun r ->
-        let mech_name = Store.Wire.get_string r in
-        let sp_pfail = Store.Wire.get_float r in
-        let sp_pbf = Store.Wire.get_float r in
-        let sp_rung =
-          match Robust.Rung.of_tag (Store.Wire.get_int r) with
-          | Some rung -> rung
-          | None -> Store.Wire.malformed "bad rung tag"
-        in
-        let sp_pwcets = Array.to_list (Store.Wire.get_int_array r) in
-        (mech_name, { sp_pfail; sp_pbf; sp_rung; sp_pwcets }))
-  with
-  | Ok v -> Some v
-  | Error _ -> None
+(* Re-run every cell as an independent end-to-end estimate —
+   deliberately WITHOUT the store, so a cached run is checked against
+   genuine recomputation — and demand equal fault-free WCET, pbf,
+   penalty support, quantiles and provenance. The sharing must be a
+   pure refactoring of the computation, never an approximation. *)
+let verify_cells ~jobs ~budget ~verified spec ev =
+  let tasks = Hashtbl.create 16 in
+  let task_of (p : Grid.point) =
+    match Hashtbl.find_opt tasks (p.bench, p.config) with
+    | Some task -> task
+    | None ->
+      let task =
+        Pwcet.Estimator.prepare
+          ~program:(List.assoc p.bench spec.Grid.benchmarks)
+          ~config:p.config ~engine:spec.Grid.engine ~exact:spec.Grid.exact ?budget ()
+      in
+      Hashtbl.replace tasks (p.bench, p.config) task;
+      task
+  in
+  let differs (point, outcome) =
+    match outcome with
+    | Error _ -> true
+    | Ok (cell : Grid.cell) ->
+      let task = task_of point in
+      let independent =
+        Pwcet.Estimator.estimate task ~pfail:point.Grid.pfail ~mechanism:point.Grid.mechanism
+          ~engine:spec.Grid.engine ~exact:spec.Grid.exact ~jobs ~impl:spec.Grid.impl ?budget ()
+      in
+      let est = Hashtbl.find ev.fresh (Grid.point_key point) in
+      let same =
+        Pwcet.Estimator.fault_free_wcet task = cell.wcet_ff
+        && independent.Pwcet.Estimator.pbf = cell.pbf
+        && Prob.Dist.support independent.Pwcet.Estimator.penalty
+           = Prob.Dist.support est.Pwcet.Estimator.penalty
+        && List.for_all
+             (fun (target, q) -> Pwcet.Estimator.pwcet independent ~target = q)
+             cell.pwcets
+        && Robust.Rung.equal (Pwcet.Estimator.worst_rung independent) cell.rung
+      in
+      if not same then
+        Printf.eprintf "verify FAILED: cell %s differs from an independent estimate\n"
+          (Grid.point_key point);
+      not same
+  in
+  if List.filter differs ev.results <> [] then exit 1
+  else print_string (verified (List.length ev.results))
+
+let evaluate ~command ?(verify = false)
+    ?(verified = Printf.sprintf "verify : all %d cells bit-identical to independent estimates\n")
+    ?(keep_estimates = false) ~print opts spec =
+  check_resume ~label:command ~verify opts;
+  install_cancel_handlers ();
+  let budget = budget_of opts.ilp_nodes opts.timeout in
+  let store = store_of opts.cache_dir opts.no_cache in
+  let journal, replayed =
+    open_journal ~label:command ~units:"cell(s)" ~store ~budget
+      ~run_key:(("run", command) :: Grid.identity spec)
+      ~decode:Grid.cell_of_wire opts
+  in
+  let completed = Hashtbl.create 64 in
+  List.iter
+    (fun (cell : Grid.cell) -> Hashtbl.replace completed (Grid.point_key cell.point) cell)
+    replayed;
+  let fresh = Hashtbl.create 64 in
+  let on_cell (cell : Grid.cell) est =
+    record ~label:command journal
+      (fun () -> Grid.cell_to_wire cell)
+      ~also:(fun () ->
+        if verify || keep_estimates then Hashtbl.replace fresh (Grid.point_key cell.point) est)
+  in
+  let results =
+    Grid.run ~jobs:opts.jobs ?budget ?store
+      ~skip:(fun point -> Hashtbl.find_opt completed (Grid.point_key point))
+      ~on_cell spec
+  in
+  close_journal journal;
+  bail_if_cancelled command;
+  let failures =
+    List.filter_map
+      (fun (point, outcome) ->
+        match outcome with
+        | Ok _ -> None
+        | Error e ->
+          Printf.eprintf "%s: cell %s failed: %s\n" command (Grid.point_key point)
+            (Robust.Pwcet_error.to_string e);
+          Some point)
+      results
+  in
+  let ev = { results; replayed = Hashtbl.length completed; fresh; store } in
+  print ev;
+  if verify then verify_cells ~jobs:opts.jobs ~budget ~verified spec ev;
+  report_store_stats store;
+  if failures <> [] then exit 1
+
+let json_floats xs = String.concat ", " (List.map (Printf.sprintf "%.17g") xs)
+
+let write_json file buf =
+  let oc = open_out file in
+  Buffer.output_buffer oc buf;
+  close_out oc
+
+let targets_arg =
+  Arg.(value & opt (list ~sep:',' prob_conv) [ default_target ]
+       & info [ "targets" ] ~docv:"P,P,..."
+           ~doc:"Comma-separated exceedance targets; one pWCET column per target.")
+
+let require_nonempty ~label ~what ~name = function
+  | [] ->
+    Printf.eprintf "%s: %s must name at least one %s\n" label what name;
+    exit exit_invalid_input
+  | l -> l
+
+(* --- sweep ------------------------------------------------------------------ *)
 
 let sweep_cmd =
-  let run name grid targets sets ways line engine exact jobs impl ilp_nodes timeout mechanisms
-      json_file verify cache_dir no_cache resume crash_after =
-    if grid = [] then begin
-      Printf.eprintf "sweep: --pfail-grid must name at least one pfail point\n";
-      exit exit_invalid_input
-    end;
-    if targets = [] then begin
-      Printf.eprintf "sweep: --targets must name at least one exceedance target\n";
-      exit exit_invalid_input
-    end;
-    if resume && cache_dir = None then begin
-      Printf.eprintf "sweep: --resume requires --cache-dir (the journal lives there)\n";
-      exit exit_invalid_input
-    end;
-    if resume && verify then begin
-      Printf.eprintf "sweep: --resume is incompatible with --verify (replayed points have \
-                      no distribution to cross-check); rerun the verification without \
-                      --resume\n";
-      exit exit_invalid_input
-    end;
-    if resume && (ilp_nodes <> None || timeout <> None) then begin
-      Printf.eprintf "sweep: --resume is incompatible with budget options (budgeted \
-                      results depend on wall-clock and are never journalled)\n";
-      exit exit_invalid_input
-    end;
-    install_cancel_handlers ();
+  let run name grid targets sets ways line engine exact impl mechanisms json_file verify opts =
+    let grid = require_nonempty ~label:"sweep" ~what:"--pfail-grid" ~name:"pfail point" grid in
+    let targets =
+      require_nonempty ~label:"sweep" ~what:"--targets" ~name:"exceedance target" targets
+    in
     let label, compiled = compile_target name in
+    let program = compiled.Minic.Compile.program in
     let config = config_of sets ways line in
-    let budget = budget_of ilp_nodes timeout in
-    let store = store_of cache_dir no_cache in
-    let task =
-      Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config ~engine ~exact
-        ?budget ?store ()
+    let spec =
+      { Grid.benchmarks = [ (label, program) ]; configs = [ config ]; mechanisms;
+        pfail_grid = grid; targets; engine; exact; impl }
     in
-    (* The run key digests everything that shapes the output; a journal
-       written under different parameters is ignored wholesale. *)
-    let run_key =
-      Store.Artifact.key
-        (task.Pwcet.Estimator.identity
-        @ [ ("run", "sweep");
-            ("engine", engine_tag engine);
-            ("exact", string_of_bool exact);
-            ("impl", impl_tag impl);
-            ("grid", String.concat "," (List.map float_key grid));
-            ("targets", String.concat "," (List.map float_key targets));
-            ("mechanisms",
-             String.concat "," (List.map Pwcet.Mechanism.short_name mechanisms)) ])
-    in
-    let journal, replayed =
-      match store with
-      | Some st when budget = None ->
-        let path = Store.Artifact.journal_path st ~run_key in
-        if resume then
-          let w, units = Store.Journal.resume ~path ~run_key () in
-          (Some (w, path), units)
-        else (Some (Store.Journal.create ~path ~run_key (), path), [])
-      | _ -> (None, [])
-    in
-    let writer = Option.map fst journal in
-    let completed = Hashtbl.create 16 in
-    List.iter
-      (fun payload ->
-        match sweep_point_of_payload payload with
-        | Some (mech_name, point) ->
-          Hashtbl.replace completed (mech_name, Int64.bits_of_float point.sp_pfail) point
-        | None -> ())
-      replayed;
-    if Hashtbl.length completed > 0 then
-      Printf.eprintf "sweep: resuming %s: %d completed point(s) replayed from the journal\n"
-        label (Hashtbl.length completed);
-    let appended = ref 0 in
-    let append_point mech_name point =
-      match journal with
-      | None -> ()
-      | Some (w, path) ->
-        Store.Journal.append w (sweep_point_payload ~mech_name point);
-        incr appended;
-        maybe_crash crash_after ~appended:!appended ~journal_path:path
-    in
-    let point_of_est est =
-      { sp_pfail = est.Pwcet.Estimator.pfail;
-        sp_pbf = est.Pwcet.Estimator.pbf;
-        sp_rung = Pwcet.Estimator.worst_rung est;
-        sp_pwcets = List.map (fun target -> Pwcet.Estimator.pwcet est ~target) targets }
-    in
-    (* Fresh estimates kept around for --verify's cross-check. *)
-    let fresh_ests = Hashtbl.create 16 in
-    let results =
-      List.map
-        (fun mech ->
-          bail_if_cancelled ?journal:writer "sweep";
-          let mech_name = Pwcet.Mechanism.short_name mech in
-          let missing =
-            List.filter
-              (fun pfail -> not (Hashtbl.mem completed (mech_name, Int64.bits_of_float pfail)))
-              grid
-          in
-          let record est =
-            report_degradation mech_name est;
-            let point = point_of_est est in
-            Hashtbl.replace completed
-              (mech_name, Int64.bits_of_float est.Pwcet.Estimator.pfail)
-              point;
-            Hashtbl.replace fresh_ests
-              (mech_name, Int64.bits_of_float est.Pwcet.Estimator.pfail)
-              est;
-            append_point mech_name point
-          in
-          (match journal with
-          | Some _ ->
-            (* Journaled path: one estimate per point, so cancellation
-               and crashes have point granularity. The pfail-independent
-               work (FMM, fault-free WCET) is amortised through the
-               artifact store instead of the in-process sweep loop —
-               same bits either way. *)
-            List.iter
-              (fun pfail ->
-                bail_if_cancelled ?journal:writer "sweep";
-                record
-                  (Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~engine ~exact ~jobs
-                     ~impl ?budget ?store ()))
-              missing
-          | None ->
-            if missing <> [] then
-              List.iter record
-                (Pwcet.Estimator.sweep task ~pfail_grid:missing ~mechanism:mech ~engine ~exact
-                   ~jobs ~impl ?budget ?store ()));
-          let points =
-            List.map
-              (fun pfail -> Hashtbl.find completed (mech_name, Int64.bits_of_float pfail))
-              grid
-          in
-          (mech, points))
-        mechanisms
-    in
-    Option.iter Store.Journal.close writer;
-    Printf.printf "benchmark      : %s\n" label;
-    Format.printf "cache          : %a@." Cache.Config.pp config;
-    Printf.printf "fault-free WCET: %d cycles%s\n" (Pwcet.Estimator.fault_free_wcet task)
-      (rung_tag task.Pwcet.Estimator.wcet_rung);
-    List.iter
-      (fun (mech, points) ->
-        Printf.printf "\n%s\n" (Pwcet.Mechanism.name mech);
-        Printf.printf "  %-12s" "pfail";
-        List.iter (fun t -> Printf.printf "  pWCET(%g)" t) targets;
-        print_newline ();
-        List.iter
-          (fun point ->
-            Printf.printf "  %-12g" point.sp_pfail;
-            List.iter (fun q -> Printf.printf "  %10d" q) point.sp_pwcets;
-            Printf.printf "%s\n" (rung_tag point.sp_rung))
-          points)
-      results;
-    (match json_file with
-    | None -> ()
-    | Some file ->
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "{\n";
-      Buffer.add_string buf "  \"schema_version\": 1,\n";
-      Printf.bprintf buf "  \"benchmark\": %S,\n" label;
-      Printf.bprintf buf "  \"geometry\": { \"sets\": %d, \"ways\": %d, \"line_bytes\": %d },\n"
-        sets ways line;
-      Printf.bprintf buf "  \"wcet_ff\": %d,\n" (Pwcet.Estimator.fault_free_wcet task);
-      Printf.bprintf buf "  \"targets\": [%s],\n"
-        (String.concat ", " (List.map (Printf.sprintf "%.17g") targets));
-      Buffer.add_string buf "  \"mechanisms\": [\n";
-      List.iteri
-        (fun i (mech, points) ->
-          Printf.bprintf buf "    { \"mechanism\": %S,\n      \"points\": [\n"
-            (Pwcet.Mechanism.short_name mech);
-          List.iteri
-            (fun j point ->
-              Printf.bprintf buf "        { \"pfail\": %.17g, \"pbf\": %.17g, \"pwcet\": [%s] }%s\n"
-                point.sp_pfail point.sp_pbf
-                (String.concat ", " (List.map string_of_int point.sp_pwcets))
-                (if j = List.length points - 1 then "" else ","))
-            points;
-          Printf.bprintf buf "      ] }%s\n" (if i = List.length results - 1 then "" else ","))
-        results;
-      Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out file in
-      Buffer.output_buffer oc buf;
-      close_out oc;
-      Printf.printf "\nwrote %s\n" file);
-    if verify then begin
-      (* Re-run every grid point as an independent end-to-end estimate —
-         deliberately WITHOUT the store, so a cached sweep is checked
-         against genuine recomputation — and demand bit-identical
-         penalty distributions and equal pWCET quantiles. The
-         amortisation (in-process or through the cache) must be a pure
-         refactoring of the computation, never an approximation. *)
-      let mismatches = ref 0 in
+    let print ev =
+      let cells = ok_cells ev in
+      (* Degradation notes in canonical order, for freshly computed cells. *)
       List.iter
-        (fun (mech, points) ->
-          let mech_name = Pwcet.Mechanism.short_name mech in
-          List.iter2
-            (fun pfail point ->
-              let independent =
-                Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~engine ~exact ~jobs ~impl
-                  ?budget ()
-              in
-              let est =
-                Hashtbl.find fresh_ests (mech_name, Int64.bits_of_float pfail)
-              in
-              let same_support =
-                Prob.Dist.support independent.Pwcet.Estimator.penalty
-                = Prob.Dist.support est.Pwcet.Estimator.penalty
-              in
-              let same_quantiles =
-                List.for_all2
-                  (fun target q -> Pwcet.Estimator.pwcet independent ~target = q)
-                  targets point.sp_pwcets
-              in
-              if not (same_support && same_quantiles) then begin
-                incr mismatches;
-                Printf.eprintf "verify FAILED: %s pfail=%g differs from an independent estimate\n"
-                  mech_name pfail
-              end)
-            grid points)
-        results;
-      if !mismatches > 0 then exit 1
-      else Printf.printf "\nverify: all %d sweep points bit-identical to independent estimates\n"
-             (List.length grid * List.length results)
-    end;
-    report_store_stats store
+        (fun (cell : Grid.cell) ->
+          Option.iter
+            (report_degradation (Pwcet.Mechanism.short_name cell.point.mechanism))
+            (Hashtbl.find_opt ev.fresh (Grid.point_key cell.point)))
+        cells;
+      (* The header's WCET rung lives in the task; a fully replayed run
+         prepares it once (a store hit for the WCET). *)
+      let task =
+        match Hashtbl.to_seq_values ev.fresh () with
+        | Seq.Cons (est, _) -> est.Pwcet.Estimator.task
+        | Seq.Nil ->
+          Pwcet.Estimator.prepare ~program ~config ~engine ~exact ?store:ev.store ()
+      in
+      let by_mechanism =
+        List.map
+          (fun mech ->
+            ( mech,
+              List.filter (fun (c : Grid.cell) -> Pwcet.Mechanism.equal c.point.mechanism mech)
+                cells ))
+          mechanisms
+      in
+      Printf.printf "benchmark      : %s\n" label;
+      Format.printf "cache          : %a@." Cache.Config.pp config;
+      Printf.printf "fault-free WCET: %d cycles%s\n" (Pwcet.Estimator.fault_free_wcet task)
+        (rung_tag task.Pwcet.Estimator.wcet_rung);
+      List.iter
+        (fun (mech, cells) ->
+          Printf.printf "\n%s\n" (Pwcet.Mechanism.name mech);
+          Printf.printf "  %-12s" "pfail";
+          List.iter (fun t -> Printf.printf "  pWCET(%g)" t) targets;
+          print_newline ();
+          List.iter
+            (fun (cell : Grid.cell) ->
+              Printf.printf "  %-12g" cell.point.pfail;
+              List.iter (fun (_, q) -> Printf.printf "  %10d" q) cell.pwcets;
+              Printf.printf "%s\n" (rung_tag cell.rung))
+            cells)
+        by_mechanism;
+      Option.iter
+        (fun file ->
+          let buf = Buffer.create 1024 in
+          Buffer.add_string buf "{\n";
+          Buffer.add_string buf "  \"schema_version\": 1,\n";
+          Printf.bprintf buf "  \"benchmark\": %S,\n" label;
+          Printf.bprintf buf
+            "  \"geometry\": { \"sets\": %d, \"ways\": %d, \"line_bytes\": %d },\n" sets ways
+            line;
+          Printf.bprintf buf "  \"wcet_ff\": %d,\n" (Pwcet.Estimator.fault_free_wcet task);
+          Printf.bprintf buf "  \"targets\": [%s],\n" (json_floats targets);
+          Buffer.add_string buf "  \"mechanisms\": [\n";
+          List.iteri
+            (fun i (mech, cells) ->
+              Printf.bprintf buf "    { \"mechanism\": %S,\n      \"points\": [\n"
+                (Pwcet.Mechanism.short_name mech);
+              List.iteri
+                (fun j (cell : Grid.cell) ->
+                  Printf.bprintf buf
+                    "        { \"pfail\": %.17g, \"pbf\": %.17g, \"pwcet\": [%s] }%s\n"
+                    cell.point.pfail cell.pbf
+                    (String.concat ", " (List.map (fun (_, q) -> string_of_int q) cell.pwcets))
+                    (if j = List.length cells - 1 then "" else ","))
+                cells;
+              Printf.bprintf buf "      ] }%s\n"
+                (if i = List.length by_mechanism - 1 then "" else ","))
+            by_mechanism;
+          Buffer.add_string buf "  ]\n}\n";
+          write_json file buf;
+          Printf.printf "\nwrote %s\n" file)
+        json_file
+    in
+    evaluate ~command:"sweep" ~verify ~keep_estimates:true ~print
+      ~verified:
+        (Printf.sprintf "\nverify: all %d sweep points bit-identical to independent estimates\n")
+      opts spec
   in
   let grid_arg =
     Arg.(value & opt (list ~sep:',' prob_conv) [ 1e-6; 1e-5; 1e-4; 1e-3 ]
@@ -679,11 +714,6 @@ let sweep_cmd =
              ~doc:"Comma-separated pfail grid. The expensive pfail-independent work (CHMC, \
                    FMM, fault-free WCET) runs once per mechanism; only the binomial \
                    reweighting, convolution and quantile read-off are redone per point.")
-  in
-  let targets_arg =
-    Arg.(value & opt (list ~sep:',' prob_conv) [ default_target ]
-         & info [ "targets" ] ~docv:"P,P,..."
-             ~doc:"Comma-separated exceedance targets; one pWCET column per target.")
   in
   let mechanism_conv =
     Arg.enum
@@ -706,17 +736,16 @@ let sweep_cmd =
     Arg.(value & flag
          & info [ "verify" ]
              ~doc:"Cross-check every sweep point against an independent end-to-end estimate \
-                   (bit-identical penalty distribution and equal pWCET quantiles); exit 1 \
-                   on any mismatch.")
+                   (bit-identical penalty distribution, equal pWCET quantiles, pbf and \
+                   degradation provenance); exit 1 on any mismatch.")
   in
   Cmd.v
     (cmd_info "sweep"
        ~doc:"pWCET sensitivity sweep over a pfail grid (Fig. 5-style), computing the \
              pfail-independent analysis once per mechanism")
     Term.(const run $ bench_arg $ grid_arg $ targets_arg $ sets_arg $ ways_arg $ line_arg
-          $ engine_arg $ exact_arg $ jobs_arg $ impl_arg $ ilp_nodes_arg $ timeout_arg
-          $ mechanism_arg $ json_arg $ verify_arg $ cache_dir_arg $ no_cache_arg $ resume_arg
-          $ crash_after_arg)
+          $ engine_arg $ exact_arg $ impl_arg $ mechanism_arg $ json_arg $ verify_arg
+          $ run_opts_term)
 
 (* --- grid ------------------------------------------------------------------- *)
 
@@ -763,40 +792,18 @@ let geometries_of ~label specs =
     specs
 
 let grid_cmd =
-  let run benches geometries mechanisms grid targets engine exact jobs impl ilp_nodes timeout
-      json_file verify cache_dir no_cache resume crash_after =
+  let run benches geometries mechanisms grid targets engine exact impl json_file verify opts =
     let label = "grid" in
     if benches = [] then begin
       Printf.eprintf "grid: at least one benchmark (or mini-C file) is required\n";
       exit exit_invalid_input
     end;
-    if grid = [] then begin
-      Printf.eprintf "grid: --pfail-grid must name at least one pfail point\n";
-      exit exit_invalid_input
-    end;
-    if targets = [] then begin
-      Printf.eprintf "grid: --targets must name at least one exceedance target\n";
-      exit exit_invalid_input
-    end;
+    let grid = require_nonempty ~label ~what:"--pfail-grid" ~name:"pfail point" grid in
+    let targets =
+      require_nonempty ~label ~what:"--targets" ~name:"exceedance target" targets
+    in
     let mechanisms = mechanisms_of ~label mechanisms in
     let configs = geometries_of ~label geometries in
-    if resume && cache_dir = None then begin
-      Printf.eprintf "grid: --resume requires --cache-dir (the journal lives there)\n";
-      exit exit_invalid_input
-    end;
-    if resume && verify then begin
-      Printf.eprintf "grid: --resume is incompatible with --verify (replayed cells have no \
-                      distribution to cross-check); rerun the verification without --resume\n";
-      exit exit_invalid_input
-    end;
-    if resume && (ilp_nodes <> None || timeout <> None) then begin
-      Printf.eprintf "grid: --resume is incompatible with budget options (budgeted results \
-                      depend on wall-clock and are never journalled)\n";
-      exit exit_invalid_input
-    end;
-    install_cancel_handlers ();
-    let budget = budget_of ilp_nodes timeout in
-    let store = store_of cache_dir no_cache in
     let benchmarks =
       List.map
         (fun name ->
@@ -807,175 +814,62 @@ let grid_cmd =
     let spec =
       { Grid.benchmarks; configs; mechanisms; pfail_grid = grid; targets; engine; exact; impl }
     in
-    let run_key = Store.Artifact.key (("run", "grid") :: Grid.identity spec) in
-    let journal =
-      match store with
-      | Some st when budget = None ->
-        let path = Store.Artifact.journal_path st ~run_key in
-        if resume then
-          let w, units = Store.Journal.resume ~path ~run_key () in
-          (Some (w, path), units)
-        else (Some (Store.Journal.create ~path ~run_key (), path), [])
-      | _ -> (None, [])
-    in
-    let journal, replayed = journal in
-    let writer = Option.map fst journal in
-    let completed = Hashtbl.create 64 in
-    List.iter
-      (fun payload ->
-        match Grid.cell_of_wire payload with
-        | Ok cell -> Hashtbl.replace completed (Grid.point_key cell.Grid.point) cell
-        | Error _ -> ())
-      replayed;
-    if Hashtbl.length completed > 0 then
-      Printf.eprintf "grid: resuming: %d completed cell(s) replayed from the journal\n"
-        (Hashtbl.length completed);
-    bail_if_cancelled ?journal:writer "grid";
-    (* [on_cell] runs on worker domains in completion order; the
-       journal writer is serialised under a mutex, and the crash hook
-       fires under the same lock so the append count is exact. *)
-    let append_lock = Mutex.create () in
-    let appended = ref 0 in
-    let on_cell cell =
-      match journal with
-      | None -> ()
-      | Some (w, path) ->
-        Mutex.lock append_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock append_lock)
-          (fun () ->
-            Store.Journal.append w (Grid.cell_to_wire cell);
-            incr appended;
-            maybe_crash crash_after ~appended:!appended ~journal_path:path)
-    in
-    let results =
-      Grid.run ~jobs ?budget ?store
-        ~skip:(fun point -> Hashtbl.find_opt completed (Grid.point_key point))
-        ~on_cell spec
-    in
-    Option.iter Store.Journal.close writer;
-    bail_if_cancelled "grid";
-    let failures =
-      List.filter_map
-        (fun (point, outcome) ->
-          match outcome with Ok _ -> None | Error e -> Some (point, e))
-        results
-    in
-    List.iter
-      (fun (point, e) ->
-        Printf.eprintf "grid: cell %s failed: %s\n" (Grid.point_key point)
-          (Robust.Pwcet_error.to_string e))
-      failures;
-    (* The comparison matrix, one panel per (benchmark, geometry). *)
-    let last_panel = ref None in
-    List.iter
-      (fun (point, outcome) ->
-        match outcome with
-        | Error _ -> ()
-        | Ok cell ->
-          let panel = (point.Grid.bench, point.Grid.config) in
+    let print ev =
+      (* The comparison matrix, one panel per (benchmark, geometry). *)
+      let cells = ok_cells ev in
+      let last_panel = ref None in
+      List.iter
+        (fun (cell : Grid.cell) ->
+          let point = cell.point in
+          let panel = (point.bench, point.config) in
           if !last_panel <> Some panel then begin
             last_panel := Some panel;
-            Printf.printf "\nbenchmark %-14s cache %s   fault-free WCET %d\n"
-              point.Grid.bench
-              (Format.asprintf "%a" Cache.Config.pp point.Grid.config)
-              cell.Grid.wcet_ff;
+            Printf.printf "\nbenchmark %-14s cache %s   fault-free WCET %d\n" point.bench
+              (Format.asprintf "%a" Cache.Config.pp point.config)
+              cell.wcet_ff;
             Printf.printf "  %-6s %-12s" "mech" "pfail";
             List.iter (fun t -> Printf.printf "  pWCET(%g)" t) targets;
             print_newline ()
           end;
-          Printf.printf "  %-6s %-12g"
-            (Pwcet.Mechanism.short_name point.Grid.mechanism)
-            point.Grid.pfail;
-          List.iter (fun (_, q) -> Printf.printf "  %10d" q) cell.Grid.pwcets;
-          Printf.printf "%s\n" (rung_tag cell.Grid.rung))
-      results;
-    let digest = Grid.digest results in
-    Printf.printf "\ncells  : %d (%d replayed, %d failed)\n" (List.length results)
-      (Hashtbl.length completed) (List.length failures);
-    Printf.printf "digest : %s\n" digest;
-    (match json_file with
-    | None -> ()
-    | Some file ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf "{\n  \"schema_version\": 1,\n";
-      Printf.bprintf buf "  \"targets\": [%s],\n"
-        (String.concat ", " (List.map (Printf.sprintf "%.17g") targets));
-      Printf.bprintf buf "  \"digest\": %S,\n" digest;
-      Buffer.add_string buf "  \"cells\": [\n";
-      let ok_cells =
-        List.filter_map
-          (fun (_, outcome) -> match outcome with Ok c -> Some c | Error _ -> None)
-          results
-      in
-      List.iteri
-        (fun i cell ->
-          let cfg = cell.Grid.point.Grid.config in
-          Printf.bprintf buf
-            "    { \"bench\": %S, \"geometry\": { \"sets\": %d, \"ways\": %d, \
-             \"line_bytes\": %d },\n      \"mechanism\": %S, \"pfail\": %.17g, \"pbf\": \
-             %.17g, \"wcet_ff\": %d,\n      \"pwcet\": [%s], \"rung\": %S, \
-             \"degraded_fmm_cells\": %d }%s\n"
-            cell.Grid.point.Grid.bench cfg.Cache.Config.sets cfg.Cache.Config.ways
-            cfg.Cache.Config.line_bytes
-            (Pwcet.Mechanism.short_name cell.Grid.point.Grid.mechanism)
-            cell.Grid.point.Grid.pfail cell.Grid.pbf cell.Grid.wcet_ff
-            (String.concat ", " (List.map (fun (_, q) -> string_of_int q) cell.Grid.pwcets))
-            (Robust.Rung.to_string cell.Grid.rung)
-            cell.Grid.degraded
-            (if i = List.length ok_cells - 1 then "" else ","))
-        ok_cells;
-      Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out file in
-      Buffer.output_buffer oc buf;
-      close_out oc;
-      Printf.printf "wrote %s\n" file);
-    if verify then begin
-      (* Re-run every cell as an independent end-to-end estimate —
-         deliberately WITHOUT the store — and demand equal quantiles,
-         pbf and provenance. The one-pass sharing must be a pure
-         refactoring of the computation, never an approximation. *)
-      let tasks = Hashtbl.create 16 in
-      List.iter
-        (fun (name, program) ->
-          List.iter
-            (fun config ->
-              Hashtbl.replace tasks (name, config)
-                (Pwcet.Estimator.prepare ~program ~config ~engine ~exact ()))
-            configs)
-        benchmarks;
-      let mismatches = ref 0 in
-      List.iter
-        (fun (point, outcome) ->
-          match outcome with
-          | Error _ -> incr mismatches
-          | Ok cell ->
-            let task = Hashtbl.find tasks (point.Grid.bench, point.Grid.config) in
-            let independent =
-              Pwcet.Estimator.estimate task ~pfail:point.Grid.pfail
-                ~mechanism:point.Grid.mechanism ~engine ~exact ~jobs ~impl ()
-            in
-            let same =
-              Pwcet.Estimator.fault_free_wcet task = cell.Grid.wcet_ff
-              && independent.Pwcet.Estimator.pbf = cell.Grid.pbf
-              && List.for_all
-                   (fun (target, q) -> Pwcet.Estimator.pwcet independent ~target = q)
-                   cell.Grid.pwcets
-              && Robust.Rung.equal (Pwcet.Estimator.worst_rung independent) cell.Grid.rung
-            in
-            if not same then begin
-              incr mismatches;
-              Printf.eprintf "verify FAILED: cell %s differs from an independent estimate\n"
-                (Grid.point_key point)
-            end)
-        results;
-      if !mismatches > 0 then exit 1
-      else
-        Printf.printf "verify : all %d cells bit-identical to independent estimates\n"
-          (List.length results)
-    end;
-    report_store_stats store;
-    if failures <> [] then exit 1
+          Printf.printf "  %-6s %-12g" (Pwcet.Mechanism.short_name point.mechanism) point.pfail;
+          List.iter (fun (_, q) -> Printf.printf "  %10d" q) cell.pwcets;
+          Printf.printf "%s\n" (rung_tag cell.rung))
+        cells;
+      let digest = Grid.digest ev.results in
+      Printf.printf "\ncells  : %d (%d replayed, %d failed)\n" (List.length ev.results)
+        ev.replayed
+        (List.length ev.results - List.length cells);
+      Printf.printf "digest : %s\n" digest;
+      Option.iter
+        (fun file ->
+          let buf = Buffer.create 4096 in
+          Buffer.add_string buf "{\n  \"schema_version\": 1,\n";
+          Printf.bprintf buf "  \"targets\": [%s],\n" (json_floats targets);
+          Printf.bprintf buf "  \"digest\": %S,\n" digest;
+          Buffer.add_string buf "  \"cells\": [\n";
+          List.iteri
+            (fun i (cell : Grid.cell) ->
+              let cfg = cell.point.config in
+              Printf.bprintf buf
+                "    { \"bench\": %S, \"geometry\": { \"sets\": %d, \"ways\": %d, \
+                 \"line_bytes\": %d },\n      \"mechanism\": %S, \"pfail\": %.17g, \"pbf\": \
+                 %.17g, \"wcet_ff\": %d,\n      \"pwcet\": [%s], \"rung\": %S, \
+                 \"degraded_fmm_cells\": %d }%s\n"
+                cell.point.bench cfg.Cache.Config.sets cfg.Cache.Config.ways
+                cfg.Cache.Config.line_bytes
+                (Pwcet.Mechanism.short_name cell.point.mechanism)
+                cell.point.pfail cell.pbf cell.wcet_ff
+                (String.concat ", " (List.map (fun (_, q) -> string_of_int q) cell.pwcets))
+                (Robust.Rung.to_string cell.rung)
+                cell.degraded
+                (if i = List.length cells - 1 then "" else ","))
+            cells;
+          Buffer.add_string buf "  ]\n}\n";
+          write_json file buf;
+          Printf.printf "wrote %s\n" file)
+        json_file
+    in
+    evaluate ~command:label ~verify ~print opts spec
   in
   let benches_arg =
     Arg.(value & pos_all string []
@@ -1003,11 +897,6 @@ let grid_cmd =
              ~doc:"Comma-separated pfail grid; only the binomial reweighting, convolution \
                    and quantile read-off are redone per point.")
   in
-  let targets_arg =
-    Arg.(value & opt (list ~sep:',' prob_conv) [ default_target ]
-         & info [ "targets" ] ~docv:"P,P,..."
-             ~doc:"Comma-separated exceedance targets; one pWCET column per target.")
-  in
   let json_arg =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
@@ -1017,8 +906,8 @@ let grid_cmd =
     Arg.(value & flag
          & info [ "verify" ]
              ~doc:"Cross-check every grid cell against an independent end-to-end estimate \
-                   (equal pWCET quantiles, pbf and degradation provenance); exit 1 on any \
-                   mismatch.")
+                   (bit-identical penalty distribution, equal pWCET quantiles, pbf and \
+                   degradation provenance); exit 1 on any mismatch.")
   in
   Cmd.v
     (cmd_info "grid"
@@ -1027,160 +916,65 @@ let grid_cmd =
              work-stealing pool, and the matrix is bit-identical to independent per-cell \
              runs for every --jobs value")
     Term.(const run $ benches_arg $ geometries_arg $ mechanisms_arg $ grid_arg $ targets_arg
-          $ engine_arg $ exact_arg $ jobs_arg $ impl_arg $ ilp_nodes_arg $ timeout_arg
-          $ json_arg $ verify_arg $ cache_dir_arg $ no_cache_arg $ resume_arg
-          $ crash_after_arg)
+          $ engine_arg $ exact_arg $ impl_arg $ json_arg $ verify_arg $ run_opts_term)
 
 (* --- suite ------------------------------------------------------------------ *)
 
-let suite_row config ~pfail ~target ~engine ~exact ~jobs ?budget ?store (name, program) =
-  let task = Pwcet.Estimator.prepare ~program ~config ~engine ~exact ?budget ?store () in
-  let worst = ref task.Pwcet.Estimator.wcet_rung in
-  let pwcet mech =
-    let est =
-      Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~engine ~exact ~jobs ?budget ?store ()
-    in
-    worst := Robust.Rung.worst !worst (Pwcet.Estimator.worst_rung est);
-    Pwcet.Estimator.pwcet est ~target
-  in
-  let row =
-    {
-      Pwcet.Report_data.name;
-      wcet_ff = Pwcet.Estimator.fault_free_wcet task;
-      pwcet_none = pwcet Pwcet.Mechanism.No_protection;
-      pwcet_srb = pwcet Pwcet.Mechanism.Shared_reliable_buffer;
-      pwcet_rw = pwcet Pwcet.Mechanism.Reliable_way;
-    }
-  in
-  (row, !worst)
-
-(* One journal record per completed benchmark row. *)
-let suite_row_payload (row : Pwcet.Report_data.row) rung =
-  let w = Store.Wire.writer () in
-  Store.Wire.put_string w row.Pwcet.Report_data.name;
-  Store.Wire.put_int w row.Pwcet.Report_data.wcet_ff;
-  Store.Wire.put_int w row.Pwcet.Report_data.pwcet_none;
-  Store.Wire.put_int w row.Pwcet.Report_data.pwcet_srb;
-  Store.Wire.put_int w row.Pwcet.Report_data.pwcet_rw;
-  Store.Wire.put_int w (Robust.Rung.to_tag rung);
-  Store.Wire.contents w
-
-let suite_row_of_payload payload =
-  match
-    Store.Wire.decode payload (fun r ->
-        let name = Store.Wire.get_string r in
-        let wcet_ff = Store.Wire.get_int r in
-        let pwcet_none = Store.Wire.get_int r in
-        let pwcet_srb = Store.Wire.get_int r in
-        let pwcet_rw = Store.Wire.get_int r in
-        let rung =
-          match Robust.Rung.of_tag (Store.Wire.get_int r) with
-          | Some rung -> rung
-          | None -> Store.Wire.malformed "bad rung tag"
-        in
-        ({ Pwcet.Report_data.name; wcet_ff; pwcet_none; pwcet_srb; pwcet_rw }, rung))
-  with
-  | Ok v -> Some v
-  | Error _ -> None
-
 let suite_cmd =
-  let run pfail target sets ways line engine exact jobs ilp_nodes timeout cache_dir no_cache
-      resume crash_after =
-    if resume && cache_dir = None then begin
-      Printf.eprintf "suite: --resume requires --cache-dir (the journal lives there)\n";
-      exit exit_invalid_input
-    end;
-    if resume && (ilp_nodes <> None || timeout <> None) then begin
-      Printf.eprintf "suite: --resume is incompatible with budget options (budgeted \
-                      results depend on wall-clock and are never journalled)\n";
-      exit exit_invalid_input
-    end;
-    install_cancel_handlers ();
+  let run pfail target sets ways line engine exact opts =
     let config = config_of sets ways line in
-    let budget = budget_of ilp_nodes timeout in
-    let store = store_of cache_dir no_cache in
-    let entries =
+    let benchmarks =
       List.map
         (fun (e : Benchmarks.Registry.entry) ->
           ( e.Benchmarks.Registry.name,
             (Minic.Compile.compile e.Benchmarks.Registry.program).Minic.Compile.program ))
         Benchmarks.Registry.all
     in
-    let run_key =
-      Store.Artifact.key
-        ([ ("run", "suite");
-           ("code", Pwcet.Estimator.code_version);
-           ("config", Format.asprintf "%a" Cache.Config.pp config);
-           ("pfail", float_key pfail);
-           ("target", float_key target);
-           ("engine", engine_tag engine);
-           ("exact", string_of_bool exact) ]
-        @ List.map
-            (fun (name, program) ->
-              (name, Digest.to_hex (Digest.string (Format.asprintf "%a" Isa.Program.pp program))))
-            entries)
+    let spec =
+      { Grid.benchmarks; configs = [ config ]; mechanisms = Pwcet.Mechanism.all;
+        pfail_grid = [ pfail ]; targets = [ target ]; engine; exact; impl = `Sliced }
     in
-    let journal, replayed =
-      match store with
-      | Some st when budget = None ->
-        let path = Store.Artifact.journal_path st ~run_key in
-        if resume then
-          let w, units = Store.Journal.resume ~path ~run_key () in
-          (Some (w, path), units)
-        else (Some (Store.Journal.create ~path ~run_key (), path), [])
-      | _ -> (None, [])
-    in
-    let writer = Option.map fst journal in
-    let completed = Hashtbl.create 16 in
-    List.iter
-      (fun payload ->
-        match suite_row_of_payload payload with
-        | Some (row, rung) -> Hashtbl.replace completed row.Pwcet.Report_data.name (row, rung)
-        | None -> ())
-      replayed;
-    if Hashtbl.length completed > 0 then
-      Printf.eprintf "suite: resuming: %d completed benchmark(s) replayed from the journal\n"
-        (Hashtbl.length completed);
-    let appended = ref 0 in
-    let rows =
-      List.map
-        (fun (name, program) ->
-          bail_if_cancelled ?journal:writer "suite";
-          match Hashtbl.find_opt completed name with
-          | Some cached -> cached
-          | None ->
-            let (row, rung) =
-              suite_row config ~pfail ~target ~engine ~exact ~jobs ?budget ?store
-                (name, program)
+    let print ev =
+      let cells = ok_cells ev in
+      (* One Fig. 4 row per benchmark whose three cells all succeeded. *)
+      let rows =
+        List.filter_map
+          (fun (name, _) ->
+            let cell mech =
+              List.find_opt
+                (fun (c : Grid.cell) ->
+                  c.point.bench = name && Pwcet.Mechanism.equal c.point.mechanism mech)
+                cells
             in
-            (match journal with
-            | None -> ()
-            | Some (w, path) ->
-              Store.Journal.append w (suite_row_payload row rung);
-              incr appended;
-              maybe_crash crash_after ~appended:!appended ~journal_path:path);
-            (row, rung))
-        entries
+            match List.map cell Pwcet.Mechanism.all with
+            | [ Some none; Some srb; Some rw ] ->
+              let pwcet (c : Grid.cell) = snd (List.hd c.pwcets) in
+              Some
+                ( { Pwcet.Report_data.name; wcet_ff = none.wcet_ff; pwcet_none = pwcet none;
+                    pwcet_srb = pwcet srb; pwcet_rw = pwcet rw },
+                  List.fold_left Robust.Rung.worst none.rung [ srb.rung; rw.rung ] )
+            | _ -> None)
+          benchmarks
+      in
+      print_string (Reporting.Table.fig4 (List.map fst rows));
+      print_newline ();
+      print_string (Reporting.Table.aggregates (List.map fst rows));
+      let degraded =
+        List.filter_map
+          (fun ((row : Pwcet.Report_data.row), rung) ->
+            if Robust.Rung.equal rung Robust.Rung.Exact then None
+            else Some (Printf.sprintf "%s (%s)" row.name (Robust.Rung.to_string rung)))
+          rows
+      in
+      if degraded <> [] then
+        Printf.printf "\ndegraded (budget-limited, still sound): %s\n"
+          (String.concat ", " degraded)
     in
-    Option.iter Store.Journal.close writer;
-    print_string (Reporting.Table.fig4 (List.map fst rows));
-    print_newline ();
-    print_string (Reporting.Table.aggregates (List.map fst rows));
-    let degraded =
-      List.filter_map
-        (fun (row, rung) ->
-          if Robust.Rung.equal rung Robust.Rung.Exact then None
-          else Some (Printf.sprintf "%s (%s)" row.Pwcet.Report_data.name (Robust.Rung.to_string rung)))
-        rows
-    in
-    if degraded <> [] then
-      Printf.printf "\ndegraded (budget-limited, still sound): %s\n" (String.concat ", " degraded);
-    report_store_stats store
+    evaluate ~command:"suite" ~print opts spec
   in
   Cmd.v (cmd_info "suite" ~doc:"Fig. 4 table: the whole suite under all three mechanisms")
     Term.(const run $ pfail_arg $ target_arg $ sets_arg $ ways_arg $ line_arg $ engine_arg
-          $ exact_arg $ jobs_arg $ ilp_nodes_arg $ timeout_arg $ cache_dir_arg $ no_cache_arg
-          $ resume_arg $ crash_after_arg)
+          $ exact_arg $ run_opts_term)
 
 (* --- simulate -------------------------------------------------------------- *)
 
@@ -1832,8 +1626,7 @@ let sched_json results (spec : Sched.Campaign.spec) digest file =
   Printf.bprintf buf "  \"mechanism\": %S,\n" (Pwcet.Mechanism.short_name spec.mechanism);
   Printf.bprintf buf "  \"fault_rate\": %.17g,\n" spec.fault_rate;
   Printf.bprintf buf "  \"clock_mhz\": %.17g,\n" spec.clock_mhz;
-  Printf.bprintf buf "  \"targets\": [%s],\n"
-    (String.concat ", " (List.map (Printf.sprintf "%.17g") spec.targets));
+  Printf.bprintf buf "  \"targets\": [%s],\n" (json_floats spec.targets);
   Printf.bprintf buf "  \"digest\": %S,\n" digest;
   Buffer.add_string buf "  \"sets\": [\n";
   List.iteri
@@ -1861,62 +1654,29 @@ let sched_json results (spec : Sched.Campaign.spec) digest file =
       Printf.bprintf buf "      ] }%s\n" (if i = List.length results - 1 then "" else ","))
     results;
   Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out file in
-  Buffer.output_buffer oc buf;
-  close_out oc;
+  write_json file buf;
   Printf.printf "wrote %s\n" file
 
 let sched_analyze_cmd =
-  let run (spec : Sched.Campaign.spec) jobs ilp_nodes timeout mc_samples mc_seed json_file
-      per_set cache_dir no_cache resume crash_after =
-    if resume && cache_dir = None then begin
-      Printf.eprintf "sched analyze: --resume requires --cache-dir (the journal lives there)\n";
-      exit exit_invalid_input
-    end;
-    if resume && (ilp_nodes <> None || timeout <> None) then begin
-      Printf.eprintf
-        "sched analyze: --resume is incompatible with budget options (budgeted results \
-         depend on wall-clock and are never journalled)\n";
-      exit exit_invalid_input
-    end;
+  let run (spec : Sched.Campaign.spec) mc_samples mc_seed json_file per_set opts =
+    let label = "sched analyze" in
+    check_resume ~label opts;
     install_cancel_handlers ();
-    let budget = budget_of ilp_nodes timeout in
-    let store = store_of cache_dir no_cache in
+    let jobs = opts.jobs in
+    let budget = budget_of opts.ilp_nodes opts.timeout in
+    let store = store_of opts.cache_dir opts.no_cache in
     let laws = Sched.Campaign.laws ?store ?budget ~jobs spec in
-    let run_key = Store.Artifact.key (Sched.Campaign.identity spec) in
     let journal, replayed =
-      match store with
-      | Some st when budget = None ->
-        let path = Store.Artifact.journal_path st ~run_key in
-        if resume then
-          let w, units = Store.Journal.resume ~path ~run_key () in
-          (Some (w, path), units)
-        else (Some (Store.Journal.create ~path ~run_key (), path), [])
-      | _ -> (None, [])
+      open_journal ~label ~units:"set(s)" ~store ~budget
+        ~run_key:(Sched.Campaign.identity spec) ~decode:Sched.Campaign.result_of_wire opts
     in
-    let writer = Option.map fst journal in
     let completed = Hashtbl.create 64 in
     List.iter
-      (fun payload ->
-        match Sched.Campaign.result_of_wire payload with
-        | Ok r -> Hashtbl.replace completed r.set_index r
-        | Error _ -> ())
+      (fun (r : Sched.Campaign.set_result) -> Hashtbl.replace completed r.set_index r)
       replayed;
-    if Hashtbl.length completed > 0 then
-      Printf.eprintf "sched analyze: resuming: %d completed set(s) replayed from the journal\n"
-        (Hashtbl.length completed);
-    let appended = ref 0 in
-    let append_result r =
-      match journal with
-      | None -> ()
-      | Some (w, path) ->
-        Store.Journal.append w (Sched.Campaign.result_to_wire r);
-        incr appended;
-        maybe_crash crash_after ~appended:!appended ~journal_path:path
-    in
     let mcs = ref [] in
     let results =
-      match journal with
+      match journal.writer with
       | Some _ ->
         (* Journaled path: sequential, set granularity — cancellation
            and crashes lose at most the set in flight. Replayed sets
@@ -1925,7 +1685,7 @@ let sched_analyze_cmd =
            results either way). *)
         let out = ref [] in
         for index = 0 to spec.count - 1 do
-          bail_if_cancelled ?journal:writer "sched analyze";
+          bail_if_cancelled ~journal label;
           let r =
             match Hashtbl.find_opt completed index with
             | Some r -> r
@@ -1934,7 +1694,7 @@ let sched_analyze_cmd =
                 Sched.Campaign.analyze_set ?budget ~mc_samples ?mc_seed spec laws ~index
               in
               Option.iter (fun m -> mcs := (index, m) :: !mcs) mc;
-              append_result r;
+              record ~label journal (fun () -> Sched.Campaign.result_to_wire r);
               r
           in
           out := r :: !out
@@ -1945,7 +1705,7 @@ let sched_analyze_cmd =
         mcs := List.rev t.Sched.Campaign.mc;
         t.Sched.Campaign.results
     in
-    Option.iter Store.Journal.close writer;
+    close_journal journal;
     let digest = Sched.Campaign.digest_of_results results in
     print_sched_summary spec results digest;
     if per_set then print_sched_per_set results;
@@ -1987,9 +1747,8 @@ let sched_analyze_cmd =
              backed), then UUniFast task sets analysed under bounded re-execution, with \
              per-target verdicts, minimal budgets, journal resume and optional Monte-Carlo \
              cross-validation")
-    Term.(const run $ sched_spec_term $ jobs_arg $ ilp_nodes_arg $ timeout_arg
-          $ mc_samples_arg $ mc_seed_arg $ json_arg $ per_set_arg $ cache_dir_arg
-          $ no_cache_arg $ resume_arg $ crash_after_arg)
+    Term.(const run $ sched_spec_term $ mc_samples_arg $ mc_seed_arg $ json_arg $ per_set_arg
+          $ run_opts_term)
 
 let sched_sweep_cmd =
   let run (spec : Sched.Campaign.spec) jobs ilp_nodes timeout u_grid n_grid pfail_grid
@@ -2069,7 +1828,7 @@ let sched_sweep_cmd =
             "    { \"pfail\": %.17g, \"n_tasks\": %d, \"utilisation\": %.17g, \"digest\": \
              %S,\n      \"targets\": [%s],\n      \"pass\": [%s] }%s\n"
             spec'.pfail spec'.n_tasks spec'.utilisation t.digest
-            (String.concat ", " (List.map (Printf.sprintf "%.17g") spec'.targets))
+            (json_floats spec'.targets)
             (String.concat ", "
                (List.map
                   (fun target ->
@@ -2085,9 +1844,7 @@ let sched_sweep_cmd =
             (if i = List.length rows - 1 then "" else ","))
         rows;
       Buffer.add_string buf "  ]\n}\n";
-      let oc = open_out file in
-      Buffer.output_buffer oc buf;
-      close_out oc;
+      write_json file buf;
       Printf.printf "wrote %s\n" file);
     report_store_stats store
   in
@@ -2572,24 +2329,22 @@ let chaos_cmd =
            (ff + Prob.Dist.quantile est.Pwcet.Estimator.penalty ~target))
     in
     let sweep_of ?store () =
-      let task = Pwcet.Estimator.prepare ~program ~config ?store () in
-      let ff = Pwcet.Estimator.fault_free_wcet task in
+      let spec =
+        { Grid.benchmarks = [ (bench, program) ]; configs = [ config ];
+          mechanisms = [ Pwcet.Mechanism.No_protection; Pwcet.Mechanism.Shared_reliable_buffer ];
+          pfail_grid = [ 1e-5; 1e-4; 1e-3 ]; targets = [ target ]; engine = `Path;
+          exact = false; impl = `Sliced }
+      in
       let buf = Buffer.create 256 in
       List.iter
-        (fun mech ->
-          let ests =
-            Pwcet.Estimator.sweep task ~pfail_grid:[ 1e-5; 1e-4; 1e-3 ] ~mechanism:mech
-              ?store ()
-          in
-          List.iter
-            (fun (e : Pwcet.Estimator.estimate) ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s|%.17g|%d;"
-                   (Pwcet.Mechanism.short_name mech)
-                   e.Pwcet.Estimator.pfail
-                   (ff + Prob.Dist.quantile e.Pwcet.Estimator.penalty ~target)))
-            ests)
-        [ Pwcet.Mechanism.No_protection; Pwcet.Mechanism.Shared_reliable_buffer ];
+        (fun ((p : Grid.point), outcome) ->
+          match outcome with
+          | Ok (c : Grid.cell) ->
+            Buffer.add_string buf
+              (Printf.sprintf "%s|%.17g|%d;" (Pwcet.Mechanism.short_name p.mechanism) p.pfail
+                 (List.assoc target c.pwcets))
+          | Error e -> failwith (Robust.Pwcet_error.to_string e))
+        (Grid.run ~jobs:1 ?store spec);
       md5 (Buffer.contents buf)
     in
     let grid_spec =

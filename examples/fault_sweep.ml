@@ -17,21 +17,32 @@ let () =
   in
   let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
   let config = Cache.Config.paper_default in
-  let task = Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config () in
-  let ff = Pwcet.Estimator.fault_free_wcet task in
   let target = 1e-15 in
+  (* The study is one grid panel: one benchmark at one geometry, three
+     mechanisms x six pfail points. The fault miss maps are
+     pfail-independent, so Grid.run computes them once (all three
+     mechanisms together) and only reweights per grid point. *)
+  let grid = [ 1e-7; 1e-6; 1e-5; 1e-4; 1e-3; 1e-2 ] in
+  let results =
+    Grid.run
+      { Grid.benchmarks = [ (bench_name, compiled.Minic.Compile.program) ];
+        configs = [ config ]; mechanisms = Pwcet.Mechanism.all; pfail_grid = grid;
+        targets = [ target ]; engine = `Path; exact = false; impl = `Sliced }
+  in
+  let cells = List.map (fun (_, outcome) -> Result.get_ok outcome) results in
+  let ff = (List.hd cells).Grid.wcet_ff in
   Printf.printf "benchmark %s, fault-free WCET %d cycles, target probability %g\n\n"
     bench_name ff target;
   Printf.printf "  %-8s %-10s %12s %12s %12s %9s %9s\n" "pfail" "pbf" "none" "srb" "rw"
     "gain srb" "gain rw";
-  (* One sweep per mechanism: the fault miss map is pfail-independent,
-     so Estimator.sweep computes it once and reweights per grid point —
-     three analyses total instead of one per (mechanism, pfail). *)
-  let grid = [ 1e-7; 1e-6; 1e-5; 1e-4; 1e-3; 1e-2 ] in
+  (* Cells come in canonical order: mechanism-major, then pfail. *)
   let sweep mechanism =
-    List.map
-      (fun est -> Pwcet.Estimator.pwcet est ~target)
-      (Pwcet.Estimator.sweep task ~pfail_grid:grid ~mechanism ())
+    List.filter_map
+      (fun (c : Grid.cell) ->
+        if Pwcet.Mechanism.equal c.Grid.point.Grid.mechanism mechanism then
+          Some (List.assoc target c.Grid.pwcets)
+        else None)
+      cells
   in
   let nones = sweep Pwcet.Mechanism.No_protection in
   let srbs = sweep Pwcet.Mechanism.Shared_reliable_buffer in

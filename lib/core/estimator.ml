@@ -107,10 +107,10 @@ let prepare ~program ~config ?(engine = `Path) ?(exact = false) ?budget ?store (
 (* The FMM (and everything upstream of it) is pfail-independent: pfail
    only enters through the binomial reweighting of the per-set penalty
    distributions. [compute_fmm] is the expensive pfail-free prefix,
-   [estimate_with_fmm] the cheap per-pfail suffix — [sweep] amortises
-   the former across a whole grid, and the store persists both across
-   processes. [jobs] stays out of every key: results are bit-identical
-   across job counts. *)
+   [estimate_with_fmm] the cheap per-pfail suffix — the grid amortises
+   the former across its pfail points, and the store persists both
+   across processes. [jobs] stays out of every key: results are
+   bit-identical across job counts. *)
 let fmm_parts task ~mechanism ~engine ~exact ~impl =
   task.identity
   @ [ ("mechanism", Mechanism.short_name mechanism); ("engine", engine_tag engine);
@@ -130,16 +130,17 @@ let compute_fmm task ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store () =
    {!Fmm.compute_multi} (sharing the mechanism-independent row
    prefixes), and every fresh table is persisted under the exact same
    per-mechanism key [compute_fmm] uses — so grid runs and single runs
-   interchangeably warm each other's cache. *)
-let fmm_grid task ~mechanisms ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?(impl = `Sliced)
-    ?budget ?store () =
-  let parts_of mechanism =
-    ("artifact", "fmm") :: fmm_parts task ~mechanism ~engine ~exact ~impl
-  in
+   interchangeably warm each other's cache. [fmm_lookup] and [fmm_put]
+   are the two store halves, for callers that run the rows themselves. *)
+let fmm_key task ~mechanism ~engine ~exact ~impl =
+  Store.Artifact.key (("artifact", "fmm") :: fmm_parts task ~mechanism ~engine ~exact ~impl)
+
+let fmm_lookup task ~mechanisms ?(engine = `Path) ?(exact = false) ?(impl = `Sliced) ?budget
+    ?store () =
   let lookup mechanism =
     match store with
     | Some st when budget = None -> (
-      let key = Store.Artifact.key (parts_of mechanism) in
+      let key = fmm_key task ~mechanism ~engine ~exact ~impl in
       match Store.Artifact.get st ~key ~kind:fmm_kind ~version:fmm_version with
       | None -> None
       | Some payload -> (
@@ -150,39 +151,40 @@ let fmm_grid task ~mechanisms ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?(i
           None))
     | _ -> None
   in
-  let hits = List.map (fun m -> (m, lookup m)) mechanisms in
-  let missing =
-    List.rev
-      (List.fold_left
-         (fun acc (m, hit) ->
-           match hit with
-           | Some _ -> acc
-           | None -> if List.exists (Mechanism.equal m) acc then acc else m :: acc)
-         [] hits)
+  let hits, missing =
+    List.fold_left
+      (fun (hits, missing) m ->
+        let seen = List.exists (fun (m', _) -> Mechanism.equal m m') hits in
+        if seen || List.exists (Mechanism.equal m) missing then (hits, missing)
+        else
+          match lookup m with
+          | Some fmm -> ((m, fmm) :: hits, missing)
+          | None -> (hits, m :: missing))
+      ([], []) mechanisms
   in
-  let computed =
-    match missing with
-    | [] -> []
-    | _ ->
-      Fmm.compute_multi ~graph:task.graph ~loops:task.loops ~config:task.config
-        ~mechanisms:missing ~engine ~exact ~jobs ~impl ~ctx:task.ctx ?budget
-        ~baseline:task.chmc ()
-  in
-  (match store with
+  (List.rev hits, List.rev missing)
+
+let fmm_put task ?(engine = `Path) ?(exact = false) ?(impl = `Sliced) ?budget ?store computed =
+  match store with
   | Some st when budget = None ->
     List.iter
       (fun (mechanism, fmm) ->
         Store.Artifact.put st
-          ~key:(Store.Artifact.key (parts_of mechanism))
+          ~key:(fmm_key task ~mechanism ~engine ~exact ~impl)
           ~kind:fmm_kind ~version:fmm_version (Fmm.to_wire fmm))
       computed
-  | _ -> ());
-  List.map
-    (fun (m, hit) ->
-      match hit with
-      | Some fmm -> (m, fmm)
-      | None -> (m, snd (List.find (fun (m', _) -> Mechanism.equal m m') computed)))
-    hits
+  | _ -> ()
+
+let fmm_grid task ~mechanisms ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?(impl = `Sliced)
+    ?budget ?store () =
+  let hits, missing = fmm_lookup task ~mechanisms ~engine ~exact ~impl ?budget ?store () in
+  let computed =
+    Fmm.compute_multi ~graph:task.graph ~loops:task.loops ~config:task.config
+      ~mechanisms:missing ~engine ~exact ~jobs ~impl ~ctx:task.ctx ?budget ~baseline:task.chmc ()
+  in
+  fmm_put task ~engine ~exact ~impl ?budget ?store computed;
+  let tables = hits @ computed in
+  List.map (fun m -> (m, snd (List.find (fun (m', _) -> Mechanism.equal m m') tables))) mechanisms
 
 let estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store () =
   let pbf = Fault.Model.pbf_of_config ~pfail task.config in
@@ -202,14 +204,6 @@ let estimate task ~pfail ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 
   let fmm = compute_fmm task ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store () in
   let parts = fmm_parts task ~mechanism ~engine ~exact ~impl in
   estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
-
-let sweep task ~pfail_grid ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 1)
-    ?(impl = `Sliced) ?budget ?store () =
-  let fmm = compute_fmm task ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store () in
-  let parts = fmm_parts task ~mechanism ~engine ~exact ~impl in
-  List.map
-    (fun pfail -> estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ())
-    pfail_grid
 
 let estimate_of_fmm task ~fmm ~pfail ?(engine = `Path) ?(exact = false) ?(jobs = 1)
     ?(impl = `Sliced) ?budget ?store () =

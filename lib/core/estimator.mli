@@ -98,28 +98,6 @@ val estimate :
     recomputation by construction (pinned by test/test_store.ml), and
     budgeted runs bypass the store as in {!prepare}. *)
 
-val sweep :
-  task ->
-  pfail_grid:float list ->
-  mechanism:Mechanism.t ->
-  ?engine:[ `Path | `Ilp ] ->
-  ?exact:bool ->
-  ?jobs:int ->
-  ?impl:[ `Naive | `Sliced ] ->
-  ?budget:Robust.Budget.t ->
-  ?store:Store.Artifact.t ->
-  unit ->
-  estimate list
-(** One estimate per grid point, in grid order, computing the
-    pfail-{e independent} work (CHMC, FMM, fault-free WCET via the
-    already-prepared task) once and redoing only the cheap binomial
-    reweight + convolution + quantile machinery per point — the paper's
-    Fig. 5-style sensitivity studies without re-running the static
-    analysis per point. Each element is bit-identical to an independent
-    {!estimate} call at that [pfail] with the same options (the shared
-    FMM is deterministic in its inputs), pinned by
-    test/test_dist_engine.ml for every [jobs] value. *)
-
 val fmm_grid :
   task ->
   mechanisms:Mechanism.t list ->
@@ -140,6 +118,35 @@ val fmm_grid :
     written to [store] under the exact per-mechanism key {!estimate}
     uses — grid and single runs warm each other's cache. Budgeted runs
     bypass the store as everywhere else. *)
+
+val fmm_lookup :
+  task ->
+  mechanisms:Mechanism.t list ->
+  ?engine:[ `Path | `Ilp ] ->
+  ?exact:bool ->
+  ?impl:[ `Naive | `Sliced ] ->
+  ?budget:Robust.Budget.t ->
+  ?store:Store.Artifact.t ->
+  unit ->
+  (Mechanism.t * Fmm.t) list * Mechanism.t list
+(** The store half of {!fmm_grid} before the computation: the tables
+    [store] already holds, and the distinct mechanisms still to
+    compute, each in first-seen order. With no store, or under a
+    budget, every mechanism is missing. *)
+
+val fmm_put :
+  task ->
+  ?engine:[ `Path | `Ilp ] ->
+  ?exact:bool ->
+  ?impl:[ `Naive | `Sliced ] ->
+  ?budget:Robust.Budget.t ->
+  ?store:Store.Artifact.t ->
+  (Mechanism.t * Fmm.t) list ->
+  unit
+(** The store half of {!fmm_grid} after the computation: persists
+    freshly computed tables under the keys {!fmm_lookup} reads. A no-op
+    without a store or under a budget. [fmm_grid] is [fmm_lookup], then
+    {!Fmm.compute_multi} on the missing mechanisms, then [fmm_put]. *)
 
 val estimate_of_fmm :
   task ->

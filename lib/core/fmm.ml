@@ -160,6 +160,27 @@ let structural_row ~ctx ~graph ~loops ~config ~baseline ~ways set =
   rungs.(0) <- Rung.Exact;
   (row, rungs)
 
+(* [compute_multi] in three steps, so a scheduler other than
+   [Pool.map_result] (the grid's DAG) can run the per-set rows itself:
+   [setup_multi] holds the shared inputs, [compute_rows_multi] is one
+   set's row for every mechanism, [assemble_multi] builds the maps. *)
+type multi = {
+  m_graph : Cfg.Graph.t;
+  m_loops : Cfg.Loop.loop list;
+  m_config : Cache.Config.t;
+  m_mechanisms : Mechanism.t list;
+  m_engine : [ `Path | `Ilp ];
+  m_exact : bool;
+  m_impl : [ `Naive | `Sliced ];
+  m_ctx : Context.t;
+  m_budget : Robust.Budget.t option;
+  m_baseline : Chmc.t;
+  m_srb : Srb_analysis.t option;
+  m_used_sets : int array;
+}
+
+type rows = (Mechanism.t * int array * Rung.t array) list
+
 (* Multi-mechanism rows with a shared prefix.  The f < W loop body of
    [compute_row]/[compute_row_sliced] never consults the mechanism: the
    degraded analysis shrinks the set's associativity, the signature memo
@@ -171,8 +192,12 @@ let structural_row ~ctx ~graph ~loops ~config ~baseline ~ways set =
    mechanism's tail, bit-identically to running each mechanism alone:
    the tails read the prefix's signature memo exactly where a
    single-mechanism run would, and never write it. *)
-let compute_rows_multi ~ctx ~graph ~loops ~config ~mechanisms ~engine ~exact ~budget ~baseline
-    ~srb ~impl set =
+let compute_rows_multi m set =
+  let { m_graph = graph; m_loops = loops; m_config = config; m_mechanisms = mechanisms;
+        m_engine = engine; m_exact = exact; m_impl = impl; m_ctx = ctx; m_budget = budget;
+        m_baseline = baseline; m_srb = srb; _ } =
+    m
+  in
   let ways = config.Cache.Config.ways in
   let row = Array.make (ways + 1) 0 in
   let rungs = Array.make (ways + 1) Rung.Exact in
@@ -303,60 +328,72 @@ let compute ~graph ~loops ~config ~mechanism ?(engine = `Path) ?(exact = false) 
     used_sets;
   { misses; provenance; errors = List.rev !errors; config; mechanism }
 
-let compute_multi ~graph ~loops ~config ~mechanisms ?(engine = `Path) ?(exact = false)
-    ?(jobs = 1) ?(impl = `Sliced) ?ctx ?budget ?baseline () =
+let setup_multi ~graph ~loops ~config ~mechanisms ?(engine = `Path) ?(exact = false)
+    ?(impl = `Sliced) ?ctx ?budget ?baseline () =
+  let ctx = match ctx with Some c -> c | None -> Context.make ~graph ~loops ~config in
+  let baseline =
+    match baseline with Some b -> b | None -> Chmc.analyze ~ctx ~graph ~loops ~config ()
+  in
+  (* One SRB analysis serves every mechanism that needs it. *)
+  let srb =
+    if List.mem Mechanism.Shared_reliable_buffer mechanisms then
+      Some (Srb_analysis.analyze ~ctx ~graph ~config ())
+    else None
+  in
+  let used_sets =
+    Array.of_list
+      (List.filter
+         (fun s -> Array.length ctx.Context.touching.(s) > 0)
+         (List.init config.Cache.Config.sets Fun.id))
+  in
+  { m_graph = graph; m_loops = loops; m_config = config; m_mechanisms = mechanisms;
+    m_engine = engine; m_exact = exact; m_impl = impl; m_ctx = ctx; m_budget = budget;
+    m_baseline = baseline; m_srb = srb; m_used_sets = used_sets }
+
+let used_sets m = m.m_used_sets
+
+let assemble_multi m rows =
+  let n_sets = m.m_config.Cache.Config.sets and ways = m.m_config.Cache.Config.ways in
+  List.map
+    (fun mechanism ->
+      let misses = Array.make_matrix n_sets (ways + 1) 0 in
+      let provenance = Array.init n_sets (fun _ -> Array.make (ways + 1) Rung.Exact) in
+      let errors = ref [] in
+      Array.iteri
+        (fun i set ->
+          match rows.(i) with
+          | Ok per_mech ->
+            let _, r, p = List.find (fun (m, _, _) -> Mechanism.equal m mechanism) per_mech in
+            misses.(set) <- Array.copy r;
+            provenance.(set) <- Array.copy p
+          | Error e ->
+            (* A crashed or starved shared prefix poisons the set's
+               row for every mechanism — each falls back to the same
+               structural bound an independent run would. *)
+            let r, p =
+              structural_row ~ctx:m.m_ctx ~graph:m.m_graph ~loops:m.m_loops ~config:m.m_config
+                ~baseline:m.m_baseline ~ways set
+            in
+            misses.(set) <- r;
+            provenance.(set) <- p;
+            errors := (set, e) :: !errors)
+        m.m_used_sets;
+      ( mechanism,
+        { misses; provenance; errors = List.rev !errors; config = m.m_config; mechanism } ))
+    m.m_mechanisms
+
+let compute_multi ~graph ~loops ~config ~mechanisms ?engine ?exact ?(jobs = 1) ?impl ?ctx
+    ?budget ?baseline () =
   match mechanisms with
   | [] -> []
   | _ ->
-    let n_sets = config.Cache.Config.sets and ways = config.Cache.Config.ways in
-    let ctx = match ctx with Some c -> c | None -> Context.make ~graph ~loops ~config in
-    let baseline =
-      match baseline with Some b -> b | None -> Chmc.analyze ~ctx ~graph ~loops ~config ()
-    in
-    (* One SRB analysis serves every mechanism that needs it. *)
-    let srb =
-      if List.mem Mechanism.Shared_reliable_buffer mechanisms then
-        Some (Srb_analysis.analyze ~ctx ~graph ~config ())
-      else None
-    in
-    let used_sets =
-      Array.of_list
-        (List.filter
-           (fun s -> Array.length ctx.Context.touching.(s) > 0)
-           (List.init n_sets Fun.id))
+    let m =
+      setup_multi ~graph ~loops ~config ~mechanisms ?engine ?exact ?impl ?ctx ?budget
+        ?baseline ()
     in
     let deadline = match budget with Some b -> b.Robust.Budget.deadline | None -> None in
-    let rows =
-      Parallel.Pool.map_result ?deadline ~jobs
-        (compute_rows_multi ~ctx ~graph ~loops ~config ~mechanisms ~engine ~exact ~budget
-           ~baseline ~srb ~impl)
-        used_sets
-    in
-    List.map
-      (fun mechanism ->
-        let misses = Array.make_matrix n_sets (ways + 1) 0 in
-        let provenance = Array.init n_sets (fun _ -> Array.make (ways + 1) Rung.Exact) in
-        let errors = ref [] in
-        Array.iteri
-          (fun i set ->
-            match rows.(i) with
-            | Ok per_mech ->
-              let _, r, p =
-                List.find (fun (m, _, _) -> Mechanism.equal m mechanism) per_mech
-              in
-              misses.(set) <- Array.copy r;
-              provenance.(set) <- Array.copy p
-            | Error e ->
-              (* A crashed or starved shared prefix poisons the set's
-                 row for every mechanism — each falls back to the same
-                 structural bound an independent run would. *)
-              let r, p = structural_row ~ctx ~graph ~loops ~config ~baseline ~ways set in
-              misses.(set) <- r;
-              provenance.(set) <- p;
-              errors := (set, e) :: !errors)
-          used_sets;
-        (mechanism, { misses; provenance; errors = List.rev !errors; config; mechanism }))
-      mechanisms
+    assemble_multi m
+      (Parallel.Pool.map_result ?deadline ~jobs (compute_rows_multi m) m.m_used_sets)
 
 let of_table ~config ~mechanism ?provenance ?(errors = []) table =
   if Array.length table <> config.Cache.Config.sets then

@@ -101,6 +101,51 @@ val compute_multi :
     granularity: the shared prefix means a crashed or starved set
     degrades that set's row for {e every} mechanism. *)
 
+(** {2 [compute_multi] step by step}
+
+    [compute_multi] is [setup_multi], then [compute_rows_multi] on every
+    set of [used_sets] (through {!Parallel.Pool.map_result}), then
+    [assemble_multi]. The steps are exposed so that another scheduler —
+    the grid's task DAG — can run the per-set rows as its own tasks; the
+    maps are bit-identical either way. *)
+
+type multi
+(** The shared, mechanism-independent inputs of one multi-mechanism
+    computation: context, baseline CHMC, SRB analysis, used sets. *)
+
+type rows
+(** One set's rows, one per requested mechanism. *)
+
+val setup_multi :
+  graph:Cfg.Graph.t ->
+  loops:Cfg.Loop.loop list ->
+  config:Cache.Config.t ->
+  mechanisms:Mechanism.t list ->
+  ?engine:[ `Path | `Ilp ] ->
+  ?exact:bool ->
+  ?impl:[ `Naive | `Sliced ] ->
+  ?ctx:Cache_analysis.Context.t ->
+  ?budget:Robust.Budget.t ->
+  ?baseline:Cache_analysis.Chmc.t ->
+  unit ->
+  multi
+
+val used_sets : multi -> int array
+(** The sets some reference maps to, ascending: the only sets whose
+    rows need computing (every other row is all zeros). *)
+
+val compute_rows_multi : multi -> int -> rows
+(** [compute_rows_multi m set]: the row of [set] for every mechanism.
+    Self-contained, so rows of distinct sets may run concurrently.
+    Raises on a solver failure; the scheduler turns that (or a deadline
+    refusal) into an [Error] for {!assemble_multi}. *)
+
+val assemble_multi : multi -> (rows, Robust.Pwcet_error.t) result array -> (Mechanism.t * t) list
+(** The maps, from one outcome per set of {!used_sets} (same order). An
+    [Error] outcome gives that set the structural row for every
+    mechanism and records the error, exactly as {!compute_multi} does
+    for a crashed or refused row. *)
+
 val of_table :
   config:Cache.Config.t ->
   mechanism:Mechanism.t ->

@@ -157,36 +157,37 @@ let digest results =
 
 (* --- the one-pass evaluator --------------------------------------------- *)
 
-(* DAG node values: each (benchmark, geometry) panel contributes one
-   prepare node (CFG, context, CHMC, fault-free WCET — shared by every
-   mechanism and pfail at that geometry), one multi-mechanism FMM node
-   (the f < W row prefixes are mechanism-independent, so all
-   mechanisms' maps cost roughly one), and one cheap node per
-   (mechanism, pfail) cell (binomial reweight + convolution +
-   quantiles).  Inner stages run at jobs:1 — the DAG itself is the
-   parallelism, and nesting domain fan-outs would oversubscribe. *)
+(* DAG node values.  Each (benchmark, geometry) panel contributes:
+   - one prepare node: CFG, context, CHMC, fault-free WCET (shared by
+     every mechanism and pfail at that geometry), the FMM store lookup,
+     and the shared inputs of the missing mechanisms' maps;
+   - one row node per cache set: that set's FMM row for every missing
+     mechanism (the f < W row prefixes are mechanism-independent, so all
+     mechanisms' rows cost roughly one).  The set count is known before
+     the context is built, the used sets only after, so a node whose
+     position is past the used sets (or whose panel is fully cached)
+     does nothing;
+   - one assemble node: the maps, and the store put;
+   - one cheap node per (mechanism, pfail) cell: binomial reweight,
+     convolution, quantiles.
+   The DAG is the only scheduler: every stage runs at jobs:1 inside its
+   node, so nested domain fan-outs never oversubscribe. *)
 type value =
+  | Prepared of Estimator.task * (Mechanism.t * Fmm.t) list * Fmm.multi option
+  | Row of (Fmm.rows, E.t) result option
   | Panel of Estimator.task * (Mechanism.t * Fmm.t) list
   | Cell of cell
 
 let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
   let skip = match skip with Some f -> f | None -> fun _ -> None in
-  let all_points = points spec in
+  let deadline = match budget with Some b -> b.Robust.Budget.deadline | None -> None in
   let nodes = ref [] in
   let n_nodes = ref 0 in
-  let push node =
+  let push deps run =
     let idx = !n_nodes in
-    nodes := node :: !nodes;
+    nodes := { Parallel.Pool.deps; run } :: !nodes;
     incr n_nodes;
     idx
-  in
-  (* slots.(i) resolves each canonical point to either its replayed
-     cell or the DAG node that computes it. *)
-  let slots =
-    List.map
-      (fun point ->
-        match skip point with Some cell -> `Replayed (point, cell) | None -> `Node point)
-      all_points
   in
   let panel_index : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let panel_key bench config =
@@ -196,92 +197,119 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
   in
   let programs = Hashtbl.create 16 in
   List.iter (fun (name, program) -> Hashtbl.replace programs name program) spec.benchmarks;
-  (* A panel node is created lazily, only when some cell of that panel
-     actually needs computing — a fully replayed panel costs nothing. *)
+  let engine = spec.engine and exact = spec.exact and impl = spec.impl in
+  (* A panel's nodes are created lazily, only when some cell of that
+     panel actually needs computing — a fully replayed panel costs
+     nothing.  Returns the assemble node. *)
   let panel_node bench config =
     let key = panel_key bench config in
     match Hashtbl.find_opt panel_index key with
     | Some idx -> idx
     | None ->
       let program = Hashtbl.find programs bench in
+      let prepared =
+        push [||] (fun _ ->
+            let task = Estimator.prepare ~program ~config ~engine ~exact ?budget ?store () in
+            let hits, missing =
+              Estimator.fmm_lookup task ~mechanisms:spec.mechanisms ~engine ~exact ~impl ?budget
+                ?store ()
+            in
+            let multi =
+              match missing with
+              | [] -> None
+              | _ ->
+                Some
+                  (Fmm.setup_multi ~graph:task.Estimator.graph ~loops:task.Estimator.loops
+                     ~config ~mechanisms:missing ~engine ~exact ~impl ~ctx:task.Estimator.ctx
+                     ?budget ~baseline:task.Estimator.chmc ())
+            in
+            Prepared (task, hits, multi))
+      in
+      let rows =
+        Array.init config.Cache.Config.sets (fun i ->
+            push [| prepared |] (fun deps ->
+                match deps.(0) with
+                | Prepared (_, _, Some multi) when i < Array.length (Fmm.used_sets multi) ->
+                  (* Refused past the deadline or crashed: [assemble_multi]
+                     falls back to the structural row, as for a map. *)
+                  Row
+                    (Some
+                       (Parallel.Pool.attempt ?deadline i (fun () ->
+                            Fmm.compute_rows_multi multi (Fmm.used_sets multi).(i))))
+                | _ -> Row None))
+      in
       let idx =
-        push
-          {
-            Parallel.Pool.deps = [||];
-            run =
-              (fun _ ->
-                let task =
-                  Estimator.prepare ~program ~config ~engine:spec.engine ~exact:spec.exact
-                    ?budget ?store ()
-                in
-                let fmms =
-                  Estimator.fmm_grid task ~mechanisms:spec.mechanisms ~engine:spec.engine
-                    ~exact:spec.exact ~jobs:1 ~impl:spec.impl ?budget ?store ()
-                in
-                Panel (task, fmms));
-          }
+        push (Array.append [| prepared |] rows) (fun deps ->
+            match deps.(0) with
+            | Prepared (task, hits, multi) ->
+              let computed =
+                match multi with
+                | None -> []
+                | Some multi ->
+                  let outcomes =
+                    Array.init
+                      (Array.length (Fmm.used_sets multi))
+                      (fun i ->
+                        match deps.(i + 1) with Row (Some r) -> r | _ -> assert false)
+                  in
+                  Fmm.assemble_multi multi outcomes
+              in
+              Estimator.fmm_put task ~engine ~exact ~impl ?budget ?store computed;
+              Panel (task, hits @ computed)
+            | _ -> assert false)
       in
       Hashtbl.replace panel_index key idx;
       idx
   in
-  let resolved =
+  let all_points = points spec in
+  let slots =
     List.map
-      (fun slot ->
-        match slot with
-        | `Replayed (point, cell) -> `Replayed (point, cell)
-        | `Node point ->
+      (fun point ->
+        match skip point with
+        | Some cell -> `Replayed cell
+        | None ->
           let panel = panel_node point.bench point.config in
-          let idx =
-            push
-              {
-                Parallel.Pool.deps = [| panel |];
-                run =
-                  (fun deps ->
-                    let task, fmms =
-                      match deps.(0) with Panel (t, f) -> (t, f) | Cell _ -> assert false
-                    in
-                    let _, fmm =
-                      List.find (fun (m, _) -> Mechanism.equal m point.mechanism) fmms
-                    in
-                    let e =
-                      Estimator.estimate_of_fmm task ~fmm ~pfail:point.pfail
-                        ~engine:spec.engine ~exact:spec.exact ~jobs:1 ~impl:spec.impl ?budget
-                        ?store ()
-                    in
-                    let cell =
-                      {
-                        point;
-                        wcet_ff = Estimator.fault_free_wcet task;
-                        pbf = e.Estimator.pbf;
-                        pwcets =
-                          List.map
-                            (fun target -> (target, Estimator.pwcet e ~target))
-                            spec.targets;
-                        rung = Estimator.worst_rung e;
-                        degraded = Fmm.degraded_cells fmm;
-                      }
-                    in
-                    (match on_cell with Some f -> f cell | None -> ());
-                    Cell cell);
-              }
-          in
-          `Computed (point, idx))
-      slots
+          `Computed
+            (push [| panel |] (fun deps ->
+                 let task, fmms =
+                   match deps.(0) with Panel (t, f) -> (t, f) | _ -> assert false
+                 in
+                 let fmm =
+                   snd (List.find (fun (m, _) -> Mechanism.equal m point.mechanism) fmms)
+                 in
+                 let e =
+                   Estimator.estimate_of_fmm task ~fmm ~pfail:point.pfail ~engine ~exact ~jobs:1
+                     ~impl ?budget ?store ()
+                 in
+                 let cell =
+                   {
+                     point;
+                     wcet_ff = Estimator.fault_free_wcet task;
+                     pbf = e.Estimator.pbf;
+                     pwcets =
+                       List.map (fun target -> (target, Estimator.pwcet e ~target)) spec.targets;
+                     rung = Estimator.worst_rung e;
+                     degraded = Fmm.degraded_cells fmm;
+                   }
+                 in
+                 (match on_cell with Some f -> f cell e | None -> ());
+                 Cell cell)))
+      all_points
   in
   let node_array = Array.of_list (List.rev !nodes) in
-  (* The budget is threaded into every stage (prepare, FMM, penalty),
-     each of which degrades internally and completes — a starved grid
-     yields looser cells, not missing ones.  [run_dag]'s own deadline
-     refusal is deliberately not armed here for that reason. *)
+  (* The budget is threaded into every stage (prepare, FMM rows,
+     penalty), each of which degrades internally and completes — a
+     starved grid yields looser cells, not missing ones.  [run_dag]'s
+     own deadline refusal is deliberately not armed here for that
+     reason; row nodes apply the per-row refusal themselves. *)
   let outcomes = Parallel.Pool.run_dag ?chaos ~jobs node_array in
-  List.map
-    (fun slot ->
+  List.map2
+    (fun point slot ->
       match slot with
-      | `Replayed (point, cell) -> (point, Ok cell)
-      | `Node _ -> assert false
-      | `Computed (point, idx) -> (
+      | `Replayed cell -> (point, Ok cell)
+      | `Computed idx -> (
         match outcomes.(idx) with
         | Ok (Cell cell) -> (point, Ok cell)
-        | Ok (Panel _) -> assert false
+        | Ok _ -> assert false
         | Error e -> (point, Error e)))
-    resolved
+    all_points slots

@@ -18,9 +18,12 @@
     {- per (mechanism, pfail) cell only the cheap suffix: binomial
        reweight, convolution, quantile reads.}}
 
-    The resulting irregular DAG (wide cheap fan-outs behind few
-    expensive roots) is scheduled on {!Parallel.Pool.run_dag}'s
-    work-stealing mode; results are merged in canonical cell order, so
+    The per-set FMM rows are DAG nodes of their own (between a panel's
+    prepare node and the node assembling its maps), so a lone panel's
+    rows fan out across [jobs] just as a wide grid's panels do. The
+    resulting irregular DAG (wide cheap fan-outs behind few expensive
+    roots) is scheduled on {!Parallel.Pool.run_dag}'s work-stealing
+    mode, the grid's only scheduler; results are merged in canonical cell order, so
     the output — and {!digest} — is bit-identical for every [jobs]
     value, and every cell is bit-identical to an independent
     {!Pwcet.Estimator.estimate} call (pinned by test/test_grid.ml). *)
@@ -74,7 +77,7 @@ val run :
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
   ?skip:(point -> cell option) ->
-  ?on_cell:(cell -> unit) ->
+  ?on_cell:(cell -> Pwcet.Estimator.estimate -> unit) ->
   ?chaos:Chaos.Injector.t ->
   spec ->
   (point * (cell, Robust.Pwcet_error.t) result) list
@@ -83,13 +86,16 @@ val run :
     bit-identical for every value. [skip] short-circuits points whose
     cell is already known (journal replay) — a fully replayed panel
     never even builds its analysis nodes. [on_cell] observes each
-    {e freshly computed} cell as it completes, possibly from a worker
-    domain and in completion (not canonical) order — callers that
-    append to a journal must serialise themselves.
+    {e freshly computed} cell, with the estimate it was read from, as it
+    completes, possibly from a worker domain and in completion (not
+    canonical) order — callers that append to a journal must serialise
+    themselves.
 
     [budget] is threaded into every analysis stage, each of which
     degrades internally and completes — a starved grid yields looser
-    (non-[Exact] rung) cells, not missing ones. [Error] outcomes only
+    (non-[Exact] rung) cells, not missing ones; an FMM row node that
+    starts past the deadline yields the structural row, exactly as
+    {!Pwcet.Fmm.compute_multi} does for a refused row. [Error] outcomes only
     arise from a crashed worker (or its downstream cells). Budgeted
     runs bypass [store] exactly as in {!Pwcet.Estimator}.
 

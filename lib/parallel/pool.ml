@@ -78,21 +78,20 @@ let map ~jobs f input = mapi ~jobs (fun _ x -> f x) input
    [chaos] may kill or stall individual items (occurrence = item index,
    so the same items die at every [jobs]); a killed item is exactly a
    crashed one — a typed [Worker_crash] in its own slot. *)
+let attempt ?deadline ?chaos i f =
+  match deadline with
+  | Some d when Robust.Budget.now () > d ->
+    Error (E.Budget_exhausted (Printf.sprintf "Pool.mapi_result: deadline expired before item %d" i))
+  | _ -> (
+    match
+      Chaos.Injector.tap_at chaos ~site:Chaos.Site.pool_node ~occurrence:i;
+      f ()
+    with
+    | v -> Ok v
+    | exception e -> Error (E.Worker_crash (Printexc.to_string e)))
+
 let mapi_result ?deadline ?chaos ~jobs f input =
-  let past_deadline () =
-    match deadline with None -> false | Some d -> Robust.Budget.now () > d
-  in
-  let item i x =
-    if past_deadline () then
-      Error (E.Budget_exhausted (Printf.sprintf "Pool.mapi_result: deadline expired before item %d" i))
-    else
-      match
-        Chaos.Injector.tap_at chaos ~site:Chaos.Site.pool_node ~occurrence:i;
-        f i x
-      with
-      | v -> Ok v
-      | exception e -> Error (E.Worker_crash (Printexc.to_string e))
-  in
+  let item i x = attempt ?deadline ?chaos i (fun () -> f i x) in
   let n = Array.length input in
   if jobs <= 1 || n <= 1 then Array.mapi item input
   else begin
@@ -237,17 +236,32 @@ let run_dag ?deadline ?chaos ~jobs nodes =
     let cond = Condition.create () in
     let completed = ref 0 in
     let aborted = ref false in
+    (* Workers are spawned on demand, not up front: an idle domain
+       blocked on [cond] still has to take part in every stop-the-world
+       minor collection, which slows a lone busy domain (a long prepare
+       node with nothing else ready) by a fifth or more. [live] counts
+       workers running or being spawned (the caller included), [idle]
+       those waiting for a ready node. *)
+    let live = ref 1 in
+    let idle = ref 0 in
+    let spawned = ref [] in
+    let spawn_error = ref None in
+    (* With the mutex held, by a worker about to take a ready node
+       itself: how many more workers the ready queue can keep busy. *)
+    let wanted () = max 0 (min (jobs - !live) (Queue.length ready - !idle - 1)) in
     (* Worker: steal a ready node, run it, publish its outcome and
        release newly-ready dependents.  Result slots are written under
        the mutex and a dependent is only enqueued afterwards, so its
        worker's later pop (also under the mutex) sees every dependency
        outcome published. *)
-    let worker () =
+    let rec worker () =
       let running = ref true in
       while !running do
         Mutex.lock mutex;
         while Queue.is_empty ready && !completed < n && not !aborted do
-          Condition.wait cond mutex
+          incr idle;
+          Condition.wait cond mutex;
+          decr idle
         done;
         if !aborted || (Queue.is_empty ready && !completed >= n) then begin
           Mutex.unlock mutex;
@@ -265,28 +279,50 @@ let run_dag ?deadline ?chaos ~jobs nodes =
               pending.(j) <- pending.(j) - 1;
               if pending.(j) = 0 then Queue.push j ready)
             dependents.(i);
+          let more = wanted () in
+          live := !live + more;
           Condition.broadcast cond;
-          Mutex.unlock mutex
+          Mutex.unlock mutex;
+          grow more
         end
       done
-    in
     (* Same all-or-error spawn discipline as [spawn_all], adapted to
-       the deque: on a spawn failure, abort (waking any waiting
-       workers), join every domain that did spawn, then re-raise. *)
-    let spawned = ref [] in
-    (try
-       for _ = 1 to min (jobs - 1) (n - 1) do
-         spawned := spawn worker :: !spawned
-       done
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       Mutex.lock mutex;
-       aborted := true;
-       Condition.broadcast cond;
-       Mutex.unlock mutex;
-       List.iter Domain.join !spawned;
-       Printexc.raise_with_backtrace e bt);
+       on-demand spawning: a failed spawn aborts the run (waking any
+       waiting workers); the caller joins every domain that did spawn,
+       then re-raises. *)
+    and grow count =
+      for _ = 1 to count do
+        match spawn worker with
+        | d -> Mutex.protect mutex (fun () -> spawned := d :: !spawned)
+        | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Mutex.protect mutex (fun () ->
+              if !spawn_error = None then spawn_error := Some (e, bt);
+              aborted := true;
+              Condition.broadcast cond)
+      done
+    in
+    (* The caller takes one initial ready node; the rest may need help. *)
+    let initial = min (jobs - 1) (Queue.length ready - 1) in
+    live := 1 + initial;
+    grow initial;
     worker ();
-    List.iter Domain.join !spawned;
+    (* A worker may spawn another right before it exits: join until no
+       domain is left unjoined. *)
+    let rec join_all () =
+      let unjoined =
+        Mutex.protect mutex (fun () ->
+            let l = !spawned in
+            spawned := [];
+            l)
+      in
+      match unjoined with
+      | [] -> ()
+      | l ->
+        List.iter Domain.join l;
+        join_all ()
+    in
+    join_all ();
+    (match !spawn_error with Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ());
     Array.init n outcome
   end

@@ -63,6 +63,19 @@ val mapi_result :
     (after draining and joining every spawned domain) re-raises: it is
     an environment failure of the call itself, not of any item. *)
 
+val attempt :
+  ?deadline:float ->
+  ?chaos:Chaos.Injector.t ->
+  int ->
+  (unit -> 'a) ->
+  ('a, Robust.Pwcet_error.t) Stdlib.result
+(** One item of {!mapi_result}, run on the calling domain: [attempt i f]
+    is exactly the outcome {!mapi_result} records for item [i] — refused
+    with [Budget_exhausted] if [deadline] has passed, killed or stalled
+    by [chaos] at occurrence [i], [Worker_crash] if [f] raises. For
+    schedulers (such as a {!run_dag} node) that run items themselves
+    but must degrade them exactly as a map would. *)
+
 val map_result :
   ?deadline:float ->
   ?chaos:Chaos.Injector.t ->
@@ -117,7 +130,10 @@ val run_dag :
     Every outcome of a node that runs is a pure function of its [run]
     and its dependencies' outcomes — the deque only decides {e when} a
     node runs — and with [jobs <= 1] (or fewer than two nodes) the DAG
-    executes sequentially in index order on the calling domain. Results
+    executes sequentially in index order on the calling domain. Worker
+    domains (at most [jobs - 1]) are spawned on demand, when more nodes
+    are ready than running workers can take: a DAG whose root runs alone
+    runs it with no idle domain alive. Results
     are therefore bit-identical for every [jobs] value (deadline
     refusals aside, which are timing-dependent by nature). The
     [Domain.spawn]-failure discipline of the header applies. *)

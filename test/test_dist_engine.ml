@@ -3,9 +3,9 @@
    hash-table reference engine, [convolve_pow] must reproduce the
    balanced pairwise tree exactly (capping included), the grouped
    total-distribution engine must agree with the reference engine on
-   real FMMs (registry-wide) and random ones, and [Estimator.sweep]
-   must be bit-identical to independent [estimate] calls at every grid
-   point for every jobs value. *)
+   real FMMs (registry-wide) and random ones, and a pfail sweep through
+   [Grid.run] must be bit-identical to independent [estimate] calls at
+   every grid point for every jobs value. *)
 
 module D = Prob.Dist
 
@@ -445,8 +445,10 @@ let test_shared_pmf_identity () =
 
 (* --- sweep identity -------------------------------------------------------- *)
 
-(* Estimator.sweep must be bit-identical to independent estimate calls
-   at each grid point, for every jobs value and mechanism. *)
+(* A pfail sweep through [Grid.run] (FMM computed once per panel, only
+   the reweighting redone per point) must be bit-identical to
+   independent estimate calls at each grid point, for every jobs value
+   and mechanism. The estimates are collected through [on_cell]. *)
 let test_sweep_matches_estimates () =
   let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
   let grid = [ 1e-6; 1e-5; 1e-4; 1e-3 ] in
@@ -454,38 +456,49 @@ let test_sweep_matches_estimates () =
     (fun name ->
       let entry = Option.get (Benchmarks.Registry.find name) in
       let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
-      let task = Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config () in
+      let program = compiled.Minic.Compile.program in
+      let task = Pwcet.Estimator.prepare ~program ~config () in
+      let spec =
+        { Grid.benchmarks = [ (name, program) ]; configs = [ config ];
+          mechanisms = Pwcet.Mechanism.all; pfail_grid = grid; targets = quantile_targets;
+          engine = `Path; exact = false; impl = `Sliced }
+      in
       List.iter
-        (fun mechanism ->
+        (fun jobs ->
+          let swept = Hashtbl.create 16 in
+          let lock = Mutex.create () in
+          let outcomes =
+            Grid.run ~jobs
+              ~on_cell:(fun cell est ->
+                Mutex.protect lock (fun () ->
+                    Hashtbl.replace swept (Grid.point_key cell.Grid.point) est))
+              spec
+          in
+          Alcotest.(check int) "one estimate per point" (List.length outcomes)
+            (Hashtbl.length swept);
           List.iter
-            (fun jobs ->
-              let swept =
-                Pwcet.Estimator.sweep task ~pfail_grid:grid ~mechanism ~jobs ()
+            (fun ((point : Grid.point), _) ->
+              let mechanism = point.mechanism and pfail = point.pfail in
+              let est = Hashtbl.find swept (Grid.point_key point) in
+              let label =
+                Printf.sprintf "%s/%s pfail %g jobs %d" name
+                  (Pwcet.Mechanism.short_name mechanism) pfail jobs
               in
-              List.iter2
-                (fun pfail est ->
-                  let label =
-                    Printf.sprintf "%s/%s pfail %g jobs %d" name
-                      (Pwcet.Mechanism.short_name mechanism) pfail jobs
-                  in
-                  let independent =
-                    Pwcet.Estimator.estimate task ~pfail ~mechanism ~jobs ()
-                  in
-                  Alcotest.(check (float 0.)) (label ^ " pbf")
-                    independent.Pwcet.Estimator.pbf est.Pwcet.Estimator.pbf;
-                  Alcotest.check support (label ^ " penalty")
-                    (D.support independent.Pwcet.Estimator.penalty)
-                    (D.support est.Pwcet.Estimator.penalty);
-                  List.iter
-                    (fun target ->
-                      Alcotest.(check int)
-                        (Printf.sprintf "%s pwcet at %g" label target)
-                        (Pwcet.Estimator.pwcet independent ~target)
-                        (Pwcet.Estimator.pwcet est ~target))
-                    quantile_targets)
-                grid swept)
-            [ 1; 2; 3 ])
-        Pwcet.Mechanism.all)
+              let independent = Pwcet.Estimator.estimate task ~pfail ~mechanism ~jobs () in
+              Alcotest.(check (float 0.)) (label ^ " pbf")
+                independent.Pwcet.Estimator.pbf est.Pwcet.Estimator.pbf;
+              Alcotest.check support (label ^ " penalty")
+                (D.support independent.Pwcet.Estimator.penalty)
+                (D.support est.Pwcet.Estimator.penalty);
+              List.iter
+                (fun target ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s pwcet at %g" label target)
+                    (Pwcet.Estimator.pwcet independent ~target)
+                    (Pwcet.Estimator.pwcet est ~target))
+                quantile_targets)
+            outcomes)
+        [ 1; 2; 3 ])
     [ "fibcall"; "crc" ]
 
 let () =

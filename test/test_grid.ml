@@ -157,13 +157,34 @@ let test_grid_replay_skip () =
   let resumed =
     Grid.run ~jobs:2
       ~skip:(fun point -> Hashtbl.find_opt replayed (Grid.point_key point))
-      ~on_cell:(fun _ -> incr fresh)
+      ~on_cell:(fun _ _ -> incr fresh)
       spec
   in
   Alcotest.(check string) "resumed digest" (Grid.digest reference) (Grid.digest resumed);
   Alcotest.(check int) "on_cell fired only for fresh cells"
     (List.length reference - Hashtbl.length replayed)
     !fresh
+
+let test_single_panel_unused_sets () =
+  (* One panel at a geometry most of whose sets no reference maps to:
+     the row nodes past the used sets must do nothing, and the cells
+     must equal independent estimates at every jobs value. *)
+  let config = Cache.Config.make ~sets:64 ~ways:4 ~line_bytes:16 () in
+  let spec =
+    { (spec_of ([ "fibcall" ], M.all, [ 1e-5; 1e-4 ], false)) with Grid.configs = [ config ] }
+  in
+  let task = Estimator.prepare ~program:(compile "fibcall") ~config () in
+  let tasks = Hashtbl.create 1 in
+  Hashtbl.replace tasks ("fibcall", config) task;
+  let reference = Grid.run ~jobs:1 spec in
+  List.iter
+    (fun jobs ->
+      let results = Grid.run ~jobs spec in
+      List.iter (check_cell_matches_independent tasks) results;
+      Alcotest.(check string)
+        (Printf.sprintf "jobs=%d digest" jobs)
+        (Grid.digest reference) (Grid.digest results))
+    [ 1; 2; 4 ]
 
 let test_cell_wire_roundtrip () =
   let spec = spec_of ([ "fibcall" ], [ M.Shared_reliable_buffer ], [ 1e-4 ], false) in
@@ -205,6 +226,8 @@ let () =
         [ test_grid_matches_independent
         ; Alcotest.test_case "jobs 1 = 2 = 4 digests" `Quick test_grid_jobs_digest_identical
         ; Alcotest.test_case "replay skip reproduces matrix" `Quick test_grid_replay_skip
+        ; Alcotest.test_case "single panel with unused sets" `Quick
+            test_single_panel_unused_sets
         ; Alcotest.test_case "cell wire roundtrip" `Quick test_cell_wire_roundtrip
         ; Alcotest.test_case "cold = warm store" `Quick test_grid_store_warm_identical
         ] )
