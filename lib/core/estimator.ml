@@ -35,16 +35,21 @@ let artifact_kinds =
 let engine_tag = function `Path -> "path" | `Ilp -> "ilp"
 let impl_tag = function `Naive -> "naive" | `Sliced -> "sliced"
 
-let identity_of ~program ~config =
+(* Content digest, not a name: editing a benchmark or source file
+   changes the key, so a stale artifact cannot shadow new code. *)
+let program_digest program =
+  Digest.to_hex (Digest.string (Format.asprintf "%a" Isa.Program.pp program))
+
+let identity_of_digest ~digest ~config =
   [ ("code", code_version);
-    (* Content digest, not a name: editing a benchmark or source file
-       changes the key, so a stale artifact cannot shadow new code. *)
-    ("program", Digest.to_hex (Digest.string (Format.asprintf "%a" Isa.Program.pp program)));
+    ("program", digest);
     ("sets", string_of_int config.Cache.Config.sets);
     ("ways", string_of_int config.Cache.Config.ways);
     ("line", string_of_int config.Cache.Config.line_bytes);
     ("hit", string_of_int config.Cache.Config.hit_latency);
     ("miss", string_of_int config.Cache.Config.miss_latency) ]
+
+let identity_of ~program ~config = identity_of_digest ~digest:(program_digest program) ~config
 
 (* Read-through cache wrapper. Budgeted runs bypass the store in both
    directions: their outcomes depend on wall-clock, so a cached

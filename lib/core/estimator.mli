@@ -46,6 +46,16 @@ val artifact_kinds : (string * int) list
     format versions — what [cache verify] passes to
     {!Store.Artifact.verify} as [expected]. *)
 
+val program_digest : Isa.Program.t -> string
+(** Hex MD5 of the program's pretty-print: the content digest the
+    ["program"] component of every identity carries. Registry programs
+    cannot change inside a process, so a long-lived caller may take it
+    once per program and build identities with {!identity_of_digest}. *)
+
+val identity_of_digest : digest:string -> config:Cache.Config.t -> (string * string) list
+(** [identity_of_digest ~digest:(program_digest program) ~config] is
+    [identity_of ~program ~config], without hashing the program again. *)
+
 val identity_of : program:Isa.Program.t -> config:Cache.Config.t -> (string * string) list
 (** The labelled identity components the [task] produced by {!prepare}
     for this program and configuration will carry — code version,

@@ -63,12 +63,14 @@ let impl_tag = function `Naive -> "naive" | `Sliced -> "sliced"
    geometries, axes and engine flags — for resume-journal run keys and
    daemon request dedup.  Reuses the per-(program, geometry) identity
    the estimator derives, so anything that would change a cell's value
-   changes the grid's key. *)
+   changes the grid's key; each program is hashed once, not once per
+   geometry. *)
 let identity spec =
   List.concat_map
     (fun (name, program) ->
+      let digest = Estimator.program_digest program in
       List.concat_map
-        (fun config -> ("bench", name) :: Estimator.identity_of ~program ~config)
+        (fun config -> ("bench", name) :: Estimator.identity_of_digest ~digest ~config)
         spec.configs)
     spec.benchmarks
   @ [ ("mechanisms", String.concat "," (List.map Mechanism.short_name spec.mechanisms));

@@ -31,39 +31,69 @@ let wait iv =
   Mutex.unlock iv.m;
   x
 
-type outcome = (Pwcet.Estimator.estimate, string) result
-type task_outcome = (Pwcet.Estimator.task, string) result
+(* A bounded memo, FIFO-evicted; a bound of 0 disables it. *)
+module Memo = struct
+  type 'a t = { table : (string, 'a) Hashtbl.t; order : string Queue.t; max : int }
+
+  let create max = { table = Hashtbl.create 16; order = Queue.create (); max }
+  let find m key = Hashtbl.find_opt m.table key
+
+  let add m key v =
+    if m.max > 0 then begin
+      Hashtbl.replace m.table key v;
+      Queue.push key m.order;
+      while Hashtbl.length m.table > m.max && not (Queue.is_empty m.order) do
+        Hashtbl.remove m.table (Queue.pop m.order)
+      done
+    end
+end
+
+(* Single flight over a memo: concurrent claims of one key elect one
+   leader, and every joiner shares the leader's outcome through its
+   ivar. The owner serialises [claim] and [retire] under its lock. *)
+module Single_flight = struct
+  type 'a t = { memo : 'a Memo.t; flights : (string, ('a, string) result ivar) Hashtbl.t }
+
+  let create memo = { memo; flights = Hashtbl.create 16 }
+
+  let claim sf key =
+    match Memo.find sf.memo key with
+    | Some v -> `Cached v
+    | None -> (
+      match Hashtbl.find_opt sf.flights key with
+      | Some iv -> `Join iv
+      | None ->
+        let iv = ivar () in
+        Hashtbl.add sf.flights key iv;
+        `Lead iv)
+
+  (* The leader is done: the flight ends and a success is memoised. *)
+  let retire sf key outcome =
+    Hashtbl.remove sf.flights key;
+    match outcome with Ok v -> Memo.add sf.memo key v | Error _ -> ()
+end
 
 type sched_summary = { analyzed : int; passes : int; degraded : int; digest : string }
-type sched_outcome = (sched_summary, string) result
-
 type grid_summary = { cells : int; failed : int; grid_digest : string }
-type grid_outcome = (grid_summary, string) result
 
 type t = {
   pool : Parallel.Workers.t;
   store : Store.Artifact.t option;
   queue_max : int;
-  task_cache_max : int;
-  result_cache_max : int;
   started : float;  (* Budget.now scale *)
   lock : Mutex.t;  (* guards everything below *)
-  inflight : (string, outcome ivar) Hashtbl.t;
-  task_inflight : (string, task_outcome ivar) Hashtbl.t;
-  bench_inflight : (string, outcome ivar) Hashtbl.t;
+  programs : (string, (Isa.Program.t * string, string) result) Hashtbl.t;
+      (* registry name -> compiled program and its content digest, or
+         the compile error; bounded by the registry *)
+  estimates : Pwcet.Estimator.estimate Single_flight.t;
+  bench_estimates : Pwcet.Estimator.estimate Single_flight.t;
       (* per-benchmark estimates led inline by sched campaign jobs —
-         kept apart from [inflight], whose leaders are pool jobs a
-         worker-resident waiter could deadlock against *)
-  sched_inflight : (string, sched_outcome ivar) Hashtbl.t;
-  grid_inflight : (string, grid_outcome ivar) Hashtbl.t;
-  tasks : (string, Pwcet.Estimator.task) Hashtbl.t;
-  task_order : string Queue.t;  (* FIFO eviction for [tasks] *)
-  results : (string, Pwcet.Estimator.estimate) Hashtbl.t;
-  result_order : string Queue.t;  (* FIFO eviction for [results] *)
-  sched_results : (string, sched_summary) Hashtbl.t;
-  sched_order : string Queue.t;  (* FIFO eviction for [sched_results] *)
-  grid_results : (string, grid_summary) Hashtbl.t;
-  grid_order : string Queue.t;  (* FIFO eviction for [grid_results] *)
+         kept apart from [estimates], whose leaders are pool jobs a
+         worker-resident waiter could deadlock against; both share one
+         result memo *)
+  tasks : Pwcet.Estimator.task Single_flight.t;
+  scheds : sched_summary Single_flight.t;
+  grids : grid_summary Single_flight.t;
   mutable requests : int;
   mutable computations : int;
   mutable deduped : int;
@@ -77,28 +107,20 @@ let create (config : config) =
   if config.task_cache_max < 1 then invalid_arg "Scheduler.create: task_cache_max must be at least 1";
   if config.result_cache_max < 0 then
     invalid_arg "Scheduler.create: result_cache_max must be non-negative";
+  let results = Memo.create config.result_cache_max in
   { pool =
       Parallel.Workers.create ?chaos:config.chaos ~domains:config.domains
         ~queue_max:config.queue_max ();
     store = config.store;
     queue_max = config.queue_max;
-    task_cache_max = config.task_cache_max;
-    result_cache_max = config.result_cache_max;
     started = Robust.Budget.now ();
     lock = Mutex.create ();
-    inflight = Hashtbl.create 16;
-    task_inflight = Hashtbl.create 16;
-    bench_inflight = Hashtbl.create 16;
-    sched_inflight = Hashtbl.create 16;
-    grid_inflight = Hashtbl.create 16;
-    tasks = Hashtbl.create 16;
-    task_order = Queue.create ();
-    results = Hashtbl.create 16;
-    result_order = Queue.create ();
-    sched_results = Hashtbl.create 16;
-    sched_order = Queue.create ();
-    grid_results = Hashtbl.create 16;
-    grid_order = Queue.create ();
+    programs = Hashtbl.create 32;
+    estimates = Single_flight.create results;
+    bench_estimates = Single_flight.create results;
+    tasks = Single_flight.create (Memo.create config.task_cache_max);
+    scheds = Single_flight.create (Memo.create config.result_cache_max);
+    grids = Single_flight.create (Memo.create config.result_cache_max);
     requests = 0;
     computations = 0;
     deduped = 0;
@@ -111,15 +133,91 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Caller holds [t.lock]. *)
-let cache_result_locked t key est =
-  if t.result_cache_max > 0 then begin
-    Hashtbl.replace t.results key est;
-    Queue.push key t.result_order;
-    while Hashtbl.length t.results > t.result_cache_max && not (Queue.is_empty t.result_order) do
-      Hashtbl.remove t.results (Queue.pop t.result_order)
-    done
-  end
+exception Compute_error of string
+
+let guarded f =
+  try Ok (f ()) with
+  | Compute_error msg -> Error msg
+  | e -> Error (Printexc.to_string e)
+
+let value = function Ok v -> v | Error msg -> raise (Compute_error msg)
+
+let error_reply t msg =
+  locked t (fun () -> t.errors <- t.errors + 1);
+  Protocol.Error_reply msg
+
+let shed t =
+  let queued = Parallel.Workers.queued t.pool in
+  locked t (fun () -> t.overloaded <- t.overloaded + 1);
+  Protocol.Overloaded { queued; queue_max = t.queue_max }
+
+(* Each flight states what it counts: [count_join] makes a join count
+   as [deduped], [count_compute] makes the leader's success count as a
+   computation. *)
+let claim t ~count_join sf key =
+  locked t (fun () ->
+      let c = Single_flight.claim sf key in
+      (match c with `Join _ when count_join -> t.deduped <- t.deduped + 1 | _ -> ());
+      c)
+
+(* The leader's epilogue: retire the flight, then wake every joiner. *)
+let release t ~count_compute sf key iv outcome =
+  locked t (fun () ->
+      Single_flight.retire sf key outcome;
+      if count_compute && Result.is_ok outcome then t.computations <- t.computations + 1);
+  fill iv outcome
+
+(* Join or lead [key], the leader running [f] on the calling thread. *)
+let single_flight_inline t ~count_join ~count_compute sf key f =
+  match claim t ~count_join sf key with
+  | `Cached v -> v
+  | `Join iv -> value (wait iv)
+  | `Lead iv ->
+    let outcome = guarded f in
+    release t ~count_compute sf key iv outcome;
+    value outcome
+
+(* Join or lead [key], the leader running [f] as a pool job.
+   [respond ~computed outcome] builds the reply. *)
+let single_flight_pooled t ~count_join ~count_compute sf key f ~respond =
+  match claim t ~count_join sf key with
+  | `Cached v -> respond ~computed:false (Ok v)
+  | `Join iv -> respond ~computed:false (wait iv)
+  | `Lead iv ->
+    if Parallel.Workers.submit t.pool (fun () -> release t ~count_compute sf key iv (guarded f))
+    then respond ~computed:true (wait iv)
+    else begin
+      (* Nobody else can be waiting: joiners found the entry only
+         while it existed, and its removal under the lock precedes
+         any chance of a response — fill the ivar anyway so a racy
+         joiner that slipped in between claim and shed still
+         unblocks. *)
+      release t ~count_compute sf key iv (Error "request shed by admission control");
+      shed t
+    end
+
+let unknown_benchmark bench =
+  Printf.sprintf "unknown benchmark %S; the registry lists the valid names" bench
+
+(* Registry programs cannot change inside a process, so each is
+   compiled and hashed on first use and never again. The lock is not
+   held while compiling: two racing first requests may both compute
+   the same deterministic value, and the second [replace] is harmless.
+   Unknown names never enter the table. *)
+let compiled t bench =
+  match locked t (fun () -> Hashtbl.find_opt t.programs bench) with
+  | Some c -> c
+  | None -> (
+    match Benchmarks.Registry.find bench with
+    | None -> Error (unknown_benchmark bench)
+    | Some entry ->
+      let c =
+        match (Minic.Compile.compile entry.Benchmarks.Registry.program).Minic.Compile.program with
+        | program -> Ok (program, Pwcet.Estimator.program_digest program)
+        | exception (Minic.Typecheck.Error msg | Minic.Compile.Error msg) -> Error msg
+      in
+      locked t (fun () -> Hashtbl.replace t.programs bench c);
+      c)
 
 (* Exactly the CLI's convention for float-valued key components. *)
 let float_key f = Int64.to_string (Int64.bits_of_float f)
@@ -145,50 +243,15 @@ let request_key ~identity (a : Protocol.analyze) =
         ("impl", impl_tag a.impl);
         ("pfail", float_key a.pfail) ])
 
-exception Compute_error of string
-
 (* Prepared-task cache: bounded, FIFO-evicted, with its own in-flight
    dedup so N concurrent cold requests against one benchmark run the
    expensive preparation (CFG recovery, cache analysis, fault-free
    WCET) once. Only called from worker domains. *)
 let prepared_task t ~program ~config ~identity (a : Protocol.analyze) =
-  let tk = task_key ~identity ~engine:a.engine ~exact:a.exact in
-  let claim =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.tasks tk with
-        | Some task -> `Cached task
-        | None -> (
-          match Hashtbl.find_opt t.task_inflight tk with
-          | Some tiv -> `Join tiv
-          | None ->
-            let tiv = ivar () in
-            Hashtbl.add t.task_inflight tk tiv;
-            `Lead tiv))
-  in
-  match claim with
-  | `Cached task -> task
-  | `Join tiv -> (
-    match wait tiv with Ok task -> task | Error msg -> raise (Compute_error msg))
-  | `Lead tiv -> (
-    let outcome =
-      try
-        Ok
-          (Pwcet.Estimator.prepare ~program ~config ~engine:a.engine ~exact:a.exact
-             ?store:t.store ())
-      with e -> Error (Printexc.to_string e)
-    in
-    locked t (fun () ->
-        Hashtbl.remove t.task_inflight tk;
-        match outcome with
-        | Error _ -> ()
-        | Ok task ->
-          Hashtbl.replace t.tasks tk task;
-          Queue.push tk t.task_order;
-          while Hashtbl.length t.tasks > t.task_cache_max && not (Queue.is_empty t.task_order) do
-            Hashtbl.remove t.tasks (Queue.pop t.task_order)
-          done);
-    fill tiv outcome;
-    match outcome with Ok task -> task | Error msg -> raise (Compute_error msg))
+  single_flight_inline t ~count_join:false ~count_compute:false t.tasks
+    (task_key ~identity ~engine:a.engine ~exact:a.exact)
+    (fun () ->
+      Pwcet.Estimator.prepare ~program ~config ~engine:a.engine ~exact:a.exact ?store:t.store ())
 
 (* The computation a worker domain runs. [jobs:1]: request-level
    parallelism comes from the pool itself; nested per-set domains
@@ -210,7 +273,7 @@ let compute t ~program ~config ~identity ?budget (a : Protocol.analyze) () =
     Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
       ~exact:a.exact ~jobs:1 ~impl:a.impl ?store:t.store ()
 
-let respond t (a : Protocol.analyze) ~computed (outcome : outcome) : Protocol.response =
+let respond t (a : Protocol.analyze) ~computed outcome : Protocol.response =
   match outcome with
   | Ok est ->
     Protocol.Result
@@ -219,14 +282,7 @@ let respond t (a : Protocol.analyze) ~computed (outcome : outcome) : Protocol.re
         pbf = est.Pwcet.Estimator.pbf;
         rung = Robust.Rung.to_string (Pwcet.Estimator.worst_rung est);
         computed }
-  | Error msg ->
-    locked t (fun () -> t.errors <- t.errors + 1);
-    Protocol.Error_reply msg
-
-let shed t =
-  let queued = Parallel.Workers.queued t.pool in
-  locked t (fun () -> t.overloaded <- t.overloaded + 1);
-  Protocol.Overloaded { queued; queue_max = t.queue_max }
+  | Error msg -> error_reply t msg
 
 (* Per-request bookkeeping shared by the three entry points. The
    [ensure_alive] call is the watchdog's second line: every admission
@@ -241,92 +297,33 @@ let admit t =
 let note_slow_client t = locked t (fun () -> t.slow_clients <- t.slow_clients + 1)
 let note_rejected_conn t = locked t (fun () -> t.rejected_conns <- t.rejected_conns + 1)
 
-let run_job t ?budget ~program ~config ~identity (a : Protocol.analyze) iv ~on_done =
-  let job () =
-    let outcome =
-      try Ok (compute t ~program ~config ~identity ?budget a ())
-      with
-      | Compute_error msg -> Error msg
-      | e -> Error (Printexc.to_string e)
-    in
-    on_done outcome;
-    fill iv outcome
-  in
-  Parallel.Workers.submit t.pool job
-
 let analyze t (a : Protocol.analyze) : Protocol.response =
   admit t;
-  match Benchmarks.Registry.find a.bench with
-  | None ->
-    locked t (fun () -> t.errors <- t.errors + 1);
-    Protocol.Error_reply
-      (Printf.sprintf "unknown benchmark %S; the registry lists the valid names" a.bench)
-  | Some entry -> (
-    match
-      ( (try Ok (Minic.Compile.compile entry.Benchmarks.Registry.program).Minic.Compile.program
-         with Minic.Typecheck.Error msg | Minic.Compile.Error msg -> Error msg),
-        try Ok (Cache.Config.make ~sets:a.sets ~ways:a.ways ~line_bytes:a.line ())
-        with Invalid_argument msg -> Error msg )
-    with
-    | Error msg, _ | _, Error msg ->
-      locked t (fun () -> t.errors <- t.errors + 1);
-      Protocol.Error_reply msg
-    | Ok program, Ok config -> (
-      let identity = Pwcet.Estimator.identity_of ~program ~config in
-      match a.timeout_ms with
-      | Some ms ->
-        (* Budgeted: private computation, admission control only. *)
-        let budget = Robust.Budget.make ~timeout:(float_of_int ms /. 1000.0) () in
-        let iv = ivar () in
-        let on_done outcome =
-          match outcome with
-          | Ok _ -> locked t (fun () -> t.computations <- t.computations + 1)
-          | Error _ -> ()
-        in
-        if run_job t ~budget ~program ~config ~identity a iv ~on_done then
-          respond t a ~computed:true (wait iv)
-        else shed t
-      | None -> (
-        let key = request_key ~identity a in
-        let claim =
-          locked t (fun () ->
-              match Hashtbl.find_opt t.results key with
-              | Some est -> `Warm est
-              | None -> (
-                match Hashtbl.find_opt t.inflight key with
-                | Some iv ->
-                  t.deduped <- t.deduped + 1;
-                  `Join iv
-                | None ->
-                  let iv = ivar () in
-                  Hashtbl.add t.inflight key iv;
-                  `Lead iv))
-        in
-        match claim with
-        | `Warm est -> respond t a ~computed:false (Ok est)
-        | `Join iv -> respond t a ~computed:false (wait iv)
-        | `Lead iv ->
-          let on_done outcome =
-            locked t (fun () ->
-                Hashtbl.remove t.inflight key;
-                match outcome with
-                | Ok est ->
-                  t.computations <- t.computations + 1;
-                  cache_result_locked t key est
-                | Error _ -> ())
-          in
-          if run_job t ~program ~config ~identity a iv ~on_done then
-            respond t a ~computed:true (wait iv)
-          else begin
-            (* Nobody else can be waiting: joiners found the entry only
-               while it existed, and its removal under the lock precedes
-               any chance of a response — fill the ivar anyway so a racy
-               joiner that slipped in between claim and shed still
-               unblocks. *)
-            locked t (fun () -> Hashtbl.remove t.inflight key);
-            fill iv (Error "request shed by admission control");
-            shed t
-          end)))
+  match
+    ( compiled t a.bench,
+      try Ok (Cache.Config.make ~sets:a.sets ~ways:a.ways ~line_bytes:a.line ())
+      with Invalid_argument msg -> Error msg )
+  with
+  | Error msg, _ | _, Error msg -> error_reply t msg
+  | Ok (program, digest), Ok config -> (
+    let identity = Pwcet.Estimator.identity_of_digest ~digest ~config in
+    match a.timeout_ms with
+    | Some ms ->
+      (* Budgeted: private computation, admission control only. *)
+      let budget = Robust.Budget.make ~timeout:(float_of_int ms /. 1000.0) () in
+      let iv = ivar () in
+      let job () =
+        let outcome = guarded (compute t ~program ~config ~identity ~budget a) in
+        if Result.is_ok outcome then locked t (fun () -> t.computations <- t.computations + 1);
+        fill iv outcome
+      in
+      if Parallel.Workers.submit t.pool job then respond t a ~computed:true (wait iv)
+      else shed t
+    | None ->
+      single_flight_pooled t ~count_join:true ~count_compute:true t.estimates
+        (request_key ~identity a)
+        (compute t ~program ~config ~identity a)
+        ~respond:(respond t a))
 
 (* --- bulk schedulability campaigns ----------------------------------------- *)
 
@@ -341,23 +338,15 @@ let spec_of_sched (s : Protocol.sched) =
 
 (* One benchmark's estimate for a sched campaign, computed INLINE on
    the calling worker domain. Submitting it to the pool — or joining
-   an [inflight] entry whose leader is a pool job that may be queued
+   an [estimates] flight whose leader is a pool job that may be queued
    behind this very campaign — could deadlock a fully sched-occupied
-   pool, so the campaign path has its own in-flight table whose
-   leaders never need a pool slot. It still reads and feeds the shared
-   [results] cache (same [request_key]), so sched campaigns and
-   analyze traffic warm each other. *)
+   pool, so the campaign path has its own single flight whose leaders
+   never need a pool slot. It still reads and feeds the shared result
+   memo (same [request_key]), so sched campaigns and analyze traffic
+   warm each other. *)
 let bench_estimate t ~config (spec : Sched.Campaign.spec) bench =
-  let entry =
-    match Benchmarks.Registry.find bench with
-    | Some entry -> entry
-    | None ->
-      raise
-        (Compute_error
-           (Printf.sprintf "unknown benchmark %S; the registry lists the valid names" bench))
-  in
-  let program = (Minic.Compile.compile entry.Benchmarks.Registry.program).Minic.Compile.program in
-  let identity = Pwcet.Estimator.identity_of ~program ~config in
+  let program, digest = value (compiled t bench) in
+  let identity = Pwcet.Estimator.identity_of_digest ~digest ~config in
   let a =
     { (Protocol.default_analyze ~bench) with
       Protocol.pfail = spec.pfail;
@@ -366,45 +355,11 @@ let bench_estimate t ~config (spec : Sched.Campaign.spec) bench =
       ways = spec.ways;
       line = spec.line }
   in
-  let key = request_key ~identity a in
-  let claim =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.results key with
-        | Some est -> `Warm est
-        | None -> (
-          match Hashtbl.find_opt t.bench_inflight key with
-          | Some iv ->
-            t.deduped <- t.deduped + 1;
-            `Join iv
-          | None ->
-            let iv = ivar () in
-            Hashtbl.add t.bench_inflight key iv;
-            `Lead iv))
-  in
-  match claim with
-  | `Warm est -> est
-  | `Join iv -> (
-    match wait iv with Ok est -> est | Error msg -> raise (Compute_error msg))
-  | `Lead iv -> (
-    let outcome =
-      try
-        let task = prepared_task t ~program ~config ~identity a in
-        Ok
-          (Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism
-             ~engine:a.engine ~exact:a.exact ~jobs:1 ~impl:a.impl ?store:t.store ())
-      with
-      | Compute_error msg -> Error msg
-      | e -> Error (Printexc.to_string e)
-    in
-    locked t (fun () ->
-        Hashtbl.remove t.bench_inflight key;
-        match outcome with
-        | Ok est ->
-          t.computations <- t.computations + 1;
-          cache_result_locked t key est
-        | Error _ -> ());
-    fill iv outcome;
-    match outcome with Ok est -> est | Error msg -> raise (Compute_error msg))
+  single_flight_inline t ~count_join:true ~count_compute:true t.bench_estimates
+    (request_key ~identity a) (fun () ->
+      let task = prepared_task t ~program ~config ~identity a in
+      Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
+        ~exact:a.exact ~jobs:1 ~impl:a.impl ?store:t.store ())
 
 (* The campaign computation a worker domain runs. [jobs:1] as in
    [compute]: request-level parallelism comes from the pool itself. *)
@@ -429,98 +384,33 @@ let compute_sched t (spec : Sched.Campaign.spec) () =
   in
   { analyzed = spec.count; passes; degraded; digest = c.Sched.Campaign.digest }
 
+(* A campaign's success is not a computation of its own: its
+   per-benchmark estimates already counted. *)
 let sched t (s : Protocol.sched) : Protocol.response =
   admit t;
-  let respond_sched ~computed (outcome : sched_outcome) : Protocol.response =
-    match outcome with
-    | Ok sum ->
-      Protocol.Sched_reply
-        { Protocol.analyzed = sum.analyzed;
-          passes = sum.passes;
-          degraded = sum.degraded;
-          digest = sum.digest;
-          sched_computed = computed }
-    | Error msg ->
-      locked t (fun () -> t.errors <- t.errors + 1);
-      Protocol.Error_reply msg
-  in
   match spec_of_sched s with
-  | Error msg ->
-    locked t (fun () -> t.errors <- t.errors + 1);
-    Protocol.Error_reply msg
-  | Ok spec -> (
-    let key = Store.Artifact.key (("service", "sched") :: Sched.Campaign.identity spec) in
-    let claim =
-      locked t (fun () ->
-          match Hashtbl.find_opt t.sched_results key with
-          | Some sum -> `Warm sum
-          | None -> (
-            match Hashtbl.find_opt t.sched_inflight key with
-            | Some iv ->
-              t.deduped <- t.deduped + 1;
-              `Join iv
-            | None ->
-              let iv = ivar () in
-              Hashtbl.add t.sched_inflight key iv;
-              `Lead iv))
-    in
-    match claim with
-    | `Warm sum -> respond_sched ~computed:false (Ok sum)
-    | `Join iv -> respond_sched ~computed:false (wait iv)
-    | `Lead iv ->
-      let job () =
-        let outcome =
-          try Ok (compute_sched t spec ())
-          with
-          | Compute_error msg -> Error msg
-          | e -> Error (Printexc.to_string e)
-        in
-        locked t (fun () ->
-            Hashtbl.remove t.sched_inflight key;
-            match outcome with
-            | Ok sum ->
-              if t.result_cache_max > 0 then begin
-                Hashtbl.replace t.sched_results key sum;
-                Queue.push key t.sched_order;
-                while
-                  Hashtbl.length t.sched_results > t.result_cache_max
-                  && not (Queue.is_empty t.sched_order)
-                do
-                  Hashtbl.remove t.sched_results (Queue.pop t.sched_order)
-                done
-              end
-            | Error _ -> ());
-        fill iv outcome
-      in
-      if Parallel.Workers.submit t.pool job then respond_sched ~computed:true (wait iv)
-      else begin
-        (* Same racy-joiner courtesy as the analyze path. *)
-        locked t (fun () -> Hashtbl.remove t.sched_inflight key);
-        fill iv (Error "request shed by admission control");
-        shed t
-      end)
+  | Error msg -> error_reply t msg
+  | Ok spec ->
+    single_flight_pooled t ~count_join:true ~count_compute:false t.scheds
+      (Store.Artifact.key (("service", "sched") :: Sched.Campaign.identity spec))
+      (compute_sched t spec)
+      ~respond:(fun ~computed outcome ->
+        match outcome with
+        | Ok sum ->
+          Protocol.Sched_reply
+            { Protocol.analyzed = sum.analyzed;
+              passes = sum.passes;
+              degraded = sum.degraded;
+              digest = sum.digest;
+              sched_computed = computed }
+        | Error msg -> error_reply t msg)
 
 (* --- bulk comparison grids -------------------------------------------------- *)
 
-let spec_of_grid (g : Protocol.grid) =
+let spec_of_grid t (g : Protocol.grid) =
   try
     let benchmarks =
-      List.map
-        (fun bench ->
-          match Benchmarks.Registry.find bench with
-          | None ->
-            raise
-              (Compute_error
-                 (Printf.sprintf "unknown benchmark %S; the registry lists the valid names"
-                    bench))
-          | Some entry -> (
-            try
-              ( bench,
-                (Minic.Compile.compile entry.Benchmarks.Registry.program)
-                  .Minic.Compile.program )
-            with Minic.Typecheck.Error msg | Minic.Compile.Error msg ->
-              raise (Compute_error msg)))
-        g.g_benchmarks
+      List.map (fun bench -> (bench, fst (value (compiled t bench)))) g.g_benchmarks
     in
     let configs =
       List.map
@@ -548,74 +438,21 @@ let compute_grid t (spec : Grid.spec) () =
 
 let grid t (g : Protocol.grid) : Protocol.response =
   admit t;
-  let respond_grid ~computed (outcome : grid_outcome) : Protocol.response =
-    match outcome with
-    | Ok sum ->
-      Protocol.Grid_reply
-        { Protocol.cells = sum.cells;
-          failed = sum.failed;
-          grid_digest = sum.grid_digest;
-          grid_computed = computed }
-    | Error msg ->
-      locked t (fun () -> t.errors <- t.errors + 1);
-      Protocol.Error_reply msg
-  in
-  match spec_of_grid g with
-  | Error msg ->
-    locked t (fun () -> t.errors <- t.errors + 1);
-    Protocol.Error_reply msg
-  | Ok spec -> (
-    let key = Store.Artifact.key (("service", "grid") :: Grid.identity spec) in
-    let claim =
-      locked t (fun () ->
-          match Hashtbl.find_opt t.grid_results key with
-          | Some sum -> `Warm sum
-          | None -> (
-            match Hashtbl.find_opt t.grid_inflight key with
-            | Some iv ->
-              t.deduped <- t.deduped + 1;
-              `Join iv
-            | None ->
-              let iv = ivar () in
-              Hashtbl.add t.grid_inflight key iv;
-              `Lead iv))
-    in
-    match claim with
-    | `Warm sum -> respond_grid ~computed:false (Ok sum)
-    | `Join iv -> respond_grid ~computed:false (wait iv)
-    | `Lead iv ->
-      let job () =
-        let outcome =
-          try Ok (compute_grid t spec ())
-          with
-          | Compute_error msg -> Error msg
-          | e -> Error (Printexc.to_string e)
-        in
-        locked t (fun () ->
-            Hashtbl.remove t.grid_inflight key;
-            match outcome with
-            | Ok sum ->
-              t.computations <- t.computations + 1;
-              if t.result_cache_max > 0 then begin
-                Hashtbl.replace t.grid_results key sum;
-                Queue.push key t.grid_order;
-                while
-                  Hashtbl.length t.grid_results > t.result_cache_max
-                  && not (Queue.is_empty t.grid_order)
-                do
-                  Hashtbl.remove t.grid_results (Queue.pop t.grid_order)
-                done
-              end
-            | Error _ -> ());
-        fill iv outcome
-      in
-      if Parallel.Workers.submit t.pool job then respond_grid ~computed:true (wait iv)
-      else begin
-        (* Same racy-joiner courtesy as the analyze and sched paths. *)
-        locked t (fun () -> Hashtbl.remove t.grid_inflight key);
-        fill iv (Error "request shed by admission control");
-        shed t
-      end)
+  match spec_of_grid t g with
+  | Error msg -> error_reply t msg
+  | Ok spec ->
+    single_flight_pooled t ~count_join:true ~count_compute:true t.grids
+      (Store.Artifact.key (("service", "grid") :: Grid.identity spec))
+      (compute_grid t spec)
+      ~respond:(fun ~computed outcome ->
+        match outcome with
+        | Ok sum ->
+          Protocol.Grid_reply
+            { Protocol.cells = sum.cells;
+              failed = sum.failed;
+              grid_digest = sum.grid_digest;
+              grid_computed = computed }
+        | Error msg -> error_reply t msg)
 
 let stats t : Protocol.stats_payload =
   let queued = Parallel.Workers.queued t.pool in

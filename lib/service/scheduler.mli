@@ -30,6 +30,11 @@
     tables across daemon restarts — a freshly started daemon over a
     populated store replays artifacts instead of recomputing them.
 
+    The dedup key needs each request's program content digest. A
+    registry program cannot change inside a process, so the scheduler
+    compiles and hashes each one on its first request and memoises the
+    pair for its lifetime: a warm request does no compile or hash.
+
     All entry points are safe to call from any thread or domain; the
     caller's thread blocks until its response is ready. *)
 

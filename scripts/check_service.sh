@@ -5,6 +5,9 @@
 #   1. serve on a temp socket with a store      -> readiness via ping
 #   2. analyze round trip, then a warm repeat   -> identical pWCET line,
 #                                                  repeat not recomputed
+#      then the same benchmark at a second      -> computed (stats delta
+#      geometry                                    1), pWCET line equal to
+#                                                  a direct `analyze`
 #   3. 6 concurrent identical requests          -> exactly 1 computation
 #      (client --bench + --delay-ms)               (stats delta)
 #   4. SIGTERM                                  -> exit 130, socket file
@@ -28,6 +31,7 @@ trap cleanup EXIT INT TERM
 SOCK="$WORK/daemon.sock"
 CACHE="$WORK/cache"
 GEOM="--sets 8 --ways 2"
+GEOM2="--sets 16 --ways 4"
 
 fail() { echo "check_service: FAIL: $*" >&2; exit 1; }
 
@@ -53,8 +57,24 @@ grep "pWCET" "$WORK/cold.out" > "$WORK/cold.pwcet"
 grep "pWCET" "$WORK/warm.out" > "$WORK/warm.pwcet"
 cmp -s "$WORK/cold.pwcet" "$WORK/warm.pwcet" || fail "warm pWCET differs from cold"
 
-# --- 3. concurrent identical requests -> one computation ---------------------
+# The daemon memoises each compiled program, never an identity: a second
+# geometry must key its own computation and match the direct pipeline.
 stat_of() { awk -v k="$1" '$1 == k { print $3 }' "$2"; }
+"$TOOL" client -s "$SOCK" stats > "$WORK/geo0.out" || fail "stats failed"
+"$TOOL" client -s "$SOCK" analyze crc $GEOM2 > "$WORK/geo2.out" \
+  || fail "second-geometry analyze failed"
+"$TOOL" client -s "$SOCK" stats > "$WORK/geo1.out" || fail "stats failed"
+grep -q "computed       : true" "$WORK/geo2.out" || fail "second geometry was not computed"
+geo_delta=$(($(stat_of computations "$WORK/geo1.out") - $(stat_of computations "$WORK/geo0.out")))
+[ "$geo_delta" -eq 1 ] || fail "second geometry ran $geo_delta computations, want 1"
+"$TOOL" analyze crc $GEOM2 > "$WORK/direct2.out" || fail "direct analyze failed"
+grep "^no protection" "$WORK/direct2.out" | sed 's/.*pWCET/pWCET/' > "$WORK/direct2.pwcet"
+grep "pWCET" "$WORK/geo2.out" > "$WORK/geo2.pwcet"
+[ -s "$WORK/direct2.pwcet" ] || fail "no pWCET line in direct analyze output"
+cmp -s "$WORK/direct2.pwcet" "$WORK/geo2.pwcet" \
+  || fail "second-geometry pWCET differs from direct analyze"
+
+# --- 3. concurrent identical requests -> one computation ---------------------
 "$TOOL" client -s "$SOCK" stats > "$WORK/stats0.out" || fail "stats failed"
 "$TOOL" client -s "$SOCK" analyze fibcall $GEOM --pfail 2e-4 --delay-ms 400 \
   --bench --clients 6 --requests 1 > "$WORK/load.out" || fail "concurrent load failed"
@@ -84,4 +104,4 @@ set -e
 [ "$status" -eq 1 ] || fail "client against a dead daemon exited $status, want 1"
 grep -q "cannot connect" "$WORK/dead.err" || fail "no connection diagnostic"
 
-echo "check_service: OK (serve/ping/warm-repeat/dedup/SIGTERM/verify all clean)"
+echo "check_service: OK (serve/ping/warm-repeat/geometry/dedup/SIGTERM/verify all clean)"

@@ -216,6 +216,28 @@ let test_grid_store_warm_identical () =
   let warm = Grid.run ~jobs:4 ~store spec in
   Alcotest.(check string) "cold = warm digest" (Grid.digest cold) (Grid.digest warm)
 
+let test_identity_pinned () =
+  (* [Grid.identity] hashes each program once; its list must still be,
+     element for element, the per-(program, geometry) [identity_of]
+     concatenation it replaced. *)
+  let spec = spec_of ([ "fibcall"; "bs" ], M.all, [ 1e-5; 1e-4 ], true) in
+  let float_key f = Int64.to_string (Int64.bits_of_float f) in
+  let expected =
+    List.concat_map
+      (fun (name, program) ->
+        List.concat_map
+          (fun config -> ("bench", name) :: Estimator.identity_of ~program ~config)
+          spec.Grid.configs)
+      spec.Grid.benchmarks
+    @ [ ("mechanisms", String.concat "," (List.map M.short_name M.all));
+        ("pfail-grid", String.concat "," (List.map float_key [ 1e-5; 1e-4 ]));
+        ("targets", String.concat "," (List.map float_key targets));
+        ("engine", "path");
+        ("exact", "false");
+        ("impl", "sliced") ]
+  in
+  Alcotest.(check (list (pair string string))) "identity" expected (Grid.identity spec)
+
 let () =
   Alcotest.run "grid"
     [ ( "sharing",
@@ -230,5 +252,6 @@ let () =
             test_single_panel_unused_sets
         ; Alcotest.test_case "cell wire roundtrip" `Quick test_cell_wire_roundtrip
         ; Alcotest.test_case "cold = warm store" `Quick test_grid_store_warm_identical
+        ; Alcotest.test_case "identity pinned" `Quick test_identity_pinned
         ] )
     ]

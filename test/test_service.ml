@@ -325,12 +325,28 @@ let test_server_roundtrip_identity () =
 
 let test_server_bad_requests () =
   with_server (fun socket _scheduler ->
-      (match
-         Client.request ~socket
-           (Protocol.Analyze (Protocol.default_analyze ~bench:"no-such-benchmark"))
-       with
-      | Ok (Protocol.Error_reply _) -> ()
-      | _ -> Alcotest.fail "unknown benchmark must yield a typed error");
+      (* Every entry point that names a registry program answers an
+         unknown name with a typed error; analyze and grid share one
+         text, while sched's campaign validation rejects it first. *)
+      let reply req =
+        match Client.request ~socket req with
+        | Ok (Protocol.Error_reply msg) ->
+          check "names the unknown benchmark" true
+            (String.starts_with ~prefix:"unknown benchmark" msg);
+          msg
+        | _ -> Alcotest.fail "unknown benchmark must yield a typed error"
+      in
+      let analyze_msg =
+        reply (Protocol.Analyze (Protocol.default_analyze ~bench:"no-such-benchmark"))
+      in
+      let grid_msg =
+        reply (Protocol.Grid (Protocol.default_grid ~benchmarks:[ "fibcall"; "no-such-benchmark" ]))
+      in
+      check_str "analyze and grid share one text" analyze_msg grid_msg;
+      ignore
+        (reply
+           (Protocol.Sched
+              { Protocol.default_sched with Protocol.benchmarks = [ "no-such-benchmark" ] }));
       (* A malformed frame payload gets a typed error too, on a fresh
          connection the server keeps serving. *)
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -706,6 +722,68 @@ let test_warm_requests_consistent () =
       | Some (_, _, puts) -> check_int "warm run wrote nothing" puts_after_cold puts
       | None -> Alcotest.fail "store stats missing")
 
+(* --- the per-daemon compiled-program memo ------------------------------------ *)
+
+let compile name =
+  let entry = Option.get (Benchmarks.Registry.find name) in
+  (Minic.Compile.compile entry.Benchmarks.Registry.program).Minic.Compile.program
+
+(* The identity the daemon builds from a program's digest is exactly
+   the one [identity_of] derives, and the digest is still the hex MD5
+   of the program's pretty-print, so store keys, request keys and
+   journal run keys are unchanged. *)
+let test_identity_of_digest () =
+  List.iter
+    (fun (entry : Benchmarks.Registry.entry) ->
+      let name = entry.Benchmarks.Registry.name in
+      let program = compile name in
+      let digest = Pwcet.Estimator.program_digest program in
+      check_str (name ^ " digest")
+        (Digest.to_hex (Digest.string (Format.asprintf "%a" Isa.Program.pp program)))
+        digest;
+      List.iter
+        (fun config ->
+          Alcotest.(check (list (pair string string)))
+            (name ^ " identity")
+            (Pwcet.Estimator.identity_of ~program ~config)
+            (Pwcet.Estimator.identity_of_digest ~digest ~config))
+        [ Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 ();
+          Cache.Config.make ~sets:16 ~ways:4 ~line_bytes:16 () ])
+    (Benchmarks.Registry.all @ Benchmarks.Registry.extras)
+
+(* The memo holds programs, never identities: one benchmark at two
+   geometries keys two computations, each equal to the in-process
+   estimate at its own geometry, and the repeat of the first is a hit. *)
+let test_geometry_isolation () =
+  with_server (fun socket _scheduler ->
+      let ask (sets, ways) =
+        let req = { (Protocol.default_analyze ~bench:"fibcall") with Protocol.sets; ways } in
+        let config = Cache.Config.make ~sets ~ways ~line_bytes:16 () in
+        let task = Pwcet.Estimator.prepare ~program:(compile "fibcall") ~config () in
+        let est =
+          Pwcet.Estimator.estimate task ~pfail:req.Protocol.pfail
+            ~mechanism:req.Protocol.mechanism ()
+        in
+        match Client.request ~socket (Protocol.Analyze req) with
+        | Ok (Protocol.Result r) ->
+          let tag = Printf.sprintf "%dx%d " sets ways in
+          check_int (tag ^ "pwcet") (Pwcet.Estimator.pwcet est ~target:req.Protocol.target)
+            r.Protocol.pwcet;
+          check_int (tag ^ "wcet_ff") (Pwcet.Estimator.fault_free_wcet task) r.Protocol.wcet_ff;
+          r
+        | Ok other ->
+          Alcotest.failf "unexpected analyze response: %s" (Protocol.response_to_string other)
+        | Error e -> Alcotest.failf "analyze failed: %s" e
+      in
+      let before = (daemon_stats ~socket).Protocol.computations in
+      let small = ask (8, 2) in
+      let large = ask (16, 4) in
+      let again = ask (8, 2) in
+      check "first geometry computed" true small.Protocol.computed;
+      check "second geometry computed" true large.Protocol.computed;
+      check "repeat is a hit" false again.Protocol.computed;
+      check_int "two computations" 2 ((daemon_stats ~socket).Protocol.computations - before))
+
 (* --- chaos: shedding, healing, retries -------------------------------------- *)
 
 let raw_connect socket =
@@ -901,6 +979,8 @@ let () =
         ; Alcotest.test_case "budgeted request degrades" `Quick test_budgeted_request_degrades
         ; Alcotest.test_case "result cache" `Quick test_result_cache
         ; Alcotest.test_case "warm requests consistent" `Quick test_warm_requests_consistent
+        ; Alcotest.test_case "identity_of_digest = identity_of" `Quick test_identity_of_digest
+        ; Alcotest.test_case "geometry isolation" `Quick test_geometry_isolation
         ] )
     ; ( "chaos",
         [ Alcotest.test_case "max-conns typed shedding" `Quick test_max_conns_shedding
