@@ -1,6 +1,6 @@
 # Convenience entry points; `check` is the tier-1 gate.
 
-.PHONY: all build check test ci perfbench-build bench bench-json audit clean
+.PHONY: all build check test ci perfbench-build bench audit clean
 
 all: build
 
@@ -48,31 +48,11 @@ perfbench-build:
 audit:
 	dune exec bin/pwcet_tool.exe -- audit --sets 8 --ways 2
 
-# Full evaluation harness (paper tables/figures + Bechamel timings).
-# Pass JOBS=N to set the worker-domain count (-j) explicitly.
-JOBS ?=
+# The ablations that have no CLI command (path vs ILP engine,
+# persistence off, convolution cap); EXPERIMENTS.md names the command
+# behind every other result.
 bench:
-	dune exec bench/main.exe -- $(if $(JOBS),-j $(JOBS))
-
-# Machine-readable engine comparisons only: naive-vs-sliced FMM
-# (BENCH_fmm.json), distribution-engine + pfail-sweep amortisation
-# (BENCH_dist.json), artifact-store cold/warm/uncached timings
-# (BENCH_store.json), the analysis daemon's cold/warm/concurrent
-# latencies plus live dedup proof (BENCH_service.json), the batched
-# fault-injection emulator's speedup + million-sample campaign results
-# (BENCH_sim.json), the schedulability campaign's batched-vs-
-# independent law-reuse speedup (BENCH_sched.json), and the one-pass
-# grid engine's structural-sharing speedup (BENCH_grid.json). Every
-# emitted file is then gated on carrying schema_version + git_commit.
-bench-json:
-	dune exec bench/main.exe -- --only fmm-json $(if $(JOBS),-j $(JOBS))
-	dune exec bench/main.exe -- --only dist-json $(if $(JOBS),-j $(JOBS))
-	dune exec bench/main.exe -- --only store-json $(if $(JOBS),-j $(JOBS))
-	dune exec bench/main.exe -- --only service-json $(if $(JOBS),-j $(JOBS))
-	dune exec bench/main.exe -- --only sim-json $(if $(JOBS),-j $(JOBS))
-	dune exec bench/main.exe -- --only sched-json $(if $(JOBS),-j $(JOBS))
-	dune exec bench/main.exe -- --only grid-json $(if $(JOBS),-j $(JOBS))
-	sh scripts/check_bench_json.sh
+	dune exec bench/main.exe
 
 clean:
 	dune clean

@@ -935,27 +935,7 @@ let suite_cmd =
         pfail_grid = [ pfail ]; targets = [ target ]; engine; exact; impl = `Sliced }
     in
     let print ev =
-      let cells = ok_cells ev in
-      (* One Fig. 4 row per benchmark whose three cells all succeeded. *)
-      let rows =
-        List.filter_map
-          (fun (name, _) ->
-            let cell mech =
-              List.find_opt
-                (fun (c : Grid.cell) ->
-                  c.point.bench = name && Pwcet.Mechanism.equal c.point.mechanism mech)
-                cells
-            in
-            match List.map cell Pwcet.Mechanism.all with
-            | [ Some none; Some srb; Some rw ] ->
-              let pwcet (c : Grid.cell) = snd (List.hd c.pwcets) in
-              Some
-                ( { Pwcet.Report_data.name; wcet_ff = none.wcet_ff; pwcet_none = pwcet none;
-                    pwcet_srb = pwcet srb; pwcet_rw = pwcet rw },
-                  List.fold_left Robust.Rung.worst none.rung [ srb.rung; rw.rung ] )
-            | _ -> None)
-          benchmarks
-      in
+      let rows = Grid.fig4_rows spec (ok_cells ev) in
       print_string (Reporting.Table.fig4 (List.map fst rows));
       print_newline ();
       print_string (Reporting.Table.aggregates (List.map fst rows));

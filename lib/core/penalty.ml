@@ -35,8 +35,8 @@ let total_distribution ?max_points ?(jobs = 1) ?(impl = `Grouped) ~fmm ~pbf () =
   | `Reference ->
     (* The pre-overhaul engine: one distribution per active set (each
        recomputing the way PMF), reduced through a sequential pairwise
-       tree with the hash-table convolution kernel. Kept for
-       differential testing and the BENCH_dist comparison. *)
+       tree with the hash-table convolution kernel. Kept as the
+       oracle of test/test_dist_engine.ml's differential tests. *)
     let dists =
       Parallel.Pool.map ~jobs
         (fun set -> set_distribution ~fmm ~pbf ~set ())

@@ -18,7 +18,7 @@ val gain_rw : row -> float
 
 val normalized : row -> float * float * float
 (** (fault-free, SRB, RW) pWCETs normalised to the no-protection pWCET —
-    the stacked bars of Fig. 4. *)
+    the normalised columns of Fig. 4. *)
 
 val category : row -> int
 (** The paper's four behavioural categories (Section IV-B):

@@ -5,9 +5,8 @@
     campaign under an estimate's fault law, then holds the empirical
     execution-time exceedance against the analytic curve at every
     observed value, and every individual sample against its own
-    per-pattern FMM bound. Shared by [pwcet_tool validate], the
-    [sim-json] bench section and the CI gate so all three report the
-    same numbers. *)
+    per-pattern FMM bound. Shared by [pwcet_tool validate] and the CI
+    gate so both report the same numbers. *)
 
 type campaign_check = {
   mechanism : Mechanism.t;

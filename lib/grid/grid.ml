@@ -315,3 +315,21 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
         | Ok _ -> assert false
         | Error e -> (point, Error e)))
     all_points slots
+
+let fig4_rows spec cells =
+  List.filter_map
+    (fun (name, _) ->
+      let cell mech =
+        List.find_opt
+          (fun c -> c.point.bench = name && Mechanism.equal c.point.mechanism mech)
+          cells
+      in
+      match List.map cell Mechanism.all with
+      | [ Some none; Some srb; Some rw ] ->
+        let pwcet c = snd (List.hd c.pwcets) in
+        Some
+          ( { Pwcet.Report_data.name; wcet_ff = none.wcet_ff; pwcet_none = pwcet none;
+              pwcet_srb = pwcet srb; pwcet_rw = pwcet rw },
+            List.fold_left Rung.worst none.rung [ srb.rung; rw.rung ] )
+      | _ -> None)
+    spec.benchmarks

@@ -119,3 +119,10 @@ val cell_of_wire : string -> (cell, string) result
 (** Inverse of {!cell_to_wire}; revalidates geometry, mechanism, rung
     tags and value ranges, so a replayed journal record that decodes is
     as trustworthy as a fresh computation. *)
+
+val fig4_rows : spec -> cell list -> (Pwcet.Report_data.row * Robust.Rung.t) list
+(** The paper's Fig. 4 rows from a grid's successful cells: one row per
+    benchmark of [spec], in spec order, whose none, SRB and RW cells are
+    all present, each read at its first target, with the loosest rung
+    of the three. Meant for a one-geometry, one-pfail spec such as
+    [pwcet_tool suite]'s; a benchmark with a missing cell has no row. *)

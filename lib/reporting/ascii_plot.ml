@@ -53,26 +53,3 @@ let exceedance ?(width = 72) ?(height = 20) ~series () =
       series;
     Buffer.contents buf
   end
-
-let bars ?(width = 50) ~rows () =
-  let buf = Buffer.create 4096 in
-  let label_width =
-    List.fold_left (fun acc (name, _) -> max acc (String.length name)) 0 rows
-  in
-  List.iter
-    (fun (name, entries) ->
-      List.iteri
-        (fun i (series, value) ->
-          let v = Float.max 0.0 (Float.min 1.0 value) in
-          let filled = int_of_float (v *. float_of_int width) in
-          Buffer.add_string buf
-            (Printf.sprintf "  %-*s %-6s |%s%s| %.3f\n" label_width
-               (if i = 0 then name else "")
-               series
-               (String.make filled '=')
-               (String.make (width - filled) ' ')
-               value))
-        entries;
-      Buffer.add_char buf '\n')
-    rows;
-  Buffer.contents buf

@@ -1,5 +1,4 @@
-(** Terminal rendering of exceedance curves (the paper's Fig. 3) and
-    normalised bar charts (Fig. 4). *)
+(** Terminal rendering of exceedance curves (the paper's Fig. 3). *)
 
 val exceedance :
   ?width:int ->
@@ -10,11 +9,3 @@ val exceedance :
 (** Log-scale complementary cumulative distribution plot. Each series is
     a staircase [(wcet, P(WCET >= wcet))]; probabilities below [1e-18]
     are clipped. *)
-
-val bars :
-  ?width:int ->
-  rows:(string * (string * float) list) list ->
-  unit ->
-  string
-(** Horizontal grouped bars, one group per row, values in [0, 1]
-    (normalised pWCETs). *)

@@ -65,19 +65,6 @@ let test_exceedance_plot () =
 let test_exceedance_plot_empty () =
   Alcotest.(check string) "empty" "(empty plot)\n" (Reporting.Ascii_plot.exceedance ~series:[] ())
 
-let test_bars () =
-  let s =
-    Reporting.Ascii_plot.bars ~width:10
-      ~rows:[ ("bench", [ ("ff", 0.5); ("rw", 1.0) ]) ]
-      ()
-  in
-  Alcotest.(check bool) "label" true (string_contains s "bench");
-  Alcotest.(check bool) "half bar" true (string_contains s "|=====     |");
-  Alcotest.(check bool) "full bar" true (string_contains s "|==========|");
-  (* Out-of-range values are clamped, not crashing. *)
-  let s2 = Reporting.Ascii_plot.bars ~width:10 ~rows:[ ("x", [ ("v", 1.7) ]) ] () in
-  Alcotest.(check bool) "clamped" true (string_contains s2 "|==========|")
-
 let () =
   Alcotest.run "reporting"
     [ ( "tables",
@@ -89,6 +76,5 @@ let () =
     ; ( "plots",
         [ Alcotest.test_case "exceedance" `Quick test_exceedance_plot
         ; Alcotest.test_case "empty" `Quick test_exceedance_plot_empty
-        ; Alcotest.test_case "bars" `Quick test_bars
         ] )
     ]

@@ -253,6 +253,27 @@ let test_campaign_set_isolation () =
     (Digest.to_hex (Digest.string (C.result_to_wire from_run)))
     (Digest.to_hex (Digest.string (C.result_to_wire solo)))
 
+let test_campaign_batched_equals_independent () =
+  (* Laws computed once for the whole campaign give every set the same
+     result as laws re-derived for that set from only its own
+     benchmarks: batching may save work, never change a verdict. *)
+  let laws = Lazy.force small_laws in
+  let batched = C.run_with_laws ~jobs:1 small_spec laws in
+  List.iteri
+    (fun index (from_batch : C.set_result) ->
+      let ts = T.generate (C.taskset_spec small_spec) ~index in
+      let benches =
+        List.fold_left
+          (fun acc (t : T.task) -> if List.mem t.T.bench acc then acc else acc @ [ t.T.bench ])
+          [] ts.T.tasks
+      in
+      let own = C.laws { small_spec with C.benchmarks = benches } in
+      let independent, _ = C.analyze_set small_spec own ~index in
+      Alcotest.(check string)
+        (Printf.sprintf "set %d batched = independent" index)
+        (C.result_to_wire from_batch) (C.result_to_wire independent))
+    batched.C.results
+
 let test_campaign_wire_roundtrip () =
   let laws = Lazy.force small_laws in
   let r = C.run_with_laws ~jobs:1 small_spec laws in
@@ -299,6 +320,8 @@ let () =
     ; ( "campaign",
         [ Alcotest.test_case "jobs determinism" `Quick test_campaign_jobs_deterministic
         ; Alcotest.test_case "set isolation" `Quick test_campaign_set_isolation
+        ; Alcotest.test_case "batched = independent laws" `Quick
+            test_campaign_batched_equals_independent
         ; Alcotest.test_case "wire round trip" `Quick test_campaign_wire_roundtrip
         ; Alcotest.test_case "monte-carlo bounds" `Quick test_campaign_montecarlo_bounds
         ] )
