@@ -1,6 +1,6 @@
 # Convenience entry points; `check` is the tier-1 gate.
 
-.PHONY: all build check test ci perfbench-build bench audit clean
+.PHONY: all build check test ci perfbench-build release-dist bench audit clean
 
 all: build
 
@@ -29,9 +29,10 @@ check:
 test: check
 
 # What CI runs (see .github/workflows/ci.yml): the tier-1 gate, the
-# invariant auditor and a build of the benchmark program. Kept as a make
-# target so CI and a local pre-push run are the same command.
-ci: check audit perfbench-build
+# invariant auditor, a build of the benchmark program and the
+# convolution kernel's byte-identity tests on a release build. Kept as
+# a make target so CI and a local pre-push run are the same command.
+ci: check audit perfbench-build release-dist
 
 # perfbench/pwbench.exe is enabled only under the perfbench profile, so
 # `dune build` never compiles it; build it here (into its own build
@@ -39,6 +40,14 @@ ci: check audit perfbench-build
 # benchmark fails CI instead of the next benchmark run.
 perfbench-build:
 	dune build --profile perfbench --build-dir _build_perfbench ./perfbench/pwbench.exe
+
+# The benchmark measures a release build, while `dune runtest` checks
+# the dev build. Rerun Prob.Dist's convolution byte-identity tests
+# (merge = reference on every kernel branch and the registry to_wire
+# digest) on a release build, in its own build directory.
+release-dist:
+	dune build --profile release --build-dir _build_release ./test/test_dist_engine.exe
+	cd _build_release/default/test && ./test_dist_engine.exe
 
 # Runtime invariant auditor over the full benchmark registry:
 # per-mechanism structural checks (FMM shape/monotonicity, distribution
@@ -56,4 +65,4 @@ bench:
 
 clean:
 	dune clean
-	rm -rf _build_perfbench
+	rm -rf _build_perfbench _build_release

@@ -1,22 +1,7 @@
 (* Counter-based fault decisions, exactly the Sim.Rng discipline: the
-   same splitmix-style finalizer on native 63-bit ints (the constants
-   are Sim.Rng's, duplicated here so the chaos layer stays a leaf the
-   I/O libraries can depend on; test/test_chaos.ml pins the two mixers
-   equal), driven by (seed, site, occurrence) instead of
-   (seed, sample, draw). *)
-let mult_a = 0x2545F4914F6CDD1D
-let mult_b = 0x27220A95FE1DADD5
-let gamma = 0x1E3779B97F4A7C15
-
-let mix z =
-  let z = (z lxor (z lsr 33)) * mult_a in
-  let z = (z lxor (z lsr 29)) * mult_b in
-  z lxor (z lsr 32)
-
-let ulp53 = 1.0 /. 9007199254740992.0
-
-let uniform ~stream ~draw =
-  float_of_int (mix (stream + ((draw + 1) * mult_a)) land 0x1F_FFFF_FFFF_FFFF) *. ulp53
+   same Numeric.Splitmix finalizer, driven by (seed, site, occurrence)
+   instead of (seed, sample, draw). *)
+open Numeric.Splitmix
 
 let site_code site =
   let h = ref (String.length site) in

@@ -2,8 +2,8 @@
 
     An injector binds a {!Plan.t} to a seed. Every fault decision is a
     pure function of [(seed, site, occurrence)] — the same counter-based
-    construction as [Sim.Rng] (the mixer is pinned equal by
-    test/test_chaos.ml) — so a fault schedule is reproducible from the
+    construction, over the same {!Numeric.Splitmix} mixer, as
+    [Sim.Rng] — so a fault schedule is reproducible from the
     seed alone: re-running the same operations in the same per-site
     order re-injects exactly the same faults, in any process, at any
     parallelism. Sites whose occurrence numbering is owned by the
@@ -70,10 +70,3 @@ val tap_data : t option -> site:string -> string -> string
 val tap_worker : t option -> site:string -> [ `Pass | `Die | `Sleep of float ]
 (** Non-raising variant for worker loops, which must run their own
     requeue/respawn protocol around a simulated death. *)
-
-(** {1 Internals exposed for tests} *)
-
-val mix : int -> int
-(** The splitmix-style finalizer behind every decision — duplicated
-    from [Sim.Rng] so this library stays a dependency leaf; exposed
-    only so test/test_chaos.ml can pin the two mixers equal. *)

@@ -238,7 +238,14 @@ let convolve_reference ~max_points a b =
    hundred points the sums densely tile [lo, hi] and an O(n*m + range)
    bucket accumulation beats any comparison-based scheme. Used when the
    value range is within a small factor of the pair count (and an
-   absolute ceiling bounds the scratch allocation).
+   absolute ceiling bounds the scratch allocation). The products go in
+   as contiguous rows that a C stub vectorises: one operand, padded
+   with -0.0 on the lattice, is the row, and each point of the other
+   adds its weight times that row at its own offset. The row is
+   whichever operand costs less padded work; rows over [b]'s points run
+   in descending j, which is ascending i per bucket. When both paddings
+   cost several times the n*m products, an OCaml loop scatters the
+   products instead ([convolve_dense]).
 
    Regime 2 (k-way run merge): the sorted supports make the n*m sums
    sorted runs, one per point of the smaller operand; a binary min-heap
@@ -262,16 +269,82 @@ let support_step pens n =
   done;
   !g
 
+(* The row loop below reads OCaml float arrays as C [double *], which
+   only holds under the flat float array layout (the default). On a
+   compiler configured with -no-flat-float-array it would corrupt
+   memory, so refuse to start instead. *)
+let () =
+  if Obj.tag (Obj.repr [| 0.0 |]) <> Obj.double_array_tag then
+    failwith
+      "Prob.Dist: this OCaml runtime does not store float arrays flat \
+       (-no-flat-float-array); the dense convolution stub needs the flat layout"
+
+(* [dense_rows acc row weights offs r_lo r_hi descending w0 w1] adds
+   [weights.(r) *. row.(t)] into [acc.(offs.(r) + t)] for the rows r in
+   [r_lo, r_hi), ascending or descending, restricted to the buckets in
+   [w0, w1). See dense_stubs.c. *)
+external dense_rows :
+  float array -> float array -> float array -> int array -> int -> int -> bool -> int -> int
+  -> unit = "pwcet_dense_rows_byte" "pwcet_dense_rows"
+[@@noalloc]
+
+(* Output window of one stub call, in buckets: 1,024 doubles (8 KB of
+   [acc]) stay in L1 while the rows overlapping them stream past.
+   Windows of 256 to 2,048 timed within noise of each other on the
+   registry's penalty convolutions. The window also bounds one noalloc
+   call to at most a window's worth of each row, so a stop-the-world
+   collection requested by another domain waits for one window, never a
+   whole convolution. *)
+let dense_window = 1024
+
+(* The padded rows are used only while their padded work is at most
+   this multiple of the n*m products; past it the scalar scatter loop
+   is cheaper. Timing the 600 penalty convolutions of the grid-pfail
+   workload (median of five interleaved runs, 2-core x86-64 host with
+   AVX2): 1.60 s at 2, 1.35 s at 4, 1.24 s at 8, 1.26 s at 16, with
+   each setting's runs spread over 0.1-0.3 s. Past 4 the gain is within
+   that noise, and hosts without AVX2 gain less per padded element, so
+   4 stays. *)
+let dense_padding_limit = 4
+
+(* Bucket index of every point of a support on the lattice of [step]. *)
+let lattice_offsets pens n step = Array.init n (fun i -> (pens.(i) - pens.(0)) / step)
+
+(* The inner operand as one contiguous row: its weights at their
+   lattice offsets and -0.0 in every gap. *)
+let padded_row probs offs len =
+  let row = Array.make len (-0.0) in
+  Array.iteri (fun i o -> row.(o) <- probs.(i)) offs;
+  row
+
+(* Add [weights.(r)] times [row] into [acc] at offset [offs.(r)]
+   (ascending in r) for every r, one output window at a time. Inside
+   each window the rows go in the same order, so every bucket still
+   receives its products in row order. The rows overlapping a window
+   are a contiguous range of r, and both of its ends only move up as
+   the window does. *)
+let accumulate_rows acc ~weights ~offs ~descending row =
+  let buckets = Array.length acc and nr = Array.length offs and len = Array.length row in
+  let r_lo = ref 0 and r_hi = ref 0 and w0 = ref 0 in
+  while !w0 < buckets do
+    let w1 = min buckets (!w0 + dense_window) in
+    while !r_lo < nr && offs.(!r_lo) + len <= !w0 do incr r_lo done;
+    while !r_hi < nr && offs.(!r_hi) < w1 do incr r_hi done;
+    if !r_lo < !r_hi then dense_rows acc row weights offs !r_lo !r_hi descending !w0 w1;
+    w0 := w1
+  done
+
 let convolve_dense ~max_points ~lo ~step ~buckets a b =
   let n = size a and m = size b in
-  let ap = a.penalties and aw = a.probs in
-  let bp = b.penalties and bw = b.probs in
+  let aw = a.probs and bw = b.probs in
   (* Penalties in this domain are multiples of the miss penalty, so
      indexing buckets by (value - lo) / step instead of raw value keeps
      the scratch proportional to the number of achievable sums, not the
      cycle range. *)
-  let boff = Array.init m (fun j -> (bp.(j) - bp.(0)) / step) in
-  (* Untouched buckets hold -0.0, so the inner loop is a branch-free
+  let aoff = lattice_offsets a.penalties n step in
+  let boff = lattice_offsets b.penalties m step in
+  let la = aoff.(n - 1) + 1 and lb = boff.(m - 1) + 1 in
+  (* Untouched buckets hold -0.0, so every update is a branch-free
      multiply-add. Products are never negative, and under round to
      nearest [-0.0 +. p = p] for every [p >= 0.0] (including a product
      that underflowed to +0.0), so the first touch matches the
@@ -279,14 +352,23 @@ let convolve_dense ~max_points ~lo ~step ~buckets a b =
      Presence is a clear sign bit: it survives an underflowed product,
      which the reference keeps as a point of probability 0.0. *)
   let acc = Array.make buckets (-0.0) in
-  for i = 0 to n - 1 do
-    let pa = aw.(i) in
-    let base = (ap.(i) - ap.(0)) / step in
-    for j = 0 to m - 1 do
-      let k = base + Array.unsafe_get boff j in
-      Array.unsafe_set acc k (Array.unsafe_get acc k +. (pa *. Array.unsafe_get bw j))
-    done
-  done;
+  if n * lb <= m * la && n * lb <= dense_padding_limit * n * m then
+    (* Rows over ascending i, each the whole padded [b]. *)
+    accumulate_rows acc ~weights:aw ~offs:aoff ~descending:false (padded_row bw boff lb)
+  else if m * la <= dense_padding_limit * n * m then
+    (* Rows over descending j, each the whole padded [a]: bucket k meets
+       row j at the [a] offset k - boff_j, so a larger j is a smaller i
+       and the products still arrive in ascending i. *)
+    accumulate_rows acc ~weights:bw ~offs:boff ~descending:true (padded_row aw aoff la)
+  else
+    (* Both operands too sparse to pad: scatter the n*m products. *)
+    for i = 0 to n - 1 do
+      let pa = aw.(i) and base = aoff.(i) in
+      for j = 0 to m - 1 do
+        let k = base + Array.unsafe_get boff j in
+        Array.unsafe_set acc k (Array.unsafe_get acc k +. (pa *. Array.unsafe_get bw j))
+      done
+    done;
   let count = ref 0 in
   for k = 0 to buckets - 1 do
     if not (Float.sign_bit (Array.unsafe_get acc k)) then incr count

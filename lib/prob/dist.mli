@@ -66,7 +66,9 @@ val convolve : ?impl:[ `Merge | `Reference ] -> ?max_points:int -> t -> t -> t
     set. When the achievable sums tile their range densely it
     accumulates into one bucket per sum with a branch-free multiply-add
     (untouched buckets hold [-0.0], so presence is a clear sign bit,
-    which survives a product that underflowed to [0.0]). Sparse or huge-range supports go through a k-way merge of
+    which survives a product that underflowed to [0.0]), adding one
+    operand padded with [-0.0] as contiguous rows in a vectorised C
+    loop. Sparse or huge-range supports go through a k-way merge of
     sorted runs, one per point of the {e smaller} operand, so it costs
     O(n*m log (min n m)); with runs over the second operand, equal sums
     pop in descending run order, which is ascending order in the first

@@ -7,10 +7,8 @@
     sample can be replayed in isolation (for cross-checking the batched
     kernel against full emulation).
 
-    The mixer is a splitmix-style finalizer on native 63-bit ints —
-    multiply/xor-shift rounds with odd constants chosen to fit OCaml's
-    immediate integers, so drawing never allocates (no [Int64] boxing,
-    no state record). *)
+    The mixer is {!Numeric.Splitmix}, shared with the chaos layer's
+    fault decisions; drawing never allocates. *)
 
 val mix : int -> int
 (** Stateless avalanche mixer; equal inputs give equal outputs on every

@@ -1,6 +1,6 @@
 (* Tests for the deterministic chaos-injection layer and the
    self-healing responses built on it: the counter-based decision
-   schedule (pinned to Sim.Rng's mixer, reproducible from the seed,
+   schedule (its mixer pinned to fixed values, reproducible from the seed,
    order-independent where the caller owns the numbering), the store's
    retry/quarantine/degraded-mode reactions, torn journal appends, the
    worker pool's crash/respawn protocol, and the grid engine's typed,
@@ -57,10 +57,18 @@ let seed_where plan pred =
 
 (* --- determinism ------------------------------------------------------------ *)
 
+(* Every fault decision (and every Sim campaign) draws from
+   Numeric.Splitmix.mix, so these input/output pairs guard the chaos and
+   sim digests: they are the outputs of the mixer the digests were
+   recorded with. *)
 let test_mixer_pinned () =
   List.iter
-    (fun z -> check_int (Printf.sprintf "mix %d" z) (Sim.Rng.mix z) (Injector.mix z))
-    [ 0; 1; -1; 42; 1337; max_int; min_int; 0x1234_5678_9ABC; -987_654_321 ]
+    (fun (z, expected) ->
+      check_int (Printf.sprintf "mix %d" z) expected (Numeric.Splitmix.mix z))
+    [ (0, 0); (1, -260603230713015523); (-1, 4141067727694781590)
+    ; (42, -2406073768997157083); (1337, -3464059273073339370)
+    ; (max_int, 2070533863847390795); (min_int, -1765070974144174227)
+    ; (0x1234_5678_9ABC, 540091957829770135); (-987_654_321, -3055472364189388343) ]
 
 let test_decide_deterministic () =
   let plan = Plan.all_plan in
@@ -346,7 +354,7 @@ let test_grid_chaos_digest_jobs_invariant () =
 let () =
   Alcotest.run "chaos"
     [ ( "determinism",
-        [ Alcotest.test_case "mixer pinned to Sim.Rng" `Quick test_mixer_pinned
+        [ Alcotest.test_case "mixer pinned to fixed values" `Quick test_mixer_pinned
         ; Alcotest.test_case "decide is seeded and pure" `Quick test_decide_deterministic
         ; Alcotest.test_case "plan lookup" `Quick test_plan_lookup
         ] )

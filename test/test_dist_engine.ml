@@ -169,6 +169,150 @@ let test_dense_lattice () =
     check_regime (Printf.sprintf "dense %d: %dx%d" trial n m) a b
   done
 
+(* --- dense-kernel branches ------------------------------------------------ *)
+
+(* Inside the dense regime the kernel adds contiguous rows padded with
+   -0.0: rows over ascending i, each the padded [b], when [n * lb <=
+   m * la]; rows over descending j, each the padded [a], otherwise
+   ([la], [lb] are the operands' extents on the common lattice). When
+   both padded costs exceed 4*n*m it scatters the n*m products instead.
+   [dense_branch] restates that rule so that each generator below can
+   assert it forces the branch it is named after. *)
+type branch = Heap | Rows_over_b | Rows_over_a | Scatter
+
+let branch_name = function
+  | Heap -> "heap"
+  | Rows_over_b -> "rows over b"
+  | Rows_over_a -> "rows over a"
+  | Scatter -> "scatter"
+
+let dense_branch a b =
+  let pens d = List.map fst (D.support d) in
+  let pa = pens a and pb = pens b in
+  let rec gcd x y = if y = 0 then x else gcd y (x mod y) in
+  let step_of = function
+    | [] -> 0
+    | x :: rest -> List.fold_left (fun g y -> gcd g (y - x)) 0 rest
+  in
+  let step = max 1 (gcd (step_of pa) (step_of pb)) in
+  let extent ps = ((List.nth ps (List.length ps - 1) - List.hd ps) / step) + 1 in
+  let n = List.length pa and m = List.length pb in
+  let la = extent pa and lb = extent pb in
+  if la + lb - 1 > 1 lsl 22 || la + lb - 1 > 4 * n * m then Heap
+  else if n * lb <= m * la && n * lb <= 4 * n * m then Rows_over_b
+  else if m * la <= 4 * n * m then Rows_over_a
+  else Scatter
+
+(* [k] points on [0, extent) that include both ends, times [step], each
+   with a probability in [0.02, 1) / 64 or, when [tiny], near 1e-170 for
+   about half of them, so that two tiny factors underflow to +0.0. *)
+let lattice_dist state ~k ~extent ~step ~tiny =
+  let inner = if extent > 2 then random_support state ~k:(k - 2) ~bound:(extent - 2) else [] in
+  let pens = if k = 1 then [ 0 ] else (0 :: List.map succ inner) @ [ extent - 1 ] in
+  D.of_sub_points
+    (List.map
+       (fun x ->
+         let p = (0.02 +. Random.State.float state 0.98) /. 64.0 in
+         (step * x, if tiny && Random.State.bool state then p *. 1e-168 else p))
+       pens)
+
+let check_branch label expected a b =
+  Alcotest.(check string) (label ^ ": branch") (branch_name expected)
+    (branch_name (dense_branch a b));
+  check_regime label a b
+
+(* Runs a generator over [trials] seeded draws, each with ordinary and
+   with tiny probabilities; a tiny run must underflow some product. *)
+let each_branch_trial ~seed ~trials label expected make =
+  let state = Random.State.make [| seed |] in
+  let underflowed = ref false in
+  for trial = 1 to trials do
+    List.iter
+      (fun tiny ->
+        let a, b = make state ~tiny in
+        let label = Printf.sprintf "%s %d%s" label trial (if tiny then " tiny" else "") in
+        check_branch label expected a b;
+        if tiny
+           && List.exists (fun (_, p) -> p = 0.0)
+                (D.support (D.convolve ~impl:`Reference ~max_points:max_int a b))
+        then underflowed := true)
+      [ false; true ]
+  done;
+  Alcotest.(check bool) (label ^ ": some product underflowed") true !underflowed
+
+(* A dense [a] (3/4 of its lattice) against a sparse [b] (1/20): padding
+   [a] costs far less, so the rows run over descending j. *)
+let test_rows_over_a () =
+  each_branch_trial ~seed:241 ~trials:30 "dense a, sparse b" Rows_over_a (fun state ~tiny ->
+      let n = 20 + Random.State.int state 40 and m = 3 + Random.State.int state 8 in
+      let step = 1 + Random.State.int state 99 in
+      ( lattice_dist state ~k:n ~extent:(n + (n / 3)) ~step ~tiny
+      , lattice_dist state ~k:m ~extent:(20 * m) ~step ~tiny ))
+
+(* The mirror image: the rows run over ascending i. *)
+let test_rows_over_b () =
+  each_branch_trial ~seed:251 ~trials:30 "sparse a, dense b" Rows_over_b (fun state ~tiny ->
+      let n = 3 + Random.State.int state 8 and m = 20 + Random.State.int state 40 in
+      let step = 1 + Random.State.int state 99 in
+      ( lattice_dist state ~k:n ~extent:(20 * n) ~step ~tiny
+      , lattice_dist state ~k:m ~extent:(m + (m / 3)) ~step ~tiny ))
+
+(* Both operands 1/8 dense: either padding costs 8*n*m, past the 4x
+   limit, while the sums still fit the dense regime's bucket budget. *)
+let test_scatter_fallback () =
+  each_branch_trial ~seed:257 ~trials:30 "both sparse" Scatter (fun state ~tiny ->
+      let n = 10 + Random.State.int state 20 and m = 10 + Random.State.int state 20 in
+      ( lattice_dist state ~k:n ~extent:(8 * n) ~step:1 ~tiny
+      , lattice_dist state ~k:m ~extent:(8 * m) ~step:1 ~tiny ))
+
+(* One-point operands on either side and on both: rows of length one,
+   or a single row. *)
+let test_singletons () =
+  let state = Random.State.make [| 263 |] in
+  for trial = 1 to 30 do
+    List.iter
+      (fun tiny ->
+        let label = Printf.sprintf "singleton %d%s" trial (if tiny then " tiny" else "") in
+        let m = 1 + Random.State.int state 40 in
+        let single = lattice_dist state ~k:1 ~extent:1 ~step:1 ~tiny in
+        let single = D.shift (Random.State.int state 500) single in
+        let other = lattice_dist state ~k:m ~extent:(m + (m / 2)) ~step:7 ~tiny in
+        List.iter
+          (fun (side, a, b) ->
+            let label = label ^ side in
+            Alcotest.(check bool) (label ^ ": dense regime") true (dense_branch a b <> Heap);
+            check_regime label a b)
+          [ (" left", single, other); (" right", other, single); (" both", single, single) ])
+      [ false; true ]
+  done
+
+(* Random sizes, lattice densities, steps and probability scales: every
+   branch of the kernel, including the heap when the lattice is thin. *)
+let test_random_lattices =
+  let gen =
+    QCheck2.Gen.(
+      let side =
+        triple (int_range 1 40) (float_range 0.02 1.0) bool >|= fun (k, density, tiny) ->
+        (k, max k (int_of_float (float_of_int k /. density)), tiny)
+      in
+      quad side side (oneofl [ 1; 3; 99 ]) int)
+  in
+  let print ((n, la, ta), (m, lb, tb), step, seed) =
+    Printf.sprintf "a: %d points over %d%s; b: %d points over %d%s; step %d; seed %d" n la
+      (if ta then " tiny" else "") m lb (if tb then " tiny" else "") step seed
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print ~name:"random lattice densities: merge = reference"
+       gen (fun ((n, la, ta), (m, lb, tb), step, seed) ->
+         let state = Random.State.make [| seed |] in
+         let a = lattice_dist state ~k:n ~extent:la ~step ~tiny:ta in
+         let b = lattice_dist state ~k:m ~extent:lb ~step ~tiny:tb in
+         List.for_all
+           (fun max_points ->
+             D.support (D.convolve ~impl:`Reference ~max_points a b)
+             = D.support (D.convolve ~impl:`Merge ~max_points a b))
+           [ 1; 5; 64; max_int ]))
+
 (* --- cap oracle ---------------------------------------------------------- *)
 
 (* The capping rule by its definition, written the slow way: sort the
@@ -513,6 +657,13 @@ let () =
         ; Alcotest.test_case "dense, underflowing products" `Quick test_dense_underflow
         ; Alcotest.test_case "dense, step-99 lattice" `Quick test_dense_lattice
         ; Alcotest.test_case "cap = sort-based oracle" `Quick test_cap_oracle
+        ] )
+    ; ( "dense branches",
+        [ Alcotest.test_case "rows over a, descending j" `Quick test_rows_over_a
+        ; Alcotest.test_case "rows over b, ascending i" `Quick test_rows_over_b
+        ; Alcotest.test_case "scatter fallback" `Quick test_scatter_fallback
+        ; Alcotest.test_case "singleton operands" `Quick test_singletons
+        ; test_random_lattices
         ] )
     ; ( "power",
         [ Alcotest.test_case "pow = tree (capping incl.)" `Quick test_pow_matches_tree
