@@ -30,8 +30,9 @@ test: check
 
 # What CI runs (see .github/workflows/ci.yml): the tier-1 gate, the
 # invariant auditor, a build of the benchmark program and the
-# convolution kernel's byte-identity tests on a release build. Kept as
-# a make target so CI and a local pre-push run are the same command.
+# convolution kernel's and path engine's byte-identity tests on a
+# release build. Kept as a make target so CI and a local pre-push run
+# are the same command.
 ci: check audit perfbench-build release-dist
 
 # perfbench/pwbench.exe is enabled only under the perfbench profile, so
@@ -42,12 +43,15 @@ perfbench-build:
 	dune build --profile perfbench --build-dir _build_perfbench ./perfbench/pwbench.exe
 
 # The benchmark measures a release build, while `dune runtest` checks
-# the dev build. Rerun Prob.Dist's convolution byte-identity tests
-# (merge = reference on every kernel branch and the registry to_wire
-# digest) on a release build, in its own build directory.
+# the dev build. Rerun the byte-identity tests on a release build, in
+# its own build directory: Prob.Dist's convolution (merge = reference
+# on every kernel branch and the registry to_wire digest) and the path
+# engine (plan/eval = the per-call collapse, and the registry FMM/WCET
+# digest).
 release-dist:
-	dune build --profile release --build-dir _build_release ./test/test_dist_engine.exe
-	cd _build_release/default/test && ./test_dist_engine.exe
+	dune build --profile release --build-dir _build_release \
+	  ./test/test_dist_engine.exe ./test/test_path_engine.exe
+	cd _build_release/default/test && ./test_dist_engine.exe && ./test_path_engine.exe
 
 # Runtime invariant auditor over the full benchmark registry:
 # per-mechanism structural checks (FMM shape/monotonicity, distribution

@@ -6,7 +6,8 @@ type task = {
   chmc : Cache_analysis.Chmc.t;
   wcet_ff : int;
   wcet_rung : Robust.Rung.t;
-  identity : (string * string) list;
+  program : Isa.Program.t;
+  identity : (string * string) list option;
 }
 
 type estimate = {
@@ -51,7 +52,18 @@ let identity_of_digest ~digest ~config =
 
 let identity_of ~program ~config = identity_of_digest ~digest:(program_digest program) ~config
 
-(* Read-through cache wrapper. Budgeted runs bypass the store in both
+(* Hashing the program costs about a millisecond per request, and only
+   store keys read the result: [prepare] pays it only when given a
+   store, and a store-keyed call on a task prepared without one pays it
+   at that call. Recomputed rather than memoised, so a task shared by
+   several domains is never written. *)
+let identity task =
+  match task.identity with
+  | Some identity -> identity
+  | None -> identity_of ~program:task.program ~config:task.config
+
+(* Read-through cache wrapper; [parts] is forced only when the store is
+   consulted. Budgeted runs bypass the store in both
    directions: their outcomes depend on wall-clock, so a cached
    degraded table could mask an exact one (and vice versa). A payload
    that decodes but fails semantic validation is quarantined exactly
@@ -60,7 +72,7 @@ let identity_of ~program ~config = identity_of_digest ~digest:(program_digest pr
 let cached ~store ~budget ~parts ~kind ~version ~encode ~decode compute =
   match store with
   | Some st when budget = None -> (
-    let key = Store.Artifact.key parts in
+    let key = Store.Artifact.key (parts ()) in
     let recompute_and_put () =
       let v = compute () in
       Store.Artifact.put st ~key ~kind ~version (encode v);
@@ -81,11 +93,11 @@ let prepare ~program ~config ?(engine = `Path) ?(exact = false) ?budget ?store (
   let loops = Cfg.Loop.detect graph in
   let ctx = Cache_analysis.Context.make ~graph ~loops ~config in
   let chmc = Cache_analysis.Chmc.analyze ~ctx ~graph ~loops ~config () in
-  let identity = identity_of ~program ~config in
+  let identity = Option.map (fun _ -> identity_of ~program ~config) store in
   let wcet_ff, wcet_rung =
     cached ~store ~budget
-      ~parts:
-        (identity
+      ~parts:(fun () ->
+        Option.get identity
         @ [ ("artifact", "wcet"); ("engine", engine_tag engine);
             ("exact", string_of_bool exact) ])
       ~kind:wcet_kind ~version:wcet_version
@@ -107,7 +119,7 @@ let prepare ~program ~config ?(engine = `Path) ?(exact = false) ?budget ?store (
         | Ok (result, rung) -> (result.Ipet.Wcet.wcet, rung)
         | Error e -> Robust.Pwcet_error.raise_error e)
   in
-  { graph; loops; config; ctx; chmc; wcet_ff; wcet_rung; identity }
+  { graph; loops; config; ctx; chmc; wcet_ff; wcet_rung; program; identity }
 
 (* The FMM (and everything upstream of it) is pfail-independent: pfail
    only enters through the binomial reweighting of the per-set penalty
@@ -116,14 +128,14 @@ let prepare ~program ~config ?(engine = `Path) ?(exact = false) ?budget ?store (
    the former across its pfail points, and the store persists both
    across processes. [jobs] stays out of every key: results are
    bit-identical across job counts. *)
-let fmm_parts task ~mechanism ~engine ~exact ~impl =
-  task.identity
+let fmm_parts ~identity ~mechanism ~engine ~exact ~impl =
+  identity
   @ [ ("mechanism", Mechanism.short_name mechanism); ("engine", engine_tag engine);
       ("exact", string_of_bool exact); ("impl", impl_tag impl) ]
 
-let compute_fmm task ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store () =
+let compute_fmm task ~parts ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store () =
   cached ~store ~budget
-    ~parts:(("artifact", "fmm") :: fmm_parts task ~mechanism ~engine ~exact ~impl)
+    ~parts:(fun () -> ("artifact", "fmm") :: parts ())
     ~kind:fmm_kind ~version:fmm_version ~encode:Fmm.to_wire
     ~decode:(Fmm.of_wire ~config:task.config ~mechanism)
     (fun () ->
@@ -137,15 +149,16 @@ let compute_fmm task ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store () =
    per-mechanism key [compute_fmm] uses — so grid runs and single runs
    interchangeably warm each other's cache. [fmm_lookup] and [fmm_put]
    are the two store halves, for callers that run the rows themselves. *)
-let fmm_key task ~mechanism ~engine ~exact ~impl =
-  Store.Artifact.key (("artifact", "fmm") :: fmm_parts task ~mechanism ~engine ~exact ~impl)
+let fmm_key ~identity ~mechanism ~engine ~exact ~impl =
+  Store.Artifact.key (("artifact", "fmm") :: fmm_parts ~identity ~mechanism ~engine ~exact ~impl)
 
 let fmm_lookup task ~mechanisms ?(engine = `Path) ?(exact = false) ?(impl = `Sliced) ?budget
     ?store () =
+  let keyed = match store with Some st when budget = None -> Some (st, identity task) | _ -> None in
   let lookup mechanism =
-    match store with
-    | Some st when budget = None -> (
-      let key = fmm_key task ~mechanism ~engine ~exact ~impl in
+    match keyed with
+    | Some (st, identity) -> (
+      let key = fmm_key ~identity ~mechanism ~engine ~exact ~impl in
       match Store.Artifact.get st ~key ~kind:fmm_kind ~version:fmm_version with
       | None -> None
       | Some payload -> (
@@ -154,7 +167,7 @@ let fmm_lookup task ~mechanisms ?(engine = `Path) ?(exact = false) ?(impl = `Sli
         | Error reason ->
           Store.Artifact.quarantine st ~key ~reason;
           None))
-    | _ -> None
+    | None -> None
   in
   let hits, missing =
     List.fold_left
@@ -172,10 +185,11 @@ let fmm_lookup task ~mechanisms ?(engine = `Path) ?(exact = false) ?(impl = `Sli
 let fmm_put task ?(engine = `Path) ?(exact = false) ?(impl = `Sliced) ?budget ?store computed =
   match store with
   | Some st when budget = None ->
+    let identity = identity task in
     List.iter
       (fun (mechanism, fmm) ->
         Store.Artifact.put st
-          ~key:(fmm_key task ~mechanism ~engine ~exact ~impl)
+          ~key:(fmm_key ~identity ~mechanism ~engine ~exact ~impl)
           ~kind:fmm_kind ~version:fmm_version (Fmm.to_wire fmm))
       computed
   | _ -> ()
@@ -195,10 +209,10 @@ let estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
   let pbf = Fault.Model.pbf_of_config ~pfail task.config in
   let penalty =
     cached ~store ~budget
-      ~parts:
-        (("artifact", "penalty")
+      ~parts:(fun () ->
+        ("artifact", "penalty")
         :: ("pfail", Int64.to_string (Int64.bits_of_float pfail))
-        :: parts)
+        :: parts ())
       ~kind:dist_kind ~version:dist_version ~encode:Prob.Dist.to_wire ~decode:Prob.Dist.of_wire
       (fun () -> Penalty.total_distribution ~jobs ~fmm ~pbf ())
   in
@@ -206,14 +220,16 @@ let estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
 
 let estimate task ~pfail ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 1)
     ?(impl = `Sliced) ?budget ?store () =
-  let fmm = compute_fmm task ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store () in
-  let parts = fmm_parts task ~mechanism ~engine ~exact ~impl in
+  (* Forced by the first store lookup, if any; local to this call. *)
+  let identity = lazy (identity task) in
+  let parts () = fmm_parts ~identity:(Lazy.force identity) ~mechanism ~engine ~exact ~impl in
+  let fmm = compute_fmm task ~parts ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store () in
   estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
 
 let estimate_of_fmm task ~fmm ~pfail ?(engine = `Path) ?(exact = false) ?(jobs = 1)
     ?(impl = `Sliced) ?budget ?store () =
   let mechanism = Fmm.mechanism fmm in
-  let parts = fmm_parts task ~mechanism ~engine ~exact ~impl in
+  let parts () = fmm_parts ~identity:(identity task) ~mechanism ~engine ~exact ~impl in
   estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
 
 let pwcet e ~target = e.task.wcet_ff + Prob.Dist.quantile e.penalty ~target

@@ -20,10 +20,10 @@ type task = private {
   chmc : Cache_analysis.Chmc.t;
   wcet_ff : int;  (** fault-free WCET, cycles *)
   wcet_rung : Robust.Rung.t;  (** ladder rung that produced [wcet_ff] *)
-  identity : (string * string) list;
-      (** labelled artifact-key components pinning everything the
-          analysis results depend on: code version, program content
-          digest, cache geometry and latencies *)
+  program : Isa.Program.t;  (** the analysed program *)
+  identity : (string * string) list option;
+      (** [Some (identity_of ~program ~config)] iff {!prepare} was
+          given a store; read it through {!identity} *)
 }
 
 type estimate = private {
@@ -65,6 +65,14 @@ val identity_of : program:Isa.Program.t -> config:Cache.Config.t -> (string * st
     in-flight requests against it) before deciding whether to spend
     the preparation work at all. *)
 
+val identity : task -> (string * string) list
+(** Labelled artifact-key components pinning everything the task's
+    results depend on: code version, program content digest, cache
+    geometry and latencies. Hashes the program now when {!prepare} was
+    given no store (about a millisecond); every store-keyed call goes
+    through here, so a task prepared without a store keys exactly like
+    one prepared with it. *)
+
 val prepare :
   program:Isa.Program.t ->
   config:Cache.Config.t ->
@@ -80,7 +88,8 @@ val prepare :
     integrity-checked; a corrupt entry is quarantined and recomputed.
     Budgeted runs ([budget] present) bypass the store entirely: their
     results depend on wall-clock, so they are neither read nor
-    written. *)
+    written. The program is hashed into the task's identity only when
+    [store] is given. *)
 
 val estimate :
   task ->

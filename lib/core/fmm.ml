@@ -31,121 +31,6 @@ let pick_rung ~value ~rung ~prev_value ~prev_rung =
   else if Rung.compare rung prev_rung <= 0 then rung
   else prev_rung
 
-(* One FMM row, naive engine: a fresh whole-CFG degraded analysis per
-   fault count, exactly the pre-context cost profile (kept as the
-   reference implementation for the differential tests and the bench
-   comparison). Self-contained (no mutable state outside the row) so
-   rows can run on separate domains. Returns the miss row and the
-   per-cell degradation rungs. *)
-let compute_row ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~baseline ~srb set =
-  let ways = config.Cache.Config.ways in
-  let row = Array.make (ways + 1) 0 in
-  let rungs = Array.make (ways + 1) Rung.Exact in
-  (* With RW the all-faulty situation cannot occur (the reliable way
-     survives); the last meaningful column is W-1. *)
-  let max_f = match mechanism with Mechanism.Reliable_way -> ways - 1 | _ -> ways in
-  let previous : (Chmc.classification list * (int * Rung.t)) option ref = ref None in
-  for f = 1 to max_f do
-    let degraded =
-      if f < ways then begin
-        let chmc_f =
-          Chmc.analyze ~graph ~loops ~config
-            ~assoc:(fun s -> if s = set then ways - f else ways)
-            ~only_sets:[ set ] ()
-        in
-        fun ~node ~offset -> Chmc.classification chmc_f ~node ~offset
-      end
-      else dead_set_degraded ~srb
-    in
-    (* Successive fault counts often leave the classification of the
-       set unchanged; reuse the ILP bound when they do. *)
-    let signature = Chmc.set_signature ctx ~set ~degraded in
-    let value, rung =
-      match !previous with
-      | Some (prev_sig, prev) when prev_sig = signature -> prev
-      | _ ->
-        let v =
-          match
-            Ipet.Delta.extra_misses_result ~graph ~loops ~config ~baseline ~degraded
-              ~sets:[ set ] ~engine ~exact ?budget ()
-          with
-          | Ok v -> v
-          | Error e -> E.raise_error e
-        in
-        previous := Some (signature, v);
-        v
-    in
-    (* The map is monotone in the fault count by construction;
-       enforce it against any relaxation tie-break wobble. *)
-    row.(f) <- max value row.(f - 1);
-    rungs.(f) <-
-      pick_rung ~value ~rung ~prev_value:row.(f - 1) ~prev_rung:rungs.(f - 1)
-  done;
-  if max_f < ways then begin
-    row.(ways) <- row.(max_f);
-    rungs.(ways) <- rungs.(max_f)
-  end;
-  (row, rungs)
-
-(* One FMM row, sliced engine: a condensed per-set fixpoint reused
-   across fault counts, with saturation early-exit. Classification-
-   identical to [compute_row] (pinned by test/test_sliced.ml). *)
-let compute_row_sliced ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~baseline ~srb
-    set =
-  let ways = config.Cache.Config.ways in
-  let row = Array.make (ways + 1) 0 in
-  let rungs = Array.make (ways + 1) Rung.Exact in
-  let max_f = match mechanism with Mechanism.Reliable_way -> ways - 1 | _ -> ways in
-  let slice = Slice.make ctx ~set in
-  let previous : (Chmc.classification list * (int * Rung.t)) option ref = ref None in
-  let prev_result = ref None in
-  let saturated = ref false in
-  for f = 1 to max_f do
-    if f < ways && !saturated then begin
-      (* Every reference already always-miss: shrinking the
-         associativity further cannot change the classification, so the
-         naive engine's signature memo would have reused the previous
-         bound — do so without re-analysing. *)
-      row.(f) <- row.(f - 1);
-      rungs.(f) <- rungs.(f - 1)
-    end
-    else begin
-      let degraded =
-        if f < ways then begin
-          let r = Slice.analyze slice ~assoc:(ways - f) ?prev:!prev_result () in
-          prev_result := Some r;
-          if Slice.saturated r then saturated := true;
-          fun ~node ~offset -> Slice.classification r ~node ~offset
-        end
-        else dead_set_degraded ~srb
-      in
-      let signature = Chmc.set_signature ctx ~set ~degraded in
-      let value, rung =
-        match !previous with
-        | Some (prev_sig, prev) when prev_sig = signature -> prev
-        | _ ->
-          let v =
-            match
-              Ipet.Delta.extra_misses_result ~graph ~loops ~config ~baseline ~degraded
-                ~sets:[ set ] ~ctx ~engine ~exact ?budget ()
-            with
-            | Ok v -> v
-            | Error e -> E.raise_error e
-          in
-          previous := Some (signature, v);
-          v
-      in
-      row.(f) <- max value row.(f - 1);
-      rungs.(f) <-
-        pick_rung ~value ~rung ~prev_value:row.(f - 1) ~prev_rung:rungs.(f - 1)
-    end
-  done;
-  if max_f < ways then begin
-    row.(ways) <- row.(max_f);
-    rungs.(ways) <- rungs.(max_f)
-  end;
-  (row, rungs)
-
 (* Fallback row when a per-set worker crashed or the deadline passed:
    the structural bound needs no degraded analysis and no solver, and
    dominates every fault count's true delta, so a constant row is both
@@ -177,25 +62,34 @@ type multi = {
   m_baseline : Chmc.t;
   m_srb : Srb_analysis.t option;
   m_used_sets : int array;
+  m_plan : Ipet.Path_engine.plan;  (* the path engine's collapse, shared by every row *)
 }
 
 type rows = (Mechanism.t * int array * Rung.t array) list
 
-(* Multi-mechanism rows with a shared prefix.  The f < W loop body of
-   [compute_row]/[compute_row_sliced] never consults the mechanism: the
-   degraded analysis shrinks the set's associativity, the signature memo
-   keys on the classification alone, and the delta bound sees only the
-   classification.  Only the dead-set column (f = W) is
+(* One set's rows for every requested mechanism, with a shared prefix.
+   The f < W columns never consult the mechanism: the degraded analysis
+   shrinks the set's associativity, the signature memo keys on the
+   classification alone, and the delta bound sees only the
+   classification. Only the dead-set column (f = W) is
    mechanism-dependent — RW copies column W-1 (the all-faulty situation
    cannot occur), while None/SRB classify the dead set via
-   [dead_set_degraded].  So one prefix pass (f = 1 .. W-1) feeds every
+   [dead_set_degraded]. So one prefix pass (f = 1 .. W-1) feeds every
    mechanism's tail, bit-identically to running each mechanism alone:
    the tails read the prefix's signature memo exactly where a
-   single-mechanism run would, and never write it. *)
+   single-mechanism run would, and never write it.
+
+   [`Naive] re-runs the whole-CFG [Chmc.analyze] per fault count (the
+   reference the differential tests hold [`Sliced] to); [`Sliced] runs
+   a condensed per-set fixpoint reused across fault counts, and stops
+   re-analysing once the set saturates to all-always-miss, where the
+   naive engine's signature memo would reuse the previous bound
+   anyway. Self-contained (no mutable state outside the row), so rows
+   of distinct sets can run on separate domains. *)
 let compute_rows_multi m set =
   let { m_graph = graph; m_loops = loops; m_config = config; m_mechanisms = mechanisms;
         m_engine = engine; m_exact = exact; m_impl = impl; m_ctx = ctx; m_budget = budget;
-        m_baseline = baseline; m_srb = srb; _ } =
+        m_baseline = baseline; m_srb = srb; m_plan = plan; _ } =
     m
   in
   let ways = config.Cache.Config.ways in
@@ -206,13 +100,14 @@ let compute_rows_multi m set =
     match
       Ipet.Delta.extra_misses_result ~graph ~loops ~config ~baseline ~degraded ~sets:[ set ]
         ?ctx:(if with_ctx then Some ctx else None)
-        ~engine ~exact ?budget ()
+        ~plan ~engine ~exact ?budget ()
     with
     | Ok v -> v
     | Error e -> E.raise_error e
   in
-  (* The shared signature-memo/monotone-update step of the prefix,
-     verbatim from the single-mechanism rows. *)
+  (* One prefix column: reuse the previous fault count's bound while the
+     set's classification is unchanged, and keep the row monotone in
+     the fault count. *)
   let step ~with_ctx ~degraded f =
     let signature = Chmc.set_signature ctx ~set ~degraded in
     let value, rung =
@@ -281,53 +176,6 @@ let compute_rows_multi m set =
       (mechanism, row_m, rungs_m))
     mechanisms
 
-let compute ~graph ~loops ~config ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 1)
-    ?(impl = `Sliced) ?ctx ?budget ?baseline () =
-  let n_sets = config.Cache.Config.sets and ways = config.Cache.Config.ways in
-  let ctx = match ctx with Some c -> c | None -> Context.make ~graph ~loops ~config in
-  let baseline =
-    match baseline with Some b -> b | None -> Chmc.analyze ~ctx ~graph ~loops ~config ()
-  in
-  let srb =
-    match mechanism with
-    | Mechanism.Shared_reliable_buffer -> Some (Srb_analysis.analyze ~ctx ~graph ~config ())
-    | Mechanism.No_protection | Mechanism.Reliable_way -> None
-  in
-  let misses = Array.make_matrix n_sets (ways + 1) 0 in
-  let provenance = Array.init n_sets (fun _ -> Array.make (ways + 1) Rung.Exact) in
-  (* Rows are independent; fan the referenced sets out across domains.
-     Each row is deterministic given its inputs, so the table is
-     bit-identical for every [jobs]. *)
-  let used_sets =
-    Array.of_list
-      (List.filter
-         (fun s -> Array.length ctx.Context.touching.(s) > 0)
-         (List.init n_sets Fun.id))
-  in
-  let row =
-    match impl with
-    | `Naive -> compute_row ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~baseline ~srb
-    | `Sliced ->
-      compute_row_sliced ~ctx ~graph ~loops ~config ~mechanism ~engine ~exact ~budget ~baseline
-        ~srb
-  in
-  let deadline = match budget with Some b -> b.Robust.Budget.deadline | None -> None in
-  let rows = Parallel.Pool.map_result ?deadline ~jobs row used_sets in
-  let errors = ref [] in
-  Array.iteri
-    (fun i set ->
-      match rows.(i) with
-      | Ok (r, p) ->
-        misses.(set) <- r;
-        provenance.(set) <- p
-      | Error e ->
-        let r, p = structural_row ~ctx ~graph ~loops ~config ~baseline ~ways set in
-        misses.(set) <- r;
-        provenance.(set) <- p;
-        errors := (set, e) :: !errors)
-    used_sets;
-  { misses; provenance; errors = List.rev !errors; config; mechanism }
-
 let setup_multi ~graph ~loops ~config ~mechanisms ?(engine = `Path) ?(exact = false)
     ?(impl = `Sliced) ?ctx ?budget ?baseline () =
   let ctx = match ctx with Some c -> c | None -> Context.make ~graph ~loops ~config in
@@ -348,7 +196,8 @@ let setup_multi ~graph ~loops ~config ~mechanisms ?(engine = `Path) ?(exact = fa
   in
   { m_graph = graph; m_loops = loops; m_config = config; m_mechanisms = mechanisms;
     m_engine = engine; m_exact = exact; m_impl = impl; m_ctx = ctx; m_budget = budget;
-    m_baseline = baseline; m_srb = srb; m_used_sets = used_sets }
+    m_baseline = baseline; m_srb = srb; m_used_sets = used_sets;
+    m_plan = Ipet.Path_engine.plan ~graph ~loops }
 
 let used_sets m = m.m_used_sets
 
@@ -394,6 +243,14 @@ let compute_multi ~graph ~loops ~config ~mechanisms ?engine ?exact ?(jobs = 1) ?
     let deadline = match budget with Some b -> b.Robust.Budget.deadline | None -> None in
     assemble_multi m
       (Parallel.Pool.map_result ?deadline ~jobs (compute_rows_multi m) m.m_used_sets)
+
+let compute ~graph ~loops ~config ~mechanism ?engine ?exact ?jobs ?impl ?ctx ?budget ?baseline () =
+  match
+    compute_multi ~graph ~loops ~config ~mechanisms:[ mechanism ] ?engine ?exact ?jobs ?impl ?ctx
+      ?budget ?baseline ()
+  with
+  | [ (_, t) ] -> t
+  | _ -> assert false
 
 let of_table ~config ~mechanism ?provenance ?(errors = []) table =
   if Array.length table <> config.Cache.Config.sets then

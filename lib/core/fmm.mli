@@ -68,7 +68,10 @@ val compute :
     [graph]/[loops]/[config] (the same value
     [Cache_analysis.Chmc.analyze ~ctx ~graph ~loops ~config ()]
     returns); computed on the fly when absent. The analysis is
-    deterministic, so passing it is a pure recompute-skip. *)
+    deterministic, so passing it is a pure recompute-skip.
+
+    [compute] is {!compute_multi} with [~mechanisms:[mechanism]]: one
+    row loop serves both. *)
 
 val compute_multi :
   graph:Cfg.Graph.t ->
@@ -93,11 +96,11 @@ val compute_multi :
     mechanism. Only the dead-set column (f = W) is evaluated per
     mechanism: RW copies column W-1, None/SRB classify the dead set.
 
-    Each returned map is bit-identical to the map a standalone
-    {!compute} call with the same parameters produces — pinned by the
-    differential tests — so [compute_multi] is a pure cost optimisation
-    ([k] mechanisms for roughly the price of one). Budget/crash
-    fallback matches {!compute}, with one difference in failure
+    Each returned map is bit-identical to the map a one-mechanism call
+    with the same parameters produces — pinned by the differential
+    tests — so asking for [k] mechanisms at once is a pure cost
+    optimisation ([k] mechanisms for roughly the price of one).
+    Budget/crash fallback matches {!compute}, with one difference in failure
     granularity: the shared prefix means a crashed or starved set
     degrades that set's row for {e every} mechanism. *)
 
@@ -111,7 +114,10 @@ val compute_multi :
 
 type multi
 (** The shared, mechanism-independent inputs of one multi-mechanism
-    computation: context, baseline CHMC, SRB analysis, used sets. *)
+    computation: context, baseline CHMC, SRB analysis, used sets, and
+    the path engine's {!Ipet.Path_engine.plan} of the CFG, which every
+    row's delta bounds evaluate. Immutable, so rows on different
+    domains share it. *)
 
 type rows
 (** One set's rows, one per requested mechanism. *)

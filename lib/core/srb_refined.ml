@@ -17,12 +17,17 @@ let compute ~graph ~loops ~config ~pbf ?(engine = `Path) ?(max_points = 65536) (
   let p_dead = pwf.(ways) in
   let ctx = Cache_analysis.Context.make ~graph ~loops ~config in
   let baseline = Chmc.analyze ~ctx ~graph ~loops ~config () in
-  let fmm_none =
-    Fmm.compute ~graph ~loops ~config ~mechanism:Mechanism.No_protection ~engine ~ctx ()
+  let fmm_none, fmm_srb =
+    match
+      Fmm.compute_multi ~graph ~loops ~config
+        ~mechanisms:[ Mechanism.No_protection; Mechanism.Shared_reliable_buffer ]
+        ~engine ~ctx ~baseline ()
+    with
+    | [ (_, none); (_, srb) ] -> (none, srb)
+    | _ -> assert false
   in
-  let fmm_srb =
-    Fmm.compute ~graph ~loops ~config ~mechanism:Mechanism.Shared_reliable_buffer ~engine ~ctx ()
-  in
+  (* One collapse serves every exclusive dead-set query below. *)
+  let plan = Ipet.Path_engine.plan ~graph ~loops in
   let used = Array.make n_sets false in
   Chmc.fold_refs
     (fun ~node ~offset _ () -> used.(Chmc.cache_set baseline ~node ~offset) <- true)
@@ -39,7 +44,8 @@ let compute ~graph ~loops ~config ~pbf ?(engine = `Path) ?(max_points = 65536) (
         if Cache_analysis.Srb_analysis.always_hit srb ~node ~offset then Chmc.Always_hit
         else Chmc.Always_miss
       in
-      Ipet.Delta.extra_misses ~graph ~loops ~config ~baseline ~degraded ~sets ~ctx ~engine ()
+      Ipet.Delta.extra_misses ~graph ~loops ~config ~baseline ~degraded ~sets ~ctx ~plan ~engine
+        ()
     end
   in
   let excl_misses = Array.init n_sets (fun set -> exclusive_misses [ set ]) in

@@ -13,6 +13,7 @@ type task = {
   ichmc : Chmc.t;
   dchmc : Danalysis.t;
   annot : Annot.t;
+  plan : PE.plan;
   wcet_ff : int;
 }
 
@@ -48,7 +49,7 @@ let data_node_costs ~graph ~dchmc ~dconfig u =
   done;
   (!per_exec, !shots)
 
-let combined_wcet ~graph ~loops ~iconfig ~dconfig ~ichmc ~dchmc =
+let combined_wcet ~graph ~plan ~iconfig ~dconfig ~ichmc ~dchmc =
   let n = Cfg.Graph.node_count graph in
   let reachable = Array.make n false in
   Array.iter (fun u -> reachable.(u) <- true) (Cfg.Graph.reverse_postorder graph);
@@ -64,7 +65,7 @@ let combined_wcet ~graph ~loops ~iconfig ~dconfig ~ichmc ~dchmc =
         (ishots @ dshots)
     end
   done;
-  PE.longest ~graph ~loops ~node_cost:(fun u -> cost.(u)) ~one_shots:!one_shots
+  PE.eval plan ~node_cost:(fun u -> cost.(u)) ~one_shots:!one_shots
 
 let prepare ~compiled ~iconfig ~dconfig () =
   let program = compiled.Minic.Compile.program in
@@ -75,8 +76,9 @@ let prepare ~compiled ~iconfig ~dconfig () =
   let annot = Annot.build graph compiled.Minic.Compile.data_refs in
   let dctx = Danalysis.prepare ~graph ~loops ~config:dconfig ~annot in
   let dchmc = Danalysis.analyze ~ctx:dctx ~graph ~loops ~config:dconfig ~annot () in
-  let wcet_ff = combined_wcet ~graph ~loops ~iconfig ~dconfig ~ichmc ~dchmc in
-  { graph; loops; iconfig; dconfig; ictx; dctx; ichmc; dchmc; annot; wcet_ff }
+  let plan = PE.plan ~graph ~loops in
+  let wcet_ff = combined_wcet ~graph ~plan ~iconfig ~dconfig ~ichmc ~dchmc in
+  { graph; loops; iconfig; dconfig; ictx; dctx; ichmc; dchmc; annot; plan; wcet_ff }
 
 (* --- data-cache fault miss map ------------------------------------------- *)
 
@@ -117,9 +119,7 @@ let data_extra_misses ~task ~degraded ~set =
       done)
     (Danalysis.ctx_touching task.dctx ~set);
   if not !any then 0
-  else
-    PE.longest ~graph ~loops:task.loops ~node_cost:(fun u -> per_exec.(u))
-      ~one_shots:!one_shots
+  else PE.eval task.plan ~node_cost:(fun u -> per_exec.(u)) ~one_shots:!one_shots
 
 (* Must analysis of a data SRB: a 1-block buffer over precise loads;
    imprecise loads clobber it. *)
@@ -163,7 +163,7 @@ let dsrb_hits task =
   hits
 
 (* One data-cache FMM row; self-contained so rows can run on separate
-   domains (mirrors Pwcet.Fmm.compute_row). *)
+   domains (the task's plan is immutable, so they share it). *)
 let compute_dfmm_row task ~mechanism ~srb_hits set =
   let dconfig = task.dconfig in
   let ways = dconfig.Cache.Config.ways in

@@ -18,6 +18,9 @@ type task = private {
   ichmc : Cache_analysis.Chmc.t;
   dchmc : Danalysis.t;
   annot : Annot.t;
+  plan : Ipet.Path_engine.plan;
+      (** the path engine's collapse of [graph]/[loops], shared by the
+          fault-free WCET and every data-cache miss-delta bound *)
   wcet_ff : int;  (** combined fault-free WCET, cycles *)
 }
 

@@ -135,7 +135,7 @@ let extra_misses_ilp ~graph ~loops ~baseline ~degraded ~member ~candidates ~exac
     | Error e -> Error e
   end
 
-let extra_misses_path ~graph ~loops ~baseline ~degraded ~member ~candidates =
+let extra_misses_path ~graph ~loops ?plan ~baseline ~degraded ~member ~candidates () =
   let n = Cfg.Graph.node_count graph in
   let per_exec = Array.make n 0 in
   let one_shots = ref [] in
@@ -148,21 +148,27 @@ let extra_misses_path ~graph ~loops ~baseline ~degraded ~member ~candidates =
       List.iter (fun (scope, amount) -> one_shots := (path_scope scope, amount) :: !one_shots) shots)
     candidates;
   if not !any_delta then 0
-  else
-    Path_engine.longest ~graph ~loops ~node_cost:(fun u -> per_exec.(u)) ~one_shots:!one_shots
+  else begin
+    let plan = match plan with Some p -> p | None -> Path_engine.plan ~graph ~loops in
+    Path_engine.eval plan ~node_cost:(fun u -> per_exec.(u)) ~one_shots:!one_shots
+  end
 
-let extra_misses_result ~graph ~loops ~config ~baseline ~degraded ~sets ?ctx ?(engine = `Path)
-    ?(exact = false) ?budget () =
+let extra_misses_result ~graph ~loops ~config ~baseline ~degraded ~sets ?ctx ?plan
+    ?(engine = `Path) ?(exact = false) ?budget () =
   let member = member_of_sets ~config ~sets in
   let candidates = candidate_nodes ~graph ~sets ?ctx () in
   match engine with
-  | `Path -> Ok (extra_misses_path ~graph ~loops ~baseline ~degraded ~member ~candidates, Rung.Exact)
+  | `Path ->
+    Ok
+      ( extra_misses_path ~graph ~loops ?plan ~baseline ~degraded ~member ~candidates (),
+        Rung.Exact )
   | `Ilp -> extra_misses_ilp ~graph ~loops ~baseline ~degraded ~member ~candidates ~exact ?budget ()
 
-let extra_misses ~graph ~loops ~config ~baseline ~degraded ~sets ?ctx ?(engine = `Path)
+let extra_misses ~graph ~loops ~config ~baseline ~degraded ~sets ?ctx ?plan ?(engine = `Path)
     ?(exact = false) () =
   match
-    extra_misses_result ~graph ~loops ~config ~baseline ~degraded ~sets ?ctx ~engine ~exact ()
+    extra_misses_result ~graph ~loops ~config ~baseline ~degraded ~sets ?ctx ?plan ~engine ~exact
+      ()
   with
   | Ok (v, _) -> v
   | Error e -> E.raise_error e

@@ -27,6 +27,7 @@ val extra_misses_result :
   degraded:(node:int -> offset:int -> Cache_analysis.Chmc.classification) ->
   sets:int list ->
   ?ctx:Cache_analysis.Context.t ->
+  ?plan:Path_engine.plan ->
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?budget:Robust.Budget.t ->
@@ -40,8 +41,11 @@ val extra_misses_result :
     its cost model) or the IPET ILP. [ctx] supplies precomputed
     reachability and the per-set touching-node index, so only nodes
     that can actually carry a delta are scanned — the result is
-    identical either way. [Error] only on an infeasible flow system
-    (cannot happen for models built from a real CFG). *)
+    identical either way. [plan] is {!Path_engine.plan} of
+    [graph]/[loops], built once by a caller that asks many queries of
+    one CFG; built on the fly when absent (the ILP engine ignores it).
+    [Error] only on an infeasible flow system (cannot happen for models
+    built from a real CFG). *)
 
 val extra_misses :
   graph:Cfg.Graph.t ->
@@ -51,6 +55,7 @@ val extra_misses :
   degraded:(node:int -> offset:int -> Cache_analysis.Chmc.classification) ->
   sets:int list ->
   ?ctx:Cache_analysis.Context.t ->
+  ?plan:Path_engine.plan ->
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   unit ->

@@ -4,103 +4,115 @@ type scope =
   | Whole_program
   | Loop_scope of int
 
-(* Collapse state: ids [0, n) are graph nodes, ids >= n are loop
-   super-nodes. [parent] implements find with path compression. *)
-type state = {
-  parent : int array;
-  cost : int array;
-  has_exit : bool array;
-  succ : IntSet.t array;  (* successor ids as recorded at insert time;
-                             always resolve through [find] when read *)
+(* One max-plus pass of the collapse: a loop body whose inner loops are
+   already collapsed, or the final DAG. Ids index [eval]'s cost and
+   distance arrays: [0, n) are graph nodes, [n + i] is the super-node of
+   the i-th collapsed loop. *)
+type region = {
+  source : int;  (* loop header's representative, or the entry *)
+  slots : int array;  (* every id the pass writes: the members and the source *)
+  order : int array;  (* members in topological (Kahn) order *)
+  succ_start : int array;  (* successors of [order.(i)]: [succ_start.(i), succ_start.(i + 1)) *)
+  succ : int array;  (* member-only successors; edges into [source] dropped *)
 }
 
-let rec find st u =
-  let p = st.parent.(u) in
-  if p = u then u
-  else begin
-    let root = find st p in
-    st.parent.(u) <- root;
-    root
-  end
+type loop_step = {
+  body : region;
+  back : int array;  (* back-edge sources, as members *)
+  leave : int array;  (* members with an exit or a successor outside the loop *)
+  header : int;  (* the loop's header node: the key of its [Loop_scope] charges *)
+  bound : int;
+}
 
-let current_successors st u =
-  IntSet.fold
-    (fun s acc ->
-      let r = find st s in
-      if r = u then acc else IntSet.add r acc)
-    st.succ.(u) IntSet.empty
+type plan = {
+  nodes : int;
+  reachable : int array;  (* ascending: the nodes [eval] asks [node_cost] about *)
+  steps : loop_step array;  (* innermost first; step i collapses into super-node [nodes + i] *)
+  loops_of_header : int array array;  (* node -> the steps whose loop it heads *)
+  final : region;
+  exits : int array;  (* final-DAG ids that contain a program exit *)
+}
 
-(* Longest node-weighted path from [source] within the node set
-   [members], ignoring edges into [excluded_target] (back edges). The
-   subgraph is a DAG once inner loops are collapsed. Returns the
-   distance table (cost includes both endpoints). *)
-let longest_within st members ~source =
-  let dist = Hashtbl.create (IntSet.cardinal members) in
-  (* Topological order by Kahn's algorithm on the member-induced DAG. *)
-  let indegree = Hashtbl.create 16 in
-  IntSet.iter (fun u -> Hashtbl.replace indegree u 0) members;
-  IntSet.iter
-    (fun u ->
+(* --- plan: the collapse, run once per CFG -------------------------------- *)
+
+let plan ~graph ~loops =
+  let n = Cfg.Graph.node_count graph in
+  let is_reachable = Array.make n false in
+  Array.iter (fun u -> is_reachable.(u) <- true) (Cfg.Graph.reverse_postorder graph);
+  let total = n + List.length loops in
+  (* Collapse state. [parent] is a union-find with path compression;
+     [succ] holds successor ids as recorded at insert time, always
+     resolved through [find] when read. *)
+  let parent = Array.init total Fun.id in
+  let has_exit = Array.make total false in
+  let succ = Array.make total IntSet.empty in
+  for u = 0 to n - 1 do
+    if is_reachable.(u) then
+      List.iter
+        (fun v -> if is_reachable.(v) then succ.(u) <- IntSet.add v succ.(u))
+        (Cfg.Graph.successors graph u)
+  done;
+  List.iter (fun u -> if is_reachable.(u) then has_exit.(u) <- true) graph.Cfg.Graph.exits;
+  let rec find u =
+    let p = parent.(u) in
+    if p = u then u
+    else begin
+      let root = find p in
+      parent.(u) <- root;
+      root
+    end
+  in
+  let current_successors u =
+    IntSet.fold
+      (fun s acc ->
+        let r = find s in
+        if r = u then acc else IntSet.add r acc)
+      succ.(u) IntSet.empty
+  in
+  (* Scratch for [region], indexed by id. *)
+  let member = Array.make total false in
+  let indegree = Array.make total 0 in
+  (* The member-induced DAG from [source] (edges into it are the loop's
+     back edges), in Kahn order. A member left unordered — one that no
+     indegree-0 chain reaches — keeps whatever distance its ordered
+     predecessors give it and propagates nothing. *)
+  let region members ~source =
+    IntSet.iter (fun u -> member.(u) <- true) members;
+    let inner u =
+      IntSet.filter (fun v -> member.(v) && v <> source) (current_successors u)
+    in
+    IntSet.iter
+      (fun u -> IntSet.iter (fun v -> indegree.(v) <- indegree.(v) + 1) (inner u))
+      members;
+    let queue = Queue.create () in
+    IntSet.iter (fun u -> if indegree.(u) = 0 then Queue.add u queue) members;
+    let order = ref [] and succ_lists = ref [] in
+    while not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      let vs = inner u in
+      order := u :: !order;
+      succ_lists := IntSet.elements vs :: !succ_lists;
       IntSet.iter
         (fun v ->
-          if IntSet.mem v members && v <> source then
-            Hashtbl.replace indegree v (1 + Hashtbl.find indegree v))
-        (current_successors st u))
-    members;
-  let queue = Queue.create () in
-  IntSet.iter (fun u -> if Hashtbl.find indegree u = 0 then Queue.add u queue) members;
-  Hashtbl.replace dist source st.cost.(source);
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    let du = Hashtbl.find_opt dist u in
+          indegree.(v) <- indegree.(v) - 1;
+          if indegree.(v) = 0 then Queue.add v queue)
+        vs
+    done;
     IntSet.iter
-      (fun v ->
-        if IntSet.mem v members && v <> source then begin
-          (match du with
-          | Some d ->
-            let candidate = d + st.cost.(v) in
-            (match Hashtbl.find_opt dist v with
-            | Some existing when existing >= candidate -> ()
-            | _ -> Hashtbl.replace dist v candidate)
-          | None -> ());
-          let remaining = Hashtbl.find indegree v - 1 in
-          Hashtbl.replace indegree v remaining;
-          if remaining = 0 then Queue.add v queue
-        end)
-      (current_successors st u)
-  done;
-  dist
-
-let longest ~graph ~loops ~node_cost ~one_shots =
-  let n = Cfg.Graph.node_count graph in
-  let reachable = Array.make n false in
-  Array.iter (fun u -> reachable.(u) <- true) (Cfg.Graph.reverse_postorder graph);
-  let total_ids = n + List.length loops in
-  let st =
+      (fun u ->
+        member.(u) <- false;
+        indegree.(u) <- 0)
+      members;
+    let succ_lists = Array.of_list (List.rev !succ_lists) in
+    let succ_start = Array.make (Array.length succ_lists + 1) 0 in
+    Array.iteri (fun i vs -> succ_start.(i + 1) <- succ_start.(i) + List.length vs) succ_lists;
     {
-      parent = Array.init total_ids (fun k -> k);
-      cost = Array.make total_ids 0;
-      has_exit = Array.make total_ids false;
-      succ = Array.make total_ids IntSet.empty;
+      source;
+      slots = Array.of_list (IntSet.elements (IntSet.add source members));
+      order = Array.of_list (List.rev !order);
+      succ_start;
+      succ = Array.of_list (List.concat (Array.to_list succ_lists));
     }
-  in
-  for u = 0 to n - 1 do
-    if reachable.(u) then begin
-      let c = node_cost u in
-      if c < 0 then invalid_arg "Path_engine.longest: negative node cost";
-      st.cost.(u) <- c;
-      List.iter
-        (fun v -> if reachable.(v) then st.succ.(u) <- IntSet.add v st.succ.(u))
-        (Cfg.Graph.successors graph u)
-    end
-  done;
-  List.iter (fun u -> if reachable.(u) then st.has_exit.(u) <- true) graph.Cfg.Graph.exits;
-  let one_shot_total scope_filter =
-    List.fold_left
-      (fun acc (scope, amount) ->
-        if amount < 0 then invalid_arg "Path_engine.longest: negative one-shot";
-        if scope_filter scope then acc + amount else acc)
-      0 one_shots
   in
   (* Innermost loops first: strictly smaller bodies. *)
   let ordered =
@@ -109,68 +121,122 @@ let longest ~graph ~loops ~node_cost ~one_shots =
         compare (List.length a.Cfg.Loop.body) (List.length b.Cfg.Loop.body))
       loops
   in
-  let next_id = ref n in
-  List.iter
-    (fun (l : Cfg.Loop.loop) ->
-      let members =
-        List.fold_left (fun acc u -> IntSet.add (find st u) acc) IntSet.empty l.Cfg.Loop.body
-      in
-      let header = find st l.Cfg.Loop.header in
-      let dist = longest_within st members ~source:header in
-      let back_sources =
-        List.fold_left (fun acc (src, _) -> IntSet.add (find st src) acc) IntSet.empty
-          l.Cfg.Loop.back_edges
-      in
-      let c_iter =
-        IntSet.fold
-          (fun m acc -> match Hashtbl.find_opt dist m with Some d -> max acc d | None -> acc)
-          back_sources 0
-      in
-      let leaves u =
-        st.has_exit.(u)
-        || IntSet.exists (fun s -> not (IntSet.mem s members)) (current_successors st u)
-      in
-      let c_exit =
-        IntSet.fold
-          (fun m acc ->
-            if leaves m then
-              match Hashtbl.find_opt dist m with Some d -> max acc d | None -> acc
-            else acc)
-          members 0
-      in
-      let shots =
-        one_shot_total (function
-          | Loop_scope h -> h = l.Cfg.Loop.header
-          | Whole_program -> false)
-      in
-      let super = !next_id in
-      incr next_id;
-      st.cost.(super) <- (l.Cfg.Loop.bound * c_iter) + c_exit + shots;
-      st.has_exit.(super) <- IntSet.exists (fun m -> st.has_exit.(m)) members;
-      let external_succ =
-        IntSet.fold
-          (fun m acc ->
-            IntSet.fold
-              (fun s acc -> if IntSet.mem s members then acc else IntSet.add s acc)
-              (current_successors st m) acc)
-          members IntSet.empty
-      in
-      st.succ.(super) <- external_succ;
-      IntSet.iter (fun m -> st.parent.(m) <- super) members)
-    ordered;
-  (* Final DAG over representatives. *)
-  let reps = ref IntSet.empty in
-  for u = 0 to n - 1 do
-    if reachable.(u) then reps := IntSet.add (find st u) !reps
-  done;
-  let entry = find st graph.Cfg.Graph.entry in
-  let dist = longest_within st !reps ~source:entry in
-  let best =
-    IntSet.fold
-      (fun u acc ->
-        if st.has_exit.(u) then
-          match Hashtbl.find_opt dist u with Some d -> max acc d | None -> acc
-        else acc)
-      !reps 0
+  let steps =
+    List.mapi
+      (fun i (l : Cfg.Loop.loop) ->
+        let members =
+          List.fold_left (fun acc u -> IntSet.add (find u) acc) IntSet.empty l.Cfg.Loop.body
+        in
+        let source = find l.Cfg.Loop.header in
+        let body = region members ~source in
+        (* Only members and the source carry a distance in this pass. *)
+        let back =
+          List.fold_left
+            (fun acc (src, _) ->
+              let r = find src in
+              if r = source || IntSet.mem r members then IntSet.add r acc else acc)
+            IntSet.empty l.Cfg.Loop.back_edges
+        in
+        let leave =
+          IntSet.filter
+            (fun u ->
+              has_exit.(u)
+              || IntSet.exists (fun s -> not (IntSet.mem s members)) (current_successors u))
+            members
+        in
+        let super = n + i in
+        has_exit.(super) <- IntSet.exists (fun m -> has_exit.(m)) members;
+        succ.(super) <-
+          IntSet.fold
+            (fun m acc ->
+              IntSet.union acc
+                (IntSet.filter (fun s -> not (IntSet.mem s members)) (current_successors m)))
+            members IntSet.empty;
+        IntSet.iter (fun m -> parent.(m) <- super) members;
+        {
+          body;
+          back = Array.of_list (IntSet.elements back);
+          leave = Array.of_list (IntSet.elements leave);
+          header = l.Cfg.Loop.header;
+          bound = l.Cfg.Loop.bound;
+        })
+      ordered
+    |> Array.of_list
   in
-  best + one_shot_total (function Whole_program -> true | Loop_scope _ -> false)
+  let loops_of_header = Array.make n [||] in
+  Array.iteri
+    (fun i step ->
+      let h = step.header in
+      loops_of_header.(h) <- Array.append loops_of_header.(h) [| i |])
+    steps;
+  let reachable = List.filter (fun u -> is_reachable.(u)) (List.init n Fun.id) in
+  let reps = List.fold_left (fun acc u -> IntSet.add (find u) acc) IntSet.empty reachable in
+  {
+    nodes = n;
+    reachable = Array.of_list reachable;
+    steps;
+    loops_of_header;
+    final = region reps ~source:(find graph.Cfg.Graph.entry);
+    exits = Array.of_list (IntSet.elements (IntSet.filter (fun u -> has_exit.(u)) reps));
+  }
+
+(* --- eval: one forward max-plus pass per query ---------------------------- *)
+
+let unset = min_int
+
+(* Longest node-weighted path from the region's source to every member
+   (cost includes both endpoints); [unset] where no path reaches. *)
+let pass r ~cost ~dist =
+  Array.iter (fun id -> dist.(id) <- unset) r.slots;
+  dist.(r.source) <- cost.(r.source);
+  let order = r.order and start = r.succ_start and succ = r.succ in
+  for i = 0 to Array.length order - 1 do
+    let d = dist.(order.(i)) in
+    if d <> unset then
+      for k = start.(i) to start.(i + 1) - 1 do
+        let v = succ.(k) in
+        let candidate = d + cost.(v) in
+        if candidate > dist.(v) then dist.(v) <- candidate
+      done
+  done
+
+let heaviest ~dist ids =
+  Array.fold_left
+    (fun acc id ->
+      let d = dist.(id) in
+      if d <> unset && d > acc then d else acc)
+    0 ids
+
+let eval p ~node_cost ~one_shots =
+  let n_steps = Array.length p.steps in
+  let cost = Array.make (p.nodes + n_steps) 0 in
+  let dist = Array.make (p.nodes + n_steps) unset in
+  Array.iter
+    (fun u ->
+      let c = node_cost u in
+      if c < 0 then invalid_arg "Path_engine.eval: negative node cost";
+      cost.(u) <- c)
+    p.reachable;
+  (* A [Loop_scope h] charge is paid once per entry of every collapsed
+     loop headed by [h]; a header that heads no loop charges nothing. *)
+  let shots = Array.make n_steps 0 in
+  let whole = ref 0 in
+  List.iter
+    (fun (scope, amount) ->
+      if amount < 0 then invalid_arg "Path_engine.eval: negative one-shot";
+      match scope with
+      | Whole_program -> whole := !whole + amount
+      | Loop_scope h ->
+        if h >= 0 && h < p.nodes then
+          Array.iter (fun i -> shots.(i) <- shots.(i) + amount) p.loops_of_header.(h))
+    one_shots;
+  Array.iteri
+    (fun i step ->
+      pass step.body ~cost ~dist;
+      let c_iter = heaviest ~dist step.back and c_exit = heaviest ~dist step.leave in
+      cost.(p.nodes + i) <- (step.bound * c_iter) + c_exit + shots.(i))
+    p.steps;
+  pass p.final ~cost ~dist;
+  heaviest ~dist p.exits + !whole
+
+let longest ~graph ~loops ~node_cost ~one_shots = eval (plan ~graph ~loops) ~node_cost ~one_shots

@@ -21,13 +21,33 @@ type scope =
   | Whole_program
   | Loop_scope of int  (** loop header node id *)
 
+type plan
+(** The cost-independent half of the collapse for one CFG and its
+    loops: the innermost-first loop order and, per loop and for the
+    final DAG, the members in topological order with their member-only
+    successors, the back-edge sources, the members that leave the loop
+    (or the program exits) and the loop bound — all as flat [int]
+    arrays. Immutable once built, so one plan may be evaluated from
+    several domains at once. *)
+
+val plan : graph:Cfg.Graph.t -> loops:Cfg.Loop.loop list -> plan
+(** Runs the collapse once; every later {!eval} reuses it. *)
+
+val eval : plan -> node_cost:(int -> int) -> one_shots:(scope * int) list -> int
+(** Maximum cost over entry-to-exit paths: one forward max-plus pass
+    over the plan's arrays, with scratch arrays of its own.
+    [node_cost] is asked about every reachable node and charged per
+    execution of it; each [one_shot] is charged once per entry of its
+    scope (once per run for [Whole_program]; once per entry of every
+    loop headed by [h] for [Loop_scope h], nothing if [h] heads no
+    loop).
+    @raise Invalid_argument on a negative node cost or one-shot. *)
+
 val longest :
   graph:Cfg.Graph.t ->
   loops:Cfg.Loop.loop list ->
   node_cost:(int -> int) ->
   one_shots:(scope * int) list ->
   int
-(** Maximum cost over entry-to-exit paths. [node_cost] is charged per
-    execution of the node; each [one_shot] is charged once per entry of
-    its scope (once per run for [Whole_program]). All costs must be
-    non-negative. *)
+(** [eval (plan ~graph ~loops) ~node_cost ~one_shots], for a single
+    query on a CFG. *)

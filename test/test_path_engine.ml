@@ -179,6 +179,125 @@ let test_against_ilp_on_benchmarks () =
         (path >= ilp && path <= ilp + (ilp / 20) + 200))
     [ "fibcall"; "bs"; "crc"; "insertsort"; "cnt"; "prime" ]
 
+(* --- plan/eval against the per-call collapse ------------------------------ *)
+
+(* A random query on [graph]: node costs (sparse, like the FMM's delta
+   queries, or dense, like a WCET), and one-shots scoped to the whole
+   program, to loop headers, to nodes that head no loop, and to ids
+   outside the graph. *)
+let random_query st ~graph ~loops =
+  let n = Cfg.Graph.node_count graph in
+  let sparse = Random.State.bool st in
+  let costs =
+    Array.init n (fun _ ->
+        if sparse && Random.State.int st 4 > 0 then 0 else Random.State.int st 50)
+  in
+  let headers = Array.of_list (List.map (fun (l : Cfg.Loop.loop) -> l.Cfg.Loop.header) loops) in
+  let scope () =
+    match Random.State.int st 4 with
+    | 0 -> PE.Whole_program
+    | 1 when Array.length headers > 0 ->
+      PE.Loop_scope headers.(Random.State.int st (Array.length headers))
+    | 2 -> PE.Loop_scope (Random.State.int st n)
+    | _ -> PE.Loop_scope (n + Random.State.int st 5)
+  in
+  let one_shots = List.init (Random.State.int st 6) (fun _ -> (scope (), Random.State.int st 20)) in
+  (costs, one_shots)
+
+let reference ~graph ~loops (costs, one_shots) =
+  Path_engine_reference.longest ~graph ~loops ~node_cost:(fun u -> costs.(u)) ~one_shots
+
+let evaluate plan (costs, one_shots) = PE.eval plan ~node_cost:(fun u -> costs.(u)) ~one_shots
+
+let plan_eval_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~name:"eval (plan g) = per-call collapse"
+       QCheck2.Gen.(pair Minic_gen.gen_program (int_bound 1_000_000))
+       (fun (program, seed) ->
+         match Minic.Compile.compile program with
+         | exception Minic.Typecheck.Error _ -> true
+         | compiled ->
+           let graph = Cfg.Graph.build compiled.Minic.Compile.program in
+           let loops = Cfg.Loop.detect graph in
+           let plan = PE.plan ~graph ~loops in
+           let st = Random.State.make [| seed |] in
+           (* Several queries per plan: no state may leak between them. *)
+           List.for_all
+             (fun query -> evaluate plan query = reference ~graph ~loops query)
+             (List.init 4 (fun _ -> random_query st ~graph ~loops))))
+
+let test_negative_node_cost () =
+  let graph, loops = build [ ins Instr.Nop; ins Instr.Halt ] in
+  let plan = PE.plan ~graph ~loops in
+  Alcotest.check_raises "negative node cost"
+    (Invalid_argument "Path_engine.eval: negative node cost") (fun () ->
+      ignore (PE.eval plan ~node_cost:(fun _ -> -1) ~one_shots:[]))
+
+let test_negative_one_shot () =
+  let graph, loops =
+    build
+      ~bounds:[ ("loop", 3) ]
+      [ label "loop"
+      ; ins (Instr.Beqz (Instr.Eq, Reg.t0, "done"))
+      ; ins (Instr.J "loop")
+      ; label "done"
+      ; ins Instr.Halt
+      ]
+  in
+  let plan = PE.plan ~graph ~loops in
+  Alcotest.check_raises "negative one-shot"
+    (Invalid_argument "Path_engine.eval: negative one-shot") (fun () ->
+      ignore (PE.eval plan ~node_cost:(fun _ -> 1) ~one_shots:[ (PE.Whole_program, -1) ]))
+
+(* One plan evaluated from two domains at once gives the sequential
+   answers: [eval] writes only its own scratch arrays. *)
+let test_shared_plan_across_domains () =
+  let entry = Option.get (Benchmarks.Registry.find "adpcm") in
+  let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
+  let graph = Cfg.Graph.build compiled.Minic.Compile.program in
+  let loops = Cfg.Loop.detect graph in
+  let plan = PE.plan ~graph ~loops in
+  let st = Random.State.make [| 19 |] in
+  let queries = Array.init 64 (fun _ -> random_query st ~graph ~loops) in
+  let sequential = Array.map (evaluate plan) queries in
+  Alcotest.(check (array int))
+    "= reference" (Array.map (reference ~graph ~loops) queries) sequential;
+  Alcotest.(check (array int)) "2 domains" sequential
+    (Parallel.Pool.map ~jobs:2 (evaluate plan) queries)
+
+(* --- registry identity ------------------------------------------------------
+
+   Every FMM cell, provenance rung and recorded error (through
+   [Fmm.to_wire]) and the fault-free WCET of every registry program, at
+   three geometries and for every mechanism, folded into one MD5. The
+   constant was computed with the per-query loop-collapse engine, before
+   the path engine was split into [plan] and [eval]; any change to
+   either the engine or the FMM row loop that moves a single cell fails
+   here. *)
+let registry_fmm_wcet_digest = "ec517da4309d25c502fd5783a3a67eb2"
+
+let test_registry_fmm_wcet_identity () =
+  let buf = Buffer.create 8192 in
+  List.iter
+    (fun (sets, ways) ->
+      let config = Cache.Config.make ~sets ~ways ~line_bytes:16 () in
+      List.iter
+        (fun (e : Benchmarks.Registry.entry) ->
+          let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
+          let task = Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config () in
+          Printf.bprintf buf "%s %dx%d wcet %d\n" e.Benchmarks.Registry.name sets ways
+            (Pwcet.Estimator.fault_free_wcet task);
+          List.iter
+            (fun (mechanism, fmm) ->
+              Printf.bprintf buf "%s %dx%d %s %s\n" e.Benchmarks.Registry.name sets ways
+                (Pwcet.Mechanism.short_name mechanism)
+                (Digest.to_hex (Digest.string (Pwcet.Fmm.to_wire fmm))))
+            (Pwcet.Estimator.fmm_grid task ~mechanisms:Pwcet.Mechanism.all ()))
+        Benchmarks.Registry.all)
+    [ (8, 2); (16, 4); (32, 4) ];
+  Alcotest.(check string) "registry FMM/WCET digest" registry_fmm_wcet_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "path_engine"
     [ ( "hand-crafted graphs",
@@ -195,4 +314,12 @@ let () =
         ] )
     ; ( "vs ilp",
         [ Alcotest.test_case "benchmark CFGs" `Quick test_against_ilp_on_benchmarks ] )
+    ; ( "plan and eval",
+        [ plan_eval_prop
+        ; Alcotest.test_case "negative node cost" `Quick test_negative_node_cost
+        ; Alcotest.test_case "negative one-shot" `Quick test_negative_one_shot
+        ; Alcotest.test_case "one plan, two domains" `Quick test_shared_plan_across_domains
+        ] )
+    ; ( "registry identity",
+        [ Alcotest.test_case "FMM and WCET digest" `Quick test_registry_fmm_wcet_identity ] )
     ]

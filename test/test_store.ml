@@ -589,6 +589,57 @@ let test_estimator_survives_vandalised_store () =
   Alcotest.(check bool) "recomputed == reference" true
     (est_fingerprint recomputed = est_fingerprint reference)
 
+(* Every stored object as (name under objects/, bytes), sorted. *)
+let store_objects dir =
+  let objects_root = Filename.concat dir "objects" in
+  Sys.readdir objects_root |> Array.to_list
+  |> List.concat_map (fun prefix ->
+         let sub = Filename.concat objects_root prefix in
+         if Sys.is_directory sub then
+           Sys.readdir sub |> Array.to_list
+           |> List.map (fun name ->
+                  ( Filename.concat prefix name,
+                    In_channel.with_open_bin (Filename.concat sub name) In_channel.input_all ))
+         else [])
+  |> List.sort compare
+
+(* [prepare] hashes the program into the task's identity only when it
+   is given a store. A task prepared without one and then used with a
+   store must write exactly the objects — names and bytes — that a task
+   prepared with a store writes through the same calls. *)
+let test_estimator_identity_deferred () =
+  let program = task_of "crc" in
+  let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
+  let use task dir =
+    let st = Artifact.open_store ~dir () in
+    let est = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:M.Reliable_way ~store:st () in
+    let fmms = Pwcet.Estimator.fmm_grid task ~mechanisms:M.all ~store:st () in
+    List.iter
+      (fun (_, fmm) -> ignore (Pwcet.Estimator.estimate_of_fmm task ~fmm ~pfail:1e-5 ~store:st ()))
+      fmms;
+    let hits, missing = Pwcet.Estimator.fmm_lookup task ~mechanisms:M.all ~store:st () in
+    Alcotest.(check int) "every table stored" 3 (List.length hits);
+    Alcotest.(check int) "nothing missing" 0 (List.length missing);
+    est_fingerprint est
+  in
+  let keyed =
+    Pwcet.Estimator.prepare ~program ~config ~store:(Artifact.open_store ~dir:(fresh_dir ()) ()) ()
+  in
+  let plain = Pwcet.Estimator.prepare ~program ~config () in
+  Alcotest.(check bool) "identity hashed with a store" true
+    (keyed.Pwcet.Estimator.identity <> None);
+  Alcotest.(check bool) "identity deferred without one" true
+    (plain.Pwcet.Estimator.identity = None);
+  Alcotest.(check (list (pair string string)))
+    "same identity" (Pwcet.Estimator.identity keyed) (Pwcet.Estimator.identity plain);
+  let keyed_dir = fresh_dir () and plain_dir = fresh_dir () in
+  let keyed_est = use keyed keyed_dir and plain_est = use plain plain_dir in
+  Alcotest.(check bool) "same estimate" true (keyed_est = plain_est);
+  let keyed_objects = store_objects keyed_dir in
+  Alcotest.(check bool) "objects written" true (List.length keyed_objects >= 6);
+  Alcotest.(check (list (pair string string))) "same objects" keyed_objects
+    (store_objects plain_dir)
+
 let test_estimator_budget_bypasses_store () =
   let program = task_of "fibcall" in
   let config = Cache.Config.paper_default in
@@ -713,5 +764,7 @@ let () =
         ; Alcotest.test_case "vandalised store recomputes" `Quick
             test_estimator_survives_vandalised_store
         ; Alcotest.test_case "budget bypasses store" `Quick test_estimator_budget_bypasses_store
+        ; Alcotest.test_case "identity deferred without a store" `Quick
+            test_estimator_identity_deferred
         ] )
     ]
