@@ -640,6 +640,49 @@ let test_estimator_identity_deferred () =
   Alcotest.(check (list (pair string string))) "same objects" keyed_objects
     (store_objects plain_dir)
 
+(* The persisted keys, pinned to the bytes earlier builds wrote: a
+   change to any key component (engine or float tags, the literal
+   ("impl", "sliced") part, the identity layout) would turn every
+   existing store entry and resume journal into a miss. The expected
+   values were captured before the FMM engine selector was removed, and
+   must not be edited to make this test pass. *)
+let test_persisted_keys_pinned () =
+  let program = task_of "fibcall" in
+  let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
+  let dir = fresh_dir () in
+  let st = Artifact.open_store ~dir () in
+  let task = Pwcet.Estimator.prepare ~program ~config ~store:st () in
+  ignore (Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:M.Reliable_way ~store:st ());
+  let spec =
+    { Grid.benchmarks = [ ("fibcall", program) ];
+      configs = [ config ];
+      mechanisms = M.all;
+      pfail_grid = [ 1e-5; 1e-4 ];
+      targets = [ 1e-15 ];
+      engine = `Path;
+      exact = false;
+      impl = `Sliced }
+  in
+  List.iter
+    (fun (_, outcome) -> if Result.is_error outcome then Alcotest.fail "grid cell failed")
+    (Grid.run ~store:st spec);
+  Alcotest.(check (list string))
+    "object keys"
+    [ "02/026a5be17fd8cd45586b71de328b0734";
+      "27/274559ba15a19e8a9a9f72dea30448e8";
+      "74/742e48373695e77345cfd1a6bf4ff439";
+      "76/76327fa2a7d4fbbeef6e54aedc1b5b03";
+      "95/954ae10a28c4bfbbf787779ee34bc93c";
+      "9e/9e671042ac3873e7ddbae740e62636a2";
+      "c2/c216e5b5e17b5e1d2c2d415eeef5ad9a";
+      "cd/cd2662aa367c87fc383e2b7fcc581824";
+      "e2/e2e3f104e7f34f2c862be3d18121687d";
+      "fa/fabb04117131ef73327ad7f51d00c315" ]
+    (List.map fst (store_objects dir));
+  Alcotest.(check string)
+    "grid run key" "7e483e619295af2283968fad2e445abd"
+    (Artifact.key (Grid.identity spec))
+
 let test_estimator_budget_bypasses_store () =
   let program = task_of "fibcall" in
   let config = Cache.Config.paper_default in
@@ -766,5 +809,6 @@ let () =
         ; Alcotest.test_case "budget bypasses store" `Quick test_estimator_budget_bypasses_store
         ; Alcotest.test_case "identity deferred without a store" `Quick
             test_estimator_identity_deferred
+        ; Alcotest.test_case "persisted keys pinned" `Quick test_persisted_keys_pinned
         ] )
     ]
