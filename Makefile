@@ -1,6 +1,6 @@
 # Convenience entry points; `check` is the tier-1 gate.
 
-.PHONY: all build check test ci perfbench-build release-dist bench audit clean
+.PHONY: all build check test ci check-oracle perfbench-build release-dist bench audit clean
 
 all: build
 
@@ -29,11 +29,20 @@ check:
 test: check
 
 # What CI runs (see .github/workflows/ci.yml): the tier-1 gate, the
-# invariant auditor, a build of the benchmark program and the
-# convolution kernel's and path engine's byte-identity tests on a
-# release build. Kept as a make target so CI and a local pre-push run
-# are the same command.
-ci: check audit perfbench-build release-dist
+# invariant auditor, the oracle-isolation check, a build of the
+# benchmark program and the convolution kernel's and path engine's
+# byte-identity tests on a release build. Kept as a make target so CI
+# and a local pre-push run are the same command.
+ci: check audit check-oracle perfbench-build release-dist
+
+# The reference engines in test/oracle/ are test oracles, never a second
+# engine the program can select: fail if bin/ or any library under lib/
+# depends on the oracle library.
+check-oracle:
+	@if grep -nw oracle bin/dune lib/*/dune; then \
+	  echo "check-oracle: bin/ and lib/ must not depend on the test-only oracle library"; \
+	  exit 1; \
+	fi
 
 # perfbench/pwbench.exe is enabled only under the perfbench profile, so
 # `dune build` never compiles it; build it here (into its own build

@@ -141,16 +141,6 @@ let jobs_arg =
                  (sequential) and 256 (default: the runtime's recommended \
                  domain count). Results are identical for every value.")
 
-let impl_conv = Arg.enum [ ("naive", `Naive); ("sliced", `Sliced) ]
-
-let impl_arg =
-  Arg.(value & opt impl_conv `Sliced
-       & info [ "fmm-impl" ] ~docv:"IMPL"
-           ~doc:"FMM degraded-analysis engine: 'sliced' (default; per-set \
-                 condensed fixpoints with saturation early-exit) or 'naive' \
-                 (whole-CFG re-analysis per fault count). Tables are \
-                 bit-identical; only the analysis time differs.")
-
 let ilp_nodes_arg =
   Arg.(value & opt (some int) None
        & info [ "ilp-nodes" ] ~docv:"N"
@@ -392,7 +382,7 @@ let disasm_cmd =
 (* --- analyze --------------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run name pfail target sets ways line engine exact jobs impl ilp_nodes timeout show_curve
+  let run name pfail target sets ways line engine exact jobs ilp_nodes timeout show_curve
       show_fmm check cache_dir no_cache =
     let label, compiled = compile_target name in
     let config = config_of sets ways line in
@@ -413,8 +403,8 @@ let analyze_cmd =
       List.map
         (fun mech ->
           let est =
-            Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~engine ~exact ~jobs ~impl
-              ?budget ?store ()
+            Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~engine ~exact ~jobs ?budget
+              ?store ()
           in
           (mech, est))
         Pwcet.Mechanism.all
@@ -481,7 +471,7 @@ let analyze_cmd =
     (cmd_info "analyze"
        ~doc:"pWCET analysis of one benchmark (or mini-C file) under all three mechanisms")
     Term.(const run $ bench_arg $ pfail_arg $ target_arg $ sets_arg $ ways_arg $ line_arg
-          $ engine_arg $ exact_arg $ jobs_arg $ impl_arg $ ilp_nodes_arg $ timeout_arg
+          $ engine_arg $ exact_arg $ jobs_arg $ ilp_nodes_arg $ timeout_arg
           $ curve_arg $ fmm_arg $ check_arg $ cache_dir_arg $ no_cache_arg)
 
 (* --- one evaluation path: sweep, grid and suite ----------------------------- *)
@@ -528,7 +518,7 @@ let verify_cells ~jobs ~budget ~verified spec ev =
       let task = task_of point in
       let independent =
         Pwcet.Estimator.estimate task ~pfail:point.Grid.pfail ~mechanism:point.Grid.mechanism
-          ~engine:spec.Grid.engine ~exact:spec.Grid.exact ~jobs ~impl:spec.Grid.impl ?budget ()
+          ~engine:spec.Grid.engine ~exact:spec.Grid.exact ~jobs ?budget ()
       in
       let est = Hashtbl.find ev.fresh (Grid.point_key point) in
       let same =
@@ -617,7 +607,7 @@ let require_nonempty ~label ~what ~name = function
 (* --- sweep ------------------------------------------------------------------ *)
 
 let sweep_cmd =
-  let run name grid targets sets ways line engine exact impl mechanisms json_file verify opts =
+  let run name grid targets sets ways line engine exact mechanisms json_file verify opts =
     let grid = require_nonempty ~label:"sweep" ~what:"--pfail-grid" ~name:"pfail point" grid in
     let targets =
       require_nonempty ~label:"sweep" ~what:"--targets" ~name:"exceedance target" targets
@@ -627,7 +617,7 @@ let sweep_cmd =
     let config = config_of sets ways line in
     let spec =
       { Grid.benchmarks = [ (label, program) ]; configs = [ config ]; mechanisms;
-        pfail_grid = grid; targets; engine; exact; impl }
+        pfail_grid = grid; targets; engine; exact; impl = `Sliced }
     in
     let print ev =
       let cells = ok_cells ev in
@@ -744,7 +734,7 @@ let sweep_cmd =
        ~doc:"pWCET sensitivity sweep over a pfail grid (Fig. 5-style), computing the \
              pfail-independent analysis once per mechanism")
     Term.(const run $ bench_arg $ grid_arg $ targets_arg $ sets_arg $ ways_arg $ line_arg
-          $ engine_arg $ exact_arg $ impl_arg $ mechanism_arg $ json_arg $ verify_arg
+          $ engine_arg $ exact_arg $ mechanism_arg $ json_arg $ verify_arg
           $ run_opts_term)
 
 (* --- grid ------------------------------------------------------------------- *)
@@ -792,7 +782,7 @@ let geometries_of ~label specs =
     specs
 
 let grid_cmd =
-  let run benches geometries mechanisms grid targets engine exact impl json_file verify opts =
+  let run benches geometries mechanisms grid targets engine exact json_file verify opts =
     let label = "grid" in
     if benches = [] then begin
       Printf.eprintf "grid: at least one benchmark (or mini-C file) is required\n";
@@ -812,7 +802,8 @@ let grid_cmd =
         benches
     in
     let spec =
-      { Grid.benchmarks; configs; mechanisms; pfail_grid = grid; targets; engine; exact; impl }
+      { Grid.benchmarks; configs; mechanisms; pfail_grid = grid; targets; engine; exact;
+        impl = `Sliced }
     in
     let print ev =
       (* The comparison matrix, one panel per (benchmark, geometry). *)
@@ -916,7 +907,7 @@ let grid_cmd =
              work-stealing pool, and the matrix is bit-identical to independent per-cell \
              runs for every --jobs value")
     Term.(const run $ benches_arg $ geometries_arg $ mechanisms_arg $ grid_arg $ targets_arg
-          $ engine_arg $ exact_arg $ impl_arg $ json_arg $ verify_arg $ run_opts_term)
+          $ engine_arg $ exact_arg $ json_arg $ verify_arg $ run_opts_term)
 
 (* --- suite ------------------------------------------------------------------ *)
 
@@ -1888,7 +1879,7 @@ let sched_request_of_spec (spec : Sched.Campaign.spec) : Service.Protocol.sched 
     benchmarks = spec.benchmarks }
 
 let client_cmd =
-  let run socket op bench pfail target mech sets ways line engine exact impl timeout_ms
+  let run socket op bench pfail target mech sets ways line engine exact timeout_ms
       delay_ms bench_load clients requests retries retry_base_ms hold_ms
       (spec : Sched.Campaign.spec) grid_benchmarks grid_geometries grid_mechanisms
       grid_pfails grid_targets =
@@ -1915,7 +1906,7 @@ let client_cmd =
       | Some bench ->
         { (Service.Protocol.default_analyze ~bench) with
           Service.Protocol.pfail; target; mechanism = mech; sets; ways; line; engine; exact;
-          impl; timeout_ms; delay_ms }
+          timeout_ms; delay_ms }
     in
     let print_stats (s : Service.Protocol.stats_payload) =
       Printf.printf "requests     : %d\n" s.Service.Protocol.requests;
@@ -1990,8 +1981,7 @@ let client_cmd =
           g_pfails = grid_pfails;
           g_targets = grid_targets;
           g_engine = engine;
-          g_exact = exact;
-          g_impl = impl }
+          g_exact = exact }
       in
       match request (Service.Protocol.Grid req) with
       | Ok (Service.Protocol.Grid_reply r) ->
@@ -2183,7 +2173,7 @@ let client_cmd =
              to a local run), or the --bench concurrent-load generator."
        ~exits)
     Term.(const run $ socket_arg $ op_arg $ client_bench_arg $ pfail_arg $ target_arg
-          $ mech_arg $ sets_arg $ ways_arg $ line_arg $ engine_arg $ exact_arg $ impl_arg
+          $ mech_arg $ sets_arg $ ways_arg $ line_arg $ engine_arg $ exact_arg
           $ timeout_ms_arg $ delay_ms_arg $ load_arg $ clients_arg $ requests_arg
           $ retries_arg $ retry_base_arg $ hold_ms_arg $ sched_spec_term
           $ grid_benchmarks_arg $ grid_geometries_arg $ grid_mechanisms_arg

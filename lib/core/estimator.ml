@@ -33,8 +33,12 @@ let dist_kind = "DIST" and dist_version = 1
 let artifact_kinds =
   [ (wcet_kind, wcet_version); (fmm_kind, fmm_version); (dist_kind, dist_version) ]
 
+(* The key components every persisted or deduplicated key shares: the
+   store keys here, the grid's journal run key, the daemon's dedup keys
+   and the schedulability campaign's identity. A float is keyed by its
+   IEEE bit pattern, so keys are exact and independent of printing. *)
 let engine_tag = function `Path -> "path" | `Ilp -> "ilp"
-let impl_tag = function `Naive -> "naive" | `Sliced -> "sliced"
+let float_key f = Int64.to_string (Int64.bits_of_float f)
 
 (* Content digest, not a name: editing a benchmark or source file
    changes the key, so a stale artifact cannot shadow new code. *)
@@ -127,20 +131,22 @@ let prepare ~program ~config ?(engine = `Path) ?(exact = false) ?budget ?store (
    [estimate_with_fmm] the cheap per-pfail suffix — the grid amortises
    the former across its pfail points, and the store persists both
    across processes. [jobs] stays out of every key: results are
-   bit-identical across job counts. *)
-let fmm_parts ~identity ~mechanism ~engine ~exact ~impl =
+   bit-identical across job counts. The ("impl", "sliced") part names
+   the FMM engine of earlier builds, which offered a second one; it
+   stays so that their store entries still hit. *)
+let fmm_parts ~identity ~mechanism ~engine ~exact =
   identity
   @ [ ("mechanism", Mechanism.short_name mechanism); ("engine", engine_tag engine);
-      ("exact", string_of_bool exact); ("impl", impl_tag impl) ]
+      ("exact", string_of_bool exact); ("impl", "sliced") ]
 
-let compute_fmm task ~parts ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store () =
+let compute_fmm task ~parts ~mechanism ~engine ~exact ~jobs ?budget ?store () =
   cached ~store ~budget
     ~parts:(fun () -> ("artifact", "fmm") :: parts ())
     ~kind:fmm_kind ~version:fmm_version ~encode:Fmm.to_wire
     ~decode:(Fmm.of_wire ~config:task.config ~mechanism)
     (fun () ->
       Fmm.compute ~graph:task.graph ~loops:task.loops ~config:task.config ~mechanism ~engine
-        ~exact ~jobs ~impl ~ctx:task.ctx ?budget ~baseline:task.chmc ())
+        ~exact ~jobs ~ctx:task.ctx ?budget ~baseline:task.chmc ())
 
 (* Multi-mechanism FMM with store read-through: cached tables are
    served per mechanism, the misses are computed together through
@@ -149,16 +155,15 @@ let compute_fmm task ~parts ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store
    per-mechanism key [compute_fmm] uses — so grid runs and single runs
    interchangeably warm each other's cache. [fmm_lookup] and [fmm_put]
    are the two store halves, for callers that run the rows themselves. *)
-let fmm_key ~identity ~mechanism ~engine ~exact ~impl =
-  Store.Artifact.key (("artifact", "fmm") :: fmm_parts ~identity ~mechanism ~engine ~exact ~impl)
+let fmm_key ~identity ~mechanism ~engine ~exact =
+  Store.Artifact.key (("artifact", "fmm") :: fmm_parts ~identity ~mechanism ~engine ~exact)
 
-let fmm_lookup task ~mechanisms ?(engine = `Path) ?(exact = false) ?(impl = `Sliced) ?budget
-    ?store () =
+let fmm_lookup task ~mechanisms ?(engine = `Path) ?(exact = false) ?budget ?store () =
   let keyed = match store with Some st when budget = None -> Some (st, identity task) | _ -> None in
   let lookup mechanism =
     match keyed with
     | Some (st, identity) -> (
-      let key = fmm_key ~identity ~mechanism ~engine ~exact ~impl in
+      let key = fmm_key ~identity ~mechanism ~engine ~exact in
       match Store.Artifact.get st ~key ~kind:fmm_kind ~version:fmm_version with
       | None -> None
       | Some payload -> (
@@ -182,26 +187,25 @@ let fmm_lookup task ~mechanisms ?(engine = `Path) ?(exact = false) ?(impl = `Sli
   in
   (List.rev hits, List.rev missing)
 
-let fmm_put task ?(engine = `Path) ?(exact = false) ?(impl = `Sliced) ?budget ?store computed =
+let fmm_put task ?(engine = `Path) ?(exact = false) ?budget ?store computed =
   match store with
   | Some st when budget = None ->
     let identity = identity task in
     List.iter
       (fun (mechanism, fmm) ->
         Store.Artifact.put st
-          ~key:(fmm_key ~identity ~mechanism ~engine ~exact ~impl)
+          ~key:(fmm_key ~identity ~mechanism ~engine ~exact)
           ~kind:fmm_kind ~version:fmm_version (Fmm.to_wire fmm))
       computed
   | _ -> ()
 
-let fmm_grid task ~mechanisms ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?(impl = `Sliced)
-    ?budget ?store () =
-  let hits, missing = fmm_lookup task ~mechanisms ~engine ~exact ~impl ?budget ?store () in
+let fmm_grid task ~mechanisms ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?budget ?store () =
+  let hits, missing = fmm_lookup task ~mechanisms ~engine ~exact ?budget ?store () in
   let computed =
     Fmm.compute_multi ~graph:task.graph ~loops:task.loops ~config:task.config
-      ~mechanisms:missing ~engine ~exact ~jobs ~impl ~ctx:task.ctx ?budget ~baseline:task.chmc ()
+      ~mechanisms:missing ~engine ~exact ~jobs ~ctx:task.ctx ?budget ~baseline:task.chmc ()
   in
-  fmm_put task ~engine ~exact ~impl ?budget ?store computed;
+  fmm_put task ~engine ~exact ?budget ?store computed;
   let tables = hits @ computed in
   List.map (fun m -> (m, snd (List.find (fun (m', _) -> Mechanism.equal m m') tables))) mechanisms
 
@@ -211,25 +215,25 @@ let estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
     cached ~store ~budget
       ~parts:(fun () ->
         ("artifact", "penalty")
-        :: ("pfail", Int64.to_string (Int64.bits_of_float pfail))
+        :: ("pfail", float_key pfail)
         :: parts ())
       ~kind:dist_kind ~version:dist_version ~encode:Prob.Dist.to_wire ~decode:Prob.Dist.of_wire
       (fun () -> Penalty.total_distribution ~jobs ~fmm ~pbf ())
   in
   { task; mechanism; pfail; pbf; fmm; penalty }
 
-let estimate task ~pfail ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 1)
-    ?(impl = `Sliced) ?budget ?store () =
+let estimate task ~pfail ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?budget
+    ?store () =
   (* Forced by the first store lookup, if any; local to this call. *)
   let identity = lazy (identity task) in
-  let parts () = fmm_parts ~identity:(Lazy.force identity) ~mechanism ~engine ~exact ~impl in
-  let fmm = compute_fmm task ~parts ~mechanism ~engine ~exact ~jobs ~impl ?budget ?store () in
+  let parts () = fmm_parts ~identity:(Lazy.force identity) ~mechanism ~engine ~exact in
+  let fmm = compute_fmm task ~parts ~mechanism ~engine ~exact ~jobs ?budget ?store () in
   estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
 
-let estimate_of_fmm task ~fmm ~pfail ?(engine = `Path) ?(exact = false) ?(jobs = 1)
-    ?(impl = `Sliced) ?budget ?store () =
+let estimate_of_fmm task ~fmm ~pfail ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?budget
+    ?store () =
   let mechanism = Fmm.mechanism fmm in
-  let parts () = fmm_parts ~identity:(identity task) ~mechanism ~engine ~exact ~impl in
+  let parts () = fmm_parts ~identity:(identity task) ~mechanism ~engine ~exact in
   estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
 
 let pwcet e ~target = e.task.wcet_ff + Prob.Dist.quantile e.penalty ~target

@@ -46,6 +46,16 @@ val artifact_kinds : (string * int) list
     format versions — what [cache verify] passes to
     {!Store.Artifact.verify} as [expected]. *)
 
+val engine_tag : [ `Path | `Ilp ] -> string
+(** ["path"] or ["ilp"]: the bounding engine as every key component
+    spells it — store keys, the grid's journal run key, the daemon's
+    dedup keys and its wire form. *)
+
+val float_key : float -> string
+(** A float as a key component: its IEEE bit pattern in decimal, exact
+    and independent of printing. Every key that carries a pfail, a
+    target or another float axis spells it this way. *)
+
 val program_digest : Isa.Program.t -> string
 (** Hex MD5 of the program's pretty-print: the content digest the
     ["program"] component of every identity carries. Registry programs
@@ -98,15 +108,13 @@ val estimate :
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?jobs:int ->
-  ?impl:[ `Naive | `Sliced ] ->
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
   unit ->
   estimate
 (** [jobs] (default 1) runs the independent per-set FMM analyses and
     penalty-distribution builds on that many OCaml domains; results are
-    identical for every value. [impl] selects the FMM degraded-analysis
-    engine (see {!Fmm.compute}); both yield the same estimate.
+    identical for every value.
     [budget] flows into {!Fmm.compute}; exhaustion loosens FMM cells
     (soundly) rather than raising.
 
@@ -123,7 +131,6 @@ val fmm_grid :
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?jobs:int ->
-  ?impl:[ `Naive | `Sliced ] ->
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
   unit ->
@@ -143,7 +150,6 @@ val fmm_lookup :
   mechanisms:Mechanism.t list ->
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
-  ?impl:[ `Naive | `Sliced ] ->
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
   unit ->
@@ -157,7 +163,6 @@ val fmm_put :
   task ->
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
-  ?impl:[ `Naive | `Sliced ] ->
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
   (Mechanism.t * Fmm.t) list ->
@@ -174,14 +179,13 @@ val estimate_of_fmm :
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?jobs:int ->
-  ?impl:[ `Naive | `Sliced ] ->
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
   unit ->
   estimate
 (** The per-pfail suffix of {!estimate} for a map obtained from
     {!fmm_grid} (or a previous estimate): binomial reweight,
-    convolution, penalty caching. [engine]/[exact]/[impl] must match
+    convolution, penalty caching. [engine]/[exact] must match
     the options the map was computed under — they only enter the
     penalty artifact's store key, which must agree with the key an
     equivalent {!estimate} call would use. The result is bit-identical

@@ -56,7 +56,6 @@ type multi = {
   m_mechanisms : Mechanism.t list;
   m_engine : [ `Path | `Ilp ];
   m_exact : bool;
-  m_impl : [ `Naive | `Sliced ];
   m_ctx : Context.t;
   m_budget : Robust.Budget.t option;
   m_baseline : Chmc.t;
@@ -79,16 +78,17 @@ type rows = (Mechanism.t * int array * Rung.t array) list
    the tails read the prefix's signature memo exactly where a
    single-mechanism run would, and never write it.
 
-   [`Naive] re-runs the whole-CFG [Chmc.analyze] per fault count (the
-   reference the differential tests hold [`Sliced] to); [`Sliced] runs
-   a condensed per-set fixpoint reused across fault counts, and stops
-   re-analysing once the set saturates to all-always-miss, where the
-   naive engine's signature memo would reuse the previous bound
-   anyway. Self-contained (no mutable state outside the row), so rows
-   of distinct sets can run on separate domains. *)
+   The degraded analysis is a condensed per-set fixpoint ([Slice])
+   reused across fault counts; it stops re-analysing once the set
+   saturates to all-always-miss, where the signature memo would reuse
+   the previous bound anyway. (The test oracle re-runs the whole-CFG
+   [Chmc.analyze] per fault count instead; the differential tests hold
+   the two to bit-identical tables.) Self-contained (no mutable state
+   outside the row), so rows of distinct sets can run on separate
+   domains. *)
 let compute_rows_multi m set =
   let { m_graph = graph; m_loops = loops; m_config = config; m_mechanisms = mechanisms;
-        m_engine = engine; m_exact = exact; m_impl = impl; m_ctx = ctx; m_budget = budget;
+        m_engine = engine; m_exact = exact; m_ctx = ctx; m_budget = budget;
         m_baseline = baseline; m_srb = srb; m_plan = plan; _ } =
     m
   in
@@ -96,10 +96,9 @@ let compute_rows_multi m set =
   let row = Array.make (ways + 1) 0 in
   let rungs = Array.make (ways + 1) Rung.Exact in
   let previous : (Chmc.classification list * (int * Rung.t)) option ref = ref None in
-  let delta ~with_ctx ~degraded =
+  let delta ~degraded =
     match
-      Ipet.Delta.extra_misses_result ~graph ~loops ~config ~baseline ~degraded ~sets:[ set ]
-        ?ctx:(if with_ctx then Some ctx else None)
+      Ipet.Delta.extra_misses_result ~graph ~loops ~config ~baseline ~degraded ~sets:[ set ] ~ctx
         ~plan ~engine ~exact ?budget ()
     with
     | Ok v -> v
@@ -108,50 +107,34 @@ let compute_rows_multi m set =
   (* One prefix column: reuse the previous fault count's bound while the
      set's classification is unchanged, and keep the row monotone in
      the fault count. *)
-  let step ~with_ctx ~degraded f =
+  let step ~degraded f =
     let signature = Chmc.set_signature ctx ~set ~degraded in
     let value, rung =
       match !previous with
       | Some (prev_sig, prev) when prev_sig = signature -> prev
       | _ ->
-        let v = delta ~with_ctx ~degraded in
+        let v = delta ~degraded in
         previous := Some (signature, v);
         v
     in
     row.(f) <- max value row.(f - 1);
     rungs.(f) <- pick_rung ~value ~rung ~prev_value:row.(f - 1) ~prev_rung:rungs.(f - 1)
   in
-  (match impl with
-  | `Naive ->
-    for f = 1 to ways - 1 do
-      let chmc_f =
-        Chmc.analyze ~graph ~loops ~config
-          ~assoc:(fun s -> if s = set then ways - f else ways)
-          ~only_sets:[ set ] ()
-      in
-      step ~with_ctx:false
-        ~degraded:(fun ~node ~offset -> Chmc.classification chmc_f ~node ~offset)
-        f
-    done
-  | `Sliced ->
-    let slice = Slice.make ctx ~set in
-    let prev_result = ref None in
-    let saturated = ref false in
-    for f = 1 to ways - 1 do
-      if !saturated then begin
-        row.(f) <- row.(f - 1);
-        rungs.(f) <- rungs.(f - 1)
-      end
-      else begin
-        let r = Slice.analyze slice ~assoc:(ways - f) ?prev:!prev_result () in
-        prev_result := Some r;
-        if Slice.saturated r then saturated := true;
-        step ~with_ctx:true
-          ~degraded:(fun ~node ~offset -> Slice.classification r ~node ~offset)
-          f
-      end
-    done);
-  let with_ctx = match impl with `Naive -> false | `Sliced -> true in
+  let slice = Slice.make ctx ~set in
+  let prev_result = ref None in
+  let saturated = ref false in
+  for f = 1 to ways - 1 do
+    if !saturated then begin
+      row.(f) <- row.(f - 1);
+      rungs.(f) <- rungs.(f - 1)
+    end
+    else begin
+      let r = Slice.analyze slice ~assoc:(ways - f) ?prev:!prev_result () in
+      prev_result := Some r;
+      if Slice.saturated r then saturated := true;
+      step ~degraded:(fun ~node ~offset -> Slice.classification r ~node ~offset) f
+    end
+  done;
   List.map
     (fun mechanism ->
       let row_m = Array.copy row and rungs_m = Array.copy rungs in
@@ -168,7 +151,7 @@ let compute_rows_multi m set =
         let value, rung =
           match !previous with
           | Some (prev_sig, prev) when prev_sig = signature -> prev
-          | _ -> delta ~with_ctx ~degraded
+          | _ -> delta ~degraded
         in
         row_m.(ways) <- max value row_m.(ways - 1);
         rungs_m.(ways) <-
@@ -176,8 +159,8 @@ let compute_rows_multi m set =
       (mechanism, row_m, rungs_m))
     mechanisms
 
-let setup_multi ~graph ~loops ~config ~mechanisms ?(engine = `Path) ?(exact = false)
-    ?(impl = `Sliced) ?ctx ?budget ?baseline () =
+let setup_multi ~graph ~loops ~config ~mechanisms ?(engine = `Path) ?(exact = false) ?ctx
+    ?budget ?baseline () =
   let ctx = match ctx with Some c -> c | None -> Context.make ~graph ~loops ~config in
   let baseline =
     match baseline with Some b -> b | None -> Chmc.analyze ~ctx ~graph ~loops ~config ()
@@ -195,7 +178,7 @@ let setup_multi ~graph ~loops ~config ~mechanisms ?(engine = `Path) ?(exact = fa
          (List.init config.Cache.Config.sets Fun.id))
   in
   { m_graph = graph; m_loops = loops; m_config = config; m_mechanisms = mechanisms;
-    m_engine = engine; m_exact = exact; m_impl = impl; m_ctx = ctx; m_budget = budget;
+    m_engine = engine; m_exact = exact; m_ctx = ctx; m_budget = budget;
     m_baseline = baseline; m_srb = srb; m_used_sets = used_sets;
     m_plan = Ipet.Path_engine.plan ~graph ~loops }
 
@@ -231,22 +214,19 @@ let assemble_multi m rows =
         { misses; provenance; errors = List.rev !errors; config = m.m_config; mechanism } ))
     m.m_mechanisms
 
-let compute_multi ~graph ~loops ~config ~mechanisms ?engine ?exact ?(jobs = 1) ?impl ?ctx
-    ?budget ?baseline () =
+let compute_multi ~graph ~loops ~config ~mechanisms ?engine ?exact ?(jobs = 1) ?ctx ?budget
+    ?baseline () =
   match mechanisms with
   | [] -> []
   | _ ->
-    let m =
-      setup_multi ~graph ~loops ~config ~mechanisms ?engine ?exact ?impl ?ctx ?budget
-        ?baseline ()
-    in
+    let m = setup_multi ~graph ~loops ~config ~mechanisms ?engine ?exact ?ctx ?budget ?baseline () in
     let deadline = match budget with Some b -> b.Robust.Budget.deadline | None -> None in
     assemble_multi m
       (Parallel.Pool.map_result ?deadline ~jobs (compute_rows_multi m) m.m_used_sets)
 
-let compute ~graph ~loops ~config ~mechanism ?engine ?exact ?jobs ?impl ?ctx ?budget ?baseline () =
+let compute ~graph ~loops ~config ~mechanism ?engine ?exact ?jobs ?ctx ?budget ?baseline () =
   match
-    compute_multi ~graph ~loops ~config ~mechanisms:[ mechanism ] ?engine ?exact ?jobs ?impl ?ctx
+    compute_multi ~graph ~loops ~config ~mechanisms:[ mechanism ] ?engine ?exact ?jobs ?ctx
       ?budget ?baseline ()
   with
   | [ (_, t) ] -> t

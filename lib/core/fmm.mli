@@ -28,7 +28,6 @@ val compute :
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?jobs:int ->
-  ?impl:[ `Naive | `Sliced ] ->
   ?ctx:Cache_analysis.Context.t ->
   ?budget:Robust.Budget.t ->
   ?baseline:Cache_analysis.Chmc.t ->
@@ -42,15 +41,14 @@ val compute :
     across that many OCaml domains; the resulting table is bit-identical
     for every value of [jobs].
 
-    [impl] selects the degraded-analysis engine. [`Sliced] (default)
-    runs, per set, a condensed fixpoint over only the nodes referencing
-    that set ({!Cache_analysis.Slice}), reuses the previous fault
-    count's result to skip analyses that provably cannot change, and
-    stops re-analysing once the set's classification saturates to
-    all-always-miss. [`Naive] re-runs the whole-CFG
-    {!Cache_analysis.Chmc.analyze} per (set, fault count) — the
-    reference implementation. Both produce bit-identical tables
-    (pinned by the differential tests).
+    The degraded analysis runs, per set, a condensed fixpoint over only
+    the nodes referencing that set ({!Cache_analysis.Slice}), reuses
+    the previous fault count's result to skip analyses that provably
+    cannot change, and stops re-analysing once the set's classification
+    saturates to all-always-miss. The tables are bit-identical to the
+    test oracle's, which re-runs the whole-CFG
+    {!Cache_analysis.Chmc.analyze} per (set, fault count) (pinned by
+    the differential tests).
 
     [ctx] supplies a precomputed {!Cache_analysis.Context.t} for
     [graph]/[loops]/[config]; built on the fly when absent.
@@ -81,7 +79,6 @@ val compute_multi :
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?jobs:int ->
-  ?impl:[ `Naive | `Sliced ] ->
   ?ctx:Cache_analysis.Context.t ->
   ?budget:Robust.Budget.t ->
   ?baseline:Cache_analysis.Chmc.t ->
@@ -129,7 +126,6 @@ val setup_multi :
   mechanisms:Mechanism.t list ->
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
-  ?impl:[ `Naive | `Sliced ] ->
   ?ctx:Cache_analysis.Context.t ->
   ?budget:Robust.Budget.t ->
   ?baseline:Cache_analysis.Chmc.t ->

@@ -20,7 +20,6 @@ val set_distribution :
 val total_distribution :
   ?max_points:int ->
   ?jobs:int ->
-  ?impl:[ `Grouped | `Reference ] ->
   fmm:Fmm.t ->
   pbf:float ->
   unit ->
@@ -31,13 +30,12 @@ val total_distribution :
     per-group builds and each reduction layer's convolutions out across
     that many domains; the result is bit-identical for every value.
 
-    [impl] selects the engine. [`Grouped] (default) computes the way
-    PMF once, groups sets with equal FMM rows (equal rows imply equal
-    distributions), raises each group's distribution to its
-    multiplicity with {!Prob.Dist.convolve_pow}, and reduces the
-    per-group results through a balanced pairwise tree with per-layer
-    parallel fan-out. [`Reference] is the pre-overhaul engine — one
-    distribution per set, sequential pairwise tree, hash-table
-    convolution kernel — kept for differential testing and
-    benchmarking. Both are conservative; their pWCET quantiles agree on
-    every registry benchmark (pinned by test/test_dist_engine.ml). *)
+    The way PMF is computed once, sets with equal FMM rows are grouped
+    (equal rows imply equal distributions), each group's distribution
+    is raised to its multiplicity with {!Prob.Dist.convolve_pow}, and
+    the per-group results are reduced through a balanced pairwise tree
+    with per-layer parallel fan-out. The result is conservative; its
+    pWCET quantiles agree on every registry benchmark with the test
+    oracle's one-distribution-per-set reduction over
+    {!Prob.Dist.convolve_reference} (pinned by
+    test/test_dist_engine.ml). *)

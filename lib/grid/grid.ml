@@ -12,7 +12,7 @@ type spec = {
   targets : float list;
   engine : [ `Path | `Ilp ];
   exact : bool;
-  impl : [ `Naive | `Sliced ];
+  impl : [ `Sliced ];
 }
 
 type point = {
@@ -31,13 +31,11 @@ type cell = {
   degraded : int;
 }
 
-let float_key f = Int64.to_string (Int64.bits_of_float f)
-
 let point_key p =
   Printf.sprintf "%s/%dx%dx%d+%d+%d/%s/%s" p.bench p.config.Cache.Config.sets
     p.config.Cache.Config.ways p.config.Cache.Config.line_bytes
     p.config.Cache.Config.hit_latency p.config.Cache.Config.miss_latency
-    (Mechanism.short_name p.mechanism) (float_key p.pfail)
+    (Mechanism.short_name p.mechanism) (Estimator.float_key p.pfail)
 
 (* Canonical cell order: benchmark x geometry x mechanism x pfail, each
    axis in spec order.  Every consumer — the DAG result merge, the
@@ -56,15 +54,14 @@ let points spec =
         spec.configs)
     spec.benchmarks
 
-let engine_tag = function `Path -> "path" | `Ilp -> "ilp"
-let impl_tag = function `Naive -> "naive" | `Sliced -> "sliced"
-
 (* Labelled content identity of the whole grid — program digests,
    geometries, axes and engine flags — for resume-journal run keys and
    daemon request dedup.  Reuses the per-(program, geometry) identity
    the estimator derives, so anything that would change a cell's value
    changes the grid's key; each program is hashed once, not once per
-   geometry. *)
+   geometry. The ("impl", "sliced") part names the FMM engine of
+   earlier builds, which offered a second one; it stays so that their
+   resume journals still match. *)
 let identity spec =
   List.concat_map
     (fun (name, program) ->
@@ -74,11 +71,11 @@ let identity spec =
         spec.configs)
     spec.benchmarks
   @ [ ("mechanisms", String.concat "," (List.map Mechanism.short_name spec.mechanisms));
-      ("pfail-grid", String.concat "," (List.map float_key spec.pfail_grid));
-      ("targets", String.concat "," (List.map float_key spec.targets));
-      ("engine", engine_tag spec.engine);
+      ("pfail-grid", String.concat "," (List.map Estimator.float_key spec.pfail_grid));
+      ("targets", String.concat "," (List.map Estimator.float_key spec.targets));
+      ("engine", Estimator.engine_tag spec.engine);
       ("exact", string_of_bool spec.exact);
-      ("impl", impl_tag spec.impl) ]
+      ("impl", "sliced") ]
 
 (* --- canonical cell serialization (journal payloads, digests) ----------- *)
 
@@ -199,7 +196,7 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
   in
   let programs = Hashtbl.create 16 in
   List.iter (fun (name, program) -> Hashtbl.replace programs name program) spec.benchmarks;
-  let engine = spec.engine and exact = spec.exact and impl = spec.impl in
+  let engine = spec.engine and exact = spec.exact in
   (* A panel's nodes are created lazily, only when some cell of that
      panel actually needs computing — a fully replayed panel costs
      nothing.  Returns the assemble node. *)
@@ -213,8 +210,7 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
         push [||] (fun _ ->
             let task = Estimator.prepare ~program ~config ~engine ~exact ?budget ?store () in
             let hits, missing =
-              Estimator.fmm_lookup task ~mechanisms:spec.mechanisms ~engine ~exact ~impl ?budget
-                ?store ()
+              Estimator.fmm_lookup task ~mechanisms:spec.mechanisms ~engine ~exact ?budget ?store ()
             in
             let multi =
               match missing with
@@ -222,7 +218,7 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
               | _ ->
                 Some
                   (Fmm.setup_multi ~graph:task.Estimator.graph ~loops:task.Estimator.loops
-                     ~config ~mechanisms:missing ~engine ~exact ~impl ~ctx:task.Estimator.ctx
+                     ~config ~mechanisms:missing ~engine ~exact ~ctx:task.Estimator.ctx
                      ?budget ~baseline:task.Estimator.chmc ())
             in
             Prepared (task, hits, multi))
@@ -256,7 +252,7 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
                   in
                   Fmm.assemble_multi multi outcomes
               in
-              Estimator.fmm_put task ~engine ~exact ~impl ?budget ?store computed;
+              Estimator.fmm_put task ~engine ~exact ?budget ?store computed;
               Panel (task, hits @ computed)
             | _ -> assert false)
       in
@@ -281,7 +277,7 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
                  in
                  let e =
                    Estimator.estimate_of_fmm task ~fmm ~pfail:point.pfail ~engine ~exact ~jobs:1
-                     ~impl ?budget ?store ()
+                     ?budget ?store ()
                  in
                  let cell =
                    {

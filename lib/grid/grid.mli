@@ -36,7 +36,9 @@ type spec = {
   targets : float list;  (** exceedance targets each cell reports pWCET at *)
   engine : [ `Path | `Ilp ];
   exact : bool;
-  impl : [ `Naive | `Sliced ];
+  impl : [ `Sliced ];
+      (** The one FMM engine; the field selects nothing and stays only
+          so that existing callers still build the record. *)
 }
 
 type point = {

@@ -147,8 +147,8 @@ let select_top probs len k =
    highest-indexed ones — so the walk below skips the lowest-indexed
    ties that fall outside the top.
 
-   Array core shared by the list path (reference engine) and the merge
-   kernel, so capping is bit-identical across engines.
+   Array core shared by the list path (reference kernel, [mixture]) and
+   the merge kernel, so capping is bit-identical across kernels.
    [1 <= max_points < n]. *)
 let cap_arrays max_points pens probs n =
   let t, skip =
@@ -193,13 +193,22 @@ let cap_points max_points (pairs : (int * float) list) =
     Array.to_list (Array.map2 (fun x p -> (x, p)) pens probs)
   end
 
-(* Reference convolution engine: accumulate the n*m products in a hash
-   table, sort, cap. Kept for differential testing and benchmarking of
-   the merge kernel. The table is only pre-sized as a hint: two near-cap
-   operands would otherwise request ~4e9 buckets up front (and the
-   product can overflow on 32-bit), so the hint is clamped — the table
-   still grows dynamically when the support really is that large. *)
-let convolve_reference ~max_points a b =
+(* A cap below one point cannot hold any mass: reject it rather than
+   quietly returning a larger result than promised. *)
+let check_max_points caller max_points =
+  if max_points < 1 then invalid_arg (caller ^ ": max_points must be at least 1")
+
+(* Reference convolution kernel: accumulate the n*m products in a hash
+   table, sort, cap. Nothing in the analysis calls it: it is the oracle
+   the tests hold the merge kernel to, and it lives here because it
+   needs the private [cap_points]/[of_sorted_arrays], which keep
+   products that underflowed to 0.0 exactly as the merge kernel does.
+   The table is only pre-sized as a hint: two near-cap operands would
+   otherwise request ~4e9 buckets up front (and the product can
+   overflow on 32-bit), so the hint is clamped — the table still grows
+   dynamically when the support really is that large. *)
+let convolve_reference ?(max_points = 65536) a b =
+  check_max_points "Dist.convolve_reference" max_points;
   let n = size a and m = size b in
   let size_hint =
     if m = 0 || n <= 65536 / m then max 16 (n * m) else min max_points 65536
@@ -502,11 +511,6 @@ let convolve_merge ~max_points a b =
     else convolve_heap ~max_points a b
   end
 
-(* A cap below one point cannot hold any mass: reject it rather than
-   quietly returning a larger result than promised. *)
-let check_max_points caller max_points =
-  if max_points < 1 then invalid_arg (caller ^ ": max_points must be at least 1")
-
 (* Weighted mixture. The per-penalty accumulation order is the given
    part order (Hashtbl bucket per penalty, like the reference convolution
    engine); within one part the support is strictly ascending so each
@@ -536,21 +540,19 @@ let mixture ?(max_points = 65536) parts =
       (Array.of_list (List.map fst merged))
       (Array.of_list (List.map snd merged))
 
-let convolve ?(impl = `Merge) ?(max_points = 65536) a b =
+let convolve ?(max_points = 65536) a b =
   check_max_points "Dist.convolve" max_points;
-  match impl with
-  | `Merge -> convolve_merge ~max_points a b
-  | `Reference -> convolve_reference ~max_points a b
+  convolve_merge ~max_points a b
 
 (* Balanced pairwise tree instead of a left fold: n-1 convolutions
    either way, but operands stay similarly sized, so total work drops
    from O(n * |acc|) against one ever-growing accumulator to the
    tree-sum of products, and capping (when it triggers) applies to
    balanced operands rather than degrading one long chain. *)
-let convolve_all ?impl ?max_points dists =
+let convolve_all ?max_points dists =
   Option.iter (check_max_points "Dist.convolve_all") max_points;
   let rec pair_up = function
-    | a :: b :: rest -> convolve ?impl ?max_points a b :: pair_up rest
+    | a :: b :: rest -> convolve ?max_points a b :: pair_up rest
     | tail -> tail
   in
   let rec reduce = function
@@ -561,7 +563,7 @@ let convolve_all ?impl ?max_points dists =
   reduce dists
 
 (* k-th convolution power by repeated squaring. Bit-identical to
-   [convolve_all] on k copies of [d] for every k, impl and max_points:
+   [convolve_all] on k copies of [d] for every k and max_points:
    the balanced tree over equal elements only ever contains a run of
    one repeated value plus at most one distinct trailing element, so
    the whole tree collapses to log-many distinct convolutions —
@@ -570,12 +572,12 @@ let convolve_all ?impl ?max_points dists =
    the odd step convolves [e] into the tail rather than multiplying
    tails together at the end (plain binary exponentiation would not
    match the tree once capping triggers). *)
-let convolve_pow ?impl ?max_points d k =
+let convolve_pow ?max_points d k =
   if k < 0 then invalid_arg "Dist.convolve_pow: negative power";
   Option.iter (check_max_points "Dist.convolve_pow") max_points;
   if k = 0 then point 0
   else begin
-    let conv a b = convolve ?impl ?max_points a b in
+    let conv a b = convolve ?max_points a b in
     let rec go e c tail =
       (* invariant: remaining tree level is [e; e; ...(c copies)] @ tail *)
       if c = 1 then (match tail with None -> e | Some t -> conv e t)

@@ -54,34 +54,40 @@ val support : t -> (int * float) list
 val size : t -> int
 val total_mass : t -> float
 
-val convolve : ?impl:[ `Merge | `Reference ] -> ?max_points:int -> t -> t -> t
+val convolve : ?max_points:int -> t -> t -> t
 (** Distribution of the sum of two independent variables. When the
     result exceeds [max_points] (default 65536), the lowest-probability
     points are folded into the next higher kept penalty (conservative);
     the result never has more than [max_points] points, even when tied
     probabilities straddle the cut.
 
-    [impl] selects the engine. [`Merge] (default) exploits the sorted
-    supports, with no hash table and no comparison sort of the product
-    set. When the achievable sums tile their range densely it
-    accumulates into one bucket per sum with a branch-free multiply-add
-    (untouched buckets hold [-0.0], so presence is a clear sign bit,
-    which survives a product that underflowed to [0.0]), adding one
-    operand padded with [-0.0] as contiguous rows in a vectorised C
-    loop. Sparse or huge-range supports go through a k-way merge of
-    sorted runs, one per point of the {e smaller} operand, so it costs
-    O(n*m log (min n m)); with runs over the second operand, equal sums
-    pop in descending run order, which is ascending order in the first
-    operand. [`Reference] is the original hash-table engine, kept for
-    differential testing and benchmarking. The engines are
-    {e bit-identical}: equal sums are accumulated in the same order (see
-    the kernel comment in the implementation) and both share the same
-    capping code. The cap keeps the top penalty plus the [max_points - 1]
-    most probable other points (ties broken towards higher penalties),
-    chosen by a linear-time radix selection.
+    The kernel exploits the sorted supports, with no hash table and no
+    comparison sort of the product set. When the achievable sums tile
+    their range densely it accumulates into one bucket per sum with a
+    branch-free multiply-add (untouched buckets hold [-0.0], so
+    presence is a clear sign bit, which survives a product that
+    underflowed to [0.0]), adding one operand padded with [-0.0] as
+    contiguous rows in a vectorised C loop. Sparse or huge-range
+    supports go through a k-way merge of sorted runs, one per point of
+    the {e smaller} operand, so it costs O(n*m log (min n m)); with
+    runs over the second operand, equal sums pop in descending run
+    order, which is ascending order in the first operand. The result is
+    {e bit-identical} to {!convolve_reference}: equal sums are
+    accumulated in the same order (see the kernel comment in the
+    implementation) and both share the same capping code. The cap keeps
+    the top penalty plus the [max_points - 1] most probable other
+    points (ties broken towards higher penalties), chosen by a
+    linear-time radix selection.
     @raise Invalid_argument when [max_points < 1]. *)
 
-val convolve_all : ?impl:[ `Merge | `Reference ] -> ?max_points:int -> t list -> t
+val convolve_reference : ?max_points:int -> t -> t -> t
+(** The original hash-table convolution kernel: every product
+    accumulated into a hash table keyed by penalty, sorted, then capped
+    as {!convolve} caps. The analysis never calls it; it is the oracle
+    the tests hold {!convolve} to, bit for bit.
+    @raise Invalid_argument when [max_points < 1]. *)
+
+val convolve_all : ?max_points:int -> t list -> t
 (** Convolution of a list of independent variables ([{!point} 0] for the
     empty list), computed as a balanced pairwise tree. Equal to the
     left-to-right fold whenever [max_points] never triggers (convolution
@@ -91,12 +97,12 @@ val convolve_all : ?impl:[ `Merge | `Reference ] -> ?max_points:int -> t list ->
     fold's.
     @raise Invalid_argument when [max_points < 1]. *)
 
-val convolve_pow : ?impl:[ `Merge | `Reference ] -> ?max_points:int -> t -> int -> t
+val convolve_pow : ?max_points:int -> t -> int -> t
 (** [convolve_pow d k] is the distribution of the sum of [k] independent
     copies of [d] ([{!point} 0] for [k = 0]), computed with
     exponentiation by squaring: O(log k) convolutions instead of k-1.
-    Bit-identical to [convolve_all] on [k] copies of [d] for every [k],
-    [impl] and [max_points] — the balanced tree over equal operands
+    Bit-identical to [convolve_all] on [k] copies of [d] for every [k]
+    and [max_points] — the balanced tree over equal operands
     collapses to repeated squaring plus one odd-element chain, and the
     implementation reproduces that exact shape so capping decisions
     coincide. In particular it equals the k-fold left [convolve] fold

@@ -8,7 +8,6 @@ type analyze = {
   line : int;
   engine : [ `Path | `Ilp ];
   exact : bool;
-  impl : [ `Naive | `Sliced ];
   timeout_ms : int option;
   delay_ms : int;
 }
@@ -23,7 +22,6 @@ let default_analyze ~bench =
     line = 16;
     engine = `Path;
     exact = false;
-    impl = `Sliced;
     timeout_ms = None;
     delay_ms = 0 }
 
@@ -76,7 +74,6 @@ type grid = {
   g_targets : float list;
   g_engine : [ `Path | `Ilp ];
   g_exact : bool;
-  g_impl : [ `Naive | `Sliced ];
 }
 
 let default_grid ~benchmarks =
@@ -86,8 +83,7 @@ let default_grid ~benchmarks =
     g_pfails = [ 1e-6; 1e-5; 1e-4; 1e-3 ];
     g_targets = [ 1e-15 ];
     g_engine = `Path;
-    g_exact = false;
-    g_impl = `Sliced }
+    g_exact = false }
 
 type request = Ping | Stats | Analyze of analyze | Sched of sched | Grid of grid
 
@@ -138,9 +134,6 @@ type response =
   | Overloaded of { queued : int; queue_max : int }
   | Error_reply of string
 
-let engine_tag = function `Path -> "path" | `Ilp -> "ilp"
-let impl_tag = function `Naive -> "naive" | `Sliced -> "sliced"
-
 (* --- encoding -------------------------------------------------------------- *)
 
 let analyze_fields a =
@@ -152,9 +145,8 @@ let analyze_fields a =
     ("sets", Json.Int a.sets);
     ("ways", Json.Int a.ways);
     ("line", Json.Int a.line);
-    ("engine", Json.String (engine_tag a.engine));
-    ("exact", Json.Bool a.exact);
-    ("impl", Json.String (impl_tag a.impl)) ]
+    ("engine", Json.String (Pwcet.Estimator.engine_tag a.engine));
+    ("exact", Json.Bool a.exact) ]
   @ (match a.timeout_ms with None -> [] | Some ms -> [ ("timeout_ms", Json.Int ms) ])
   @ if a.delay_ms = 0 then [] else [ ("delay_ms", Json.Int a.delay_ms) ]
 
@@ -201,9 +193,8 @@ let grid_fields g =
     );
     ("pfail_grid", Json.List (List.map (fun p -> Json.Float p) g.g_pfails));
     ("targets", Json.List (List.map (fun t -> Json.Float t) g.g_targets));
-    ("engine", Json.String (engine_tag g.g_engine));
-    ("exact", Json.Bool g.g_exact);
-    ("impl", Json.String (impl_tag g.g_impl)) ]
+    ("engine", Json.String (Pwcet.Estimator.engine_tag g.g_engine));
+    ("exact", Json.Bool g.g_exact) ]
 
 let request_to_string = function
   | Ping -> Json.to_string (Json.Obj [ ("op", Json.String "ping") ])
@@ -343,11 +334,6 @@ let decode_analyze json =
         ~default:`Path
     in
     let* exact = optional ~field:"exact" json Json.to_bool ~default:false in
-    let* impl =
-      optional ~field:"impl" json
-        (enum ~what:"impl" [ ("naive", `Naive); ("sliced", `Sliced) ])
-        ~default:`Sliced
-    in
     let* timeout_ms =
       optional ~field:"timeout_ms" json
         (fun ~field j ->
@@ -364,8 +350,7 @@ let decode_analyze json =
     in
     Ok
       (Analyze
-         { bench; pfail; target; mechanism; sets; ways; line; engine; exact; impl; timeout_ms;
-           delay_ms })
+         { bench; pfail; target; mechanism; sets; ways; line; engine; exact; timeout_ms; delay_ms })
 
 let decode_sched json =
   let d = default_sched in
@@ -505,15 +490,9 @@ let decode_grid json =
       ~default:d.g_engine
   in
   let* g_exact = optional ~field:"exact" json Json.to_bool ~default:d.g_exact in
-  let* g_impl =
-    optional ~field:"impl" json
-      (enum ~what:"impl" [ ("naive", `Naive); ("sliced", `Sliced) ])
-      ~default:d.g_impl
-  in
   Ok
     (Grid
-       { g_benchmarks; g_geometries; g_mechanisms; g_pfails; g_targets; g_engine; g_exact;
-         g_impl })
+       { g_benchmarks; g_geometries; g_mechanisms; g_pfails; g_targets; g_engine; g_exact })
 
 let request_of_string s =
   let* json = Json.of_string s in

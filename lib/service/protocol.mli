@@ -7,7 +7,10 @@
     connection — and every numeric field is validated on decode with
     the same bounds the CLI enforces (probabilities strictly inside
     (0, 1), geometry at least 1), so a request that decodes is a
-    request the pipeline can run. *)
+    request the pipeline can run. Unknown fields are ignored: an
+    [analyze] or [grid] request from an older client that still sends
+    the retired FMM engine selector ["impl"] decodes exactly as the
+    same request without it. *)
 
 type analyze = {
   bench : string;  (** registry benchmark name *)
@@ -19,7 +22,6 @@ type analyze = {
   line : int;
   engine : [ `Path | `Ilp ];
   exact : bool;
-  impl : [ `Naive | `Sliced ];
   timeout_ms : int option;
       (** per-request deadline; rides the degradation ladder and (like
           every budgeted run) bypasses both the artifact store and
@@ -32,7 +34,7 @@ type analyze = {
 
 val default_analyze : bench:string -> analyze
 (** The CLI's defaults: pfail 1e-4, target 1e-15, no protection,
-    16x4x16 geometry, path engine, sliced FMM, no timeout, no delay. *)
+    16x4x16 geometry, path engine, no timeout, no delay. *)
 
 (** A bulk schedulability campaign — the service face of
     {!Sched.Campaign}. One request analyses [count] UUniFast task sets
@@ -83,12 +85,11 @@ type grid = {
   g_targets : float list;
   g_engine : [ `Path | `Ilp ];
   g_exact : bool;
-  g_impl : [ `Naive | `Sliced ];
 }
 
 val default_grid : benchmarks:string list -> grid
 (** The CLI's defaults: 16x4x16 geometry, all three mechanisms, pfail
-    grid 1e-6..1e-3, target 1e-15, path engine, sliced FMM. *)
+    grid 1e-6..1e-3, target 1e-15, path engine. *)
 
 type request = Ping | Stats | Analyze of analyze | Sched of sched | Grid of grid
 

@@ -219,15 +219,12 @@ let compiled t bench =
       locked t (fun () -> Hashtbl.replace t.programs bench c);
       c)
 
-(* Exactly the CLI's convention for float-valued key components. *)
-let float_key f = Int64.to_string (Int64.bits_of_float f)
-let engine_tag = function `Path -> "path" | `Ilp -> "ilp"
-let impl_tag = function `Naive -> "naive" | `Sliced -> "sliced"
-
 let task_key ~identity ~engine ~exact =
   Store.Artifact.key
     (identity
-    @ [ ("service", "task"); ("engine", engine_tag engine); ("exact", string_of_bool exact) ])
+    @ [ ("service", "task");
+        ("engine", Pwcet.Estimator.engine_tag engine);
+        ("exact", string_of_bool exact) ])
 
 (* The dedup key: everything that shapes the computed estimate. The
    exceedance target stays out — waiters read their own quantile from
@@ -238,10 +235,9 @@ let request_key ~identity (a : Protocol.analyze) =
     (identity
     @ [ ("service", "analyze");
         ("mechanism", Pwcet.Mechanism.short_name a.mechanism);
-        ("engine", engine_tag a.engine);
+        ("engine", Pwcet.Estimator.engine_tag a.engine);
         ("exact", string_of_bool a.exact);
-        ("impl", impl_tag a.impl);
-        ("pfail", float_key a.pfail) ])
+        ("pfail", Pwcet.Estimator.float_key a.pfail) ])
 
 (* Prepared-task cache: bounded, FIFO-evicted, with its own in-flight
    dedup so N concurrent cold requests against one benchmark run the
@@ -267,11 +263,11 @@ let compute t ~program ~config ~identity ?budget (a : Protocol.analyze) () =
       Pwcet.Estimator.prepare ~program ~config ~engine:a.engine ~exact:a.exact ~budget:b ()
     in
     Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
-      ~exact:a.exact ~jobs:1 ~impl:a.impl ~budget:b ()
+      ~exact:a.exact ~jobs:1 ~budget:b ()
   | None ->
     let task = prepared_task t ~program ~config ~identity a in
     Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
-      ~exact:a.exact ~jobs:1 ~impl:a.impl ?store:t.store ()
+      ~exact:a.exact ~jobs:1 ?store:t.store ()
 
 let respond t (a : Protocol.analyze) ~computed outcome : Protocol.response =
   match outcome with
@@ -359,7 +355,7 @@ let bench_estimate t ~config (spec : Sched.Campaign.spec) bench =
     (request_key ~identity a) (fun () ->
       let task = prepared_task t ~program ~config ~identity a in
       Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
-        ~exact:a.exact ~jobs:1 ~impl:a.impl ?store:t.store ())
+        ~exact:a.exact ~jobs:1 ?store:t.store ())
 
 (* The campaign computation a worker domain runs. [jobs:1] as in
    [compute]: request-level parallelism comes from the pool itself. *)
@@ -421,7 +417,7 @@ let spec_of_grid t (g : Protocol.grid) =
     in
     Ok
       { Grid.benchmarks; configs; mechanisms = g.g_mechanisms; pfail_grid = g.g_pfails;
-        targets = g.g_targets; engine = g.g_engine; exact = g.g_exact; impl = g.g_impl }
+        targets = g.g_targets; engine = g.g_engine; exact = g.g_exact; impl = `Sliced }
   with Compute_error msg -> Error msg
 
 (* The grid computation a worker domain runs. [jobs:1] as everywhere

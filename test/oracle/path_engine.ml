@@ -1,4 +1,4 @@
-(* Test-only reference for [Ipet.Path_engine]: the loop collapse
+(* The reference for [Ipet.Path_engine]: the loop collapse
    rebuilt from scratch on every call, with [IntSet] successor sets and
    a [Hashtbl]-based Kahn order per loop. This is the engine as it was
    before the collapse was split into a cost-independent [plan] and a
@@ -94,7 +94,7 @@ let longest ~graph ~loops ~node_cost ~one_shots =
   for u = 0 to n - 1 do
     if reachable.(u) then begin
       let c = node_cost u in
-      if c < 0 then invalid_arg "Path_engine_reference.longest: negative node cost";
+      if c < 0 then invalid_arg "Oracle.Path_engine.longest: negative node cost";
       st.cost.(u) <- c;
       List.iter
         (fun v -> if reachable.(v) then st.succ.(u) <- IntSet.add v st.succ.(u))
@@ -105,7 +105,7 @@ let longest ~graph ~loops ~node_cost ~one_shots =
   let one_shot_total scope_filter =
     List.fold_left
       (fun acc (scope, amount) ->
-        if amount < 0 then invalid_arg "Path_engine_reference.longest: negative one-shot";
+        if amount < 0 then invalid_arg "Oracle.Path_engine.longest: negative one-shot";
         if scope_filter scope then acc + amount else acc)
       0 one_shots
   in

@@ -1,9 +1,10 @@
 (* Differential tests for the distribution-engine overhaul: the
    sorted-merge convolution kernel must be bit-identical to the
-   hash-table reference engine, [convolve_pow] must reproduce the
-   balanced pairwise tree exactly (capping included), the grouped
-   total-distribution engine must agree with the reference engine on
-   real FMMs (registry-wide) and random ones, and a pfail sweep through
+   hash-table reference kernel [Dist.convolve_reference], [convolve_pow]
+   must reproduce the balanced pairwise tree exactly (capping included),
+   the grouped total-distribution engine must agree with the oracle's
+   per-set engine ([Oracle.Penalty]) on real FMMs (registry-wide) and
+   random ones, and a pfail sweep through
    [Grid.run] must be bit-identical to independent [estimate] calls at
    every grid point for every jobs value. *)
 
@@ -45,8 +46,8 @@ let test_kernel_matches_reference () =
     let a = random_dist state and b = random_dist state in
     List.iter
       (fun max_points ->
-        let merge = D.convolve ~impl:`Merge ~max_points a b in
-        let reference = D.convolve ~impl:`Reference ~max_points a b in
+        let merge = D.convolve ~max_points a b in
+        let reference = D.convolve_reference ~max_points a b in
         Alcotest.check support
           (Printf.sprintf "merge = reference, cap %d" max_points)
           (D.support reference) (D.support merge))
@@ -59,15 +60,15 @@ let test_kernel_edge_cases () =
   List.iter
     (fun (label, a, b) ->
       Alcotest.check support label
-        (D.support (D.convolve ~impl:`Reference a b))
-        (D.support (D.convolve ~impl:`Merge a b)))
+        (D.support (D.convolve_reference a b))
+        (D.support (D.convolve a b)))
     [ ("empty left", empty, d); ("empty right", d, empty); ("both empty", empty, empty)
     ; ("points", D.point 2, D.point 5); ("identity", d, D.point 0) ];
   (* Sub-probability operands (refined-SRB style joint accounting). *)
   let sub = D.of_sub_points [ (1, 0.25); (4, 0.25) ] in
   Alcotest.check support "sub-probability"
-    (D.support (D.convolve ~impl:`Reference sub sub))
-    (D.support (D.convolve ~impl:`Merge sub sub))
+    (D.support (D.convolve_reference sub sub))
+    (D.support (D.convolve sub sub))
 
 let test_convolve_all_impls_match () =
   let state = Random.State.make [| 103 |] in
@@ -76,8 +77,8 @@ let test_convolve_all_impls_match () =
     List.iter
       (fun max_points ->
         Alcotest.check support "convolve_all merge = reference"
-          (D.support (D.convolve_all ~impl:`Reference ~max_points dists))
-          (D.support (D.convolve_all ~impl:`Merge ~max_points dists)))
+          (D.support (Oracle.Dist.convolve_all ~max_points dists))
+          (D.support (D.convolve_all ~max_points dists)))
       [ 24; 65536 ]
   done
 
@@ -95,8 +96,8 @@ let check_regime label a b =
     (fun max_points ->
       Alcotest.check support
         (Printf.sprintf "%s: merge = reference, cap %d" label max_points)
-        (D.support (D.convolve ~impl:`Reference ~max_points a b))
-        (D.support (D.convolve ~impl:`Merge ~max_points a b)))
+        (D.support (D.convolve_reference ~max_points a b))
+        (D.support (D.convolve ~max_points a b)))
     [ 1; 5; 64; max_int ]
 
 (* Probabilities drawn from [0.02, 1) / 64 and multiplied by [scale]: a
@@ -234,7 +235,7 @@ let each_branch_trial ~seed ~trials label expected make =
         check_branch label expected a b;
         if tiny
            && List.exists (fun (_, p) -> p = 0.0)
-                (D.support (D.convolve ~impl:`Reference ~max_points:max_int a b))
+                (D.support (D.convolve_reference ~max_points:max_int a b))
         then underflowed := true)
       [ false; true ]
   done;
@@ -309,8 +310,8 @@ let test_random_lattices =
          let b = lattice_dist state ~k:m ~extent:lb ~step ~tiny:tb in
          List.for_all
            (fun max_points ->
-             D.support (D.convolve ~impl:`Reference ~max_points a b)
-             = D.support (D.convolve ~impl:`Merge ~max_points a b))
+             D.support (D.convolve_reference ~max_points a b)
+             = D.support (D.convolve ~max_points a b))
            [ 1; 5; 64; max_int ]))
 
 (* --- cap oracle ---------------------------------------------------------- *)
@@ -357,10 +358,11 @@ let check_cap label d other =
       let label = Printf.sprintf "%s, cap %d of %d" label max_points n in
       let expected = oracle_cap max_points (D.support d) in
       List.iter
-        (fun impl ->
+        (fun convolve ->
           Alcotest.check support (label ^ ", with point 0") expected
-            (D.support (D.convolve ~impl ~max_points d (D.point 0))))
-        [ `Merge; `Reference ];
+            (D.support (convolve ~max_points d (D.point 0))))
+        [ (fun ~max_points a b -> D.convolve ~max_points a b)
+        ; (fun ~max_points a b -> D.convolve_reference ~max_points a b) ];
       Alcotest.check support (label ^ ", mixture") expected
         (D.support (D.mixture ~max_points [ (1.0, d) ]));
       let full = D.convolve ~max_points:max_int d other in
@@ -415,12 +417,13 @@ let test_pow_matches_tree () =
       List.iter
         (fun max_points ->
           List.iter
-            (fun impl ->
+            (fun (tree, convolve_all) ->
               Alcotest.check support
-                (Printf.sprintf "pow %d = tree, cap %d" k max_points)
-                (D.support (D.convolve_all ~impl ~max_points (copies d k)))
-                (D.support (D.convolve_pow ~impl ~max_points d k)))
-            [ `Merge; `Reference ])
+                (Printf.sprintf "pow %d = %s, cap %d" k tree max_points)
+                (D.support (convolve_all ~max_points (copies d k)))
+                (D.support (D.convolve_pow ~max_points d k)))
+            [ ("tree", fun ~max_points ds -> D.convolve_all ~max_points ds)
+            ; ("reference tree", fun ~max_points ds -> Oracle.Dist.convolve_all ~max_points ds) ])
         [ 16; 65536 ]
     done
   done
@@ -466,13 +469,13 @@ let test_pow_invalid () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
-(* --- grouped vs reference total distribution ----------------------------- *)
+(* --- grouped vs oracle total distribution -------------------------------- *)
 
 let quantile_targets = [ 1e-6; 1e-9; 1e-12; 1e-15; 1e-18 ]
 
 let check_total_engines label fmm ~pbf =
-  let reference = Pwcet.Penalty.total_distribution ~impl:`Reference ~fmm ~pbf () in
-  let grouped = Pwcet.Penalty.total_distribution ~impl:`Grouped ~fmm ~pbf () in
+  let reference = Oracle.Penalty.total_distribution ~fmm ~pbf () in
+  let grouped = Pwcet.Penalty.total_distribution ~fmm ~pbf () in
   Alcotest.(check (float 1e-12))
     (label ^ " mass") (D.total_mass reference) (D.total_mass grouped);
   List.iter
@@ -483,8 +486,8 @@ let check_total_engines label fmm ~pbf =
     quantile_targets;
   (* jobs-determinism of the grouped engine: bit-identical supports. *)
   Alcotest.check support (label ^ " jobs determinism")
-    (D.support (Pwcet.Penalty.total_distribution ~impl:`Grouped ~jobs:1 ~fmm ~pbf ()))
-    (D.support (Pwcet.Penalty.total_distribution ~impl:`Grouped ~jobs:3 ~fmm ~pbf ()))
+    (D.support (Pwcet.Penalty.total_distribution ~jobs:1 ~fmm ~pbf ()))
+    (D.support (Pwcet.Penalty.total_distribution ~jobs:3 ~fmm ~pbf ()))
 
 (* Every registry benchmark x all three mechanisms, on the fast 8x2
    geometry, with the paper's pbf. *)
@@ -533,8 +536,8 @@ let test_random_fmm_differential =
          let fmm =
            Pwcet.Fmm.of_table ~config ~mechanism:Pwcet.Mechanism.No_protection table
          in
-         let reference = Pwcet.Penalty.total_distribution ~impl:`Reference ~fmm ~pbf () in
-         let grouped = Pwcet.Penalty.total_distribution ~impl:`Grouped ~fmm ~pbf () in
+         let reference = Oracle.Penalty.total_distribution ~fmm ~pbf () in
+         let grouped = Pwcet.Penalty.total_distribution ~fmm ~pbf () in
          Float.abs (D.total_mass reference -. D.total_mass grouped) <= 1e-12
          && List.for_all
               (fun target -> D.quantile reference ~target = D.quantile grouped ~target)

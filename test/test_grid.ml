@@ -31,25 +31,18 @@ let test_compute_multi_bit_identical () =
       let loops = Cfg.Loop.detect graph in
       List.iter
         (fun config ->
-          List.iter
-            (fun impl ->
-              let multi =
-                Fmm.compute_multi ~graph ~loops ~config ~mechanisms:M.all ~impl ()
-              in
-              List.iter
-                (fun (mechanism, fmm) ->
-                  let solo = Fmm.compute ~graph ~loops ~config ~mechanism ~impl () in
-                  let tag s =
-                    Printf.sprintf "%s/%s/%s %s" name (M.short_name mechanism)
-                      (match impl with `Naive -> "naive" | `Sliced -> "sliced")
-                      s
-                  in
-                  Alcotest.(check (array (array int)))
-                    (tag "table") (Fmm.table solo) (Fmm.table fmm);
-                  Alcotest.(check (array (array int)))
-                    (tag "provenance") (rung_tags solo) (rung_tags fmm))
-                multi)
-            [ `Naive; `Sliced ])
+          let multi = Fmm.compute_multi ~graph ~loops ~config ~mechanisms:M.all () in
+          let oracle = Oracle.Fmm.tables ~graph ~loops ~config ~mechanisms:M.all () in
+          List.iter2
+            (fun (mechanism, fmm) (_, expected) ->
+              let solo = Fmm.compute ~graph ~loops ~config ~mechanism () in
+              let tag s = Printf.sprintf "%s/%s %s" name (M.short_name mechanism) s in
+              Alcotest.(check (array (array int))) (tag "oracle table") expected (Fmm.table fmm);
+              Alcotest.(check (array (array int)))
+                (tag "table") (Fmm.table solo) (Fmm.table fmm);
+              Alcotest.(check (array (array int)))
+                (tag "provenance") (rung_tags solo) (rung_tags fmm))
+            multi oracle)
         [ small_config; tiny_config ])
     [ "fibcall"; "bs"; "crc" ]
 

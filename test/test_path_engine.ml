@@ -205,7 +205,7 @@ let random_query st ~graph ~loops =
   (costs, one_shots)
 
 let reference ~graph ~loops (costs, one_shots) =
-  Path_engine_reference.longest ~graph ~loops ~node_cost:(fun u -> costs.(u)) ~one_shots
+  Oracle.Path_engine.longest ~graph ~loops ~node_cost:(fun u -> costs.(u)) ~one_shots
 
 let evaluate plan (costs, one_shots) = PE.eval plan ~node_cost:(fun u -> costs.(u)) ~one_shots
 

@@ -135,21 +135,21 @@ let test_deep_tail_geometric () =
 let test_deep_tail_binomial () =
   (* n-fold power of a Bernoulli(p): the k-th strict tail is the
      binomial survival function. p = 1e-4, n = 40: the k = 6 tail is
-     ~1.9e-21. Both convolution engines must agree with the closed form
-     to ~1e-10 relative — accumulation-order loss in the suffix sums
-     would show up orders of magnitude earlier. *)
+     ~1.9e-21. The power and the oracle's reference tree over [n]
+     copies must agree with the closed form to ~1e-10 relative —
+     accumulation-order loss in the suffix sums would show up orders of
+     magnitude earlier. *)
   let p = 1e-4 and n = 40 in
   let bern = D.of_points [ (0, 1.0 -. p); (1, p) ] in
   List.iter
-    (fun impl ->
-      let d = D.convolve_pow ~impl bern n in
+    (fun d ->
       Alcotest.(check int) "support size" (n + 1) (D.size d);
       for k = 0 to 6 do
         check_rel (Printf.sprintf "P(X > %d)" k) ~tol:1e-10
           (Numeric.Binomial.survival ~n ~p k)
           (D.exceedance d k)
       done)
-    [ `Merge; `Reference ]
+    [ D.convolve_pow bern n; Oracle.Dist.convolve_all (List.init n (fun _ -> bern)) ]
 
 let test_deep_tail_mixture_shift () =
   (* The re-execution model's building blocks must not disturb deep
@@ -275,7 +275,7 @@ let test_capping_rejects_empty_cap () =
           | _ -> Alcotest.failf "%s accepted max_points %d" label max_points)
         [ 0; -1; min_int ])
     [ ("convolve", fun max_points -> D.convolve ~max_points d d)
-    ; ("convolve reference", fun max_points -> D.convolve ~impl:`Reference ~max_points d d)
+    ; ("convolve reference", fun max_points -> D.convolve_reference ~max_points d d)
     ; ("convolve_all", fun max_points -> D.convolve_all ~max_points [ d; d; d ])
     ; ("convolve_all singleton", fun max_points -> D.convolve_all ~max_points [ d ])
     ; ("convolve_pow", fun max_points -> D.convolve_pow ~max_points d 3)

@@ -132,7 +132,6 @@ let test_protocol_roundtrip () =
           line = 32;
           engine = `Ilp;
           exact = true;
-          impl = `Naive;
           timeout_ms = Some 250;
           delay_ms = 10 } ]
   in
@@ -164,6 +163,36 @@ let test_protocol_roundtrip () =
       | Ok resp' -> check "response roundtrip" true (resp = resp')
       | Error e -> Alcotest.failf "response decode: %s" e)
     resps
+
+(* The wire form of earlier clients: the same request with the retired
+   FMM engine selector ["impl"] added, as they sent it. *)
+let with_legacy_impl tag req =
+  match Json.of_string (Protocol.request_to_string req) with
+  | Ok (Json.Obj fields) -> Json.to_string (Json.Obj (fields @ [ ("impl", Json.String tag) ]))
+  | _ -> Alcotest.fail "request did not encode as an object"
+
+let legacy_analyze =
+  { (Protocol.default_analyze ~bench:"fibcall") with
+    Protocol.mechanism = Pwcet.Mechanism.Shared_reliable_buffer;
+    sets = 8;
+    ways = 2 }
+
+let legacy_grid =
+  { (Protocol.default_grid ~benchmarks:[ "fibcall" ]) with
+    Protocol.g_geometries = [ (8, 2, 16) ];
+    g_pfails = [ 1e-4 ] }
+
+(* Both old forms decode to the request without the field. *)
+let test_protocol_legacy_impl () =
+  List.iter
+    (fun req ->
+      List.iter
+        (fun tag ->
+          match Protocol.request_of_string (with_legacy_impl tag req) with
+          | Ok req' -> check (Printf.sprintf "impl %S ignored" tag) true (req = req')
+          | Error e -> Alcotest.failf "legacy request decode: %s" e)
+        [ "naive"; "sliced" ])
+    [ Protocol.Analyze legacy_analyze; Protocol.Grid legacy_grid ]
 
 let test_protocol_sched_roundtrip () =
   let reqs =
@@ -322,6 +351,49 @@ let test_server_roundtrip_identity () =
       | Ok other ->
         Alcotest.failf "unexpected analyze response: %s" (Protocol.response_to_string other)
       | Error e -> Alcotest.failf "analyze failed: %s" e)
+
+(* One raw frame out, one response back: the bytes an earlier client
+   would have sent, which [Client.request] can no longer produce. *)
+let raw_request ~socket text =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      Frame.write fd text;
+      match Frame.read fd with
+      | Ok (Some reply) -> (
+        match Protocol.response_of_string reply with
+        | Ok resp -> resp
+        | Error e -> Alcotest.failf "undecodable response: %s" e)
+      | Ok None -> Alcotest.fail "daemon closed without a response"
+      | Error e -> Alcotest.failf "framing error: %s" e)
+
+(* A daemon answers the old wire form exactly as the new one. The old
+   forms go first, so the first of them is the one computed. *)
+let test_server_legacy_impl () =
+  with_server (fun socket _scheduler ->
+      let pwcet text =
+        match raw_request ~socket text with
+        | Protocol.Result r -> r.Protocol.pwcet
+        | other -> Alcotest.failf "unexpected response: %s" (Protocol.response_to_string other)
+      in
+      let digest text =
+        match raw_request ~socket text with
+        | Protocol.Grid_reply r -> r.Protocol.grid_digest
+        | other -> Alcotest.failf "unexpected response: %s" (Protocol.response_to_string other)
+      in
+      let analyze = Protocol.Analyze legacy_analyze and grid = Protocol.Grid legacy_grid in
+      let naive = pwcet (with_legacy_impl "naive" analyze) in
+      let sliced = pwcet (with_legacy_impl "sliced" analyze) in
+      let current = pwcet (Protocol.request_to_string analyze) in
+      check_int "analyze, impl naive" current naive;
+      check_int "analyze, impl sliced" current sliced;
+      let naive = digest (with_legacy_impl "naive" grid) in
+      let sliced = digest (with_legacy_impl "sliced" grid) in
+      let current = digest (Protocol.request_to_string grid) in
+      check_str "grid, impl naive" current naive;
+      check_str "grid, impl sliced" current sliced)
 
 let test_server_bad_requests () =
   with_server (fun socket _scheduler ->
@@ -965,10 +1037,12 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_protocol_roundtrip
         ; Alcotest.test_case "sched roundtrip" `Quick test_protocol_sched_roundtrip
         ; Alcotest.test_case "validation" `Quick test_protocol_validation
+        ; Alcotest.test_case "legacy impl field ignored" `Quick test_protocol_legacy_impl
         ] )
     ; ( "daemon",
         [ Alcotest.test_case "round-trip identity" `Quick test_server_roundtrip_identity
         ; Alcotest.test_case "typed errors" `Quick test_server_bad_requests
+        ; Alcotest.test_case "legacy impl answered" `Quick test_server_legacy_impl
         ; Alcotest.test_case "dedup: K identical -> 1 computation" `Quick
             test_dedup_single_computation
         ; Alcotest.test_case "dedup across targets" `Quick test_dedup_across_targets

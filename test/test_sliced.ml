@@ -1,9 +1,9 @@
 (* Differential tests for the set-sliced incremental FMM engine: the
    sliced engine (per-set condensed fixpoints, monotone skips, saturation
-   early-exit) must be observationally identical to the naive engine
-   (whole-CFG re-analysis per (set, fault count)) — same per-reference
-   classifications at every fault count and bit-identical FMM tables,
-   for every mechanism and both delta engines. *)
+   early-exit) must be observationally identical to the naive oracle
+   (whole-CFG re-analysis per (set, fault count), [Oracle.Fmm]) — same
+   per-reference classifications at every fault count and bit-identical
+   FMM tables, for every mechanism and both delta engines. *)
 
 module Chmc = Cache_analysis.Chmc
 module Context = Cache_analysis.Context
@@ -20,17 +20,23 @@ let graph_of name =
   let graph = Cfg.Graph.build compiled.Minic.Compile.program in
   (graph, Cfg.Loop.detect graph)
 
+(* Each mechanism's table from a one-mechanism [Fmm.compute] against the
+   oracle's. *)
+let oracle_pairs ~graph ~loops ~config ~engine ~mechanisms =
+  List.map
+    (fun (mechanism, expected) ->
+      ( mechanism,
+        expected,
+        Pwcet.Fmm.table (Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism ~engine ()) ))
+    (Oracle.Fmm.tables ~graph ~loops ~config ~mechanisms ~engine ())
+
 let check_tables ~graph ~loops ~config ~engine label =
   List.iter
-    (fun mechanism ->
-      let tbl impl =
-        Pwcet.Fmm.table
-          (Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism ~engine ~impl ())
-      in
+    (fun (mechanism, expected, computed) ->
       Alcotest.check table
         (Printf.sprintf "%s/%s" label (Pwcet.Mechanism.short_name mechanism))
-        (tbl `Naive) (tbl `Sliced))
-    Pwcet.Mechanism.all
+        expected computed)
+    (oracle_pairs ~graph ~loops ~config ~engine ~mechanisms:Pwcet.Mechanism.all)
 
 (* Full FMM tables, three mechanisms, several geometries, path engine. *)
 let test_tables_path () =
@@ -105,13 +111,8 @@ let random_tables ~count ~engine ~mechanisms name =
            let loops = Cfg.Loop.detect graph in
            let config = Cache.Config.make ~sets:8 ~ways:4 ~line_bytes:16 () in
            List.for_all
-             (fun mechanism ->
-               let tbl impl =
-                 Pwcet.Fmm.table
-                   (Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism ~engine ~impl ())
-               in
-               tbl `Naive = tbl `Sliced)
-             mechanisms))
+             (fun (_, expected, computed) -> expected = computed)
+             (oracle_pairs ~graph ~loops ~config ~engine ~mechanisms)))
 
 let () =
   Alcotest.run "sliced_fmm"
