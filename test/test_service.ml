@@ -1042,7 +1042,6 @@ let () =
     ; ( "daemon",
         [ Alcotest.test_case "round-trip identity" `Quick test_server_roundtrip_identity
         ; Alcotest.test_case "typed errors" `Quick test_server_bad_requests
-        ; Alcotest.test_case "legacy impl answered" `Quick test_server_legacy_impl
         ; Alcotest.test_case "dedup: K identical -> 1 computation" `Quick
             test_dedup_single_computation
         ; Alcotest.test_case "dedup across targets" `Quick test_dedup_across_targets
@@ -1055,6 +1054,7 @@ let () =
         ; Alcotest.test_case "warm requests consistent" `Quick test_warm_requests_consistent
         ; Alcotest.test_case "identity_of_digest = identity_of" `Quick test_identity_of_digest
         ; Alcotest.test_case "geometry isolation" `Quick test_geometry_isolation
+        ; Alcotest.test_case "legacy impl answered" `Quick test_server_legacy_impl
         ] )
     ; ( "chaos",
         [ Alcotest.test_case "max-conns typed shedding" `Quick test_max_conns_shedding
