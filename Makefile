@@ -30,8 +30,9 @@ test: check
 
 # What CI runs (see .github/workflows/ci.yml): the tier-1 gate, the
 # invariant auditor, the oracle-isolation check, a build of the
-# benchmark program and the convolution kernel's and path engine's
-# byte-identity tests on a release build. Kept as a make target so CI
+# benchmark program and, on a release build, the convolution kernel's
+# and path engine's byte-identity tests and the CHMC classification
+# tests. Kept as a make target so CI
 # and a local pre-push run are the same command.
 ci: check audit check-oracle perfbench-build release-dist
 
@@ -54,13 +55,15 @@ perfbench-build:
 # The benchmark measures a release build, while `dune runtest` checks
 # the dev build. Rerun the byte-identity tests on a release build, in
 # its own build directory: Prob.Dist's convolution (merge = reference
-# on every kernel branch and the registry to_wire digest) and the path
+# on every kernel branch and the registry to_wire digest), the path
 # engine (plan/eval = the per-call collapse, and the registry FMM/WCET
-# digest).
+# digest) and the CHMC (age thresholds = the whole-CFG oracle, on
+# random programs and associativity vectors and on the registry).
 release-dist:
 	dune build --profile release --build-dir _build_release \
-	  ./test/test_dist_engine.exe ./test/test_path_engine.exe
-	cd _build_release/default/test && ./test_dist_engine.exe && ./test_path_engine.exe
+	  ./test/test_dist_engine.exe ./test/test_path_engine.exe ./test/test_sliced.exe
+	cd _build_release/default/test && ./test_dist_engine.exe && ./test_path_engine.exe \
+	  && ./test_sliced.exe test classification
 
 # Runtime invariant auditor over the full benchmark registry:
 # per-mechanism structural checks (FMM shape/monotonicity, distribution

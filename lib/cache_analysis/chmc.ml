@@ -9,59 +9,17 @@ type classification =
   | Not_classified
 
 type t = {
+  ctx : Context.t;
   classes : classification array array;  (* per node, per instruction offset *)
-  blocks : int array array;
-  sets : int array array;
-  reachable : bool array;
+  must_age : int array array;  (* same shape: Must age at config.ways, or Slice.absent *)
+  may_age : int array array;  (* same shape: May age at config.ways, or Slice.absent *)
+  analysed : bool array;  (* per cache set: its ages were computed *)
 }
 
 module IntSet = Context.IntSet
 
-(* Must and may in-states for the given cache set, then per-reference
-   presence flags obtained by replaying each node's accesses. *)
-let presence_for_set graph blocks sets ~set ~assoc =
-  let transfer update u acs =
-    let b = blocks.(u) and ss = sets.(u) in
-    let acc = ref acs in
-    Array.iteri (fun k blk -> if ss.(k) = set then acc := update !acc blk) b;
-    !acc
-  in
-  let must_in =
-    Fixpoint.run ~graph ~entry_state:Acs.empty
-      ~transfer:(transfer (Acs.must_update ~assoc))
-      ~join:Acs.must_join ~equal:Acs.equal ()
-  in
-  let may_in =
-    Fixpoint.run ~graph ~entry_state:Acs.empty
-      ~transfer:(transfer (Acs.may_update ~assoc))
-      ~join:Acs.may_join ~equal:Acs.equal ()
-  in
-  let n = Cfg.Graph.node_count graph in
-  let must_hit = Array.make n [||] and may_present = Array.make n [||] in
-  for u = 0 to n - 1 do
-    let len = Array.length blocks.(u) in
-    must_hit.(u) <- Array.make len false;
-    may_present.(u) <- Array.make len false;
-    (match (must_in.(u), may_in.(u)) with
-    | Some must0, Some may0 ->
-      let must = ref must0 and may = ref may0 in
-      for k = 0 to len - 1 do
-        let blk = blocks.(u).(k) in
-        if sets.(u).(k) = set then begin
-          must_hit.(u).(k) <- Acs.mem !must blk;
-          may_present.(u).(k) <- Acs.mem !may blk;
-          must := Acs.must_update ~assoc !must blk;
-          may := Acs.may_update ~assoc !may blk
-        end
-      done
-    | _ -> () (* unreachable node *))
-  done;
-  (must_hit, may_present)
-
 (* The classification lattice of one reference, given its presence in
-   the stabilised Must/May states. Shared by the full-CFG analysis below
-   and the per-set condensed engine ([Slice]) so both are classification
-   -identical by construction. *)
+   the stabilised Must/May states at associativity [assoc]. *)
 let classify_ref ctx ~set ~assoc ~node ~must_hit ~may_present =
   if must_hit then Always_hit
   else if assoc > 0 && ctx.Context.global_counts.(set) <= assoc then First_miss Global
@@ -69,6 +27,13 @@ let classify_ref ctx ~set ~assoc ~node ~must_hit ~may_present =
     match Context.fitting_loop ctx ~node ~set ~assoc with
     | Some header -> First_miss (Loop header)
     | None -> if not may_present then Always_miss else Not_classified
+
+(* The Must/May fixpoints at [assoc] are those at config.ways with every
+   age [>= assoc] dropped (see [Slice]), so presence is a threshold. *)
+let classify t ~set ~assoc ~node ~offset =
+  classify_ref t.ctx ~set ~assoc ~node
+    ~must_hit:(t.must_age.(node).(offset) < assoc)
+    ~may_present:(t.may_age.(node).(offset) < assoc)
 
 let set_signature ctx ~set ~degraded =
   let acc = ref [] in
@@ -80,45 +45,59 @@ let set_signature ctx ~set ~degraded =
     ctx.Context.touching.(set);
   !acc
 
+let check_assoc ~ways ~assoc =
+  if assoc > ways then invalid_arg "Chmc: associativity above the configured ways"
+
 let analyze ?ctx ~graph ~loops ~config ?assoc ?only_sets () =
   let ctx = match ctx with Some c -> c | None -> Context.make ~graph ~loops ~config in
   let ways = config.Cache.Config.ways in
   let assoc = match assoc with Some f -> f | None -> fun _ -> ways in
   let blocks = ctx.Context.blocks and sets = ctx.Context.sets in
-  let n = ctx.Context.n in
   (* Referenced cache sets, optionally restricted. *)
   let used_sets =
     match only_sets with
     | None -> ctx.Context.used_sets
     | Some keep -> IntSet.inter ctx.Context.used_sets (IntSet.of_list keep)
   in
-  let classes = Array.init n (fun u -> Array.make (Array.length blocks.(u)) Not_classified) in
+  let per_ref v = Array.map (fun b -> Array.make (Array.length b) v) blocks in
+  let t =
+    { ctx; classes = per_ref Not_classified; must_age = per_ref Slice.absent
+    ; may_age = per_ref Slice.absent; analysed = Array.make config.Cache.Config.sets false }
+  in
   IntSet.iter
     (fun set ->
-      let assoc_s = assoc set in
-      let must_hit, may_present = presence_for_set graph blocks sets ~set ~assoc:assoc_s in
+      let assoc = assoc set in
+      check_assoc ~ways ~assoc;
+      Slice.ages (Slice.make ctx ~set) ~must:t.must_age ~may:t.may_age;
+      t.analysed.(set) <- true;
       Array.iter
         (fun u ->
           Array.iteri
             (fun k s ->
-              if s = set then
-                classes.(u).(k) <-
-                  classify_ref ctx ~set ~assoc:assoc_s ~node:u ~must_hit:must_hit.(u).(k)
-                    ~may_present:may_present.(u).(k))
+              if s = set then t.classes.(u).(k) <- classify t ~set ~assoc ~node:u ~offset:k)
             sets.(u))
         ctx.Context.touching.(set))
     used_sets;
-  { classes; blocks; sets; reachable = ctx.Context.reachable }
+  t
+
+let degraded t ~set ~assoc =
+  check_assoc ~ways:t.ctx.Context.config.Cache.Config.ways ~assoc;
+  if IntSet.mem set t.ctx.Context.used_sets && not t.analysed.(set) then
+    invalid_arg "Chmc.degraded: set outside the analysed sets";
+  let sets = t.ctx.Context.sets and reachable = t.ctx.Context.reachable in
+  fun ~node ~offset ->
+    if reachable.(node) && sets.(node).(offset) = set then classify t ~set ~assoc ~node ~offset
+    else Not_classified
 
 let classification t ~node ~offset = t.classes.(node).(offset)
-let block t ~node ~offset = t.blocks.(node).(offset)
-let cache_set t ~node ~offset = t.sets.(node).(offset)
+let block t ~node ~offset = t.ctx.Context.blocks.(node).(offset)
+let cache_set t ~node ~offset = t.ctx.Context.sets.(node).(offset)
 
 let fold_refs f t init =
   let acc = ref init in
   Array.iteri
     (fun u row ->
-      if t.reachable.(u) then
+      if t.ctx.Context.reachable.(u) then
         Array.iteri (fun k cls -> acc := f ~node:u ~offset:k cls !acc) row)
     t.classes;
   !acc

@@ -42,10 +42,31 @@ val analyze :
 (** [assoc] maps a cache set to its effective associativity (default:
     [config.ways] everywhere). [only_sets] restricts the analysis to
     references mapping to the given cache sets (others stay
-    [Not_classified]) — the FMM computation re-analyses one degraded
-    set at a time. [ctx] supplies a precomputed {!Context.t} for
+    [Not_classified]). [ctx] supplies a precomputed {!Context.t} for
     [(graph, loops, config)]; without it one is derived internally on
-    every call. *)
+    every call.
+
+    Each analysed set runs one {!Slice.ages} (a Must and a May fixpoint
+    over the set's condensed slice, at [config.ways]) and classifies at
+    [assoc set] by thresholds on the ages. The result keeps the ages, so
+    {!degraded} classifies the same set at any smaller associativity
+    without another fixpoint.
+    @raise Invalid_argument when [assoc s > config.ways] for an analysed
+    set. *)
+
+val degraded : t -> set:int -> assoc:int -> node:int -> offset:int -> classification
+(** [degraded t ~set ~assoc] is the classification of [set]'s references
+    when that set alone has associativity [assoc] (the Fault Miss Map's
+    [W - f] for [f] faulty ways, Section II-C), read off the ages [t]
+    already holds: the same value {!analyze} with
+    [~assoc:(fun s -> if s = set then assoc else ways) ~only_sets:[set]]
+    returns, at no fixpoint cost. Why a threshold suffices: the Must and
+    May updates and joins commute with truncation to [assoc], so the
+    least fixpoint at [assoc] is the one at [config.ways] with every age
+    [>= assoc] dropped. References of other sets, and of unreachable
+    nodes, are [Not_classified].
+    @raise Invalid_argument when [assoc > config.ways], or when [set] is
+    referenced but [t] was restricted by [only_sets] to exclude it. *)
 
 val classify_ref :
   Context.t ->
@@ -58,8 +79,8 @@ val classify_ref :
 (** Classification of one reference of [set] at [node] from its
     stabilised Must/May presence: must-hit, else global persistence,
     else outermost fitting loop persistence, else always-miss when
-    absent from the May cache. Shared with the condensed per-set engine
-    ({!Slice}) so both classify identically by construction. *)
+    absent from the May cache. Shared with the test oracle's whole-CFG
+    analysis, so the two differ only in how presence is found. *)
 
 val set_signature :
   Context.t ->

@@ -5,10 +5,10 @@
     membership bitsets, global and per-loop conflict counts, and the
     per-cache-set index of touching nodes — computed {e once} and
     threaded through {!Chmc.analyze}, {!Slice}, {!Srb_analysis}, the
-    FMM computation and the delta engines. The fault-miss-map hot path
-    calls those analyses once per (cache set, fault count); without the
-    context each call was O(whole program) before its fixpoint even
-    started.
+    FMM computation and the delta engines. The CHMC runs one slice per
+    cache set and the fault-miss-map hot path classifies and bounds
+    every (cache set, fault count); without the context each of those
+    calls was O(whole program) before its own work even started.
 
     The structure is immutable after {!make} and safe to share across
     domains. *)

@@ -2,7 +2,6 @@ type t = {
   ctx : Context.t;
   set : int;
   nodes : int array;  (* slice position -> CFG node id, RPO-position order *)
-  pos_of : int array;  (* CFG node id -> slice position, -1 when absent *)
   succ : int list array;  (* condensed edges between slice positions *)
   priority : int array;  (* identity: nodes are already in RPO order *)
   entry_pos : int;
@@ -63,28 +62,18 @@ let make (ctx : Context.t) ~set =
       done;
       succ.(i) <- !targets)
     nodes;
-  { ctx; set; nodes; pos_of; succ
+  { ctx; set; nodes; succ
   ; priority = Array.init m Fun.id
   ; entry_pos = pos_of.(entry)
   ; touches = Array.map (fun u -> touches_node.(u)) nodes
   }
 
-type result = {
-  slice : t;
-  assoc : int;
-  classes : Chmc.classification array array;
-      (* per slice position, per offset; Not_classified off the set *)
-  any_must_hit : bool;
-  any_may_present : bool;
-  saturated : bool;
-}
+let absent = max_int
 
-let analyze (sl : t) ~assoc ?prev () =
-  (match prev with
-  | Some p -> assert (p.slice == sl && p.assoc > assoc)
-  | None -> ());
+let ages (sl : t) ~must ~may =
   let ctx = sl.ctx and set = sl.set in
   let blocks = ctx.Context.blocks and sets = ctx.Context.sets in
+  let assoc = ctx.Context.config.Cache.Config.ways in
   let m = Array.length sl.nodes in
   let transfer update i acs =
     if not sl.touches.(i) then acs
@@ -102,53 +91,27 @@ let analyze (sl : t) ~assoc ?prev () =
       ~priority:sl.priority ~entry_state:Acs.empty ~transfer:(transfer update) ~join
       ~equal:Acs.equal ()
   in
-  (* Cross-fault-count incrementality: per-reference must-hit and
-     may-present flags are monotone non-increasing in the associativity,
-     so once the previous (larger-assoc) result shows none, the
-     corresponding fixpoint is skipped — its outcome is known to be
-     all-false. A dead set (assoc <= 0) trivially holds nothing. *)
-  let skip_must =
-    assoc <= 0 || match prev with Some p -> not p.any_must_hit | None -> false
+  let must_in = run (Acs.must_update ~assoc) Acs.must_join in
+  let may_in = run (Acs.may_update ~assoc) Acs.may_join in
+  let age state blk =
+    match state with
+    | Some a -> Option.value (Acs.age a blk) ~default:absent
+    | None -> absent
   in
-  let skip_may =
-    assoc <= 0 || match prev with Some p -> not p.any_may_present | None -> false
-  in
-  let must_in = if skip_must then None else Some (run (Acs.must_update ~assoc) Acs.must_join) in
-  let may_in = if skip_may then None else Some (run (Acs.may_update ~assoc) Acs.may_join) in
-  let classes =
-    Array.init m (fun i -> Array.make (Array.length blocks.(sl.nodes.(i))) Chmc.Not_classified)
-  in
-  let any_must_hit = ref false and any_may_present = ref false in
-  let saturated = ref true in
+  (* Replay each touching node's accesses from its in-state: a
+     reference's age is the one its block has just before the fetch. *)
   for i = 0 to m - 1 do
     if sl.touches.(i) then begin
       let u = sl.nodes.(i) in
-      let must = ref (match must_in with Some arr -> arr.(i) | None -> None) in
-      let may = ref (match may_in with Some arr -> arr.(i) | None -> None) in
+      let must_s = ref must_in.(i) and may_s = ref may_in.(i) in
       Array.iteri
         (fun k blk ->
           if sets.(u).(k) = set then begin
-            let mh = match !must with Some a -> Acs.mem a blk | None -> false in
-            let mp = match !may with Some a -> Acs.mem a blk | None -> false in
-            if mh then any_must_hit := true;
-            if mp then any_may_present := true;
-            let cls = Chmc.classify_ref ctx ~set ~assoc ~node:u ~must_hit:mh ~may_present:mp in
-            classes.(i).(k) <- cls;
-            if cls <> Chmc.Always_miss then saturated := false;
-            must := Option.map (fun a -> Acs.must_update ~assoc a blk) !must;
-            may := Option.map (fun a -> Acs.may_update ~assoc a blk) !may
+            must.(u).(k) <- age !must_s blk;
+            may.(u).(k) <- age !may_s blk;
+            must_s := Option.map (fun a -> Acs.must_update ~assoc a blk) !must_s;
+            may_s := Option.map (fun a -> Acs.may_update ~assoc a blk) !may_s
           end)
         blocks.(u)
     end
-  done;
-  { slice = sl; assoc; classes
-  ; any_must_hit = !any_must_hit
-  ; any_may_present = !any_may_present
-  ; saturated = !saturated
-  }
-
-let classification r ~node ~offset =
-  let i = r.slice.pos_of.(node) in
-  if i < 0 then Chmc.Not_classified else r.classes.(i).(offset)
-
-let saturated r = r.saturated
+  done

@@ -1,47 +1,40 @@
-(** Condensed per-cache-set CHMC engine — the FMM hot path.
+(** Condensed per-cache-set Must/May analysis — the only cache fixpoints
+    the pipeline runs.
 
-    The degraded analysis of one cache set runs a Must and a May
-    fixpoint whose transfer function is the identity on every node that
-    does not reference the set. [make] projects the CFG onto the
-    touching nodes (plus the entry) once per set: a condensed edge
-    [a -> b] stands for every CFG path from [a] to [b] whose interior
-    nodes miss the set. Because interior transfers are the identity and
-    the joins are associative, commutative and idempotent, the fixpoint
-    over the condensed graph stabilises to exactly the in-states of the
-    full-CFG fixpoint at the touching nodes — so [analyze] is
-    classification-identical to
-    [Chmc.analyze ~only_sets:[set] ~assoc:(...)] while running in
-    O(touching nodes) instead of O(CFG) per (set, fault count). The
-    differential tests in [test/test_sliced.ml] pin this equivalence.
+    The analysis of one cache set runs a Must and a May fixpoint whose
+    transfer function is the identity on every node that does not
+    reference the set. [make] projects the CFG onto the touching nodes
+    (plus the entry) once per set: a condensed edge [a -> b] stands for
+    every CFG path from [a] to [b] whose interior nodes miss the set.
+    Because interior transfers are the identity and the joins are
+    associative, commutative and idempotent, the fixpoint over the
+    condensed graph stabilises to exactly the in-states of the
+    full-CFG fixpoint at the touching nodes, in O(touching nodes)
+    instead of O(CFG) per set.
 
-    [analyze ?prev] adds cross-fault-count incrementality inside an FMM
-    row: per-reference must-hit and may-present flags are monotone
-    non-increasing in the associativity, so when the previous (one
-    fault fewer) result had none, the corresponding fixpoint is skipped
-    outright. (Warm-starting the ACS fixpoint itself from the previous
-    states would be unsound for Must — the smaller-associativity
-    fixpoint lies {e below} the previous one, and chaotic iteration
-    started above the least fixpoint can overshoot it.) *)
+    [ages] runs both fixpoints once, at the configured associativity
+    [W], and records every reference's abstract age. One run serves
+    every associativity [A <= W]: {!Acs}'s updates and joins commute
+    with truncation to [A] (dropping every age [>= A]), so the fixpoint
+    at [A] is the one at [W] truncated, and a reference is must-hit
+    (may-present) at [A] iff its Must (May) age is [< A]. {!Chmc} turns
+    these ages into the baseline classification and into every
+    degraded one the Fault Miss Map needs. *)
 
 type t
-(** The per-set projection; build once per set, reuse for every fault
-    count. Immutable and safe to share across domains. *)
+(** The per-set projection. Immutable and safe to share across
+    domains. *)
 
 val make : Context.t -> set:int -> t
 
-type result
+val absent : int
+(** The age [ages] records for a block the abstract state does not
+    hold ([max_int]): never below any associativity. *)
 
-val analyze : t -> assoc:int -> ?prev:result -> unit -> result
-(** Degraded classification of the slice's set at the given effective
-    associativity. [prev] must be the result for the same slice at a
-    strictly larger associativity (the previous fault count of the
-    row); it only enables sound skips and never changes the outcome. *)
-
-val classification : result -> node:int -> offset:int -> Chmc.classification
-(** [Not_classified] for references outside the slice's set, as with
-    [Chmc.analyze ~only_sets]. *)
-
-val saturated : result -> bool
-(** Every reference of the set is [Always_miss] — further fault counts
-    cannot change the classification (monotone degradation), so the FMM
-    row can stop re-analysing. *)
+val ages : t -> must:int array array -> may:int array array -> unit
+(** [ages sl ~must ~may] runs the slice set's Must and May fixpoints at
+    [config.ways] and writes, for every reference of the set at a
+    reachable node, the age of its block in the state just before the
+    fetch: [must.(node).(offset)] and [may.(node).(offset)], or
+    {!absent}. Both arrays are indexed like [Context.blocks]; entries of
+    other sets are left untouched. *)

@@ -58,9 +58,9 @@ let identity_of ~program ~config = identity_of_digest ~digest:(program_digest pr
 
 (* Hashing the program costs about a millisecond per request, and only
    store keys read the result: [prepare] pays it only when given a
-   store, and a store-keyed call on a task prepared without one pays it
-   at that call. Recomputed rather than memoised, so a task shared by
-   several domains is never written. *)
+   store and no digest, and a store-keyed call on a task prepared
+   without either pays it at that call. Recomputed rather than
+   memoised, so a task shared by several domains is never written. *)
 let identity task =
   match task.identity with
   | Some identity -> identity
@@ -92,12 +92,18 @@ let cached ~store ~budget ~parts ~kind ~version ~encode ~decode compute =
         recompute_and_put ()))
   | _ -> compute ()
 
-let prepare ~program ~config ?(engine = `Path) ?(exact = false) ?budget ?store () =
+let prepare ~program ~config ?program_digest ?(engine = `Path) ?(exact = false) ?budget ?store
+    () =
   let graph = Cfg.Graph.build program in
   let loops = Cfg.Loop.detect graph in
   let ctx = Cache_analysis.Context.make ~graph ~loops ~config in
   let chmc = Cache_analysis.Chmc.analyze ~ctx ~graph ~loops ~config () in
-  let identity = Option.map (fun _ -> identity_of ~program ~config) store in
+  let identity =
+    match (program_digest, store) with
+    | Some digest, _ -> Some (identity_of_digest ~digest ~config)
+    | None, Some _ -> Some (identity_of ~program ~config)
+    | None, None -> None
+  in
   let wcet_ff, wcet_rung =
     cached ~store ~budget
       ~parts:(fun () ->

@@ -23,7 +23,8 @@ type task = private {
   program : Isa.Program.t;  (** the analysed program *)
   identity : (string * string) list option;
       (** [Some (identity_of ~program ~config)] iff {!prepare} was
-          given a store; read it through {!identity} *)
+          given a store or the program digest; read it through
+          {!identity} *)
 }
 
 type estimate = private {
@@ -86,6 +87,7 @@ val identity : task -> (string * string) list
 val prepare :
   program:Isa.Program.t ->
   config:Cache.Config.t ->
+  ?program_digest:string ->
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?budget:Robust.Budget.t ->
@@ -99,7 +101,9 @@ val prepare :
     Budgeted runs ([budget] present) bypass the store entirely: their
     results depend on wall-clock, so they are neither read nor
     written. The program is hashed into the task's identity only when
-    [store] is given. *)
+    [store] is given and [program_digest] is not: a caller that already
+    holds [program_digest program] passes it and the task keys exactly
+    as if [prepare] had hashed the program itself. *)
 
 val estimate :
   task ->

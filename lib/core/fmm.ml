@@ -1,6 +1,5 @@
 module Chmc = Cache_analysis.Chmc
 module Context = Cache_analysis.Context
-module Slice = Cache_analysis.Slice
 module Srb_analysis = Cache_analysis.Srb_analysis
 module Rung = Robust.Rung
 module E = Robust.Pwcet_error
@@ -78,12 +77,11 @@ type rows = (Mechanism.t * int array * Rung.t array) list
    the tails read the prefix's signature memo exactly where a
    single-mechanism run would, and never write it.
 
-   The degraded analysis is a condensed per-set fixpoint ([Slice])
-   reused across fault counts; it stops re-analysing once the set
-   saturates to all-always-miss, where the signature memo would reuse
-   the previous bound anyway. (The test oracle re-runs the whole-CFG
-   [Chmc.analyze] per fault count instead; the differential tests hold
-   the two to bit-identical tables.) Self-contained (no mutable state
+   The degraded classification at [W - f] is a threshold on the ages
+   the baseline CHMC already holds ([Chmc.degraded]), so a row runs no
+   cache fixpoint of its own. (The test oracle re-runs the whole-CFG
+   fixpoint per fault count instead; the differential tests hold the
+   two to bit-identical tables.) Self-contained (no mutable state
    outside the row), so rows of distinct sets can run on separate
    domains. *)
 let compute_rows_multi m set =
@@ -120,20 +118,8 @@ let compute_rows_multi m set =
     row.(f) <- max value row.(f - 1);
     rungs.(f) <- pick_rung ~value ~rung ~prev_value:row.(f - 1) ~prev_rung:rungs.(f - 1)
   in
-  let slice = Slice.make ctx ~set in
-  let prev_result = ref None in
-  let saturated = ref false in
   for f = 1 to ways - 1 do
-    if !saturated then begin
-      row.(f) <- row.(f - 1);
-      rungs.(f) <- rungs.(f - 1)
-    end
-    else begin
-      let r = Slice.analyze slice ~assoc:(ways - f) ?prev:!prev_result () in
-      prev_result := Some r;
-      if Slice.saturated r then saturated := true;
-      step ~degraded:(fun ~node ~offset -> Slice.classification r ~node ~offset) f
-    end
+    step ~degraded:(Chmc.degraded baseline ~set ~assoc:(ways - f)) f
   done;
   List.map
     (fun mechanism ->

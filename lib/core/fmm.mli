@@ -33,22 +33,20 @@ val compute :
   ?baseline:Cache_analysis.Chmc.t ->
   unit ->
   t
-(** Runs the fault-free analysis once, then one degraded analysis +
-    miss-delta bound per (referenced set, fault count). [engine] picks
+(** Runs the fault-free analysis once, then one degraded classification
+    + miss-delta bound per (referenced set, fault count). [engine] picks
     the bounding engine (tree-based path engine by default, or the IPET
     ILP); [exact] selects branch-and-bound when the ILP engine is
     used. [jobs] (default 1) fans the independent per-set rows out
     across that many OCaml domains; the resulting table is bit-identical
     for every value of [jobs].
 
-    The degraded analysis runs, per set, a condensed fixpoint over only
-    the nodes referencing that set ({!Cache_analysis.Slice}), reuses
-    the previous fault count's result to skip analyses that provably
-    cannot change, and stops re-analysing once the set's classification
-    saturates to all-always-miss. The tables are bit-identical to the
-    test oracle's, which re-runs the whole-CFG
-    {!Cache_analysis.Chmc.analyze} per (set, fault count) (pinned by
-    the differential tests).
+    The degraded analysis runs no fixpoint: the baseline CHMC keeps
+    every reference's Must/May ages at full associativity, and
+    {!Cache_analysis.Chmc.degraded} classifies each (set, fault count)
+    by thresholds on them. The tables are bit-identical to the test
+    oracle's, which re-runs a whole-CFG degraded analysis per (set,
+    fault count) (pinned by the differential tests).
 
     [ctx] supplies a precomputed {!Cache_analysis.Context.t} for
     [graph]/[loops]/[config]; built on the fly when absent.
@@ -66,7 +64,9 @@ val compute :
     [graph]/[loops]/[config] (the same value
     [Cache_analysis.Chmc.analyze ~ctx ~graph ~loops ~config ()]
     returns); computed on the fly when absent. The analysis is
-    deterministic, so passing it is a pure recompute-skip.
+    deterministic, so passing it is a pure recompute-skip. Its ages
+    also serve every degraded classification, so it must cover every
+    referenced set (no [only_sets] restriction).
 
     [compute] is {!compute_multi} with [~mechanisms:[mechanism]]: one
     row loop serves both. *)

@@ -194,8 +194,14 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
       config.Cache.Config.line_bytes config.Cache.Config.hit_latency
       config.Cache.Config.miss_latency
   in
+  (* Store keys carry the program digest. It is forced while the DAG is
+     built, on this domain, so each program is hashed once per run
+     rather than once per geometry inside [prepare]. *)
   let programs = Hashtbl.create 16 in
-  List.iter (fun (name, program) -> Hashtbl.replace programs name program) spec.benchmarks;
+  List.iter
+    (fun (name, program) ->
+      Hashtbl.replace programs name (program, lazy (Estimator.program_digest program)))
+    spec.benchmarks;
   let engine = spec.engine and exact = spec.exact in
   (* A panel's nodes are created lazily, only when some cell of that
      panel actually needs computing — a fully replayed panel costs
@@ -205,10 +211,13 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
     match Hashtbl.find_opt panel_index key with
     | Some idx -> idx
     | None ->
-      let program = Hashtbl.find programs bench in
+      let program, digest = Hashtbl.find programs bench in
+      let program_digest = Option.map (fun _ -> Lazy.force digest) store in
       let prepared =
         push [||] (fun _ ->
-            let task = Estimator.prepare ~program ~config ~engine ~exact ?budget ?store () in
+            let task =
+              Estimator.prepare ~program ~config ?program_digest ~engine ~exact ?budget ?store ()
+            in
             let hits, missing =
               Estimator.fmm_lookup task ~mechanisms:spec.mechanisms ~engine ~exact ?budget ?store ()
             in

@@ -243,16 +243,18 @@ let request_key ~identity (a : Protocol.analyze) =
    dedup so N concurrent cold requests against one benchmark run the
    expensive preparation (CFG recovery, cache analysis, fault-free
    WCET) once. Only called from worker domains. *)
-let prepared_task t ~program ~config ~identity (a : Protocol.analyze) =
+let prepared_task t ~program ~config ~digest (a : Protocol.analyze) =
   single_flight_inline t ~count_join:false ~count_compute:false t.tasks
-    (task_key ~identity ~engine:a.engine ~exact:a.exact)
+    (task_key ~identity:(Pwcet.Estimator.identity_of_digest ~digest ~config) ~engine:a.engine
+       ~exact:a.exact)
     (fun () ->
-      Pwcet.Estimator.prepare ~program ~config ~engine:a.engine ~exact:a.exact ?store:t.store ())
+      Pwcet.Estimator.prepare ~program ~config ~program_digest:digest ~engine:a.engine
+        ~exact:a.exact ?store:t.store ())
 
 (* The computation a worker domain runs. [jobs:1]: request-level
    parallelism comes from the pool itself; nested per-set domains
    would oversubscribe it. *)
-let compute t ~program ~config ~identity ?budget (a : Protocol.analyze) () =
+let compute t ~program ~config ~digest ?budget (a : Protocol.analyze) () =
   if a.delay_ms > 0 then Unix.sleepf (float_of_int a.delay_ms /. 1000.0);
   match budget with
   | Some b ->
@@ -265,7 +267,7 @@ let compute t ~program ~config ~identity ?budget (a : Protocol.analyze) () =
     Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
       ~exact:a.exact ~jobs:1 ~budget:b ()
   | None ->
-    let task = prepared_task t ~program ~config ~identity a in
+    let task = prepared_task t ~program ~config ~digest a in
     Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
       ~exact:a.exact ~jobs:1 ?store:t.store ()
 
@@ -309,7 +311,7 @@ let analyze t (a : Protocol.analyze) : Protocol.response =
       let budget = Robust.Budget.make ~timeout:(float_of_int ms /. 1000.0) () in
       let iv = ivar () in
       let job () =
-        let outcome = guarded (compute t ~program ~config ~identity ~budget a) in
+        let outcome = guarded (compute t ~program ~config ~digest ~budget a) in
         if Result.is_ok outcome then locked t (fun () -> t.computations <- t.computations + 1);
         fill iv outcome
       in
@@ -318,7 +320,7 @@ let analyze t (a : Protocol.analyze) : Protocol.response =
     | None ->
       single_flight_pooled t ~count_join:true ~count_compute:true t.estimates
         (request_key ~identity a)
-        (compute t ~program ~config ~identity a)
+        (compute t ~program ~config ~digest a)
         ~respond:(respond t a))
 
 (* --- bulk schedulability campaigns ----------------------------------------- *)
@@ -353,7 +355,7 @@ let bench_estimate t ~config (spec : Sched.Campaign.spec) bench =
   in
   single_flight_inline t ~count_join:true ~count_compute:true t.bench_estimates
     (request_key ~identity a) (fun () ->
-      let task = prepared_task t ~program ~config ~identity a in
+      let task = prepared_task t ~program ~config ~digest a in
       Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
         ~exact:a.exact ~jobs:1 ?store:t.store ())
 

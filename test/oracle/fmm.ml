@@ -1,10 +1,11 @@
 (* The naive Fault Miss Map, the reference [Pwcet.Fmm] is held to bit
    for bit. Per referenced set and fault count it reruns the whole-CFG
-   degraded [Chmc.analyze] from scratch and bounds its extra misses
-   with [Ipet.Delta.extra_misses]: no per-set slice, no reuse across
-   fault counts, no saturation shortcut, no signature memo, no shared
+   degraded analysis ([Oracle.Chmc.analyze]) from scratch and bounds
+   its extra misses with [Ipet.Delta.extra_misses]: no per-set slice,
+   no ages shared across fault counts, no signature memo, no shared
    path-engine plan and no precomputed context. *)
 
+module Whole_cfg = Chmc
 module Chmc = Cache_analysis.Chmc
 module Mechanism = Pwcet.Mechanism
 
@@ -28,11 +29,13 @@ let tables ~graph ~loops ~config ~mechanisms ?(engine = `Path) ?(exact = false) 
     if referenced.(set) then
       for f = 1 to ways - 1 do
         let degraded =
-          Chmc.analyze ~graph ~loops ~config
+          Whole_cfg.analyze ~graph ~loops ~config
             ~assoc:(fun s -> if s = set then ways - f else ways)
             ~only_sets:[ set ] ()
         in
-        let value = delta set (fun ~node ~offset -> Chmc.classification degraded ~node ~offset) in
+        let value =
+          delta set (fun ~node ~offset -> Whole_cfg.classification degraded ~node ~offset)
+        in
         row.(f) <- max row.(f - 1) value
       done;
     row

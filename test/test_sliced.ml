@@ -1,13 +1,13 @@
-(* Differential tests for the set-sliced incremental FMM engine: the
-   sliced engine (per-set condensed fixpoints, monotone skips, saturation
-   early-exit) must be observationally identical to the naive oracle
-   (whole-CFG re-analysis per (set, fault count), [Oracle.Fmm]) — same
-   per-reference classifications at every fault count and bit-identical
-   FMM tables, for every mechanism and both delta engines. *)
+(* Differential tests for the set-sliced FMM engine: the production
+   engine (one condensed Must/May fixpoint per set, every fault count a
+   threshold on its ages) must be observationally identical to the
+   naive oracles (whole-CFG re-analysis per (set, fault count),
+   [Oracle.Chmc] and [Oracle.Fmm]) — same per-reference classifications
+   at every associativity and bit-identical FMM tables, for every
+   mechanism and both delta engines. *)
 
 module Chmc = Cache_analysis.Chmc
 module Context = Cache_analysis.Context
-module Slice = Cache_analysis.Slice
 
 let classification =
   Alcotest.testable Chmc.pp_classification (fun a b -> a = b)
@@ -60,10 +60,10 @@ let test_tables_ilp () =
       check_tables ~graph ~loops ~config ~engine:`Ilp (name ^ " ilp"))
     [ "fibcall"; "bs" ]
 
-(* Per-(set, fault count) classification identity: the condensed
-   per-set fixpoint must classify every reference of the set exactly as
-   the whole-CFG degraded analysis does, at every associativity, with
-   the incremental [?prev] threading the FMM row uses. *)
+(* Per-(set, fault count) classification identity: thresholding the
+   baseline's full-associativity ages ([Chmc.degraded]) must classify
+   every reference exactly as the whole-CFG degraded analysis does, at
+   every associativity from the dead set to the fault-free one. *)
 let test_slice_classifications () =
   List.iter
     (fun name ->
@@ -73,30 +73,92 @@ let test_slice_classifications () =
       let ctx = Context.make ~graph ~loops ~config in
       let baseline = Chmc.analyze ~ctx ~graph ~loops ~config () in
       for set = 0 to config.Cache.Config.sets - 1 do
-        if Array.length ctx.Context.touching.(set) > 0 then begin
-          let slice = Slice.make ctx ~set in
-          let prev = ref None in
-          for f = 1 to ways - 1 do
-            let assoc = ways - f in
-            let r = Slice.analyze slice ~assoc ?prev:!prev () in
-            prev := Some r;
+        if Array.length ctx.Context.touching.(set) > 0 then
+          for assoc = 0 to ways do
+            let degraded = Chmc.degraded baseline ~set ~assoc in
             let full =
-              Chmc.analyze ~graph ~loops ~config
+              Oracle.Chmc.analyze ~graph ~loops ~config
                 ~assoc:(fun s -> if s = set then assoc else ways)
                 ~only_sets:[ set ] ()
             in
             Chmc.fold_refs
               (fun ~node ~offset _ () ->
-                if Chmc.cache_set baseline ~node ~offset = set then
-                  Alcotest.check classification
-                    (Printf.sprintf "%s set %d f %d node %d.%d" name set f node offset)
-                    (Chmc.classification full ~node ~offset)
-                    (Slice.classification r ~node ~offset))
+                Alcotest.check classification
+                  (Printf.sprintf "%s set %d assoc %d node %d.%d" name set assoc node offset)
+                  (Oracle.Chmc.classification full ~node ~offset)
+                  (degraded ~node ~offset))
               baseline ()
           done
-        end
       done)
     [ "fibcall"; "bs"; "crc" ]
+
+(* The production CHMC and the whole-CFG oracle at the same per-set
+   associativities: the references where they differ, as readable
+   labels (empty when they agree). *)
+let mismatches ~graph ~loops ~config ~assoc =
+  let computed = Chmc.analyze ~graph ~loops ~config ~assoc () in
+  let expected = Oracle.Chmc.analyze ~graph ~loops ~config ~assoc () in
+  Chmc.fold_refs
+    (fun ~node ~offset cls acc ->
+      let want = Oracle.Chmc.classification expected ~node ~offset in
+      if cls = want then acc
+      else
+        Format.asprintf "node %d.%d (set %d): %a, oracle %a" node offset
+          (Chmc.cache_set computed ~node ~offset)
+          Chmc.pp_classification cls Chmc.pp_classification want
+        :: acc)
+    computed []
+
+let classification_geometries = [ (4, 2); (8, 2); (16, 4); (32, 4); (16, 8); (8, 16) ]
+
+(* Random programs, geometries and per-set associativity vectors (each
+   entry in 0..W, missing entries at W). *)
+let random_classifications =
+  let gen =
+    QCheck2.Gen.(
+      triple Minic_gen.gen_program
+        (oneofl classification_geometries)
+        (list_size (int_range 0 32) (int_range 0 16)))
+  in
+  let print (program, (sets, ways), vector) =
+    Format.asprintf "%dx%d assoc [%s]@.%a" sets ways
+      (String.concat "; " (List.map string_of_int vector))
+      Minic.Ast.pp_program program
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name:"random programs and assoc vectors" ~print gen
+       (fun (program, (sets, ways), vector) ->
+         match Minic.Compile.compile program with
+         | exception Minic.Typecheck.Error _ -> QCheck2.assume_fail ()
+         | compiled ->
+           let graph = Cfg.Graph.build compiled.Minic.Compile.program in
+           let loops = Cfg.Loop.detect graph in
+           let config = Cache.Config.make ~sets ~ways ~line_bytes:16 () in
+           let vector = Array.of_list vector in
+           let assoc s =
+             if s < Array.length vector then vector.(s) mod (ways + 1) else ways
+           in
+           match mismatches ~graph ~loops ~config ~assoc with
+           | [] -> true
+           | diffs -> QCheck2.Test.fail_report (String.concat "\n" diffs)))
+
+(* Every registry program (and the extras) at six geometries, every
+   set at every associativity 0..W. *)
+let test_registry_classifications () =
+  List.iter
+    (fun (entry : Benchmarks.Registry.entry) ->
+      let graph, loops = graph_of entry.Benchmarks.Registry.name in
+      List.iter
+        (fun (sets, ways) ->
+          let config = Cache.Config.make ~sets ~ways ~line_bytes:16 () in
+          for assoc = 0 to ways do
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s %dx%d assoc %d" entry.Benchmarks.Registry.name sets ways assoc)
+              []
+              (mismatches ~graph ~loops ~config ~assoc:(fun _ -> assoc))
+          done)
+        classification_geometries)
+    (Benchmarks.Registry.all @ Benchmarks.Registry.extras)
 
 (* Random programs: tables bit-identical for all three mechanisms. *)
 let random_tables ~count ~engine ~mechanisms name =
@@ -114,6 +176,20 @@ let random_tables ~count ~engine ~mechanisms name =
              (fun (_, expected, computed) -> expected = computed)
              (oracle_pairs ~graph ~loops ~config ~engine ~mechanisms)))
 
+(* The ages are taken at config.ways, so no associativity above it can
+   be read off them. *)
+let test_assoc_above_ways () =
+  let graph, loops = graph_of "fibcall" in
+  let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
+  let rejected f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool)
+    "analyze" true
+    (rejected (fun () -> Chmc.analyze ~graph ~loops ~config ~assoc:(fun _ -> 3) ()));
+  let baseline = Chmc.analyze ~graph ~loops ~config () in
+  Alcotest.(check bool)
+    "degraded" true
+    (rejected (fun () -> Chmc.degraded baseline ~set:0 ~assoc:3))
+
 let () =
   Alcotest.run "sliced_fmm"
     [ ( "differential",
@@ -124,5 +200,10 @@ let () =
             "random tables, path engine, all mechanisms"
         ; random_tables ~count:8 ~engine:`Ilp ~mechanisms:Pwcet.Mechanism.all
             "random tables, ilp engine, all mechanisms"
+        ] )
+    ; ( "classification",
+        [ random_classifications
+        ; Alcotest.test_case "registry, six geometries" `Quick test_registry_classifications
+        ; Alcotest.test_case "assoc above ways rejected" `Quick test_assoc_above_ways
         ] )
     ]
