@@ -63,7 +63,7 @@ release-dist:
 	dune build --profile release --build-dir _build_release \
 	  ./test/test_dist_engine.exe ./test/test_path_engine.exe ./test/test_sliced.exe
 	cd _build_release/default/test && ./test_dist_engine.exe && ./test_path_engine.exe \
-	  && ./test_sliced.exe test classification
+	  && ./test_sliced.exe test thresholds
 
 # Runtime invariant auditor over the full benchmark registry:
 # per-mechanism structural checks (FMM shape/monotonicity, distribution

@@ -201,7 +201,7 @@ let () =
         ; random_tables ~count:8 ~engine:`Ilp ~mechanisms:Pwcet.Mechanism.all
             "random tables, ilp engine, all mechanisms"
         ] )
-    ; ( "classification",
+    ; ( "thresholds",
         [ random_classifications
         ; Alcotest.test_case "registry, six geometries" `Quick test_registry_classifications
         ; Alcotest.test_case "assoc above ways rejected" `Quick test_assoc_above_ways
