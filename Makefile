@@ -31,8 +31,9 @@ test: check
 # What CI runs (see .github/workflows/ci.yml): the tier-1 gate, the
 # invariant auditor, the oracle-isolation check, a build of the
 # benchmark program and, on a release build, the convolution kernel's
-# and path engine's byte-identity tests and the CHMC classification
-# tests. Kept as a make target so CI
+# and path engine's byte-identity tests, the CHMC classification tests
+# and the cache-analysis tests (flat-state lattice property included).
+# Kept as a make target so CI
 # and a local pre-push run are the same command.
 ci: check audit check-oracle perfbench-build release-dist
 
@@ -57,13 +58,16 @@ perfbench-build:
 # its own build directory: Prob.Dist's convolution (merge = reference
 # on every kernel branch and the registry to_wire digest), the path
 # engine (plan/eval = the per-call collapse, and the registry FMM/WCET
-# digest) and the CHMC (age thresholds = the whole-CFG oracle, on
-# random programs and associativity vectors and on the registry).
+# digest), the CHMC (age thresholds = the whole-CFG oracle, on
+# random programs and associativity vectors and on the registry) and
+# the cache-analysis tests, among them the flat bitset Must/May states
+# held equal to the Acs domain after every random access and join.
 release-dist:
 	dune build --profile release --build-dir _build_release \
-	  ./test/test_dist_engine.exe ./test/test_path_engine.exe ./test/test_sliced.exe
+	  ./test/test_dist_engine.exe ./test/test_path_engine.exe ./test/test_sliced.exe \
+	  ./test/test_cache_analysis.exe
 	cd _build_release/default/test && ./test_dist_engine.exe && ./test_path_engine.exe \
-	  && ./test_sliced.exe test thresholds
+	  && ./test_sliced.exe test thresholds && ./test_cache_analysis.exe
 
 # Runtime invariant auditor over the full benchmark registry:
 # per-mechanism structural checks (FMM shape/monotonicity, distribution

@@ -546,9 +546,16 @@ let evaluate ~command ?(verify = false)
   install_cancel_handlers ();
   let budget = budget_of opts.ilp_nodes opts.timeout in
   let store = store_of opts.cache_dir opts.no_cache in
+  (* One hash per program, shared by the journal run key and the store keys. *)
+  let digests =
+    List.map
+      (fun (name, program) -> (name, Pwcet.Estimator.program_digest program))
+      spec.Grid.benchmarks
+  in
+  let digest name = List.assoc name digests in
   let journal, replayed =
     open_journal ~label:command ~units:"cell(s)" ~store ~budget
-      ~run_key:(("run", command) :: Grid.identity spec)
+      ~run_key:(("run", command) :: Grid.identity ~digest spec)
       ~decode:Grid.cell_of_wire opts
   in
   let completed = Hashtbl.create 64 in
@@ -563,7 +570,7 @@ let evaluate ~command ?(verify = false)
         if verify || keep_estimates then Hashtbl.replace fresh (Grid.point_key cell.point) est)
   in
   let results =
-    Grid.run ~jobs:opts.jobs ?budget ?store
+    Grid.run ~jobs:opts.jobs ?budget ?store ~digest
       ~skip:(fun point -> Hashtbl.find_opt completed (Grid.point_key point))
       ~on_cell spec
   in

@@ -36,13 +36,11 @@ let classify t ~set ~assoc ~node ~offset =
     ~may_present:(t.may_age.(node).(offset) < assoc)
 
 let set_signature ctx ~set ~degraded =
+  let refs = ctx.Context.refs.(set) in
   let acc = ref [] in
-  Array.iter
-    (fun u ->
-      Array.iteri
-        (fun k s -> if s = set then acc := degraded ~node:u ~offset:k :: !acc)
-        ctx.Context.sets.(u))
-    ctx.Context.touching.(set);
+  Array.iteri
+    (fun r u -> acc := degraded ~node:u ~offset:refs.Context.ref_offset.(r) :: !acc)
+    refs.Context.ref_node;
   !acc
 
 let check_assoc ~ways ~assoc =
@@ -52,7 +50,7 @@ let analyze ?ctx ~graph ~loops ~config ?assoc ?only_sets () =
   let ctx = match ctx with Some c -> c | None -> Context.make ~graph ~loops ~config in
   let ways = config.Cache.Config.ways in
   let assoc = match assoc with Some f -> f | None -> fun _ -> ways in
-  let blocks = ctx.Context.blocks and sets = ctx.Context.sets in
+  let blocks = ctx.Context.blocks in
   (* Referenced cache sets, optionally restricted. *)
   let used_sets =
     match only_sets with
@@ -70,13 +68,12 @@ let analyze ?ctx ~graph ~loops ~config ?assoc ?only_sets () =
       check_assoc ~ways ~assoc;
       Slice.ages (Slice.make ctx ~set) ~must:t.must_age ~may:t.may_age;
       t.analysed.(set) <- true;
-      Array.iter
-        (fun u ->
-          Array.iteri
-            (fun k s ->
-              if s = set then t.classes.(u).(k) <- classify t ~set ~assoc ~node:u ~offset:k)
-            sets.(u))
-        ctx.Context.touching.(set))
+      let refs = ctx.Context.refs.(set) in
+      Array.iteri
+        (fun r u ->
+          let k = refs.Context.ref_offset.(r) in
+          t.classes.(u).(k) <- classify t ~set ~assoc ~node:u ~offset:k)
+        refs.Context.ref_node)
     used_sets;
   t
 

@@ -88,8 +88,8 @@ val set_signature :
   degraded:(node:int -> offset:int -> classification) ->
   classification list
 (** The classifications of every reference mapping to [set], folded
-    over the context's touching-node index only (node then offset
-    order). The FMM row memoises its per-fault-count delta bounds on
+    over the context's per-set reference index ([Context.refs], node
+    then offset order). The FMM row memoises its per-fault-count delta bounds on
     this signature. *)
 
 val classification : t -> node:int -> offset:int -> classification

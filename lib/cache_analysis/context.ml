@@ -7,6 +7,8 @@ type loop_info = {
   conflict_counts : int array;
 }
 
+type refs = { ref_node : int array; ref_offset : int array }
+
 type t = {
   graph : Cfg.Graph.t;
   loops : Cfg.Loop.loop list;
@@ -22,6 +24,7 @@ type t = {
   enclosing : int array array;
   used_sets : IntSet.t;
   touching : int array array;
+  refs : refs array;
 }
 
 let make ~graph ~loops ~config =
@@ -77,21 +80,41 @@ let make ~graph ~loops ~config =
         done;
         Array.of_list !acc)
   in
-  let used_sets = ref IntSet.empty in
-  let touch_rev = Array.make n_sets [] in
-  for u = n - 1 downto 0 do
+  (* Each set's references at reachable nodes, in ascending (node,
+     offset) order: count them, then fill the per-set arrays. The
+     touching nodes and the used sets follow from the index. *)
+  let count = Array.make n_sets 0 in
+  for u = 0 to n - 1 do
+    if reachable.(u) then Array.iter (fun s -> count.(s) <- count.(s) + 1) sets.(u)
+  done;
+  let refs =
+    Array.map (fun c -> { ref_node = Array.make c 0; ref_offset = Array.make c 0 }) count
+  in
+  let fill = Array.make n_sets 0 in
+  for u = 0 to n - 1 do
     if reachable.(u) then
-      Array.iter
-        (fun s ->
-          used_sets := IntSet.add s !used_sets;
-          match touch_rev.(s) with
-          | v :: _ when v = u -> ()
-          | _ -> touch_rev.(s) <- u :: touch_rev.(s))
+      Array.iteri
+        (fun k s ->
+          let r = refs.(s) and i = fill.(s) in
+          r.ref_node.(i) <- u;
+          r.ref_offset.(i) <- k;
+          fill.(s) <- i + 1)
         sets.(u)
   done;
-  let touching = Array.map Array.of_list touch_rev in
+  let touching =
+    Array.map
+      (fun r ->
+        let nodes = r.ref_node and acc = ref [] in
+        for i = Array.length nodes - 1 downto 0 do
+          if i = 0 || nodes.(i - 1) <> nodes.(i) then acc := nodes.(i) :: !acc
+        done;
+        Array.of_list !acc)
+      refs
+  in
+  let used_sets = ref IntSet.empty in
+  Array.iteri (fun s c -> if c > 0 then used_sets := IntSet.add s !used_sets) count;
   { graph; loops; config; n; blocks; sets; rpo; rpo_pos; reachable; global_counts
-  ; loop_infos; enclosing; used_sets = !used_sets; touching }
+  ; loop_infos; enclosing; used_sets = !used_sets; touching; refs }
 
 let fitting_loop t ~node ~set ~assoc =
   if assoc <= 0 then None

@@ -3,7 +3,7 @@
     Everything the cache analyses re-derived on every call — reference
     block/set arrays, reverse postorder, reachability, per-loop
     membership bitsets, global and per-loop conflict counts, and the
-    per-cache-set index of touching nodes — computed {e once} and
+    per-cache-set indexes of touching nodes and of references — computed {e once} and
     threaded through {!Chmc.analyze}, {!Slice}, {!Srb_analysis}, the
     FMM computation and the delta engines. The CHMC runs one slice per
     cache set and the fault-miss-map hot path classifies and bounds
@@ -22,6 +22,13 @@ type loop_info = {
   conflict_counts : int array;
       (** distinct blocks per cache set referenced inside the body *)
 }
+
+type refs = {
+  ref_node : int array;
+  ref_offset : int array;
+}
+(** One cache set's references, as parallel arrays: the [i]-th is
+    instruction [ref_offset.(i)] of node [ref_node.(i)]. *)
 
 type t = {
   graph : Cfg.Graph.t;
@@ -42,6 +49,11 @@ type t = {
   touching : int array array;
       (** cache set -> reachable nodes with at least one reference to
           it, ascending node ids *)
+  refs : refs array;
+      (** cache set -> its references at reachable nodes, in ascending
+          (node, offset) order, built in one pass over the program: a
+          per-set analysis visits only its own references instead of
+          rescanning every touching node's whole block *)
 }
 
 val make : graph:Cfg.Graph.t -> loops:Cfg.Loop.loop list -> config:Cache.Config.t -> t

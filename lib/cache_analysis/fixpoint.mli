@@ -2,7 +2,10 @@
 
     Worklist iteration in reverse-postorder. The in-state of a node is
     the join of its predecessors' out-states; unreachable nodes keep no
-    state ([None]).
+    state ([None]). The worklist is a binary min-heap of node ids
+    ordered by (priority, node id), with a queued flag per node so a
+    node waits at most once: pops come smallest priority first, in the
+    order a set of (priority, node) pairs would give them.
 
     Both entry points accept an optional iteration cap [max_iters]
     (worklist pops). The cache lattices are finite and the transfer
@@ -44,4 +47,6 @@ val run_custom :
     [0..n-1]. [priority] orders worklist pops (smaller first, unique per
     node — e.g. reverse-postorder positions); the condensed per-set
     projections of {!Slice} run their fixpoints through this entry
-    point. *)
+    point. A node's out-state may be shared as the in-state of several
+    successors, so [transfer] and [join] must not modify their
+    arguments. *)

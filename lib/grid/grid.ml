@@ -54,18 +54,30 @@ let points spec =
         spec.configs)
     spec.benchmarks
 
+(* Each program's digest by benchmark name, hashed at most once and only
+   when first asked for. *)
+let program_digests spec =
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun (name, program) ->
+      Hashtbl.replace table name (lazy (Estimator.program_digest program)))
+    spec.benchmarks;
+  fun name -> Lazy.force (Hashtbl.find table name)
+
 (* Labelled content identity of the whole grid — program digests,
    geometries, axes and engine flags — for resume-journal run keys and
    daemon request dedup.  Reuses the per-(program, geometry) identity
    the estimator derives, so anything that would change a cell's value
    changes the grid's key; each program is hashed once, not once per
-   geometry. The ("impl", "sliced") part names the FMM engine of
-   earlier builds, which offered a second one; it stays so that their
-   resume journals still match. *)
-let identity spec =
+   geometry, and not at all when the caller already holds its digest.
+   The ("impl", "sliced") part names the FMM engine of earlier builds,
+   which offered a second one; it stays so that their resume journals
+   still match. *)
+let identity ?digest spec =
+  let digest = match digest with Some d -> d | None -> program_digests spec in
   List.concat_map
-    (fun (name, program) ->
-      let digest = Estimator.program_digest program in
+    (fun (name, _) ->
+      let digest = digest name in
       List.concat_map
         (fun config -> ("bench", name) :: Estimator.identity_of_digest ~digest ~config)
         spec.configs)
@@ -177,7 +189,7 @@ type value =
   | Panel of Estimator.task * (Mechanism.t * Fmm.t) list
   | Cell of cell
 
-let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
+let run ?(jobs = 1) ?budget ?store ?digest ?skip ?on_cell ?chaos spec =
   let skip = match skip with Some f -> f | None -> fun _ -> None in
   let deadline = match budget with Some b -> b.Robust.Budget.deadline | None -> None in
   let nodes = ref [] in
@@ -194,14 +206,12 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
       config.Cache.Config.line_bytes config.Cache.Config.hit_latency
       config.Cache.Config.miss_latency
   in
-  (* Store keys carry the program digest. It is forced while the DAG is
-     built, on this domain, so each program is hashed once per run
-     rather than once per geometry inside [prepare]. *)
+  (* Store keys carry the program digest. It is read while the DAG is
+     built, on this domain, so each program is hashed at most once per
+     run rather than once per geometry inside [prepare]. *)
   let programs = Hashtbl.create 16 in
-  List.iter
-    (fun (name, program) ->
-      Hashtbl.replace programs name (program, lazy (Estimator.program_digest program)))
-    spec.benchmarks;
+  List.iter (fun (name, program) -> Hashtbl.replace programs name program) spec.benchmarks;
+  let digest = match digest with Some d -> d | None -> program_digests spec in
   let engine = spec.engine and exact = spec.exact in
   (* A panel's nodes are created lazily, only when some cell of that
      panel actually needs computing — a fully replayed panel costs
@@ -211,8 +221,8 @@ let run ?(jobs = 1) ?budget ?store ?skip ?on_cell ?chaos spec =
     match Hashtbl.find_opt panel_index key with
     | Some idx -> idx
     | None ->
-      let program, digest = Hashtbl.find programs bench in
-      let program_digest = Option.map (fun _ -> Lazy.force digest) store in
+      let program = Hashtbl.find programs bench in
+      let program_digest = Option.map (fun _ -> digest bench) store in
       let prepared =
         push [||] (fun _ ->
             let task =

@@ -68,16 +68,21 @@ val point_key : point -> string
     (["bench/SxWxL+hit+miss/mech/pfail-bits"]) — for replay tables and
     error reports. *)
 
-val identity : spec -> (string * string) list
+val identity : ?digest:(string -> string) -> spec -> (string * string) list
 (** Labelled content identity of the whole grid — per-(program,
     geometry) estimator identities plus the mechanism/pfail/target axes
     and engine flags — for resume-journal run keys and daemon request
-    dedup. Anything that can change a cell's value changes the key. *)
+    dedup. Anything that can change a cell's value changes the key.
+    [digest name] must be {!Pwcet.Estimator.program_digest} of the
+    spec's program [name]: a caller that already holds the digests
+    passes them and no program is hashed; by default each program is
+    hashed here, once. The key is the same either way. *)
 
 val run :
   ?jobs:int ->
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
+  ?digest:(string -> string) ->
   ?skip:(point -> cell option) ->
   ?on_cell:(cell -> Pwcet.Estimator.estimate -> unit) ->
   ?chaos:Chaos.Injector.t ->
@@ -99,7 +104,10 @@ val run :
     starts past the deadline yields the structural row, exactly as
     {!Pwcet.Fmm.compute_multi} does for a refused row. [Error] outcomes only
     arise from a crashed worker (or its downstream cells). Budgeted
-    runs bypass [store] exactly as in {!Pwcet.Estimator}.
+    runs bypass [store] exactly as in {!Pwcet.Estimator}. The store
+    keys carry each program's digest: [digest] supplies them as in
+    {!identity}, and without it each program is hashed once per run,
+    only when a store is given.
 
     [chaos] arms DAG-node death/stall injection ({!Parallel.Pool.run_dag},
     site [pool.node], keyed by node index): a killed node and its

@@ -405,11 +405,13 @@ let sched t (s : Protocol.sched) : Protocol.response =
 
 (* --- bulk comparison grids -------------------------------------------------- *)
 
+(* The spec, and each program's digest from the compiled memo, so that
+   neither the request key nor the store keys hash a program again. *)
 let spec_of_grid t (g : Protocol.grid) =
   try
-    let benchmarks =
-      List.map (fun bench -> (bench, fst (value (compiled t bench)))) g.g_benchmarks
-    in
+    let compiled = List.map (fun bench -> (bench, value (compiled t bench))) g.g_benchmarks in
+    let benchmarks = List.map (fun (bench, (program, _)) -> (bench, program)) compiled in
+    let digest bench = snd (List.assoc bench compiled) in
     let configs =
       List.map
         (fun (sets, ways, line) ->
@@ -418,8 +420,9 @@ let spec_of_grid t (g : Protocol.grid) =
         g.g_geometries
     in
     Ok
-      { Grid.benchmarks; configs; mechanisms = g.g_mechanisms; pfail_grid = g.g_pfails;
-        targets = g.g_targets; engine = g.g_engine; exact = g.g_exact; impl = `Sliced }
+      ( { Grid.benchmarks; configs; mechanisms = g.g_mechanisms; pfail_grid = g.g_pfails;
+          targets = g.g_targets; engine = g.g_engine; exact = g.g_exact; impl = `Sliced },
+        digest )
   with Compute_error msg -> Error msg
 
 (* The grid computation a worker domain runs. [jobs:1] as everywhere
@@ -427,8 +430,8 @@ let spec_of_grid t (g : Protocol.grid) =
    and the one-pass sharing — not the work-stealing DAG — is what the
    daemon buys here. The store read-through means a repeat grid over a
    populated store replays its FMMs instead of recomputing. *)
-let compute_grid t (spec : Grid.spec) () =
-  let results = Grid.run ~jobs:1 ?store:t.store spec in
+let compute_grid t (spec : Grid.spec) ~digest () =
+  let results = Grid.run ~jobs:1 ?store:t.store ~digest spec in
   let failed =
     List.length (List.filter (fun (_, r) -> Result.is_error r) results)
   in
@@ -438,10 +441,10 @@ let grid t (g : Protocol.grid) : Protocol.response =
   admit t;
   match spec_of_grid t g with
   | Error msg -> error_reply t msg
-  | Ok spec ->
+  | Ok (spec, digest) ->
     single_flight_pooled t ~count_join:true ~count_compute:true t.grids
-      (Store.Artifact.key (("service", "grid") :: Grid.identity spec))
-      (compute_grid t spec)
+      (Store.Artifact.key (("service", "grid") :: Grid.identity ~digest spec))
+      (compute_grid t spec ~digest)
       ~respond:(fun ~computed outcome ->
         match outcome with
         | Ok sum ->

@@ -1,12 +1,13 @@
 (* The whole-CFG CHMC, the reference [Cache_analysis.Chmc] is held to
    classification for classification. Per analysed set it runs a Must
    and a May fixpoint over the whole CFG at that set's own
-   associativity, then replays every node's accesses: no per-set
-   slice, and no sharing of one fixpoint across associativities. *)
+   associativity, on the [Set]-based worklist of [Oracle.Fixpoint] and
+   the [IntMap] states of [Acs], then replays every node's accesses: no
+   per-set slice, no flat state, and no sharing of one fixpoint across
+   associativities. *)
 
 module Chmc = Cache_analysis.Chmc
 module Context = Cache_analysis.Context
-module Fixpoint = Cache_analysis.Fixpoint
 module Acs = Cache_analysis.Acs
 module IntSet = Context.IntSet
 

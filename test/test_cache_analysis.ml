@@ -82,6 +82,75 @@ let test_must_abstracts_concrete () =
       (A.blocks !acs)
   done
 
+(* The flat bitset states the CHMC fixpoints run on must give exactly
+   the ages of the [IntMap] domain after every access and join, in both
+   lattices. Two states per lattice take random accesses and joins into
+   each other; the block counts reach past two machine words. *)
+module St = Cache_analysis.Slice.State
+
+type lattice_op = Access of int * int | Join of int
+
+let test_flat_lattice =
+  let gen =
+    QCheck2.Gen.(
+      let* ways = oneofl [ 1; 2; 4; 8; 16 ] in
+      let* blocks = int_range 1 (2 * Sys.int_size + 14) in
+      (* Half the accesses reuse the top few blocks, so ages climb,
+         ties form and the last word of a level is exercised. *)
+      let block =
+        oneof
+          [ int_bound (blocks - 1);
+            map (fun d -> blocks - 1 - d) (int_bound (min (blocks - 1) (2 * ways))) ]
+      in
+      let op =
+        frequency
+          [ (4, map2 (fun slot b -> Access (slot, b)) (int_bound 1) block);
+            (1, map (fun slot -> Join slot) (int_bound 1)) ]
+      in
+      let* ops = list_size (int_range 1 80) op in
+      return (ways, blocks, ops))
+  in
+  let print (ways, blocks, ops) =
+    Printf.sprintf "ways %d, blocks %d: %s" ways blocks
+      (String.concat " "
+         (List.map
+            (function Access (s, b) -> Printf.sprintf "a%d:%d" s b | Join s -> Printf.sprintf "j%d" s)
+            ops))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~name:"flat lattice = acs" ~print gen
+       (fun (ways, blocks, ops) ->
+         let sh = St.shape ~ways ~blocks in
+         let lattices =
+           [ ("must", St.must_update sh, St.must_join, A.must_update ~assoc:ways, A.must_join);
+             ("may", St.may_update sh, St.may_join, A.may_update ~assoc:ways, A.may_join) ]
+         in
+         List.for_all
+           (fun (name, st_update, st_join, acs_update, acs_join) ->
+             let flat = [| St.empty sh; St.empty sh |] and acs = [| A.empty; A.empty |] in
+             List.for_all
+               (fun op ->
+                 (match op with
+                 | Access (s, b) ->
+                   flat.(s) <- st_update flat.(s) b;
+                   acs.(s) <- acs_update acs.(s) b
+                 | Join s ->
+                   flat.(s) <- st_join flat.(s) flat.(1 - s);
+                   acs.(s) <- acs_join acs.(s) acs.(1 - s));
+                 let agree s b =
+                   St.age sh flat.(s) b
+                   = Option.value (A.age acs.(s) b) ~default:Cache_analysis.Slice.absent
+                 in
+                 List.for_all
+                   (fun s ->
+                     List.for_all (agree s) (List.init blocks Fun.id)
+                     || QCheck2.Test.fail_reportf "%s ages differ in state %d" name s)
+                   [ 0; 1 ]
+                 && (St.equal flat.(0) flat.(1) = A.equal acs.(0) acs.(1)
+                    || QCheck2.Test.fail_reportf "%s equality differs" name))
+               ops)
+           lattices))
+
 (* --- CHMC on crafted programs ------------------------------------------- *)
 
 let small_cfg = C.paper_default
@@ -301,6 +370,7 @@ let () =
         ; Alcotest.test_case "may join" `Quick test_may_join
         ; Alcotest.test_case "may tie aging" `Quick test_may_update_ties_age
         ; Alcotest.test_case "abstracts concrete LRU" `Quick test_must_abstracts_concrete
+        ; test_flat_lattice
         ] )
     ; ( "chmc",
         [ Alcotest.test_case "straightline" `Quick test_straightline_spatial_locality

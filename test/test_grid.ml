@@ -231,6 +231,18 @@ let test_identity_pinned () =
   in
   Alcotest.(check (list (pair string string))) "identity" expected (Grid.identity spec)
 
+let test_identity_from_digests () =
+  (* The digests a caller already holds (the daemon's compiled memo,
+     the CLI's one hash per program) give the key the hashing form
+     gives, on several programs and geometries. *)
+  let spec = spec_of ([ "fibcall"; "bs"; "crc" ], M.all, [ 1e-5; 1e-4 ], true) in
+  let digests =
+    List.map (fun (name, program) -> (name, Estimator.program_digest program)) spec.Grid.benchmarks
+  in
+  let digest name = List.assoc name digests in
+  Alcotest.(check (list (pair string string)))
+    "identity" (Grid.identity spec) (Grid.identity ~digest spec)
+
 let () =
   Alcotest.run "grid"
     [ ( "sharing",
@@ -246,5 +258,6 @@ let () =
         ; Alcotest.test_case "cell wire roundtrip" `Quick test_cell_wire_roundtrip
         ; Alcotest.test_case "cold = warm store" `Quick test_grid_store_warm_identical
         ; Alcotest.test_case "identity pinned" `Quick test_identity_pinned
+        ; Alcotest.test_case "identity from held digests" `Quick test_identity_from_digests
         ] )
     ]
