@@ -570,6 +570,39 @@ let test_registry_byte_identity () =
   Alcotest.(check string) "registry total-distribution digest" registry_wire_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* The same byte identity over the slices the grid-pfail benchmark
+   convolves and [registry_wire_digest] misses: 16x4x16 and 32x4x16, at
+   pfail 1e-6 (narrow laws) and 1e-3 (the widest supports). The expected
+   value was computed before the dense kernel blocked its rows. *)
+let grid_slice_wire_digest = "528eed57dcd5b8ac8c5dc9dd4144ff30"
+
+let test_grid_slice_byte_identity () =
+  let buf = Buffer.create 16384 in
+  List.iter
+    (fun (e : Benchmarks.Registry.entry) ->
+      let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
+      List.iter
+        (fun sets ->
+          let config = Cache.Config.make ~sets ~ways:4 ~line_bytes:16 () in
+          let task =
+            Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config ()
+          in
+          List.iter
+            (fun (mechanism, fmm) ->
+              List.iter
+                (fun pfail ->
+                  let pbf = Fault.Model.pbf_of_config ~pfail config in
+                  let wire = D.to_wire (Pwcet.Penalty.total_distribution ~fmm ~pbf ()) in
+                  Printf.bprintf buf "%s/%s %dx4 %g %s\n" e.Benchmarks.Registry.name
+                    (Pwcet.Mechanism.short_name mechanism) sets pfail
+                    (Digest.to_hex (Digest.string wire)))
+                [ 1e-6; 1e-3 ])
+            (Pwcet.Estimator.fmm_grid task ~mechanisms:Pwcet.Mechanism.all ()))
+        [ 16; 32 ])
+    Benchmarks.Registry.all;
+  Alcotest.(check string) "grid-slice total-distribution digest" grid_slice_wire_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- shared-PMF hoist ---------------------------------------------------- *)
 
 let test_shared_pmf_identity () =
@@ -679,6 +712,7 @@ let () =
         ; test_random_fmm_differential
         ; Alcotest.test_case "shared pmf" `Quick test_shared_pmf_identity
         ; Alcotest.test_case "registry byte identity" `Quick test_registry_byte_identity
+        ; Alcotest.test_case "grid-slice byte identity" `Quick test_grid_slice_byte_identity
         ] )
     ; ( "sweep",
         [ Alcotest.test_case "sweep = independent estimates" `Quick test_sweep_matches_estimates
