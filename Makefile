@@ -32,7 +32,9 @@ test: check
 # invariant auditor, the oracle-isolation check, a build of the
 # benchmark program and, on a release build, the convolution kernel's
 # and path engine's byte-identity tests, the CHMC classification tests
-# and the cache-analysis tests (flat-state lattice property included).
+# and the cache-analysis tests (flat-state lattice property included),
+# plus a disassembly check that the convolution stub has no fused
+# multiply-add.
 # Kept as a make target so CI
 # and a local pre-push run are the same command.
 ci: check audit check-oracle perfbench-build release-dist
@@ -62,10 +64,26 @@ perfbench-build:
 # random programs and associativity vectors and on the registry) and
 # the cache-analysis tests, among them the flat bitset Must/May states
 # held equal to the Acs domain after every random access and join.
+# It also disassembles the release build's convolution stub: the
+# kernel's byte identity rests on a separate multiply and add for every
+# product (-ffp-contract=off), so any fused multiply-add instruction
+# fails, and on x86-64 Linux so does a missing AVX2 clone of the row
+# loop (target_clones needs glibc; other hosts build the baseline only).
 release-dist:
 	dune build --profile release --build-dir _build_release \
 	  ./test/test_dist_engine.exe ./test/test_path_engine.exe ./test/test_sliced.exe \
 	  ./test/test_cache_analysis.exe
+	@dis=$$(objdump -d _build_release/default/lib/prob/dense_stubs.o) || exit 1; \
+	if printf '%s\n' "$$dis" | grep -m 5 -E 'vfn?m(add|sub)'; then \
+	  echo "release-dist: fused multiply-add in dense_stubs.o (see -ffp-contract=off in lib/prob/dune)"; \
+	  exit 1; \
+	fi; \
+	if [ "$$(uname -m)" = x86_64 ] && [ "$$(uname -s)" = Linux ] \
+	  && ! printf '%s\n' "$$dis" | grep -q '<dense_rows.avx2>:'; then \
+	  echo "release-dist: no dense_rows.avx2 clone in dense_stubs.o"; \
+	  exit 1; \
+	fi; \
+	echo "release-dist: dense_stubs.o has no fused multiply-add"
 	cd _build_release/default/test && ./test_dist_engine.exe && ./test_path_engine.exe \
 	  && ./test_sliced.exe test thresholds && ./test_cache_analysis.exe
 

@@ -288,43 +288,53 @@ let () =
       "Prob.Dist: this OCaml runtime does not store float arrays flat \
        (-no-flat-float-array); the dense convolution stub needs the flat layout"
 
-(* [dense_rows acc row weights offs r_lo r_hi descending w0 w1] adds
-   [weights.(r) *. row.(t)] into [acc.(offs.(r) + t)] for the rows r in
-   [r_lo, r_hi), ascending or descending, restricted to the buckets in
-   [w0, w1). See dense_stubs.c. *)
+(* [dense_rows acc row margin weights offs r_lo r_hi descending w0 w1]
+   adds [weights.(r) *. row.(margin + t)] into [acc.(offs.(r) + t)] for
+   the rows r in [r_lo, r_hi), ascending or descending, restricted to
+   the buckets in [w0, w1); [row] is a padded row with [margin]-bucket
+   margins (see [padded_row]). See dense_stubs.c. *)
 external dense_rows :
-  float array -> float array -> float array -> int array -> int -> int -> bool -> int -> int
-  -> unit = "pwcet_dense_rows_byte" "pwcet_dense_rows"
+  float array -> float array -> int -> float array -> int array -> int -> int -> bool -> int
+  -> int -> unit = "pwcet_dense_rows_byte" "pwcet_dense_rows"
 [@@noalloc]
 
 (* Output window of one stub call, in buckets: 1,024 doubles (8 KB of
-   [acc]) stay in L1 while the rows overlapping them stream past.
-   Windows of 256 to 2,048 timed within noise of each other on the
-   registry's penalty convolutions. The window also bounds one noalloc
-   call to at most a window's worth of each row, so a stop-the-world
-   collection requested by another domain waits for one window, never a
-   whole convolution. *)
+   [acc]) stay in L1 while the rows overlapping them stream past, and a
+   padded row's margin is at most this wide. Windows of 256 to 2,048
+   timed within noise of each other on the registry's penalty
+   convolutions before the stub blocked its rows. The window also
+   bounds one noalloc call to at most a window's worth of each row, so
+   a stop-the-world collection requested by another domain waits for
+   one window, never a whole convolution. *)
 let dense_window = 1024
 
 (* The padded rows are used only while their padded work is at most
    this multiple of the n*m products; past it the scalar scatter loop
    is cheaper. Timing the 600 penalty convolutions of the grid-pfail
-   workload (median of five interleaved runs, 2-core x86-64 host with
-   AVX2): 1.60 s at 2, 1.35 s at 4, 1.24 s at 8, 1.26 s at 16, with
-   each setting's runs spread over 0.1-0.3 s. Past 4 the gain is within
-   that noise, and hosts without AVX2 gain less per padded element, so
-   4 stays. *)
-let dense_padding_limit = 4
+   workload with the blocked stub (median of ten interleaved runs, each
+   the best of five passes, release build, 2-core x86-64 host with
+   AVX2): 1.51 s at 4, 1.21 s at 8, 1.26 s at 12, 1.28 s at 16, 1.25 s
+   at 24, with each setting's runs spread over 0.16-0.33 s (the unblocked
+   stub at 4: 1.79 s over five runs). Past 8 the gain is within that
+   noise, and hosts without AVX2 gain less per padded element, so 8. *)
+let dense_padding_limit = 8
 
 (* Bucket index of every point of a support on the lattice of [step]. *)
 let lattice_offsets pens n step = Array.init n (fun i -> (pens.(i) - pens.(0)) / step)
 
 (* The inner operand as one contiguous row: its weights at their
-   lattice offsets and -0.0 in every gap. *)
+   lattice offsets, -0.0 in every gap, and a margin of -0.0 on both
+   sides as wide as the row or a window, whichever is less. The stub
+   runs a block of rows over the union of their extents, which each
+   row's margins must cover; a margin as wide as a window covers every
+   block that overlaps the window, and a narrower row (whose blocks are
+   narrower too) pays only its own length, so a small operand never
+   pays a window's worth of padding. Returns the row and its margin. *)
 let padded_row probs offs len =
-  let row = Array.make len (-0.0) in
-  Array.iteri (fun i o -> row.(o) <- probs.(i)) offs;
-  row
+  let margin = min len dense_window in
+  let row = Array.make (len + (2 * margin)) (-0.0) in
+  Array.iteri (fun i o -> row.(margin + o) <- probs.(i)) offs;
+  (row, margin)
 
 (* Add [weights.(r)] times [row] into [acc] at offset [offs.(r)]
    (ascending in r) for every r, one output window at a time. Inside
@@ -332,14 +342,16 @@ let padded_row probs offs len =
    receives its products in row order. The rows overlapping a window
    are a contiguous range of r, and both of its ends only move up as
    the window does. *)
-let accumulate_rows acc ~weights ~offs ~descending row =
-  let buckets = Array.length acc and nr = Array.length offs and len = Array.length row in
+let accumulate_rows acc ~weights ~offs ~descending (row, margin) =
+  let buckets = Array.length acc and nr = Array.length offs in
+  let len = Array.length row - (2 * margin) in
   let r_lo = ref 0 and r_hi = ref 0 and w0 = ref 0 in
   while !w0 < buckets do
     let w1 = min buckets (!w0 + dense_window) in
     while !r_lo < nr && offs.(!r_lo) + len <= !w0 do incr r_lo done;
     while !r_hi < nr && offs.(!r_hi) < w1 do incr r_hi done;
-    if !r_lo < !r_hi then dense_rows acc row weights offs !r_lo !r_hi descending !w0 w1;
+    if !r_lo < !r_hi then
+      dense_rows acc row margin weights offs !r_lo !r_hi descending !w0 w1;
     w0 := w1
   done
 

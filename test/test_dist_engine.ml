@@ -176,9 +176,12 @@ let test_dense_lattice () =
    -0.0: rows over ascending i, each the padded [b], when [n * lb <=
    m * la]; rows over descending j, each the padded [a], otherwise
    ([la], [lb] are the operands' extents on the common lattice). When
-   both padded costs exceed 4*n*m it scatters the n*m products instead.
+   both padded costs exceed [padding_limit]*n*m (Dist's
+   [dense_padding_limit]) it scatters the n*m products instead.
    [dense_branch] restates that rule so that each generator below can
    assert it forces the branch it is named after. *)
+let padding_limit = 8
+
 type branch = Heap | Rows_over_b | Rows_over_a | Scatter
 
 let branch_name = function
@@ -187,7 +190,8 @@ let branch_name = function
   | Rows_over_a -> "rows over a"
   | Scatter -> "scatter"
 
-let dense_branch a b =
+(* Both supports as bucket offsets on their common lattice. *)
+let lattice_offsets a b =
   let pens d = List.map fst (D.support d) in
   let pa = pens a and pb = pens b in
   let rec gcd x y = if y = 0 then x else gcd y (x mod y) in
@@ -196,26 +200,38 @@ let dense_branch a b =
     | x :: rest -> List.fold_left (fun g y -> gcd g (y - x)) 0 rest
   in
   let step = max 1 (gcd (step_of pa) (step_of pb)) in
-  let extent ps = ((List.nth ps (List.length ps - 1) - List.hd ps) / step) + 1 in
-  let n = List.length pa and m = List.length pb in
-  let la = extent pa and lb = extent pb in
+  let offsets ps = List.map (fun x -> (x - List.hd ps) / step) ps in
+  (offsets pa, offsets pb)
+
+let extent offs = List.nth offs (List.length offs - 1) + 1
+
+let dense_branch a b =
+  let oa, ob = lattice_offsets a b in
+  let n = List.length oa and m = List.length ob in
+  let la = extent oa and lb = extent ob in
   if la + lb - 1 > 1 lsl 22 || la + lb - 1 > 4 * n * m then Heap
-  else if n * lb <= m * la && n * lb <= 4 * n * m then Rows_over_b
-  else if m * la <= 4 * n * m then Rows_over_a
+  else if n * lb <= m * la && n * lb <= padding_limit * n * m then Rows_over_b
+  else if m * la <= padding_limit * n * m then Rows_over_a
   else Scatter
 
-(* [k] points on [0, extent) that include both ends, times [step], each
-   with a probability in [0.02, 1) / 64 or, when [tiny], near 1e-170 for
-   about half of them, so that two tiny factors underflow to +0.0. *)
-let lattice_dist state ~k ~extent ~step ~tiny =
-  let inner = if extent > 2 then random_support state ~k:(k - 2) ~bound:(extent - 2) else [] in
-  let pens = if k = 1 then [ 0 ] else (0 :: List.map succ inner) @ [ extent - 1 ] in
+(* The points [step * x] for the ascending lattice [offsets], each with
+   a probability in [0.02, 1) / max 64 k (k points, so the mass stays
+   at most 1) or, when [tiny], near 1e-170 for about half of them, so
+   that two tiny factors underflow to +0.0. *)
+let offsets_dist state ~offsets ~step ~tiny =
+  let scale = float_of_int (max 64 (List.length offsets)) in
   D.of_sub_points
     (List.map
        (fun x ->
-         let p = (0.02 +. Random.State.float state 0.98) /. 64.0 in
+         let p = (0.02 +. Random.State.float state 0.98) /. scale in
          (step * x, if tiny && Random.State.bool state then p *. 1e-168 else p))
-       pens)
+       offsets)
+
+(* [k] points on [0, extent) that include both ends, drawn as above. *)
+let lattice_dist state ~k ~extent ~step ~tiny =
+  let inner = if extent > 2 then random_support state ~k:(k - 2) ~bound:(extent - 2) else [] in
+  let offsets = if k = 1 then [ 0 ] else (0 :: List.map succ inner) @ [ extent - 1 ] in
+  offsets_dist state ~offsets ~step ~tiny
 
 let check_branch label expected a b =
   Alcotest.(check string) (label ^ ": branch") (branch_name expected)
@@ -258,13 +274,14 @@ let test_rows_over_b () =
       ( lattice_dist state ~k:n ~extent:(20 * n) ~step ~tiny
       , lattice_dist state ~k:m ~extent:(m + (m / 3)) ~step ~tiny ))
 
-(* Both operands 1/8 dense: either padding costs 8*n*m, past the 4x
-   limit, while the sums still fit the dense regime's bucket budget. *)
+(* Both operands 1/20 dense: either padding costs 20*n*m, past the 8x
+   limit, while the sums still fit the dense regime's bucket budget
+   (20*(n+m) <= 4*n*m once n, m >= 10). *)
 let test_scatter_fallback () =
   each_branch_trial ~seed:257 ~trials:30 "both sparse" Scatter (fun state ~tiny ->
       let n = 10 + Random.State.int state 20 and m = 10 + Random.State.int state 20 in
-      ( lattice_dist state ~k:n ~extent:(8 * n) ~step:1 ~tiny
-      , lattice_dist state ~k:m ~extent:(8 * m) ~step:1 ~tiny ))
+      ( lattice_dist state ~k:n ~extent:(20 * n) ~step:1 ~tiny
+      , lattice_dist state ~k:m ~extent:(20 * m) ~step:1 ~tiny ))
 
 (* One-point operands on either side and on both: rows of length one,
    or a single row. *)
@@ -287,13 +304,158 @@ let test_singletons () =
       [ false; true ]
   done
 
+(* --- blocked rows ------------------------------------------------------------ *)
+
+(* The stub adds its rows in blocks of 8, in the order the rows run
+   (ascending offsets over [a]'s points, descending over [b]'s). A
+   block is added as one when every row's margins, min(len, window)
+   buckets of -0.0 on both sides of the padded row of extent [len],
+   cover the union of the block's extents clamped to the output
+   window; other blocks and a tail of fewer than 8 rows go one row at
+   a time. [window] restates Dist's [dense_window]. For an output of
+   one window the test is a spread of at most the margin between the
+   block's first and last offsets; [block_paths] restates it there and
+   counts the rows that go (blocked, one at a time). *)
+let window = 1024
+
+let block_paths ~rows ~inner ~descending =
+  let offs, inner_offs = lattice_offsets rows inner in
+  let len = extent inner_offs in
+  assert (extent offs + len - 1 <= window);
+  let offs = Array.of_list (if descending then List.rev offs else offs) in
+  let count = Array.length offs and margin = min len window in
+  let blocked = ref 0 in
+  for b = 0 to (count / 8) - 1 do
+    if abs (offs.((8 * b) + 7) - offs.(8 * b)) <= margin then blocked := !blocked + 8
+  done;
+  (!blocked, count - !blocked)
+
+(* [make] draws (rows, inner) operands for which the padded [inner] is
+   the cheaper row, strictly: as (a, b) the rows run over ascending i,
+   swapped over descending j. [expect] checks the block paths of each
+   orientation. *)
+let each_orientation ~seed ~trials label ?(expect = fun ~descending:_ _ _ -> ()) make =
+  List.iter
+    (fun (descending, branch) ->
+      each_branch_trial ~seed ~trials
+        (label ^ if descending then ", descending" else ", ascending")
+        branch
+        (fun state ~tiny ->
+          let rows, inner = make state ~tiny in
+          expect ~descending rows inner;
+          if descending then (inner, rows) else (rows, inner)))
+    [ (false, Rows_over_b); (true, Rows_over_a) ]
+
+(* 8k + t rows (k in 1..4, t in 1..7) over 4/3 of as many buckets
+   against a full inner row at least as long as any 8 rows' spread:
+   every full block is added as one, then the tail row by row. *)
+let test_blocks_and_tail () =
+  each_orientation ~seed:271 ~trials:30 "blocks and tail"
+    ~expect:(fun ~descending rows inner ->
+      let blocked, single = block_paths ~rows ~inner ~descending in
+      let count = D.size rows in
+      Alcotest.(check (pair int int)) "blocked rows, tail rows"
+        (count - (count mod 8), count mod 8) (blocked, single);
+      Alcotest.(check bool) "a tail" true (single > 0))
+    (fun state ~tiny ->
+      let n = (8 * (1 + Random.State.int state 4)) + 1 + Random.State.int state 7 in
+      let m = 20 + Random.State.int state 30 in
+      let step = 1 + Random.State.int state 99 in
+      ( lattice_dist state ~k:n ~extent:(n + (n / 3)) ~step ~tiny
+      , lattice_dist state ~k:m ~extent:m ~step ~tiny ))
+
+(* Blocks of 8 rows whose offsets spread over the margin less one, the
+   margin, the margin plus one, and further, in turn, against a full
+   inner row of 10 to 40 points: the first two are added as one block,
+   the others row by row, and the bucket at each end of a block that
+   spreads over the whole margin meets the padded row's outermost
+   -0.0. No tail, so both orientations group the same rows. *)
+let test_blocks_past_margin () =
+  each_orientation ~seed:277 ~trials:30 "blocks past the margin"
+    ~expect:(fun ~descending rows inner ->
+      let blocked, single = block_paths ~rows ~inner ~descending in
+      Alcotest.(check bool) "blocked rows and single rows" true (blocked > 0 && single > 0))
+    (fun state ~tiny ->
+      let margin = 10 + Random.State.int state 31 in
+      let blocks = 4 + Random.State.int state 3 in
+      let base = ref 0 in
+      let offsets =
+        List.concat
+          (List.init blocks (fun b ->
+               let spread =
+                 match b mod 4 with
+                 | 0 -> margin - 1
+                 | 1 -> margin
+                 | 2 -> margin + 1
+                 | _ -> margin + 2 + Random.State.int state margin
+               in
+               let first = !base in
+               let inside = random_support state ~k:6 ~bound:(spread - 1) in
+               base := first + spread + 1 + Random.State.int state 3;
+               (first :: List.map (fun x -> first + 1 + x) inside) @ [ first + spread ]))
+      in
+      let step = 1 + Random.State.int state 99 in
+      ( offsets_dist state ~offsets ~step ~tiny
+      , lattice_dist state ~k:margin ~extent:margin ~step ~tiny ));
+  (* One block spreading one bucket past the margin of a 10-point row,
+     with the products into its first bucket underflowing to +0.0: were
+     the block added as one, its last row would read the word before the
+     padded row (the array's header, a nonzero denormal as a double)
+     into that bucket. *)
+  let rows = D.of_sub_points ((0, 1e-170) :: List.map (fun x -> (x, 1.0 /. 64.0)) [ 1; 2; 3; 4; 5; 6; 11 ]) in
+  let inner = D.of_sub_points ((0, 1e-170) :: List.init 9 (fun x -> (x + 1, 1.0 /. 64.0))) in
+  List.iter
+    (fun (descending, branch, a, b) ->
+      let label = "one bucket past the margin" ^ if descending then ", descending" else "" in
+      Alcotest.(check (pair int int)) (label ^ ": paths") (0, 8)
+        (block_paths ~rows ~inner ~descending);
+      Alcotest.(check (pair int (float 0.))) (label ^ ": first bucket") (0, 0.0)
+        (List.hd (D.support (D.convolve ~max_points:max_int a b)));
+      check_branch label branch a b)
+    [ (false, Rows_over_b, rows, inner); (true, Rows_over_a, inner, rows) ]
+
+(* Rows shorter than a window (an inner row of 100 to 400 buckets, 3/4
+   full) over an output of 3 to 4 windows: rows and blocks straddle
+   window edges, where the blocks are clamped to the window. *)
+let test_short_rows_many_windows () =
+  each_orientation ~seed:281 ~trials:6 "short rows, 3+ windows"
+    ~expect:(fun ~descending:_ rows inner ->
+      let offs, inner_offs = lattice_offsets rows inner in
+      Alcotest.(check bool) "rows shorter than a window, output over 2 windows" true
+        (extent inner_offs < window && extent offs + extent inner_offs - 1 > 2 * window))
+    (fun state ~tiny ->
+      let lb = 100 + Random.State.int state 301 and la = 2200 + Random.State.int state 1001 in
+      let step = 1 + Random.State.int state 99 in
+      ( lattice_dist state ~k:(la / 8) ~extent:la ~step ~tiny
+      , lattice_dist state ~k:(3 * lb / 4) ~extent:lb ~step ~tiny ))
+
+(* Rows longer than a window (an inner row of 1,100 to 1,800 buckets,
+   half full, so the margin is a whole window) over an output of 3 to
+   4 windows. *)
+let test_long_rows_many_windows () =
+  each_orientation ~seed:283 ~trials:4 "long rows, 3+ windows"
+    ~expect:(fun ~descending:_ rows inner ->
+      let offs, inner_offs = lattice_offsets rows inner in
+      Alcotest.(check bool) "rows longer than a window, output over 2 windows" true
+        (extent inner_offs > window && extent offs + extent inner_offs - 1 > 2 * window))
+    (fun state ~tiny ->
+      let lb = 1100 + Random.State.int state 701 and la = 1200 + Random.State.int state 801 in
+      let step = 1 + Random.State.int state 99 in
+      ( lattice_dist state ~k:(la / 20) ~extent:la ~step ~tiny
+      , lattice_dist state ~k:(lb / 2) ~extent:lb ~step ~tiny ))
+
 (* Random sizes, lattice densities, steps and probability scales: every
-   branch of the kernel, including the heap when the lattice is thin. *)
+   branch of the kernel, including the heap when the lattice is thin.
+   One side in four has 41 to 400 points, so some cases run 8 rows and
+   more (full blocks and tails) and some outputs span several windows. *)
 let test_random_lattices =
   let gen =
     QCheck2.Gen.(
       let side =
-        triple (int_range 1 40) (float_range 0.02 1.0) bool >|= fun (k, density, tiny) ->
+        triple
+          (frequency [ (3, int_range 1 40); (1, int_range 41 400) ])
+          (float_range 0.02 1.0) bool
+        >|= fun (k, density, tiny) ->
         (k, max k (int_of_float (float_of_int k /. density)), tiny)
       in
       quad side side (oneofl [ 1; 3; 99 ]) int)
@@ -700,6 +862,10 @@ let () =
         ; Alcotest.test_case "scatter fallback" `Quick test_scatter_fallback
         ; Alcotest.test_case "singleton operands" `Quick test_singletons
         ; test_random_lattices
+        ; Alcotest.test_case "8-row blocks and a tail" `Quick test_blocks_and_tail
+        ; Alcotest.test_case "blocks past the margin" `Quick test_blocks_past_margin
+        ; Alcotest.test_case "short rows, 3+ windows" `Quick test_short_rows_many_windows
+        ; Alcotest.test_case "long rows, 3+ windows" `Quick test_long_rows_many_windows
         ] )
     ; ( "power",
         [ Alcotest.test_case "pow = tree (capping incl.)" `Quick test_pow_matches_tree
