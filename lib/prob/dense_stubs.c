@@ -113,6 +113,8 @@ static void dense_rows(double *restrict acc, const double *restrict row, intnat 
         intnat off_max = descending ? off[0] : off[BLOCK - 1];
         intnat lo = off_min > w0 ? off_min : w0;
         intnat hi = off_max + len < w1 ? off_max + len : w1;
+        /* Row q is read at row[margin + k - off[q]] for k in [lo, hi),
+         * inside the padded row for every q exactly when this holds. */
         if (off_max - margin <= lo && hi <= off_min + len + margin) {
             const double *s[BLOCK];
             for (int q = 0; q < BLOCK; q++)

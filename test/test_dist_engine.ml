@@ -334,7 +334,7 @@ let block_paths ~rows ~inner ~descending =
    the cheaper row, strictly: as (a, b) the rows run over ascending i,
    swapped over descending j. [expect] checks the block paths of each
    orientation. *)
-let each_orientation ~seed ~trials label ?(expect = fun ~descending:_ _ _ -> ()) make =
+let each_orientation ~seed ~trials label ~expect make =
   List.iter
     (fun (descending, branch) ->
       each_branch_trial ~seed ~trials
@@ -402,7 +402,9 @@ let test_blocks_past_margin () =
      the block added as one, its last row would read the word before the
      padded row (the array's header, a nonzero denormal as a double)
      into that bucket. *)
-  let rows = D.of_sub_points ((0, 1e-170) :: List.map (fun x -> (x, 1.0 /. 64.0)) [ 1; 2; 3; 4; 5; 6; 11 ]) in
+  let rows =
+    D.of_sub_points ((0, 1e-170) :: List.map (fun x -> (x, 1.0 /. 64.0)) [ 1; 2; 3; 4; 5; 6; 11 ])
+  in
   let inner = D.of_sub_points ((0, 1e-170) :: List.init 9 (fun x -> (x + 1, 1.0 /. 64.0))) in
   List.iter
     (fun (descending, branch, a, b) ->
