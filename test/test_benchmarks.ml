@@ -174,6 +174,27 @@ let test_wcet_sound_with_faults () =
       Alcotest.(check bool) (e.R.name ^ " rw") true (cyc_rw <= bound fmm_rw rw_counts))
     R.all
 
+(* Every registry program's code (through [Estimator.program_digest], the
+   printed program that keys the store), data image and global layout,
+   folded into one MD5 in registry order. The constant was computed
+   before the compiler's data-cache annotations were deleted; any change
+   to code generation, layout or data placement fails here. *)
+let registry_compile_digest = "22a6f0a795ca7756fd61d0b0b7d9149a"
+
+let test_compile_digest () =
+  let buf = Buffer.create 8192 in
+  List.iter
+    (fun (e : R.entry) ->
+      let c = compiled_of e in
+      Printf.bprintf buf "%s %s\n" e.R.name
+        (Pwcet.Estimator.program_digest c.Minic.Compile.program);
+      List.iter (fun (a, v) -> Printf.bprintf buf " d %d %d" a v) c.Minic.Compile.data;
+      List.iter (fun (g, a) -> Printf.bprintf buf " g %s %d" g a) c.Minic.Compile.global_addresses;
+      Buffer.add_char buf '\n')
+    R.all;
+  Alcotest.(check string) "registry compile digest" registry_compile_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "benchmarks"
     [ ( "suite",
@@ -183,6 +204,7 @@ let () =
         ; Alcotest.test_case "oracle results" `Quick test_expected_results
         ; Alcotest.test_case "cfg + loops" `Quick test_cfg_and_loops
         ; Alcotest.test_case "footprint spread" `Quick test_footprint_spread
+        ; Alcotest.test_case "compile digest" `Quick test_compile_digest
         ] )
     ; ( "wcet soundness",
         [ Alcotest.test_case "fault-free" `Quick test_wcet_sound_fault_free
