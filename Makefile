@@ -1,6 +1,6 @@
 # Convenience entry points; `check` is the tier-1 gate.
 
-.PHONY: all build check test ci check-oracle perfbench-build release-dist bench audit clean
+.PHONY: all build check test ci check-oracle perfbench-build release-dist audit clean
 
 all: build
 
@@ -94,12 +94,6 @@ release-dist:
 # keeps it fast; drop the overrides for the paper-default 16x4.
 audit:
 	dune exec bin/pwcet_tool.exe -- audit --sets 8 --ways 2
-
-# The ablations that have no CLI command (path vs ILP engine,
-# persistence off, convolution cap); EXPERIMENTS.md names the command
-# behind every other result.
-bench:
-	dune exec bench/main.exe
 
 clean:
 	dune clean

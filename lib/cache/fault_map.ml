@@ -50,25 +50,6 @@ let total_faulty t =
 
 let faulty_counts t = Array.init t.sets (faulty_in_set t)
 
-let repair_first ~budget t =
-  if budget < 0 then invalid_arg "Fault_map.repair_first: negative budget";
-  let remaining = ref budget in
-  {
-    t with
-    faulty =
-      Array.map
-        (fun row ->
-          Array.map
-            (fun f ->
-              if f && !remaining > 0 then begin
-                decr remaining;
-                false
-              end
-              else f)
-            row)
-        t.faulty;
-  }
-
 let mask_way t ~way =
   if way < 0 || way >= t.ways then invalid_arg "Fault_map.mask_way: way out of range";
   {

@@ -24,11 +24,6 @@ val working_in_set : t -> int -> int
 val total_faulty : t -> int
 val faulty_counts : t -> int array
 
-val repair_first : budget:int -> t -> t
-(** Clear up to [budget] faults, scanning sets then ways in order — the
-    boot-time assignment of a reliable victim cache's supplementary
-    lines. @raise Invalid_argument on a negative budget. *)
-
 val mask_way : t -> way:int -> t
 (** [mask_way t ~way] returns a map where faults in the given way are
     masked (repaired) in every set — the RW mechanism's effect. *)

@@ -1,13 +1,6 @@
 let rw_cache ~fault_map ?(reliable_way = 0) cfg =
   Lru.create ~fault_map:(Fault_map.mask_way fault_map ~way:reliable_way) cfg
 
-module Rvc = struct
-  let repair ~entries fm = Fault_map.repair_first ~budget:entries fm
-
-  let create ~fault_map ~entries cfg =
-    Lru.create ~fault_map:(repair ~entries fault_map) cfg
-end
-
 module Srb = struct
   type t = {
     cfg : Config.t;

@@ -12,20 +12,6 @@ val rw_cache : fault_map:Fault_map.t -> ?reliable_way:int -> Config.t -> Lru.t
 (** The faulty LRU cache of an RW-protected architecture (default
     reliable way: 0). *)
 
-(** Reliable Victim Cache (RVC) of Abella et al., HiPEAC 2011 — the
-    related-work baseline of the paper's Section V: a pool of [entries]
-    fault-resilient supplementary lines statically repairs faulty cache
-    blocks (scan order over sets then ways) at boot. With at most
-    [entries] faults on the die, the cache behaves exactly fault-free;
-    further faulty blocks stay disabled. *)
-module Rvc : sig
-  val repair : entries:int -> Fault_map.t -> Fault_map.t
-  (** The effective fault map after assigning the supplementary lines. *)
-
-  val create : fault_map:Fault_map.t -> entries:int -> Config.t -> Lru.t
-  (** The cache an RVC-protected architecture exposes. *)
-end
-
 (** SRB-protected cache. *)
 module Srb : sig
   type t

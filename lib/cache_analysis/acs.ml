@@ -20,10 +20,6 @@ let must_update ~assoc t b =
     IntMap.add b 0 aged
   end
 
-let must_age_all ~assoc t =
-  if assoc <= 0 then IntMap.empty
-  else IntMap.filter_map (fun _ a -> if a + 1 < assoc then Some (a + 1) else None) t
-
 let must_join a b =
   IntMap.merge
     (fun _ x y -> match (x, y) with Some x, Some y -> Some (max x y) | _ -> None)

@@ -26,11 +26,6 @@ val must_update : assoc:int -> t -> int -> t
 val must_join : t -> t -> t
 (** Intersection with maximal ages. *)
 
-val must_age_all : assoc:int -> t -> t
-(** The sound Must transfer for an access whose block is statically
-    unknown (an imprecise data reference): any block may have been
-    accessed, so every upper-bound age grows by one. *)
-
 val may_update : assoc:int -> t -> int -> t
 (** Access a block: blocks with a lower-bound age [<=] that of the
     accessed one (all blocks when it is absent) age by one. *)

@@ -26,17 +26,6 @@ type result = {
   lp_size : int * int;  (** (variables, constraints) — (0,0) for [`Path] *)
 }
 
-val node_costs :
-  graph:Cfg.Graph.t ->
-  chmc:Cache_analysis.Chmc.t ->
-  config:Cache.Config.t ->
-  int ->
-  int * (Cache_analysis.Chmc.scope * int) list
-(** Per-execution instruction-fetch cost of a node and its one-shot
-    (first-miss) penalties — the building blocks of the objective,
-    exposed for engines that combine several cost sources (the
-    data-cache extension). *)
-
 val structural_bound :
   graph:Cfg.Graph.t -> loops:Cfg.Loop.loop list -> config:Cache.Config.t -> int
 (** The [Structural] degradation rung: every reachable fetch pays the

@@ -51,7 +51,7 @@ let eval_cond c a b =
   | Gez -> a >= 0
 
 let run ?(max_steps = 50_000_000) ?(args = []) ?(memory_init = []) ?(fetch = fun _ -> 1)
-    ?(data_access = fun _ ~write:_ -> 0) ?on_fetch program =
+    ?on_fetch program =
   let regs = Array.make Reg.count 0 in
   regs.(Reg.index Reg.sp) <- initial_sp;
   List.iteri
@@ -116,24 +116,16 @@ let run ?(max_steps = 50_000_000) ?(args = []) ?(memory_init = []) ?(fetch = fun
          set rd imm;
          pc := next
        | Lw (rt, off, base) ->
-         let a = get base + off in
-         cycles := !cycles + data_access a ~write:false;
-         set rt (load_word a);
+         set rt (load_word (get base + off));
          pc := next
        | Sw (rt, off, base) ->
-         let a = get base + off in
-         cycles := !cycles + data_access a ~write:true;
-         store_word a (get rt);
+         store_word (get base + off) (get rt);
          pc := next
        | Lb (rt, off, base) ->
-         let a = get base + off in
-         cycles := !cycles + data_access a ~write:false;
-         set rt (load_byte a);
+         set rt (load_byte (get base + off));
          pc := next
        | Sb (rt, off, base) ->
-         let a = get base + off in
-         cycles := !cycles + data_access a ~write:true;
-         store_byte a (get rt);
+         store_byte (get base + off) (get rt);
          pc := next
        | Beq2 (c, rs, rt, target) -> pc := if eval_cond c (get rs) (get rt) then target else next
        | Beqz (c, rs, target) -> pc := if eval_cond c (get rs) 0 then target else next

@@ -32,7 +32,6 @@ val run :
   ?args:int list ->
   ?memory_init:(int * int) list ->
   ?fetch:(int -> int) ->
-  ?data_access:(int -> write:bool -> int) ->
   ?on_fetch:(int -> unit) ->
   Program.t ->
   result
@@ -40,10 +39,7 @@ val run :
     [args] are loaded into $a0..$a3; [memory_init] pre-loads data words
     (word-aligned byte address, value) — the compiler's data image goes
     here. [fetch addr] returns the cost of fetching the instruction at
-    byte address [addr] (default: constant 1). [data_access addr ~write]
-    returns the extra cycles a load/store costs (default: 0 — the
-    paper's setup times instruction fetches only; the data-cache
-    extension plugs its simulator in here). [on_fetch] observes the
+    byte address [addr] (default: constant 1). [on_fetch] observes the
     fetched address stream (for trace-based cross-validation). Default
     [max_steps] is [50_000_000]. *)
 

@@ -4,27 +4,16 @@ exception Error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
-(* Where a memory instruction's effective address lives — recorded at
-   code-generation time for the data-cache analysis. Stack accesses
-   (locals, spills, frames) are served by a scratchpad in the modelled
-   architecture and are not cached. *)
-type data_target =
-  | Data_exact of int  (* absolute byte address *)
-  | Data_range of { base : int; bytes : int }  (* somewhere in a global array *)
-  | Data_stack
-
 type compiled = {
   program : Program.t;
   data : (int * int) list;
   global_addresses : (string * int) list;
-  data_refs : (int * data_target) list;
-      (* instruction index -> target, for every Lw/Sw/Lb/Sb *)
 }
 
 (* Where a name lives during code generation. *)
 type binding =
   | Global_scalar of int        (* absolute address *)
-  | Global_array of int * int   (* absolute base address, size in bytes *)
+  | Global_array of int         (* absolute base address *)
   | Local of int                (* slot index; byte offset is 4*slot from fp *)
   | Local_array of int * int    (* base slot, size in words *)
 
@@ -68,24 +57,11 @@ type emitter = {
   mutable bounds : (string * int) list;
   mutable next_label : int;
   mutable next_slot : int;
-  mutable instr_count : int;
-  mutable drefs : (int * data_target) list;  (* function-local instruction index *)
-  intervals : (int, int * int) Hashtbl.t;
-      (* slot -> inclusive value interval, for read-only constant-bound
-         for-loop indices: a tiny value analysis that tightens array
-         data-target annotations *)
   fn_name : string;
   exit_label : string;
 }
 
-let emit em i =
-  em.items <- Program.Ins i :: em.items;
-  em.instr_count <- em.instr_count + 1
-
-(* Memory instruction with its data-target annotation. *)
-let emit_mem em i target =
-  em.drefs <- (em.instr_count, target) :: em.drefs;
-  emit em i
+let emit em i = em.items <- Program.Ins i :: em.items
 let place_label em l = em.items <- Program.Label l :: em.items
 
 let fresh_label em stem =
@@ -109,10 +85,10 @@ let slot_offset slot = 4 * slot
    spilling and for call-site save/restore. *)
 let push em r =
   emit em (Instr.Alui (Instr.Add, Reg.sp, Reg.sp, -4));
-  emit_mem em (Instr.Sw (r, 0, Reg.sp)) Data_stack
+  emit em (Instr.Sw (r, 0, Reg.sp))
 
 let pop em r =
-  emit_mem em (Instr.Lw (r, 0, Reg.sp)) Data_stack;
+  emit em (Instr.Lw (r, 0, Reg.sp));
   emit em (Instr.Alui (Instr.Add, Reg.sp, Reg.sp, 4))
 
 let move em dst src = if not (Reg.equal dst src) then emit em (Instr.Alui (Instr.Add, dst, src, 0))
@@ -133,57 +109,6 @@ let arith_op : Ast.binop -> Instr.binop option = function
   | Ashr -> Some Instr.Srav
   | Lt | Le | Gt | Ge | Eq | Ne | Logand | Logor -> None
 
-(* Does the block (or any nested statement) assign to [name]? Loop
-   indices that are written in the body get no interval. *)
-let rec assigns_var block name =
-  List.exists
-    (fun (s : Ast.stmt) ->
-      match s with
-      | Ast.Assign (v, _) -> v = name
-      | Ast.If (_, t, e) -> assigns_var t name || assigns_var e name
-      | Ast.While { body; _ } -> assigns_var body name
-      | Ast.For { index; body; _ } -> index <> name && assigns_var body name
-      | Ast.Decl _ | Ast.Decl_array _ | Ast.Store _ | Ast.Expr _ | Ast.Return _ -> false)
-    block
-
-(* Interval of an index expression over constants and interval-tracked
-   loop indices; None when unbounded. *)
-let rec interval_of em env (e : Ast.expr) : (int * int) option =
-  match e with
-  | Ast.Int n -> Some (n, n)
-  | Ast.Var v -> (
-    match lookup env v with
-    | Local slot -> Hashtbl.find_opt em.intervals slot
-    | Global_scalar _ | Global_array _ | Local_array _ -> None
-    | exception Error _ -> None)
-  | Ast.Binop (Ast.Add, a, b) -> (
-    match (interval_of em env a, interval_of em env b) with
-    | Some (alo, ahi), Some (blo, bhi) -> Some (alo + blo, ahi + bhi)
-    | _ -> None)
-  | Ast.Binop (Ast.Sub, a, b) -> (
-    match (interval_of em env a, interval_of em env b) with
-    | Some (alo, ahi), Some (blo, bhi) -> Some (alo - bhi, ahi - blo)
-    | _ -> None)
-  | Ast.Binop (Ast.Mul, a, b) -> (
-    match (interval_of em env a, interval_of em env b) with
-    | Some (alo, ahi), Some (blo, bhi) ->
-      let products = [ alo * blo; alo * bhi; ahi * blo; ahi * bhi ] in
-      Some (List.fold_left min max_int products, List.fold_left max min_int products)
-    | _ -> None)
-  | _ -> None
-
-(* The annotation for an access into the array at [base] of [bytes]
-   bytes, given the word-index expression: narrowed when the index
-   interval is known and in bounds. *)
-let range_target em env ~base ~bytes idx =
-  match interval_of em env idx with
-  (* The magnitude guard keeps the interval arithmetic away from any
-     32-bit wrap the machine could perform. *)
-  | Some (lo, hi)
-    when lo >= 0 && (hi + 1) * 4 <= bytes && abs lo < 1 lsl 26 && abs hi < 1 lsl 26 ->
-    Data_range { base = base + (4 * lo); bytes = 4 * (hi - lo + 1) }
-  | _ -> Data_range { base; bytes }
-
 (* gen_expr leaves the value of [e] in the returned register, which is
    always the head of [pool]. When the pool runs out the left operand is
    spilled to the stack and combined via the reserved scratch $at. *)
@@ -193,22 +118,22 @@ let rec gen_expr em env pool (e : Ast.expr) : Reg.t =
   | Int n -> emit em (Instr.Li (dst, n))
   | Var v -> (
     match lookup env v with
-    | Local slot -> emit_mem em (Instr.Lw (dst, slot_offset slot, Reg.fp)) Data_stack
+    | Local slot -> emit em (Instr.Lw (dst, slot_offset slot, Reg.fp))
     | Global_scalar addr ->
       emit em (Instr.Li (dst, addr));
-      emit_mem em (Instr.Lw (dst, 0, dst)) (Data_exact addr)
+      emit em (Instr.Lw (dst, 0, dst))
     | Global_array _ | Local_array _ -> error "%s: array %s used as scalar" env.fn v)
   | Index (a, idx) ->
     let r = gen_expr em env pool idx in
     emit em (Instr.Shift (Instr.Sllv, r, r, 2));
     (match lookup env a with
-    | Global_array (base, bytes) ->
+    | Global_array base ->
       emit em (Instr.Li (Reg.at, base));
       emit em (Instr.Alu (Instr.Add, r, r, Reg.at));
-      emit_mem em (Instr.Lw (r, 0, r)) (range_target em env ~base ~bytes idx)
+      emit em (Instr.Lw (r, 0, r))
     | Local_array (base_slot, _) ->
       emit em (Instr.Alu (Instr.Add, r, r, Reg.fp));
-      emit_mem em (Instr.Lw (r, slot_offset base_slot, r)) Data_stack
+      emit em (Instr.Lw (r, slot_offset base_slot, r))
     | Global_scalar _ | Local _ -> error "%s: scalar %s indexed" env.fn a)
   | Unop (op, e1) -> (
     let r = gen_expr em env pool e1 in
@@ -319,10 +244,10 @@ and gen_binop em env pool op a b =
 (* Store the value of [r] into the scalar [v]. *)
 let gen_assign em env v r =
   match lookup env v with
-  | Local slot -> emit_mem em (Instr.Sw (r, slot_offset slot, Reg.fp)) Data_stack
+  | Local slot -> emit em (Instr.Sw (r, slot_offset slot, Reg.fp))
   | Global_scalar addr ->
     emit em (Instr.Li (Reg.at, addr));
-    emit_mem em (Instr.Sw (r, 0, Reg.at)) (Data_exact addr)
+    emit em (Instr.Sw (r, 0, Reg.at))
   | Global_array _ | Local_array _ -> error "%s: cannot assign to array %s" env.fn v
 
 let rec gen_block em env block =
@@ -335,7 +260,7 @@ and gen_stmt em env (s : Ast.stmt) =
     let r = gen_expr em env all_temporaries e in
     let slot = alloc_slot em in
     bind env v (Local slot);
-    emit_mem em (Instr.Sw (r, slot_offset slot, Reg.fp)) Data_stack
+    emit em (Instr.Sw (r, slot_offset slot, Reg.fp))
   | Decl_array (v, n) ->
     let base = alloc_slots em n in
     bind env v (Local_array (base, n))
@@ -348,13 +273,13 @@ and gen_stmt em env (s : Ast.stmt) =
     let re = gen_expr em env rest e in
     emit em (Instr.Shift (Instr.Sllv, ri, ri, 2));
     match lookup env a with
-    | Global_array (base, bytes) ->
+    | Global_array base ->
       emit em (Instr.Li (Reg.at, base));
       emit em (Instr.Alu (Instr.Add, ri, ri, Reg.at));
-      emit_mem em (Instr.Sw (re, 0, ri)) (range_target em env ~base ~bytes idx)
+      emit em (Instr.Sw (re, 0, ri))
     | Local_array (base_slot, _) ->
       emit em (Instr.Alu (Instr.Add, ri, ri, Reg.fp));
-      emit_mem em (Instr.Sw (re, slot_offset base_slot, ri)) Data_stack
+      emit em (Instr.Sw (re, slot_offset base_slot, ri))
     | Global_scalar _ | Local _ -> error "%s: scalar %s indexed" env.fn a)
   | If (c, then_, else_) ->
     let l_else = fresh_label em "else" and l_end = fresh_label em "endif" in
@@ -384,12 +309,8 @@ and gen_stmt em env (s : Ast.stmt) =
     let env = push_scope env in
     let slot = alloc_slot em in
     bind env index (Local slot);
-    (match (start, stop) with
-    | Ast.Int lo, Ast.Int hi when hi > lo && not (assigns_var body index) ->
-      Hashtbl.replace em.intervals slot (lo, hi - 1)
-    | _ -> ());
     let r = gen_expr em env all_temporaries start in
-    emit_mem em (Instr.Sw (r, slot_offset slot, Reg.fp)) Data_stack;
+    emit em (Instr.Sw (r, slot_offset slot, Reg.fp));
     em.bounds <- (l_head, b) :: em.bounds;
     place_label em l_head;
     (* index < stop ? *)
@@ -399,9 +320,9 @@ and gen_stmt em env (s : Ast.stmt) =
     (* index++ *)
     (match all_temporaries with
     | r :: _ ->
-      emit_mem em (Instr.Lw (r, slot_offset slot, Reg.fp)) Data_stack;
+      emit em (Instr.Lw (r, slot_offset slot, Reg.fp));
       emit em (Instr.Alui (Instr.Add, r, r, 1));
-      emit_mem em (Instr.Sw (r, slot_offset slot, Reg.fp)) Data_stack
+      emit em (Instr.Sw (r, slot_offset slot, Reg.fp))
     | [] -> assert false);
     emit em (Instr.J l_head);
     place_label em l_end
@@ -421,34 +342,31 @@ let compile_function globals_env (f : Ast.func) ~is_main =
       bounds = [];
       next_label = 0;
       next_slot = 0;
-      instr_count = 0;
-      drefs = [];
-      intervals = Hashtbl.create 8;
       fn_name = f.fname;
       exit_label = f.fname ^ ".exit";
     }
   in
   (* Prologue: allocate frame, save ra/fp, establish fp, spill params. *)
   emit em (Instr.Alui (Instr.Add, Reg.sp, Reg.sp, -frame_size));
-  emit_mem em (Instr.Sw (Reg.ra, 4 * nslots, Reg.sp)) Data_stack;
-  emit_mem em (Instr.Sw (Reg.fp, (4 * nslots) + 4, Reg.sp)) Data_stack;
+  emit em (Instr.Sw (Reg.ra, 4 * nslots, Reg.sp));
+  emit em (Instr.Sw (Reg.fp, (4 * nslots) + 4, Reg.sp));
   move em Reg.fp Reg.sp;
   let env = { bindings = [ Hashtbl.create 8; globals_env ]; fn = f.fname } in
   List.iteri
     (fun i p ->
       let slot = alloc_slot em in
       bind env p (Local slot);
-      emit_mem em (Instr.Sw (Reg.of_index (Reg.index Reg.a0 + i), slot_offset slot, Reg.fp)) Data_stack)
+      emit em (Instr.Sw (Reg.of_index (Reg.index Reg.a0 + i), slot_offset slot, Reg.fp)))
     f.params;
   gen_block em env f.body;
   (* Epilogue. *)
   place_label em em.exit_label;
   move em Reg.sp Reg.fp;
-  emit_mem em (Instr.Lw (Reg.ra, 4 * nslots, Reg.sp)) Data_stack;
-  emit_mem em (Instr.Lw (Reg.fp, (4 * nslots) + 4, Reg.sp)) Data_stack;
+  emit em (Instr.Lw (Reg.ra, 4 * nslots, Reg.sp));
+  emit em (Instr.Lw (Reg.fp, (4 * nslots) + 4, Reg.sp));
   emit em (Instr.Alui (Instr.Add, Reg.sp, Reg.sp, frame_size));
   if is_main then emit em Instr.Halt else emit em (Instr.Jr Reg.ra);
-  ((f.fname, List.rev em.items), em.bounds, List.rev em.drefs)
+  ((f.fname, List.rev em.items), em.bounds)
 
 let default_data_base = 0x1000_0000
 
@@ -468,7 +386,7 @@ let compile ?base_address ?(data_base = default_data_base) (program : Ast.progra
           data := (addr, v) :: !data;
           next_addr := !next_addr + 4
         | Ast.Array xs ->
-          Hashtbl.add globals_env name (Global_array (addr, 4 * Array.length xs));
+          Hashtbl.add globals_env name (Global_array addr);
           Array.iteri (fun i v -> data := (addr + (4 * i), v) :: !data) xs;
           next_addr := !next_addr + (4 * Array.length xs));
         (name, addr))
@@ -478,24 +396,13 @@ let compile ?base_address ?(data_base = default_data_base) (program : Ast.progra
   let main, others = List.partition (fun (f : Ast.func) -> f.fname = "main") program.funcs in
   let ordered = main @ others in
   let compiled = List.map (fun f -> compile_function globals_env f ~is_main:(f.Ast.fname = "main")) ordered in
-  let src_functions = List.map (fun (items, _, _) -> items) compiled in
-  let src_bounds = List.concat_map (fun (_, bounds, _) -> bounds) compiled in
+  let src_functions = List.map fst compiled in
+  let src_bounds = List.concat_map snd compiled in
   let program =
     try Program.assemble ?base_address { src_functions; src_bounds }
     with Program.Assembly_error msg -> error "assembly failed: %s" msg
   in
-  (* Function-local data-reference indices become absolute instruction
-     indices now that the layout is known. *)
-  let data_refs =
-    List.concat_map
-      (fun ((fname, _), _, drefs) ->
-        match Program.find_function program fname with
-        | Some fn -> List.map (fun (k, t) -> (fn.Program.fn_start + k, t)) drefs
-        | None -> [])
-      (List.map2 (fun (items, b, d) f -> ((f.Ast.fname, items), b, d)) compiled ordered)
-  in
-  { program; data = List.rev !data; global_addresses; data_refs }
+  { program; data = List.rev !data; global_addresses }
 
-let run ?max_steps ?fetch ?data_access ?on_fetch compiled =
-  Machine.run ?max_steps ~memory_init:compiled.data ?fetch ?data_access ?on_fetch
-    compiled.program
+let run ?max_steps ?fetch ?on_fetch compiled =
+  Machine.run ?max_steps ~memory_init:compiled.data ?fetch ?on_fetch compiled.program

@@ -11,23 +11,11 @@
 
 exception Error of string
 
-(** Where a memory instruction's effective address lives, recorded at
-    code-generation time. The modelled architecture serves stack
-    accesses (locals, spills, frames) from a scratchpad, so only
-    data-segment targets matter to the data-cache analysis. *)
-type data_target =
-  | Data_exact of int  (** absolute byte address (global scalar) *)
-  | Data_range of { base : int; bytes : int }
-      (** somewhere within a global array *)
-  | Data_stack
-
 type compiled = {
   program : Isa.Program.t;
   data : (int * int) list;
       (** initial data-segment contents: (word-aligned address, value) *)
   global_addresses : (string * int) list;
-  data_refs : (int * data_target) list;
-      (** instruction index [->] target, for every load/store *)
 }
 
 val compile : ?base_address:int -> ?data_base:int -> Ast.program -> compiled
@@ -38,7 +26,6 @@ val compile : ?base_address:int -> ?data_base:int -> Ast.program -> compiled
 val run :
   ?max_steps:int ->
   ?fetch:(int -> int) ->
-  ?data_access:(int -> write:bool -> int) ->
   ?on_fetch:(int -> unit) ->
   compiled ->
   Isa.Machine.result

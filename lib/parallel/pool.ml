@@ -118,36 +118,18 @@ let map_result ?deadline ?chaos ~jobs f input =
    tree itself is fixed (adjacent pairs, odd leftover kept at the end —
    the same shape as a sequential pairwise tree reduction), so the
    result is bit-identical for every [jobs]. *)
-let reduce_pairs_result ?deadline ~jobs f input =
-  let past_deadline () =
-    match deadline with None -> false | Some d -> Robust.Budget.now () > d
-  in
-  let rec loop layer arr =
+let reduce_pairs ~jobs f input =
+  let rec loop arr =
     let n = Array.length arr in
-    if n = 0 then Ok None
-    else if n = 1 then Ok (Some arr.(0))
-    (* The pre-layer check mirrors [mapi_result]'s pre-item check: a
-       layer whose start is already past the deadline never runs, and
-       the whole reduction reports starvation instead of silently
-       spending unbounded time in the remaining log2(n) layers. *)
-    else if past_deadline () then
-      Error
-        (E.Budget_exhausted
-           (Printf.sprintf
-              "Pool.reduce_pairs_result: deadline expired before layer %d (%d values left)"
-              layer n))
+    if n = 0 then None
+    else if n = 1 then Some arr.(0)
     else begin
       let pairs = Array.init (n / 2) (fun i -> (arr.(2 * i), arr.((2 * i) + 1))) in
       let merged = map ~jobs (fun (a, b) -> f a b) pairs in
-      loop (layer + 1) (if n land 1 = 0 then merged else Array.append merged [| arr.(n - 1) |])
+      loop (if n land 1 = 0 then merged else Array.append merged [| arr.(n - 1) |])
     end
   in
-  loop 0 input
-
-let reduce_pairs ~jobs f input =
-  match reduce_pairs_result ~jobs f input with
-  | Ok v -> v
-  | Error _ -> assert false (* no deadline, so no starvation path *)
+  loop input
 
 type 'a dag_node = { deps : int array; run : 'a array -> 'a }
 

@@ -138,16 +138,3 @@ val run_dag :
     refusals aside, which are timing-dependent by nature). The
     [Domain.spawn]-failure discipline of the header applies. *)
 
-val reduce_pairs_result :
-  ?deadline:float ->
-  jobs:int ->
-  ('a -> 'a -> 'a) ->
-  'a array ->
-  ('a option, Robust.Pwcet_error.t) Stdlib.result
-(** {!reduce_pairs} with the same deadline contract the [_result] maps
-    give items, applied between reduction layers: when [deadline]
-    (absolute, {!Robust.Budget.now} scale) has passed before a layer
-    starts, the reduction stops with [Error (Budget_exhausted _)]
-    instead of running its remaining layers. A reduction that starts
-    its last layer in time completes it; without [deadline] this is
-    exactly {!reduce_pairs}. *)

@@ -1,6 +1,5 @@
 (* Coverage for the remaining small API surface: mechanism naming,
-   model printers, the Victim sizing laws across configurations, and
-   Report_data edge cases. *)
+   model printers and Report_data edge cases. *)
 
 let string_contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -64,15 +63,6 @@ let test_config_pp_and_program_pp () =
   Alcotest.(check bool) "has fib label" true (string_contains listing "fib:");
   Alcotest.(check bool) "has halt" true (string_contains listing "halt")
 
-let test_victim_sizing_scales_with_geometry () =
-  (* Bigger caches need bigger RVCs for the same masking guarantee. *)
-  let small = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
-  let big = Cache.Config.make ~sets:64 ~ways:4 ~line_bytes:16 () in
-  let pbf = 0.0127 in
-  let v_small = Pwcet.Victim.min_entries_for_target small ~pbf ~target:1e-15 in
-  let v_big = Pwcet.Victim.min_entries_for_target big ~pbf ~target:1e-15 in
-  Alcotest.(check bool) "monotone in blocks" true (v_big > v_small)
-
 let test_report_min_gain_empty () =
   match Pwcet.Report_data.min_gain [] Pwcet.Report_data.gain_rw with
   | exception Invalid_argument _ -> ()
@@ -92,7 +82,6 @@ let () =
         ; Alcotest.test_case "fmm pp" `Quick test_fmm_pp
         ; Alcotest.test_case "fmm validation" `Quick test_fmm_of_table_validation
         ; Alcotest.test_case "config/program pp" `Quick test_config_pp_and_program_pp
-        ; Alcotest.test_case "victim sizing" `Quick test_victim_sizing_scales_with_geometry
         ; Alcotest.test_case "report edge cases" `Quick test_report_min_gain_empty
         ; Alcotest.test_case "registry extras" `Quick test_registry_extras
         ] )

@@ -203,45 +203,21 @@ let test_map_result_matches_map_when_clean () =
     (Array.map (fun x -> Ok (f x)) input)
     (Pool.map_result ~jobs:4 f input)
 
-let test_reduce_pairs_result_starved () =
-  (* A deadline in the past stops the reduction before its first layer,
-     mirroring map_result's pre-item refusal — and the combiner must
-     never run. *)
-  let ran = Atomic.make 0 in
-  let combine a b =
-    Atomic.incr ran;
-    a + b
-  in
-  (match Pool.reduce_pairs_result ~deadline:0.0 ~jobs:4 combine (Array.init 32 Fun.id) with
-  | Error (Robust.Pwcet_error.Budget_exhausted _) -> ()
-  | Ok _ -> Alcotest.fail "starved reduction must not complete"
-  | Error e -> Alcotest.failf "expected Budget_exhausted, got %s" (Robust.Pwcet_error.to_string e));
-  Alcotest.(check int) "no layer ran" 0 (Atomic.get ran);
-  (* Degenerate inputs need no layers, so even a starved deadline
-     yields their (trivial) result — the check is per layer, not a
-     blanket abort. *)
-  (match Pool.reduce_pairs_result ~deadline:0.0 ~jobs:4 combine [| 7 |] with
-  | Ok (Some 7) -> ()
-  | _ -> Alcotest.fail "singleton needs no layer");
-  match Pool.reduce_pairs_result ~deadline:0.0 ~jobs:4 combine [||] with
-  | Ok None -> ()
-  | _ -> Alcotest.fail "empty needs no layer"
-
 let test_reduce_pairs_result_clean () =
-  (* With a generous deadline the result matches reduce_pairs exactly,
-     for every jobs value (same fixed tree shape). *)
-  let input = Array.init 37 (fun i -> [ i ]) in
-  let combine = ( @ ) in
-  let reference = Pool.reduce_pairs ~jobs:1 combine input in
-  let deadline = Robust.Budget.now () +. 3600.0 in
+  (* The tree shape is fixed (adjacent pairs, odd leftover at the end of
+     its layer), so even a non-associative combination gives the same
+     result for every jobs value. *)
+  let combine a b = "(" ^ a ^ " " ^ b ^ ")" in
+  let leaves n = Array.init n string_of_int in
+  Alcotest.(check (option string)) "tree shape" (Some "(((0 1) (2 3)) 4)")
+    (Pool.reduce_pairs ~jobs:1 combine (leaves 5));
+  let reference = Pool.reduce_pairs ~jobs:1 combine (leaves 37) in
   List.iter
     (fun jobs ->
-      match Pool.reduce_pairs_result ~deadline ~jobs combine input with
-      | Ok v ->
-        Alcotest.(check (option (list int)))
-          (Printf.sprintf "jobs=%d" jobs)
-          reference v
-      | Error e -> Alcotest.failf "unexpected error: %s" (Robust.Pwcet_error.to_string e))
+      Alcotest.(check (option string))
+        (Printf.sprintf "jobs=%d" jobs)
+        reference
+        (Pool.reduce_pairs ~jobs combine (leaves 37)))
     [ 1; 3; 8 ]
 
 (* --- work-stealing DAG executor -------------------------------------------- *)
@@ -410,25 +386,6 @@ let test_penalty_jobs_bit_identical () =
   Alcotest.(check (list (pair int (float 0.)))) "penalty distribution"
     (D.support seq) (D.support par)
 
-let test_dcache_jobs_bit_identical () =
-  let config = Cache.Config.paper_default in
-  let entry = Option.get (Benchmarks.Registry.find "bs") in
-  let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
-  let task = Dcache.Destimator.prepare ~compiled ~iconfig:config ~dconfig:config () in
-  let est jobs =
-    Dcache.Destimator.estimate task ~pfail:1e-4 ~imech:M.No_protection
-      ~dmech:M.Shared_reliable_buffer ~jobs ()
-  in
-  let seq = est 1 and par = est 4 in
-  Alcotest.(check (list (pair int (float 0.)))) "combined penalty"
-    (D.support seq.Dcache.Destimator.penalty) (D.support par.Dcache.Destimator.penalty);
-  List.iter
-    (fun target ->
-      Alcotest.(check int)
-        (Printf.sprintf "pwcet at %g" target)
-        (Dcache.Destimator.pwcet seq ~target) (Dcache.Destimator.pwcet par ~target))
-    [ 1e-9; 1e-15 ]
-
 (* The Monte-Carlo campaign engine: the RNG is split per sample index —
    not per domain — and partial results merge in a fixed chunk order,
    so every [jobs] value must produce the bit-identical histogram,
@@ -492,8 +449,6 @@ let () =
             test_mapi_result_deterministic_across_jobs
         ; Alcotest.test_case "map_result deadline" `Quick test_map_result_deadline
         ; Alcotest.test_case "map_result clean run" `Quick test_map_result_matches_map_when_clean
-        ; Alcotest.test_case "reduce_pairs_result starved" `Quick
-            test_reduce_pairs_result_starved
         ; Alcotest.test_case "reduce_pairs_result clean" `Quick test_reduce_pairs_result_clean
         ] )
     ; ( "run_dag",
@@ -510,7 +465,6 @@ let () =
     ; ( "determinism",
         [ Alcotest.test_case "fmm jobs 1 = 4" `Quick test_fmm_jobs_bit_identical
         ; Alcotest.test_case "penalty jobs 1 = 4" `Quick test_penalty_jobs_bit_identical
-        ; Alcotest.test_case "dcache jobs 1 = 4" `Quick test_dcache_jobs_bit_identical
         ; Alcotest.test_case "sim campaign jobs 1 = 2 = 4 = 13" `Quick
             test_sim_campaign_jobs_bit_identical
         ] )

@@ -292,80 +292,6 @@ let test_monte_carlo_matches_analytic () =
       end)
     (D.support est.Est.penalty)
 
-(* --- RVC extension (related-work baseline) ------------------------------------ *)
-
-let test_rvc_repair () =
-  let fm = FM.of_faulty_counts config (Array.init 16 (fun s -> s mod 3)) in
-  let total = FM.total_faulty fm in
-  let repaired = Cache.Reliable.Rvc.repair ~entries:5 fm in
-  Alcotest.(check int) "5 repaired" (total - 5) (FM.total_faulty repaired);
-  let all = Cache.Reliable.Rvc.repair ~entries:1000 fm in
-  Alcotest.(check int) "all repaired" 0 (FM.total_faulty all);
-  let none = Cache.Reliable.Rvc.repair ~entries:0 fm in
-  Alcotest.(check int) "none repaired" total (FM.total_faulty none)
-
-let test_rvc_fault_free_when_covered () =
-  let fm = FM.of_faulty_counts config (Array.init 16 (fun s -> if s < 3 then 2 else 0)) in
-  let _, task = prepare loop_prog in
-  let entry = Option.get (Benchmarks.Registry.find "crc") in
-  ignore entry;
-  ignore task;
-  (* 6 faults, 8 entries: the RVC cache must behave exactly fault-free. *)
-  let compiled = Minic.Compile.compile loop_prog in
-  let rvc = Cache.Reliable.Rvc.create ~fault_map:fm ~entries:8 config in
-  let clean = Cache.Lru.create config in
-  let c1 = (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle rvc) compiled).Isa.Machine.cycles in
-  let c2 = (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle clean) compiled).Isa.Machine.cycles in
-  Alcotest.(check int) "identical to fault-free" c2 c1
-
-let test_rvc_overflow_probability () =
-  let pbf = 0.0127191 in
-  let p0 = Pwcet.Victim.prob_overflow config ~pbf ~entries:0 in
-  Alcotest.(check (float 1e-9)) "entries=0" (1.0 -. ((1.0 -. pbf) ** 64.0)) p0;
-  Alcotest.(check (float 0.)) "entries=all" 0.0 (Pwcet.Victim.prob_overflow config ~pbf ~entries:64);
-  (* Monotone decreasing. *)
-  let prev = ref 2.0 in
-  for entries = 0 to 64 do
-    let p = Pwcet.Victim.prob_overflow config ~pbf ~entries in
-    Alcotest.(check bool) "decreasing" true (p <= !prev +. 1e-15);
-    prev := p
-  done
-
-let test_rvc_sizing () =
-  let pbf = 0.0127191 in
-  let v = Pwcet.Victim.min_entries_for_target config ~pbf ~target:1e-15 in
-  Alcotest.(check bool) "nontrivial size" true (v > 0 && v < 64);
-  Alcotest.(check bool) "meets target" true
-    (Pwcet.Victim.prob_overflow config ~pbf ~entries:v <= 1e-15);
-  Alcotest.(check bool) "minimal" true
-    (Pwcet.Victim.prob_overflow config ~pbf ~entries:(v - 1) > 1e-15)
-
-let test_rvc_quantile () =
-  let none_penalty = D.of_points [ (0, 0.9); (990, 0.1) ] in
-  Alcotest.(check int) "fully masked" 0
-    (Pwcet.Victim.quantile ~none_penalty ~overflow:1e-16 ~target:1e-15);
-  Alcotest.(check int) "falls back to none" 990
-    (Pwcet.Victim.quantile ~none_penalty ~overflow:0.5 ~target:1e-15)
-
-let test_rvc_concrete_bound () =
-  (* Simulated RVC execution is bounded by wcet_ff + FMM_none applied to
-     the repaired fault pattern. *)
-  let compiled, task = prepare loop_prog in
-  let ff = Est.fault_free_wcet task in
-  let fmm = compute_fmm task M.No_protection in
-  let penalty = C.miss_penalty config in
-  let state = Random.State.make [| 777 |] in
-  for _ = 1 to 10 do
-    let fm = FM.sample config ~pbf:0.3 state in
-    let entries = 4 in
-    let sim = Cache.Reliable.Rvc.create ~fault_map:fm ~entries config in
-    let cyc = (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle sim) compiled).Isa.Machine.cycles in
-    let counts = FM.faulty_counts (Cache.Reliable.Rvc.repair ~entries fm) in
-    let bound = ref ff in
-    Array.iteri (fun s f -> bound := !bound + (Fmm.misses fmm ~set:s ~faulty:f * penalty)) counts;
-    Alcotest.(check bool) "rvc bounded" true (cyc <= !bound)
-  done
-
 (* --- report data ------------------------------------------------------------- *)
 
 let test_report_gains () =
@@ -447,14 +373,6 @@ let () =
     ; ( "soundness",
         [ Alcotest.test_case "concrete faulty runs bounded" `Quick test_concrete_bound_all_programs
         ; Alcotest.test_case "monte carlo vs analytic" `Quick test_monte_carlo_matches_analytic
-        ] )
-    ; ( "rvc extension",
-        [ Alcotest.test_case "repair" `Quick test_rvc_repair
-        ; Alcotest.test_case "fault-free when covered" `Quick test_rvc_fault_free_when_covered
-        ; Alcotest.test_case "overflow probability" `Quick test_rvc_overflow_probability
-        ; Alcotest.test_case "sizing" `Quick test_rvc_sizing
-        ; Alcotest.test_case "quantile" `Quick test_rvc_quantile
-        ; Alcotest.test_case "concrete bound" `Quick test_rvc_concrete_bound
         ] )
     ; ( "penalty",
         [ Alcotest.test_case "zero rows skipped" `Quick test_total_distribution_skips_zero_rows ] )

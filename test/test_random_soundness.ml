@@ -70,52 +70,6 @@ let random_soundness =
          check_program seed_counter program;
          true))
 
-(* The combined I+D pipeline on random programs as well. *)
-let random_soundness_dcache =
-  let seed_counter = ref 99991 in
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:25 ~name:"I+D pipeline sound on random programs"
-       Minic_gen.gen_program
-       (fun program ->
-         (match Minic.Compile.compile program with
-         | exception Minic.Typecheck.Error _ -> ()
-         | compiled ->
-           let task = Dcache.Destimator.prepare ~compiled ~iconfig:config ~dconfig:config () in
-           let est =
-             Dcache.Destimator.estimate task ~pfail:1e-4
-               ~imech:Pwcet.Mechanism.No_protection ~dmech:Pwcet.Mechanism.No_protection ()
-           in
-           let state = Random.State.make [| !seed_counter |] in
-           incr seed_counter;
-           for _ = 1 to 2 do
-             let ifm = FM.sample config ~pbf:0.25 state in
-             let dfm = FM.sample config ~pbf:0.25 state in
-             let isim = Cache.Lru.create ~fault_map:ifm config in
-             let cyc =
-               (Minic.Compile.run
-                  ~fetch:(Cache.Lru.latency_oracle isim)
-                  ~data_access:(Dcache.Dsim.unprotected ~fault_map:dfm config)
-                  compiled)
-                 .Isa.Machine.cycles
-             in
-             let bound = ref task.Dcache.Destimator.wcet_ff in
-             Array.iteri
-               (fun s f ->
-                 bound :=
-                   !bound
-                   + (Pwcet.Fmm.misses est.Dcache.Destimator.ifmm ~set:s ~faulty:f
-                     * C.miss_penalty config))
-               (FM.faulty_counts ifm);
-             Array.iteri
-               (fun s f ->
-                 bound :=
-                   !bound
-                   + (Dcache.Destimator.dfmm_misses est ~set:s ~faulty:f * C.miss_penalty config))
-               (FM.faulty_counts dfm);
-             if cyc > !bound then Alcotest.failf "I+D: sim %d > bound %d" cyc !bound
-           done);
-         true))
-
 let () =
   Alcotest.run "random_soundness"
-    [ ("pipeline", [ random_soundness; random_soundness_dcache ]) ]
+    [ ("pipeline", [ random_soundness ]) ]

@@ -412,33 +412,6 @@ let test_audit_flags_bad_artefacts () =
   in
   Alcotest.(check bool) "zero fmm passes" true (Pwcet.Audit.ok (Pwcet.Audit.check_fmm fmm))
 
-(* --- destimator degradation ------------------------------------------------- *)
-
-let test_dcache_budget_degrades () =
-  let entry = Option.get (Benchmarks.Registry.find "bs") in
-  let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
-  let task =
-    Dcache.Destimator.prepare ~compiled ~iconfig:small_config ~dconfig:small_config ()
-  in
-  let est budget =
-    Dcache.Destimator.estimate task ~pfail:1e-4 ~imech:M.No_protection ~dmech:M.No_protection
-      ?budget ()
-  in
-  let full = est None in
-  let starved = est (Some expired_budget) in
-  Alcotest.(check bool) "full run exact" true
-    (Rung.equal (Dcache.Destimator.worst_rung full) Rung.Exact);
-  Alcotest.(check bool) "starved run degraded" true
-    (not (Rung.equal (Dcache.Destimator.worst_rung starved) Rung.Exact));
-  Alcotest.(check bool) "errors recorded" true (Dcache.Destimator.degradation_errors starved <> []);
-  List.iter
-    (fun target ->
-      Alcotest.(check bool)
-        (Printf.sprintf "dominates at %g" target)
-        true
-        (Dcache.Destimator.pwcet starved ~target >= Dcache.Destimator.pwcet full ~target))
-    [ 0.5; 1e-9; 1e-15 ]
-
 let () =
   Alcotest.run "robust"
     [ ( "units",
@@ -460,7 +433,6 @@ let () =
         [ Alcotest.test_case "fmm deadline fallback" `Quick test_fmm_deadline_fallback
         ; Alcotest.test_case "fmm provenance round-trip" `Quick
             test_worker_crash_isolation_in_fmm
-        ; Alcotest.test_case "dcache budget degrades" `Quick test_dcache_budget_degrades
         ] )
     ; ( "properties",
         [ wcet_ladder_dominates; fmm_ladder_dominates; starved_estimate_sound ] )
