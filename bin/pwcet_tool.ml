@@ -7,7 +7,6 @@
      sweep <bench>            pWCET across a pfail grid, one analysis per mechanism
      grid [bench...]          one-pass benchmark x geometry x mechanism x pfail matrix
      suite                    the Fig. 4 table over the whole suite
-     simulate <bench>         Monte-Carlo faulty simulation vs the bound
      validate [bench...]      batched fault-injection campaigns vs the analytic curve
      audit                    invariant auditor over the whole registry
      sched                    probabilistic schedulability campaigns (generate / analyze / sweep)
@@ -16,13 +15,14 @@
      client                   talk to a running daemon (ping / stats / analyze / load)
      chaos                    deterministic fault-injection soak (self-healing audit)
 
-   Exit codes: 0 success; 1 analysis failure, audit or simulated bound
+   Exit codes: 0 success; 1 analysis failure, audit or validate bound
    violation, or corrupt store entries found by cache verify; 2 invalid
    input (bad benchmark, source, cache geometry, probability, budget or
-   jobs count); 3 a client request shed by the daemon's admission
-   control; 130 sweep/suite/grid/sched analyze cancelled cleanly by
-   SIGINT/SIGTERM, or a serve run ended by those signals after a clean
-   drain; cmdliner's own codes for CLI errors. *)
+   jobs count, or a validated program that traps or does not halt); 3 a
+   client request shed by the daemon's admission control; 130
+   sweep/suite/grid/sched analyze cancelled cleanly by SIGINT/SIGTERM,
+   or a serve run ended by those signals after a clean drain;
+   cmdliner's own codes for CLI errors. *)
 
 open Cmdliner
 
@@ -327,12 +327,13 @@ let record ?(also = ignore) ~label j payload =
 
 let exits =
   Cmd.Exit.info 1
-    ~doc:"on an analysis failure, an audit violation, a simulated bound violation, or \
+    ~doc:"on an analysis failure, an audit violation, a validate bound violation, or \
           corrupt artifact-store entries found by cache verify."
   :: Cmd.Exit.info exit_invalid_input
        ~doc:"on invalid input: unknown benchmark, source parse/type error, bad cache \
              geometry, probability outside (0, 1), a malformed budget, an out-of-range \
-             jobs count, or an inconsistent --resume combination."
+             jobs count, an inconsistent --resume combination, or a program under \
+             validate that traps or does not halt."
   :: Cmd.Exit.info exit_cancelled
        ~doc:"when SIGINT/SIGTERM cancels a sweep, suite, grid or sched analyze run \
              cleanly: the per-cell (per-set for sched analyze) resume journal is left \
@@ -954,51 +955,6 @@ let suite_cmd =
     Term.(const run $ pfail_arg $ target_arg $ sets_arg $ ways_arg $ line_arg $ engine_arg
           $ exact_arg $ run_opts_term)
 
-(* --- simulate -------------------------------------------------------------- *)
-
-let simulate_cmd =
-  let run name pfail samples seed jobs =
-    let _, compiled = compile_target name in
-    let config = Cache.Config.paper_default in
-    let task = Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config () in
-    let est =
-      Pwcet.Estimator.estimate task ~pfail ~mechanism:Pwcet.Mechanism.No_protection ~jobs ()
-    in
-    let state = Random.State.make [| seed |] in
-    let worst = ref 0 in
-    let violations = ref 0 in
-    for _ = 1 to samples do
-      let fm = Fault.Sampler.fault_map config ~pfail state in
-      let sim = Cache.Lru.create ~fault_map:fm config in
-      let cycles =
-        (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle sim) compiled).Isa.Machine.cycles
-      in
-      worst := max !worst cycles;
-      (* The analytic bound for this very fault pattern. *)
-      let bound = ref (Pwcet.Estimator.fault_free_wcet task) in
-      Array.iteri
-        (fun s f ->
-          bound :=
-            !bound
-            + Pwcet.Fmm.misses est.Pwcet.Estimator.fmm ~set:s ~faulty:f
-              * Cache.Config.miss_penalty config)
-        (Cache.Fault_map.faulty_counts fm);
-      if cycles > !bound then incr violations
-    done;
-    Printf.printf "samples          : %d (pfail = %g)\n" samples pfail;
-    Printf.printf "worst simulated  : %d cycles\n" !worst;
-    Printf.printf "pWCET (1e-15)    : %d cycles\n" (Pwcet.Estimator.pwcet est ~target:1e-15);
-    Printf.printf "bound violations : %d (must be 0)\n" !violations;
-    if !violations > 0 then exit 1
-  in
-  let samples_arg =
-    Arg.(value & opt int 200 & info [ "samples" ] ~doc:"Number of sampled fault maps.")
-  in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
-  Cmd.v
-    (cmd_info "simulate" ~doc:"Monte-Carlo faulty execution checked against the analytic bound")
-    Term.(const run $ bench_arg $ pfail_arg $ samples_arg $ seed_arg $ jobs_arg)
-
 (* --- validate (batched fault-injection campaigns vs the analytic curve) ------ *)
 
 let git_commit () =
@@ -1010,7 +966,7 @@ let git_commit () =
   with _ -> "unknown"
 
 let validate_cmd =
-  let run benches pfail samples seed jobs sets ways line engine baseline_samples json =
+  let run benches pfail samples seed jobs sets ways line json =
     let config = config_of sets ways line in
     let names =
       match benches with
@@ -1019,9 +975,8 @@ let validate_cmd =
     in
     let failures = ref 0 in
     let rows = ref [] in
-    let speedup = ref None in
-    List.iteri
-      (fun i name ->
+    List.iter
+      (fun name ->
         let label, compiled = compile_target name in
         let program = compiled.Minic.Compile.program in
         let data = compiled.Minic.Compile.data in
@@ -1030,8 +985,11 @@ let validate_cmd =
           (fun mechanism ->
             let est = Pwcet.Estimator.estimate task ~pfail ~mechanism ~jobs () in
             let c =
-              try Pwcet.Validate.check ~program ~data ~est ~samples ~seed ~jobs ~engine ()
-              with Failure msg ->
+              try Pwcet.Validate.check ~program ~data ~est ~samples ~seed ~jobs with
+              | Robust.Pwcet_error.Error (Robust.Pwcet_error.Invalid_input msg) ->
+                Printf.eprintf "%s: %s\n" label msg;
+                exit exit_invalid_input
+              | Failure msg ->
                 Printf.eprintf "%s/%s: campaign failed: %s\n" label
                   (Pwcet.Mechanism.short_name mechanism) msg;
                 exit 1
@@ -1055,34 +1013,12 @@ let validate_cmd =
                 r.Sim.Campaign.bound_violations;
             if not (Pwcet.Validate.ok c) then incr failures;
             rows := (label, c) :: !rows)
-          Pwcet.Mechanism.all;
-        if i = 0 && baseline_samples > 0 then begin
-          let est =
-            Pwcet.Estimator.estimate task ~pfail ~mechanism:Pwcet.Mechanism.No_protection ~jobs
-              ()
-          in
-          let sp =
-            Pwcet.Validate.measure_speedup ~program ~data ~est ~benchmark:label
-              ~samples:baseline_samples ()
-          in
-          Printf.printf
-            "%-14s speedup: batched %.0f/s vs baseline %.0f/s = %.1fx (cycles identical: %b, \
-             engines identical: %b)\n"
-            label sp.Pwcet.Validate.batched_samples_per_sec
-            sp.Pwcet.Validate.baseline_samples_per_sec sp.Pwcet.Validate.factor
-            sp.Pwcet.Validate.cycles_identical sp.Pwcet.Validate.engines_identical;
-          if not (sp.Pwcet.Validate.cycles_identical && sp.Pwcet.Validate.engines_identical)
-          then begin
-            Printf.printf "  FAIL: batched engine disagrees with the reference simulator\n";
-            incr failures
-          end;
-          speedup := Some sp
-        end)
+          Pwcet.Mechanism.all)
       names;
     Option.iter
       (fun path ->
         Pwcet.Validate.write_json ~path ~git_commit:(git_commit ()) ~config ~pfail
-          ~speedup:!speedup ~rows:(List.rev !rows);
+          ~rows:(List.rev !rows);
         Printf.printf "wrote %s\n" path)
       json;
     if !failures > 0 then begin
@@ -1107,19 +1043,6 @@ let validate_cmd =
     Arg.(value & opt int 42
          & info [ "seed" ] ~doc:"Campaign seed; per-sample RNG streams derive from it.")
   in
-  let engine_arg =
-    Arg.(value & opt (enum [ ("replay", `Replay); ("emulate", `Emulate) ]) `Replay
-         & info [ "sim-engine" ] ~docv:"ENGINE"
-             ~doc:"Campaign engine: 'replay' (trace-composed, the fast default) or 'emulate' \
-                   (full per-sample machine emulation; the ground truth replay is \
-                   cross-checked against).")
-  in
-  let baseline_arg =
-    Arg.(value & opt int 200
-         & info [ "baseline-samples" ] ~docv:"N"
-             ~doc:"Samples for the batched-vs-baseline speedup measurement on the first \
-                   benchmark (0 disables it).")
-  in
   let json_arg =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE" ~doc:"Write the BENCH_sim.json document to $(docv).")
@@ -1127,13 +1050,13 @@ let validate_cmd =
   Cmd.v
     (cmd_info "validate"
        ~doc:"Batched fault-injection campaigns: for each benchmark and mechanism, draw N \
-             fault patterns from the paper's fault law, execute each on the flat emulator's \
-             faulty cache, and check the empirical execution-time exceedance curve lies at \
+             fault patterns from the paper's fault law, time each by replaying the program's \
+             fetch trace through the faulty cache, and check the empirical execution-time exceedance curve lies at \
              or below the analytic pWCET at every observed value (within binomial sampling \
              noise) and every sample under its own per-pattern FMM bound. Exits 1 on any \
              violation. Results are bit-identical for every --jobs value.")
     Term.(const run $ benches_arg $ pfail_arg $ samples_arg $ seed_arg $ jobs_arg $ sets_arg
-          $ ways_arg $ line_arg $ engine_arg $ baseline_arg $ json_arg)
+          $ ways_arg $ line_arg $ json_arg)
 
 (* --- audit ------------------------------------------------------------------ *)
 
@@ -2501,5 +2424,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; source_cmd; disasm_cmd; analyze_cmd; sweep_cmd; grid_cmd; suite_cmd;
-            simulate_cmd; validate_cmd; audit_cmd; refined_cmd; sched_cmd; cache_cmd;
+            validate_cmd; audit_cmd; refined_cmd; sched_cmd; cache_cmd;
             serve_cmd; client_cmd; chaos_cmd ]))

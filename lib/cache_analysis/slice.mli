@@ -14,10 +14,10 @@
 
     [ages] runs both fixpoints once, at the configured associativity
     [W], and records every reference's abstract age. The fixpoints run
-    on {!State}, a flat bitset encoding of {!Acs} over the set's
+    on {!State}, a flat bitset encoding of [Oracle.Acs] over the set's
     slice-local blocks, and each slice position visits only its own
     references ([Context.refs]). One run serves
-    every associativity [A <= W]: {!Acs}'s updates and joins commute
+    every associativity [A <= W]: [Oracle.Acs]'s updates and joins commute
     with truncation to [A] (dropping every age [>= A]), so the fixpoint
     at [A] is the one at [W] truncated, and a reference is must-hit
     (may-present) at [A] iff its Must (May) age is [< A]. {!Chmc} turns
@@ -34,7 +34,7 @@ val absent : int
 (** The age [ages] records for a block the abstract state does not
     hold ([max_int]): never below any associativity. *)
 
-(** The abstract state both fixpoints run on: an {!Acs} state of one
+(** The abstract state both fixpoints run on: an [Oracle.Acs] state of one
     LRU set at [ways] ways over the blocks [0..blocks-1], as [ways]
     cumulative bitsets in one [int array]. Level [t] holds the blocks
     whose age is [<= t], which is the state truncated to [t + 1] ways;
@@ -43,7 +43,7 @@ val absent : int
     join (union, smaller age) a word-wise OR, and an access moves every
     level below the accessed block's old age (Must) or up to it (May)
     one level up and puts the block in level 0. Every operation
-    gives the ages {!Acs} gives (pinned by [test_cache_analysis.ml]). *)
+    gives the ages [Oracle.Acs] gives (pinned by [test_cache_analysis.ml]). *)
 module State : sig
   type shape
   type t
@@ -54,10 +54,10 @@ module State : sig
   (** The block's abstract age, or {!absent}. *)
 
   val must_update : shape -> t -> int -> t
-  (** {!Acs.must_update} at [ways]; the argument is not modified. *)
+  (** [Oracle.Acs.must_update] at [ways]; the argument is not modified. *)
 
   val may_update : shape -> t -> int -> t
-  (** {!Acs.may_update} at [ways]; the argument is not modified. *)
+  (** [Oracle.Acs.may_update] at [ways]; the argument is not modified. *)
 
   val must_join : t -> t -> t
   val may_join : t -> t -> t

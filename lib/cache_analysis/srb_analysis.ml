@@ -3,12 +3,17 @@ type t = {
   reachable : bool array;
 }
 
-(* The abstract SRB state: the set of blocks the buffer is guaranteed to
-   hold. With capacity one this is either one block or unknown, which is
-   exactly a Must-ACS of associativity 1 over a single set. [touches]
-   selects which references go through the buffer: all of them for the
-   paper's conservative analysis, only one cache set's for the exclusive
+(* The abstract SRB state: the block the buffer is guaranteed to hold,
+   or [unknown]. With capacity one this is a Must analysis of
+   associativity 1: an access leaves exactly its own block, and two
+   paths agree on a block only if both hold it. [touches] selects which
+   references go through the buffer: all of them for the paper's
+   conservative analysis, only one cache set's for the exclusive
    refinement. *)
+let unknown = -1
+
+let join a b = if a = b then a else unknown
+
 let analyze_with ?ctx ~graph ~config ~touches () =
   let n = Cfg.Graph.node_count graph in
   let blocks =
@@ -21,11 +26,9 @@ let analyze_with ?ctx ~graph ~config ~touches () =
                (Cache.Config.block_of_address config)
                (Cfg.Graph.addresses graph (Cfg.Graph.node graph u))))
   in
-  let update acs blk = if touches blk then Acs.must_update ~assoc:1 acs blk else acs in
-  let transfer u acs = Array.fold_left update acs blocks.(u) in
-  let must_in =
-    Fixpoint.run ~graph ~entry_state:Acs.empty ~transfer ~join:Acs.must_join ~equal:Acs.equal ()
-  in
+  let update held blk = if touches blk then blk else held in
+  let transfer u held = Array.fold_left update held blocks.(u) in
+  let must_in = Fixpoint.run ~graph ~entry_state:unknown ~transfer ~join ~equal:Int.equal () in
   let reachable =
     match ctx with
     | Some ctx -> ctx.Context.reachable
@@ -39,13 +42,13 @@ let analyze_with ?ctx ~graph ~config ~touches () =
     let len = Array.length blocks.(u) in
     hits.(u) <- Array.make len false;
     match must_in.(u) with
-    | Some acs0 ->
-      let acs = ref acs0 in
+    | Some held0 ->
+      let held = ref held0 in
       for k = 0 to len - 1 do
         let blk = blocks.(u).(k) in
         if touches blk then begin
-          hits.(u).(k) <- Acs.mem !acs blk;
-          acs := update !acs blk
+          hits.(u).(k) <- !held = blk;
+          held := blk
         end
       done
     | None -> ()

@@ -3,7 +3,6 @@ type campaign_check = {
   samples : int;
   seed : int;
   jobs : int;
-  engine : [ `Replay | `Emulate ];
   wcet_ff : int;
   result : Sim.Campaign.result;
   elapsed_s : float;
@@ -21,27 +20,6 @@ let sim_mechanism : Mechanism.t -> Sim.Campaign.mechanism = function
   | Mechanism.No_protection -> Sim.Campaign.No_protection
   | Mechanism.Reliable_way -> Sim.Campaign.Reliable_way
   | Mechanism.Shared_reliable_buffer -> Sim.Campaign.Shared_reliable_buffer
-
-let spec_of ~program ~data ~(est : Estimator.estimate) ~samples ~seed ~jobs ~engine ~with_bound =
-  {
-    Sim.Campaign.program;
-    data;
-    config = est.Estimator.task.Estimator.config;
-    mechanism = sim_mechanism est.Estimator.mechanism;
-    pbf = est.Estimator.pbf;
-    samples;
-    seed;
-    jobs;
-    engine;
-    bound =
-      (if with_bound then
-         Some
-           {
-             Sim.Campaign.bound_base = est.Estimator.task.Estimator.wcet_ff;
-             bound_misses = Fmm.table est.Estimator.fmm;
-           }
-       else None);
-  }
 
 (* Empirical vs analytic exceedance at every observed execution time.
    Both sides use the weak form P(X >= x): the analytic distribution is
@@ -72,8 +50,25 @@ let compare_curve ~(est : Estimator.estimate) (r : Sim.Campaign.result) =
   done;
   (!points, (if !points = 0 then 0.0 else !max_gap), !all_ok)
 
-let check ~program ~data ~est ~samples ~seed ~jobs ?(engine = `Replay) () =
-  let spec = spec_of ~program ~data ~est ~samples ~seed ~jobs ~engine ~with_bound:true in
+let check ~program ~data ~(est : Estimator.estimate) ~samples ~seed ~jobs =
+  let spec =
+    {
+      Sim.Campaign.program;
+      data;
+      config = est.Estimator.task.Estimator.config;
+      mechanism = sim_mechanism est.Estimator.mechanism;
+      pbf = est.Estimator.pbf;
+      samples;
+      seed;
+      jobs;
+      bound =
+        Some
+          {
+            Sim.Campaign.bound_base = est.Estimator.task.Estimator.wcet_ff;
+            bound_misses = Fmm.table est.Estimator.fmm;
+          };
+    }
+  in
   let t0 = Robust.Budget.now () in
   let campaign = Sim.Campaign.prepare spec in
   let result = Sim.Campaign.run campaign in
@@ -84,7 +79,6 @@ let check ~program ~data ~est ~samples ~seed ~jobs ?(engine = `Replay) () =
     samples;
     seed;
     jobs;
-    engine;
     wcet_ff = est.Estimator.task.Estimator.wcet_ff;
     result;
     elapsed_s = elapsed;
@@ -96,90 +90,11 @@ let check ~program ~data ~est ~samples ~seed ~jobs ?(engine = `Replay) () =
     digest = Sim.Campaign.digest result;
   }
 
-type speedup = {
-  benchmark : string;
-  sp_sets : int;
-  sp_samples : int;
-  baseline_s : float;
-  batched_s : float;
-  baseline_samples_per_sec : float;
-  batched_samples_per_sec : float;
-  factor : float;
-  crosscheck_samples : int;
-  cycles_identical : bool;
-  engines_identical : bool;
-}
-
-(* The pre-existing simulation path: Isa.Machine.run with a concrete
-   cache simulator as fetch oracle, one fresh simulator per sampled
-   fault pattern. Fault-way positions are immaterial under LRU, so the
-   count-derived map gives the same law the batched engine samples. *)
-let baseline_cycles ~program ~data ~(est : Estimator.estimate) campaign counts ~sample =
-  let config = est.Estimator.task.Estimator.config in
-  Sim.Campaign.sample_faulty_counts campaign ~sample counts;
-  let fault_map = Cache.Fault_map.of_faulty_counts config counts in
-  let fetch =
-    match est.Estimator.mechanism with
-    | Mechanism.No_protection | Mechanism.Reliable_way ->
-      Cache.Lru.latency_oracle (Cache.Lru.create ~fault_map config)
-    | Mechanism.Shared_reliable_buffer ->
-      Cache.Reliable.Srb.latency_oracle (Cache.Reliable.Srb.create ~fault_map config)
-  in
-  (Isa.Machine.run ~memory_init:data ~fetch program).Isa.Machine.cycles
-
-let measure_speedup ~program ~data ~est ~benchmark ~samples ?(crosscheck = 100) () =
-  let crosscheck = min crosscheck samples in
-  let seed = 42 and jobs = 1 in
-  let spec = spec_of ~program ~data ~est ~samples ~seed ~jobs ~engine:`Replay ~with_bound:false in
-  (* Batched: preparation (trace extraction + tables) is part of the
-     measured cost — it is what a user of the engine pays. *)
-  let t0 = Robust.Budget.now () in
-  let campaign = Sim.Campaign.prepare spec in
-  let (_ : Sim.Campaign.result) = Sim.Campaign.run campaign in
-  let batched_s = Float.max 1e-9 (Robust.Budget.now () -. t0) in
-  let config = est.Estimator.task.Estimator.config in
-  let counts = Array.make config.Cache.Config.sets 0 in
-  let identical = ref true in
-  let t1 = Robust.Budget.now () in
-  for sample = 0 to samples - 1 do
-    let cycles = baseline_cycles ~program ~data ~est campaign counts ~sample in
-    if sample < crosscheck && cycles <> Sim.Campaign.replay_cycles campaign ~sample then
-      identical := false
-  done;
-  let baseline_s = Float.max 1e-9 (Robust.Budget.now () -. t1) in
-  (* Engine cross-check: full emulation and trace replay must agree on
-     every bit of a (smaller) campaign's result. *)
-  let engines_identical =
-    let small n engine =
-      let spec =
-        spec_of ~program ~data ~est ~samples:n ~seed ~jobs ~engine ~with_bound:false
-      in
-      Sim.Campaign.digest (Sim.Campaign.run (Sim.Campaign.prepare spec))
-    in
-    let n = max 1 crosscheck in
-    String.equal (small n `Replay) (small n `Emulate)
-  in
-  {
-    benchmark;
-    sp_sets = config.Cache.Config.sets;
-    sp_samples = samples;
-    baseline_s;
-    batched_s;
-    baseline_samples_per_sec = float_of_int samples /. baseline_s;
-    batched_samples_per_sec = float_of_int samples /. batched_s;
-    factor = baseline_s /. batched_s;
-    crosscheck_samples = crosscheck;
-    cycles_identical = !identical;
-    engines_identical;
-  }
-
-let engine_name = function `Replay -> "replay" | `Emulate -> "emulate"
-
-let write_json ~path ~git_commit ~(config : Cache.Config.t) ~pfail ~speedup ~rows =
+let write_json ~path ~git_commit ~(config : Cache.Config.t) ~pfail ~rows =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"schema_version\": 1,\n";
+  p "  \"schema_version\": 2,\n";
   p "  \"git_commit\": %S,\n" git_commit;
   p "  \"sets\": %d,\n" config.Cache.Config.sets;
   p "  \"ways\": %d,\n" config.Cache.Config.ways;
@@ -187,22 +102,6 @@ let write_json ~path ~git_commit ~(config : Cache.Config.t) ~pfail ~speedup ~row
   p "  \"hit_latency\": %d,\n" config.Cache.Config.hit_latency;
   p "  \"miss_latency\": %d,\n" config.Cache.Config.miss_latency;
   p "  \"pfail\": %.17g,\n" pfail;
-  (match speedup with
-  | None -> p "  \"speedup\": null,\n"
-  | Some s ->
-    p "  \"speedup\": {\n";
-    p "    \"benchmark\": %S,\n" s.benchmark;
-    p "    \"sets\": %d,\n" s.sp_sets;
-    p "    \"samples\": %d,\n" s.sp_samples;
-    p "    \"baseline_s\": %.6f,\n" s.baseline_s;
-    p "    \"batched_s\": %.6f,\n" s.batched_s;
-    p "    \"baseline_samples_per_sec\": %.1f,\n" s.baseline_samples_per_sec;
-    p "    \"batched_samples_per_sec\": %.1f,\n" s.batched_samples_per_sec;
-    p "    \"speedup\": %.2f,\n" s.factor;
-    p "    \"crosscheck_samples\": %d,\n" s.crosscheck_samples;
-    p "    \"cycles_identical\": %b,\n" s.cycles_identical;
-    p "    \"engines_identical\": %b\n" s.engines_identical;
-    p "  },\n");
   p "  \"campaigns\": [";
   List.iteri
     (fun i (benchmark, c) ->
@@ -211,7 +110,6 @@ let write_json ~path ~git_commit ~(config : Cache.Config.t) ~pfail ~speedup ~row
       p "\n    {\n";
       p "      \"benchmark\": %S,\n" benchmark;
       p "      \"mechanism\": %S,\n" (Mechanism.short_name c.mechanism);
-      p "      \"engine\": %S,\n" (engine_name c.engine);
       p "      \"samples\": %d,\n" c.samples;
       p "      \"seed\": %d,\n" c.seed;
       p "      \"jobs\": %d,\n" c.jobs;

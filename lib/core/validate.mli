@@ -13,7 +13,6 @@ type campaign_check = {
   samples : int;
   seed : int;
   jobs : int;
-  engine : [ `Replay | `Emulate ];
   wcet_ff : int;
   result : Sim.Campaign.result;
   elapsed_s : float;
@@ -39,55 +38,21 @@ val check :
   samples:int ->
   seed:int ->
   jobs:int ->
-  ?engine:[ `Replay | `Emulate ] ->
-  unit ->
   campaign_check
-(** Runs one campaign (default engine [`Replay]) with the estimate's
-    FMM table as per-sample bound, and compares curves. The empirical
-    frequency at an observed value may exceed the analytic bound by
-    binomial sampling noise (the [Audit.monte_carlo] 5-sigma
-    convention); anything beyond that fails [curve_ok]. *)
-
-type speedup = {
-  benchmark : string;
-  sp_sets : int;
-  sp_samples : int;
-  baseline_s : float;
-  batched_s : float;
-  baseline_samples_per_sec : float;
-  batched_samples_per_sec : float;
-  factor : float;
-  crosscheck_samples : int;
-  cycles_identical : bool;
-      (** baseline [Isa.Machine.run]+oracle cycles == batched replay
-          cycles on every cross-checked sample *)
-  engines_identical : bool;
-      (** [`Replay] and [`Emulate] campaign digests match *)
-}
-
-val measure_speedup :
-  program:Isa.Program.t ->
-  data:(int * int) list ->
-  est:Estimator.estimate ->
-  benchmark:string ->
-  samples:int ->
-  ?crosscheck:int ->
-  unit ->
-  speedup
-(** Times a baseline loop — one {!Isa.Machine.run} with a fresh
-    concrete cache simulator per sampled fault pattern — against the
-    batched engine (prepare + run, jobs 1) at the same sample count and
-    the same per-sample fault law, and cross-checks the first
-    [crosscheck] (default 100, capped at [samples]) samples cycle by
-    cycle. *)
+(** Runs one campaign with the estimate's FMM table as per-sample
+    bound, and compares curves. The empirical frequency at an observed
+    value may exceed the analytic bound by binomial sampling noise (the
+    [Audit.monte_carlo] 5-sigma convention); anything beyond that fails
+    [curve_ok].
+    @raise Robust.Pwcet_error.Error with [Invalid_input] if the program
+    traps or does not halt. *)
 
 val write_json :
   path:string ->
   git_commit:string ->
   config:Cache.Config.t ->
   pfail:float ->
-  speedup:speedup option ->
   rows:(string * campaign_check) list ->
   unit
-(** Emits the BENCH_sim.json document: schema, geometry, the optional
-    speedup block and one record per (benchmark, mechanism) campaign. *)
+(** Emits the BENCH_sim.json document: schema, geometry and one record
+    per (benchmark, mechanism) campaign. *)

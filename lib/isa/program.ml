@@ -78,8 +78,6 @@ let index_of_address t addr =
 
 let instruction t i = t.code.(i)
 
-let find_function t name = List.find_opt (fun f -> f.fn_name = name) t.functions
-
 let function_at t i =
   match List.find_opt (fun f -> i >= f.fn_start && i < f.fn_start + f.fn_len) t.functions with
   | Some f -> f

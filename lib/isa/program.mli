@@ -45,7 +45,6 @@ val index_of_address : t -> int -> int
 (** @raise Invalid_argument for unmapped or misaligned addresses. *)
 
 val instruction : t -> int -> Instr.resolved
-val find_function : t -> string -> func option
 val function_at : t -> int -> func
 (** Function containing the given instruction index. *)
 

@@ -15,7 +15,7 @@ type binding =
   | Global_scalar of int        (* absolute address *)
   | Global_array of int         (* absolute base address *)
   | Local of int                (* slot index; byte offset is 4*slot from fp *)
-  | Local_array of int * int    (* base slot, size in words *)
+  | Local_array of int          (* base slot *)
 
 type env = {
   bindings : (string, binding) Hashtbl.t list;  (* innermost scope first *)
@@ -131,7 +131,7 @@ let rec gen_expr em env pool (e : Ast.expr) : Reg.t =
       emit em (Instr.Li (Reg.at, base));
       emit em (Instr.Alu (Instr.Add, r, r, Reg.at));
       emit em (Instr.Lw (r, 0, r))
-    | Local_array (base_slot, _) ->
+    | Local_array base_slot ->
       emit em (Instr.Alu (Instr.Add, r, r, Reg.fp));
       emit em (Instr.Lw (r, slot_offset base_slot, r))
     | Global_scalar _ | Local _ -> error "%s: scalar %s indexed" env.fn a)
@@ -262,8 +262,7 @@ and gen_stmt em env (s : Ast.stmt) =
     bind env v (Local slot);
     emit em (Instr.Sw (r, slot_offset slot, Reg.fp))
   | Decl_array (v, n) ->
-    let base = alloc_slots em n in
-    bind env v (Local_array (base, n))
+    bind env v (Local_array (alloc_slots em n))
   | Assign (v, e) ->
     let r = gen_expr em env all_temporaries e in
     gen_assign em env v r
@@ -277,7 +276,7 @@ and gen_stmt em env (s : Ast.stmt) =
       emit em (Instr.Li (Reg.at, base));
       emit em (Instr.Alu (Instr.Add, ri, ri, Reg.at));
       emit em (Instr.Sw (re, 0, ri))
-    | Local_array (base_slot, _) ->
+    | Local_array base_slot ->
       emit em (Instr.Alu (Instr.Add, ri, ri, Reg.fp));
       emit em (Instr.Sw (re, slot_offset base_slot, ri))
     | Global_scalar _ | Local _ -> error "%s: scalar %s indexed" env.fn a)
@@ -403,6 +402,3 @@ let compile ?base_address ?(data_base = default_data_base) (program : Ast.progra
     with Program.Assembly_error msg -> error "assembly failed: %s" msg
   in
   { program; data = List.rev !data; global_addresses }
-
-let run ?max_steps ?fetch ?on_fetch compiled =
-  Machine.run ?max_steps ~memory_init:compiled.data ?fetch ?on_fetch compiled.program

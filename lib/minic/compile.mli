@@ -22,12 +22,3 @@ val compile : ?base_address:int -> ?data_base:int -> Ast.program -> compiled
 (** Validates (via {!Typecheck.check}) then compiles. [main] is laid out
     first and is the entry point.
     @raise Error (or {!Typecheck.Error}) on invalid programs. *)
-
-val run :
-  ?max_steps:int ->
-  ?fetch:(int -> int) ->
-  ?on_fetch:(int -> unit) ->
-  compiled ->
-  Isa.Machine.result
-(** Convenience wrapper: {!Isa.Machine.run} with the data image
-    pre-loaded. *)

@@ -17,13 +17,11 @@ type spec = {
   samples : int;
   seed : int;
   jobs : int;
-  engine : [ `Replay | `Emulate ];
   bound : bound option;
 }
 
 type t = {
   spec : spec;
-  code : Code.t;
   accesses : int;
   fault_free_cycles : int;
   fault_free_misses : int;
@@ -66,6 +64,9 @@ let lru_replay blocks off len stack cap =
     !misses
   end
 
+let cycles_of_misses config ~accesses misses =
+  (accesses * config.Cache.Config.hit_latency) + (Cache.Config.miss_penalty config * misses)
+
 let prepare spec =
   let config = spec.config in
   let sets = config.Cache.Config.sets and ways = config.Cache.Config.ways in
@@ -79,8 +80,8 @@ let prepare spec =
   | None -> ());
   let code = Code.decode ~config spec.program in
   let machine = Machine.create ~code ~data:spec.data in
-  (* One fault-free emulation extracts the fetch trace — identical for
-     every fault pattern, because faults change timing only. *)
+  (* One run extracts the fetch trace — identical for every fault
+     pattern, because faults change timing only. *)
   let buf = ref (Array.make 4096 0) and blen = ref 0 in
   let push i =
     if !blen = Array.length !buf then begin
@@ -91,10 +92,12 @@ let prepare spec =
     !buf.(!blen) <- i;
     incr blen
   in
-  let res = Machine.run ~on_fetch:push machine in
-  (match res.Machine.status with
-  | Machine.Halted -> ()
-  | Machine.Out_of_fuel -> failwith "Sim.Campaign.prepare: program did not halt");
+  let invalid msg = raise (Robust.Pwcet_error.Error (Robust.Pwcet_error.Invalid_input msg)) in
+  (match Machine.run ~on_fetch:push machine with
+  | { Machine.status = Machine.Halted; _ } -> ()
+  | { Machine.status = Machine.Out_of_fuel; instructions; _ } ->
+    invalid (Printf.sprintf "program did not halt within %d instructions" instructions)
+  | exception Machine.Trap msg -> invalid ("program trapped: " ^ msg));
   let n = !blen in
   let gset = Array.make n 0 and gblock = Array.make n 0 in
   let iset = code.Code.iset and iblock = code.Code.iblock in
@@ -135,12 +138,14 @@ let prepare spec =
         !m)
   in
   let cdf = Fault.Sampler.way_cdf ~ways ~pbf:spec.pbf ~rw:(spec.mechanism = Reliable_way) in
+  (* LRU sets are independent, so the fault-free run misses exactly what
+     each set's sub-trace misses at full capacity. *)
+  let fault_free_misses = Array.fold_left (fun acc row -> acc + row.(ways)) 0 table in
   {
     spec;
-    code;
     accesses = n;
-    fault_free_cycles = res.Machine.cycles;
-    fault_free_misses = Machine.misses machine;
+    fault_free_cycles = cycles_of_misses config ~accesses:n fault_free_misses;
+    fault_free_misses;
     gset;
     gblock;
     table;
@@ -176,14 +181,13 @@ let sample_faulty_counts t ~sample counts =
 type scratch = {
   dead : int array;  (** dead-set indexes of the current sample *)
   flag : bool array;  (** dead-set membership, reset after each replay *)
-  mutable emu : Machine.t option;  (** lazily created Emulate engine *)
 }
 
 let fresh_scratch t =
   let sets = t.spec.config.Cache.Config.sets in
-  { dead = Array.make sets 0; flag = Array.make sets false; emu = None }
+  { dead = Array.make sets 0; flag = Array.make sets false }
 
-(* Misses of one sample, Replay engine: O(sets) table lookups plus the
+(* Misses of one sample: O(sets) table lookups plus the
    SRB dead-set handling. Also accumulates the sample's analytic bound
    (in misses) when a bound table is present. *)
 let replay_misses t scratch ~sample ~bound_misses_acc =
@@ -242,52 +246,11 @@ let replay_misses t scratch ~sample ~bound_misses_acc =
   end;
   (!misses, merged)
 
-let emulate_machine t scratch =
-  match scratch.emu with
-  | Some m -> m
-  | None ->
-    let m = Machine.create ~code:t.code ~data:t.spec.data in
-    scratch.emu <- Some m;
-    m
-
-let emulate_misses t scratch ~sample =
-  let spec = t.spec in
-  let sets = spec.config.Cache.Config.sets and ways = spec.config.Cache.Config.ways in
-  let srb = spec.mechanism = Shared_reliable_buffer in
-  let m = emulate_machine t scratch in
-  let counts = scratch.dead in
-  sample_faulty_counts t ~sample counts;
-  let bacc = ref 0 in
-  (match spec.bound with
-  | Some b ->
-    for s = 0 to sets - 1 do
-      bacc := !bacc + b.bound_misses.(s).(counts.(s))
-    done
-  | None -> ());
-  for s = 0 to sets - 1 do
-    counts.(s) <- ways - counts.(s)
-  done;
-  Machine.set_capacities m ~srb counts;
-  let res = Machine.run m in
-  (match res.Machine.status with
-  | Machine.Halted -> ()
-  | Machine.Out_of_fuel -> failwith "Sim.Campaign: emulated sample did not halt");
-  (Machine.misses m, !bacc)
-
-let cycles_of_misses t misses =
-  let config = t.spec.config in
-  (t.accesses * config.Cache.Config.hit_latency) + (Cache.Config.miss_penalty config * misses)
-
 let replay_cycles t ~sample =
   let scratch = fresh_scratch t in
   let acc = ref 0 in
   let misses, _ = replay_misses t scratch ~sample ~bound_misses_acc:acc in
-  cycles_of_misses t misses
-
-let emulate_cycles t ~sample =
-  let scratch = fresh_scratch t in
-  let misses, _ = emulate_misses t scratch ~sample in
-  cycles_of_misses t misses
+  cycles_of_misses t.spec.config ~accesses:t.accesses misses
 
 type chunk_result = {
   hist : int array;
@@ -326,14 +289,7 @@ let run t =
     let violations = ref 0 and replays = ref 0 in
     let bacc = ref 0 in
     for sample = start to start + count - 1 do
-      let misses, merged =
-        match spec.engine with
-        | `Replay -> replay_misses t scratch ~sample ~bound_misses_acc:bacc
-        | `Emulate ->
-          let m, b = emulate_misses t scratch ~sample in
-          bacc := b;
-          (m, false)
-      in
+      let misses, merged = replay_misses t scratch ~sample ~bound_misses_acc:bacc in
       if merged then incr replays;
       let delta = misses - t.fault_free_misses in
       if delta < 0 || delta >= hsize then
@@ -432,9 +388,9 @@ let digest r =
   sep ();
   Buffer.add_string b (Int64.to_string (Int64.bits_of_float r.variance_cycles));
   sep ();
-  (* srb_merged_replays stays out: it is a Replay-engine diagnostic
-     (Emulate never replays merged sub-traces), and the digest asserts
-     the statistical result, which both engines must share. *)
+  (* srb_merged_replays stays out: it says how samples were composed,
+     not what they measured, and the digest asserts the statistical
+     result alone. *)
   add_int r.bound_violations;
   Array.iter
     (fun c ->

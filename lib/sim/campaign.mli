@@ -6,23 +6,21 @@
     empirical execution-time distribution to hold against the analytic
     pWCET curve.
 
-    Two engines compute the very same per-sample cycle counts:
+    Cache faults affect only timing, never architectural state, so the
+    fetch trace is the same for every fault pattern, and under LRU a
+    set's misses depend only on that set's working-way capacity (the
+    sets are independent, and which ways are dead does not matter).
+    One {!Machine} run extracts the trace; per-(set, capacity) miss
+    counts are precomputed by replaying each set's sub-trace through an
+    LRU stack; a sample then costs O(sets) table lookups. The SRB
+    couples fully-dead sets through its single shared buffer, so
+    dead-set misses come from a precomputed "dead alone" count when one
+    set is dead and from an exact merged sub-trace replay when several
+    are (rare at realistic [pbf]). Every sample's cycle count equals
+    that of a full execution under its fault pattern (pinned by tests
+    against the reference interpreter and caches).
 
-    - [`Emulate] runs the flat-state machine once per sample — the
-      ground truth, linear in the dynamic instruction count.
-    - [`Replay] (default) exploits that cache faults affect only
-      timing, never architectural state: the fetch trace is the same
-      for every fault pattern, so per-set misses depend only on that
-      set's working-way capacity. One emulator run extracts the trace;
-      per-(set, capacity) miss counts are precomputed by replaying each
-      set's sub-trace through an LRU stack; a sample then costs O(sets)
-      table lookups. The SRB couples fully-dead sets through its single
-      shared buffer, so dead-set misses come from a precomputed
-      "dead alone" count when one set is dead and from an exact merged
-      sub-trace replay when several are (rare at realistic [pbf]).
-
-    Both engines are bit-identical per sample (pinned by tests), and
-    results are bit-identical for every [jobs] value: the RNG is
+    Results are bit-identical for every [jobs] value: the RNG is
     counter-based per sample index ({!Rng}), samples are chunked by a
     fixed rule independent of [jobs], and partial histograms/moments
     merge in fixed chunk order. *)
@@ -48,7 +46,6 @@ type spec = {
   samples : int;
   seed : int;
   jobs : int;
-  engine : [ `Replay | `Emulate ];
   bound : bound option;
       (** when present, every sample's simulated time is checked
           against its own analytic bound
@@ -60,9 +57,10 @@ type spec = {
 type t
 
 val prepare : spec -> t
-(** Decodes the program, runs it once fault-free to extract the fetch
-    trace, and precomputes the per-(set, capacity) miss tables.
-    @raise Failure if the program does not halt. *)
+(** Decodes the program, runs it once to extract the fetch trace, and
+    precomputes the per-(set, capacity) miss tables.
+    @raise Robust.Pwcet_error.Error with [Invalid_input] if the program
+    traps or does not halt. *)
 
 type result = {
   samples : int;
@@ -100,14 +98,13 @@ val digest : result -> string
     equal digests mean bit-identical campaign results (the determinism
     gates compare these across [--jobs] values). *)
 
-(** {2 Per-sample access (cross-checks and baselines)}
+(** {2 Per-sample access (cross-checks)}
 
     These expose the exact per-sample law the batched run uses, so a
-    baseline loop over [Isa.Machine.run] or the full emulator can be
-    compared sample by sample. *)
+    reference execution can be compared sample by sample. *)
 
 val sample_faulty_counts : t -> sample:int -> int array -> unit
 (** Fills per-set faulty-way counts for the given sample index. *)
 
 val replay_cycles : t -> sample:int -> int
-val emulate_cycles : t -> sample:int -> int
+(** Execution cycles of the given sample's fault pattern. *)

@@ -1,13 +1,12 @@
 (** Programs decoded once into flat parallel arrays.
 
-    {!Isa.Machine.run} re-pattern-matches the [Instr.resolved] variant
-    on every executed instruction; at millions of Monte-Carlo samples
-    that dispatch (and the per-access closure call into the fetch
-    oracle) dominates. Decoding once per program — not per sample —
-    turns each instruction into a small-int opcode plus three integer
-    operand fields, and precomputes the cache set and memory block of
-    every instruction address, so the emulator's hot loop only indexes
-    int arrays. *)
+    Matching the [Instr.resolved] variant on every executed instruction
+    dominates a long run. Decoding once per program turns each
+    instruction into a small-int opcode plus three integer operand
+    fields, and precomputes the cache set and memory block of every
+    instruction address, so the interpreter's hot loop only indexes int
+    arrays and the trace replay maps a fetch to its set and block by
+    one lookup. *)
 
 (* Opcode kinds ([kind] array). ALU register and immediate forms share
    the binop sub-code ([sub] array); [Alui] and [Shift] both read a

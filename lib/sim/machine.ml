@@ -4,7 +4,6 @@ type status =
 
 type result = {
   status : status;
-  cycles : int;
   instructions : int;
   return_value : int;
 }
@@ -31,21 +30,8 @@ let no_page : int array = [||]
 type t = {
   code : Code.t;
   regs : int array;
-  pages : int array array;
-  touched : int array;  (** indexes of allocated pages, zeroed on reset *)
-  mutable touched_len : int;
+  pages : int array array;  (** demand-allocated; [no_page] until written *)
   data : (int * int) array;  (** (word index, wrapped value) image *)
-  sets : int;
-  ways : int;
-  hit_latency : int;
-  miss_latency : int;
-  lru : int array;  (** packed [sets*ways] MRU-first block stacks *)
-  len : int array;
-  cap : int array;
-  mutable srb : bool;
-  mutable srb_block : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let sp_index = Isa.Reg.index Isa.Reg.sp
@@ -59,8 +45,6 @@ let page_of t widx =
   else begin
     let fresh = Array.make page_words 0 in
     t.pages.(p) <- fresh;
-    t.touched.(t.touched_len) <- p;
-    t.touched_len <- t.touched_len + 1;
     fresh
   end
 
@@ -101,22 +85,14 @@ let store_byte t addr v =
   Array.unsafe_set pg (widx land page_mask) (wrap32 (cleared lor ((v land 0xFF) lsl shift)))
 
 let reset t =
-  for k = 0 to t.touched_len - 1 do
-    Array.fill t.pages.(t.touched.(k)) 0 page_words 0
-  done;
+  Array.fill t.pages 0 page_count no_page;
   Array.iter
     (fun (widx, v) -> Array.unsafe_set (page_of t widx) (widx land page_mask) v)
     t.data;
   Array.fill t.regs 0 (Array.length t.regs) 0;
-  t.regs.(sp_index) <- initial_sp;
-  Array.fill t.len 0 t.sets 0;
-  t.srb_block <- -1;
-  t.hits <- 0;
-  t.misses <- 0
+  t.regs.(sp_index) <- initial_sp
 
 let create ~code ~data =
-  let config = code.Code.config in
-  let sets = config.Cache.Config.sets and ways = config.Cache.Config.ways in
   let data =
     Array.of_list
       (List.map
@@ -133,48 +109,16 @@ let create ~code ~data =
       code;
       regs = Array.make Isa.Reg.count 0;
       pages = Array.make page_count no_page;
-      touched = Array.make page_count 0;
-      touched_len = 0;
       data;
-      sets;
-      ways;
-      hit_latency = config.Cache.Config.hit_latency;
-      miss_latency = config.Cache.Config.miss_latency;
-      lru = Array.make (sets * ways) (-1);
-      len = Array.make sets 0;
-      cap = Array.make sets ways;
-      srb = false;
-      srb_block = -1;
-      hits = 0;
-      misses = 0;
     }
   in
   reset t;
   t
 
-let set_capacities t ?(srb = false) caps =
-  if Array.length caps <> t.sets then invalid_arg "Sim.Machine.set_capacities: bad length";
-  Array.iter
-    (fun c -> if c < 0 || c > t.ways then invalid_arg "Sim.Machine.set_capacities: bad count")
-    caps;
-  Array.blit caps 0 t.cap 0 t.sets;
-  t.srb <- srb
-
-let set_fault_map t ?(srb = false) map =
-  let caps = Array.init t.sets (fun s -> Cache.Fault_map.working_in_set map s) in
-  set_capacities t ~srb caps
-
-let set_fault_free t =
-  Array.fill t.cap 0 t.sets t.ways;
-  t.srb <- false
-
 let registers t = t.regs
-let hits t = t.hits
-let misses t = t.misses
-let config t = t.code.Code.config
 
-(* Integer twins of Isa.Machine.eval_binop / eval_cond over the codes
-   assigned by Code.binop_code / cond_code. *)
+(* The ALU and branch semantics over the codes assigned by
+   Code.binop_code / cond_code. *)
 let exec_binop op a b =
   match op with
   | 0 -> wrap32 (a + b)
@@ -201,78 +145,22 @@ let exec_cond c a b =
   | 4 -> a < 0
   | _ -> a >= 0
 
-let rec scan_stack lru base b j l =
-  if j >= l then -1
-  else if Array.unsafe_get lru (base + j) = b then j
-  else scan_stack lru base b (j + 1) l
-
-let run ?(max_steps = 50_000_000) ?on_fetch t =
+let run ?(max_steps = 50_000_000) ~on_fetch t =
   reset t;
   let code = t.code in
   let kind = code.Code.kind
   and sub = code.Code.sub
   and fa = code.Code.a
   and fb = code.Code.b
-  and fc = code.Code.c
-  and iset = code.Code.iset
-  and iblock = code.Code.iblock in
+  and fc = code.Code.c in
   let n = code.Code.count and base_address = code.Code.base_address in
-  let regs = t.regs
-  and lru = t.lru
-  and len = t.len
-  and cap = t.cap
-  and ways = t.ways
-  and hit_lat = t.hit_latency
-  and miss_lat = t.miss_latency in
-  let cycles = ref 0 and executed = ref 0 and pc = ref code.Code.entry in
+  let regs = t.regs in
+  let executed = ref 0 and pc = ref code.Code.entry in
   let halted = ref false in
   while (not !halted) && !executed < max_steps do
     let i = !pc in
     if i < 0 || i >= n then trap "pc outside text segment (index %d)" i;
-    (* icache access for this fetch *)
-    let s = Array.unsafe_get iset i in
-    let b = Array.unsafe_get iblock i in
-    let c = Array.unsafe_get cap s in
-    let hit =
-      if c = 0 then
-        if t.srb then
-          if t.srb_block = b then true
-          else begin
-            t.srb_block <- b;
-            false
-          end
-        else false
-      else begin
-        let sbase = s * ways in
-        let l = Array.unsafe_get len s in
-        let j = scan_stack lru sbase b 0 l in
-        if j >= 0 then begin
-          for m = j downto 1 do
-            Array.unsafe_set lru (sbase + m) (Array.unsafe_get lru (sbase + m - 1))
-          done;
-          Array.unsafe_set lru sbase b;
-          true
-        end
-        else begin
-          let nl = if l < c then l + 1 else c in
-          for m = nl - 1 downto 1 do
-            Array.unsafe_set lru (sbase + m) (Array.unsafe_get lru (sbase + m - 1))
-          done;
-          Array.unsafe_set lru sbase b;
-          Array.unsafe_set len s nl;
-          false
-        end
-      end
-    in
-    if hit then begin
-      t.hits <- t.hits + 1;
-      cycles := !cycles + hit_lat
-    end
-    else begin
-      t.misses <- t.misses + 1;
-      cycles := !cycles + miss_lat
-    end;
-    (match on_fetch with Some f -> f i | None -> ());
+    on_fetch i;
     incr executed;
     let k = Array.unsafe_get kind i in
     if k <= Code.k_alui then begin
@@ -336,7 +224,6 @@ let run ?(max_steps = 50_000_000) ?on_fetch t =
   done;
   {
     status = (if !halted then Halted else Out_of_fuel);
-    cycles = !cycles;
     instructions = !executed;
     return_value = regs.(v0_index);
   }

@@ -1,22 +1,21 @@
-(** Flat-state, allocation-free re-implementation of the ISA
-    interpreter with the faulty instruction cache simulated in the
-    hardware model itself.
+(** Flat-state, allocation-free ISA interpreter that reports every
+    instruction fetch.
 
-    Semantics are bit-compatible with {!Isa.Machine.run} driven by a
-    {!Cache.Lru} (or {!Cache.Reliable.Srb}) latency oracle — pinned by
-    differential tests — but the machine state is preallocated once and
-    reused across Monte-Carlo samples:
+    Fault-injection campaigns run it once per program: cache faults
+    change timing only, never architectural state, so one run's fetch
+    trace is the trace of every fault pattern, and {!Campaign} times
+    each pattern by replaying that trace through the per-set LRU
+    stacks. Architectural semantics are bit-compatible with the
+    reference interpreter of the tests ([Oracle.Machine]): same final
+    registers, instruction count, return value and fetch trace.
 
     - memory is a paged flat array (64 KiB pages over the 2 GiB word
-      space) instead of a per-run [Hashtbl]; pages touched by a run are
-      zeroed with [Array.fill] on reset, never reallocated;
+      space, allocated on first write) instead of a [Hashtbl];
     - the program is decoded once into {!Code.t} int arrays, so the hot
-      loop performs no variant dispatch and no closure calls;
-    - per-set LRU state lives in one packed [sets*ways] int array, with
-      a per-set working-way capacity derived from a fault pattern, plus
-      the SRB's single shared buffer block.
+      loop performs no variant dispatch.
 
-    A single executed instruction allocates nothing. *)
+    Apart from a page's first write, an executed instruction allocates
+    nothing beyond what [on_fetch] does. *)
 
 type t
 
@@ -26,40 +25,24 @@ type status =
 
 type result = {
   status : status;
-  cycles : int;  (** fetch cycles charged by the simulated icache *)
   instructions : int;
   return_value : int;
 }
 
 exception Trap of string
-(** Same failure classes as {!Isa.Machine.Trap}: division by zero,
-    unaligned or wild memory access, jump outside the text segment. *)
+(** Division by zero, unaligned or wild memory access, jump outside the
+    text segment. *)
 
 val create : code:Code.t -> data:(int * int) list -> t
-(** Warm machine for one program + data image; fault-free capacities.
+(** Machine for one program + data image.
     @raise Invalid_argument on an unaligned or out-of-range data word. *)
 
-val set_capacities : t -> ?srb:bool -> int array -> unit
-(** Per-set working-way counts for subsequent runs (position of faulty
-    ways is immaterial under LRU). [srb] (default false) consults the
-    shared reliable buffer for fully-dead sets, as
-    {!Cache.Reliable.Srb} does.
-    @raise Invalid_argument on bad length or counts outside
-    [0, ways]. *)
-
-val set_fault_map : t -> ?srb:bool -> Cache.Fault_map.t -> unit
-val set_fault_free : t -> unit
-
-val run : ?max_steps:int -> ?on_fetch:(int -> unit) -> t -> result
-(** Resets the machine (registers, memory image, cache, counters) and
-    interprets from the entry point. [on_fetch] observes executed
-    instruction {e indexes} (byte address = [base_address + 4*index]);
-    when absent the loop is closure-free. Default [max_steps]
-    50_000_000, as {!Isa.Machine.run}. *)
+val run : ?max_steps:int -> on_fetch:(int -> unit) -> t -> result
+(** Resets the machine (registers, memory image) and interprets from the
+    entry point. [on_fetch] observes executed instruction {e indexes}
+    (byte address = [base_address + 4*index]), in execution order.
+    Default [max_steps] 50_000_000.
+    @raise Trap on a runtime fault. *)
 
 val registers : t -> int array
 (** The live register file after the last run (not a copy). *)
-
-val hits : t -> int
-val misses : t -> int
-val config : t -> Cache.Config.t

@@ -8,7 +8,6 @@
 
 module Chmc = Cache_analysis.Chmc
 module Context = Cache_analysis.Context
-module Acs = Cache_analysis.Acs
 module IntSet = Context.IntSet
 
 type t = { classes : Chmc.classification array array (* per node, per instruction offset *) }

@@ -1,3 +1,5 @@
+module Ast = Minic.Ast
+
 exception Runtime_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt

@@ -1,7 +1,7 @@
 (** Reference interpreter for mini-C ASTs.
 
     Evaluates programs directly over the AST with the same 32-bit
-    wrapping semantics as the compiled code on {!Isa.Machine}. Its only
+    wrapping semantics as the compiled code on {!Machine}. Its only
     purpose is differential testing: a random program must produce the
     same result through [Compile + Machine] and through this
     interpreter, which is built from the language semantics alone and
@@ -10,7 +10,7 @@
 exception Runtime_error of string
 (** Division by zero, out-of-bounds array access, missing return... *)
 
-val run : ?fuel:int -> Ast.program -> int
+val run : ?fuel:int -> Minic.Ast.program -> int
 (** Executes [main] and returns its result (0 when [main] falls off the
     end without a [return]).
     @raise Runtime_error on runtime faults or fuel exhaustion (default

@@ -1,23 +1,23 @@
 type t = {
-  cfg : Config.t;
+  cfg : Cache.Config.t;
   capacity : int array;        (* working ways per set *)
   stacks : int list array;     (* per set, MRU first; length <= capacity *)
   mutable hit_count : int;
   mutable miss_count : int;
 }
 
-let create ?fault_map (cfg : Config.t) =
-  let fm = match fault_map with Some m -> m | None -> Fault_map.fault_free cfg in
+let create ?fault_map (cfg : Cache.Config.t) =
+  let fm = match fault_map with Some m -> m | None -> Cache.Fault_map.fault_free cfg in
   {
     cfg;
-    capacity = Array.init cfg.Config.sets (Fault_map.working_in_set fm);
-    stacks = Array.make cfg.Config.sets [];
+    capacity = Array.init cfg.Cache.Config.sets (Cache.Fault_map.working_in_set fm);
+    stacks = Array.make cfg.Cache.Config.sets [];
     hit_count = 0;
     miss_count = 0;
   }
 
 let access_block t block =
-  let s = Config.set_of_block t.cfg block in
+  let s = Cache.Config.set_of_block t.cfg block in
   let stack = t.stacks.(s) in
   let hit = List.mem block stack in
   if hit then begin
@@ -36,9 +36,9 @@ let access_block t block =
   end;
   hit
 
-let access t addr = access_block t (Config.block_of_address t.cfg addr)
+let access t addr = access_block t (Cache.Config.block_of_address t.cfg addr)
 
-let latency_oracle t addr = Config.latency t.cfg ~hit:(access t addr)
+let latency_oracle t addr = Cache.Config.latency t.cfg ~hit:(access t addr)
 
 let reset t =
   Array.fill t.stacks 0 (Array.length t.stacks) [];

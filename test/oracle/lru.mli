@@ -8,7 +8,7 @@
 
 type t
 
-val create : ?fault_map:Fault_map.t -> Config.t -> t
+val create : ?fault_map:Cache.Fault_map.t -> Cache.Config.t -> t
 (** Empty (cold) cache; default fault map is fault-free. *)
 
 val access : t -> int -> bool
@@ -20,12 +20,12 @@ val access_block : t -> int -> bool
 
 val latency_oracle : t -> int -> int
 (** [access] wrapped into a fetch-latency function for
-    {!Isa.Machine.run}. *)
+    {!Machine.run}. *)
 
 val reset : t -> unit
 val contents : t -> int -> int list
 (** Blocks of a set, MRU first (for tests). *)
 
-val config : t -> Config.t
+val config : t -> Cache.Config.t
 val hits : t -> int
 val misses : t -> int

@@ -1,3 +1,7 @@
+(* The reference ISA interpreter, [Sim.Machine]'s oracle. *)
+
+open Isa
+
 type status =
   | Halted
   | Out_of_fuel
@@ -151,3 +155,7 @@ let run_trace program =
   let result = run ~on_fetch:(fun addr -> trace := addr :: !trace) program in
   ignore result;
   List.rev !trace
+
+let run_compiled ?max_steps ?fetch ?on_fetch (compiled : Minic.Compile.compiled) =
+  run ?max_steps ~memory_init:compiled.Minic.Compile.data ?fetch ?on_fetch
+    compiled.Minic.Compile.program

@@ -1,4 +1,7 @@
-(** Cycle-counting interpreter for assembled programs.
+(** Cycle-counting reference interpreter for assembled programs: the
+    independent oracle [Sim.Machine]'s flat interpreter and
+    [Sim.Campaign]'s trace replay are held to (a variant dispatch per
+    instruction, a [Hashtbl] memory, a closure per fetch).
 
     The machine charges exactly the instruction-fetch cost supplied by
     the [fetch] oracle for each executed instruction and nothing else,
@@ -33,7 +36,7 @@ val run :
   ?memory_init:(int * int) list ->
   ?fetch:(int -> int) ->
   ?on_fetch:(int -> unit) ->
-  Program.t ->
+  Isa.Program.t ->
   result
 (** [run program] interprets from the entry point until [Halt].
     [args] are loaded into $a0..$a3; [memory_init] pre-loads data words
@@ -43,6 +46,14 @@ val run :
     fetched address stream (for trace-based cross-validation). Default
     [max_steps] is [50_000_000]. *)
 
-val run_trace : Program.t -> int list
+val run_trace : Isa.Program.t -> int list
 (** Convenience: full instruction-fetch address trace of a run with the
     default oracle. *)
+
+val run_compiled :
+  ?max_steps:int ->
+  ?fetch:(int -> int) ->
+  ?on_fetch:(int -> unit) ->
+  Minic.Compile.compiled ->
+  result
+(** {!run} with the compiler's data image pre-loaded. *)

@@ -1,9 +1,9 @@
 let rw_cache ~fault_map ?(reliable_way = 0) cfg =
-  Lru.create ~fault_map:(Fault_map.mask_way fault_map ~way:reliable_way) cfg
+  Lru.create ~fault_map:(Cache.Fault_map.mask_way fault_map ~way:reliable_way) cfg
 
 module Srb = struct
   type t = {
-    cfg : Config.t;
+    cfg : Cache.Config.t;
     cache : Lru.t;
     all_faulty : bool array;  (* per set: no working way at all *)
     mutable buffer : int option;
@@ -16,7 +16,9 @@ module Srb = struct
     {
       cfg;
       cache = Lru.create ~fault_map cfg;
-      all_faulty = Array.init cfg.Config.sets (fun s -> Fault_map.working_in_set fault_map s = 0);
+      all_faulty =
+        Array.init cfg.Cache.Config.sets (fun s ->
+            Cache.Fault_map.working_in_set fault_map s = 0);
       buffer = None;
       srb_refs = 0;
       hit_count = 0;
@@ -24,7 +26,7 @@ module Srb = struct
     }
 
   let access_block t block =
-    let s = Config.set_of_block t.cfg block in
+    let s = Cache.Config.set_of_block t.cfg block in
     let hit =
       if t.all_faulty.(s) then begin
         (* Buffer path: consulted only for fully-faulty sets. *)
@@ -40,8 +42,8 @@ module Srb = struct
     if hit then t.hit_count <- t.hit_count + 1 else t.miss_count <- t.miss_count + 1;
     hit
 
-  let access t addr = access_block t (Config.block_of_address t.cfg addr)
-  let latency_oracle t addr = Config.latency t.cfg ~hit:(access t addr)
+  let access t addr = access_block t (Cache.Config.block_of_address t.cfg addr)
+  let latency_oracle t addr = Cache.Config.latency t.cfg ~hit:(access t addr)
 
   let reset t =
     Lru.reset t.cache;

@@ -8,7 +8,7 @@
       of one block, shared by all sets, consulted {e only} when every
       block of the referenced set is faulty (paper Section III-A.2). *)
 
-val rw_cache : fault_map:Fault_map.t -> ?reliable_way:int -> Config.t -> Lru.t
+val rw_cache : fault_map:Cache.Fault_map.t -> ?reliable_way:int -> Cache.Config.t -> Lru.t
 (** The faulty LRU cache of an RW-protected architecture (default
     reliable way: 0). *)
 
@@ -16,7 +16,7 @@ val rw_cache : fault_map:Fault_map.t -> ?reliable_way:int -> Config.t -> Lru.t
 module Srb : sig
   type t
 
-  val create : fault_map:Fault_map.t -> Config.t -> t
+  val create : fault_map:Cache.Fault_map.t -> Cache.Config.t -> t
   val access : t -> int -> bool
   val access_block : t -> int -> bool
   val latency_oracle : t -> int -> int

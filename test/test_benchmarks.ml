@@ -34,10 +34,10 @@ let test_all_compile () =
 let test_all_terminate () =
   List.iter
     (fun e ->
-      let r = Minic.Compile.run (compiled_of e) in
-      match r.Isa.Machine.status with
-      | Isa.Machine.Halted -> ()
-      | Isa.Machine.Out_of_fuel -> Alcotest.failf "%s did not terminate" e.R.name)
+      let r = Oracle.Machine.run_compiled (compiled_of e) in
+      match r.Oracle.Machine.status with
+      | Oracle.Machine.Halted -> ()
+      | Oracle.Machine.Out_of_fuel -> Alcotest.failf "%s did not terminate" e.R.name)
     R.all
 
 (* Functional correctness against the OCaml oracles. *)
@@ -73,8 +73,8 @@ let test_expected_results () =
   List.iter
     (fun (name, expected) ->
       let e = Option.get (R.find name) in
-      let r = Minic.Compile.run (compiled_of e) in
-      Alcotest.(check int) name expected r.Isa.Machine.return_value)
+      let r = Oracle.Machine.run_compiled (compiled_of e) in
+      Alcotest.(check int) name expected r.Oracle.Machine.return_value)
     expected_results
 
 let test_cfg_and_loops () =
@@ -110,9 +110,10 @@ let test_wcet_sound_fault_free () =
     (fun e ->
       let compiled = compiled_of e in
       let task = Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config () in
-      let sim = Cache.Lru.create config in
+      let sim = Oracle.Lru.create config in
       let cycles =
-        (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle sim) compiled).Isa.Machine.cycles
+        (Oracle.Machine.run_compiled ~fetch:(Oracle.Lru.latency_oracle sim) compiled)
+          .Oracle.Machine.cycles
       in
       let wcet = Pwcet.Estimator.fault_free_wcet task in
       Alcotest.(check bool)
@@ -146,9 +147,10 @@ let test_wcet_sound_with_faults () =
       let fmm_none =
         Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism:Pwcet.Mechanism.No_protection ()
       in
-      let sim = Cache.Lru.create ~fault_map:fm config in
+      let sim = Oracle.Lru.create ~fault_map:fm config in
       let cyc =
-        (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle sim) compiled).Isa.Machine.cycles
+        (Oracle.Machine.run_compiled ~fetch:(Oracle.Lru.latency_oracle sim) compiled)
+          .Oracle.Machine.cycles
       in
       Alcotest.(check bool) (e.R.name ^ " none") true (cyc <= bound fmm_none counts);
       (* SRB. *)
@@ -156,20 +158,21 @@ let test_wcet_sound_with_faults () =
         Pwcet.Fmm.compute ~graph ~loops ~config
           ~mechanism:Pwcet.Mechanism.Shared_reliable_buffer ()
       in
-      let srb = Cache.Reliable.Srb.create ~fault_map:fm config in
+      let srb = Oracle.Reliable.Srb.create ~fault_map:fm config in
       let cyc_srb =
-        (Minic.Compile.run ~fetch:(Cache.Reliable.Srb.latency_oracle srb) compiled)
-          .Isa.Machine.cycles
+        (Oracle.Machine.run_compiled ~fetch:(Oracle.Reliable.Srb.latency_oracle srb) compiled)
+          .Oracle.Machine.cycles
       in
       Alcotest.(check bool) (e.R.name ^ " srb") true (cyc_srb <= bound fmm_srb counts);
       (* RW. *)
       let fmm_rw =
         Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism:Pwcet.Mechanism.Reliable_way ()
       in
-      let rw = Cache.Reliable.rw_cache ~fault_map:fm config in
+      let rw = Oracle.Reliable.rw_cache ~fault_map:fm config in
       let rw_counts = Cache.Fault_map.faulty_counts (Cache.Fault_map.mask_way fm ~way:0) in
       let cyc_rw =
-        (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle rw) compiled).Isa.Machine.cycles
+        (Oracle.Machine.run_compiled ~fetch:(Oracle.Lru.latency_oracle rw) compiled)
+          .Oracle.Machine.cycles
       in
       Alcotest.(check bool) (e.R.name ^ " rw") true (cyc_rw <= bound fmm_rw rw_counts))
     R.all

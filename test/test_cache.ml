@@ -5,8 +5,8 @@
 
 module C = Cache.Config
 module FM = Cache.Fault_map
-module Lru = Cache.Lru
-module R = Cache.Reliable
+module Lru = Oracle.Lru
+module R = Oracle.Reliable
 
 let cfg2x2 = C.make ~sets:2 ~ways:2 ~line_bytes:16 ()
 let paper = C.paper_default

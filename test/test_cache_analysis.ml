@@ -2,7 +2,7 @@
    CHMC classification on crafted programs, SRB analysis, and a
    trace-based soundness check against the concrete simulators. *)
 
-module A = Cache_analysis.Acs
+module A = Oracle.Acs
 module Chmc = Cache_analysis.Chmc
 module Srb = Cache_analysis.Srb_analysis
 module C = Cache.Config
@@ -57,16 +57,16 @@ let test_may_update_ties_age () =
    in a 4-way set and check age upper bounds. *)
 let test_must_abstracts_concrete () =
   let cfg = C.make ~sets:1 ~ways:4 ~line_bytes:16 () in
-  let sim = Cache.Lru.create cfg in
+  let sim = Oracle.Lru.create cfg in
   let acs = ref A.empty in
   let state = Random.State.make [| 7 |] in
   for _ = 1 to 2000 do
     let b = Random.State.int state 8 in
-    ignore (Cache.Lru.access_block sim b);
+    ignore (Oracle.Lru.access_block sim b);
     acs := A.must_update ~assoc:4 !acs b;
     (* Every block in the must ACS is in the concrete cache, at a
        concrete age <= the abstract age. *)
-    let concrete = Cache.Lru.contents sim 0 in
+    let concrete = Oracle.Lru.contents sim 0 in
     List.iter
       (fun blk ->
         match A.age !acs blk with
@@ -299,20 +299,20 @@ let check_soundness ?(fault_counts = Array.make 16 0) prog =
         (Cfg.Graph.addresses graph nd))
     (Cfg.Graph.reverse_postorder graph);
   (* Simulate. *)
-  let sim = Cache.Lru.create ~fault_map:fm small_cfg in
+  let sim = Oracle.Lru.create ~fault_map:fm small_cfg in
   let hits : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let misses : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let bump tbl addr = Hashtbl.replace tbl addr (1 + Option.value ~default:0 (Hashtbl.find_opt tbl addr)) in
   let result =
-    Minic.Compile.run
+    Oracle.Machine.run_compiled
       ~fetch:(fun addr ->
-        let hit = Cache.Lru.access sim addr in
+        let hit = Oracle.Lru.access sim addr in
         bump (if hit then hits else misses) addr;
         C.latency small_cfg ~hit)
       compiled
   in
-  (match result.Isa.Machine.status with
-  | Isa.Machine.Halted -> ()
+  (match result.Oracle.Machine.status with
+  | Oracle.Machine.Halted -> ()
   | _ -> Alcotest.fail "simulation did not halt");
   Hashtbl.iter
     (fun addr classes ->

@@ -66,7 +66,8 @@ let test_call_expansion () =
   let g = G.build p in
   (* Two call sites -> two copies of f's single block, sharing the same
      instruction range but with different contexts. *)
-  let f_start = (Option.get (Program.find_function p "f")).Program.fn_start in
+  let f = List.find (fun f -> f.Program.fn_name = "f") p.Program.functions in
+  let f_start = f.Program.fn_start in
   let copies =
     Array.to_list g.G.nodes |> List.filter (fun nd -> nd.G.first = f_start)
   in
@@ -237,7 +238,7 @@ let check_trace_conformance compiled =
       g.G.nodes
   in
   let trace = ref [] in
-  ignore (Minic.Compile.run ~on_fetch:(fun a -> trace := a :: !trace) compiled);
+  ignore (Oracle.Machine.run_compiled ~on_fetch:(fun a -> trace := a :: !trace) compiled);
   let indices = List.rev_map (Program.index_of_address program) !trace in
   (* Walk the trace, extracting block-leader transitions. *)
   let is_leader = Hashtbl.mem starts in

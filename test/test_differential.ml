@@ -1,23 +1,23 @@
 (* Differential testing of the mini-C compiler: random programs must
-   produce identical results through [Compile] + [Isa.Machine] and
-   through the independent AST interpreter [Minic.Interp]. The generator
+   produce identical results through [Compile] + [Oracle.Machine] and
+   through the independent AST interpreter [Oracle.Interp]. The generator
    lives in [Minic_gen]. *)
 
 (* --- the differential property -------------------------------------------- *)
 
 let machine_result program =
   let compiled = Minic.Compile.compile program in
-  let r = Minic.Compile.run ~max_steps:5_000_000 compiled in
-  match r.Isa.Machine.status with
-  | Isa.Machine.Halted -> r.Isa.Machine.return_value
-  | Isa.Machine.Out_of_fuel -> failwith "machine out of fuel"
+  let r = Oracle.Machine.run_compiled ~max_steps:5_000_000 compiled in
+  match r.Oracle.Machine.status with
+  | Oracle.Machine.Halted -> r.Oracle.Machine.return_value
+  | Oracle.Machine.Out_of_fuel -> failwith "machine out of fuel"
 
 let differential =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"compiled = interpreted"
        ~print:(fun p -> Format.asprintf "%a" Minic.Ast.pp_program p)
        Minic_gen.gen_program (fun program ->
-         match (machine_result program, Minic.Interp.run program) with
+         match (machine_result program, Oracle.Interp.run program) with
          | a, b -> a = b
          | exception Minic.Typecheck.Error _ ->
            (* The generator occasionally shadows a name; skip. *)
@@ -31,7 +31,7 @@ let test_benchmarks_agree () =
   List.iter
     (fun (e : Benchmarks.Registry.entry) ->
       let machine = machine_result e.Benchmarks.Registry.program in
-      let interp = Minic.Interp.run ~fuel:50_000_000 e.Benchmarks.Registry.program in
+      let interp = Oracle.Interp.run ~fuel:50_000_000 e.Benchmarks.Registry.program in
       Alcotest.(check int) e.Benchmarks.Registry.name machine interp)
     (Benchmarks.Registry.all @ Benchmarks.Registry.extras)
 

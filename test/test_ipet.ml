@@ -20,8 +20,9 @@ let wcet_of ?(engine = `Path) ?(exact = false) prog =
   (compiled, r.Ipet.Wcet.wcet)
 
 let simulate ?fault_map compiled =
-  let sim = Cache.Lru.create ?fault_map config in
-  (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle sim) compiled).Isa.Machine.cycles
+  let sim = Oracle.Lru.create ?fault_map config in
+  (Oracle.Machine.run_compiled ~fetch:(Oracle.Lru.latency_oracle sim) compiled)
+    .Oracle.Machine.cycles
 
 (* --- fault-free WCET ----------------------------------------------------- *)
 

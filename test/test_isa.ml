@@ -2,6 +2,7 @@
    cycle-counting interpreter. *)
 
 open Isa
+module Machine = Oracle.Machine
 
 let ins i = Program.Ins i
 let label l = Program.Label l

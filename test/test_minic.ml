@@ -8,11 +8,11 @@ open Minic.Dsl
 let run_main ?(globals = []) body =
   let p = program ~globals [ fn "main" [] body ] in
   let compiled = Compile.compile p in
-  (Compile.run compiled).Isa.Machine.return_value
+  (Oracle.Machine.run_compiled compiled).Oracle.Machine.return_value
 
 let run_program p =
   let compiled = Compile.compile p in
-  (Compile.run compiled).Isa.Machine.return_value
+  (Oracle.Machine.run_compiled compiled).Oracle.Machine.return_value
 
 let check_main ?globals name expected body =
   Alcotest.(check int) name expected (run_main ?globals body)

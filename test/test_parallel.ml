@@ -409,7 +409,6 @@ let test_sim_campaign_jobs_bit_identical () =
                samples = 4000;
                seed = 5;
                jobs;
-               engine = `Replay;
                bound = None;
              })
       in

@@ -5,8 +5,8 @@
 let run_source ?args src =
   let prog = Minic.Parser.program_of_string src in
   let compiled = Minic.Compile.compile prog in
-  (Isa.Machine.run ?args ~memory_init:compiled.Minic.Compile.data compiled.Minic.Compile.program)
-    .Isa.Machine.return_value
+  (Oracle.Machine.run ?args ~memory_init:compiled.Minic.Compile.data compiled.Minic.Compile.program)
+    .Oracle.Machine.return_value
 
 let check_src name expected src = Alcotest.(check int) name expected (run_source src)
 
@@ -128,8 +128,8 @@ let test_parity_with_dsl () =
   (* The bs benchmark is this exact program in DSL form. *)
   let dsl_entry = Option.get (Benchmarks.Registry.find "bs") in
   let dsl_result =
-    (Minic.Compile.run (Minic.Compile.compile dsl_entry.Benchmarks.Registry.program))
-      .Isa.Machine.return_value
+    (Oracle.Machine.run_compiled (Minic.Compile.compile dsl_entry.Benchmarks.Registry.program))
+      .Oracle.Machine.return_value
   in
   Alcotest.(check int) "parsed = DSL" dsl_result (run_source source)
 
@@ -141,7 +141,8 @@ let test_program_of_file () =
   let prog = Minic.Parser.program_of_file path in
   let compiled = Minic.Compile.compile prog in
   Sys.remove path;
-  Alcotest.(check int) "from file" 77 (Minic.Compile.run compiled).Isa.Machine.return_value
+  Alcotest.(check int) "from file" 77
+    (Oracle.Machine.run_compiled compiled).Oracle.Machine.return_value
 
 let test_shipped_programs () =
   (* The .c files in programs/ must parse, run, and produce the values
@@ -179,7 +180,8 @@ let test_shipped_programs () =
     (fun (file, expected) ->
       let prog = Minic.Parser.program_of_file (Filename.concat programs_dir file) in
       let compiled = Minic.Compile.compile prog in
-      Alcotest.(check int) file expected (Minic.Compile.run compiled).Isa.Machine.return_value)
+      Alcotest.(check int) file expected
+        (Oracle.Machine.run_compiled compiled).Oracle.Machine.return_value)
     [ ("dot_product.c", dot_expected)
     ; ("bubble.c", bubble_expected)
     ; ("fixpoint_sqrt.c", sqrt_expected)
@@ -197,9 +199,10 @@ let test_parsed_through_pipeline () =
   let est =
     Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:Pwcet.Mechanism.No_protection ()
   in
-  let sim = Cache.Lru.create config in
+  let sim = Oracle.Lru.create config in
   let cycles =
-    (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle sim) compiled).Isa.Machine.cycles
+    (Oracle.Machine.run_compiled ~fetch:(Oracle.Lru.latency_oracle sim) compiled)
+      .Oracle.Machine.cycles
   in
   Alcotest.(check bool) "wcet sound" true (cycles <= Pwcet.Estimator.fault_free_wcet task);
   Alcotest.(check bool) "pwcet above wcet" true

@@ -224,21 +224,25 @@ let check_concrete_bound prog =
       !total
     in
     (* No protection. *)
-    let sim = Cache.Lru.create ~fault_map:fm config in
-    let cyc = (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle sim) compiled).Isa.Machine.cycles in
+    let sim = Oracle.Lru.create ~fault_map:fm config in
+    let cyc =
+      (Oracle.Machine.run_compiled ~fetch:(Oracle.Lru.latency_oracle sim) compiled)
+        .Oracle.Machine.cycles
+    in
     Alcotest.(check bool) "none bound" true (cyc <= bound fmm_none counts);
     (* RW: effective faults exclude the reliable way. *)
-    let rw_sim = Cache.Reliable.rw_cache ~fault_map:fm config in
+    let rw_sim = Oracle.Reliable.rw_cache ~fault_map:fm config in
     let rw_counts = FM.faulty_counts (FM.mask_way fm ~way:0) in
     let cyc_rw =
-      (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle rw_sim) compiled).Isa.Machine.cycles
+      (Oracle.Machine.run_compiled ~fetch:(Oracle.Lru.latency_oracle rw_sim) compiled)
+        .Oracle.Machine.cycles
     in
     Alcotest.(check bool) "rw bound" true (cyc_rw <= bound fmm_rw rw_counts);
     (* SRB. *)
-    let srb_sim = Cache.Reliable.Srb.create ~fault_map:fm config in
+    let srb_sim = Oracle.Reliable.Srb.create ~fault_map:fm config in
     let cyc_srb =
-      (Minic.Compile.run ~fetch:(Cache.Reliable.Srb.latency_oracle srb_sim) compiled)
-        .Isa.Machine.cycles
+      (Oracle.Machine.run_compiled ~fetch:(Oracle.Reliable.Srb.latency_oracle srb_sim) compiled)
+        .Oracle.Machine.cycles
     in
     Alcotest.(check bool) "srb bound" true (cyc_srb <= bound fmm_srb counts)
   done

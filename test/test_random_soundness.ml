@@ -36,25 +36,27 @@ let check_program seed_counter program =
         let fm = FM.sample config ~pbf:0.3 state in
         let counts = FM.faulty_counts fm in
         (* Unprotected. *)
-        let sim = Cache.Lru.create ~fault_map:fm config in
+        let sim = Oracle.Lru.create ~fault_map:fm config in
         let cyc =
-          (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle sim) compiled).Isa.Machine.cycles
+          (Oracle.Machine.run_compiled ~fetch:(Oracle.Lru.latency_oracle sim) compiled)
+            .Oracle.Machine.cycles
         in
         if cyc > bound fmm_none counts then
           Alcotest.failf "none: sim %d > bound %d" cyc (bound fmm_none counts);
         (* SRB. *)
-        let srb = Cache.Reliable.Srb.create ~fault_map:fm config in
+        let srb = Oracle.Reliable.Srb.create ~fault_map:fm config in
         let cyc_srb =
-          (Minic.Compile.run ~fetch:(Cache.Reliable.Srb.latency_oracle srb) compiled)
-            .Isa.Machine.cycles
+          (Oracle.Machine.run_compiled ~fetch:(Oracle.Reliable.Srb.latency_oracle srb) compiled)
+            .Oracle.Machine.cycles
         in
         if cyc_srb > bound fmm_srb counts then
           Alcotest.failf "srb: sim %d > bound %d" cyc_srb (bound fmm_srb counts);
         (* RW. *)
-        let rw = Cache.Reliable.rw_cache ~fault_map:fm config in
+        let rw = Oracle.Reliable.rw_cache ~fault_map:fm config in
         let rw_counts = FM.faulty_counts (FM.mask_way fm ~way:0) in
         let cyc_rw =
-          (Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle rw) compiled).Isa.Machine.cycles
+          (Oracle.Machine.run_compiled ~fetch:(Oracle.Lru.latency_oracle rw) compiled)
+            .Oracle.Machine.cycles
         in
         if cyc_rw > bound fmm_rw rw_counts then
           Alcotest.failf "rw: sim %d > bound %d" cyc_rw (bound fmm_rw rw_counts)

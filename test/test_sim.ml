@@ -1,25 +1,21 @@
-(* Differential validation of the batched fault-injection engine
-   (lib/sim) against the reference interpreter (Isa.Machine) and the
-   concrete cache simulators (Cache.Lru / Cache.Reliable.Srb):
+(* Differential validation of the fault-injection campaign (lib/sim)
+   against the reference interpreter (Oracle.Machine) and the concrete
+   cache simulators (Oracle.Lru / Oracle.Reliable.Srb):
 
-   - the flat-state machine is bit-compatible with Isa.Machine.run
-     (final registers, instruction count, cycle count, fetch trace)
+   - the flat-state machine is bit-compatible with Oracle.Machine.run
+     (final registers, instruction count, return value, fetch trace)
      across the whole benchmark registry and QCheck-random programs;
-   - with faulty capacities it reproduces the Lru/Srb latency-oracle
-     cycle counts exactly, for every mechanism;
-   - the campaign's [`Replay] engine, its [`Emulate] engine and a
-     baseline loop over Isa.Machine.run agree sample by sample on the
-     same per-sample fault law. *)
+   - the trace replay gives, sample by sample, the cycles of a full
+     reference execution under the sample's fault pattern, for every
+     mechanism, and the fault-free cycles of a reference run;
+   - the campaign digests of the end-to-end gate (scripts/check_sim.sh)
+     are pinned. *)
 
 module SimM = Sim.Machine
 module SimC = Sim.Campaign
-module M = Isa.Machine
+module M = Oracle.Machine
 module Cfg = Cache.Config
 
-(* Unit-latency geometry: hit = miss = 1 makes the simulated icache
-   timing-neutral, so cycles must equal Isa.Machine.run's default
-   constant-1 fetch. *)
-let unit_config = Cfg.make ~sets:16 ~ways:4 ~line_bytes:16 ~hit_latency:1 ~miss_latency:1 ()
 let small_config = Cfg.make ~sets:8 ~ways:2 ~line_bytes:16 ()
 
 let compile name =
@@ -30,151 +26,186 @@ let sim_of_compiled config (compiled : Minic.Compile.compiled) =
   let code = Sim.Code.decode ~config compiled.Minic.Compile.program in
   SimM.create ~code ~data:compiled.Minic.Compile.data
 
-let check_same_run name (reference : M.result) (m : SimM.t) (r : SimM.result) =
-  Alcotest.(check bool)
-    (name ^ " halted") true
-    (reference.M.status = M.Halted && r.SimM.status = SimM.Halted);
-  Alcotest.(check int) (name ^ " instructions") reference.M.instructions r.SimM.instructions;
-  Alcotest.(check int) (name ^ " cycles") reference.M.cycles r.SimM.cycles;
-  Alcotest.(check int) (name ^ " return") reference.M.return_value r.SimM.return_value;
-  Alcotest.(check (array int)) (name ^ " registers") reference.M.regs (SimM.registers m)
+(* A run of the flat machine with its fetch trace as byte addresses,
+   most recent first (the order the reference's [on_fetch] list has). *)
+let traced_run ?max_steps (compiled : Minic.Compile.compiled) m =
+  let base = compiled.Minic.Compile.program.Isa.Program.base_address in
+  let trace = ref [] in
+  let r = SimM.run ?max_steps ~on_fetch:(fun i -> trace := (base + (4 * i)) :: !trace) m in
+  (r, !trace)
 
-let test_registry_unit_latency () =
-  List.iter
-    (fun (e : Benchmarks.Registry.entry) ->
-      let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
-      let ref_trace = ref [] in
-      let reference =
-        Minic.Compile.run ~on_fetch:(fun a -> ref_trace := a :: !ref_trace) compiled
-      in
-      let m = sim_of_compiled unit_config compiled in
-      let base = compiled.Minic.Compile.program.Isa.Program.base_address in
-      let sim_trace = ref [] in
-      let r = SimM.run ~on_fetch:(fun i -> sim_trace := (base + (4 * i)) :: !sim_trace) m in
-      check_same_run e.Benchmarks.Registry.name reference m r;
-      Alcotest.(check bool)
-        (e.Benchmarks.Registry.name ^ " fetch trace")
-        true
-        (!ref_trace = !sim_trace))
-    Benchmarks.Registry.all
+let reference_run ?max_steps compiled =
+  let trace = ref [] in
+  let r = M.run_compiled ?max_steps ~on_fetch:(fun a -> trace := a :: !trace) compiled in
+  (r, !trace)
 
-let test_warm_reset_is_clean () =
-  (* Reusing the warm machine across runs — the whole point of the
-     batched engine — must leave no residue: run 3 of a benchmark after
-     two other fault patterns equals run 1 bit for bit. *)
-  let compiled = compile "crc" in
-  let m = sim_of_compiled small_config compiled in
-  let first = SimM.run m in
-  SimM.set_capacities m [| 0; 1; 2; 1; 0; 2; 1; 1 |];
-  let (_ : SimM.result) = SimM.run m in
-  SimM.set_capacities m ~srb:true [| 0; 0; 0; 0; 0; 0; 0; 0 |];
-  let (_ : SimM.result) = SimM.run m in
-  SimM.set_fault_free m;
-  let again = SimM.run m in
-  Alcotest.(check bool) "same status" true (first.SimM.status = again.SimM.status);
-  Alcotest.(check int) "same cycles" first.SimM.cycles again.SimM.cycles;
-  Alcotest.(check int) "same instructions" first.SimM.instructions again.SimM.instructions;
-  Alcotest.(check int) "same return" first.SimM.return_value again.SimM.return_value
+let same_run (reference, ref_trace) m (r, sim_trace) =
+  reference.M.status = M.Halted
+  && r.SimM.status = SimM.Halted
+  && r.SimM.instructions = reference.M.instructions
+  && r.SimM.return_value = reference.M.return_value
+  && SimM.registers m = reference.M.regs
+  && sim_trace = ref_trace
 
-let test_faulty_matches_oracles () =
-  let config = small_config in
-  let rng = Random.State.make [| 11 |] in
-  List.iter
-    (fun name ->
-      let compiled = compile name in
-      let m = sim_of_compiled config compiled in
-      for round = 1 to 5 do
-        let map = Cache.Fault_map.sample config ~pbf:0.25 rng in
-        let tag mech = Printf.sprintf "%s %s round %d" name mech round in
-        (* no protection: plain faulty LRU *)
-        let lru = Cache.Lru.create ~fault_map:map config in
-        let reference = Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle lru) compiled in
-        SimM.set_fault_map m map;
-        let r = SimM.run m in
-        Alcotest.(check int) (tag "none") reference.M.cycles r.SimM.cycles;
-        Alcotest.(check int) (tag "none misses") (Cache.Lru.misses lru) (SimM.misses m);
-        (* RW: reliable way masked (the audit convention) *)
-        let masked = Cache.Fault_map.mask_way map ~way:(config.Cfg.ways - 1) in
-        let lru_rw = Cache.Lru.create ~fault_map:masked config in
-        let reference = Minic.Compile.run ~fetch:(Cache.Lru.latency_oracle lru_rw) compiled in
-        SimM.set_fault_map m masked;
-        let r = SimM.run m in
-        Alcotest.(check int) (tag "rw") reference.M.cycles r.SimM.cycles;
-        (* SRB: shared buffer serves fully-dead sets *)
-        let srb = Cache.Reliable.Srb.create ~fault_map:map config in
-        let reference =
-          Minic.Compile.run ~fetch:(Cache.Reliable.Srb.latency_oracle srb) compiled
-        in
-        SimM.set_fault_map m ~srb:true map;
-        let r = SimM.run m in
-        Alcotest.(check int) (tag "srb") reference.M.cycles r.SimM.cycles
-      done)
-    [ "fibcall"; "bs"; "insertsort"; "expint"; "prime"; "crc" ]
-
-(* --- campaign engines ------------------------------------------------------ *)
-
-let spec_of compiled config mechanism ~samples ~engine =
+let spec_of compiled config mechanism ~pbf ~samples =
   {
     SimC.program = compiled.Minic.Compile.program;
     data = compiled.Minic.Compile.data;
     config;
     mechanism;
-    (* pbf high enough that dead sets — including several at once, the
-       SRB merged-replay path — occur routinely in a few hundred
-       samples on a 2-way cache. *)
-    pbf = 0.3;
+    pbf;
     samples;
     seed = 9;
     jobs = 1;
-    engine;
     bound = None;
   }
 
-let baseline_cycles compiled config mechanism campaign counts ~sample =
+let mechanisms = [ SimC.No_protection; SimC.Reliable_way; SimC.Shared_reliable_buffer ]
+
+let mechanism_name = function
+  | SimC.No_protection -> "none"
+  | SimC.Reliable_way -> "rw"
+  | SimC.Shared_reliable_buffer -> "srb"
+
+(* The reference cycles of one sample: its faulty-way counts as a fault
+   map, a fresh reference cache, a full reference execution. The
+   position of the faulty ways is immaterial under LRU, and the RW law
+   never kills a whole set, so a plain faulty LRU is the RW cache. *)
+let oracle_cycles ?max_steps compiled config mechanism campaign ~sample =
+  let counts = Array.make config.Cfg.sets 0 in
   SimC.sample_faulty_counts campaign ~sample counts;
   let fault_map = Cache.Fault_map.of_faulty_counts config counts in
   let fetch =
     match mechanism with
     | SimC.No_protection | SimC.Reliable_way ->
-      Cache.Lru.latency_oracle (Cache.Lru.create ~fault_map config)
+      Oracle.Lru.latency_oracle (Oracle.Lru.create ~fault_map config)
     | SimC.Shared_reliable_buffer ->
-      Cache.Reliable.Srb.latency_oracle (Cache.Reliable.Srb.create ~fault_map config)
+      Oracle.Reliable.Srb.latency_oracle (Oracle.Reliable.Srb.create ~fault_map config)
   in
-  (Minic.Compile.run ~fetch compiled).M.cycles
+  (M.run_compiled ?max_steps ~fetch compiled).M.cycles
 
-let test_campaign_engines_agree () =
-  let config = small_config in
+(* --- flat machine ---------------------------------------------------------- *)
+
+(* Hit = miss = 1 makes every fetch cost one cycle, so the fault-free
+   campaign time is the instruction count, as with the reference's
+   default constant-1 fetch. *)
+let unit_config = Cfg.make ~sets:16 ~ways:4 ~line_bytes:16 ~hit_latency:1 ~miss_latency:1 ()
+
+let test_registry_unit_latency () =
+  List.iter
+    (fun (e : Benchmarks.Registry.entry) ->
+      let name = e.Benchmarks.Registry.name in
+      let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
+      let reference = reference_run compiled in
+      let m = sim_of_compiled unit_config compiled in
+      Alcotest.(check bool) (name ^ " same run") true
+        (same_run reference m (traced_run compiled m));
+      let spec = spec_of compiled unit_config SimC.No_protection ~pbf:0.0 ~samples:1 in
+      let r = SimC.run (SimC.prepare spec) in
+      Alcotest.(check int) (name ^ " cycles") (fst reference).M.cycles r.SimC.fault_free_cycles)
+    Benchmarks.Registry.all
+
+let test_warm_reset_is_clean () =
+  (* Reusing the machine must leave no residue: a second run of a
+     benchmark equals the first bit for bit, trace included. *)
+  let compiled = compile "crc" in
+  let m = sim_of_compiled small_config compiled in
+  let first, first_trace = traced_run compiled m in
+  let again, again_trace = traced_run compiled m in
+  Alcotest.(check bool) "same status" true (first.SimM.status = again.SimM.status);
+  Alcotest.(check int) "same instructions" first.SimM.instructions again.SimM.instructions;
+  Alcotest.(check int) "same return" first.SimM.return_value again.SimM.return_value;
+  Alcotest.(check bool) "same trace" true (first_trace = again_trace)
+
+let test_faulty_matches_oracles () =
+  List.iter
+    (fun name ->
+      let compiled = compile name in
+      List.iter
+        (fun mechanism ->
+          let samples = 8 in
+          let campaign =
+            SimC.prepare (spec_of compiled small_config mechanism ~pbf:0.25 ~samples)
+          in
+          for sample = 0 to samples - 1 do
+            Alcotest.(check int)
+              (Printf.sprintf "%s %s @%d" name (mechanism_name mechanism) sample)
+              (oracle_cycles compiled small_config mechanism campaign ~sample)
+              (SimC.replay_cycles campaign ~sample)
+          done)
+        mechanisms)
+    [ "fibcall"; "bs"; "insertsort"; "expint"; "prime"; "crc" ]
+
+(* --- campaign -------------------------------------------------------------- *)
+
+let test_replay_matches_oracle () =
   List.iter
     (fun name ->
       let compiled = compile name in
       List.iter
         (fun mechanism ->
           let samples = 300 in
-          let spec = spec_of compiled config mechanism ~samples ~engine:`Replay in
-          let campaign = SimC.prepare spec in
-          let counts = Array.make config.Cfg.sets 0 in
-          for sample = 0 to samples - 1 do
-            let replay = SimC.replay_cycles campaign ~sample in
-            let emulate = SimC.emulate_cycles campaign ~sample in
-            let baseline = baseline_cycles compiled config mechanism campaign counts ~sample in
-            Alcotest.(check int) (Printf.sprintf "%s replay=emulate @%d" name sample) emulate
-              replay;
-            Alcotest.(check int)
-              (Printf.sprintf "%s replay=baseline @%d" name sample)
-              baseline replay
-          done;
-          (* and the full batched run is bit-identical across engines *)
-          let d_replay = SimC.digest (SimC.run campaign) in
-          let d_emulate =
-            SimC.digest (SimC.run (SimC.prepare { spec with SimC.engine = `Emulate }))
+          (* pbf high enough that dead sets — including several at once,
+             the SRB merged-replay path — occur routinely in a few
+             hundred samples on a 2-way cache. *)
+          let campaign =
+            SimC.prepare (spec_of compiled small_config mechanism ~pbf:0.3 ~samples)
           in
-          Alcotest.(check string) (name ^ " engines digest") d_replay d_emulate)
-        [ SimC.No_protection; SimC.Reliable_way; SimC.Shared_reliable_buffer ])
-    [ "fibcall"; "bs" ]
+          for sample = 0 to samples - 1 do
+            Alcotest.(check int)
+              (Printf.sprintf "%s %s replay=oracle @%d" name (mechanism_name mechanism) sample)
+              (oracle_cycles compiled small_config mechanism campaign ~sample)
+              (SimC.replay_cycles campaign ~sample)
+          done)
+        mechanisms)
+    [ "fibcall"; "bs"; "crc" ]
+
+let test_fault_free_cycles () =
+  List.iter
+    (fun (e : Benchmarks.Registry.entry) ->
+      let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
+      List.iter
+        (fun config ->
+          let reference =
+            M.run_compiled ~fetch:(Oracle.Lru.latency_oracle (Oracle.Lru.create config)) compiled
+          in
+          let spec = spec_of compiled config SimC.No_protection ~pbf:0.0 ~samples:1 in
+          let r = SimC.run (SimC.prepare spec) in
+          Alcotest.(check int) e.Benchmarks.Registry.name reference.M.cycles
+            r.SimC.fault_free_cycles)
+        [ small_config; Cfg.paper_default ])
+    Benchmarks.Registry.all
+
+(* The six campaign digests scripts/check_sim.sh prints: fibcall and crc
+   at 8 sets x 2 ways, 20000 samples, seed 42, pfail 1e-4. *)
+let test_check_sim_digests () =
+  let expected =
+    [ ("fibcall", "none", "b64fb7b902601dab1b6835bb659cf99f")
+    ; ("fibcall", "srb", "3ee52d054fdc53d2a93dbe5586f25bcf")
+    ; ("fibcall", "rw", "4f42123dcbfb31e85d9ddf3d089f1d72")
+    ; ("crc", "none", "e2ea12e93d3b01e3aecdb6e43559df8a")
+    ; ("crc", "srb", "9616ffd94033f94e3e211f9b2a4a4039")
+    ; ("crc", "rw", "ea96a54195931333d778eb6afa115ef8")
+    ]
+  in
+  List.iter
+    (fun (name, mech, digest) ->
+      let compiled = compile name in
+      let program = compiled.Minic.Compile.program in
+      let task = Pwcet.Estimator.prepare ~program ~config:small_config () in
+      let mechanism = Option.get (Pwcet.Mechanism.of_string mech) in
+      let est = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism () in
+      let c =
+        Pwcet.Validate.check ~program ~data:compiled.Minic.Compile.data ~est ~samples:20_000
+          ~seed:42 ~jobs:1
+      in
+      Alcotest.(check bool) (name ^ " " ^ mech ^ " ok") true (Pwcet.Validate.ok c);
+      Alcotest.(check string) (name ^ " " ^ mech) digest c.Pwcet.Validate.digest)
+    expected
 
 let test_campaign_moments_match_histogram () =
   let compiled = compile "crc" in
-  let spec = spec_of compiled small_config SimC.No_protection ~samples:500 ~engine:`Replay in
+  let spec = spec_of compiled small_config SimC.No_protection ~pbf:0.3 ~samples:500 in
   let r = SimC.run (SimC.prepare spec) in
   Alcotest.(check int) "histogram mass" r.SimC.samples (Array.fold_left ( + ) 0 r.SimC.counts);
   (* recompute mean/min/max from the histogram *)
@@ -205,38 +236,33 @@ let test_campaign_moments_match_histogram () =
 
 let qcheck_differential =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:120 ~name:"flat machine = Isa.Machine on random programs"
+    (QCheck2.Test.make ~count:120 ~name:"flat machine = oracle on random programs"
        ~print:(fun p -> Format.asprintf "%a" Minic.Ast.pp_program p)
        Minic_gen.gen_program (fun program ->
          match Minic.Compile.compile program with
          | exception Minic.Typecheck.Error _ -> QCheck2.assume_fail ()
          | compiled -> (
-           let reference = Minic.Compile.run ~max_steps:5_000_000 compiled in
-           match reference.M.status with
+           let max_steps = 5_000_000 in
+           let reference = reference_run ~max_steps compiled in
+           match (fst reference).M.status with
            | M.Out_of_fuel -> QCheck2.assume_fail ()
            | M.Halted ->
              let m = sim_of_compiled unit_config compiled in
-             let r = SimM.run ~max_steps:5_000_000 m in
-             let unit_ok =
-               r.SimM.status = SimM.Halted
-               && r.SimM.instructions = reference.M.instructions
-               && r.SimM.cycles = reference.M.cycles
-               && r.SimM.return_value = reference.M.return_value
-               && SimM.registers m = reference.M.regs
-             in
-             (* and under a fixed fault pattern on a tiny cache *)
+             (* and the replay of a few sampled fault patterns on a tiny
+                cache, under every mechanism *)
              let config = Cfg.make ~sets:4 ~ways:2 ~line_bytes:8 () in
-             let map = Cache.Fault_map.of_faulty_counts config [| 1; 2; 0; 1 |] in
-             let lru = Cache.Lru.create ~fault_map:map config in
-             let faulty_ref =
-               Minic.Compile.run ~max_steps:5_000_000
-                 ~fetch:(Cache.Lru.latency_oracle lru)
-                 compiled
+             let replay_ok mechanism =
+               let campaign =
+                 SimC.prepare (spec_of compiled config mechanism ~pbf:0.3 ~samples:3)
+               in
+               List.for_all
+                 (fun sample ->
+                   SimC.replay_cycles campaign ~sample
+                   = oracle_cycles ~max_steps compiled config mechanism campaign ~sample)
+                 [ 0; 1; 2 ]
              in
-             let mf = sim_of_compiled config compiled in
-             SimM.set_fault_map mf map;
-             let rf = SimM.run ~max_steps:5_000_000 mf in
-             unit_ok && rf.SimM.cycles = faulty_ref.M.cycles)))
+             same_run reference m (traced_run ~max_steps compiled m)
+             && List.for_all replay_ok mechanisms)))
 
 (* --- engine plumbing ------------------------------------------------------- *)
 
@@ -294,9 +320,11 @@ let () =
         ; qcheck_differential
         ] )
     ; ( "campaign",
-        [ Alcotest.test_case "replay = emulate = baseline" `Quick test_campaign_engines_agree
+        [ Alcotest.test_case "replay = oracle" `Quick test_replay_matches_oracle
         ; Alcotest.test_case "moments match histogram" `Quick
             test_campaign_moments_match_histogram
+        ; Alcotest.test_case "fault-free cycles = oracle" `Quick test_fault_free_cycles
+        ; Alcotest.test_case "check_sim digests" `Quick test_check_sim_digests
         ] )
     ; ( "plumbing",
         [ Alcotest.test_case "welford" `Quick test_welford

@@ -181,10 +181,10 @@ let test_pathwise_single_dead () =
           if s = dead then config.C.ways else Random.State.int state config.C.ways)
     in
     let fm = FM.of_faulty_counts config counts in
-    let sim = Cache.Reliable.Srb.create ~fault_map:fm config in
+    let sim = Oracle.Reliable.Srb.create ~fault_map:fm config in
     let cyc =
-      (Minic.Compile.run ~fetch:(Cache.Reliable.Srb.latency_oracle sim) compiled)
-        .Isa.Machine.cycles
+      (Oracle.Machine.run_compiled ~fetch:(Oracle.Reliable.Srb.latency_oracle sim) compiled)
+        .Oracle.Machine.cycles
     in
     let bound = ref (ff + (excl.(dead) * penalty)) in
     Array.iteri
@@ -222,10 +222,10 @@ let test_pathwise_dead_pair () =
           if s = s1 || s = s2 then config.C.ways else Random.State.int state config.C.ways)
     in
     let fm = FM.of_faulty_counts config counts in
-    let sim = Cache.Reliable.Srb.create ~fault_map:fm config in
+    let sim = Oracle.Reliable.Srb.create ~fault_map:fm config in
     let cyc =
-      (Minic.Compile.run ~fetch:(Cache.Reliable.Srb.latency_oracle sim) compiled)
-        .Isa.Machine.cycles
+      (Oracle.Machine.run_compiled ~fetch:(Oracle.Reliable.Srb.latency_oracle sim) compiled)
+        .Oracle.Machine.cycles
     in
     let bound = ref (ff + (pair_misses (min s1 s2) (max s1 s2) * penalty)) in
     Array.iteri
@@ -252,9 +252,9 @@ let test_monte_carlo_soundness () =
   let samples =
     Array.init n (fun _ ->
         let fm = FM.sample config ~pbf state in
-        let sim = Cache.Reliable.Srb.create ~fault_map:fm config in
-        (Minic.Compile.run ~fetch:(Cache.Reliable.Srb.latency_oracle sim) compiled)
-          .Isa.Machine.cycles)
+        let sim = Oracle.Reliable.Srb.create ~fault_map:fm config in
+        (Oracle.Machine.run_compiled ~fetch:(Oracle.Reliable.Srb.latency_oracle sim) compiled)
+          .Oracle.Machine.cycles)
   in
   List.iter
     (fun x ->
