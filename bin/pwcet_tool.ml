@@ -20,8 +20,9 @@
    input (bad benchmark, source, cache geometry, probability, budget or
    jobs count, or a validated program that traps or does not halt); 3 a
    client request shed by the daemon's admission control; 130
-   sweep/suite/grid/sched analyze cancelled cleanly by SIGINT/SIGTERM,
-   or a serve run ended by those signals after a clean drain;
+   sweep/suite/grid/sched analyze/sched sweep cancelled cleanly by
+   SIGINT/SIGTERM, or a serve run ended by those signals after a clean
+   drain;
    cmdliner's own codes for CLI errors. *)
 
 open Cmdliner
@@ -212,8 +213,8 @@ let report_store_stats store =
   | Some st ->
     Format.eprintf "cache: %a@." Store.Artifact.pp_stats (Store.Artifact.stats st)
 
-(* The options of every journaled run: worker count, budget, store and
-   the resume/crash hooks. *)
+(* The options of every batch run: worker count, budget, store and the
+   resume/crash hooks. *)
 type run_opts = {
   jobs : int;
   ilp_nodes : int option;
@@ -259,71 +260,104 @@ let install_cancel_handlers () =
     (fun signal -> try Sys.set_signal signal handle with Invalid_argument _ | Sys_error _ -> ())
     [ Sys.sigint; Sys.sigterm ]
 
-(* A run's resume journal: one record per completed unit, appended
-   from any domain under [lock]. [writer] is [None] without a store and
-   for budgeted runs, whose results are never journalled. *)
-type journal = {
-  mutable writer : (Store.Journal.writer * string) option;  (* writer, path *)
-  lock : Mutex.t;
-  mutable appended : int;
-  crash_after : int option;
+(* How a batch command journals its units: the run key, the unit's
+   wire codec, and the key a replayed unit is looked up by. *)
+type ('r, 'k) journal_key = {
+  units : string;  (* plural noun for the resume message *)
+  run_key : (string * string) list;
+  encode : 'r -> string;
+  decode : string -> ('r, string) result;
+  key : 'r -> 'k;
 }
 
-let close_journal j =
-  Option.iter (fun (w, _) -> Store.Journal.close w) j.writer;
-  j.writer <- None
+(* The one journal open: with a journal key, a store and no budget
+   (budgeted results are never journalled), creates the journal keyed
+   by [run_key], or with --resume replays it. Returns the writer and
+   its path, if any, and the replayed units [decode] accepts. *)
+let open_journal ~label ~store ~budget journal opts =
+  match (journal, store, budget) with
+  | Some jk, Some st, None ->
+    let run_key = Store.Artifact.key jk.run_key in
+    let path = Store.Artifact.journal_path st ~run_key in
+    if opts.resume then begin
+      let w, records = Store.Journal.resume ~path ~run_key () in
+      let replayed = List.filter_map (fun r -> Result.to_option (jk.decode r)) records in
+      if replayed <> [] then
+        Printf.eprintf "%s: resuming: %d completed %s replayed from the journal\n" label
+          (List.length replayed) jk.units;
+      (Some (w, path), replayed)
+    end
+    else (Some (Store.Journal.create ~path ~run_key (), path), [])
+  | _ -> (None, [])
 
-let bail_if_cancelled ?journal label =
-  if Atomic.get cancel_requested then begin
-    Option.iter close_journal journal;
-    Printf.eprintf
-      "%s: cancelled by signal; completed units are journalled, rerun with --resume to \
-       continue\n"
-      label;
-    exit exit_cancelled
-  end
+(* What a batch command computes with: the budget and store of its
+   options, the units replayed from its journal, and [completed], which
+   it calls on each freshly computed unit, from any domain. Under one
+   lock, [completed] appends the unit to the journal, stops the run if
+   it was cancelled, else runs [also]. *)
+type ('r, 'k) batch = {
+  budget : Robust.Budget.t option;
+  store : Store.Artifact.t option;
+  replay : 'k -> 'r option;
+  replayed : int;
+  completed : ?also:(unit -> unit) -> 'r -> unit;
+}
 
-(* The one journal open: creates the journal keyed by [run_key], or
-   with --resume replays it, returning the records [decode] accepts. *)
-let open_journal ~label ~units ~store ~budget ~run_key ~decode opts =
-  let writer, replayed =
-    match store with
-    | Some st when budget = None ->
-      let run_key = Store.Artifact.key run_key in
-      let path = Store.Artifact.journal_path st ~run_key in
-      if opts.resume then
-        let w, records = Store.Journal.resume ~path ~run_key () in
-        (Some (w, path), List.filter_map (fun r -> Result.to_option (decode r)) records)
-      else (Some (Store.Journal.create ~path ~run_key (), path), [])
-    | _ -> (None, [])
+(* The one way to run a batch command (sweep, suite, grid, sched
+   analyze, sched sweep): validate --resume, install the cancel
+   handlers, open the journal, [compute], exit 130 if cancelled, then
+   [report] the result and the store statistics. [report] returns
+   whether the run succeeded; if not, the exit code is 1. *)
+let run_batch ~label ?verify ?journal opts ~compute ~report =
+  check_resume ~label ?verify opts;
+  install_cancel_handlers ();
+  let budget = budget_of opts.ilp_nodes opts.timeout in
+  let store = store_of opts.cache_dir opts.no_cache in
+  let writer, replayed = open_journal ~label ~store ~budget journal opts in
+  let table = Hashtbl.create 64 in
+  Option.iter (fun jk -> List.iter (fun r -> Hashtbl.replace table (jk.key r) r) replayed) journal;
+  let close () = Option.iter (fun (w, _) -> Store.Journal.close w) writer in
+  let bail_if_cancelled () =
+    if Atomic.get cancel_requested then begin
+      (* The resume hint only when there is a journal to resume. *)
+      Printf.eprintf "%s: cancelled by signal%s\n" label
+        (if Option.is_none writer then ""
+         else "; completed units are journalled, rerun with --resume to continue");
+      close ();
+      exit exit_cancelled
+    end
   in
-  if replayed <> [] then
-    Printf.eprintf "%s: resuming: %d completed %s replayed from the journal\n" label
-      (List.length replayed) units;
-  ({ writer; lock = Mutex.create (); appended = 0; crash_after = opts.crash_after }, replayed)
-
-(* One unit completed, possibly on a worker domain: under the lock,
-   append [payload ()], then stop the run if it was cancelled, else run
-   [also]. The crash hook fires under the same lock, so the append
-   count is exact. *)
-let record ?(also = ignore) ~label j payload =
-  Mutex.protect j.lock (fun () ->
-      (match j.writer with
-      | None -> ()
-      | Some (w, path) -> (
-        Store.Journal.append w (payload ());
-        j.appended <- j.appended + 1;
-        match j.crash_after with
-        | Some n when j.appended >= n ->
-          (* Torn trailing record: a length prefix promising far more
-             bytes than will ever arrive. [resume] must drop it. *)
-          let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-          output_string oc "\xff\xff\xff\xff\xff\xff\xff\x7ftorn";
-          flush oc;
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-        | _ -> ()));
-      bail_if_cancelled ~journal:j label;
-      also ())
+  let lock = Mutex.create () and appended = ref 0 in
+  let completed ?(also = ignore) r =
+    Mutex.protect lock (fun () ->
+        (match (writer, journal) with
+        | Some (w, path), Some jk -> (
+          Store.Journal.append w (jk.encode r);
+          incr appended;
+          (* The crash hook fires under the lock, so the append count is exact. *)
+          match opts.crash_after with
+          | Some n when !appended >= n ->
+            (* Torn trailing record: a length prefix promising far more
+               bytes than will ever arrive. [resume] must drop it. *)
+            let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+            output_string oc "\xff\xff\xff\xff\xff\xff\xff\x7ftorn";
+            flush oc;
+            Unix.kill (Unix.getpid ()) Sys.sigkill
+          | _ -> ())
+        | _ -> ());
+        bail_if_cancelled ();
+        also ())
+  in
+  let b =
+    { budget; store; replay = Hashtbl.find_opt table; replayed = Hashtbl.length table;
+      completed }
+  in
+  let result = compute b in
+  bail_if_cancelled ();
+  close ();
+  let ok = report b result in
+  report_store_stats store;
+  if not ok then exit 1
 
 let exits =
   Cmd.Exit.info 1
@@ -335,10 +369,10 @@ let exits =
              jobs count, an inconsistent --resume combination, or a program under \
              validate that traps or does not halt."
   :: Cmd.Exit.info exit_cancelled
-       ~doc:"when SIGINT/SIGTERM cancels a sweep, suite, grid or sched analyze run \
-             cleanly: the per-cell (per-set for sched analyze) resume journal is left \
-             consistent, no partial JSON is emitted, and completed units can be replayed \
-             with --resume."
+       ~doc:"when SIGINT/SIGTERM cancels a sweep, suite, grid, sched analyze or sched \
+             sweep run cleanly: no partial JSON is emitted, and the per-cell (per-set \
+             for sched analyze) resume journal, when one is written, is left consistent \
+             and its completed units can be replayed with --resume."
   :: Cmd.Exit.defaults
 
 let cmd_info name ~doc = Cmd.info name ~doc ~exits
@@ -543,10 +577,6 @@ let verify_cells ~jobs ~budget ~verified spec ev =
 let evaluate ~command ?(verify = false)
     ?(verified = Printf.sprintf "verify : all %d cells bit-identical to independent estimates\n")
     ?(keep_estimates = false) ~print opts spec =
-  check_resume ~label:command ~verify opts;
-  install_cancel_handlers ();
-  let budget = budget_of opts.ilp_nodes opts.timeout in
-  let store = store_of opts.cache_dir opts.no_cache in
   (* One hash per program, shared by the journal run key and the store keys. *)
   let digests =
     List.map
@@ -554,45 +584,41 @@ let evaluate ~command ?(verify = false)
       spec.Grid.benchmarks
   in
   let digest name = List.assoc name digests in
-  let journal, replayed =
-    open_journal ~label:command ~units:"cell(s)" ~store ~budget
-      ~run_key:(("run", command) :: Grid.identity ~digest spec)
-      ~decode:Grid.cell_of_wire opts
+  let journal =
+    { units = "cell(s)"; run_key = ("run", command) :: Grid.identity ~digest spec;
+      encode = Grid.cell_to_wire; decode = Grid.cell_of_wire;
+      key = (fun (cell : Grid.cell) -> Grid.point_key cell.point) }
   in
-  let completed = Hashtbl.create 64 in
-  List.iter
-    (fun (cell : Grid.cell) -> Hashtbl.replace completed (Grid.point_key cell.point) cell)
-    replayed;
-  let fresh = Hashtbl.create 64 in
-  let on_cell (cell : Grid.cell) est =
-    record ~label:command journal
-      (fun () -> Grid.cell_to_wire cell)
-      ~also:(fun () ->
-        if verify || keep_estimates then Hashtbl.replace fresh (Grid.point_key cell.point) est)
+  let compute b =
+    let fresh = Hashtbl.create 64 in
+    let on_cell (cell : Grid.cell) est =
+      b.completed cell ~also:(fun () ->
+          if verify || keep_estimates then Hashtbl.replace fresh (Grid.point_key cell.point) est)
+    in
+    let results =
+      Grid.run ~jobs:opts.jobs ?budget:b.budget ?store:b.store ~digest
+        ~skip:(fun point -> b.replay (Grid.point_key point))
+        ~on_cell spec
+    in
+    { results; replayed = b.replayed; fresh; store = b.store }
   in
-  let results =
-    Grid.run ~jobs:opts.jobs ?budget ?store ~digest
-      ~skip:(fun point -> Hashtbl.find_opt completed (Grid.point_key point))
-      ~on_cell spec
+  let report b ev =
+    let failures =
+      List.filter_map
+        (fun (point, outcome) ->
+          match outcome with
+          | Ok _ -> None
+          | Error e ->
+            Printf.eprintf "%s: cell %s failed: %s\n" command (Grid.point_key point)
+              (Robust.Pwcet_error.to_string e);
+            Some point)
+        ev.results
+    in
+    print ev;
+    if verify then verify_cells ~jobs:opts.jobs ~budget:b.budget ~verified spec ev;
+    failures = []
   in
-  close_journal journal;
-  bail_if_cancelled command;
-  let failures =
-    List.filter_map
-      (fun (point, outcome) ->
-        match outcome with
-        | Ok _ -> None
-        | Error e ->
-          Printf.eprintf "%s: cell %s failed: %s\n" command (Grid.point_key point)
-            (Robust.Pwcet_error.to_string e);
-          Some point)
-      results
-  in
-  let ev = { results; replayed = Hashtbl.length completed; fresh; store } in
-  print ev;
-  if verify then verify_cells ~jobs:opts.jobs ~budget ~verified spec ev;
-  report_store_stats store;
-  if failures <> [] then exit 1
+  run_batch ~label:command ~verify ~journal opts ~compute ~report
 
 let json_floats xs = String.concat ", " (List.map (Printf.sprintf "%.17g") xs)
 
@@ -1460,6 +1486,13 @@ let mc_seed_arg =
        & info [ "mc-seed" ] ~docv:"N"
            ~doc:"Seed of the Monte-Carlo cross-validation (default: the campaign seed).")
 
+(* Sets whose verdict at [target] is a pass. *)
+let sets_passing target results =
+  List.length
+    (List.filter
+       (fun (r : Sched.Campaign.set_result) -> List.assoc_opt target r.passes = Some true)
+       results)
+
 let print_sched_summary (spec : Sched.Campaign.spec) results digest =
   let count = List.length results in
   Printf.printf "campaign    : %d set(s) x %d task(s), U=%g, policy %s, k=%d (scan to %d)\n"
@@ -1471,13 +1504,7 @@ let print_sched_summary (spec : Sched.Campaign.spec) results digest =
     spec.pfail spec.fault_rate spec.clock_mhz spec.rep_target;
   List.iter
     (fun target ->
-      let passed =
-        List.length
-          (List.filter
-             (fun (r : Sched.Campaign.set_result) ->
-               match List.assoc_opt target r.passes with Some ok -> ok | None -> false)
-             results)
-      in
+      let passed = sets_passing target results in
       let feasible =
         List.length
           (List.filter
@@ -1560,80 +1587,43 @@ let sched_json results (spec : Sched.Campaign.spec) digest file =
 
 let sched_analyze_cmd =
   let run (spec : Sched.Campaign.spec) mc_samples mc_seed json_file per_set opts =
-    let label = "sched analyze" in
-    check_resume ~label opts;
-    install_cancel_handlers ();
-    let jobs = opts.jobs in
-    let budget = budget_of opts.ilp_nodes opts.timeout in
-    let store = store_of opts.cache_dir opts.no_cache in
-    let laws = Sched.Campaign.laws ?store ?budget ~jobs spec in
-    let journal, replayed =
-      open_journal ~label ~units:"set(s)" ~store ~budget
-        ~run_key:(Sched.Campaign.identity spec) ~decode:Sched.Campaign.result_of_wire opts
+    let journal =
+      { units = "set(s)"; run_key = Sched.Campaign.identity spec;
+        encode = Sched.Campaign.result_to_wire; decode = Sched.Campaign.result_of_wire;
+        key = (fun (r : Sched.Campaign.set_result) -> r.set_index) }
     in
-    let completed = Hashtbl.create 64 in
-    List.iter
-      (fun (r : Sched.Campaign.set_result) -> Hashtbl.replace completed r.set_index r)
-      replayed;
-    let mcs = ref [] in
-    let results =
-      match journal.writer with
-      | Some _ ->
-        (* Journaled path: sequential, set granularity — cancellation
-           and crashes lose at most the set in flight. Replayed sets
-           skip Monte-Carlo re-validation (they were validated when
-           first computed, and the digest covers only the analytic
-           results either way). *)
-        let out = ref [] in
-        for index = 0 to spec.count - 1 do
-          bail_if_cancelled ~journal label;
-          let r =
-            match Hashtbl.find_opt completed index with
-            | Some r -> r
-            | None ->
-              let r, mc =
-                Sched.Campaign.analyze_set ?budget ~mc_samples ?mc_seed spec laws ~index
-              in
-              Option.iter (fun m -> mcs := (index, m) :: !mcs) mc;
-              record ~label journal (fun () -> Sched.Campaign.result_to_wire r);
-              r
-          in
-          out := r :: !out
-        done;
-        List.rev !out
-      | None ->
-        let t = Sched.Campaign.run_with_laws ?budget ~jobs ~mc_samples ?mc_seed spec laws in
-        mcs := List.rev t.Sched.Campaign.mc;
-        t.Sched.Campaign.results
+    (* Replayed sets skip Monte-Carlo re-validation: they were validated
+       when first computed, and the digest covers only the analytic
+       results either way. *)
+    let compute (b : _ batch) =
+      let laws = Sched.Campaign.laws ?store:b.store ?budget:b.budget ~jobs:opts.jobs spec in
+      Sched.Campaign.run_with_laws ?budget:b.budget ~jobs:opts.jobs ~mc_samples ?mc_seed
+        ~skip:b.replay ~on_result:b.completed spec laws
     in
-    close_journal journal;
-    let digest = Sched.Campaign.digest_of_results results in
-    print_sched_summary spec results digest;
-    if per_set then print_sched_per_set results;
-    let mc_failures =
-      List.filter (fun ((_ : int), (m : Sched.Montecarlo.t)) -> not m.pass) (List.rev !mcs)
-    in
-    if mc_samples > 0 then begin
-      let validated = List.length !mcs in
-      if mc_failures = [] then
+    let report _ (t : Sched.Campaign.t) =
+      print_sched_summary spec t.results t.digest;
+      if per_set then print_sched_per_set t.results;
+      let mc_failures =
+        List.filter (fun ((_ : int), (m : Sched.Montecarlo.t)) -> not m.pass) t.mc
+      in
+      if mc_samples > 0 && mc_failures = [] then
         Printf.printf "monte-carlo : %d set(s) x %d sample(s): analytic bounds hold\n"
-          validated mc_samples
-      else
-        List.iter
-          (fun (index, (m : Sched.Montecarlo.t)) ->
-            List.iteri
-              (fun i (s : Sched.Montecarlo.task_stat) ->
-                if not s.pass then
-                  Printf.eprintf
-                    "monte-carlo VIOLATION: set %d task %d: empirical %.3e > analytic %.3e \
-                     + noise %.3e\n"
-                    index i s.empirical s.analytic s.noise)
-              m.tasks)
-          mc_failures
-    end;
-    Option.iter (sched_json results spec digest) json_file;
-    report_store_stats store;
-    if mc_failures <> [] then exit 1
+          (List.length t.mc) mc_samples;
+      List.iter
+        (fun (index, (m : Sched.Montecarlo.t)) ->
+          List.iteri
+            (fun i (s : Sched.Montecarlo.task_stat) ->
+              if not s.pass then
+                Printf.eprintf
+                  "monte-carlo VIOLATION: set %d task %d: empirical %.3e > analytic %.3e \
+                   + noise %.3e\n"
+                  index i s.empirical s.analytic s.noise)
+            m.tasks)
+        mc_failures;
+      Option.iter (sched_json t.results spec t.digest) json_file;
+      mc_failures = []
+    in
+    run_batch ~label:"sched analyze" ~journal opts ~compute ~report
   in
   let json_arg =
     Arg.(value & opt (some string) None
@@ -1654,100 +1644,88 @@ let sched_analyze_cmd =
 let sched_sweep_cmd =
   let run (spec : Sched.Campaign.spec) jobs ilp_nodes timeout u_grid n_grid pfail_grid
       json_file cache_dir no_cache =
-    install_cancel_handlers ();
-    let budget = budget_of ilp_nodes timeout in
-    let store = store_of cache_dir no_cache in
+    let opts =
+      { jobs; ilp_nodes; timeout; cache_dir; no_cache; resume = false; crash_after = None }
+    in
     let u_grid = match u_grid with [] -> [ spec.utilisation ] | g -> g in
     let n_grid = match n_grid with [] -> [ spec.n_tasks ] | g -> g in
-    let pfail_grid = match pfail_grid with [] -> [ spec.pfail ] | g -> g in
-    (* Validate every grid combination before computing anything. *)
-    List.iter
-      (fun pfail ->
-        List.iter
-          (fun n_tasks ->
-            List.iter
-              (fun utilisation ->
-                match
-                  Sched.Campaign.validate { spec with pfail; n_tasks; utilisation }
-                with
-                | Ok () -> ()
-                | Error msg ->
-                  Printf.eprintf "sched sweep: pfail=%g n=%d U=%g: %s\n" pfail n_tasks
-                    utilisation msg;
-                  exit exit_invalid_input)
-              u_grid)
-          n_grid)
-      pfail_grid;
-    let rows =
-      List.concat_map
+    (* The expensive per-benchmark estimates depend on pfail but not on
+       the task-set shape: one law pool serves each pfail's whole
+       utilisation x n-tasks sub-grid. *)
+    let slices =
+      List.map
         (fun pfail ->
-          (* The expensive per-benchmark estimates depend on pfail but
-             not on the task-set shape: one law pool serves the whole
-             utilisation x n-tasks sub-grid. *)
-          let laws = Sched.Campaign.laws ?store ?budget ~jobs { spec with pfail } in
-          List.concat_map
-            (fun n_tasks ->
-              List.map
-                (fun utilisation ->
-                  bail_if_cancelled "sched sweep";
-                  let spec' = { spec with pfail; n_tasks; utilisation } in
-                  let t = Sched.Campaign.run_with_laws ?budget ~jobs spec' laws in
-                  (spec', t))
-                u_grid)
-            n_grid)
-        pfail_grid
+          ( pfail,
+            List.concat_map
+              (fun n_tasks ->
+                List.map (fun utilisation -> { spec with pfail; n_tasks; utilisation }) u_grid)
+              n_grid ))
+        (match pfail_grid with [] -> [ spec.pfail ] | g -> g)
     in
-    Printf.printf "%-10s %-7s %-8s" "pfail" "n-tasks" "U";
-    List.iter (fun t -> Printf.printf "  pass(%g)" t) spec.targets;
-    print_newline ();
-    List.iter
-      (fun ((spec' : Sched.Campaign.spec), (t : Sched.Campaign.t)) ->
-        Printf.printf "%-10g %-7d %-8g" spec'.pfail spec'.n_tasks spec'.utilisation;
-        List.iter
-          (fun target ->
-            let passed =
-              List.length
-                (List.filter
-                   (fun (r : Sched.Campaign.set_result) ->
-                     match List.assoc_opt target r.passes with
-                     | Some ok -> ok
-                     | None -> false)
-                   t.results)
-            in
-            Printf.printf "  %4d/%-4d" passed (List.length t.results))
-          spec'.targets;
-        print_newline ())
-      rows;
-    (match json_file with
-    | None -> ()
-    | Some file ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf "{\n  \"schema_version\": 1,\n  \"points\": [\n";
-      List.iteri
-        (fun i ((spec' : Sched.Campaign.spec), (t : Sched.Campaign.t)) ->
-          Printf.bprintf buf
-            "    { \"pfail\": %.17g, \"n_tasks\": %d, \"utilisation\": %.17g, \"digest\": \
-             %S,\n      \"targets\": [%s],\n      \"pass\": [%s] }%s\n"
-            spec'.pfail spec'.n_tasks spec'.utilisation t.digest
-            (json_floats spec'.targets)
-            (String.concat ", "
-               (List.map
-                  (fun target ->
-                    string_of_int
-                      (List.length
-                         (List.filter
-                            (fun (r : Sched.Campaign.set_result) ->
-                              match List.assoc_opt target r.passes with
-                              | Some ok -> ok
-                              | None -> false)
-                            t.results)))
-                  spec'.targets))
-            (if i = List.length rows - 1 then "" else ","))
+    let compute (b : _ batch) =
+      (* Validate every grid combination before computing anything. *)
+      List.iter
+        (fun (_, specs) ->
+          List.iter
+            (fun (spec' : Sched.Campaign.spec) ->
+              match Sched.Campaign.validate spec' with
+              | Ok () -> ()
+              | Error msg ->
+                Printf.eprintf "sched sweep: pfail=%g n=%d U=%g: %s\n" spec'.pfail
+                  spec'.n_tasks spec'.utilisation msg;
+                exit exit_invalid_input)
+            specs)
+        slices;
+      List.concat_map
+        (fun (pfail, specs) ->
+          let laws =
+            Sched.Campaign.laws ?store:b.store ?budget:b.budget ~jobs { spec with pfail }
+          in
+          List.map
+            (fun spec' ->
+              ( spec',
+                Sched.Campaign.run_with_laws ?budget:b.budget ~jobs ~on_result:b.completed spec'
+                  laws ))
+            specs)
+        slices
+    in
+    let report _ rows =
+      Printf.printf "%-10s %-7s %-8s" "pfail" "n-tasks" "U";
+      List.iter (fun t -> Printf.printf "  pass(%g)" t) spec.targets;
+      print_newline ();
+      List.iter
+        (fun ((spec' : Sched.Campaign.spec), (t : Sched.Campaign.t)) ->
+          Printf.printf "%-10g %-7d %-8g" spec'.pfail spec'.n_tasks spec'.utilisation;
+          List.iter
+            (fun target ->
+              Printf.printf "  %4d/%-4d" (sets_passing target t.results) (List.length t.results))
+            spec'.targets;
+          print_newline ())
         rows;
-      Buffer.add_string buf "  ]\n}\n";
-      write_json file buf;
-      Printf.printf "wrote %s\n" file);
-    report_store_stats store
+      (match json_file with
+      | None -> ()
+      | Some file ->
+        let buf = Buffer.create 4096 in
+        Buffer.add_string buf "{\n  \"schema_version\": 1,\n  \"points\": [\n";
+        List.iteri
+          (fun i ((spec' : Sched.Campaign.spec), (t : Sched.Campaign.t)) ->
+            Printf.bprintf buf
+              "    { \"pfail\": %.17g, \"n_tasks\": %d, \"utilisation\": %.17g, \"digest\": \
+               %S,\n      \"targets\": [%s],\n      \"pass\": [%s] }%s\n"
+              spec'.pfail spec'.n_tasks spec'.utilisation t.digest
+              (json_floats spec'.targets)
+              (String.concat ", "
+                 (List.map
+                    (fun target -> string_of_int (sets_passing target t.results))
+                    spec'.targets))
+              (if i = List.length rows - 1 then "" else ","))
+          rows;
+        Buffer.add_string buf "  ]\n}\n";
+        write_json file buf;
+        Printf.printf "wrote %s\n" file);
+      true
+    in
+    run_batch ~label:"sched sweep" opts ~compute ~report
   in
   let u_grid_arg =
     Arg.(value & opt (list ~sep:',' (positive_float_conv "utilisation")) []
@@ -1892,14 +1870,13 @@ let client_cmd =
         | [], Some b -> [ b ]
         | bs, _ -> bs
       in
-      if grid_pfails = [] then begin
-        Printf.eprintf "client: --grid-pfails must name at least one pfail point\n";
-        exit exit_invalid_input
-      end;
-      if grid_targets = [] then begin
-        Printf.eprintf "client: --grid-targets must name at least one exceedance target\n";
-        exit exit_invalid_input
-      end;
+      let grid_pfails =
+        require_nonempty ~label:"client" ~what:"--grid-pfails" ~name:"pfail point" grid_pfails
+      in
+      let grid_targets =
+        require_nonempty ~label:"client" ~what:"--grid-targets" ~name:"exceedance target"
+          grid_targets
+      in
       let req =
         { (Service.Protocol.default_grid ~benchmarks) with
           Service.Protocol.g_geometries =

@@ -396,13 +396,20 @@ type t = {
   digest : string;
 }
 
-let run_with_laws ?budget ?(jobs = 1) ?mc_samples ?mc_seed spec laws =
+let run_with_laws ?budget ?(jobs = 1) ?mc_samples ?mc_seed ?(skip = fun _ -> None)
+    ?(on_result = ignore) spec laws =
   (match validate spec with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Campaign.run: " ^ msg));
   let out =
     Parallel.Pool.map ~jobs
-      (fun index -> analyze_set ?budget ?mc_samples ?mc_seed spec laws ~index)
+      (fun index ->
+        match skip index with
+        | Some r -> (r, None)
+        | None ->
+          let ((r, _) as fresh) = analyze_set ?budget ?mc_samples ?mc_seed spec laws ~index in
+          on_result r;
+          fresh)
       (Array.init spec.count (fun i -> i))
   in
   let results = Array.to_list (Array.map fst out) in

@@ -167,9 +167,18 @@ val run_with_laws :
   ?jobs:int ->
   ?mc_samples:int ->
   ?mc_seed:int ->
+  ?skip:(int -> set_result option) ->
+  ?on_result:(set_result -> unit) ->
   spec ->
   bench_law list ->
   t
+(** Analyses the campaign's sets across [jobs] domains. [skip index]
+    short-circuits a set whose result is already known (journal
+    replay): it is neither analysed nor Monte-Carlo-validated.
+    [on_result] observes each {e freshly computed} set as it completes,
+    possibly from a worker domain and in completion (not set) order —
+    callers that append to a journal must serialise themselves.
+    [results], [mc] and [digest] are in set order either way. *)
 
 val run :
   ?store:Store.Artifact.t ->

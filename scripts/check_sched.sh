@@ -19,6 +19,11 @@
 #   6. budget-starved campaign                -> completes degraded
 #                                                (exit 0, every set on
 #                                                upper bounds), no abort
+#   7. SIGINT mid-campaign, with and without
+#      a journal                              -> exit 130, no JSON; the
+#                                                journaled one resumes to
+#                                                JSON identical to an
+#                                                uninterrupted run
 #
 # Any deviation exits non-zero, failing `make check`.
 set -eu
@@ -104,4 +109,36 @@ SRV_PID=
 grep -q "degraded    : 6 set(s)" "$WORK/starved.out" \
   || fail "budget-starved campaign did not degrade every set"
 
-echo "check_sched: OK (generate/analyze/kill-9/resume/daemon/starved all clean)"
+# --- 7. SIGINT cancels a campaign within one set, journal or not -------------
+# The campaign runs for many times the signal delay, so the signal lands
+# mid-campaign. The resume hint is printed only when a journal exists.
+LONG="--count 200 --n-tasks 3 --seed 11 --benchmarks fibcall,bs,cnt,crc \
+  --sets 8 --ways 2 --k-max 2 --max-points 128 --jobs 2"
+interrupt() {  # interrupt NAME [OPTION...]: SIGINT after 0.5 s, expect a clean cancel
+  name=$1
+  shift
+  "$TOOL" sched analyze $LONG "$@" --json "$WORK/$name.json" > /dev/null 2> "$WORK/$name.err" &
+  pid=$!
+  sleep 0.5
+  kill -INT "$pid"
+  set +e
+  wait "$pid"
+  status=$?
+  set -e
+  [ "$status" -eq 130 ] || fail "$name campaign exited $status on SIGINT, want 130"
+  grep -q "cancelled by signal" "$WORK/$name.err" || fail "$name campaign did not cancel cleanly"
+  [ ! -e "$WORK/$name.json" ] || fail "JSON emitted by a cancelled $name campaign"
+}
+interrupt unjournaled
+! grep -q -- "--resume" "$WORK/unjournaled.err" || fail "resume hint without a journal"
+rm -rf "$CACHE"
+interrupt journaled --cache-dir "$CACHE"
+grep -q -- "--resume" "$WORK/journaled.err" || fail "no resume hint for a journaled campaign"
+"$TOOL" sched analyze $LONG --cache-dir "$CACHE" --resume --json "$WORK/long_resumed.json" \
+  > /dev/null 2>&1 || fail "resume of the cancelled campaign failed"
+"$TOOL" sched analyze $LONG --json "$WORK/long.json" > /dev/null 2>&1 \
+  || fail "uninterrupted long campaign failed"
+cmp -s "$WORK/long.json" "$WORK/long_resumed.json" \
+  || fail "resumed JSON differs from an uninterrupted run"
+
+echo "check_sched: OK (generate/analyze/kill-9/resume/daemon/starved/cancel all clean)"

@@ -294,6 +294,26 @@ let test_campaign_wire_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated wire accepted")
 
+let test_campaign_skip_on_result () =
+  (* Journal replay: skipped sets are taken as given — neither analysed
+     nor Monte-Carlo validated — and [on_result] sees exactly the fresh
+     ones, once each, on any domain; results and digest keep set order. *)
+  let laws = Lazy.force small_laws in
+  let full = C.run_with_laws ~jobs:1 small_spec laws in
+  let replayed = List.filter (fun (r : C.set_result) -> r.C.set_index mod 2 = 0) full.C.results in
+  let lock = Mutex.create () and seen = ref [] in
+  let resumed =
+    C.run_with_laws ~jobs:3 ~mc_samples:200
+      ~skip:(fun index -> List.find_opt (fun (r : C.set_result) -> r.C.set_index = index) replayed)
+      ~on_result:(fun (r : C.set_result) ->
+        Mutex.protect lock (fun () -> seen := r.C.set_index :: !seen))
+      small_spec laws
+  in
+  Alcotest.(check string) "digest as uninterrupted" full.C.digest resumed.C.digest;
+  Alcotest.(check (list int)) "on_result sees the fresh sets" [ 1; 3; 5 ]
+    (List.sort compare !seen);
+  Alcotest.(check (list int)) "only fresh sets validated" [ 1; 3; 5 ] (List.map fst resumed.C.mc)
+
 let test_campaign_montecarlo_bounds () =
   let laws = Lazy.force small_laws in
   let _, mc = C.analyze_set ~mc_samples:2000 small_spec laws ~index:0 in
@@ -323,6 +343,7 @@ let () =
         ; Alcotest.test_case "batched = independent laws" `Quick
             test_campaign_batched_equals_independent
         ; Alcotest.test_case "wire round trip" `Quick test_campaign_wire_roundtrip
+        ; Alcotest.test_case "skip and on_result" `Quick test_campaign_skip_on_result
         ; Alcotest.test_case "monte-carlo bounds" `Quick test_campaign_montecarlo_bounds
         ] )
     ]
