@@ -67,8 +67,9 @@ perfbench-build:
 # It also disassembles the release build's convolution stub: the
 # kernel's byte identity rests on a separate multiply and add for every
 # product (-ffp-contract=off), so any fused multiply-add instruction
-# fails, and on x86-64 Linux so does a missing AVX2 clone of the row
-# loop (target_clones needs glibc; other hosts build the baseline only).
+# fails, and on x86-64 Linux so does a missing AVX2 clone of dense_rows,
+# the row loop each window's call runs before it compacts the window
+# (target_clones needs glibc; other hosts build the baseline only).
 release-dist:
 	dune build --profile release --build-dir _build_release \
 	  ./test/test_dist_engine.exe ./test/test_path_engine.exe ./test/test_sliced.exe \

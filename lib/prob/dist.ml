@@ -148,9 +148,11 @@ let select_top probs len k =
    ties that fall outside the top.
 
    Array core shared by the list path (reference kernel, [mixture]) and
-   the merge kernel, so capping is bit-identical across kernels.
-   [1 <= max_points < n]. *)
-let cap_arrays max_points pens probs n =
+   the merge kernel, so capping is bit-identical across kernels. Point
+   i has penalty [pen_of i] and probability [probs.(i)], so the dense
+   regime reads the penalties of the kept points straight from its
+   staging area. [1 <= max_points < n]. *)
+let cap_arrays max_points pen_of probs n =
   let t, skip =
     if max_points = 1 then (infinity, 0) else select_top probs (n - 1) (max_points - 1)
   in
@@ -170,7 +172,7 @@ let cap_arrays max_points pens probs n =
       else p = t
     in
     if keep then begin
-      out_pen.(!k) <- pens.(i);
+      out_pen.(!k) <- pen_of i;
       out_prob.(!k) <- p +. !carried;
       carried := 0.0;
       incr k
@@ -189,7 +191,7 @@ let cap_points max_points (pairs : (int * float) list) =
         pens.(i) <- x;
         probs.(i) <- p)
       pairs;
-    let pens, probs = cap_arrays max_points pens probs n in
+    let pens, probs = cap_arrays max_points (Array.get pens) probs n in
     Array.to_list (Array.map2 (fun x p -> (x, p)) pens probs)
   end
 
@@ -246,15 +248,18 @@ let convolve_reference ?(max_points = 65536) a b =
    multiples of the miss penalty, so once supports have grown past a few
    hundred points the sums densely tile [lo, hi] and an O(n*m + range)
    bucket accumulation beats any comparison-based scheme. Used when the
-   value range is within a small factor of the pair count (and an
-   absolute ceiling bounds the scratch allocation). The products go in
-   as contiguous rows that a C stub vectorises: one operand, padded
-   with -0.0 on the lattice, is the row, and each point of the other
-   adds its weight times that row at its own offset. The row is
-   whichever operand costs less padded work; rows over [b]'s points run
-   in descending j, which is ascending i per bucket. When both paddings
-   cost several times the n*m products, an OCaml loop scatters the
-   products instead ([convolve_dense]).
+   value range is within a small factor of the pair count (and below an
+   absolute ceiling). The sums are accumulated one output window at a
+   time: a C stub adds every product that lands in the window into a
+   window-sized accumulator, then moves the window's present buckets to
+   a staging area and resets it, so no array spans the whole range. The
+   products go in as contiguous rows that the stub vectorises: one
+   operand, padded with -0.0 on the lattice, is the row, and each point
+   of the other adds its weight times that row at its own offset. The
+   row is whichever operand costs less padded work; rows over [b]'s
+   points run in descending j, which is ascending i per bucket. When
+   both paddings cost several times the n*m products, the stub scatters
+   the products one by one instead ([convolve_dense]).
 
    Regime 2 (k-way run merge): the sorted supports make the n*m sums
    sorted runs, one per point of the smaller operand; a binary min-heap
@@ -262,10 +267,23 @@ let convolve_reference ?(max_points = 65536) a b =
    range-proportional scratch: the fallback for sparse or huge-range
    supports. *)
 
-(* Dense-bucket ceiling: 4M buckets = one 32 MB float scratch. Beyond
-   that, or when the bucket count dwarfs the pair count, the heap regime
-   wins. *)
+(* Dense-bucket ceiling: 4M buckets. No dense scratch spans the range,
+   but the padded row (an operand's lattice extent) and the staging
+   area (room for every bucket that can be present) grow with it: the
+   ceiling bounds them to 32 MB and 64 MB for one convolution. Past it
+   the heap regime, whose scratch is proportional to the operands and
+   the result, takes over. *)
 let dense_range_ceiling = 1 lsl 22
+
+(* The dense regime is used while the buckets number at most this
+   multiple of the n*m products (and within the ceiling above); past it
+   the heap merge is cheaper. Timing the 600 penalty convolutions of
+   the grid-pfail workload with the windowed kernel (ten interleaved
+   rounds, each run the best of five passes, release build, 2-core
+   x86-64 host with AVX2), median: 1.07 s at 4, 0.97 s at 8, 0.87 s at
+   16, 1.00 s at 32. Against 4 in the same round, 16 was faster in 9 of
+   the 10 rounds, by 9 % in the median. *)
+let dense_range_factor = 16
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
@@ -278,7 +296,7 @@ let support_step pens n =
   done;
   !g
 
-(* The row loop below reads OCaml float arrays as C [double *], which
+(* The window stubs read OCaml float arrays as C [double *], which
    only holds under the flat float array layout (the default). On a
    compiler configured with -no-flat-float-array it would corrupt
    memory, so refuse to start instead. *)
@@ -288,29 +306,46 @@ let () =
       "Prob.Dist: this OCaml runtime does not store float arrays flat \
        (-no-flat-float-array); the dense convolution stub needs the flat layout"
 
-(* [dense_rows acc row margin weights offs r_lo r_hi descending w0 w1]
-   adds [weights.(r) *. row.(margin + t)] into [acc.(offs.(r) + t)] for
-   the rows r in [r_lo, r_hi), ascending or descending, restricted to
-   the buckets in [w0, w1); [row] is a padded row with [margin]-bucket
-   margins (see [padded_row]). See dense_stubs.c. *)
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* [dense_rows acc row len margin weights offs r_lo r_hi descending w0
+   w1 probs buckets count] adds [weights.(r) *. row.(margin + t)] into
+   bucket [offs.(r) + t] for the rows r in [r_lo, r_hi), ascending or
+   descending, restricted to the window [w0, w1) that [acc] holds;
+   [row] is a padded row of [len] buckets with [margin]-bucket margins
+   (see [padded_row]). It then appends the window's present buckets to
+   the staging area [probs]/[buckets] from index [count] on, resets
+   [acc] to -0.0 and returns the new count. See dense_stubs.c. *)
 external dense_rows :
-  float array -> float array -> int -> float array -> int array -> int -> int -> bool -> int
-  -> int -> unit = "pwcet_dense_rows_byte" "pwcet_dense_rows"
+  floats -> floats -> int -> int -> float array -> int array -> int -> int -> bool -> int
+  -> int -> floats -> ints -> int -> int = "pwcet_dense_rows_byte" "pwcet_dense_rows"
 [@@noalloc]
 
-(* Output window of one stub call, in buckets: 1,024 doubles (8 KB of
-   [acc]) stay in L1 while the rows overlapping them stream past, and a
-   padded row's margin is at most this wide. Windows of 256 to 2,048
-   timed within noise of each other on the registry's penalty
-   convolutions before the stub blocked its rows. The window also
-   bounds one noalloc call to at most a window's worth of each row, so
-   a stop-the-world collection requested by another domain waits for
-   one window, never a whole convolution. *)
+(* [dense_scatter acc aw aoff bw boff cursor r_lo r_hi w0 w1 probs
+   buckets count] adds, for i in [r_lo, r_hi) ascending, the products
+   [aw.(i) *. bw.(j)] that land in [w0, w1) at bucket
+   [aoff.(i) + boff.(j)], j ascending from [cursor.(i)], which it
+   advances past them; then it compacts as [dense_rows] does. *)
+external dense_scatter :
+  floats -> float array -> int array -> float array -> int array -> int array -> int -> int
+  -> int -> int -> floats -> ints -> int -> int
+  = "pwcet_dense_scatter_byte" "pwcet_dense_scatter"
+[@@noalloc]
+
+(* Output window of one stub call, in buckets: 1,024 doubles (8 KB)
+   stay in L1 while the rows overlapping them stream past, and a padded
+   row's margin is at most this wide. Windows of 256 to 2,048 timed
+   within noise of each other on the registry's penalty convolutions
+   before the stub blocked its rows. The window also bounds one noalloc
+   call to at most a window's worth of each row, so a stop-the-world
+   collection requested by another domain waits for one window, never a
+   whole convolution. *)
 let dense_window = 1024
 
 (* The padded rows are used only while their padded work is at most
-   this multiple of the n*m products; past it the scalar scatter loop
-   is cheaper. Timing the 600 penalty convolutions of the grid-pfail
+   this multiple of the n*m products; past it the scatter loop is
+   cheaper. Timing the 600 penalty convolutions of the grid-pfail
    workload with the blocked stub (median of ten interleaved runs, each
    the best of five passes, release build, 2-core x86-64 host with
    AVX2): 1.51 s at 4, 1.21 s at 8, 1.26 s at 12, 1.28 s at 16, 1.25 s
@@ -319,48 +354,132 @@ let dense_window = 1024
    noise, and hosts without AVX2 gain less per padded element, so 8. *)
 let dense_padding_limit = 8
 
+(* The dense regime's scratch, one per domain and outside the OCaml
+   heap: the window accumulator ([dense_window] buckets, all -0.0
+   between stub calls), the padded row, and the staging area the stubs
+   compact each window into. The row and the staging area are sized
+   for each convolution and kept for the next one, up to
+   [dense_retained] entries each; a larger one is dropped when its
+   convolution ends and left to the GC. [busy] marks a scratch in use
+   by a convolution, so that another thread of the same domain, which
+   can run between two windows, takes a fresh one instead. *)
+type scratch = {
+  acc : floats;
+  mutable row : floats;
+  mutable staged_probs : floats;
+  mutable staged_buckets : ints;
+  mutable busy : bool;
+}
+
+(* Scratch kept per domain between convolutions, in entries of the row
+   and of the staging area: 6 MB in all, which holds every convolution
+   of the registry's grid-pfail laws (the largest needs a 226,873-bucket
+   row and 236,026 staging entries). Variants that dropped scratch past
+   2^16 or 2^17 entries gained 6 % and 9 % grid-pfail throughput over
+   the whole-range kernel, against 14 % with this bound (EXPERIMENTS.md,
+   eighth performance pass); it only keeps a huge-range convolution
+   from pinning its scratch for good. *)
+let dense_retained = 1 lsl 18
+
+let floats n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+let ints n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+
+let new_scratch () =
+  let acc = floats dense_window in
+  Bigarray.Array1.fill acc (-0.0);
+  { acc; row = floats 0; staged_probs = floats 0; staged_buckets = ints 0; busy = false }
+
+let scratch_key = Domain.DLS.new_key new_scratch
+
+(* Ends a convolution's use of [s]: drops a row or staging area past
+   [dense_retained] entries. *)
+let release s =
+  if Bigarray.Array1.dim s.row > dense_retained then s.row <- floats 0;
+  if Bigarray.Array1.dim s.staged_probs > dense_retained then begin
+    s.staged_probs <- floats 0;
+    s.staged_buckets <- ints 0
+  end;
+  s.busy <- false
+
+let with_scratch f =
+  let shared = Domain.DLS.get scratch_key in
+  let s = if shared.busy then new_scratch () else shared in
+  s.busy <- true;
+  match f s with
+  | result ->
+    release s;
+    result
+  | exception e ->
+    (* Every stub call leaves [acc] reset, so the scratch is clean. *)
+    release s;
+    raise e
+
+(* Room in the staging area for [need] entries. *)
+let reserve_staging s need =
+  if Bigarray.Array1.dim s.staged_probs < need then begin
+    s.staged_probs <- floats need;
+    s.staged_buckets <- ints need
+  end
+
 (* Bucket index of every point of a support on the lattice of [step]. *)
 let lattice_offsets pens n step = Array.init n (fun i -> (pens.(i) - pens.(0)) / step)
 
-(* The inner operand as one contiguous row: its weights at their
-   lattice offsets, -0.0 in every gap, and a margin of -0.0 on both
-   sides as wide as the row or a window, whichever is less. The stub
-   runs a block of rows over the union of their extents, which each
-   row's margins must cover; a margin as wide as a window covers every
-   block that overlaps the window, and a narrower row (whose blocks are
-   narrower too) pays only its own length, so a small operand never
-   pays a window's worth of padding. Returns the row and its margin. *)
-let padded_row probs offs len =
+(* The inner operand as one contiguous row in [s.row]: its weights at
+   their lattice offsets, -0.0 in every gap, and a margin of -0.0 on
+   both sides as wide as the row or a window, whichever is less. The
+   stub runs a block of rows over the union of their extents, which
+   each row's margins must cover; a margin as wide as a window covers
+   every block that overlaps the window, and a narrower row (whose
+   blocks are narrower too) pays only its own length, so a small
+   operand never pays a window's worth of padding. Returns the
+   margin. *)
+let padded_row s probs offs len =
   let margin = min len dense_window in
-  let row = Array.make (len + (2 * margin)) (-0.0) in
-  Array.iteri (fun i o -> row.(margin + o) <- probs.(i)) offs;
-  (row, margin)
+  let width = len + (2 * margin) in
+  if Bigarray.Array1.dim s.row < width then s.row <- floats width;
+  let row = s.row in
+  Bigarray.Array1.(fill (sub row 0 width) (-0.0));
+  Array.iteri (fun i o -> Bigarray.Array1.unsafe_set row (margin + o) probs.(i)) offs;
+  margin
 
-(* Add [weights.(r)] times [row] into [acc] at offset [offs.(r)]
-   (ascending in r) for every r, one output window at a time. Inside
-   each window the rows go in the same order, so every bucket still
-   receives its products in row order. The rows overlapping a window
-   are a contiguous range of r, and both of its ends only move up as
-   the window does. *)
-let accumulate_rows acc ~weights ~offs ~descending (row, margin) =
-  let buckets = Array.length acc and nr = Array.length offs in
-  let len = Array.length row - (2 * margin) in
-  let r_lo = ref 0 and r_hi = ref 0 and w0 = ref 0 in
+(* Runs [add r_lo r_hi w0 w1 count] over the sum range [0, buckets),
+   one output window [w0, w1) at a time, where [offs] (ascending) are
+   the rows' offsets and [len] their extent, and returns the number of
+   buckets staged. The rows overlapping a window are the contiguous
+   range [r_lo, r_hi), and both of its ends only move up as the window
+   does; when no row overlaps a window, nothing lands there before the
+   next row's offset, so the walk jumps to it. *)
+let each_window ~buckets ~offs ~len add =
+  let nr = Array.length offs in
+  let r_lo = ref 0 and r_hi = ref 0 and w0 = ref 0 and count = ref 0 in
   while !w0 < buckets do
     let w1 = min buckets (!w0 + dense_window) in
     while !r_lo < nr && offs.(!r_lo) + len <= !w0 do incr r_lo done;
     while !r_hi < nr && offs.(!r_hi) < w1 do incr r_hi done;
-    if !r_lo < !r_hi then
-      dense_rows acc row margin weights offs !r_lo !r_hi descending !w0 w1;
-    w0 := w1
-  done
+    if !r_lo < !r_hi then begin
+      count := add !r_lo !r_hi !w0 w1 !count;
+      w0 := w1
+    end
+    else w0 := offs.(!r_hi)
+  done;
+  !count
+
+(* Adds [weights.(r)] times the padded [inner] (its probabilities at
+   its lattice offsets, [len] buckets) at offset [offs.(r)] for every
+   row r, window by window, in ascending r or descending r; returns
+   the number of buckets staged. *)
+let accumulate_rows s ~buckets ~weights ~offs ~descending (inner, inner_offs, len) =
+  let margin = padded_row s inner inner_offs len in
+  each_window ~buckets ~offs ~len (fun r_lo r_hi w0 w1 count ->
+      dense_rows s.acc s.row len margin weights offs r_lo r_hi descending w0 w1 s.staged_probs
+        s.staged_buckets count)
 
 let convolve_dense ~max_points ~lo ~step ~buckets a b =
   let n = size a and m = size b in
   let aw = a.probs and bw = b.probs in
   (* Penalties in this domain are multiples of the miss penalty, so
      indexing buckets by (value - lo) / step instead of raw value keeps
-     the scratch proportional to the number of achievable sums, not the
+     the buckets proportional to the number of achievable sums, not the
      cycle range. *)
   let aoff = lattice_offsets a.penalties n step in
   let boff = lattice_offsets b.penalties m step in
@@ -372,43 +491,40 @@ let convolve_dense ~max_points ~lo ~step ~buckets a b =
      reference's [p +. 0.0] from an absent hash entry bit for bit.
      Presence is a clear sign bit: it survives an underflowed product,
      which the reference keeps as a point of probability 0.0. *)
-  let acc = Array.make buckets (-0.0) in
-  if n * lb <= m * la && n * lb <= dense_padding_limit * n * m then
-    (* Rows over ascending i, each the whole padded [b]. *)
-    accumulate_rows acc ~weights:aw ~offs:aoff ~descending:false (padded_row bw boff lb)
-  else if m * la <= dense_padding_limit * n * m then
-    (* Rows over descending j, each the whole padded [a]: bucket k meets
-       row j at the [a] offset k - boff_j, so a larger j is a smaller i
-       and the products still arrive in ascending i. *)
-    accumulate_rows acc ~weights:bw ~offs:boff ~descending:true (padded_row aw aoff la)
-  else
-    (* Both operands too sparse to pad: scatter the n*m products. *)
-    for i = 0 to n - 1 do
-      let pa = aw.(i) and base = aoff.(i) in
-      for j = 0 to m - 1 do
-        let k = base + Array.unsafe_get boff j in
-        Array.unsafe_set acc k (Array.unsafe_get acc k +. (pa *. Array.unsafe_get bw j))
-      done
-    done;
-  let count = ref 0 in
-  for k = 0 to buckets - 1 do
-    if not (Float.sign_bit (Array.unsafe_get acc k)) then incr count
-  done;
-  let out_pen = Array.make !count 0 and out_prob = Array.make !count 0.0 in
-  let idx = ref 0 in
-  for k = 0 to buckets - 1 do
-    let v = Array.unsafe_get acc k in
-    if not (Float.sign_bit v) then begin
-      out_pen.(!idx) <- lo + (k * step);
-      out_prob.(!idx) <- v;
-      incr idx
-    end
-  done;
-  let pens, probs =
-    if !count <= max_points then (out_pen, out_prob)
-    else cap_arrays max_points out_pen out_prob !count
-  in
-  of_sorted_arrays pens probs
+  with_scratch (fun s ->
+      (* At most min(buckets, n*m) buckets are present, and the stubs'
+         branch-free compaction writes one entry past the last. *)
+      reserve_staging s (min buckets (n * m) + 1);
+      let count =
+        if n * lb <= m * la && n * lb <= dense_padding_limit * n * m then
+          (* Rows over ascending i, each the whole padded [b]. *)
+          accumulate_rows s ~buckets ~weights:aw ~offs:aoff ~descending:false (bw, boff, lb)
+        else if m * la <= dense_padding_limit * n * m then
+          (* Rows over descending j, each the whole padded [a]: bucket k
+             meets row j at the [a] offset k - boff_j, so a larger j is
+             a smaller i and the products still arrive in ascending i. *)
+          accumulate_rows s ~buckets ~weights:bw ~offs:boff ~descending:true (aw, aoff, la)
+        else begin
+          (* Both operands too sparse to pad: scatter the n*m products,
+             row i over [b] from its cursor, in ascending i per window. *)
+          let cursor = Array.make n 0 in
+          each_window ~buckets ~offs:aoff ~len:lb (fun r_lo r_hi w0 w1 count ->
+              dense_scatter s.acc aw aoff bw boff cursor r_lo r_hi w0 w1 s.staged_probs
+                s.staged_buckets count)
+        end
+      in
+      let out_prob = Array.create_float count in
+      for k = 0 to count - 1 do
+        out_prob.(k) <- Bigarray.Array1.unsafe_get s.staged_probs k
+      done;
+      (* A capped result reads the penalties of its kept points straight
+         from the staging area. *)
+      let pen_of k = lo + (step * Bigarray.Array1.unsafe_get s.staged_buckets k) in
+      let pens, probs =
+        if count <= max_points then (Array.init count pen_of, out_prob)
+        else cap_arrays max_points pen_of out_prob count
+      in
+      of_sorted_arrays pens probs)
 
 (* The heap keys on (sum, rank) over the runs of the smaller operand
    [r], each run walking the larger operand [w]. Within a run sums
@@ -504,7 +620,7 @@ let convolve_heap ~max_points a b =
   let pens, probs =
     if !out_len <= max_points then
       (Array.sub !out_pen 0 !out_len, Array.sub !out_prob 0 !out_len)
-    else cap_arrays max_points !out_pen !out_prob !out_len
+    else cap_arrays max_points (Array.get !out_pen) !out_prob !out_len
   in
   of_sorted_arrays pens probs
 
@@ -518,7 +634,7 @@ let convolve_merge ~max_points a b =
        pairwise difference on both sides. *)
     let step = max 1 (gcd (support_step ap n) (support_step bp m)) in
     let buckets = ((ap.(n - 1) + bp.(m - 1) - lo) / step) + 1 in
-    if buckets <= dense_range_ceiling && buckets <= 4 * n * m then
+    if buckets <= dense_range_ceiling && buckets <= dense_range_factor * n * m then
       convolve_dense ~max_points ~lo ~step ~buckets a b
     else convolve_heap ~max_points a b
   end

@@ -67,7 +67,13 @@ val convolve : ?max_points:int -> t -> t -> t
     branch-free multiply-add (untouched buckets hold [-0.0], so
     presence is a clear sign bit, which survives a product that
     underflowed to [0.0]), adding one operand padded with [-0.0] as
-    contiguous rows in a vectorised C loop. Sparse or huge-range
+    contiguous rows in a vectorised C loop. It does so one output
+    window of 1,024 buckets at a time: every row overlapping the window
+    is added into a window-sized accumulator, whose present buckets
+    are then moved to a staging area as the window is reset, and
+    stretches no row reaches are skipped. The accumulator, the padded
+    row and the staging area are per-domain scratch outside the OCaml
+    heap, reused across calls. Sparse or huge-range
     supports go through a k-way merge of sorted runs, one per point of
     the {e smaller} operand, so it costs O(n*m log (min n m)); with
     runs over the second operand, equal sums pop in descending run

@@ -86,7 +86,7 @@ let test_convolve_all_impls_match () =
 
 (* The merge kernel picks its regime from the operands: dense buckets
    when the achievable sums (on the lattice of the supports' gcd step)
-   number at most 4*n*m and at most 2^22, the heap merge otherwise. The
+   number at most 16*n*m and at most 2^22, the heap merge otherwise. The
    generators below land in one regime by construction, with many sums
    reached from several pairs so that the accumulation order shows in
    the low bits. *)
@@ -115,7 +115,7 @@ let random_support state ~k ~bound =
   List.sort compare (Hashtbl.fold (fun x () acc -> x :: acc) seen [])
 
 (* Heap regime: a dense low cluster (many cross-run equal sums) plus one
-   far outlier that makes the sum range dwarf 4*n*m. Sizes are drawn on
+   far outlier that makes the sum range dwarf 16*n*m. Sizes are drawn on
    both sides of n = m, so runs go over [a] and over [b]. *)
 let test_heap_regime () =
   let state = Random.State.make [| 211 |] in
@@ -190,18 +190,23 @@ let branch_name = function
   | Rows_over_a -> "rows over a"
   | Scatter -> "scatter"
 
-(* Both supports as bucket offsets on their common lattice. *)
-let lattice_offsets a b =
-  let pens d = List.map fst (D.support d) in
-  let pa = pens a and pb = pens b in
+let penalties d = List.map fst (D.support d)
+
+(* The step of both supports' common lattice: the gcd of every
+   difference within each of them. *)
+let common_step a b =
   let rec gcd x y = if y = 0 then x else gcd y (x mod y) in
   let step_of = function
     | [] -> 0
     | x :: rest -> List.fold_left (fun g y -> gcd g (y - x)) 0 rest
   in
-  let step = max 1 (gcd (step_of pa) (step_of pb)) in
+  max 1 (gcd (step_of (penalties a)) (step_of (penalties b)))
+
+(* Both supports as bucket offsets on their common lattice. *)
+let lattice_offsets a b =
+  let step = common_step a b in
   let offsets ps = List.map (fun x -> (x - List.hd ps) / step) ps in
-  (offsets pa, offsets pb)
+  (offsets (penalties a), offsets (penalties b))
 
 let extent offs = List.nth offs (List.length offs - 1) + 1
 
@@ -209,7 +214,7 @@ let dense_branch a b =
   let oa, ob = lattice_offsets a b in
   let n = List.length oa and m = List.length ob in
   let la = extent oa and lb = extent ob in
-  if la + lb - 1 > 1 lsl 22 || la + lb - 1 > 4 * n * m then Heap
+  if la + lb - 1 > 1 lsl 22 || la + lb - 1 > 16 * n * m then Heap
   else if n * lb <= m * la && n * lb <= padding_limit * n * m then Rows_over_b
   else if m * la <= padding_limit * n * m then Rows_over_a
   else Scatter
@@ -276,7 +281,7 @@ let test_rows_over_b () =
 
 (* Both operands 1/20 dense: either padding costs 20*n*m, past the 8x
    limit, while the sums still fit the dense regime's bucket budget
-   (20*(n+m) <= 4*n*m once n, m >= 10). *)
+   (20*(n+m) <= 16*n*m once n, m >= 10). *)
 let test_scatter_fallback () =
   each_branch_trial ~seed:257 ~trials:30 "both sparse" Scatter (fun state ~tiny ->
       let n = 10 + Random.State.int state 20 and m = 10 + Random.State.int state 20 in
@@ -477,6 +482,196 @@ let test_random_lattices =
              D.support (D.convolve_reference ~max_points a b)
              = D.support (D.convolve ~max_points a b))
            [ 1; 5; 64; max_int ]))
+
+(* --- windows ------------------------------------------------------------- *)
+
+(* The dense regime walks the sums one window of [window] buckets at a
+   time: it adds every row that overlaps the window into a window-sized
+   accumulator, moves the present buckets out, resets the window to
+   -0.0, and jumps to the next row's offset when no row overlaps a
+   window. The accumulator, the padded row and the staging area are
+   per-domain scratch reused by every convolution. *)
+
+(* [clusters] groups of 8 to 16 offsets, each group starting [gap] to
+   [gap + 999] buckets after the previous one. *)
+let clustered_offsets state ~clusters ~gap =
+  let base = ref 0 in
+  List.concat
+    (List.init clusters (fun _ ->
+         let k = 8 + Random.State.int state 9 in
+         let first = !base in
+         base := first + (2 * k) + gap + Random.State.int state 1000;
+         List.map (fun x -> first + x) (random_support state ~k ~bound:(2 * k))))
+
+(* Whether some stretch of two windows between the end of one row and
+   the offset of the next holds no bucket of any row: the walk then
+   meets a window no row overlaps, whatever its alignment. *)
+let skips_a_window ~rows ~inner =
+  let offs, inner_offs = lattice_offsets rows inner in
+  let len = extent inner_offs in
+  let rec go = function
+    | x :: (y :: _ as rest) -> y - (x + len) >= 2 * window || go rest
+    | _ -> false
+  in
+  go offs
+
+(* Rows in 2 to 5 clusters whose gaps hold at least two windows no row
+   reaches, against a dense inner row (both orientations) or a sparse
+   one (the scatter branch). Skipping a bucket too many at a jump
+   drops the first product of the next row. *)
+let test_skipped_windows () =
+  let gen ~inner_points ~inner_extent ~gap state ~tiny =
+    let m = inner_points state in
+    let step = 1 + Random.State.int state 99 in
+    let rows =
+      offsets_dist state
+        ~offsets:(clustered_offsets state ~clusters:(2 + Random.State.int state 4) ~gap)
+        ~step ~tiny
+    in
+    let inner = lattice_dist state ~k:m ~extent:(inner_extent m) ~step ~tiny in
+    Alcotest.(check bool) "a window no row overlaps" true (skips_a_window ~rows ~inner);
+    (rows, inner)
+  in
+  each_orientation ~seed:293 ~trials:10 "skipped windows"
+    ~expect:(fun ~descending:_ _ _ -> ())
+    (gen
+       ~inner_points:(fun state -> 40 + Random.State.int state 21)
+       ~inner_extent:(fun m -> m + (m / 3))
+       ~gap:2200);
+  each_branch_trial ~seed:307 ~trials:10 "skipped windows, scatter" Scatter
+    (gen ~inner_points:(fun state -> 32 + Random.State.int state 9)
+       ~inner_extent:(fun m -> 20 * m) ~gap:2900)
+
+(* Both operands 1/20 dense over an output of 3 to 5 windows: the
+   scatter branch, whose rows start mid-window and cross several window
+   edges, each resuming at its cursor. *)
+let test_scatter_windows () =
+  each_branch_trial ~seed:311 ~trials:8 "scatter, 3+ windows" Scatter (fun state ~tiny ->
+      let n = 60 + Random.State.int state 41 and m = 60 + Random.State.int state 41 in
+      let a = lattice_dist state ~k:n ~extent:(20 * n) ~step:1 ~tiny in
+      let b = lattice_dist state ~k:m ~extent:(20 * m) ~step:1 ~tiny in
+      let offs, inner = lattice_offsets a b in
+      Alcotest.(check bool) "3+ windows, a row starting mid-window" true
+        (extent offs + extent inner - 1 > 2 * window
+         && List.exists (fun o -> o mod window <> 0) offs);
+      (a, b))
+
+(* Every probability near 1e-170 or, for one point in eight, near
+   1e-160: each product is either a nonzero subnormal (two factors near
+   1e-160) or underflows to +0.0, so most present buckets hold +0.0 and
+   the rest sums of subnormals. Each branch is run over outputs of 3 or
+   more windows, and over all trials some result point must be a
+   nonzero subnormal and some +0.0 point must sit at either end of a
+   window ([window] buckets from the lowest sum, none skipped). *)
+let subnormal_dist state ~offsets ~step =
+  D.of_sub_points
+    (List.map
+       (fun x ->
+         let u = 0.5 +. Random.State.float state 0.5 in
+         (step * x, if Random.State.int state 8 = 0 then u *. 1e-160 else u *. 1e-170))
+       offsets)
+
+let lattice_support state ~k ~extent =
+  let inner = random_support state ~k:(k - 2) ~bound:(extent - 2) in
+  (0 :: List.map succ inner) @ [ extent - 1 ]
+
+let test_subnormal_windows () =
+  let run label expected make =
+    let state = Random.State.make [| Hashtbl.hash label |] in
+    let subnormal = ref false and zero_edge = ref false in
+    for trial = 1 to 6 do
+      let a, b = make state in
+      check_branch (Printf.sprintf "%s %d" label trial) expected a b;
+      let step = common_step a b in
+      let conv = D.support (D.convolve_reference ~max_points:max_int a b) in
+      let lo = fst (List.hd conv) in
+      List.iter
+        (fun (x, p) ->
+          let k = (x - lo) / step in
+          if p > 0.0 && p < Float.min_float then subnormal := true;
+          if p = 0.0 && k > 0 && (k mod window = 0 || k mod window = window - 1) then
+            zero_edge := true)
+        conv
+    done;
+    Alcotest.(check (pair bool bool)) (label ^ ": subnormal point, +0.0 on a window edge")
+      (true, true) (!subnormal, !zero_edge)
+  in
+  let rows_and_inner state =
+    let la = 2200 + Random.State.int state 1001 and lb = 100 + Random.State.int state 301 in
+    let step = 1 + Random.State.int state 99 in
+    ( subnormal_dist state ~offsets:(lattice_support state ~k:(la / 8) ~extent:la) ~step
+    , subnormal_dist state ~offsets:(lattice_support state ~k:(3 * lb / 4) ~extent:lb) ~step )
+  in
+  run "subnormal rows over b" Rows_over_b rows_and_inner;
+  run "subnormal rows over a" Rows_over_a (fun state ->
+      let rows, inner = rows_and_inner state in
+      (inner, rows));
+  run "subnormal scatter" Scatter (fun state ->
+      let n = 60 + Random.State.int state 41 and m = 60 + Random.State.int state 41 in
+      ( subnormal_dist state ~offsets:(lattice_support state ~k:n ~extent:(20 * n)) ~step:1
+      , subnormal_dist state ~offsets:(lattice_support state ~k:m ~extent:(20 * m)) ~step:1 ))
+
+(* One domain runs large, small, large, ... convolutions over every
+   branch in turn, so that scratch left over by one convolution (a
+   window not reset, a padded row not cleared, a staging area not
+   rewound) would show in the next; then a fresh domain runs the same
+   sequence on scratch of its own. *)
+let test_scratch_reuse () =
+  let state = Random.State.make [| 313 |] in
+  let large_rows () =
+    ( lattice_dist state ~k:400 ~extent:3000 ~step:7 ~tiny:true
+    , lattice_dist state ~k:300 ~extent:400 ~step:7 ~tiny:false )
+  in
+  let small () =
+    ( lattice_dist state ~k:5 ~extent:7 ~step:7 ~tiny:false
+    , lattice_dist state ~k:4 ~extent:6 ~step:7 ~tiny:true )
+  in
+  let large_scatter () =
+    ( lattice_dist state ~k:80 ~extent:1600 ~step:1 ~tiny:true
+    , lattice_dist state ~k:90 ~extent:1800 ~step:1 ~tiny:false )
+  in
+  let swap (a, b) = (b, a) in
+  let cases =
+    [ ("large rows over b", Some Rows_over_b, large_rows ()); ("small", None, small ())
+    ; ("large rows over a", Some Rows_over_a, swap (large_rows ()))
+    ; ("small, swapped", None, swap (small ()))
+    ; ("large scatter", Some Scatter, large_scatter ()); ("small again", None, small ())
+    ; ("large rows over b again", Some Rows_over_b, large_rows ()) ]
+  in
+  let run where () =
+    List.iter
+      (fun (label, branch, (a, b)) ->
+        match branch with
+        | Some branch -> check_branch (where ^ label) branch a b
+        | None -> check_regime (where ^ label) a b)
+      cases
+  in
+  run "" ();
+  Domain.join (Domain.spawn (run "fresh domain: "))
+
+(* The total distribution's convolutions run on [jobs] domains, each
+   with its own scratch: the wire bytes must not depend on [jobs]. The
+   programs with the widest laws, at pfail 1e-4 and 1e-3. *)
+let test_jobs_byte_identity () =
+  let config = Cache.Config.make ~sets:16 ~ways:4 ~line_bytes:16 () in
+  List.iter
+    (fun name ->
+      let entry = Option.get (Benchmarks.Registry.find name) in
+      let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
+      let task = Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config () in
+      List.iter
+        (fun (mechanism, fmm) ->
+          List.iter
+            (fun pfail ->
+              let pbf = Fault.Model.pbf_of_config ~pfail config in
+              let wire jobs = D.to_wire (Pwcet.Penalty.total_distribution ~jobs ~fmm ~pbf ()) in
+              Alcotest.(check string)
+                (Printf.sprintf "%s/%s pfail %g: jobs 3 = jobs 1" name
+                   (Pwcet.Mechanism.short_name mechanism) pfail)
+                (wire 1) (wire 3))
+            [ 1e-4; 1e-3 ])
+        (Pwcet.Estimator.fmm_grid task ~mechanisms:Pwcet.Mechanism.all ()))
+    [ "fft"; "adpcm"; "edn" ]
 
 (* --- cap oracle ---------------------------------------------------------- *)
 
@@ -868,6 +1063,13 @@ let () =
         ; Alcotest.test_case "blocks past the margin" `Quick test_blocks_past_margin
         ; Alcotest.test_case "short rows, 3+ windows" `Quick test_short_rows_many_windows
         ; Alcotest.test_case "long rows, 3+ windows" `Quick test_long_rows_many_windows
+        ] )
+    ; ( "windows",
+        [ Alcotest.test_case "skipped windows" `Quick test_skipped_windows
+        ; Alcotest.test_case "scatter, 3+ windows" `Quick test_scatter_windows
+        ; Alcotest.test_case "subnormal and +0.0 buckets" `Quick test_subnormal_windows
+        ; Alcotest.test_case "scratch reuse" `Quick test_scratch_reuse
+        ; Alcotest.test_case "jobs byte identity" `Quick test_jobs_byte_identity
         ] )
     ; ( "power",
         [ Alcotest.test_case "pow = tree (capping incl.)" `Quick test_pow_matches_tree
