@@ -962,6 +962,41 @@ let test_grid_slice_byte_identity () =
   Alcotest.(check string) "grid-slice total-distribution digest" grid_slice_wire_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Every law the grid-pfail benchmark convolves: the registry at
+   16x4x16 and 32x4x16, three mechanisms, pfail 1e-6, 1e-5, 1e-4 and
+   1e-3 — 600 laws. The 1e-5 slice, which neither digest above covers,
+   carries laws with points of probability +0.0 at 32x4. The expected
+   value was computed before the kernel moved to AVX-512 width and the
+   suffix to first read. *)
+let grid_pfail_wire_digest = "1f59632b3de81367bf266b37061d36e8"
+
+let test_grid_pfail_byte_identity () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (e : Benchmarks.Registry.entry) ->
+      let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
+      List.iter
+        (fun sets ->
+          let config = Cache.Config.make ~sets ~ways:4 ~line_bytes:16 () in
+          let task =
+            Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config ()
+          in
+          List.iter
+            (fun (mechanism, fmm) ->
+              List.iter
+                (fun pfail ->
+                  let pbf = Fault.Model.pbf_of_config ~pfail config in
+                  let wire = D.to_wire (Pwcet.Penalty.total_distribution ~fmm ~pbf ()) in
+                  Printf.bprintf buf "%s/%s %dx4 %g %s\n" e.Benchmarks.Registry.name
+                    (Pwcet.Mechanism.short_name mechanism) sets pfail
+                    (Digest.to_hex (Digest.string wire)))
+                [ 1e-6; 1e-5; 1e-4; 1e-3 ])
+            (Pwcet.Estimator.fmm_grid task ~mechanisms:Pwcet.Mechanism.all ()))
+        [ 16; 32 ])
+    Benchmarks.Registry.all;
+  Alcotest.(check string) "grid-pfail total-distribution digest" grid_pfail_wire_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- shared-PMF hoist ---------------------------------------------------- *)
 
 let test_shared_pmf_identity () =
@@ -1083,6 +1118,7 @@ let () =
         ; Alcotest.test_case "shared pmf" `Quick test_shared_pmf_identity
         ; Alcotest.test_case "registry byte identity" `Quick test_registry_byte_identity
         ; Alcotest.test_case "grid-slice byte identity" `Quick test_grid_slice_byte_identity
+        ; Alcotest.test_case "grid-pfail byte identity" `Quick test_grid_pfail_byte_identity
         ] )
     ; ( "sweep",
         [ Alcotest.test_case "sweep = independent estimates" `Quick test_sweep_matches_estimates
