@@ -60,16 +60,19 @@ perfbench-build:
 # its own build directory: Prob.Dist's convolution (merge = reference
 # on every kernel branch and the registry to_wire digest), the path
 # engine (plan/eval = the per-call collapse, and the registry FMM/WCET
-# digest), the CHMC (age thresholds = the whole-CFG oracle, on
+# digest; the convolution's digests include every one of the 600 laws
+# the grid-pfail benchmark convolves), the CHMC (age thresholds = the whole-CFG oracle, on
 # random programs and associativity vectors and on the registry) and
 # the cache-analysis tests, among them the flat bitset Must/May states
 # held equal to the Acs domain after every random access and join.
 # It also disassembles the release build's convolution stub: the
 # kernel's byte identity rests on a separate multiply and add for every
 # product (-ffp-contract=off), so any fused multiply-add instruction
-# fails, and on x86-64 Linux so does a missing AVX2 clone of dense_rows,
-# the row loop each window's call runs before it compacts the window
-# (target_clones needs glibc; other hosts build the baseline only).
+# fails (the vfn?m(add|sub) pattern matches the VEX and the EVEX
+# forms), and on x86-64 Linux so does a missing AVX-512F or AVX2 clone
+# of dense_rows, the row loop each window's call runs before it
+# compacts the window (target_clones needs glibc; other hosts build
+# the baseline only).
 release-dist:
 	dune build --profile release --build-dir _build_release \
 	  ./test/test_dist_engine.exe ./test/test_path_engine.exe ./test/test_sliced.exe \
@@ -79,10 +82,13 @@ release-dist:
 	  echo "release-dist: fused multiply-add in dense_stubs.o (see -ffp-contract=off in lib/prob/dune)"; \
 	  exit 1; \
 	fi; \
-	if [ "$$(uname -m)" = x86_64 ] && [ "$$(uname -s)" = Linux ] \
-	  && ! printf '%s\n' "$$dis" | grep -q '<dense_rows.avx2>:'; then \
-	  echo "release-dist: no dense_rows.avx2 clone in dense_stubs.o"; \
-	  exit 1; \
+	if [ "$$(uname -m)" = x86_64 ] && [ "$$(uname -s)" = Linux ]; then \
+	  for clone in avx512f avx2; do \
+	    if ! printf '%s\n' "$$dis" | grep -q "<dense_rows.$$clone>:"; then \
+	      echo "release-dist: no dense_rows.$$clone clone in dense_stubs.o"; \
+	      exit 1; \
+	    fi; \
+	  done; \
 	fi; \
 	echo "release-dist: dense_stubs.o has no fused multiply-add"
 	cd _build_release/default/test && ./test_dist_engine.exe && ./test_path_engine.exe \

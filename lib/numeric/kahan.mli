@@ -16,4 +16,10 @@ val sum : float list -> float
 (** Compensated sum of a list. *)
 
 val sum_array : float array -> float
+
+val suffix_totals : float array -> float array
+(** [(suffix_totals xs).(i)] is the compensated sum of
+    [xs.(i) .. xs.(n-1)], added from the top: bit for bit the {!total}
+    of one accumulator after {!add}ing [xs.(n-1)] down to [xs.(i)]. *)
+
 val sum_by : ('a -> float) -> 'a list -> float

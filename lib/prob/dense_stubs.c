@@ -49,7 +49,18 @@
  * multiply-add, which `make release-dist` checks in the object code)
  * and never with fast-math.  Vectorising the inner loops only runs
  * independent buckets side by side, so the result is bit-identical to
- * the scalar loop.
+ * the scalar loop.  On x86-64 with glibc the row loop is built three
+ * times, for AVX-512F (8 buckets per zmm register, with the 8-row
+ * block inlined), AVX2 and the baseline, and the loader's ifunc picks
+ * the widest the host supports; every clone performs the same
+ * operations in the same order on each bucket, so all three give the
+ * same bytes.
+ *
+ * pwcet_dense_emit writes a finished dense result out of the staging
+ * area in one pass: the probabilities into an OCaml float array and,
+ * for an uncapped result, the penalties lo + step * bucket into an
+ * OCaml int array.  A capped result skips the penalties; dist.ml reads
+ * only its kept points' penalties from the staging area.
  *
  * The operands' weights are OCaml float arrays read as double *, which
  * requires the flat float array layout; dist.ml refuses to start
@@ -66,12 +77,13 @@
 #include <caml/memory.h>
 #include <caml/bigarray.h>
 
-/* An AVX2 clone beside the baseline one, picked at load time.  The
- * attribute needs GCC/Clang on x86-64 and ifunc support from glibc;
- * anywhere else the single baseline build is used. */
+/* AVX-512F and AVX2 clones beside the baseline one, picked at load
+ * time by the host's widest supported set.  The attribute needs
+ * GCC/Clang on x86-64 and ifunc support from glibc; anywhere else the
+ * single baseline build is used. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define DENSE_CLONES __attribute__((target_clones("avx2", "default")))
+#define DENSE_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
 #endif
 #ifndef DENSE_CLONES
@@ -238,3 +250,29 @@ CAMLprim value pwcet_dense_scatter_byte(value *argv, int argn)
                                argv[7], argv[8], argv[9], argv[10], argv[11], argv[12]);
 }
 
+
+/* Writes a dense result out of the staging area in one pass: the first
+ * [count] staged probabilities into the OCaml float array [out_probs],
+ * and the penalty lo + step * bucket of the first Wosize_val(out_pens)
+ * of them into the OCaml int array [out_pens] (a capped result passes
+ * an empty one and reads only its kept points' penalties).  The
+ * penalties are immediate integers, so storing them needs no write
+ * barrier. */
+CAMLprim value pwcet_dense_emit(value probs, value buckets, value count, value lo, value step,
+                                value out_probs, value out_pens)
+{
+    intnat n = Long_val(count), base = Long_val(lo), s = Long_val(step);
+    intnat np = Wosize_val(out_pens);
+    const intnat *b = (const intnat *)Caml_ba_data_val(buckets);
+    if (n > 0)
+        memcpy((double *)out_probs, Caml_ba_data_val(probs), n * sizeof(double));
+    for (intnat k = 0; k < np; k++)
+        Field(out_pens, k) = Val_long(base + s * b[k]);
+    return Val_unit;
+}
+
+CAMLprim value pwcet_dense_emit_byte(value *argv, int argn)
+{
+    (void)argn;
+    return pwcet_dense_emit(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6]);
+}

@@ -1,29 +1,40 @@
 module Kahan = Numeric.Kahan
 
-(* Invariant: penalties strictly ascending, probabilities > 0, suffix
-   holds the weak-exceedance values P(X >= penalties.(i)) accumulated
-   from the top with compensated summation. Convention (documented in
-   dist.mli): [exceedance] answers the strict P(X > x) query, while
-   [exceedance_curve] exposes the weak P(X >= x) staircase; at a support
-   point x_i they are related by P(X >= x_i) = P(X > x_i - 1). *)
+(* Invariant: penalties strictly ascending, probabilities >= 0 with a
+   clear sign bit (the convolution kernels keep a product that
+   underflowed to +0.0 as a point, see "Presence is a clear sign bit"
+   below; every other constructor drops zero masses). The suffix, once
+   built, holds the weak-exceedance values P(X >= penalties.(i))
+   accumulated from the top with compensated summation. Convention
+   (documented in dist.mli): [exceedance] answers the strict P(X > x)
+   query, while [exceedance_curve] exposes the weak P(X >= x) staircase;
+   at a support point x_i they are related by P(X >= x_i) = P(X > x_i - 1).
+
+   The suffix is built on its first read, not with the law: most laws
+   are intermediate results of a convolution tree, which only reads
+   their penalties and probabilities. Until then [suffix] holds
+   [no_suffix] (so an empty law, whose suffix is empty, never builds
+   one). Two domains reading a fresh law at once may both build it; the
+   arrays are identical and either publication serves every later
+   read. *)
 type t = {
   penalties : int array;
   probs : float array;
-  suffix : float array;
+  suffix : float array Atomic.t;
 }
 
-let build_suffix penalties probs =
-  let n = Array.length penalties in
-  let suffix = Array.make n 0.0 in
-  let acc = Kahan.create () in
-  for i = n - 1 downto 0 do
-    Kahan.add acc probs.(i);
-    suffix.(i) <- Kahan.total acc
-  done;
-  suffix
+let no_suffix : float array = [||]
 
-let of_sorted_arrays penalties probs =
-  { penalties; probs; suffix = build_suffix penalties probs }
+let suffix t =
+  let s = Atomic.get t.suffix in
+  if Array.length s = Array.length t.probs then s
+  else begin
+    let s = Kahan.suffix_totals t.probs in
+    Atomic.set t.suffix s;
+    s
+  end
+
+let of_sorted_arrays penalties probs = { penalties; probs; suffix = Atomic.make no_suffix }
 
 let point x =
   if x < 0 then invalid_arg "Dist.point: negative penalty";
@@ -67,9 +78,10 @@ let scale factor t =
   of_sorted_arrays (Array.of_list (List.map fst pairs)) (Array.of_list (List.map snd pairs))
 
 (* Shifting every penalty by a constant leaves the probabilities — and
-   therefore the suffix (exceedance) array — untouched, so the derived
-   tails of the result are bit-identical to the input's: no re-summation
-   happens that could perturb a 1e-12 tail. *)
+   therefore the suffix (exceedance) array — untouched, so the result
+   shares the input's suffix cell: whichever of the two is read first
+   builds it for both, and the derived tails are bit-identical, with no
+   re-summation that could perturb a 1e-12 tail. *)
 let shift c t =
   let n = Array.length t.penalties in
   if n > 0 && t.penalties.(0) + c < 0 then invalid_arg "Dist.shift: negative penalty";
@@ -77,7 +89,7 @@ let shift c t =
 
 let support t = Array.to_list (Array.map2 (fun x p -> (x, p)) t.penalties t.probs)
 let size t = Array.length t.penalties
-let total_mass t = if size t = 0 then 0.0 else t.suffix.(0)
+let total_mass t = if size t = 0 then 0.0 else (suffix t).(0)
 
 (* Radix selection over probabilities. For non-negative floats the
    IEEE-754 bit patterns order exactly like the values, so the k-th
@@ -288,11 +300,14 @@ let dense_range_factor = 16
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
 (* Gcd of the successive differences of a sorted support (0 for a
-   singleton): every value is [pens.(0) + k * step]. *)
+   singleton): every value is [pens.(0) + k * step]. Supports on the
+   miss-penalty lattice rarely change the running gcd, so a difference
+   it already divides costs one [mod], not a whole [gcd]. *)
 let support_step pens n =
   let g = ref 0 in
   for i = 1 to n - 1 do
-    g := gcd !g (pens.(i) - pens.(i - 1))
+    let d = pens.(i) - pens.(i - 1) in
+    if !g = 0 || d mod !g <> 0 then g := gcd !g d
   done;
   !g
 
@@ -414,6 +429,14 @@ let with_scratch f =
     release s;
     raise e
 
+(* [dense_emit probs buckets count lo step out_probs out_pens] copies
+   the first [count] staged probabilities into [out_probs] and writes
+   the penalties [lo + step * buckets.(k)] of the first
+   [Array.length out_pens] of them into [out_pens], in one pass. *)
+external dense_emit : floats -> ints -> int -> int -> int -> float array -> int array -> unit
+  = "pwcet_dense_emit_byte" "pwcet_dense_emit"
+[@@noalloc]
+
 (* Room in the staging area for [need] entries. *)
 let reserve_staging s need =
   if Bigarray.Array1.dim s.staged_probs < need then begin
@@ -421,8 +444,29 @@ let reserve_staging s need =
     s.staged_buckets <- ints need
   end
 
-(* Bucket index of every point of a support on the lattice of [step]. *)
-let lattice_offsets pens n step = Array.init n (fun i -> (pens.(i) - pens.(0)) / step)
+(* Bucket index of every point of a support on the lattice of [step],
+   by exact division: [step] divides every difference, so with
+   [step = 2^z * odd] the quotient is the difference shifted right by
+   [z] times the inverse of [odd] modulo 2^63 (OCaml's [int]
+   arithmetic), with no hardware division per point. *)
+let lattice_offsets pens n step =
+  let z = ref 0 and odd = ref step in
+  while !odd land 1 = 0 do
+    odd := !odd asr 1;
+    incr z
+  done;
+  (* Newton's iteration doubles the correct low bits of the inverse;
+     [odd] is its own inverse to 3 bits, so five steps give 96 >= 63. *)
+  let inv = ref !odd in
+  for _ = 1 to 5 do
+    inv := !inv * (2 - (!odd * !inv))
+  done;
+  let z = !z and inv = !inv and base = pens.(0) in
+  let offs = Array.make n 0 in
+  for i = 1 to n - 1 do
+    offs.(i) <- ((pens.(i) - base) asr z) * inv
+  done;
+  offs
 
 (* The inner operand as one contiguous row in [s.row]: its weights at
    their lattice offsets, -0.0 in every gap, and a margin of -0.0 on
@@ -514,17 +558,20 @@ let convolve_dense ~max_points ~lo ~step ~buckets a b =
         end
       in
       let out_prob = Array.create_float count in
-      for k = 0 to count - 1 do
-        out_prob.(k) <- Bigarray.Array1.unsafe_get s.staged_probs k
-      done;
-      (* A capped result reads the penalties of its kept points straight
-         from the staging area. *)
-      let pen_of k = lo + (step * Bigarray.Array1.unsafe_get s.staged_buckets k) in
-      let pens, probs =
-        if count <= max_points then (Array.init count pen_of, out_prob)
-        else cap_arrays max_points pen_of out_prob count
-      in
-      of_sorted_arrays pens probs)
+      if count <= max_points then begin
+        let pens = Array.make count 0 in
+        dense_emit s.staged_probs s.staged_buckets count lo step out_prob pens;
+        of_sorted_arrays pens out_prob
+      end
+      else begin
+        (* A capped result reads the penalties of its kept points
+           straight from the staging area: no array of every point's
+           penalty is built. *)
+        dense_emit s.staged_probs s.staged_buckets count lo step out_prob [||];
+        let pen_of k = lo + (step * Bigarray.Array1.unsafe_get s.staged_buckets k) in
+        let pens, probs = cap_arrays max_points pen_of out_prob count in
+        of_sorted_arrays pens probs
+      end)
 
 (* The heap keys on (sum, rank) over the runs of the smaller operand
    [r], each run walking the larger operand [w]. Within a run sums
@@ -731,7 +778,7 @@ let exceedance t x =
     end
   in
   let i = search 0 n in
-  if i >= n then 0.0 else t.suffix.(i)
+  if i >= n then 0.0 else (suffix t).(i)
 
 let quantile t ~target =
   (* NaN fails every comparison, so [target < 0.0] alone would accept
@@ -746,7 +793,8 @@ let quantile t ~target =
        whose strict upper tail fits the target. [tail_above] is
        non-increasing in i, so binary-search the first index where it
        fits; at i = n-1 the tail is 0, so the search is total. *)
-    let tail_above i = if i + 1 < n then t.suffix.(i + 1) else 0.0 in
+    let suffix = suffix t in
+    let tail_above i = if i + 1 < n then suffix.(i + 1) else 0.0 in
     let rec search lo hi =
       if lo >= hi then lo
       else begin
@@ -758,7 +806,7 @@ let quantile t ~target =
   end
 
 let exceedance_curve t =
-  Array.to_list (Array.map2 (fun x s -> (x, s)) t.penalties t.suffix)
+  Array.to_list (Array.map2 (fun x s -> (x, s)) t.penalties (suffix t))
 
 let expectation t =
   let acc = Kahan.create () in
@@ -774,9 +822,9 @@ let pp fmt t =
 
    Fixed-width little-endian, no implicit state: [n] then n pairs of
    (penalty as int64, probability as IEEE-754 bits). The suffix array
-   is derived data and is rebuilt on decode by the same [build_suffix]
-   that built the original — storing it would only add bytes that can
-   disagree with the probabilities. *)
+   is derived data and is rebuilt on decode (the total-mass check reads
+   it) by the same [Kahan.suffix_totals] that builds the original's — storing
+   it would only add bytes that can disagree with the probabilities. *)
 
 let to_wire t =
   let n = Array.length t.penalties in
@@ -800,7 +848,7 @@ let of_wire data =
     else begin
       let penalties = Array.make n 0 in
       let probs = Array.make n 0.0 in
-      let error = ref None in
+      let error = ref None and positive = ref false in
       let fail msg = if !error = None then error := Some msg in
       for i = 0 to n - 1 do
         let x = Int64.to_int (String.get_int64_le data (8 + (16 * i))) in
@@ -808,13 +856,17 @@ let of_wire data =
         if x < 0 then fail (Printf.sprintf "Dist.of_wire: negative penalty %d" x);
         if i > 0 && x <= penalties.(i - 1) then
           fail (Printf.sprintf "Dist.of_wire: penalties not strictly ascending at %d" i);
-        if (not (Float.is_finite p)) || p <= 0.0 || p > 1.0 then
+        (* +0.0 is a point the kernels keep (a clear sign bit); -0.0,
+           negative values and NaN are not. *)
+        if (not (Float.is_finite p)) || Float.sign_bit p || p > 1.0 then
           fail (Printf.sprintf "Dist.of_wire: bad probability at %d" i);
+        if p > 0.0 then positive := true;
         penalties.(i) <- x;
         probs.(i) <- p
       done;
       match !error with
       | Some msg -> Error msg
+      | None when n > 0 && not !positive -> Error "Dist.of_wire: no positive probability"
       | None ->
         let t = of_sorted_arrays penalties probs in
         if total_mass t > 1.0 +. 1e-9 then

@@ -8,7 +8,20 @@
     quantile over-approximates the true one. Probability sums use
     compensated summation; the tail masses of interest (around
     [1e-15]) are far above the float64 noise floor when accumulated
-    this way. *)
+    this way.
+
+    Probabilities are never negative. A point may carry [+0.0]: the
+    convolution kernels keep a product that underflowed to zero as a
+    point (see {!convolve}), so a law can list penalties of probability
+    [+0.0], and {!of_wire} accepts them.
+
+    The tail queries ({!total_mass}, {!exceedance}, {!quantile},
+    {!exceedance_curve}) read a suffix array of compensated sums from
+    the top, which a law builds on its first tail query, in O(n), and
+    keeps: intermediate laws of a convolution tree, which no tail query
+    reads, never build one. A law is safe to read from several domains
+    and threads at once; racing first queries build identical
+    arrays. *)
 
 type t
 
@@ -31,7 +44,8 @@ val scale : float -> t -> t
 
 val shift : int -> t -> t
 (** [shift c t] adds [c] cycles to every penalty. The probabilities —
-    and therefore the derived exceedance (suffix) array — are reused
+    and therefore the derived exceedance (suffix) array, built once for
+    [t] and the result by whichever is queried first — are shared
     bit-for-bit, so no re-summation can perturb a deep tail.
     @raise Invalid_argument when a shifted penalty would be negative. *)
 
@@ -44,7 +58,8 @@ val mixture : ?max_points:int -> (float * t) list -> t
     residual unrecovered-fault mass outside the mixture. Capping at
     [max_points] (default 65536) is the same upward-conservative fold
     as {!convolve}. Weighted masses that underflow to exactly [0.0]
-    are dropped, consistent with the engine-wide [p > 0] invariant.
+    are dropped (unlike {!convolve}, which keeps its underflowed
+    products as [+0.0] points).
     @raise Invalid_argument on a weight outside [0,1], total mass
     beyond [1 + 1e-9], or [max_points < 1]. *)
 
@@ -71,7 +86,8 @@ val convolve : ?max_points:int -> t -> t -> t
     window of 1,024 buckets at a time: every row overlapping the window
     is added into a window-sized accumulator, whose present buckets
     are then moved to a staging area as the window is reset, and
-    stretches no row reaches are skipped. The accumulator, the padded
+    stretches no row reaches are skipped; an uncapped result is then
+    copied out of the staging area in one pass. The accumulator, the padded
     row and the staging area are per-domain scratch outside the OCaml
     heap, reused across calls. Sparse or huge-range
     supports go through a k-way merge of sorted runs, one per point of
@@ -137,7 +153,8 @@ val exceedance : t -> int -> float
 val quantile : t -> target:float -> int
 (** Smallest penalty [x] with [P(X > x) <= target] — the value read off
     the paper's complementary cumulative distributions. Binary search
-    over the suffix-tail array: O(log n) per query.
+    over the suffix-tail array: O(log n) per query, after the law's
+    first tail query built that array.
     @raise Invalid_argument when [target < 0]. *)
 
 val exceedance_curve : t -> (int * float) list
@@ -154,16 +171,18 @@ val pp : Format.formatter -> t -> unit
     [(penalty, probability-bits)] pairs, fixed-width little-endian — so
     equal distributions encode to equal bytes and a byte-for-byte
     comparison of artifacts is a distribution comparison. The suffix
-    (exceedance) array is {e not} stored: {!of_wire} rebuilds it with
-    the same compensated summation that built the original, so a
-    decoded distribution is structurally identical to the encoded one,
-    including every derived tail value. *)
+    (exceedance) array is {e not} stored: {!of_wire} rebuilds it (its
+    total-mass check reads it) with the same compensated summation that
+    builds the original's, so a decoded distribution has the encoded
+    one's points and answers every tail query bit for bit alike. *)
 
 val to_wire : t -> string
 
 val of_wire : string -> (t, string) result
 (** Validates shape and content (strictly ascending non-negative
-    penalties, finite positive probabilities, total mass at most 1) —
+    penalties, finite probabilities in [[+0.0, 1]] — [-0.0] and NaN are
+    rejected — of which at least one is positive unless the law is
+    empty, total mass at most 1) —
     a corrupted or adversarial payload yields [Error], never a
     distribution that violates the module invariants, and never an
     exception: a point count too large for the payload is rejected

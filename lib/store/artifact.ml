@@ -241,9 +241,11 @@ let get t ~key ~kind ~version =
       bump t (fun s -> { s with misses = s.misses + 1; corrupt = s.corrupt + 1 });
       None)
 
+(* The read [get] counted as a hit served nothing the caller could use:
+   recount it as a miss. *)
 let quarantine t ~key ~reason:_ =
   quarantine_entry t ~key;
-  bump t (fun s -> { s with corrupt = s.corrupt + 1 })
+  bump t (fun s -> { s with hits = s.hits - 1; misses = s.misses + 1; corrupt = s.corrupt + 1 })
 
 let journal_path t ~run_key = Filename.concat (journals_dir t) (run_key ^ ".journal")
 

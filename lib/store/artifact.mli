@@ -79,7 +79,9 @@ val get : t -> key:string -> kind:string -> version:int -> string option
 val quarantine : t -> key:string -> reason:string -> unit
 (** Quarantine an entry whose envelope was intact but whose payload
     failed the caller's own (semantic) decoding — same policy as a
-    checksum failure, triggered one layer up. *)
+    checksum failure, triggered one layer up. Call it only on a payload
+    {!get} just returned: the read {!get} counted as a hit is recounted
+    as a miss. *)
 
 val journal_path : t -> run_key:string -> string
 (** Where the resume journal for a run identified by [run_key] lives

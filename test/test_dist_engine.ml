@@ -1075,6 +1075,116 @@ let test_sweep_matches_estimates () =
         [ 1; 2; 3 ])
     [ "fibcall"; "crc" ]
 
+(* --- suffix built on first read ------------------------------------------ *)
+
+(* A law's exceedance suffix is built by its first tail query, not by
+   the convolution that made it. The law below is fresh on every call
+   (crc's penalty laws without protection and with reliable ways at
+   16x4x16 and pfail 1e-4, convolved: several thousand points), so its
+   suffix is unbuilt until a test reads it. *)
+let fresh_law =
+  let laws =
+    lazy
+      (let config = Cache.Config.make ~sets:16 ~ways:4 ~line_bytes:16 () in
+       let e = Option.get (Benchmarks.Registry.find "crc") in
+       let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
+       let task = Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config () in
+       let pbf = Fault.Model.pbf_of_config ~pfail:1e-4 config in
+       List.map
+         (fun (_, fmm) -> Pwcet.Penalty.total_distribution ~fmm ~pbf ())
+         (Pwcet.Estimator.fmm_grid task
+            ~mechanisms:Pwcet.Mechanism.[ No_protection; Reliable_way ] ()))
+  in
+  fun () ->
+    match Lazy.force laws with
+    | [ a; b ] -> D.convolve a b
+    | _ -> assert false
+
+(* Neumaier-compensated sums from the top, written out here rather than
+   taken from [Numeric.Kahan]. *)
+let curve_from_top d =
+  let points = Array.of_list (D.support d) in
+  let sum = ref 0.0 and comp = ref 0.0 in
+  let curve = Array.make (Array.length points) (0, 0.0) in
+  for i = Array.length points - 1 downto 0 do
+    let x, p = points.(i) in
+    let s = !sum +. p in
+    comp := !comp +. (if Float.abs !sum >= Float.abs p then !sum -. s +. p else p -. s +. !sum);
+    sum := s;
+    curve.(i) <- (x, !sum +. !comp)
+  done;
+  Array.to_list curve
+
+let bits = Alcotest.testable (fun fmt x -> Format.fprintf fmt "%h" x) (fun a b ->
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
+let curve = Alcotest.(list (pair int bits))
+
+(* Every tail answer the law gives, in a fixed order. *)
+let tail_answers d =
+  let top = D.quantile d ~target:0.0 in
+  let xs = List.init 17 (fun k -> k * top / 16) in
+  ( D.total_mass d,
+    List.map (fun target -> D.quantile d ~target) (0.0 :: quantile_targets),
+    List.map (D.exceedance d) xs )
+
+let test_suffix_curve () =
+  let d = fresh_law () in
+  Alcotest.(check bool) "several thousand points" true (D.size d > 1000);
+  Alcotest.check curve "curve = compensated sums from the top" (curve_from_top d)
+    (D.exceedance_curve d);
+  let d = fresh_law () in
+  Alcotest.(check bits) "total mass first" (snd (List.hd (curve_from_top d))) (D.total_mass d)
+
+let test_suffix_concurrent_first_read () =
+  let expected = tail_answers (fresh_law ()) in
+  let answers =
+    Alcotest.(triple bits (list int) (list bits))
+  in
+  for round = 1 to 8 do
+    let d = fresh_law () in
+    (* Three domains and, in this one, two threads start their first
+       read of [d] together. *)
+    let ready = Atomic.make 0 and readers = 5 in
+    let read () =
+      Atomic.incr ready;
+      while Atomic.get ready < readers do Domain.cpu_relax () done;
+      tail_answers d
+    in
+    let domains = List.init 3 (fun _ -> Domain.spawn read) in
+    let results = Array.make 2 None in
+    let threads =
+      List.init 2 (fun k -> Thread.create (fun () -> results.(k) <- Some (read ())) ())
+    in
+    List.iter Thread.join threads;
+    let got = List.map Domain.join domains @ List.map Option.get (Array.to_list results) in
+    List.iteri
+      (fun k a -> Alcotest.check answers (Printf.sprintf "round %d reader %d" round k) expected a)
+      got;
+    Alcotest.check curve (Printf.sprintf "round %d curve" round) (curve_from_top d)
+      (D.exceedance_curve d)
+  done
+
+let test_suffix_shift () =
+  let shifted_curve c d = List.map (fun (x, s) -> (x + c, s)) (D.exceedance_curve d) in
+  (* Shifted law read first, then its source; and the other way round. *)
+  let d = fresh_law () in
+  let s = D.shift 37 d in
+  let mass_s = D.total_mass s in
+  Alcotest.(check bits) "mass" mass_s (D.total_mass d);
+  Alcotest.check curve "shift read first" (shifted_curve 37 d) (D.exceedance_curve s);
+  let d = fresh_law () in
+  let q = List.map (fun target -> D.quantile d ~target) quantile_targets in
+  let s = D.shift 37 d in
+  Alcotest.(check (list int)) "quantiles" (List.map (fun x -> x + 37) q)
+    (List.map (fun target -> D.quantile s ~target) quantile_targets);
+  List.iter
+    (fun x ->
+      Alcotest.(check bits) (Printf.sprintf "exceedance %d" x) (D.exceedance d x)
+        (D.exceedance s (x + 37)))
+    (List.init 9 (fun k -> k * List.hd q / 8));
+  Alcotest.check curve "source read first" (shifted_curve 37 d) (D.exceedance_curve s)
+
 let () =
   Alcotest.run "dist_engine"
     [ ( "kernel",
@@ -1122,5 +1232,10 @@ let () =
         ] )
     ; ( "sweep",
         [ Alcotest.test_case "sweep = independent estimates" `Quick test_sweep_matches_estimates
+        ] )
+    ; ( "suffix",
+        [ Alcotest.test_case "curve = sums from the top" `Quick test_suffix_curve
+        ; Alcotest.test_case "concurrent first reads" `Quick test_suffix_concurrent_first_read
+        ; Alcotest.test_case "shift shares the suffix" `Quick test_suffix_shift
         ] )
     ]

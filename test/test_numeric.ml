@@ -216,6 +216,21 @@ let kahan_props =
       (fun xs ->
         let naive = List.fold_left ( +. ) 0.0 xs in
         Float.abs (K.sum xs -. naive) <= 1e-7 *. (1.0 +. Float.abs naive))
+  ; prop "suffix_totals = add/total"
+      QCheck2.Gen.(
+        list_size (int_range 0 60)
+          (map2 (fun m e -> m *. (10.0 ** float_of_int e)) (float_range (-1.) 1.) (int_range (-30) 30)))
+      (fun xs ->
+        let xs = Array.of_list xs in
+        let acc = K.create () in
+        let expected = Array.make (Array.length xs) 0.0 in
+        for i = Array.length xs - 1 downto 0 do
+          K.add acc xs.(i);
+          expected.(i) <- K.total acc
+        done;
+        Array.for_all2
+          (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+          expected (K.suffix_totals xs))
   ]
 
 (* --- Binomial / Probfloat --------------------------------------------- *)

@@ -157,6 +157,24 @@ let test_artifact_put_get () =
   Alcotest.(check bool) "boundary-sensitive" true
     (Artifact.key [ ("a", "12"); ("b", "") ] <> Artifact.key [ ("a", "1"); ("b", "2") ])
 
+(* A read that passes the envelope check but whose payload the caller
+   then quarantines served nothing: it counts as a miss, not a hit. *)
+let test_artifact_quarantine_counts_miss () =
+  let st = Artifact.open_store ~dir:(fresh_dir ()) () in
+  let key = Artifact.key [ ("semantic", "reject") ] in
+  Artifact.put st ~key ~kind:"TEST" ~version:1 "not a valid payload";
+  Alcotest.(check (option string)) "envelope intact" (Some "not a valid payload")
+    (Artifact.get st ~key ~kind:"TEST" ~version:1);
+  Artifact.quarantine st ~key ~reason:"payload rejected";
+  let s = Artifact.stats st in
+  Alcotest.(check int) "hits" 0 s.Artifact.hits;
+  Alcotest.(check int) "misses" 1 s.Artifact.misses;
+  Alcotest.(check int) "corrupt" 1 s.Artifact.corrupt;
+  Alcotest.(check (option string)) "quarantined away" None
+    (Artifact.get st ~key ~kind:"TEST" ~version:1);
+  Alcotest.(check string) "stats line" "0 hits / 2 lookups (0%), 1 writes, 1 corrupt (quarantined)"
+    (Format.asprintf "%a" Artifact.pp_stats (Artifact.stats st))
+
 let object_file st ~key =
   (* The store's fan-out layout is objects/<first-2>/<key>. *)
   Filename.concat
@@ -456,9 +474,31 @@ let test_dist_wire_rejects_invalid () =
     ; ("non-ascending", [ (3, 0.5); (2, 0.5) ])
     ; ("duplicate", [ (2, 0.5); (2, 0.5) ])
     ; ("zero probability", [ (1, 0.0) ])
+    ; ("negative zero probability", [ (1, -0.0); (2, 1.0) ])
+    ; ("negative probability", [ (1, -0.25); (2, 1.0) ])
     ; ("nan probability", [ (1, Float.nan) ])
     ; ("mass above one", [ (1, 0.7); (2, 0.7) ])
     ]
+
+(* The convolution kernels keep a product that underflowed to +0.0 as a
+   point; adpcm without protection at 32x4x16 and pfail 1e-6 has
+   thousands. Its wire form must decode, and re-encode to the same
+   bytes. *)
+let zero_point_law () =
+  let config = Cache.Config.make ~sets:32 ~ways:4 ~line_bytes:16 () in
+  let task = Pwcet.Estimator.prepare ~program:(task_of "adpcm") ~config () in
+  (task, Pwcet.Estimator.estimate task ~pfail:1e-6 ~mechanism:M.No_protection ())
+
+let test_dist_wire_zero_points () =
+  let _, est = zero_point_law () in
+  let dist = est.Pwcet.Estimator.penalty in
+  let zeros = List.filter (fun (_, p) -> Int64.bits_of_float p = 0L) (D.support dist) in
+  Alcotest.(check bool) "law has +0.0 points" true (zeros <> []);
+  match D.of_wire (D.to_wire dist) with
+  | Error msg -> Alcotest.failf "of_wire failed: %s" msg
+  | Ok dist' ->
+    Alcotest.(check string) "byte-identical" (D.to_wire dist) (D.to_wire dist');
+    Alcotest.(check (float 0.)) "total mass" (D.total_mass dist) (D.total_mass dist')
 
 (* A point count whose byte length [8 + 16 * n] wraps around to the
    payload's real length must come back as [Error], not reach
@@ -548,6 +588,24 @@ let test_estimator_warm_bit_identical () =
     Pwcet.Estimator.estimate plain_task ~pfail:1e-4 ~mechanism:M.Shared_reliable_buffer ()
   in
   Alcotest.(check bool) "cached == uncached" true (est_fingerprint warm = est_fingerprint plain)
+
+(* A warm read of a law with +0.0 points is a hit, not a quarantine and
+   a recomputation. *)
+let test_estimator_warm_zero_points () =
+  let task, cold = zero_point_law () in
+  let dir = fresh_dir () in
+  let st = Artifact.open_store ~dir () in
+  let first = Pwcet.Estimator.estimate task ~pfail:1e-6 ~mechanism:M.No_protection ~store:st () in
+  let st2 = Artifact.open_store ~dir () in
+  let warm = Pwcet.Estimator.estimate task ~pfail:1e-6 ~mechanism:M.No_protection ~store:st2 () in
+  let s2 = Artifact.stats st2 in
+  Alcotest.(check int) "nothing corrupt" 0 s2.Artifact.corrupt;
+  Alcotest.(check int) "nothing recomputed" 0 s2.Artifact.puts;
+  Alcotest.(check int) "every lookup hit" (s2.Artifact.hits + s2.Artifact.misses) s2.Artifact.hits;
+  Alcotest.(check string) "warm == cold" (D.to_wire cold.Pwcet.Estimator.penalty)
+    (D.to_wire warm.Pwcet.Estimator.penalty);
+  Alcotest.(check string) "stored == cold" (D.to_wire cold.Pwcet.Estimator.penalty)
+    (D.to_wire first.Pwcet.Estimator.penalty)
 
 let test_estimator_survives_vandalised_store () =
   (* Flip a byte in EVERY stored object: the next run must quarantine
@@ -788,6 +846,8 @@ let () =
             test_artifact_concurrent_handles
         ; Alcotest.test_case "gc vs writer (two processes)" `Quick
             test_gc_concurrent_two_process
+        ; Alcotest.test_case "quarantine counts a miss" `Quick
+            test_artifact_quarantine_counts_miss
         ] )
     ; ( "journal",
         [ Alcotest.test_case "roundtrip + resume" `Quick test_journal_roundtrip
@@ -801,6 +861,7 @@ let () =
         ; Alcotest.test_case "fmm roundtrip" `Quick test_fmm_wire_roundtrip
         ; Alcotest.test_case "fmm corruption never crashes" `Quick
             test_fmm_wire_rejects_corruption
+        ; Alcotest.test_case "dist with +0.0 points" `Quick test_dist_wire_zero_points
         ] )
     ; ( "estimator",
         [ Alcotest.test_case "warm cache bit-identical" `Quick test_estimator_warm_bit_identical
@@ -810,5 +871,6 @@ let () =
         ; Alcotest.test_case "identity deferred without a store" `Quick
             test_estimator_identity_deferred
         ; Alcotest.test_case "persisted keys pinned" `Quick test_persisted_keys_pinned
+        ; Alcotest.test_case "warm read of +0.0 points" `Quick test_estimator_warm_zero_points
         ] )
     ]
