@@ -1115,8 +1115,10 @@ let curve_from_top d =
   done;
   Array.to_list curve
 
-let bits = Alcotest.testable (fun fmt x -> Format.fprintf fmt "%h" x) (fun a b ->
-    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+let bits =
+  Alcotest.testable
+    (fun fmt x -> Format.fprintf fmt "%h" x)
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
 
 let curve = Alcotest.(list (pair int bits))
 
@@ -1138,9 +1140,7 @@ let test_suffix_curve () =
 
 let test_suffix_concurrent_first_read () =
   let expected = tail_answers (fresh_law ()) in
-  let answers =
-    Alcotest.(triple bits (list int) (list bits))
-  in
+  let answers = Alcotest.(triple bits (list int) (list bits)) in
   for round = 1 to 8 do
     let d = fresh_law () in
     (* Three domains and, in this one, two threads start their first
@@ -1170,8 +1170,8 @@ let test_suffix_shift () =
   (* Shifted law read first, then its source; and the other way round. *)
   let d = fresh_law () in
   let s = D.shift 37 d in
-  let mass_s = D.total_mass s in
-  Alcotest.(check bits) "mass" mass_s (D.total_mass d);
+  let mass = D.total_mass s in
+  Alcotest.(check bits) "mass" mass (D.total_mass d);
   Alcotest.check curve "shift read first" (shifted_curve 37 d) (D.exceedance_curve s);
   let d = fresh_law () in
   let q = List.map (fun target -> D.quantile d ~target) quantile_targets in
