@@ -16,19 +16,21 @@
      chaos                    deterministic fault-injection soak (self-healing audit)
 
    Exit codes: 0 success; 1 analysis failure, audit or validate bound
-   violation, or corrupt store entries found by cache verify; 2 invalid
-   input (bad benchmark, source, cache geometry, probability, budget or
-   jobs count, or a validated program that traps or does not halt); 3 a
-   client request shed by the daemon's admission control; 130
+   violation, corrupt store entries found by cache verify, or a client
+   request that fails or draws a daemon error; 2 invalid input that no
+   single option value shows (unknown benchmark or source, source
+   error, a campaign Sched.Campaign.make rejects, malformed budget,
+   inconsistent --resume, a serve/client setting out of range, or a
+   validated program that traps or does not halt); 3 a client request
+   shed by the daemon's admission control; 124 a usage error, among
+   them every analysis parameter value that fails its shared parse or
+   range check (probability, jobs count, mechanism, engine, policy,
+   cache geometry, empty list), the same on every command; 130
    sweep/suite/grid/sched analyze/sched sweep cancelled cleanly by
    SIGINT/SIGTERM, or a serve run ended by those signals after a clean
-   drain;
-   cmdliner's own codes for CLI errors. *)
+   drain. *)
 
 open Cmdliner
-
-let default_pfail = 1e-4
-let default_target = 1e-15
 
 let exit_invalid_input = 2
 let exit_cancelled = 130
@@ -62,52 +64,98 @@ let compile_target name =
     Printf.eprintf "%s: %s\n" label msg;
     exit exit_invalid_input
 
-let config_of sets ways line =
-  try Cache.Config.make ~sets ~ways ~line_bytes:line ()
-  with Invalid_argument msg ->
-    Printf.eprintf "invalid cache configuration: %s\n" msg;
-    exit exit_invalid_input
-
 (* --- common options ---------------------------------------------------- *)
 
-(* Probabilities are validated at the CLI boundary: NaN and infinities
-   are rejected (a plain [float] converter would let them through and
-   poison the distributions), and both pfail and the exceedance target
-   only make sense strictly inside (0, 1). *)
-let prob_conv =
+(* Every analysis parameter is parsed and range-checked at the CLI
+   boundary by the request vocabulary the daemon's decoders also use
+   (Pwcet.Param, Cache.Config.of_string, Sched.Analysis.policy_of_string):
+   a bad value is a usage error (exit 124) on every command, and NaN or
+   an infinity never reaches the pipeline. *)
+let param_conv ~docv parse print =
+  Arg.conv' ~docv (parse, fun fmt v -> Format.pp_print_string fmt (print v))
+
+let float_conv ~docv check =
+  param_conv ~docv
+    (fun s ->
+      match float_of_string_opt s with
+      | Some x -> check x
+      | None -> Error (Printf.sprintf "invalid number %S" s))
+    (Printf.sprintf "%g")
+
+let int_conv ~docv check =
+  param_conv ~docv
+    (fun s ->
+      match int_of_string_opt s with
+      | Some n -> check n
+      | None -> Error (Printf.sprintf "invalid integer %S" s))
+    string_of_int
+
+let prob_conv = float_conv ~docv:"P" Pwcet.Param.probability
+let positive_conv = float_conv ~docv:"X" Pwcet.Param.positive
+
+(* A comma-separated list that names at least one item: an empty axis
+   would silently evaluate nothing. *)
+let non_empty_list ~what c =
+  let items = Arg.list ~sep:',' c in
   let parse s =
-    match float_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "invalid probability %S" s))
-    | Some p when not (Float.is_finite p) ->
-      Error (`Msg (Printf.sprintf "probability must be finite, got %s" s))
-    | Some p when p <= 0.0 || p >= 1.0 ->
-      Error (`Msg (Printf.sprintf "probability must lie strictly inside (0, 1), got %s" s))
-    | Some p -> Ok p
+    match Arg.conv_parser items s with
+    | Ok [] -> Error (`Msg (Printf.sprintf "must name at least one %s" what))
+    | r -> r
   in
-  Arg.conv ~docv:"P" (parse, fun fmt p -> Format.fprintf fmt "%g" p)
+  Arg.conv (parse, Arg.conv_printer items)
+
+(* One mechanism name or "all". *)
+let mechanisms_conv =
+  param_conv ~docv:"MECH" Pwcet.Param.mechanisms (fun ms ->
+      if ms = Pwcet.Mechanism.all then "all"
+      else String.concat "," (List.map Pwcet.Mechanism.short_name ms))
+
+let mechanism_lists_conv = non_empty_list ~what:"mechanism" mechanisms_conv
+
+let geometries_conv =
+  non_empty_list ~what:"geometry"
+    (param_conv ~docv:"SxW[xL]" Cache.Config.of_string Cache.Config.to_string)
+
+let pfails_conv = non_empty_list ~what:"pfail point" prob_conv
+let targets_conv = non_empty_list ~what:"exceedance target" prob_conv
 
 let bench_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET" ~doc:"Benchmark name or mini-C source file.")
 
 let pfail_arg =
-  Arg.(value & opt prob_conv default_pfail
+  Arg.(value & opt prob_conv Pwcet.Param.pfail
        & info [ "pfail" ] ~docv:"P"
            ~doc:"Per-bit permanent failure probability, strictly inside (0, 1) (paper: 1e-4).")
 
 let target_arg =
-  Arg.(value & opt prob_conv default_target
+  Arg.(value & opt prob_conv Pwcet.Param.target
        & info [ "target" ] ~docv:"P"
            ~doc:"Target exceedance probability for the reported pWCET, strictly inside (0, 1) \
                  (paper: 1e-15).")
 
-let sets_arg = Arg.(value & opt int 16 & info [ "sets" ] ~doc:"Cache sets (power of two).")
-let ways_arg = Arg.(value & opt int 4 & info [ "ways" ] ~doc:"Cache associativity.")
-let line_arg = Arg.(value & opt int 16 & info [ "line" ] ~doc:"Cache line size in bytes.")
+let pfail_grid_arg ~doc =
+  Arg.(value & opt pfails_conv Pwcet.Param.pfail_grid
+       & info [ "pfail-grid" ] ~docv:"P,P,..." ~doc)
 
-let engine_conv = Arg.enum [ ("path", `Path); ("ilp", `Ilp) ]
+(* The cache geometry of --sets/--ways/--line, checked by
+   Cache.Config.of_geometry like every other geometry. *)
+let config_term =
+  let paper = Cache.Config.paper_default in
+  let sets_arg =
+    Arg.(value & opt int paper.sets & info [ "sets" ] ~doc:"Cache sets (power of two).")
+  in
+  let ways_arg = Arg.(value & opt int paper.ways & info [ "ways" ] ~doc:"Cache associativity.") in
+  let line_arg =
+    Arg.(value & opt int paper.line_bytes
+         & info [ "line" ] ~doc:"Cache line size in bytes (power of two).")
+  in
+  Term.(term_result' ~usage:true
+          (const (fun sets ways line_bytes -> Cache.Config.of_geometry ~sets ~ways ~line_bytes)
+           $ sets_arg $ ways_arg $ line_arg))
 
 let engine_arg =
-  Arg.(value & opt engine_conv `Path
+  let engine = param_conv ~docv:"ENGINE" Pwcet.Param.engine Pwcet.Estimator.engine_tag in
+  Arg.(value & opt engine `Path
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Bounding engine: tree-based 'path' (default) or 'ilp'.")
 
@@ -125,15 +173,9 @@ let exact_arg =
 let max_jobs = 256
 
 let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "invalid jobs count %S" s))
-    | Some n when n < 1 -> Error (`Msg (Printf.sprintf "jobs must be at least 1, got %d" n))
-    | Some n when n > max_jobs ->
-      Error (`Msg (Printf.sprintf "jobs capped at %d, got %d" max_jobs n))
-    | Some n -> Ok n
-  in
-  Arg.conv ~docv:"N" (parse, fun fmt n -> Format.fprintf fmt "%d" n)
+  int_conv ~docv:"N" (fun n ->
+      if n > max_jobs then Error (Printf.sprintf "jobs capped at %d, got %d" max_jobs n)
+      else Result.map_error (( ^ ) "jobs ") (Pwcet.Param.at_least 1 n))
 
 let jobs_arg =
   Arg.(value & opt jobs_conv (min max_jobs (Parallel.Pool.default_jobs ()))
@@ -361,19 +403,28 @@ let run_batch ~label ?verify ?journal opts ~compute ~report =
 
 let exits =
   Cmd.Exit.info 1
-    ~doc:"on an analysis failure, an audit violation, a validate bound violation, or \
-          corrupt artifact-store entries found by cache verify."
+    ~doc:"on an analysis failure, an audit violation, a validate bound violation, \
+          corrupt artifact-store entries found by cache verify, or a client request that \
+          cannot reach the daemon or draws an error or unexpected reply."
   :: Cmd.Exit.info exit_invalid_input
-       ~doc:"on invalid input: unknown benchmark, source parse/type error, bad cache \
-             geometry, probability outside (0, 1), a malformed budget, an out-of-range \
-             jobs count, an inconsistent --resume combination, or a program under \
-             validate that traps or does not halt."
+       ~doc:"on invalid input that no single option value shows: an unknown benchmark or \
+             source file, a source parse or type error, a sched campaign that \
+             Sched.Campaign.make rejects (a count or budget out of range, a utilisation \
+             above --n-tasks, an unknown --benchmarks name), a malformed budget, an \
+             inconsistent --resume combination, a serve or client setting out of range, \
+             or a program under validate that traps or does not halt."
+  :: Cmd.Exit.info Cmd.Exit.cli_error
+       ~doc:"on a command-line usage error. This includes every analysis parameter value \
+             that fails its parse or range check, with the same code on every command and \
+             the check the daemon's decoder applies: a probability outside (0, 1), a jobs \
+             count outside 1..256, an unknown mechanism, engine or policy name, an invalid \
+             cache geometry (--sets/--ways/--line or SETSxWAYS[xLINE]) and an empty list."
   :: Cmd.Exit.info exit_cancelled
        ~doc:"when SIGINT/SIGTERM cancels a sweep, suite, grid, sched analyze or sched \
              sweep run cleanly: no partial JSON is emitted, and the per-cell (per-set \
              for sched analyze) resume journal, when one is written, is left consistent \
              and its completed units can be replayed with --resume."
-  :: Cmd.Exit.defaults
+  :: List.filter (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.cli_error) Cmd.Exit.defaults
 
 let cmd_info name ~doc = Cmd.info name ~doc ~exits
 
@@ -417,10 +468,9 @@ let disasm_cmd =
 (* --- analyze --------------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run name pfail target sets ways line engine exact jobs ilp_nodes timeout show_curve
-      show_fmm check cache_dir no_cache =
+  let run name pfail target config engine exact jobs ilp_nodes timeout show_curve show_fmm check
+      cache_dir no_cache =
     let label, compiled = compile_target name in
-    let config = config_of sets ways line in
     let budget = budget_of ilp_nodes timeout in
     let store = store_of cache_dir no_cache in
     let task =
@@ -505,8 +555,8 @@ let analyze_cmd =
   Cmd.v
     (cmd_info "analyze"
        ~doc:"pWCET analysis of one benchmark (or mini-C file) under all three mechanisms")
-    Term.(const run $ bench_arg $ pfail_arg $ target_arg $ sets_arg $ ways_arg $ line_arg
-          $ engine_arg $ exact_arg $ jobs_arg $ ilp_nodes_arg $ timeout_arg
+    Term.(const run $ bench_arg $ pfail_arg $ target_arg $ config_term $ engine_arg $ exact_arg
+          $ jobs_arg $ ilp_nodes_arg $ timeout_arg
           $ curve_arg $ fmm_arg $ check_arg $ cache_dir_arg $ no_cache_arg)
 
 (* --- one evaluation path: sweep, grid and suite ----------------------------- *)
@@ -628,27 +678,16 @@ let write_json file buf =
   close_out oc
 
 let targets_arg =
-  Arg.(value & opt (list ~sep:',' prob_conv) [ default_target ]
+  Arg.(value & opt targets_conv [ Pwcet.Param.target ]
        & info [ "targets" ] ~docv:"P,P,..."
            ~doc:"Comma-separated exceedance targets; one pWCET column per target.")
-
-let require_nonempty ~label ~what ~name = function
-  | [] ->
-    Printf.eprintf "%s: %s must name at least one %s\n" label what name;
-    exit exit_invalid_input
-  | l -> l
 
 (* --- sweep ------------------------------------------------------------------ *)
 
 let sweep_cmd =
-  let run name grid targets sets ways line engine exact mechanisms json_file verify opts =
-    let grid = require_nonempty ~label:"sweep" ~what:"--pfail-grid" ~name:"pfail point" grid in
-    let targets =
-      require_nonempty ~label:"sweep" ~what:"--targets" ~name:"exceedance target" targets
-    in
+  let run name grid targets config engine exact mechanisms json_file verify opts =
     let label, compiled = compile_target name in
     let program = compiled.Minic.Compile.program in
-    let config = config_of sets ways line in
     let spec =
       { Grid.benchmarks = [ (label, program) ]; configs = [ config ]; mechanisms;
         pfail_grid = grid; targets; engine; exact; impl = `Sliced }
@@ -702,8 +741,8 @@ let sweep_cmd =
           Buffer.add_string buf "  \"schema_version\": 1,\n";
           Printf.bprintf buf "  \"benchmark\": %S,\n" label;
           Printf.bprintf buf
-            "  \"geometry\": { \"sets\": %d, \"ways\": %d, \"line_bytes\": %d },\n" sets ways
-            line;
+            "  \"geometry\": { \"sets\": %d, \"ways\": %d, \"line_bytes\": %d },\n"
+            config.Cache.Config.sets config.Cache.Config.ways config.Cache.Config.line_bytes;
           Printf.bprintf buf "  \"wcet_ff\": %d,\n" (Pwcet.Estimator.fault_free_wcet task);
           Printf.bprintf buf "  \"targets\": [%s],\n" (json_floats targets);
           Buffer.add_string buf "  \"mechanisms\": [\n";
@@ -733,22 +772,13 @@ let sweep_cmd =
       opts spec
   in
   let grid_arg =
-    Arg.(value & opt (list ~sep:',' prob_conv) [ 1e-6; 1e-5; 1e-4; 1e-3 ]
-         & info [ "pfail-grid" ] ~docv:"P,P,..."
-             ~doc:"Comma-separated pfail grid. The expensive pfail-independent work (CHMC, \
-                   FMM, fault-free WCET) runs once per mechanism; only the binomial \
-                   reweighting, convolution and quantile read-off are redone per point.")
-  in
-  let mechanism_conv =
-    Arg.enum
-      [ ("none", [ Pwcet.Mechanism.No_protection ])
-      ; ("srb", [ Pwcet.Mechanism.Shared_reliable_buffer ])
-      ; ("rw", [ Pwcet.Mechanism.Reliable_way ])
-      ; ("all", Pwcet.Mechanism.all)
-      ]
+    pfail_grid_arg
+      ~doc:"Comma-separated pfail grid. The expensive pfail-independent work (CHMC, FMM, \
+            fault-free WCET) runs once per mechanism; only the binomial reweighting, \
+            convolution and quantile read-off are redone per point."
   in
   let mechanism_arg =
-    Arg.(value & opt mechanism_conv Pwcet.Mechanism.all
+    Arg.(value & opt mechanisms_conv Pwcet.Mechanism.all
          & info [ "mechanism" ] ~docv:"MECH"
              ~doc:"Mechanism to sweep: 'none', 'srb', 'rw' or 'all' (default).")
   in
@@ -767,67 +797,18 @@ let sweep_cmd =
     (cmd_info "sweep"
        ~doc:"pWCET sensitivity sweep over a pfail grid (Fig. 5-style), computing the \
              pfail-independent analysis once per mechanism")
-    Term.(const run $ bench_arg $ grid_arg $ targets_arg $ sets_arg $ ways_arg $ line_arg
-          $ engine_arg $ exact_arg $ mechanism_arg $ json_arg $ verify_arg
-          $ run_opts_term)
+    Term.(const run $ bench_arg $ grid_arg $ targets_arg $ config_term $ engine_arg $ exact_arg
+          $ mechanism_arg $ json_arg $ verify_arg $ run_opts_term)
 
 (* --- grid ------------------------------------------------------------------- *)
 
-(* Axis lists are validated at the CLI boundary with exit 2: an empty
-   axis would silently evaluate nothing, and an unknown mechanism or a
-   malformed geometry would otherwise surface as a confusing mid-run
-   failure. *)
-let mechanisms_of ~label names =
-  if names = [] then begin
-    Printf.eprintf "%s: --mechanisms must name at least one mechanism (none, srb, rw, all)\n"
-      label;
-    exit exit_invalid_input
-  end;
-  List.concat_map
-    (fun name ->
-      if name = "all" then Pwcet.Mechanism.all
-      else
-        match Pwcet.Mechanism.of_string name with
-        | Some m -> [ m ]
-        | None ->
-          Printf.eprintf "%s: unknown mechanism %S (expected none, srb, rw or all)\n" label
-            name;
-          exit exit_invalid_input)
-    names
-
-(* A geometry is SETSxWAYS or SETSxWAYSxLINE_BYTES, e.g. 16x4 or 8x2x32. *)
-let geometries_of ~label specs =
-  if specs = [] then begin
-    Printf.eprintf "%s: --geometries must name at least one geometry (SETSxWAYS[xLINE])\n"
-      label;
-    exit exit_invalid_input
-  end;
-  List.map
-    (fun spec ->
-      let bad () =
-        Printf.eprintf "%s: malformed geometry %S (expected SETSxWAYS[xLINE], e.g. 16x4x16)\n"
-          label spec;
-        exit exit_invalid_input
-      in
-      match List.map int_of_string_opt (String.split_on_char 'x' spec) with
-      | [ Some sets; Some ways ] -> config_of sets ways 16
-      | [ Some sets; Some ways; Some line ] -> config_of sets ways line
-      | _ -> bad ())
-    specs
-
 let grid_cmd =
-  let run benches geometries mechanisms grid targets engine exact json_file verify opts =
-    let label = "grid" in
+  let run benches configs mechanisms grid targets engine exact json_file verify opts =
     if benches = [] then begin
       Printf.eprintf "grid: at least one benchmark (or mini-C file) is required\n";
       exit exit_invalid_input
     end;
-    let grid = require_nonempty ~label ~what:"--pfail-grid" ~name:"pfail point" grid in
-    let targets =
-      require_nonempty ~label ~what:"--targets" ~name:"exceedance target" targets
-    in
-    let mechanisms = mechanisms_of ~label mechanisms in
-    let configs = geometries_of ~label geometries in
+    let mechanisms = List.concat mechanisms in
     let benchmarks =
       List.map
         (fun name ->
@@ -894,7 +875,7 @@ let grid_cmd =
           Printf.printf "wrote %s\n" file)
         json_file
     in
-    evaluate ~command:label ~verify ~print opts spec
+    evaluate ~command:"grid" ~verify ~print opts spec
   in
   let benches_arg =
     Arg.(value & pos_all string []
@@ -902,7 +883,7 @@ let grid_cmd =
              ~doc:"Benchmark names or mini-C source files (at least one).")
   in
   let geometries_arg =
-    Arg.(value & opt (list ~sep:',' string) [ "16x4x16" ]
+    Arg.(value & opt geometries_conv [ Cache.Config.paper_default ]
          & info [ "geometries" ] ~docv:"SxW[xL],..."
              ~doc:"Comma-separated cache geometries, each SETSxWAYS or SETSxWAYSxLINE_BYTES \
                    (default 16x4x16, the paper's). The per-geometry analysis context, CHMC \
@@ -910,17 +891,16 @@ let grid_cmd =
                    points at that geometry.")
   in
   let mechanisms_arg =
-    Arg.(value & opt (list ~sep:',' string) [ "all" ]
+    Arg.(value & opt mechanism_lists_conv [ Pwcet.Mechanism.all ]
          & info [ "mechanisms" ] ~docv:"MECH,..."
              ~doc:"Comma-separated mechanisms: none, srb, rw, or all (default). All \
                    mechanisms at a geometry share one set of degraded-classification \
-                   fixpoints; unknown names are rejected with exit 2.")
+                   fixpoints.")
   in
   let grid_arg =
-    Arg.(value & opt (list ~sep:',' prob_conv) [ 1e-6; 1e-5; 1e-4; 1e-3 ]
-         & info [ "pfail-grid" ] ~docv:"P,P,..."
-             ~doc:"Comma-separated pfail grid; only the binomial reweighting, convolution \
-                   and quantile read-off are redone per point.")
+    pfail_grid_arg
+      ~doc:"Comma-separated pfail grid; only the binomial reweighting, convolution and \
+            quantile read-off are redone per point."
   in
   let json_arg =
     Arg.(value & opt (some string) None
@@ -946,8 +926,7 @@ let grid_cmd =
 (* --- suite ------------------------------------------------------------------ *)
 
 let suite_cmd =
-  let run pfail target sets ways line engine exact opts =
-    let config = config_of sets ways line in
+  let run pfail target config engine exact opts =
     let benchmarks =
       List.map
         (fun (e : Benchmarks.Registry.entry) ->
@@ -978,8 +957,8 @@ let suite_cmd =
     evaluate ~command:"suite" ~print opts spec
   in
   Cmd.v (cmd_info "suite" ~doc:"Fig. 4 table: the whole suite under all three mechanisms")
-    Term.(const run $ pfail_arg $ target_arg $ sets_arg $ ways_arg $ line_arg $ engine_arg
-          $ exact_arg $ run_opts_term)
+    Term.(const run $ pfail_arg $ target_arg $ config_term $ engine_arg $ exact_arg
+          $ run_opts_term)
 
 (* --- validate (batched fault-injection campaigns vs the analytic curve) ------ *)
 
@@ -992,8 +971,7 @@ let git_commit () =
   with _ -> "unknown"
 
 let validate_cmd =
-  let run benches pfail samples seed jobs sets ways line json =
-    let config = config_of sets ways line in
+  let run benches pfail samples seed jobs config json =
     let names =
       match benches with
       | [] -> List.map (fun e -> e.Benchmarks.Registry.name) Benchmarks.Registry.all
@@ -1081,14 +1059,13 @@ let validate_cmd =
              or below the analytic pWCET at every observed value (within binomial sampling \
              noise) and every sample under its own per-pattern FMM bound. Exits 1 on any \
              violation. Results are bit-identical for every --jobs value.")
-    Term.(const run $ benches_arg $ pfail_arg $ samples_arg $ seed_arg $ jobs_arg $ sets_arg
-          $ ways_arg $ line_arg $ json_arg)
+    Term.(const run $ benches_arg $ pfail_arg $ samples_arg $ seed_arg $ jobs_arg $ config_term
+          $ json_arg)
 
 (* --- audit ------------------------------------------------------------------ *)
 
 let audit_cmd =
-  let run pfail sets ways line jobs samples seed =
-    let config = config_of sets ways line in
+  let run pfail config jobs samples seed =
     let failures = ref 0 in
     List.iter
       (fun (e : Benchmarks.Registry.entry) ->
@@ -1132,8 +1109,7 @@ let audit_cmd =
              shape, distribution mass conservation, exceedance monotonicity, mechanism \
              dominance, and a seeded Monte-Carlo fault-injection bound-violation search. \
              Exits 1 on any violation.")
-    Term.(const run $ pfail_arg $ sets_arg $ ways_arg $ line_arg $ jobs_arg $ samples_arg
-          $ seed_arg)
+    Term.(const run $ pfail_arg $ config_term $ jobs_arg $ samples_arg $ seed_arg)
 
 (* --- cache (artifact-store maintenance) -------------------------------------- *)
 
@@ -1349,82 +1325,82 @@ let serve_cmd =
           $ result_cache_arg $ cache_dir_arg $ no_cache_arg $ max_conns_arg
           $ read_timeout_arg $ chaos_plan_arg $ chaos_seed_arg)
 
-let client_mech_conv =
-  Arg.enum
-    [ ("none", Pwcet.Mechanism.No_protection);
-      ("srb", Pwcet.Mechanism.Shared_reliable_buffer);
-      ("rw", Pwcet.Mechanism.Reliable_way) ]
-
 (* --- sched (probabilistic schedulability) ------------------------------------ *)
 
-let policy_conv = Arg.enum [ ("rm", Sched.Analysis.Rm); ("edf", Sched.Analysis.Edf) ]
+(* One --mechanism option for every command that takes a single
+   mechanism. Its default depends on the request: the campaign default
+   (SRB) for sched, no protection for the client's analyze op. *)
+let mechanism_opt_arg =
+  let mechanism = param_conv ~docv:"MECH" Pwcet.Param.mechanism Pwcet.Mechanism.short_name in
+  Arg.(value & opt (some mechanism) None
+       & info [ "mechanism" ] ~docv:"MECH"
+           ~doc:"Mechanism: 'none', 'srb' or 'rw' (default: 'srb' for a sched campaign, \
+                 'none' for the client's analyze op).")
 
-let positive_float_conv what =
-  let parse s =
-    match float_of_string_opt s with
-    | Some f when Float.is_finite f && f > 0.0 -> Ok f
-    | _ -> Error (`Msg (Printf.sprintf "%s must be a positive finite number, got %S" what s))
-  in
-  Arg.conv ~docv:"X" (parse, fun fmt f -> Format.fprintf fmt "%g" f)
-
-(* All campaign parameters funnel through Campaign.make, so the CLI and
-   the service validate specs identically. *)
-let sched_spec_term =
+(* The campaign options, defaulted from Campaign.default, and the
+   --mechanism option as given, for the client's analyze op.
+   Campaign.make validates the whole spec, exactly as the daemon's sched
+   decoder does; a command that runs the campaign exits 2 on a spec it
+   rejects ([campaign]). *)
+let sched_term =
+  let d = Sched.Campaign.default in
   let count_arg =
-    Arg.(value & opt int 100
-         & info [ "count" ] ~docv:"N" ~doc:"Task sets in the campaign.")
+    Arg.(value & opt int d.count & info [ "count" ] ~docv:"N" ~doc:"Task sets in the campaign.")
   in
   let n_tasks_arg =
-    Arg.(value & opt int 4 & info [ "n-tasks" ] ~docv:"N" ~doc:"Tasks per set.")
+    Arg.(value & opt int d.n_tasks & info [ "n-tasks" ] ~docv:"N" ~doc:"Tasks per set.")
   in
   let utilisation_arg =
-    Arg.(value & opt (positive_float_conv "utilisation") 0.6
+    Arg.(value & opt positive_conv d.utilisation
          & info [ "utilisation" ] ~docv:"U"
              ~doc:"Total utilisation UUniFast splits across the set, in (0, n-tasks].")
   in
   let seed_arg =
-    Arg.(value & opt int 42
+    Arg.(value & opt int d.seed
          & info [ "seed" ] ~docv:"N"
              ~doc:"Campaign seed; task set $(i,i) is a pure function of (seed, i).")
   in
   let policy_arg =
-    Arg.(value & opt policy_conv Sched.Analysis.Rm
+    let policy =
+      param_conv ~docv:"POLICY" Sched.Analysis.policy_of_string Sched.Analysis.policy_name
+    in
+    Arg.(value & opt policy d.policy
          & info [ "policy" ] ~docv:"POLICY" ~doc:"Scheduling policy: 'rm' (default) or 'edf'.")
   in
   let reexec_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt int d.reexec_budget
          & info [ "reexec" ] ~docv:"K"
              ~doc:"Re-execution budget k: a fault-flagged job re-runs up to $(docv) times \
                    (k+1 executions in total) before it counts as failed.")
   in
   let k_max_arg =
-    Arg.(value & opt int 3
+    Arg.(value & opt int d.k_max
          & info [ "k-max" ] ~docv:"K"
              ~doc:"Top of the minimal-budget scan reported per target; at least --reexec.")
   in
   let sched_targets_arg =
-    Arg.(value & opt (list ~sep:',' prob_conv) Sched.Analysis.default_targets
+    Arg.(value & opt targets_conv d.targets
          & info [ "targets" ] ~docv:"P,P,..."
              ~doc:"Per-hour deadline-failure-rate targets (default 1e-3,1e-5,1e-7,1e-9).")
   in
   let fault_rate_arg =
-    Arg.(value & opt prob_conv 1e-4
+    Arg.(value & opt (float_conv ~docv:"P" Pwcet.Param.rate) d.fault_rate
          & info [ "fault-rate" ] ~docv:"P"
-             ~doc:"Transient (detected) fault probability per hour of execution, composed \
-                   per execution in log space.")
+             ~doc:"Transient (detected) fault probability per hour of execution, in [0, 1), \
+                   composed per execution in log space.")
   in
   let clock_arg =
-    Arg.(value & opt (positive_float_conv "clock") 100.0
+    Arg.(value & opt positive_conv d.clock_mhz
          & info [ "clock-mhz" ] ~docv:"MHZ" ~doc:"Processor clock, for cycles-per-hour.")
   in
   let rep_target_arg =
-    Arg.(value & opt prob_conv 1e-9
+    Arg.(value & opt prob_conv d.rep_target
          & info [ "rep-target" ] ~docv:"P"
              ~doc:"Quantile of each task's pWCET law provisioning its per-execution budget \
                    (and fault-exposure window).")
   in
   let max_points_arg =
-    Arg.(value & opt int 512
+    Arg.(value & opt int d.max_points
          & info [ "max-points" ] ~docv:"N"
              ~doc:"Convolution support cap for the sched layer; capping is recorded as \
                    degraded (relaxed-rung) provenance and only ever rounds upward.")
@@ -1434,29 +1410,25 @@ let sched_spec_term =
          & info [ "benchmarks" ] ~docv:"NAME,NAME,..."
              ~doc:"Benchmarks tasks draw from (default: the whole registry).")
   in
-  let build count n_tasks utilisation seed policy reexec_budget k_max targets pfail mech sets
-      ways line fault_rate clock_mhz rep_target max_points benchmarks =
-    let benchmarks =
-      match benchmarks with [] -> Benchmarks.Registry.names | names -> names
-    in
-    match
+  let build count n_tasks utilisation seed policy reexec_budget k_max targets pfail mechanism
+      (config : Cache.Config.t) fault_rate clock_mhz rep_target max_points benchmarks =
+    ( mechanism,
       Sched.Campaign.make ~count ~n_tasks ~utilisation ~seed ~policy ~reexec_budget ~k_max
-        ~targets ~pfail ~mechanism:mech ~sets ~ways ~line ~fault_rate ~clock_mhz ~rep_target
-        ~max_points ~benchmarks ()
-    with
-    | Ok spec -> spec
-    | Error msg ->
-      Printf.eprintf "sched: %s\n" msg;
-      exit exit_invalid_input
-  in
-  let sched_mech_arg =
-    Arg.(value & opt client_mech_conv Pwcet.Mechanism.Shared_reliable_buffer
-         & info [ "mechanism" ] ~docv:"MECH" ~doc:"Mechanism: 'none', 'srb' (default) or 'rw'.")
+        ~targets ~pfail ?mechanism ~sets:config.sets ~ways:config.ways ~line:config.line_bytes
+        ~fault_rate ~clock_mhz ~rep_target ~max_points ~benchmarks () )
   in
   Term.(const build $ count_arg $ n_tasks_arg $ utilisation_arg $ seed_arg $ policy_arg
-        $ reexec_arg $ k_max_arg $ sched_targets_arg $ pfail_arg $ sched_mech_arg $ sets_arg
-        $ ways_arg $ line_arg $ fault_rate_arg $ clock_arg $ rep_target_arg $ max_points_arg
+        $ reexec_arg $ k_max_arg $ sched_targets_arg $ pfail_arg $ mechanism_opt_arg
+        $ config_term $ fault_rate_arg $ clock_arg $ rep_target_arg $ max_points_arg
         $ benchmarks_arg)
+
+let campaign = function
+  | Ok spec -> spec
+  | Error msg ->
+    Printf.eprintf "sched: %s\n" msg;
+    exit exit_invalid_input
+
+let sched_spec_term = Term.(const (fun (_, spec) -> campaign spec) $ sched_term)
 
 let sched_generate_cmd =
   let run (spec : Sched.Campaign.spec) =
@@ -1728,7 +1700,7 @@ let sched_sweep_cmd =
     run_batch ~label:"sched sweep" opts ~compute ~report
   in
   let u_grid_arg =
-    Arg.(value & opt (list ~sep:',' (positive_float_conv "utilisation")) []
+    Arg.(value & opt (list ~sep:',' positive_conv) []
          & info [ "utilisation-grid" ] ~docv:"U,U,..."
              ~doc:"Total-utilisation grid (default: just --utilisation).")
   in
@@ -1764,103 +1736,75 @@ let sched_cmd =
 
 (* --- client (talks to a running daemon) -------------------------------------- *)
 
-(* The campaign spec, reshaped for the wire. Field for field, so a
-   daemon-side Campaign.make sees exactly what a local one would. *)
-let sched_request_of_spec (spec : Sched.Campaign.spec) : Service.Protocol.sched =
-  { Service.Protocol.count = spec.count;
-    n_tasks = spec.n_tasks;
-    utilisation = spec.utilisation;
-    seed = spec.seed;
-    policy = spec.policy;
-    reexec = spec.reexec_budget;
-    k_max = spec.k_max;
-    targets = spec.targets;
-    s_pfail = spec.pfail;
-    s_mechanism = spec.mechanism;
-    s_sets = spec.sets;
-    s_ways = spec.ways;
-    s_line = spec.line;
-    fault_rate = spec.fault_rate;
-    clock_mhz = spec.clock_mhz;
-    rep_target = spec.rep_target;
-    max_points = spec.max_points;
-    benchmarks = spec.benchmarks }
-
 let client_cmd =
-  let run socket op bench pfail target mech sets ways line engine exact timeout_ms
-      delay_ms bench_load clients requests retries retry_base_ms hold_ms
-      (spec : Sched.Campaign.spec) grid_benchmarks grid_geometries grid_mechanisms
-      grid_pfails grid_targets =
+  let run socket op bench pfail target config engine exact timeout_ms delay_ms bench_load
+      clients requests retries retry_base_ms hold_ms (mechanism, spec) grid_benchmarks
+      grid_geometries grid_mechanisms grid_pfails grid_targets =
     if retries < 0 || retry_base_ms < 0 then begin
       Printf.eprintf "client: --retries and --retry-base-ms must be non-negative\n";
       exit exit_invalid_input
     end;
-    let fail_transport msg =
-      Printf.eprintf "client: %s\n" msg;
-      exit 1
-    in
-    let request req = Service.Client.request_with_retry ~socket ~retries ~base_ms:retry_base_ms req in
-    let fail_overloaded queued queue_max =
-      Printf.eprintf "client: request shed by admission control (%d/%d queued%s)\n" queued
-        queue_max
-        (if retries > 0 then Printf.sprintf " after %d retries" retries else "");
-      exit exit_overloaded
-    in
-    let analyze_request () =
-      match bench with
-      | None ->
-        Printf.eprintf "client: analyze needs a TARGET benchmark name\n";
-        exit exit_invalid_input
-      | Some bench ->
-        { (Service.Protocol.default_analyze ~bench) with
-          Service.Protocol.pfail; target; mechanism = mech; sets; ways; line; engine; exact;
-          timeout_ms; delay_ms }
+    (* The one reply handling of every op: [select] picks the expected
+       reply; a shed request exits 3, and a daemon error, an unexpected
+       reply or a transport failure exits 1. *)
+    let ask ~what select req =
+      let fail msg =
+        Printf.eprintf "client: %s\n" msg;
+        exit 1
+      in
+      match
+        Service.Client.request_with_retry ~socket ~retries ~base_ms:retry_base_ms req
+      with
+      | Ok (Service.Protocol.Overloaded { queued; queue_max }) ->
+        Printf.eprintf "client: request shed by admission control (%d/%d queued%s)\n" queued
+          queue_max
+          (if retries > 0 then Printf.sprintf " after %d retries" retries else "");
+        exit exit_overloaded
+      | Ok (Service.Protocol.Error_reply msg) -> fail ("daemon error: " ^ msg)
+      | Ok reply -> (
+        match select reply with Some r -> r | None -> fail ("unexpected response to " ^ what))
+      | Error msg -> fail msg
     in
     let print_stats (s : Service.Protocol.stats_payload) =
-      Printf.printf "requests     : %d\n" s.Service.Protocol.requests;
-      Printf.printf "computations : %d\n" s.Service.Protocol.computations;
-      Printf.printf "deduped      : %d\n" s.Service.Protocol.deduped;
-      Printf.printf "overloaded   : %d\n" s.Service.Protocol.overloaded;
-      Printf.printf "errors       : %d\n" s.Service.Protocol.errors;
-      Printf.printf "queued       : %d\n" s.Service.Protocol.queued;
-      Printf.printf "crashed      : %d\n" s.Service.Protocol.crashed_workers;
-      Printf.printf "respawned    : %d\n" s.Service.Protocol.respawned_workers;
-      Printf.printf "slow-clients : %d\n" s.Service.Protocol.slow_clients;
-      Printf.printf "rejected     : %d\n" s.Service.Protocol.rejected_conns;
-      (match s.Service.Protocol.store with
-      | None -> ()
-      | Some (hits, misses, puts) ->
-        Printf.printf "store        : %d hits, %d misses, %d puts\n" hits misses puts);
-      Printf.printf "uptime       : %.1f s\n" s.Service.Protocol.uptime_s
+      Printf.printf "requests     : %d\n" s.requests;
+      Printf.printf "computations : %d\n" s.computations;
+      Printf.printf "deduped      : %d\n" s.deduped;
+      Printf.printf "overloaded   : %d\n" s.overloaded;
+      Printf.printf "errors       : %d\n" s.errors;
+      Printf.printf "queued       : %d\n" s.queued;
+      Printf.printf "crashed      : %d\n" s.crashed_workers;
+      Printf.printf "respawned    : %d\n" s.respawned_workers;
+      Printf.printf "slow-clients : %d\n" s.slow_clients;
+      Printf.printf "rejected     : %d\n" s.rejected_conns;
+      Option.iter
+        (fun (hits, misses, puts) ->
+          Printf.printf "store        : %d hits, %d misses, %d puts\n" hits misses puts)
+        s.store;
+      Printf.printf "uptime       : %.1f s\n" s.uptime_s
     in
     match op with
-    | `Ping -> (
-      match Service.Client.request ~socket Service.Protocol.Ping with
-      | Ok Service.Protocol.Pong -> print_endline "pong"
-      | Ok _ -> fail_transport "unexpected response to ping"
-      | Error msg -> fail_transport msg)
-    | `Stats -> (
-      match Service.Client.request ~socket Service.Protocol.Stats with
-      | Ok (Service.Protocol.Stats_reply s) -> print_stats s
-      | Ok _ -> fail_transport "unexpected response to stats"
-      | Error msg -> fail_transport msg)
-    | `Sched -> (
-      match request (Service.Protocol.Sched (sched_request_of_spec spec)) with
-      | Ok (Service.Protocol.Sched_reply r) ->
-        Printf.printf "analyzed : %d task set(s)\n" r.Service.Protocol.analyzed;
-        Printf.printf "passes   : %d (every target, at k=%d)\n" r.Service.Protocol.passes
-          spec.reexec_budget;
-        Printf.printf "degraded : %d\n" r.Service.Protocol.degraded;
-        Printf.printf "digest   : %s\n" r.Service.Protocol.digest;
-        Printf.printf "computed : %b\n" r.Service.Protocol.sched_computed
-      | Ok (Service.Protocol.Overloaded { queued; queue_max }) ->
-        fail_overloaded queued queue_max
-      | Ok (Service.Protocol.Error_reply msg) ->
-        Printf.eprintf "client: daemon error: %s\n" msg;
-        exit 1
-      | Ok _ -> fail_transport "unexpected response to sched"
-      | Error msg -> fail_transport msg)
-    | `Grid -> (
+    | `Ping ->
+      ask ~what:"ping" (function Service.Protocol.Pong -> Some () | _ -> None)
+        Service.Protocol.Ping;
+      print_endline "pong"
+    | `Stats ->
+      print_stats
+        (ask ~what:"stats"
+           (function Service.Protocol.Stats_reply s -> Some s | _ -> None)
+           Service.Protocol.Stats)
+    | `Sched ->
+      let spec = campaign spec in
+      let r =
+        ask ~what:"sched"
+          (function Service.Protocol.Sched_reply r -> Some r | _ -> None)
+          (Service.Protocol.Sched spec)
+      in
+      Printf.printf "analyzed : %d task set(s)\n" r.analyzed;
+      Printf.printf "passes   : %d (every target, at k=%d)\n" r.passes spec.reexec_budget;
+      Printf.printf "degraded : %d\n" r.degraded;
+      Printf.printf "digest   : %s\n" r.digest;
+      Printf.printf "computed : %b\n" r.sched_computed
+    | `Grid ->
       let benchmarks =
         match (grid_benchmarks, bench) with
         | [], None ->
@@ -1870,40 +1814,18 @@ let client_cmd =
         | [], Some b -> [ b ]
         | bs, _ -> bs
       in
-      let grid_pfails =
-        require_nonempty ~label:"client" ~what:"--grid-pfails" ~name:"pfail point" grid_pfails
+      let r =
+        ask ~what:"grid"
+          (function Service.Protocol.Grid_reply r -> Some r | _ -> None)
+          (Service.Protocol.Grid
+             { g_benchmarks = benchmarks; g_geometries = grid_geometries;
+               g_mechanisms = List.concat grid_mechanisms; g_pfails = grid_pfails;
+               g_targets = grid_targets; g_engine = engine; g_exact = exact })
       in
-      let grid_targets =
-        require_nonempty ~label:"client" ~what:"--grid-targets" ~name:"exceedance target"
-          grid_targets
-      in
-      let req =
-        { (Service.Protocol.default_grid ~benchmarks) with
-          Service.Protocol.g_geometries =
-            List.map
-              (fun c ->
-                (c.Cache.Config.sets, c.Cache.Config.ways, c.Cache.Config.line_bytes))
-              (geometries_of ~label:"client" grid_geometries);
-          g_mechanisms = mechanisms_of ~label:"client" grid_mechanisms;
-          g_pfails = grid_pfails;
-          g_targets = grid_targets;
-          g_engine = engine;
-          g_exact = exact }
-      in
-      match request (Service.Protocol.Grid req) with
-      | Ok (Service.Protocol.Grid_reply r) ->
-        Printf.printf "cells    : %d (%d failed)\n" r.Service.Protocol.cells
-          r.Service.Protocol.failed;
-        Printf.printf "digest   : %s\n" r.Service.Protocol.grid_digest;
-        Printf.printf "computed : %b\n" r.Service.Protocol.grid_computed;
-        if r.Service.Protocol.failed > 0 then exit 1
-      | Ok (Service.Protocol.Overloaded { queued; queue_max }) ->
-        fail_overloaded queued queue_max
-      | Ok (Service.Protocol.Error_reply msg) ->
-        Printf.eprintf "client: daemon error: %s\n" msg;
-        exit 1
-      | Ok _ -> fail_transport "unexpected response to grid"
-      | Error msg -> fail_transport msg)
+      Printf.printf "cells    : %d (%d failed)\n" r.cells r.failed;
+      Printf.printf "digest   : %s\n" r.grid_digest;
+      Printf.printf "computed : %b\n" r.grid_computed;
+      if r.failed > 0 then exit 1
     | `Stall ->
       (* Slow-loris probe: each connection sends a deliberately
          unfinished frame (3 of the 8 length-prefix bytes) and then
@@ -1946,7 +1868,20 @@ let client_cmd =
       Printf.printf "stalled : %d\n" clients;
       Printf.printf "shed    : %d\n" !shed
     | `Analyze ->
-      let req = analyze_request () in
+      let bench =
+        match bench with
+        | Some bench -> bench
+        | None ->
+          Printf.eprintf "client: analyze needs a TARGET benchmark name\n";
+          exit exit_invalid_input
+      in
+      let req =
+        { (Service.Protocol.default_analyze ~bench) with
+          pfail; target;
+          mechanism = Option.value mechanism ~default:Pwcet.Mechanism.No_protection;
+          sets = config.Cache.Config.sets; ways = config.ways; line = config.line_bytes;
+          engine; exact; timeout_ms; delay_ms }
+      in
       if bench_load then begin
         if clients < 1 || requests < 1 then begin
           Printf.eprintf "client: --clients and --requests must be at least 1\n";
@@ -1957,23 +1892,18 @@ let client_cmd =
         if report.Service.Client.errors > 0 then exit 1
       end
       else begin
-        match request (Service.Protocol.Analyze req) with
-        | Ok (Service.Protocol.Result r) ->
-          Printf.printf "benchmark      : %s\n" req.Service.Protocol.bench;
-          Printf.printf "mechanism      : %s\n" (Pwcet.Mechanism.short_name mech);
-          Printf.printf "fault-free WCET: %d cycles\n" r.Service.Protocol.wcet_ff;
-          Printf.printf "pbf            : %g\n" r.Service.Protocol.pbf;
-          Printf.printf "pWCET(%g) = %d cycles%s\n" target r.Service.Protocol.pwcet
-            (if r.Service.Protocol.rung = "exact" then ""
-             else Printf.sprintf "  [degraded: %s]" r.Service.Protocol.rung);
-          Printf.printf "computed       : %b\n" r.Service.Protocol.computed
-        | Ok (Service.Protocol.Overloaded { queued; queue_max }) ->
-          fail_overloaded queued queue_max
-        | Ok (Service.Protocol.Error_reply msg) ->
-          Printf.eprintf "client: daemon error: %s\n" msg;
-          exit 1
-        | Ok _ -> fail_transport "unexpected response to analyze"
-        | Error msg -> fail_transport msg
+        let r =
+          ask ~what:"analyze"
+            (function Service.Protocol.Result r -> Some r | _ -> None)
+            (Service.Protocol.Analyze req)
+        in
+        Printf.printf "benchmark      : %s\n" req.bench;
+        Printf.printf "mechanism      : %s\n" (Pwcet.Mechanism.short_name req.mechanism);
+        Printf.printf "fault-free WCET: %d cycles\n" r.wcet_ff;
+        Printf.printf "pbf            : %g\n" r.pbf;
+        Printf.printf "pWCET(%g) = %d cycles%s\n" target r.pwcet
+          (if r.rung = "exact" then "" else Printf.sprintf "  [degraded: %s]" r.rung);
+        Printf.printf "computed       : %b\n" r.computed
       end
   in
   let op_arg =
@@ -1996,39 +1926,33 @@ let client_cmd =
              ~doc:"Benchmarks for the grid op (overrides the positional TARGET).")
   in
   let grid_geometries_arg =
-    Arg.(value & opt (list ~sep:',' string) [ "16x4x16" ]
+    Arg.(value & opt geometries_conv [ Cache.Config.paper_default ]
          & info [ "grid-geometries" ] ~docv:"SxW[xL],..."
              ~doc:"Cache geometries for the grid op, as in the grid subcommand.")
   in
   let grid_mechanisms_arg =
-    Arg.(value & opt (list ~sep:',' string) [ "all" ]
+    Arg.(value & opt mechanism_lists_conv [ Pwcet.Mechanism.all ]
          & info [ "grid-mechanisms" ] ~docv:"MECH,..."
              ~doc:"Mechanisms for the grid op: none, srb, rw, or all (default).")
   in
   let grid_pfails_arg =
-    Arg.(value & opt (list ~sep:',' prob_conv) [ 1e-6; 1e-5; 1e-4; 1e-3 ]
+    Arg.(value & opt pfails_conv Pwcet.Param.pfail_grid
          & info [ "grid-pfails" ] ~docv:"P,P,..." ~doc:"Pfail grid for the grid op.")
   in
   let grid_targets_arg =
-    Arg.(value & opt (list ~sep:',' prob_conv) [ default_target ]
+    Arg.(value & opt targets_conv [ Pwcet.Param.target ]
          & info [ "grid-targets" ] ~docv:"P,P,..."
              ~doc:"Exceedance targets for the grid op.")
   in
-  let mech_arg =
-    Arg.(value & opt client_mech_conv Pwcet.Mechanism.No_protection
-         & info [ "analyze-mechanism" ] ~docv:"MECH"
-             ~doc:"Mechanism for the analyze op: 'none' (default), 'srb' or 'rw'. The sched \
-                   op takes --mechanism (default srb), like the sched subcommands.")
-  in
   let timeout_ms_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_conv ~docv:"MS" (Pwcet.Param.at_least 1))) None
          & info [ "timeout-ms" ] ~docv:"MS"
              ~doc:"Per-request deadline in milliseconds, enforced on the daemon's monotonic \
                    clock; bounds that start after it fall down the degradation ladder \
                    (still sound). Budgeted requests bypass the daemon's caches and dedup.")
   in
   let delay_ms_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt (int_conv ~docv:"MS" (Pwcet.Param.at_least 0)) 0
          & info [ "delay-ms" ] ~docv:"MS"
              ~doc:"Testing hook: ask the daemon to sleep this long inside the computation, \
                    widening the dedup/overload windows deterministically.")
@@ -2080,9 +2004,8 @@ let client_cmd =
              to a local run), or the --bench concurrent-load generator."
        ~exits)
     Term.(const run $ socket_arg $ op_arg $ client_bench_arg $ pfail_arg $ target_arg
-          $ mech_arg $ sets_arg $ ways_arg $ line_arg $ engine_arg $ exact_arg
-          $ timeout_ms_arg $ delay_ms_arg $ load_arg $ clients_arg $ requests_arg
-          $ retries_arg $ retry_base_arg $ hold_ms_arg $ sched_spec_term
+          $ config_term $ engine_arg $ exact_arg $ timeout_ms_arg $ delay_ms_arg $ load_arg
+          $ clients_arg $ requests_arg $ retries_arg $ retry_base_arg $ hold_ms_arg $ sched_term
           $ grid_benchmarks_arg $ grid_geometries_arg $ grid_mechanisms_arg
           $ grid_pfails_arg $ grid_targets_arg)
 
@@ -2174,7 +2097,7 @@ let chaos_cmd =
     let bench = "fibcall" in
     let _, compiled = compile_target bench in
     let program = compiled.Minic.Compile.program in
-    let config = config_of 8 2 16 in
+    let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
     let target = 1e-12 in
     let root =
       match dir_opt with
@@ -2198,7 +2121,7 @@ let chaos_cmd =
       let task = Pwcet.Estimator.prepare ~program ~config ?store () in
       let ff = Pwcet.Estimator.fault_free_wcet task in
       let est =
-        Pwcet.Estimator.estimate task ~pfail:default_pfail
+        Pwcet.Estimator.estimate task ~pfail:Pwcet.Param.pfail
           ~mechanism:Pwcet.Mechanism.Shared_reliable_buffer ?store ()
       in
       md5

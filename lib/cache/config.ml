@@ -19,6 +19,18 @@ let make ~sets ~ways ~line_bytes ?(hit_latency = 1) ?(miss_latency = 100) () =
 
 let paper_default = make ~sets:16 ~ways:4 ~line_bytes:16 ()
 
+let of_geometry ~sets ~ways ~line_bytes =
+  try Ok (make ~sets ~ways ~line_bytes ())
+  with Invalid_argument msg -> Error ("invalid cache configuration: " ^ msg)
+
+let of_string s =
+  match List.map int_of_string_opt (String.split_on_char 'x' s) with
+  | [ Some sets; Some ways ] -> of_geometry ~sets ~ways ~line_bytes:16
+  | [ Some sets; Some ways; Some line_bytes ] -> of_geometry ~sets ~ways ~line_bytes
+  | _ -> Error (Printf.sprintf "malformed geometry %S (expected SETSxWAYS[xLINE], e.g. 16x4x16)" s)
+
+let to_string t = Printf.sprintf "%dx%dx%d" t.sets t.ways t.line_bytes
+
 let size_bytes t = t.sets * t.ways * t.line_bytes
 let block_bits t = 8 * t.line_bytes
 let block_of_address t addr = addr / t.line_bytes

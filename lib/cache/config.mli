@@ -23,6 +23,19 @@ val make :
 val paper_default : t
 (** 16 sets, 4 ways, 16-byte lines, hit 1, miss 100 (1 KB total). *)
 
+val of_geometry : sets:int -> ways:int -> line_bytes:int -> (t, string) result
+(** {!make} at the default latencies, with its [Invalid_argument]
+    turned into an [Error] message. *)
+
+val of_string : string -> (t, string) result
+(** Parses a geometry written [SETSxWAYS] or [SETSxWAYSxLINE_BYTES]
+    (16-byte lines when omitted), e.g. ["16x4"] or ["8x2x32"], and
+    validates it through {!of_geometry}. The one geometry syntax of the
+    command line and the daemon protocol. *)
+
+val to_string : t -> string
+(** ["SETSxWAYSxLINE_BYTES"]; {!of_string} reads it back. *)
+
 val size_bytes : t -> int
 
 val block_bits : t -> int

@@ -2,10 +2,11 @@ type policy = Rm | Edf
 
 let policy_name = function Rm -> "rm" | Edf -> "edf"
 
-let policy_of_string = function
-  | "rm" -> Some Rm
-  | "edf" -> Some Edf
-  | _ -> None
+let policy_of_string =
+  Pwcet.Param.lookup ~what:"policy" ~names:[ "rm"; "edf" ] (function
+    | "rm" -> Some Rm
+    | "edf" -> Some Edf
+    | _ -> None)
 
 type model = {
   bench : string;

@@ -30,7 +30,8 @@
 type policy = Rm | Edf
 
 val policy_name : policy -> string
-val policy_of_string : string -> policy option
+val policy_of_string : string -> (policy, string) result
+(** ["rm"] or ["edf"]; the error names both. *)
 
 type model = {
   bench : string;  (** benchmark label, for reports *)

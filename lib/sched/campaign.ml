@@ -29,11 +29,34 @@ let taskset_spec spec =
 
 let cycles_per_hour spec = spec.clock_mhz *. 1e6 *. 3600.0
 
+let default =
+  let paper = Cache.Config.paper_default in
+  {
+    count = 100;
+    n_tasks = 4;
+    utilisation = 0.6;
+    seed = 42;
+    policy = Analysis.Rm;
+    reexec_budget = 1;
+    k_max = 3;
+    targets = Analysis.default_targets;
+    pfail = Pwcet.Param.pfail;
+    mechanism = Pwcet.Mechanism.Shared_reliable_buffer;
+    sets = paper.sets;
+    ways = paper.ways;
+    line = paper.line_bytes;
+    fault_rate = 1e-4;
+    clock_mhz = 100.0;
+    rep_target = 1e-9;
+    max_points = 512;
+    benchmarks = Benchmarks.Registry.names;
+  }
+
 let validate spec =
   let ( let* ) = Result.bind in
   let check cond msg = if cond then Ok () else Error msg in
-  let prob name p =
-    check (Float.is_finite p && p > 0.0 && p < 1.0) (Printf.sprintf "%s must lie in (0,1)" name)
+  let field name check x =
+    Result.map_error (fun msg -> name ^ ": " ^ msg) (Result.map ignore (check x))
   in
   let* () = check (spec.count >= 1) "count must be at least 1" in
   let* () = Taskset.validate (taskset_spec spec) in
@@ -45,34 +68,30 @@ let validate spec =
   let* () = check (spec.reexec_budget >= 0) "re-execution budget must be non-negative" in
   let* () = check (spec.k_max >= spec.reexec_budget) "k_max must be at least the budget" in
   let* () = check (spec.max_points >= 2) "max_points must be at least 2" in
-  let* () = prob "pfail" spec.pfail in
-  let* () =
-    check
-      (Float.is_finite spec.fault_rate && spec.fault_rate >= 0.0 && spec.fault_rate < 1.0)
-      "fault_rate must lie in [0,1)"
-  in
-  let* () =
-    check (Float.is_finite spec.clock_mhz && spec.clock_mhz > 0.0) "clock_mhz must be positive"
-  in
-  let* () = prob "rep_target" spec.rep_target in
+  let* () = field "pfail" Pwcet.Param.probability spec.pfail in
+  let* () = field "fault_rate" Pwcet.Param.rate spec.fault_rate in
+  let* () = field "clock_mhz" Pwcet.Param.positive spec.clock_mhz in
+  let* () = field "rep_target" Pwcet.Param.probability spec.rep_target in
   let* () = check (spec.targets <> []) "target list is empty" in
   let* () =
-    match
-      List.find_opt (fun t -> not (Float.is_finite t) || t <= 0.0 || t > 1.0) spec.targets
-    with
-    | Some t -> Error (Printf.sprintf "target %g outside (0,1]" t)
-    | None -> Ok ()
+    List.fold_left
+      (fun acc t ->
+        let* () = acc in
+        field "target" Pwcet.Param.probability t)
+      (Ok ()) spec.targets
   in
-  match Cache.Config.make ~sets:spec.sets ~ways:spec.ways ~line_bytes:spec.line () with
-  | (_ : Cache.Config.t) -> Ok ()
-  | exception Invalid_argument msg -> Error ("invalid cache configuration: " ^ msg)
+  Result.map ignore
+    (Cache.Config.of_geometry ~sets:spec.sets ~ways:spec.ways ~line_bytes:spec.line)
 
-let make ?(count = 100) ?(n_tasks = 4) ?(utilisation = 0.6) ?(seed = 42)
-    ?(policy = Analysis.Rm) ?(reexec_budget = 1) ?(k_max = 3)
-    ?(targets = Analysis.default_targets) ?(pfail = 1e-4)
-    ?(mechanism = Pwcet.Mechanism.Shared_reliable_buffer) ?(sets = 16) ?(ways = 4) ?(line = 16)
-    ?(fault_rate = 1e-4) ?(clock_mhz = 100.0) ?(rep_target = 1e-9) ?(max_points = 512)
-    ?(benchmarks = Benchmarks.Registry.names) () =
+let make ?(count = default.count) ?(n_tasks = default.n_tasks)
+    ?(utilisation = default.utilisation) ?(seed = default.seed) ?(policy = default.policy)
+    ?(reexec_budget = default.reexec_budget) ?(k_max = default.k_max)
+    ?(targets = default.targets) ?(pfail = default.pfail) ?(mechanism = default.mechanism)
+    ?(sets = default.sets) ?(ways = default.ways) ?(line = default.line)
+    ?(fault_rate = default.fault_rate) ?(clock_mhz = default.clock_mhz)
+    ?(rep_target = default.rep_target) ?(max_points = default.max_points)
+    ?(benchmarks = default.benchmarks) () =
+  let benchmarks = if benchmarks = [] then default.benchmarks else benchmarks in
   let spec =
     {
       count;

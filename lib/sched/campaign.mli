@@ -34,6 +34,14 @@ type spec = {
   benchmarks : string list;
 }
 
+val default : spec
+(** The campaign defaults, read by {!make}, the CLI's sched options and
+    the daemon's sched decoder: a small RM campaign over the whole
+    registry (100 sets of 4 tasks at total utilisation 0.6, budget 1,
+    scan to 3, {!Analysis.default_targets}, pfail {!Pwcet.Param.pfail},
+    SRB, the paper's 16x4x16 geometry, fault rate 1e-4/hour at
+    100 MHz, rep target 1e-9, 512-point cap). *)
+
 val make :
   ?count:int ->
   ?n_tasks:int ->
@@ -55,12 +63,16 @@ val make :
   ?benchmarks:string list ->
   unit ->
   (spec, string) result
-(** Validated construction; the defaults are a small RM campaign over
-    the whole registry (100 sets of 4 tasks at total utilisation 0.6,
-    budget 1, scan to 3, pfail 1e-4, SRB, 16x4x16 geometry, fault rate
-    1e-4/hour at 100 MHz, rep target 1e-9, 512-point cap). *)
+(** Validated construction ({!validate}); an omitted field takes its
+    {!default}, and an empty [benchmarks] means the whole registry. *)
 
 val validate : spec -> (unit, string) result
+(** Every field in its range: probabilities ([pfail], [rep_target],
+    each target) by {!Pwcet.Param.probability}, [fault_rate] by
+    {!Pwcet.Param.rate}, [clock_mhz] by {!Pwcet.Param.positive}, the
+    geometry by {!Cache.Config.of_geometry}; registry benchmarks only,
+    and [k_max] at least [reexec_budget]. *)
+
 val cycles_per_hour : spec -> float
 
 val taskset_spec : spec -> Taskset.spec

@@ -13,62 +13,22 @@ type analyze = {
 }
 
 let default_analyze ~bench =
+  let paper = Cache.Config.paper_default in
   { bench;
-    pfail = 1e-4;
-    target = 1e-15;
+    pfail = Pwcet.Param.pfail;
+    target = Pwcet.Param.target;
     mechanism = Pwcet.Mechanism.No_protection;
-    sets = 16;
-    ways = 4;
-    line = 16;
+    sets = paper.sets;
+    ways = paper.ways;
+    line = paper.line_bytes;
     engine = `Path;
     exact = false;
     timeout_ms = None;
     delay_ms = 0 }
 
-type sched = {
-  count : int;
-  n_tasks : int;
-  utilisation : float;
-  seed : int;
-  policy : Sched.Analysis.policy;
-  reexec : int;
-  k_max : int;
-  targets : float list;
-  s_pfail : float;
-  s_mechanism : Pwcet.Mechanism.t;
-  s_sets : int;
-  s_ways : int;
-  s_line : int;
-  fault_rate : float;
-  clock_mhz : float;
-  rep_target : float;
-  max_points : int;
-  benchmarks : string list;
-}
-
-let default_sched =
-  { count = 100;
-    n_tasks = 4;
-    utilisation = 0.6;
-    seed = 42;
-    policy = Sched.Analysis.Rm;
-    reexec = 1;
-    k_max = 3;
-    targets = [ 1e-3; 1e-5; 1e-7; 1e-9 ];
-    s_pfail = 1e-4;
-    s_mechanism = Pwcet.Mechanism.Shared_reliable_buffer;
-    s_sets = 16;
-    s_ways = 4;
-    s_line = 16;
-    fault_rate = 1e-4;
-    clock_mhz = 100.0;
-    rep_target = 1e-9;
-    max_points = 512;
-    benchmarks = [] }
-
 type grid = {
   g_benchmarks : string list;
-  g_geometries : (int * int * int) list;
+  g_geometries : Cache.Config.t list;
   g_mechanisms : Pwcet.Mechanism.t list;
   g_pfails : float list;
   g_targets : float list;
@@ -78,14 +38,19 @@ type grid = {
 
 let default_grid ~benchmarks =
   { g_benchmarks = benchmarks;
-    g_geometries = [ (16, 4, 16) ];
+    g_geometries = [ Cache.Config.paper_default ];
     g_mechanisms = Pwcet.Mechanism.all;
-    g_pfails = [ 1e-6; 1e-5; 1e-4; 1e-3 ];
-    g_targets = [ 1e-15 ];
+    g_pfails = Pwcet.Param.pfail_grid;
+    g_targets = [ Pwcet.Param.target ];
     g_engine = `Path;
     g_exact = false }
 
-type request = Ping | Stats | Analyze of analyze | Sched of sched | Grid of grid
+type request =
+  | Ping
+  | Stats
+  | Analyze of analyze
+  | Sched of Sched.Campaign.spec
+  | Grid of grid
 
 type result_payload = {
   pwcet : int;
@@ -150,49 +115,44 @@ let analyze_fields a =
   @ (match a.timeout_ms with None -> [] | Some ms -> [ ("timeout_ms", Json.Int ms) ])
   @ if a.delay_ms = 0 then [] else [ ("delay_ms", Json.Int a.delay_ms) ]
 
+let strings xs = Json.List (List.map (fun x -> Json.String x) xs)
+let floats xs = Json.List (List.map (fun x -> Json.Float x) xs)
+
 (* Every field travels, defaults included: the wire form is the dedup
    key's input, and an explicit field can never drift from an implicit
    default. Floats print with %.17g (lossless), so the daemon's
    Campaign.identity — IEEE bit patterns — matches the CLI's exactly. *)
-let sched_fields s =
+let sched_fields (s : Sched.Campaign.spec) =
   [ ("op", Json.String "sched");
     ("count", Json.Int s.count);
     ("n_tasks", Json.Int s.n_tasks);
     ("utilisation", Json.Float s.utilisation);
     ("seed", Json.Int s.seed);
     ("policy", Json.String (Sched.Analysis.policy_name s.policy));
-    ("reexec", Json.Int s.reexec);
+    ("reexec", Json.Int s.reexec_budget);
     ("k_max", Json.Int s.k_max);
-    ("targets", Json.List (List.map (fun t -> Json.Float t) s.targets));
-    ("pfail", Json.Float s.s_pfail);
-    ("mechanism", Json.String (Pwcet.Mechanism.short_name s.s_mechanism));
-    ("sets", Json.Int s.s_sets);
-    ("ways", Json.Int s.s_ways);
-    ("line", Json.Int s.s_line);
+    ("targets", floats s.targets);
+    ("pfail", Json.Float s.pfail);
+    ("mechanism", Json.String (Pwcet.Mechanism.short_name s.mechanism));
+    ("sets", Json.Int s.sets);
+    ("ways", Json.Int s.ways);
+    ("line", Json.Int s.line);
     ("fault_rate", Json.Float s.fault_rate);
     ("clock_mhz", Json.Float s.clock_mhz);
     ("rep_target", Json.Float s.rep_target);
-    ("max_points", Json.Int s.max_points) ]
-  @
-  if s.benchmarks = [] then []
-  else [ ("benchmarks", Json.List (List.map (fun b -> Json.String b) s.benchmarks)) ]
+    ("max_points", Json.Int s.max_points);
+    ("benchmarks", strings s.benchmarks) ]
 
 (* As with sched: every field travels, defaults included, geometries as
-   "SETSxWAYSxLINE" strings and floats as %.17g, so the daemon's
+   Cache.Config.to_string and floats as %.17g, so the daemon's
    Grid.identity — IEEE bit patterns — matches the CLI's exactly. *)
 let grid_fields g =
   [ ("op", Json.String "grid");
-    ("benchmarks", Json.List (List.map (fun b -> Json.String b) g.g_benchmarks));
-    ( "geometries",
-      Json.List
-        (List.map
-           (fun (sets, ways, line) -> Json.String (Printf.sprintf "%dx%dx%d" sets ways line))
-           g.g_geometries) );
-    ( "mechanisms",
-      Json.List (List.map (fun m -> Json.String (Pwcet.Mechanism.short_name m)) g.g_mechanisms)
-    );
-    ("pfail_grid", Json.List (List.map (fun p -> Json.Float p) g.g_pfails));
-    ("targets", Json.List (List.map (fun t -> Json.Float t) g.g_targets));
+    ("benchmarks", strings g.g_benchmarks);
+    ("geometries", strings (List.map Cache.Config.to_string g.g_geometries));
+    ("mechanisms", strings (List.map Pwcet.Mechanism.short_name g.g_mechanisms));
+    ("pfail_grid", floats g.g_pfails);
+    ("targets", floats g.g_targets);
     ("engine", Json.String (Pwcet.Estimator.engine_tag g.g_engine));
     ("exact", Json.Bool g.g_exact) ]
 
@@ -275,220 +235,125 @@ let required ~field json decode =
 let optional ~field json decode ~default =
   match Json.member field json with None -> Ok default | Some v -> decode ~field v
 
-(* Same validation the CLI's [prob_conv] applies: finite, strictly
-   inside (0, 1). NaN and infinities must never reach the pipeline. *)
+(* Every range check and name list is Pwcet.Param's (or the geometry's
+   and the policy's own), the ones the CLI's converters use; the
+   decoder only adds the field's name to the message. *)
+let checked check ~field v = Result.map_error (Printf.sprintf "field %S: %s" field) (check v)
+
 let probability ~field json =
   let* p = Json.to_float ~field json in
-  if Float.is_finite p && p > 0.0 && p < 1.0 then Ok p
-  else Error (Printf.sprintf "field %S: probability must lie strictly inside (0, 1)" field)
+  checked Pwcet.Param.probability ~field p
 
-let positive ~field json =
-  let* n = Json.to_int ~field json in
-  if n >= 1 then Ok n else Error (Printf.sprintf "field %S: must be at least 1" field)
-
-let non_negative ~field json =
-  let* n = Json.to_int ~field json in
-  if n >= 0 then Ok n else Error (Printf.sprintf "field %S: must be non-negative" field)
-
-let positive_float ~field json =
-  let* x = Json.to_float ~field json in
-  if Float.is_finite x && x > 0.0 then Ok x
-  else Error (Printf.sprintf "field %S: must be a positive finite number" field)
-
-(* fault_rate semantics: a per-hour probability, zero allowed. *)
-let unit_rate ~field json =
-  let* x = Json.to_float ~field json in
-  if Float.is_finite x && x >= 0.0 && x < 1.0 then Ok x
-  else Error (Printf.sprintf "field %S: must lie inside [0, 1)" field)
-
-let enum ~what options ~field json =
+let named parse ~field json =
   let* tag = Json.to_text ~field json in
-  match List.assoc_opt tag options with
-  | Some v -> Ok v
-  | None ->
-    Error
-      (Printf.sprintf "field %S: unknown %s %S (expected %s)" field what tag
-         (String.concat ", " (List.map fst options)))
+  checked parse ~field tag
 
-let decode_analyze json =
-  let* bench = required ~field:"bench" json Json.to_text in
-  if bench = "" then Error "field \"bench\": must be non-empty"
-  else
-    let* pfail = optional ~field:"pfail" json probability ~default:1e-4 in
-    let* target = optional ~field:"target" json probability ~default:1e-15 in
-    let* mechanism =
-      optional ~field:"mechanism" json
-        (fun ~field j ->
-          let* tag = Json.to_text ~field j in
-          match Pwcet.Mechanism.of_string tag with
-          | Some m -> Ok m
-          | None -> Error (Printf.sprintf "field %S: unknown mechanism %S" field tag))
-        ~default:Pwcet.Mechanism.No_protection
-    in
-    let* sets = optional ~field:"sets" json positive ~default:16 in
-    let* ways = optional ~field:"ways" json positive ~default:4 in
-    let* line = optional ~field:"line" json positive ~default:16 in
-    let* engine =
-      optional ~field:"engine" json
-        (enum ~what:"engine" [ ("path", `Path); ("ilp", `Ilp) ])
-        ~default:`Path
-    in
-    let* exact = optional ~field:"exact" json Json.to_bool ~default:false in
-    let* timeout_ms =
-      optional ~field:"timeout_ms" json
-        (fun ~field j ->
-          let* ms = positive ~field j in
-          Ok (Some ms))
-        ~default:None
-    in
-    let* delay_ms =
-      optional ~field:"delay_ms" json
-        (fun ~field j ->
-          let* ms = Json.to_int ~field j in
-          if ms >= 0 then Ok ms else Error (Printf.sprintf "field %S: must be non-negative" field))
-        ~default:0
-    in
-    Ok
-      (Analyze
-         { bench; pfail; target; mechanism; sets; ways; line; engine; exact; timeout_ms; delay_ms })
+let at_least n ~field json =
+  let* v = Json.to_int ~field json in
+  checked (Pwcet.Param.at_least n) ~field v
 
-let decode_sched json =
-  let d = default_sched in
-  let* count = optional ~field:"count" json positive ~default:d.count in
-  let* n_tasks = optional ~field:"n_tasks" json positive ~default:d.n_tasks in
-  let* utilisation = optional ~field:"utilisation" json positive_float ~default:d.utilisation in
-  let* seed = optional ~field:"seed" json Json.to_int ~default:d.seed in
-  let* policy =
-    optional ~field:"policy" json
-      (fun ~field j ->
-        let* tag = Json.to_text ~field j in
-        match Sched.Analysis.policy_of_string tag with
-        | Some p -> Ok p
-        | None -> Error (Printf.sprintf "field %S: unknown policy %S (expected rm or edf)" field tag))
-      ~default:d.policy
-  in
-  let* reexec = optional ~field:"reexec" json non_negative ~default:d.reexec in
-  let* k_max = optional ~field:"k_max" json non_negative ~default:d.k_max in
-  let* targets =
-    optional ~field:"targets" json
-      (fun ~field j ->
-        let* items = Json.to_list ~field j in
-        List.fold_right
-          (fun item acc ->
-            let* acc = acc in
-            let* p = probability ~field item in
-            Ok (p :: acc))
-          items (Ok []))
-      ~default:d.targets
-  in
-  let* s_pfail = optional ~field:"pfail" json probability ~default:d.s_pfail in
-  let* s_mechanism =
-    optional ~field:"mechanism" json
-      (fun ~field j ->
-        let* tag = Json.to_text ~field j in
-        match Pwcet.Mechanism.of_string tag with
-        | Some m -> Ok m
-        | None -> Error (Printf.sprintf "field %S: unknown mechanism %S" field tag))
-      ~default:d.s_mechanism
-  in
-  let* s_sets = optional ~field:"sets" json positive ~default:d.s_sets in
-  let* s_ways = optional ~field:"ways" json positive ~default:d.s_ways in
-  let* s_line = optional ~field:"line" json positive ~default:d.s_line in
-  let* fault_rate = optional ~field:"fault_rate" json unit_rate ~default:d.fault_rate in
-  let* clock_mhz = optional ~field:"clock_mhz" json positive_float ~default:d.clock_mhz in
-  let* rep_target = optional ~field:"rep_target" json probability ~default:d.rep_target in
-  let* max_points = optional ~field:"max_points" json positive ~default:d.max_points in
-  let* benchmarks =
-    optional ~field:"benchmarks" json
-      (fun ~field j ->
-        let* items = Json.to_list ~field j in
-        List.fold_right
-          (fun item acc ->
-            let* acc = acc in
-            let* b = Json.to_text ~field item in
-            if b = "" then Error (Printf.sprintf "field %S: empty benchmark name" field)
-            else Ok (b :: acc))
-          items (Ok []))
-      ~default:d.benchmarks
-  in
-  Ok
-    (Sched
-       { count; n_tasks; utilisation; seed; policy; reexec; k_max; targets; s_pfail;
-         s_mechanism; s_sets; s_ways; s_line; fault_rate; clock_mhz; rep_target; max_points;
-         benchmarks })
-
-(* List-valued axes share one decoder shape: decode every element,
-   then reject the empty list — an empty axis would make the grid
-   silently evaluate nothing, which is the same mistake the CLI
-   rejects with exit 2. *)
-let non_empty_list ~what decode ~field json =
+let list decode ~field json =
   let* items = Json.to_list ~field json in
-  let* values =
-    List.fold_right
-      (fun item acc ->
-        let* acc = acc in
-        let* v = decode ~field item in
-        Ok (v :: acc))
-      items (Ok [])
-  in
-  if values = [] then
-    Error (Printf.sprintf "field %S: must name at least one %s" field what)
+  List.fold_right
+    (fun item acc ->
+      let* acc = acc in
+      let* v = decode ~field item in
+      Ok (v :: acc))
+    items (Ok [])
+
+(* An empty axis would make a grid silently evaluate nothing, the
+   mistake the CLI rejects too. *)
+let non_empty ~what decode ~field json =
+  let* values = list decode ~field json in
+  if values = [] then Error (Printf.sprintf "field %S: must name at least one %s" field what)
   else Ok values
 
-let geometry ~field json =
-  let* tag = Json.to_text ~field json in
-  let malformed () =
-    Error
-      (Printf.sprintf "field %S: malformed geometry %S (expected SETSxWAYS[xLINE])" field tag)
-  in
-  let* sets, ways, line =
-    match List.map int_of_string_opt (String.split_on_char 'x' tag) with
-    | [ Some sets; Some ways ] -> Ok (sets, ways, 16)
-    | [ Some sets; Some ways; Some line ] -> Ok (sets, ways, line)
-    | _ -> malformed ()
-  in
-  if sets >= 1 && ways >= 1 && line >= 1 then Ok (sets, ways, line) else malformed ()
+let bench_name ~field json =
+  let* b = Json.to_text ~field json in
+  if b = "" then Error (Printf.sprintf "field %S: empty benchmark name" field) else Ok b
 
-let mechanism_of_json ~field json =
-  let* tag = Json.to_text ~field json in
-  match Pwcet.Mechanism.of_string tag with
-  | Some m -> Ok m
-  | None -> Error (Printf.sprintf "field %S: unknown mechanism %S" field tag)
+let decode_analyze json =
+  let d = default_analyze ~bench:"" in
+  let* bench = required ~field:"bench" json bench_name in
+  let* pfail = optional ~field:"pfail" json probability ~default:d.pfail in
+  let* target = optional ~field:"target" json probability ~default:d.target in
+  let* mechanism =
+    optional ~field:"mechanism" json (named Pwcet.Param.mechanism) ~default:d.mechanism
+  in
+  let* sets = optional ~field:"sets" json Json.to_int ~default:d.sets in
+  let* ways = optional ~field:"ways" json Json.to_int ~default:d.ways in
+  let* line = optional ~field:"line" json Json.to_int ~default:d.line in
+  let* (_ : Cache.Config.t) = Cache.Config.of_geometry ~sets ~ways ~line_bytes:line in
+  let* engine = optional ~field:"engine" json (named Pwcet.Param.engine) ~default:d.engine in
+  let* exact = optional ~field:"exact" json Json.to_bool ~default:d.exact in
+  let* timeout_ms =
+    optional ~field:"timeout_ms" json
+      (fun ~field j -> Result.map Option.some (at_least 1 ~field j))
+      ~default:d.timeout_ms
+  in
+  let* delay_ms = optional ~field:"delay_ms" json (at_least 0) ~default:d.delay_ms in
+  Ok
+    (Analyze
+       { bench; pfail; target; mechanism; sets; ways; line; engine; exact; timeout_ms; delay_ms })
+
+(* Typed fields only; Campaign.make supplies the defaults of absent
+   fields (an empty benchmark list means the whole registry, as on the
+   CLI) and validates the whole spec once. *)
+let decode_sched json =
+  let field name decode =
+    match Json.member name json with
+    | None -> Ok None
+    | Some v -> Result.map Option.some (decode ~field:name v)
+  in
+  let* count = field "count" Json.to_int in
+  let* n_tasks = field "n_tasks" Json.to_int in
+  let* utilisation = field "utilisation" Json.to_float in
+  let* seed = field "seed" Json.to_int in
+  let* policy = field "policy" (named Sched.Analysis.policy_of_string) in
+  let* reexec_budget = field "reexec" Json.to_int in
+  let* k_max = field "k_max" Json.to_int in
+  let* targets = field "targets" (list Json.to_float) in
+  let* pfail = field "pfail" Json.to_float in
+  let* mechanism = field "mechanism" (named Pwcet.Param.mechanism) in
+  let* sets = field "sets" Json.to_int in
+  let* ways = field "ways" Json.to_int in
+  let* line = field "line" Json.to_int in
+  let* fault_rate = field "fault_rate" Json.to_float in
+  let* clock_mhz = field "clock_mhz" Json.to_float in
+  let* rep_target = field "rep_target" Json.to_float in
+  let* max_points = field "max_points" Json.to_int in
+  let* benchmarks = field "benchmarks" (list Json.to_text) in
+  let* spec =
+    Sched.Campaign.make ?count ?n_tasks ?utilisation ?seed ?policy ?reexec_budget ?k_max
+      ?targets ?pfail ?mechanism ?sets ?ways ?line ?fault_rate ?clock_mhz ?rep_target
+      ?max_points ?benchmarks ()
+  in
+  Ok (Sched spec)
 
 let decode_grid json =
   let d = default_grid ~benchmarks:[] in
   let* g_benchmarks =
-    required ~field:"benchmarks" json
-      (non_empty_list ~what:"benchmark" (fun ~field j ->
-           let* b = Json.to_text ~field j in
-           if b = "" then Error (Printf.sprintf "field %S: empty benchmark name" field)
-           else Ok b))
+    required ~field:"benchmarks" json (non_empty ~what:"benchmark" bench_name)
   in
   let* g_geometries =
     optional ~field:"geometries" json
-      (non_empty_list ~what:"geometry" geometry)
+      (non_empty ~what:"geometry" (named Cache.Config.of_string))
       ~default:d.g_geometries
   in
   let* g_mechanisms =
     optional ~field:"mechanisms" json
-      (non_empty_list ~what:"mechanism" mechanism_of_json)
+      (non_empty ~what:"mechanism" (named Pwcet.Param.mechanism))
       ~default:d.g_mechanisms
   in
   let* g_pfails =
-    optional ~field:"pfail_grid" json
-      (non_empty_list ~what:"pfail point" probability)
+    optional ~field:"pfail_grid" json (non_empty ~what:"pfail point" probability)
       ~default:d.g_pfails
   in
   let* g_targets =
-    optional ~field:"targets" json
-      (non_empty_list ~what:"exceedance target" probability)
+    optional ~field:"targets" json (non_empty ~what:"exceedance target" probability)
       ~default:d.g_targets
   in
-  let* g_engine =
-    optional ~field:"engine" json
-      (enum ~what:"engine" [ ("path", `Path); ("ilp", `Ilp) ])
-      ~default:d.g_engine
-  in
+  let* g_engine = optional ~field:"engine" json (named Pwcet.Param.engine) ~default:d.g_engine in
   let* g_exact = optional ~field:"exact" json Json.to_bool ~default:d.g_exact in
   Ok
     (Grid

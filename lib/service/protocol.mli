@@ -4,13 +4,18 @@
     One JSON object per {!Frame} frame, in either direction. Every
     decoder is total — malformed input comes back as [Error], and the
     server turns that into an [Error_reply] rather than dropping the
-    connection — and every numeric field is validated on decode with
-    the same bounds the CLI enforces (probabilities strictly inside
-    (0, 1), geometry at least 1), so a request that decodes is a
-    request the pipeline can run. Unknown fields are ignored: an
-    [analyze] or [grid] request from an older client that still sends
-    the retired FMM engine selector ["impl"] decodes exactly as the
-    same request without it. *)
+    connection. Every field is validated on decode by the same
+    definition the CLI's converters are built from: the names and
+    range checks of {!Pwcet.Param} (probabilities strictly inside
+    (0, 1), mechanism and engine names), {!Cache.Config.of_string} and
+    {!Cache.Config.of_geometry} for geometries,
+    {!Sched.Analysis.policy_of_string}, and {!Sched.Campaign.make} for
+    a whole campaign. So a request that decodes is a request the
+    pipeline can run, and a value the CLI rejects the daemon rejects
+    too, with the same message after the field name. Unknown fields
+    are ignored: an [analyze] or [grid] request from an older client
+    that still sends the retired FMM engine selector ["impl"] decodes
+    exactly as the same request without it. *)
 
 type analyze = {
   bench : string;  (** registry benchmark name *)
@@ -33,43 +38,9 @@ type analyze = {
 }
 
 val default_analyze : bench:string -> analyze
-(** The CLI's defaults: pfail 1e-4, target 1e-15, no protection,
-    16x4x16 geometry, path engine, no timeout, no delay. *)
-
-(** A bulk schedulability campaign — the service face of
-    {!Sched.Campaign}. One request analyses [count] UUniFast task sets
-    against one pool of per-benchmark pWCET laws; the daemon computes
-    each distinct benchmark's law at most once (deduplicated with
-    concurrent [analyze] traffic through the same caches) and reports
-    the campaign digest, so a client can check bit-identity against a
-    direct CLI run. Field names follow {!Sched.Campaign.spec}; an
-    empty [benchmarks] means the whole registry. *)
-type sched = {
-  count : int;
-  n_tasks : int;
-  utilisation : float;
-  seed : int;
-  policy : Sched.Analysis.policy;
-  reexec : int;  (** headline re-execution budget k *)
-  k_max : int;
-  targets : float list;
-  s_pfail : float;
-  s_mechanism : Pwcet.Mechanism.t;
-  s_sets : int;
-  s_ways : int;
-  s_line : int;
-  fault_rate : float;
-  clock_mhz : float;
-  rep_target : float;
-  max_points : int;
-  benchmarks : string list;
-}
-
-val default_sched : sched
-(** {!Sched.Campaign.make}'s defaults: 100 sets of 4 tasks at total
-    utilisation 0.6 under RM, budget 1 scanned to 3, pfail 1e-4, SRB,
-    16x4x16 geometry, fault rate 1e-4/hour at 100 MHz, rep target
-    1e-9, 512-point cap, whole registry. *)
+(** The CLI's defaults: pfail {!Pwcet.Param.pfail}, target
+    {!Pwcet.Param.target}, no protection, the paper's 16x4x16 geometry,
+    path engine, no timeout, no delay. *)
 
 (** A bulk comparison grid — the service face of {!Grid.run}. One
     request evaluates benchmark x geometry x mechanism x pfail in one
@@ -79,7 +50,8 @@ val default_sched : sched
     Every axis must be non-empty; [benchmarks] is required. *)
 type grid = {
   g_benchmarks : string list;
-  g_geometries : (int * int * int) list;  (** (sets, ways, line_bytes) *)
+  g_geometries : Cache.Config.t list;
+      (** on the wire as {!Cache.Config.to_string}, e.g. ["16x4x16"] *)
   g_mechanisms : Pwcet.Mechanism.t list;
   g_pfails : float list;
   g_targets : float list;
@@ -88,10 +60,29 @@ type grid = {
 }
 
 val default_grid : benchmarks:string list -> grid
-(** The CLI's defaults: 16x4x16 geometry, all three mechanisms, pfail
-    grid 1e-6..1e-3, target 1e-15, path engine. *)
+(** The CLI's defaults: the paper's 16x4x16 geometry, all three
+    mechanisms, {!Pwcet.Param.pfail_grid}, target
+    {!Pwcet.Param.target}, path engine. *)
 
-type request = Ping | Stats | Analyze of analyze | Sched of sched | Grid of grid
+type request =
+  | Ping
+  | Stats
+  | Analyze of analyze
+  | Sched of Sched.Campaign.spec
+      (** A bulk schedulability campaign — the service face of
+          {!Sched.Campaign}. One request analyses [count] UUniFast task
+          sets against one pool of per-benchmark pWCET laws; the daemon
+          computes each distinct benchmark's law at most once
+          (deduplicated with concurrent [analyze] traffic through the
+          same caches) and reports the campaign digest, so a client can
+          check bit-identity against a direct CLI run. On the wire the
+          fields are named as in {!Sched.Campaign.spec}, except
+          [reexec] for [reexec_budget]; the decoder fills absent fields
+          from {!Sched.Campaign.default} and validates the spec through
+          {!Sched.Campaign.make}, so an absent or empty [benchmarks]
+          means the whole registry and an unknown benchmark is refused
+          at decode. *)
+  | Grid of grid
 
 type result_payload = {
   pwcet : int;  (** cycles, at the request's [target] *)

@@ -299,8 +299,7 @@ let analyze t (a : Protocol.analyze) : Protocol.response =
   admit t;
   match
     ( compiled t a.bench,
-      try Ok (Cache.Config.make ~sets:a.sets ~ways:a.ways ~line_bytes:a.line ())
-      with Invalid_argument msg -> Error msg )
+      Cache.Config.of_geometry ~sets:a.sets ~ways:a.ways ~line_bytes:a.line )
   with
   | Error msg, _ | _, Error msg -> error_reply t msg
   | Ok (program, digest), Ok config -> (
@@ -324,15 +323,6 @@ let analyze t (a : Protocol.analyze) : Protocol.response =
         ~respond:(respond t a))
 
 (* --- bulk schedulability campaigns ----------------------------------------- *)
-
-let spec_of_sched (s : Protocol.sched) =
-  Sched.Campaign.make ~count:s.count ~n_tasks:s.n_tasks ~utilisation:s.utilisation
-    ~seed:s.seed ~policy:s.policy ~reexec_budget:s.reexec ~k_max:s.k_max ~targets:s.targets
-    ~pfail:s.s_pfail ~mechanism:s.s_mechanism ~sets:s.s_sets ~ways:s.s_ways ~line:s.s_line
-    ~fault_rate:s.fault_rate ~clock_mhz:s.clock_mhz ~rep_target:s.rep_target
-    ~max_points:s.max_points
-    ?benchmarks:(match s.benchmarks with [] -> None | bs -> Some bs)
-    ()
 
 (* One benchmark's estimate for a sched campaign, computed INLINE on
    the calling worker domain. Submitting it to the pool — or joining
@@ -384,24 +374,21 @@ let compute_sched t (spec : Sched.Campaign.spec) () =
 
 (* A campaign's success is not a computation of its own: its
    per-benchmark estimates already counted. *)
-let sched t (s : Protocol.sched) : Protocol.response =
+let sched t (spec : Sched.Campaign.spec) : Protocol.response =
   admit t;
-  match spec_of_sched s with
-  | Error msg -> error_reply t msg
-  | Ok spec ->
-    single_flight_pooled t ~count_join:true ~count_compute:false t.scheds
-      (Store.Artifact.key (("service", "sched") :: Sched.Campaign.identity spec))
-      (compute_sched t spec)
-      ~respond:(fun ~computed outcome ->
-        match outcome with
-        | Ok sum ->
-          Protocol.Sched_reply
-            { Protocol.analyzed = sum.analyzed;
-              passes = sum.passes;
-              degraded = sum.degraded;
-              digest = sum.digest;
-              sched_computed = computed }
-        | Error msg -> error_reply t msg)
+  single_flight_pooled t ~count_join:true ~count_compute:false t.scheds
+    (Store.Artifact.key (("service", "sched") :: Sched.Campaign.identity spec))
+    (compute_sched t spec)
+    ~respond:(fun ~computed outcome ->
+      match outcome with
+      | Ok sum ->
+        Protocol.Sched_reply
+          { Protocol.analyzed = sum.analyzed;
+            passes = sum.passes;
+            degraded = sum.degraded;
+            digest = sum.digest;
+            sched_computed = computed }
+      | Error msg -> error_reply t msg)
 
 (* --- bulk comparison grids -------------------------------------------------- *)
 
@@ -412,16 +399,10 @@ let spec_of_grid t (g : Protocol.grid) =
     let compiled = List.map (fun bench -> (bench, value (compiled t bench))) g.g_benchmarks in
     let benchmarks = List.map (fun (bench, (program, _)) -> (bench, program)) compiled in
     let digest bench = snd (List.assoc bench compiled) in
-    let configs =
-      List.map
-        (fun (sets, ways, line) ->
-          try Cache.Config.make ~sets ~ways ~line_bytes:line ()
-          with Invalid_argument msg -> raise (Compute_error msg))
-        g.g_geometries
-    in
     Ok
-      ( { Grid.benchmarks; configs; mechanisms = g.g_mechanisms; pfail_grid = g.g_pfails;
-          targets = g.g_targets; engine = g.g_engine; exact = g.g_exact; impl = `Sliced },
+      ( { Grid.benchmarks; configs = g.g_geometries; mechanisms = g.g_mechanisms;
+          pfail_grid = g.g_pfails; targets = g.g_targets; engine = g.g_engine; exact = g.g_exact;
+          impl = `Sliced },
         digest )
   with Compute_error msg -> Error msg
 

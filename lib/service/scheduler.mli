@@ -64,7 +64,7 @@ val analyze : t -> Protocol.analyze -> Protocol.response
 (** Blocks the calling thread until the result (or shed/error
     decision) is ready. Never raises. *)
 
-val sched : t -> Protocol.sched -> Protocol.response
+val sched : t -> Sched.Campaign.spec -> Protocol.response
 (** A bulk schedulability campaign ({!Sched.Campaign}), analysed as
     one admission-controlled pool job. Identical in-flight campaigns
     dedup on {!Sched.Campaign.identity} and completed ones are cached
@@ -74,8 +74,10 @@ val sched : t -> Protocol.sched -> Protocol.response
     fully sched-occupied pool — but share their own in-flight table,
     the estimate result cache, and the artifact store with concurrent
     [analyze] traffic, so each distinct benchmark law is computed at
-    most once per daemon, whoever asks first. Blocks until the reply
-    is ready; never raises. *)
+    most once per daemon, whoever asks first. The spec is used as
+    given: the wire decoder has already validated it through
+    {!Sched.Campaign.make}. Blocks until the reply is ready; never
+    raises. *)
 
 val grid : t -> Protocol.grid -> Protocol.response
 (** A bulk comparison grid ({!Grid.run}), evaluated as one

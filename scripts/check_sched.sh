@@ -15,7 +15,10 @@
 #   5. daemon bulk sched round trip           -> digest identical to the
 #                                                direct CLI run; the
 #                                                repeat is served from
-#                                                cache, not recomputed
+#                                                cache, not recomputed;
+#                                                with every other campaign
+#                                                option set too, still
+#                                                identical to the CLI
 #   6. budget-starved campaign                -> completes degraded
 #                                                (exit 0, every set on
 #                                                upper bounds), no abort
@@ -97,6 +100,20 @@ svc_digest=$(awk '/^digest/ { print $3 }' "$WORK/svc1.out")
 grep -q "computed : false" "$WORK/svc2.out" || fail "daemon repeat recomputed the campaign"
 svc_digest2=$(awk '/^digest/ { print $3 }' "$WORK/svc2.out")
 [ "$svc_digest2" = "$digest" ] || fail "cached daemon digest differs"
+# Every campaign option SPEC leaves at its default, set away from it:
+# the client sends the spec the CLI would run, field for field.
+CUSTOM="--utilisation 0.5 --policy edf --reexec 2 --targets 1e-4,1e-6 --pfail 2e-4 \
+  --mechanism rw --line 32 --fault-rate 2e-4 --clock-mhz 200 --rep-target 1e-8"
+"$TOOL" sched analyze $SPEC $CUSTOM > "$WORK/custom.out" 2> /dev/null \
+  || fail "custom-spec analyze failed"
+custom_digest=$(awk '/^digest/ { print $3 }' "$WORK/custom.out")
+[ -n "$custom_digest" ] || fail "no custom campaign digest reported"
+[ "$custom_digest" != "$digest" ] || fail "custom options did not change the campaign"
+"$TOOL" client -s "$SOCK" sched $SPEC $CUSTOM > "$WORK/svc3.out" \
+  || fail "daemon custom sched failed"
+svc_digest3=$(awk '/^digest/ { print $3 }' "$WORK/svc3.out")
+[ "$svc_digest3" = "$custom_digest" ] \
+  || fail "daemon custom digest $svc_digest3 != CLI digest $custom_digest"
 kill -TERM "$SRV_PID"
 set +e
 wait "$SRV_PID"

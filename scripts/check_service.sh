@@ -8,6 +8,9 @@
 #      then the same benchmark at a second      -> computed (stats delta
 #      geometry                                    1), pWCET line equal to
 #                                                  a direct `analyze`
+#      then with --mechanism srb                -> reply names srb, pWCET
+#                                                  line equal to the direct
+#                                                  SRB line
 #   3. 6 concurrent identical requests          -> exactly 1 computation
 #      (client --bench + --delay-ms)               (stats delta)
 #   4. SIGTERM                                  -> exit 130, socket file
@@ -74,6 +77,16 @@ grep "pWCET" "$WORK/geo2.out" > "$WORK/geo2.pwcet"
 cmp -s "$WORK/direct2.pwcet" "$WORK/geo2.pwcet" \
   || fail "second-geometry pWCET differs from direct analyze"
 
+# --mechanism reaches the analyze op: the reply is for SRB, not for the
+# unprotected cache, and matches the direct pipeline's SRB line.
+"$TOOL" client -s "$SOCK" analyze crc $GEOM2 --mechanism srb > "$WORK/srb.out" \
+  || fail "SRB analyze failed"
+grep -q "^mechanism      : srb$" "$WORK/srb.out" || fail "--mechanism srb was not applied"
+grep "^shared reliable buffer" "$WORK/direct2.out" | sed 's/.*pWCET/pWCET/' > "$WORK/direct_srb.pwcet"
+grep "pWCET" "$WORK/srb.out" > "$WORK/srb.pwcet"
+[ -s "$WORK/direct_srb.pwcet" ] || fail "no SRB pWCET line in direct analyze output"
+cmp -s "$WORK/direct_srb.pwcet" "$WORK/srb.pwcet" || fail "SRB pWCET differs from direct analyze"
+
 # --- 3. concurrent identical requests -> one computation ---------------------
 "$TOOL" client -s "$SOCK" stats > "$WORK/stats0.out" || fail "stats failed"
 "$TOOL" client -s "$SOCK" analyze fibcall $GEOM --pfail 2e-4 --delay-ms 400 \
@@ -104,4 +117,4 @@ set -e
 [ "$status" -eq 1 ] || fail "client against a dead daemon exited $status, want 1"
 grep -q "cannot connect" "$WORK/dead.err" || fail "no connection diagnostic"
 
-echo "check_service: OK (serve/ping/warm-repeat/geometry/dedup/SIGTERM/verify all clean)"
+echo "check_service: OK (serve/ping/warm-repeat/geometry/mechanism/dedup/SIGTERM/verify all clean)"

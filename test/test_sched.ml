@@ -323,6 +323,21 @@ let test_campaign_montecarlo_bounds () =
     Alcotest.(check int) "samples" 2000 mc.Sched.Montecarlo.samples;
     Alcotest.(check bool) "analytic bounds empirical" true mc.Sched.Montecarlo.pass
 
+(* The spec's range checks are the request vocabulary's: every target
+   strictly inside (0, 1), as on the CLI and the wire, so a target of
+   1.0 is refused; a zero fault rate is allowed; an omitted field takes
+   [C.default] and an empty benchmark list means the whole registry. *)
+let test_campaign_spec_validation () =
+  let rejected name r = Alcotest.(check bool) name true (Result.is_error r) in
+  rejected "target 1.0" (C.make ~targets:[ 1.0 ] ());
+  rejected "target 0" (C.make ~targets:[ 1e-3; 0.0 ] ());
+  rejected "no targets" (C.make ~targets:[] ());
+  rejected "fault rate 1" (C.make ~fault_rate:1.0 ());
+  rejected "geometry 3x4" (C.make ~sets:3 ());
+  Alcotest.(check bool) "fault rate 0" true (Result.is_ok (C.make ~fault_rate:0.0 ()));
+  Alcotest.(check bool) "defaults" true (C.make () = Ok C.default);
+  Alcotest.(check bool) "empty benchmarks = registry" true (C.make ~benchmarks:[] () = Ok C.default)
+
 let () =
   Alcotest.run "sched"
     [ ("uunifast", uunifast_props
@@ -345,5 +360,6 @@ let () =
         ; Alcotest.test_case "wire round trip" `Quick test_campaign_wire_roundtrip
         ; Alcotest.test_case "skip and on_result" `Quick test_campaign_skip_on_result
         ; Alcotest.test_case "monte-carlo bounds" `Quick test_campaign_montecarlo_bounds
+        ; Alcotest.test_case "spec validation" `Quick test_campaign_spec_validation
         ] )
     ]

@@ -179,7 +179,7 @@ let legacy_analyze =
 
 let legacy_grid =
   { (Protocol.default_grid ~benchmarks:[ "fibcall" ]) with
-    Protocol.g_geometries = [ (8, 2, 16) ];
+    Protocol.g_geometries = [ Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () ];
     g_pfails = [ 1e-4 ] }
 
 (* Both old forms decode to the request without the field. *)
@@ -196,20 +196,20 @@ let test_protocol_legacy_impl () =
 
 let test_protocol_sched_roundtrip () =
   let reqs =
-    [ Protocol.Sched Protocol.default_sched;
+    [ Protocol.Sched Sched.Campaign.default;
       Protocol.Sched
-        { Protocol.default_sched with
-          Protocol.count = 1000;
+        { Sched.Campaign.default with
+          Sched.Campaign.count = 1000;
           n_tasks = 6;
           utilisation = 1.8;
           policy = Sched.Analysis.Edf;
-          reexec = 2;
+          reexec_budget = 2;
           k_max = 5;
           targets = [ 1e-3; 1e-6 ];
-          s_pfail = 1e-5;
-          s_mechanism = Pwcet.Mechanism.Reliable_way;
-          s_sets = 8;
-          s_ways = 2;
+          pfail = 1e-5;
+          mechanism = Pwcet.Mechanism.Reliable_way;
+          sets = 8;
+          ways = 2;
           benchmarks = [ "fibcall"; "bs" ] } ]
   in
   List.iter
@@ -240,7 +240,7 @@ let test_protocol_sched_roundtrip () =
       "{\"op\":\"sched\",\"targets\":[0.5,2.0]}" ];
   (* A minimal sched request takes the campaign defaults. *)
   match Protocol.request_of_string "{\"op\":\"sched\"}" with
-  | Ok (Protocol.Sched s) -> check "default sched" true (s = Protocol.default_sched)
+  | Ok (Protocol.Sched s) -> check "default sched" true (s = Sched.Campaign.default)
   | Ok _ | Error _ -> Alcotest.fail "minimal sched request rejected"
 
 let test_protocol_validation () =
@@ -268,6 +268,72 @@ let test_protocol_validation () =
   | Ok (Protocol.Analyze a) ->
     check "default analyze" true (a = Protocol.default_analyze ~bench:"crc")
   | Ok _ | Error _ -> Alcotest.fail "minimal analyze request rejected"
+
+(* The wire form of each request kind, byte for byte: deployed clients
+   and the daemon's dedup keys depend on these bytes, so a change to a
+   request type must leave them alone. Each request must encode to its
+   literal and decode back to itself. *)
+let test_protocol_wire_bytes () =
+  let config sets ways line_bytes = Cache.Config.make ~sets ~ways ~line_bytes () in
+  let campaign = function Ok spec -> spec | Error e -> Alcotest.failf "campaign: %s" e in
+  let cases =
+    [ ( "analyze default",
+        Protocol.Analyze (Protocol.default_analyze ~bench:"crc"),
+        
+        "{\"op\":\"analyze\",\"bench\":\"crc\",\"pfail\":0.0001,\"target\":1.0000000000000001e-15,\"mechanism\":\"none\",\"sets\":16,\"ways\":4,\"line\":16,\"engine\":\"path\",\"exact\":false}" );
+      ( "analyze custom",
+        Protocol.Analyze
+          { (Protocol.default_analyze ~bench:"adpcm") with
+            Protocol.pfail = 1e-6;
+            target = 1e-12;
+            mechanism = Pwcet.Mechanism.Reliable_way;
+            sets = 32;
+            ways = 2;
+            line = 32;
+            engine = `Ilp;
+            exact = true;
+            timeout_ms = Some 250;
+            delay_ms = 10 },
+        
+        "{\"op\":\"analyze\",\"bench\":\"adpcm\",\"pfail\":9.9999999999999995e-07,\"target\":9.9999999999999998e-13,\"mechanism\":\"rw\",\"sets\":32,\"ways\":2,\"line\":32,\"engine\":\"ilp\",\"exact\":true,\"timeout_ms\":250,\"delay_ms\":10}" );
+      ( "sched CLI default",
+        Protocol.Sched (campaign (Sched.Campaign.make ())),
+        
+        "{\"op\":\"sched\",\"count\":100,\"n_tasks\":4,\"utilisation\":0.59999999999999998,\"seed\":42,\"policy\":\"rm\",\"reexec\":1,\"k_max\":3,\"targets\":[0.001,1.0000000000000001e-05,9.9999999999999995e-08,1.0000000000000001e-09],\"pfail\":0.0001,\"mechanism\":\"srb\",\"sets\":16,\"ways\":4,\"line\":16,\"fault_rate\":0.0001,\"clock_mhz\":100.0,\"rep_target\":1.0000000000000001e-09,\"max_points\":512,\"benchmarks\":[\"adpcm\",\"bs\",\"bsort100\",\"cnt\",\"cover\",\"crc\",\"edn\",\"expint\",\"fdct\",\"fft\",\"fibcall\",\"fir\",\"insertsort\",\"jfdctint\",\"lcdnum\",\"ludcmp\",\"matmult\",\"minver\",\"ns\",\"nsichneu\",\"prime\",\"qurt\",\"select\",\"statemate\",\"ud\"]}" );
+      ( "sched custom",
+        Protocol.Sched
+          (campaign
+             (Sched.Campaign.make ~count:1000 ~n_tasks:6 ~utilisation:1.8 ~seed:7
+                ~policy:Sched.Analysis.Edf ~reexec_budget:2 ~k_max:5 ~targets:[ 1e-3; 1e-6 ]
+                ~pfail:1e-5 ~mechanism:Pwcet.Mechanism.Reliable_way ~sets:8 ~ways:2 ~line:32
+                ~fault_rate:2e-4 ~clock_mhz:200.0 ~rep_target:1e-8 ~max_points:256
+                ~benchmarks:[ "fibcall"; "bs" ] ())),
+        
+        "{\"op\":\"sched\",\"count\":1000,\"n_tasks\":6,\"utilisation\":1.8,\"seed\":7,\"policy\":\"edf\",\"reexec\":2,\"k_max\":5,\"targets\":[0.001,9.9999999999999995e-07],\"pfail\":1.0000000000000001e-05,\"mechanism\":\"rw\",\"sets\":8,\"ways\":2,\"line\":32,\"fault_rate\":0.00020000000000000001,\"clock_mhz\":200.0,\"rep_target\":1e-08,\"max_points\":256,\"benchmarks\":[\"fibcall\",\"bs\"]}" );
+      ( "grid default",
+        Protocol.Grid (Protocol.default_grid ~benchmarks:[ "fibcall" ]),
+        
+        "{\"op\":\"grid\",\"benchmarks\":[\"fibcall\"],\"geometries\":[\"16x4x16\"],\"mechanisms\":[\"none\",\"srb\",\"rw\"],\"pfail_grid\":[9.9999999999999995e-07,1.0000000000000001e-05,0.0001,0.001],\"targets\":[1.0000000000000001e-15],\"engine\":\"path\",\"exact\":false}" );
+      ( "grid custom",
+        Protocol.Grid
+          { Protocol.g_benchmarks = [ "fibcall"; "bs" ];
+            g_geometries = [ config 8 2 16; config 4 4 32 ];
+            g_mechanisms =
+              [ Pwcet.Mechanism.Shared_reliable_buffer; Pwcet.Mechanism.No_protection ];
+            g_pfails = [ 1e-5; 1e-4 ];
+            g_targets = [ 1e-15; 1e-9 ];
+            g_engine = `Ilp;
+            g_exact = true },
+        
+        "{\"op\":\"grid\",\"benchmarks\":[\"fibcall\",\"bs\"],\"geometries\":[\"8x2x16\",\"4x4x32\"],\"mechanisms\":[\"srb\",\"none\"],\"pfail_grid\":[1.0000000000000001e-05,0.0001],\"targets\":[1.0000000000000001e-15,1.0000000000000001e-09],\"engine\":\"ilp\",\"exact\":true}" ) ]
+  in
+  List.iter
+    (fun (name, req, wire) ->
+      check_str (name ^ " bytes") wire (Protocol.request_to_string req);
+      match Protocol.request_of_string wire with
+      | Ok req' -> check (name ^ " roundtrip") true (req = req')
+      | Error e -> Alcotest.failf "%s decode: %s" name e)
+    cases
 
 (* --- a live in-process daemon ---------------------------------------------- *)
 
@@ -399,12 +465,13 @@ let test_server_bad_requests () =
   with_server (fun socket _scheduler ->
       (* Every entry point that names a registry program answers an
          unknown name with a typed error; analyze and grid share one
-         text, while sched's campaign validation rejects it first. *)
-      let reply req =
+         text, while sched's campaign validation refuses it at decode,
+         like every other invalid campaign field. *)
+      let reply ?(prefix = "") req =
         match Client.request ~socket req with
         | Ok (Protocol.Error_reply msg) ->
           check "names the unknown benchmark" true
-            (String.starts_with ~prefix:"unknown benchmark" msg);
+            (String.starts_with ~prefix:(prefix ^ "unknown benchmark") msg);
           msg
         | _ -> Alcotest.fail "unknown benchmark must yield a typed error"
       in
@@ -416,9 +483,9 @@ let test_server_bad_requests () =
       in
       check_str "analyze and grid share one text" analyze_msg grid_msg;
       ignore
-        (reply
+        (reply ~prefix:"bad request: "
            (Protocol.Sched
-              { Protocol.default_sched with Protocol.benchmarks = [ "no-such-benchmark" ] }));
+              { Sched.Campaign.default with Sched.Campaign.benchmarks = [ "no-such-benchmark" ] }));
       (* A malformed frame payload gets a typed error too, on a fresh
          connection the server keeps serving. *)
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -585,23 +652,14 @@ let test_retry_after_shed () =
    campaign cache without recomputing. *)
 let test_sched_bulk_identity () =
   let sched_req =
-    { Protocol.default_sched with
-      Protocol.count = 4;
-      n_tasks = 2;
-      utilisation = 0.6;
-      seed = 11;
-      s_sets = 8;
-      s_ways = 2;
-      benchmarks = [ "fibcall"; "bs" ] }
-  in
-  let direct =
     match
       Sched.Campaign.make ~count:4 ~n_tasks:2 ~utilisation:0.6 ~seed:11 ~sets:8 ~ways:2
         ~benchmarks:[ "fibcall"; "bs" ] ()
     with
-    | Ok spec -> Sched.Campaign.run ~jobs:1 spec
+    | Ok spec -> spec
     | Error e -> Alcotest.failf "direct spec rejected: %s" e
   in
+  let direct = Sched.Campaign.run ~jobs:1 sched_req in
   with_server (fun socket _scheduler ->
       let ask () =
         match Client.request ~socket (Protocol.Sched sched_req) with
@@ -627,7 +685,7 @@ let test_sched_bulk_identity () =
 let test_grid_bulk_identity () =
   let grid_req =
     { (Protocol.default_grid ~benchmarks:[ "fibcall"; "bs" ]) with
-      Protocol.g_geometries = [ (8, 2, 16) ];
+      Protocol.g_geometries = [ Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () ];
       g_pfails = [ 1e-5; 1e-4 ] }
   in
   (* The request roundtrips the wire unchanged — the dedup key's input
@@ -645,6 +703,7 @@ let test_grid_bulk_identity () =
       "{\"op\":\"grid\",\"benchmarks\":[\"fibcall\"],\"mechanisms\":[]}";
       "{\"op\":\"grid\",\"benchmarks\":[\"fibcall\"],\"mechanisms\":[\"bogus\"]}";
       "{\"op\":\"grid\",\"benchmarks\":[\"fibcall\"],\"geometries\":[\"9q\"]}";
+      "{\"op\":\"grid\",\"benchmarks\":[\"fibcall\"],\"geometries\":[\"3x4\"]}";
       "{\"op\":\"grid\",\"benchmarks\":[\"fibcall\"],\"pfail_grid\":[]}";
       "{\"op\":\"grid\",\"benchmarks\":[\"fibcall\"],\"pfail_grid\":[2.0]}" ];
   let direct =
@@ -1038,6 +1097,7 @@ let () =
         ; Alcotest.test_case "sched roundtrip" `Quick test_protocol_sched_roundtrip
         ; Alcotest.test_case "validation" `Quick test_protocol_validation
         ; Alcotest.test_case "legacy impl field ignored" `Quick test_protocol_legacy_impl
+        ; Alcotest.test_case "wire bytes pinned" `Quick test_protocol_wire_bytes
         ] )
     ; ( "daemon",
         [ Alcotest.test_case "round-trip identity" `Quick test_server_roundtrip_identity
