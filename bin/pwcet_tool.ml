@@ -577,7 +577,8 @@ type evaluation = {
 let ok_cells ev =
   List.filter_map (fun (_, outcome) -> Result.to_option outcome) ev.results
 
-(* Re-run every cell as an independent end-to-end estimate —
+(* Re-run every cell as an independent end-to-end estimate, its law cut
+   as the grid cuts it —
    deliberately WITHOUT the store, so a cached run is checked against
    genuine recomputation — and demand equal fault-free WCET, pbf,
    penalty support, quantiles and provenance. The sharing must be a
@@ -603,7 +604,7 @@ let verify_cells ~jobs ~budget ~verified spec ev =
       let task = task_of point in
       let independent =
         Pwcet.Estimator.estimate task ~pfail:point.Grid.pfail ~mechanism:point.Grid.mechanism
-          ~engine:spec.Grid.engine ~exact:spec.Grid.exact ~jobs ?budget ()
+          ~engine:spec.Grid.engine ~exact:spec.Grid.exact ~jobs ?cut:(Grid.cut spec) ?budget ()
       in
       let est = Hashtbl.find ev.fresh (Grid.point_key point) in
       let same =
@@ -790,6 +791,7 @@ let sweep_cmd =
     Arg.(value & flag
          & info [ "verify" ]
              ~doc:"Cross-check every sweep point against an independent end-to-end estimate \
+                   whose penalty law is cut as the sweep's is \
                    (bit-identical penalty distribution, equal pWCET quantiles, pbf and \
                    degradation provenance); exit 1 on any mismatch.")
   in
@@ -911,6 +913,7 @@ let grid_cmd =
     Arg.(value & flag
          & info [ "verify" ]
              ~doc:"Cross-check every grid cell against an independent end-to-end estimate \
+                   whose penalty law is cut as the grid's is \
                    (bit-identical penalty distribution, equal pWCET quantiles, pbf and \
                    degradation provenance); exit 1 on any mismatch.")
   in
@@ -1193,18 +1196,16 @@ let socket_arg =
 let serve_cmd =
   let run socket domains queue_max task_cache result_cache cache_dir no_cache max_conns
       read_timeout chaos_plan chaos_seed =
-    if queue_max < 0 then begin
-      Printf.eprintf "serve: --queue-max must be non-negative, got %d\n" queue_max;
-      exit exit_invalid_input
-    end;
-    if task_cache < 1 then begin
-      Printf.eprintf "serve: --task-cache must be at least 1, got %d\n" task_cache;
-      exit exit_invalid_input
-    end;
-    if result_cache < 0 then begin
-      Printf.eprintf "serve: --result-cache must be non-negative, got %d\n" result_cache;
-      exit exit_invalid_input
-    end;
+    let setting flag kind v =
+      match Service.Scheduler.check_setting kind v with
+      | Ok v -> v
+      | Error msg ->
+        Printf.eprintf "serve: %s %s\n" flag msg;
+        exit exit_invalid_input
+    in
+    let queue_max = setting "--queue-max" Service.Scheduler.Queue_max queue_max in
+    let task_cache = setting "--task-cache" Service.Scheduler.Task_cache task_cache in
+    let result_cache = setting "--result-cache" Service.Scheduler.Result_cache result_cache in
     (match max_conns with
     | Some n when n < 1 ->
       Printf.eprintf "serve: --max-conns must be at least 1, got %d\n" n;

@@ -17,6 +17,7 @@ type estimate = {
   pbf : float;
   fmm : Fmm.t;
   penalty : Prob.Dist.t;
+  cut : float option;
 }
 
 (* --- artifact-store plumbing --------------------------------------------- *)
@@ -215,36 +216,50 @@ let fmm_grid task ~mechanisms ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?bu
   let tables = hits @ computed in
   List.map (fun m -> (m, snd (List.find (fun (m', _) -> Mechanism.equal m m') tables))) mechanisms
 
-let estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store () =
+(* A cut law keys apart from the whole law of the same point, so a
+   whole-law read can never receive a cut one. *)
+let estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?cut ?budget ?store () =
   let pbf = Fault.Model.pbf_of_config ~pfail task.config in
   let penalty =
     cached ~store ~budget
       ~parts:(fun () ->
         ("artifact", "penalty")
         :: ("pfail", float_key pfail)
-        :: parts ())
+        :: (match cut with Some target -> [ ("cut", float_key target) ] | None -> [])
+        @ parts ())
       ~kind:dist_kind ~version:dist_version ~encode:Prob.Dist.to_wire ~decode:Prob.Dist.of_wire
-      (fun () -> Penalty.total_distribution ~jobs ~fmm ~pbf ())
+      (fun () ->
+        match cut with
+        | Some target -> Penalty.cut_distribution ~jobs ~fmm ~pbf ~target ()
+        | None -> Penalty.total_distribution ~jobs ~fmm ~pbf ())
   in
-  { task; mechanism; pfail; pbf; fmm; penalty }
+  { task; mechanism; pfail; pbf; fmm; penalty; cut }
 
-let estimate task ~pfail ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?budget
+let estimate task ~pfail ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?cut ?budget
     ?store () =
   (* Forced by the first store lookup, if any; local to this call. *)
   let identity = lazy (identity task) in
   let parts () = fmm_parts ~identity:(Lazy.force identity) ~mechanism ~engine ~exact in
   let fmm = compute_fmm task ~parts ~mechanism ~engine ~exact ~jobs ?budget ?store () in
-  estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
+  estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?cut ?budget ?store ()
 
-let estimate_of_fmm task ~fmm ~pfail ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?budget
+let estimate_of_fmm task ~fmm ~pfail ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?cut ?budget
     ?store () =
   let mechanism = Fmm.mechanism fmm in
   let parts () = fmm_parts ~identity:(identity task) ~mechanism ~engine ~exact in
-  estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
+  estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?cut ?budget ?store ()
 
-let pwcet e ~target = e.task.wcet_ff + Prob.Dist.quantile e.penalty ~target
+(* NaN fails [target < cut]; [Dist.quantile] refuses it below. *)
+let pwcet e ~target =
+  (match e.cut with
+   | Some cut when target < cut ->
+     invalid_arg
+       (Printf.sprintf "Estimator.pwcet: target %g is below the cut law's target %g" target cut)
+   | _ -> ());
+  e.task.wcet_ff + Prob.Dist.quantile e.penalty ~target
 
 let exceedance_curve e =
+  if e.cut <> None then invalid_arg "Estimator.exceedance_curve: the law is cut above a quantile";
   List.map (fun (x, p) -> (e.task.wcet_ff + x, p)) (Prob.Dist.exceedance_curve e.penalty)
 
 let fault_free_wcet task = task.wcet_ff

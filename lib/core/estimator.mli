@@ -33,7 +33,13 @@ type estimate = private {
   pfail : float;
   pbf : float;  (** derived block-failure probability (eq. 1) *)
   fmm : Fmm.t;
-  penalty : Prob.Dist.t;  (** total fault-induced penalty distribution *)
+  penalty : Prob.Dist.t;
+      (** total fault-induced penalty distribution, cut above a bound on
+          its quantile when [cut] is set *)
+  cut : float option;
+      (** [Some target]: [penalty] is {!Penalty.cut_distribution} at
+          [target], which answers quantiles at [target] and above only;
+          see {!pwcet} and {!exceedance_curve} *)
 }
 
 val code_version : string
@@ -112,11 +118,19 @@ val estimate :
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?jobs:int ->
+  ?cut:float ->
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
   unit ->
   estimate
-(** [jobs] (default 1) runs the independent per-set FMM analyses and
+(** [cut] builds the penalty law with {!Penalty.cut_distribution} at
+    that target instead of whole: much cheaper for a caller that reads
+    only quantiles at [cut] or above, as {!pwcet} then enforces. Its
+    store key carries [("cut", float_key target)], apart from the whole
+    law's. @raise Invalid_argument when [cut] is negative or not
+    finite.
+
+    [jobs] (default 1) runs the independent per-set FMM analyses and
     penalty-distribution builds on that many OCaml domains; results are
     identical for every value.
     [budget] flows into {!Fmm.compute}; exhaustion loosens FMM cells
@@ -183,6 +197,7 @@ val estimate_of_fmm :
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?jobs:int ->
+  ?cut:float ->
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
   unit ->
@@ -196,10 +211,14 @@ val estimate_of_fmm :
     to that {!estimate} call. *)
 
 val pwcet : estimate -> target:float -> int
-(** pWCET at the target exceedance probability, in cycles. *)
+(** pWCET at the target exceedance probability, in cycles.
+    @raise Invalid_argument when the estimate is cut at a larger target
+    than [target], whose quantile the cut law cannot answer. *)
 
 val exceedance_curve : estimate -> (int * float) list
-(** [(wcet_value, P(WCET >= value))] staircase — Fig. 3's curves. *)
+(** [(wcet_value, P(WCET >= value))] staircase — Fig. 3's curves.
+    @raise Invalid_argument on a cut estimate, whose law stops at the
+    cut. *)
 
 val fault_free_wcet : task -> int
 

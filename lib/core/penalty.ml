@@ -18,7 +18,9 @@ let set_distribution ?pmf ~fmm ~pbf ~set () =
     pmf;
   Prob.Dist.of_points !points
 
-let total_distribution ?max_points ?(jobs = 1) ~fmm ~pbf () =
+(* The active sets grouped by FMM row, in first-seen order, with each
+   group's multiplicity. *)
+let row_groups ~fmm =
   let config = Fmm.config fmm in
   let ways = config.Cache.Config.ways in
   (* Rows are monotone with a zero first column, so a zero last column
@@ -39,7 +41,6 @@ let total_distribution ?max_points ?(jobs = 1) ~fmm ~pbf () =
      squaring, and reduce the per-group results through the pairwise
      tree with per-layer fan-out — ~log-many convolutions where a
      per-set reduction does one per set. *)
-  let pmf = way_pmf ~fmm ~pbf in
   let groups = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
@@ -52,11 +53,52 @@ let total_distribution ?max_points ?(jobs = 1) ~fmm ~pbf () =
         Hashtbl.add groups row count;
         order := (set, count) :: !order)
     active;
+  List.rev_map (fun (set, count) -> (set, !count)) !order
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let popcount words =
+  let rec bits x n = if x = 0 then n else bits (x land (x - 1)) (n + 1) in
+  Array.fold_left (fun n w -> bits w n) 0 words
+
+(* [dst] |= [src] shifted up by [v] bits, on 63-bit words. *)
+let shift_or ~src ~dst v =
+  let q = v / 63 and r = v mod 63 in
+  for i = Array.length dst - 1 downto q do
+    let low = if r > 0 && i - q - 1 >= 0 then src.(i - q - 1) lsr (63 - r) else 0 in
+    dst.(i) <- dst.(i) lor (src.(i - q) lsl r) lor low
+  done
+
+(* The k-fold sums of the support are counted on a bitset over its
+   lattice: [T_0 = {0}], [T_(j+1)] the union of [T_j] shifted by each
+   point's offset from the least. *)
+let power_size ?(max_points = 65536) d k =
+  match List.map fst (Prob.Dist.support d) with
+  | [] -> 0
+  | least :: _ as pens ->
+    let offsets = List.map (fun x -> x - least) pens in
+    let step = List.fold_left gcd 0 offsets in
+    if step = 0 || k = 0 then 1
+    else begin
+      let shifts = List.filter_map (fun o -> if o = 0 then None else Some (o / step)) offsets in
+      let sums = ref (Array.make ((k * List.fold_left max 0 shifts / 63) + 1) 0) in
+      !sums.(0) <- 1;
+      for _ = 1 to k do
+        let next = Array.copy !sums in
+        List.iter (shift_or ~src:!sums ~dst:next) shifts;
+        sums := next
+      done;
+      min max_points (popcount !sums)
+    end
+
+(* [sizes], when given, orders the leaves in place of the powed laws'
+   own sizes. *)
+let reduce ?max_points ?above ?sizes ~jobs ~pmf ~fmm ~pbf groups =
   let powed =
     Parallel.Pool.map ~jobs
       (fun (set, count) ->
-        Prob.Dist.convolve_pow ?max_points (set_distribution ~pmf ~fmm ~pbf ~set ()) !count)
-      (Array.of_list (List.rev !order))
+        Prob.Dist.convolve_pow ?max_points ?above (set_distribution ~pmf ~fmm ~pbf ~set ()) count)
+      (Array.of_list groups)
   in
   (* Leaf order is free (only quantile-level agreement with a per-set
      reduction is promised), and it drives the reduction cost: the
@@ -65,16 +107,70 @@ let total_distribution ?max_points ?(jobs = 1) ~fmm ~pbf () =
      the leaves largest-first clusters the heavy groups into one
      subtree, making every reduction step big x small. Deterministic
      (ties broken by position, independent of [jobs]). *)
-  let decorated = Array.mapi (fun i d -> (i, d)) powed in
+  let size i d = match sizes with Some sizes -> sizes.(i) | None -> Prob.Dist.size d in
+  let decorated = Array.mapi (fun i d -> (i, size i d, d)) powed in
   Array.sort
-    (fun (i, a) (j, b) ->
-      let c = compare (Prob.Dist.size b) (Prob.Dist.size a) in
+    (fun (i, a, _) (j, b, _) ->
+      let c = compare b a in
       if c <> 0 then c else compare i j)
     decorated;
   match
     Parallel.Pool.reduce_pairs ~jobs
-      (fun a b -> Prob.Dist.convolve ?max_points a b)
-      (Array.map snd decorated)
+      (fun a b -> Prob.Dist.convolve ?max_points ?above a b)
+      (Array.map (fun (_, _, d) -> d) decorated)
   with
   | Some d -> d
   | None -> Prob.Dist.point 0
+
+let total_distribution ?max_points ?above ?(jobs = 1) ~fmm ~pbf () =
+  reduce ?max_points ?above ~jobs ~pmf:(way_pmf ~fmm ~pbf) ~fmm ~pbf (row_groups ~fmm)
+
+(* Laws whose whole lattice has at most this many points, counted in
+   miss penalties over the active sets, skip the search and are built
+   whole: a cut saves them next to nothing. Thresholds from 0 to 4,096
+   timed within noise of each other on the 600 grid-pfail laws (release
+   build, 2-core x86-64 host); 16,384 was slower. *)
+let small_lattice = 1024
+
+(* The search for a bound [q] on the quantile at [target]: cut the law
+   above [q] and accept it once its own lumped mass [P(X > q)] is at
+   most [target], which certifies that the quantile is at most [q];
+   otherwise double [q] and cut again. A sum dominates each of its
+   non-negative terms, so the largest per-set quantile is a free lower
+   bound to start from. Once [q] reaches the largest sum nothing is cut
+   and the check passes, so the search ends. Extrapolating the failed
+   pass's [log P(X > x)] between [q/2] and [q] instead of doubling
+   timed within noise of it (EXPERIMENTS.md, tenth performance pass),
+   so the simpler rule stays. *)
+let cut_distribution ?max_points ?(jobs = 1) ~fmm ~pbf ~target () =
+  if not (Float.is_finite target) || target < 0.0 then
+    invalid_arg "Penalty.cut_distribution: target must be finite and non-negative";
+  let pmf = way_pmf ~fmm ~pbf and groups = row_groups ~fmm in
+  let ways = (Fmm.config fmm).Cache.Config.ways in
+  let lattice =
+    List.fold_left (fun acc (set, count) -> acc + (count * Fmm.misses fmm ~set ~faulty:ways)) 0
+      groups
+  in
+  if lattice <= small_lattice then reduce ?max_points ~jobs ~pmf ~fmm ~pbf groups
+  else begin
+    let step = Cache.Config.miss_penalty (Fmm.config fmm) in
+    (* The leaves go in the whole reduction's order, so that every kept
+       point adds the same products in the same order as the whole
+       law's. *)
+    let sizes =
+      Array.of_list
+        (List.map
+           (fun (set, count) ->
+             power_size ?max_points (set_distribution ~pmf ~fmm ~pbf ~set ()) count)
+           groups)
+    in
+    let rec search q =
+      let law = reduce ?max_points ~above:q ~sizes ~jobs ~pmf ~fmm ~pbf groups in
+      if Prob.Dist.exceedance law q <= target then law else search (max (2 * q) (q + step))
+    in
+    search
+      (List.fold_left
+         (fun acc (set, _) ->
+           max acc (Prob.Dist.quantile (set_distribution ~pmf ~fmm ~pbf ~set ()) ~target))
+         0 groups)
+  end

@@ -168,6 +168,10 @@ let digest results =
 
 (* --- the one-pass evaluator --------------------------------------------- *)
 
+(* A cell reads only its quantiles, so its law is cut above a bound on
+   the quantile at its smallest target. *)
+let cut spec = match spec.targets with [] -> None | t :: ts -> Some (List.fold_left min t ts)
+
 (* DAG node values.  Each (benchmark, geometry) panel contributes:
    - one prepare node: CFG, context, CHMC, fault-free WCET (shared by
      every mechanism and pfail at that geometry), the FMM store lookup,
@@ -213,6 +217,7 @@ let run ?(jobs = 1) ?budget ?store ?digest ?skip ?on_cell ?chaos spec =
   List.iter (fun (name, program) -> Hashtbl.replace programs name program) spec.benchmarks;
   let digest = match digest with Some d -> d | None -> program_digests spec in
   let engine = spec.engine and exact = spec.exact in
+  let cut = cut spec in
   (* A panel's nodes are created lazily, only when some cell of that
      panel actually needs computing — a fully replayed panel costs
      nothing.  Returns the assemble node. *)
@@ -296,7 +301,7 @@ let run ?(jobs = 1) ?budget ?store ?digest ?skip ?on_cell ?chaos spec =
                  in
                  let e =
                    Estimator.estimate_of_fmm task ~fmm ~pfail:point.pfail ~engine ~exact ~jobs:1
-                     ?budget ?store ()
+                     ?cut ?budget ?store ()
                  in
                  let cell =
                    {

@@ -16,7 +16,10 @@
        requested mechanisms' maps come from a single pass
        ({!Pwcet.Estimator.fmm_grid} / {!Pwcet.Fmm.compute_multi});}
     {- per (mechanism, pfail) cell only the cheap suffix: binomial
-       reweight, convolution, quantile reads.}}
+       reweight, convolution, quantile reads. A cell reads quantiles
+       only, so its law is cut above a self-certified bound on the
+       quantile at the spec's smallest target ({!cut},
+       {!Pwcet.Penalty.cut_distribution}), never built whole.}}
 
     The per-set FMM rows are DAG nodes of their own (between a panel's
     prepare node and the node assembling its maps), so a lone panel's
@@ -26,7 +29,9 @@
     mode, the grid's only scheduler; results are merged in canonical cell order, so
     the output — and {!digest} — is bit-identical for every [jobs]
     value, and every cell is bit-identical to an independent
-    {!Pwcet.Estimator.estimate} call (pinned by test/test_grid.ml). *)
+    {!Pwcet.Estimator.estimate} call cut the same way (pinned by
+    test/test_grid.ml), whose quantiles equal the whole law's on every
+    grid-pfail law (test/test_dist_engine.ml). *)
 
 type spec = {
   benchmarks : (string * Isa.Program.t) list;  (** resolved by the caller *)
@@ -57,6 +62,10 @@ type cell = {
   rung : Robust.Rung.t;  (** loosest ladder rung anywhere in the cell *)
   degraded : int;  (** non-[Exact] FMM cells behind this estimate *)
 }
+
+val cut : spec -> float option
+(** The target every cell's law is cut at: the smallest of the spec's
+    targets ([None] without targets). *)
 
 val points : spec -> point list
 (** The grid's cells in canonical order — benchmark x geometry x
@@ -93,7 +102,8 @@ val run :
     bit-identical for every value. [skip] short-circuits points whose
     cell is already known (journal replay) — a fully replayed panel
     never even builds its analysis nodes. [on_cell] observes each
-    {e freshly computed} cell, with the estimate it was read from, as it
+    {e freshly computed} cell, with the estimate it was read from (cut
+    at {!cut}), as it
     completes, possibly from a worker domain and in completion (not
     canonical) order — callers that append to a journal must serialise
     themselves.

@@ -69,7 +69,7 @@ val support : t -> (int * float) list
 val size : t -> int
 val total_mass : t -> float
 
-val convolve : ?max_points:int -> t -> t -> t
+val convolve : ?max_points:int -> ?above:int -> t -> t -> t
 (** Distribution of the sum of two independent variables. When the
     result exceeds [max_points] (default 65536), the lowest-probability
     points are folded into the next higher kept penalty (conservative);
@@ -100,13 +100,29 @@ val convolve : ?max_points:int -> t -> t -> t
     the top penalty plus the [max_points - 1] most probable other
     points (ties broken towards higher penalties), chosen by a
     linear-time radix selection.
+
+    [~above:q] cuts the result above [q]: no sum above [q] is built,
+    and the mass of all of them, [sum_i a_i * P(B > q - x_i)] read from
+    [b]'s exceedance suffix (never [1 - kept]), is lumped onto one
+    point, the first point past [q] of the lattice the sums lie on. It
+    is the last point, so a cap keeps it. Penalties are never negative,
+    so each point at most [q] adds the same products in the same order
+    as the uncut convolution, even when the operands were themselves
+    cut at [q]: where neither caps, those points are bit-identical to
+    the uncut result's, and [P(X > q)] is the lumped mass. Every
+    quantile at most [q] of such a law is the full law's; nothing above
+    [q] can be read from it. When no sum exceeds [q] the result is the
+    uncut one.
     @raise Invalid_argument when [max_points < 1]. *)
 
-val convolve_reference : ?max_points:int -> t -> t -> t
+val convolve_reference : ?max_points:int -> ?above:int -> t -> t -> t
 (** The original hash-table convolution kernel: every product
     accumulated into a hash table keyed by penalty, sorted, then capped
     as {!convolve} caps. The analysis never calls it; it is the oracle
-    the tests hold {!convolve} to, bit for bit.
+    the tests hold {!convolve} to, bit for bit. Cut at [above], it
+    builds every sum and lumps those past [q] by a compensated sum of
+    their probabilities, so its lumped mass agrees with {!convolve}'s to
+    rounding, not bit for bit.
     @raise Invalid_argument when [max_points < 1]. *)
 
 val convolve_all : ?max_points:int -> t list -> t
@@ -119,7 +135,7 @@ val convolve_all : ?max_points:int -> t list -> t
     fold's.
     @raise Invalid_argument when [max_points < 1]. *)
 
-val convolve_pow : ?max_points:int -> t -> int -> t
+val convolve_pow : ?max_points:int -> ?above:int -> t -> int -> t
 (** [convolve_pow d k] is the distribution of the sum of [k] independent
     copies of [d] ([{!point} 0] for [k = 0]), computed with
     exponentiation by squaring: O(log k) convolutions instead of k-1.
@@ -130,7 +146,8 @@ val convolve_pow : ?max_points:int -> t -> int -> t
     coincide. In particular it equals the k-fold left [convolve] fold
     whenever capping never triggers and the probabilities are exactly
     representable (convolution is associative and commutative; see
-    DESIGN.md §7 for the multiset argument).
+    DESIGN.md §7 for the multiset argument). [above] cuts every
+    squaring and product as {!convolve} does.
     @raise Invalid_argument when [k < 0] or [max_points < 1]. *)
 
 (** {2 Exceedance convention}

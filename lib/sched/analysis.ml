@@ -72,8 +72,9 @@ let check_params params =
     invalid_arg "Analysis.analyze: cycles_per_hour must be positive";
   List.iter
     (fun t ->
-      if not (Float.is_finite t) || t <= 0.0 || t > 1.0 then
-        invalid_arg "Analysis.analyze: target outside (0,1]")
+      match Pwcet.Param.probability t with
+      | Ok _ -> ()
+      | Error msg -> invalid_arg ("Analysis.analyze: target " ^ msg))
     params.targets
 
 (* Jobs of task [j] that can execute inside one job window of task [i].

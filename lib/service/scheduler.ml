@@ -103,10 +103,25 @@ type t = {
   mutable rejected_conns : int;
 }
 
+type setting = Queue_max | Task_cache | Result_cache
+
+let check_setting setting v =
+  let least, range =
+    match setting with
+    | Queue_max | Result_cache -> (0, "must be non-negative")
+    | Task_cache -> (1, "must be at least 1")
+  in
+  if v >= least then Ok v else Error (Printf.sprintf "%s, got %d" range v)
+
 let create (config : config) =
-  if config.task_cache_max < 1 then invalid_arg "Scheduler.create: task_cache_max must be at least 1";
-  if config.result_cache_max < 0 then
-    invalid_arg "Scheduler.create: result_cache_max must be non-negative";
+  List.iter
+    (fun (setting, field, v) ->
+      match check_setting setting v with
+      | Ok _ -> ()
+      | Error msg -> invalid_arg (Printf.sprintf "Scheduler.create: %s %s" field msg))
+    [ (Queue_max, "queue_max", config.queue_max);
+      (Task_cache, "task_cache_max", config.task_cache_max);
+      (Result_cache, "result_cache_max", config.result_cache_max) ];
   let results = Memo.create config.result_cache_max in
   { pool =
       Parallel.Workers.create ?chaos:config.chaos ~domains:config.domains

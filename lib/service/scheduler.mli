@@ -52,13 +52,21 @@ val default_config : ?store:Store.Artifact.t -> ?chaos:Chaos.Injector.t -> unit 
 (** Two worker domains, queue bound 64, task cache 32, result cache
     256, no injection. *)
 
+type setting = Queue_max | Task_cache | Result_cache
+(** The range-checked sizes of a {!config}: [queue_max],
+    [task_cache_max] and [result_cache_max]. *)
+
+val check_setting : setting -> int -> (int, string) result
+(** The one range check of each setting: [task_cache_max] at least 1,
+    the others non-negative. The error reads ["must be ..., got v"];
+    {!create} and [pwcet_tool serve] build their messages from it. *)
+
 type t
 
 val create : config -> t
 (** Spawns the worker domains eagerly.
-    @raise Invalid_argument on a non-positive [domains] or
-    [task_cache_max], or a negative [queue_max] or
-    [result_cache_max]. *)
+    @raise Invalid_argument on a non-positive [domains], or a setting
+    outside its {!check_setting} range. *)
 
 val analyze : t -> Protocol.analyze -> Protocol.response
 (** Blocks the calling thread until the result (or shed/error

@@ -4,7 +4,7 @@
 #
 #   1. cold grid with store + JSON, warm rerun -> bit-identical JSON
 #      (the store read-through must be invisible in the results)
-#   2. --verify                                -> every cell equal to an
+#   2. --verify (fibcall, and fft at 32x4)     -> every cell equal to an
 #                                                 independent estimate
 #   3. kill -9 mid-grid (--crash-after)        -> exit 137, no partial
 #                                                 JSON
@@ -50,6 +50,17 @@ cmp -s "$WORK/cold.json" "$WORK/warm.json" || fail "warm JSON differs from cold"
   || fail "--verify found a mismatch"
 grep -q "bit-identical to independent estimates" "$WORK/verify.out" \
   || fail "--verify did not report the cross-check"
+# fibcall's laws are too small to be cut. fft's at 32x4 are cut, and
+# without protection its whole laws reach the convolution cap while
+# its cut laws do not. The digest was taken when grid cells still built
+# whole laws.
+"$TOOL" grid fft --geometries 32x4x16 --mechanisms all --pfail-grid 1e-4,1e-3 --verify \
+  > "$WORK/verify_fft.out" 2> /dev/null || fail "--verify found a mismatch on fft"
+grep -q "bit-identical to independent estimates" "$WORK/verify_fft.out" \
+  || fail "--verify did not report the fft cross-check"
+fft_digest=$(awk '/^digest/ { print $3 }' "$WORK/verify_fft.out")
+[ "$fft_digest" = "1719e6ceb69fed26c3f3da728fc9b39b" ] \
+  || fail "fft 32x4 cut-law digest $fft_digest differs from the whole-law one"
 
 # --- 3+4. kill -9 mid-grid, then resume --------------------------------------
 rm -rf "$CACHE"

@@ -483,6 +483,111 @@ let test_random_lattices =
              = D.support (D.convolve ~max_points a b))
            [ 1; 5; 64; max_int ]))
 
+(* The cut above [q]: with no cap, the points at most [q] of
+   [convolve ~above:q] are those of the cut reference and of the uncut
+   convolution bit for bit, also when an operand is itself cut at [q];
+   the lumped point sits where the reference puts it, with a mass that
+   agrees within 1e-12 relative (plus one subnormal unit per product,
+   which a product that underflowed loses in the reference's sum). The
+   bound ranges from below the least sum to past the largest, and half
+   the time it is a sum itself. *)
+let test_random_cuts =
+  let gen =
+    QCheck2.Gen.(
+      let side =
+        triple
+          (frequency [ (3, int_range 1 40); (1, int_range 41 400) ])
+          (float_range 0.02 1.0) bool
+        >|= fun (k, density, tiny) ->
+        (k, max k (int_of_float (float_of_int k /. density)), tiny)
+      in
+      pair
+        (quad side side (oneofl [ 1; 3; 99 ]) int)
+        (triple side (float_range (-0.1) 1.1) bool))
+  in
+  let print (((n, la, ta), (m, lb, tb), step, seed), ((k, lc, tc), at, on_point)) =
+    Printf.sprintf
+      "a: %d points over %d%s; b: %d points over %d%s; c: %d points over %d%s; step %d; \
+       seed %d; cut at %.3f of the %s"
+      n la (if ta then " tiny" else "") m lb (if tb then " tiny" else "") k lc
+      (if tc then " tiny" else "") step seed at
+      (if on_point then "points of a + b" else "range")
+  in
+  let below q d = List.filter (fun (x, _) -> x <= q) (D.support d) in
+  let above q d = List.filter (fun (x, _) -> x > q) (D.support d) in
+  let mass_agrees ~products merge reference =
+    match (merge, reference) with
+    | [], [] -> true
+    | [ (x, p) ], [ (y, r) ] ->
+      x = y
+      && Float.abs (p -. r)
+         <= (1e-12 *. Float.max p r) +. (float_of_int products *. Float.min_float *. epsilon_float)
+    | _ -> false
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print ~name:"random cuts: merge = cut reference" gen
+       (fun (((n, la, ta), (m, lb, tb), step, seed), ((k, lc, tc), at, on_point)) ->
+         let state = Random.State.make [| seed |] in
+         let a = lattice_dist state ~k:n ~extent:la ~step ~tiny:ta in
+         let b = lattice_dist state ~k:m ~extent:lb ~step ~tiny:tb in
+         let c = lattice_dist state ~k ~extent:lc ~step ~tiny:tc in
+         let max_points = max_int in
+         let whole = D.convolve_reference ~max_points a b in
+         (* A bound on a point of [a + b] puts a sum exactly at it. *)
+         let q =
+           if on_point then begin
+             let points = Array.of_list (D.support whole) in
+             let i = int_of_float (at *. float_of_int (Array.length points)) in
+             fst points.(max 0 (min (Array.length points - 1) i))
+           end
+           else int_of_float (at *. float_of_int (step * (la + lb + lc)))
+         in
+         let cut = D.convolve ~max_points ~above:q a b in
+         let reference = D.convolve_reference ~max_points ~above:q a b in
+         let nested = D.convolve ~max_points ~above:q cut c in
+         let nested_reference = D.convolve_reference ~max_points ~above:q whole c in
+         below q cut = below q reference
+         && below q cut = below q whole
+         && mass_agrees ~products:(n * m) (above q cut) (above q reference)
+         && below q nested = below q (D.convolve_reference ~max_points whole c)
+         && mass_agrees ~products:(n * m * k) (above q nested) (above q nested_reference)))
+
+(* The cut at every bound from below the least sum to the largest, on
+   each kernel branch: every point at most the bound, the lumped
+   point's penalty and (within 1e-12 relative) its mass equal the cut
+   reference's. A bound that is a sum keeps that sum. *)
+let test_cut_every_bound () =
+  let state = Random.State.make [| 307 |] in
+  List.iter
+    (fun (expected, (n, la), (m, lb), step) ->
+      let a = lattice_dist state ~k:n ~extent:la ~step ~tiny:false in
+      let b = lattice_dist state ~k:m ~extent:lb ~step ~tiny:false in
+      Alcotest.(check string) "branch" (branch_name expected) (branch_name (dense_branch a b));
+      let sums = penalties (D.convolve_reference ~max_points:max_int a b) in
+      let bounds =
+        List.sort_uniq compare (List.concat_map (fun x -> [ x - 1; x; x + 1 ]) sums)
+      in
+      List.iter
+        (fun q ->
+          let label = Printf.sprintf "%s, cut above %d" (branch_name expected) q in
+          let merge = D.support (D.convolve ~max_points:max_int ~above:q a b) in
+          let reference = D.support (D.convolve_reference ~max_points:max_int ~above:q a b) in
+          let kept = List.filter (fun (x, _) -> x <= q) in
+          Alcotest.check support (label ^ ": points") (kept reference) (kept merge);
+          match (List.filter (fun (x, _) -> x > q) merge,
+                 List.filter (fun (x, _) -> x > q) reference) with
+          | [], [] -> ()
+          | [ (x, p) ], [ (y, r) ] ->
+            Alcotest.(check int) (label ^ ": lumped point") y x;
+            Alcotest.(check bool) (label ^ ": lumped mass") true
+              (Float.abs (p -. r) <= 1e-12 *. Float.max p r)
+          | _ -> Alcotest.failf "%s: not one lumped point" label)
+        bounds)
+    [ (Heap, (3, 400), (4, 300), 3);
+      (Rows_over_b, (30, 60), (40, 80), 1);
+      (Rows_over_a, (10, 20), (40, 400), 99);
+      (Scatter, (20, 2000), (20, 2000), 1) ]
+
 (* --- windows ------------------------------------------------------------- *)
 
 (* The dense regime walks the sums one window of [window] buckets at a
@@ -997,6 +1102,139 @@ let test_grid_pfail_byte_identity () =
   Alcotest.(check string) "grid-pfail total-distribution digest" grid_pfail_wire_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* --- the cut law ---------------------------------------------------------- *)
+
+(* Every grid-pfail law, whole and cut at 1e-15 as a grid cell with the
+   benchmark's targets cuts it: the 1,800 quantiles at 1e-15, 1e-12 and
+   1e-9 are equal. [check] sees each law's label, whole law and cut
+   law. *)
+let grid_pfail_targets = [ 1e-15; 1e-12; 1e-9 ]
+
+let each_grid_pfail_law check =
+  List.iter
+    (fun (e : Benchmarks.Registry.entry) ->
+      let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
+      List.iter
+        (fun sets ->
+          let config = Cache.Config.make ~sets ~ways:4 ~line_bytes:16 () in
+          let task =
+            Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config ()
+          in
+          List.iter
+            (fun (mechanism, fmm) ->
+              List.iter
+                (fun pfail ->
+                  let pbf = Fault.Model.pbf_of_config ~pfail config in
+                  check
+                    (Printf.sprintf "%s/%s %dx4 %g" e.Benchmarks.Registry.name
+                       (Pwcet.Mechanism.short_name mechanism) sets pfail)
+                    (Pwcet.Penalty.total_distribution ~fmm ~pbf ())
+                    (Pwcet.Penalty.cut_distribution ~fmm ~pbf ~target:1e-15 ()))
+                [ 1e-6; 1e-5; 1e-4; 1e-3 ])
+            (Pwcet.Estimator.fmm_grid task ~mechanisms:Pwcet.Mechanism.all ()))
+        [ 16; 32 ])
+    Benchmarks.Registry.all
+
+let test_grid_pfail_cut_quantiles () =
+  let laws = ref 0 and capped = ref [] and shorter = ref 0 in
+  each_grid_pfail_law (fun label whole cut ->
+      incr laws;
+      if D.size cut = 65536 then capped := label :: !capped;
+      (* Where the whole law never reached the cap, the cut law's points
+         below its last one (the lumped point, if it was cut) are the
+         whole law's bit for bit, and the last one carries the rest of
+         its mass. *)
+      if D.size whole < 65536 then begin
+        let points = D.support cut in
+        let last, lumped = List.nth points (List.length points - 1) in
+        let below, rest = List.partition (fun (x, _) -> x < last) (D.support whole) in
+        if rest <> [ (last, lumped) ] then incr shorter;
+        Alcotest.check support (label ^ " points below the cut") below
+          (List.filter (fun (x, _) -> x < last) points);
+        let tail = Numeric.Kahan.sum_by snd rest in
+        Alcotest.(check bool) (label ^ " lumped mass") true
+          (Float.abs (tail -. lumped) <= 1e-12 *. tail)
+      end;
+      List.iter
+        (fun target ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s quantile at %g" label target)
+            (D.quantile whole ~target) (D.quantile cut ~target))
+        grid_pfail_targets);
+  Alcotest.(check int) "laws" 600 !laws;
+  Alcotest.(check bool) "some uncapped laws were cut" true (!shorter > 100);
+  (* The cut laws that still reach the cap and fold upward. *)
+  List.iter
+    (fun label ->
+      Alcotest.(check bool) (label ^ " cut law at the cap") true (List.mem label !capped))
+    [ "select/none 32x4 0.0001"; "select/none 32x4 0.001" ]
+
+(* [Penalty.power_size] is the size of the uncut power, which orders a
+   cut reduction's leaves as the whole one's: every active set of the
+   registry's 16x4 and 32x4 laws, at several powers. *)
+let test_power_sizes () =
+  List.iter
+    (fun (e : Benchmarks.Registry.entry) ->
+      let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
+      List.iter
+        (fun sets ->
+          let config = Cache.Config.make ~sets ~ways:4 ~line_bytes:16 () in
+          let task =
+            Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config ()
+          in
+          List.iter
+            (fun (mechanism, fmm) ->
+              let pbf = Fault.Model.pbf_of_config ~pfail:1e-4 config in
+              for set = 0 to sets - 1 do
+                if Pwcet.Fmm.misses fmm ~set ~faulty:4 > 0 then begin
+                  let d = Pwcet.Penalty.set_distribution ~fmm ~pbf ~set () in
+                  List.iter
+                    (fun k ->
+                      Alcotest.(check int)
+                        (Printf.sprintf "%s/%s %dx4 set %d power %d" e.Benchmarks.Registry.name
+                           (Pwcet.Mechanism.short_name mechanism) sets set k)
+                        (D.size (D.convolve_pow d k)) (Pwcet.Penalty.power_size d k))
+                    [ 1; 2; 3; 7; sets ]
+                end
+              done)
+            (Pwcet.Estimator.fmm_grid task ~mechanisms:Pwcet.Mechanism.all ()))
+        [ 16; 32 ])
+    Benchmarks.Registry.all;
+  let d = D.of_points [ (0, 0.25); (3, 0.25); (700, 0.5) ] in
+  Alcotest.(check int) "capped power" 64 (Pwcet.Penalty.power_size ~max_points:64 d 40);
+  Alcotest.(check int) "capped power = convolve_pow" (D.size (D.convolve_pow ~max_points:64 d 40))
+    (Pwcet.Penalty.power_size ~max_points:64 d 40);
+  Alcotest.(check int) "point" 1 (Pwcet.Penalty.power_size (D.point 5) 9)
+
+(* A cut estimate answers quantiles at its target and above only:
+   below it, and for the exceedance curve, it raises. *)
+let test_cut_estimate_refusals () =
+  let entry = Option.get (Benchmarks.Registry.find "fibcall") in
+  let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
+  let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
+  let task = Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config () in
+  let mechanism = Pwcet.Mechanism.No_protection in
+  let whole = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism () in
+  let cut = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism ~cut:1e-12 () in
+  List.iter
+    (fun target ->
+      Alcotest.(check int)
+        (Printf.sprintf "pwcet at %g" target)
+        (Pwcet.Estimator.pwcet whole ~target) (Pwcet.Estimator.pwcet cut ~target))
+    [ 1e-12; 1e-9; 1e-6 ];
+  let refuses label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: answered a cut law's query" label
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "pwcet below the cut" (fun () -> Pwcet.Estimator.pwcet cut ~target:1e-15);
+  refuses "exceedance curve" (fun () -> Pwcet.Estimator.exceedance_curve cut);
+  refuses "negative cut" (fun () ->
+      Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism ~cut:(-1.0) ());
+  refuses "NaN cut" (fun () -> Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism ~cut:nan ());
+  Alcotest.(check int) "whole curve" (List.length (D.support whole.Pwcet.Estimator.penalty))
+    (List.length (Pwcet.Estimator.exceedance_curve whole))
+
 (* --- shared-PMF hoist ---------------------------------------------------- *)
 
 let test_shared_pmf_identity () =
@@ -1022,7 +1260,10 @@ let test_shared_pmf_identity () =
 (* A pfail sweep through [Grid.run] (FMM computed once per panel, only
    the reweighting redone per point) must be bit-identical to
    independent estimate calls at each grid point, for every jobs value
-   and mechanism. The estimates are collected through [on_cell]. *)
+   and mechanism. The estimates are collected through [on_cell]. The
+   grid cuts its laws at its smallest target, so its laws are compared
+   with independent estimates cut the same way, and its quantiles with
+   the whole law's too. *)
 let test_sweep_matches_estimates () =
   let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
   let grid = [ 1e-6; 1e-5; 1e-4; 1e-3 ] in
@@ -1058,7 +1299,10 @@ let test_sweep_matches_estimates () =
                 Printf.sprintf "%s/%s pfail %g jobs %d" name
                   (Pwcet.Mechanism.short_name mechanism) pfail jobs
               in
-              let independent = Pwcet.Estimator.estimate task ~pfail ~mechanism ~jobs () in
+              let independent =
+                Pwcet.Estimator.estimate task ~pfail ~mechanism ~jobs ?cut:(Grid.cut spec) ()
+              in
+              let whole = Pwcet.Estimator.estimate task ~pfail ~mechanism ~jobs () in
               Alcotest.(check (float 0.)) (label ^ " pbf")
                 independent.Pwcet.Estimator.pbf est.Pwcet.Estimator.pbf;
               Alcotest.check support (label ^ " penalty")
@@ -1068,7 +1312,7 @@ let test_sweep_matches_estimates () =
                 (fun target ->
                   Alcotest.(check int)
                     (Printf.sprintf "%s pwcet at %g" label target)
-                    (Pwcet.Estimator.pwcet independent ~target)
+                    (Pwcet.Estimator.pwcet whole ~target)
                     (Pwcet.Estimator.pwcet est ~target))
                 quantile_targets)
             outcomes)
@@ -1197,6 +1441,14 @@ let () =
         ; Alcotest.test_case "dense, underflowing products" `Quick test_dense_underflow
         ; Alcotest.test_case "dense, step-99 lattice" `Quick test_dense_lattice
         ; Alcotest.test_case "cap = sort-based oracle" `Quick test_cap_oracle
+        ] )
+    ; ( "cut",
+        [ test_random_cuts
+        ; Alcotest.test_case "every bound, each branch" `Quick test_cut_every_bound
+        ; Alcotest.test_case "grid-pfail cut quantiles = whole" `Quick
+            test_grid_pfail_cut_quantiles
+        ; Alcotest.test_case "power sizes" `Quick test_power_sizes
+        ; Alcotest.test_case "cut estimate refusals" `Quick test_cut_estimate_refusals
         ] )
     ; ( "dense branches",
         [ Alcotest.test_case "rows over a, descending j" `Quick test_rows_over_a

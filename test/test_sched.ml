@@ -220,6 +220,24 @@ let test_expired_budget_degrades () =
         | _ -> false))
     v.A.tasks
 
+(* Targets are probabilities strictly inside (0, 1), as on the command
+   line, the wire and in [Campaign.validate]: a target of 1.0 (or 0, or
+   NaN) is refused before any analysis. *)
+let test_analysis_target_range () =
+  let model =
+    { A.bench = "syn"; utilisation = 0.5; exec = exec_law
+    ; period = 300; p_exec = 0.1; rung = Robust.Rung.Exact }
+  in
+  let with_targets targets = { (params ()) with A.targets } in
+  List.iter
+    (fun target ->
+      match A.analyze ~params:(with_targets [ 1e-3; target ]) ~set_index:0 [| model |] with
+      | _ -> Alcotest.failf "target %g accepted" target
+      | exception Invalid_argument _ -> ())
+    [ 1.0; 0.0; -1e-3; 1.5; nan; infinity ];
+  let v = A.analyze ~params:(with_targets [ 0.5 ]) ~set_index:0 [| model |] in
+  Alcotest.(check int) "a target inside (0, 1) passes" 1 (List.length v.A.passes)
+
 (* --- campaign: determinism, wire, Monte-Carlo ---------------------------- *)
 
 let small_spec =
@@ -351,6 +369,7 @@ let () =
     ; ( "analysis",
         [ Alcotest.test_case "capping conservative" `Quick test_capping_conservative_and_recorded
         ; Alcotest.test_case "expired budget degrades" `Quick test_expired_budget_degrades
+        ; Alcotest.test_case "target range" `Quick test_analysis_target_range
         ] )
     ; ( "campaign",
         [ Alcotest.test_case "jobs determinism" `Quick test_campaign_jobs_deterministic

@@ -346,6 +346,28 @@ let fresh_socket =
 
 (* Start a server on a fresh socket, run [f socket scheduler], always
    shut the server down. [on_ready] gates [f]: no polling races. *)
+(* Each daemon size setting has one range check, which both
+   [Scheduler.create] and [serve] report from. *)
+let test_settings_checked_once () =
+  Alcotest.(check (result int string)) "task cache 0"
+    (Error "must be at least 1, got 0") (Scheduler.check_setting Scheduler.Task_cache 0);
+  Alcotest.(check (result int string)) "queue -1"
+    (Error "must be non-negative, got -1") (Scheduler.check_setting Scheduler.Queue_max (-1));
+  Alcotest.(check (result int string)) "result cache 0" (Ok 0)
+    (Scheduler.check_setting Scheduler.Result_cache 0);
+  let config = Scheduler.default_config () in
+  List.iter
+    (fun (label, config, message) ->
+      match Scheduler.create config with
+      | _ -> Alcotest.failf "%s accepted" label
+      | exception Invalid_argument msg -> Alcotest.(check string) label message msg)
+    [ ( "negative queue", { config with Scheduler.queue_max = -1 },
+        "Scheduler.create: queue_max must be non-negative, got -1" );
+      ( "empty task cache", { config with Scheduler.task_cache_max = 0 },
+        "Scheduler.create: task_cache_max must be at least 1, got 0" );
+      ( "negative result cache", { config with Scheduler.result_cache_max = -2 },
+        "Scheduler.create: result_cache_max must be non-negative, got -2" ) ]
+
 let with_server ?store ?(domains = 2) ?(queue_max = 64) ?(result_cache_max = 64) ?max_conns
     ?read_timeout_s ?chaos f =
   let scheduler =
@@ -1115,6 +1137,7 @@ let () =
         ; Alcotest.test_case "identity_of_digest = identity_of" `Quick test_identity_of_digest
         ; Alcotest.test_case "geometry isolation" `Quick test_geometry_isolation
         ; Alcotest.test_case "legacy impl answered" `Quick test_server_legacy_impl
+        ; Alcotest.test_case "settings checked once" `Quick test_settings_checked_once
         ] )
     ; ( "chaos",
         [ Alcotest.test_case "max-conns typed shedding" `Quick test_max_conns_shedding
