@@ -55,50 +55,19 @@ let row_groups ~fmm =
     active;
   List.rev_map (fun (set, count) -> (set, !count)) !order
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
-let popcount words =
-  let rec bits x n = if x = 0 then n else bits (x land (x - 1)) (n + 1) in
-  Array.fold_left (fun n w -> bits w n) 0 words
-
-(* [dst] |= [src] shifted up by [v] bits, on 63-bit words. *)
-let shift_or ~src ~dst v =
-  let q = v / 63 and r = v mod 63 in
-  for i = Array.length dst - 1 downto q do
-    let low = if r > 0 && i - q - 1 >= 0 then src.(i - q - 1) lsr (63 - r) else 0 in
-    dst.(i) <- dst.(i) lor (src.(i - q) lsl r) lor low
-  done
-
-(* The k-fold sums of the support are counted on a bitset over its
-   lattice: [T_0 = {0}], [T_(j+1)] the union of [T_j] shifted by each
-   point's offset from the least. *)
-let power_size ?(max_points = 65536) d k =
-  match List.map fst (Prob.Dist.support d) with
-  | [] -> 0
-  | least :: _ as pens ->
-    let offsets = List.map (fun x -> x - least) pens in
-    let step = List.fold_left gcd 0 offsets in
-    if step = 0 || k = 0 then 1
-    else begin
-      let shifts = List.filter_map (fun o -> if o = 0 then None else Some (o / step)) offsets in
-      let sums = ref (Array.make ((k * List.fold_left max 0 shifts / 63) + 1) 0) in
-      !sums.(0) <- 1;
-      for _ = 1 to k do
-        let next = Array.copy !sums in
-        List.iter (shift_or ~src:!sums ~dst:next) shifts;
-        sums := next
-      done;
-      min max_points (popcount !sums)
-    end
+(* Each group's distribution with its multiplicity. *)
+let leaves ~fmm ~pbf =
+  let pmf = way_pmf ~fmm ~pbf in
+  Array.of_list
+    (List.map (fun (set, count) -> (set_distribution ~pmf ~fmm ~pbf ~set (), count)) (row_groups ~fmm))
 
 (* [sizes], when given, orders the leaves in place of the powed laws'
    own sizes. *)
-let reduce ?max_points ?above ?sizes ~jobs ~pmf ~fmm ~pbf groups =
+let reduce ?max_points ?above ?sizes ~jobs leaves =
   let powed =
     Parallel.Pool.map ~jobs
-      (fun (set, count) ->
-        Prob.Dist.convolve_pow ?max_points ?above (set_distribution ~pmf ~fmm ~pbf ~set ()) count)
-      (Array.of_list groups)
+      (fun (d, count) -> Prob.Dist.convolve_pow ?max_points ?above d count)
+      leaves
   in
   (* Leaf order is free (only quantile-level agreement with a per-set
      reduction is promised), and it drives the reduction cost: the
@@ -122,15 +91,8 @@ let reduce ?max_points ?above ?sizes ~jobs ~pmf ~fmm ~pbf groups =
   | Some d -> d
   | None -> Prob.Dist.point 0
 
-let total_distribution ?max_points ?above ?(jobs = 1) ~fmm ~pbf () =
-  reduce ?max_points ?above ~jobs ~pmf:(way_pmf ~fmm ~pbf) ~fmm ~pbf (row_groups ~fmm)
-
-(* Laws whose whole lattice has at most this many points, counted in
-   miss penalties over the active sets, skip the search and are built
-   whole: a cut saves them next to nothing. Thresholds from 0 to 4,096
-   timed within noise of each other on the 600 grid-pfail laws (release
-   build, 2-core x86-64 host); 16,384 was slower. *)
-let small_lattice = 1024
+let total_distribution ?max_points ?(jobs = 1) ~fmm ~pbf () =
+  reduce ?max_points ~jobs (leaves ~fmm ~pbf)
 
 (* The search for a bound [q] on the quantile at [target]: cut the law
    above [q] and accept it once its own lumped mass [P(X > q)] is at
@@ -145,32 +107,13 @@ let small_lattice = 1024
 let cut_distribution ?max_points ?(jobs = 1) ~fmm ~pbf ~target () =
   if not (Float.is_finite target) || target < 0.0 then
     invalid_arg "Penalty.cut_distribution: target must be finite and non-negative";
-  let pmf = way_pmf ~fmm ~pbf and groups = row_groups ~fmm in
-  let ways = (Fmm.config fmm).Cache.Config.ways in
-  let lattice =
-    List.fold_left (fun acc (set, count) -> acc + (count * Fmm.misses fmm ~set ~faulty:ways)) 0
-      groups
+  let leaves = leaves ~fmm ~pbf in
+  let step = Cache.Config.miss_penalty (Fmm.config fmm) in
+  (* The leaves go in the whole reduction's order, so that every kept
+     point adds the same products in the same order as the whole law's. *)
+  let sizes = Array.map (fun (d, count) -> Prob.Dist.power_size ?max_points d count) leaves in
+  let rec search q =
+    let law = reduce ?max_points ~above:q ~sizes ~jobs leaves in
+    if Prob.Dist.exceedance law q <= target then law else search (max (2 * q) (q + step))
   in
-  if lattice <= small_lattice then reduce ?max_points ~jobs ~pmf ~fmm ~pbf groups
-  else begin
-    let step = Cache.Config.miss_penalty (Fmm.config fmm) in
-    (* The leaves go in the whole reduction's order, so that every kept
-       point adds the same products in the same order as the whole
-       law's. *)
-    let sizes =
-      Array.of_list
-        (List.map
-           (fun (set, count) ->
-             power_size ?max_points (set_distribution ~pmf ~fmm ~pbf ~set ()) count)
-           groups)
-    in
-    let rec search q =
-      let law = reduce ?max_points ~above:q ~sizes ~jobs ~pmf ~fmm ~pbf groups in
-      if Prob.Dist.exceedance law q <= target then law else search (max (2 * q) (q + step))
-    in
-    search
-      (List.fold_left
-         (fun acc (set, _) ->
-           max acc (Prob.Dist.quantile (set_distribution ~pmf ~fmm ~pbf ~set ()) ~target))
-         0 groups)
-  end
+  search (Array.fold_left (fun acc (d, _) -> max acc (Prob.Dist.quantile d ~target)) 0 leaves)

@@ -19,7 +19,6 @@ val set_distribution :
 
 val total_distribution :
   ?max_points:int ->
-  ?above:int ->
   ?jobs:int ->
   fmm:Fmm.t ->
   pbf:float ->
@@ -39,17 +38,7 @@ val total_distribution :
     pWCET quantiles agree on every registry benchmark with the test
     oracle's one-distribution-per-set reduction over
     {!Prob.Dist.convolve_reference} (pinned by
-    test/test_dist_engine.ml). [above] cuts every convolution above it
-    ({!Prob.Dist.convolve}); it is {!cut_distribution}'s pass. *)
-
-val power_size : ?max_points:int -> Prob.Dist.t -> int -> int
-(** [power_size d k] is [Prob.Dist.size (Prob.Dist.convolve_pow d k)]
-    (both at [max_points], default 65536) without building the power:
-    the number of [k]-fold sums of [d]'s support, at most
-    [max_points]. The kernels keep every sum as a point, and a capped
-    law has exactly [max_points] points, as has every convolution of
-    it. {!cut_distribution} orders its leaves by these sizes, which is
-    the whole reduction's order. *)
+    test/test_dist_engine.ml). *)
 
 val cut_distribution :
   ?max_points:int -> ?jobs:int -> fmm:Fmm.t -> pbf:float -> target:float -> unit -> Prob.Dist.t
@@ -59,9 +48,9 @@ val cut_distribution :
     only once its lumped mass [P(X > q)] is at most [target], so every
     quantile at a target of at least [target] equals the whole law's
     wherever neither caps. [q] starts at the largest per-set quantile
-    and doubles until the check passes. A law whose whole lattice is
-    small (at most 1,024 miss penalties over its active sets) is built
-    whole. Nothing above [q] (an exceedance curve, a quantile at a
-    smaller target) can be read from the result. Deterministic and
-    bit-identical for every [jobs].
+    and doubles until the check passes. The cut reduction's leaves are
+    ordered by their uncut sizes ({!Prob.Dist.power_size}), so its tree
+    has the whole law's shape. Nothing above [q] (an exceedance curve,
+    a quantile at a smaller target) can be read from the result.
+    Deterministic and bit-identical for every [jobs].
     @raise Invalid_argument when [target] is negative or not finite. *)

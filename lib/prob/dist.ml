@@ -861,6 +861,42 @@ let convolve_pow ?max_points ?above d k =
     go d k None
   end
 
+(* [dst] |= [src] shifted up by [v] bits, on 63-bit words. *)
+let shift_or ~src ~dst v =
+  let q = v / 63 and r = v mod 63 in
+  for i = Array.length dst - 1 downto q do
+    let low = if r > 0 && i - q - 1 >= 0 then src.(i - q - 1) lsr (63 - r) else 0 in
+    dst.(i) <- dst.(i) lor (src.(i - q) lsl r) lor low
+  done
+
+let popcount words =
+  let rec bits x n = if x = 0 then n else bits (x land (x - 1)) (n + 1) in
+  Array.fold_left (fun n w -> bits w n) 0 words
+
+(* The [k]-fold sums are counted on a bitset over the support's lattice,
+   in steps from [k] times its least point: [T_0 = {0}], [T_(j+1)] the
+   union of [T_j] shifted by each point's offset from the least. *)
+let power_size ?(max_points = 65536) d k =
+  if k < 0 then invalid_arg "Dist.power_size: negative power";
+  check_max_points "Dist.power_size" max_points;
+  let n = size d in
+  if k = 0 || n = 1 then 1
+  else if n = 0 then 0
+  else begin
+    let step = support_step d.penalties n in
+    let shift i = (d.penalties.(i) - d.penalties.(0)) / step in
+    let sums = ref (Array.make ((k * shift (n - 1) / 63) + 1) 0) in
+    !sums.(0) <- 1;
+    for _ = 1 to k do
+      let next = Array.copy !sums in
+      for i = 1 to n - 1 do
+        shift_or ~src:!sums ~dst:next (shift i)
+      done;
+      sums := next
+    done;
+    min max_points (popcount !sums)
+  end
+
 (* P(X > x): suffix sum of the first support point strictly above x. *)
 let exceedance t x =
   let i = count_upto t.penalties x in

@@ -150,6 +150,15 @@ val convolve_pow : ?max_points:int -> ?above:int -> t -> int -> t
     squaring and product as {!convolve} does.
     @raise Invalid_argument when [k < 0] or [max_points < 1]. *)
 
+val power_size : ?max_points:int -> t -> int -> int
+(** [power_size d k] is [size (convolve_pow ?max_points d k)] without
+    building the power: the number of distinct [k]-fold sums of [d]'s
+    support, at most [max_points] (default 65536). The kernels keep
+    every sum as a point, and a capped law has exactly [max_points]
+    points, as has every convolution of it. A cut reduction orders its
+    leaves by these sizes, so that its tree has the uncut tree's shape.
+    @raise Invalid_argument when [k < 0] or [max_points < 1]. *)
+
 (** {2 Exceedance convention}
 
     Two tail queries coexist and are intentionally distinct:

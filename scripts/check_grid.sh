@@ -50,9 +50,9 @@ cmp -s "$WORK/cold.json" "$WORK/warm.json" || fail "warm JSON differs from cold"
   || fail "--verify found a mismatch"
 grep -q "bit-identical to independent estimates" "$WORK/verify.out" \
   || fail "--verify did not report the cross-check"
-# fibcall's laws are too small to be cut. fft's at 32x4 are cut, and
-# without protection its whole laws reach the convolution cap while
-# its cut laws do not. The digest was taken when grid cells still built
+# fibcall's laws are small. fft's at 32x4 are large, and without
+# protection its whole laws reach the convolution cap while its cut
+# laws do not. The digest was taken when grid cells still built
 # whole laws.
 "$TOOL" grid fft --geometries 32x4x16 --mechanisms all --pfail-grid 1e-4,1e-3 --verify \
   > "$WORK/verify_fft.out" 2> /dev/null || fail "--verify found a mismatch on fft"

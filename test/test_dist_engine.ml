@@ -1169,7 +1169,7 @@ let test_grid_pfail_cut_quantiles () =
       Alcotest.(check bool) (label ^ " cut law at the cap") true (List.mem label !capped))
     [ "select/none 32x4 0.0001"; "select/none 32x4 0.001" ]
 
-(* [Penalty.power_size] is the size of the uncut power, which orders a
+(* [Dist.power_size] is the size of the uncut power, which orders a
    cut reduction's leaves as the whole one's: every active set of the
    registry's 16x4 and 32x4 laws, at several powers. *)
 let test_power_sizes () =
@@ -1193,7 +1193,7 @@ let test_power_sizes () =
                       Alcotest.(check int)
                         (Printf.sprintf "%s/%s %dx4 set %d power %d" e.Benchmarks.Registry.name
                            (Pwcet.Mechanism.short_name mechanism) sets set k)
-                        (D.size (D.convolve_pow d k)) (Pwcet.Penalty.power_size d k))
+                        (D.size (D.convolve_pow d k)) (D.power_size d k))
                     [ 1; 2; 3; 7; sets ]
                 end
               done)
@@ -1201,10 +1201,10 @@ let test_power_sizes () =
         [ 16; 32 ])
     Benchmarks.Registry.all;
   let d = D.of_points [ (0, 0.25); (3, 0.25); (700, 0.5) ] in
-  Alcotest.(check int) "capped power" 64 (Pwcet.Penalty.power_size ~max_points:64 d 40);
+  Alcotest.(check int) "capped power" 64 (D.power_size ~max_points:64 d 40);
   Alcotest.(check int) "capped power = convolve_pow" (D.size (D.convolve_pow ~max_points:64 d 40))
-    (Pwcet.Penalty.power_size ~max_points:64 d 40);
-  Alcotest.(check int) "point" 1 (Pwcet.Penalty.power_size (D.point 5) 9)
+    (D.power_size ~max_points:64 d 40);
+  Alcotest.(check int) "point" 1 (D.power_size (D.point 5) 9)
 
 (* A cut estimate answers quantiles at its target and above only:
    below it, and for the exceedance curve, it raises. *)

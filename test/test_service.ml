@@ -344,8 +344,6 @@ let fresh_socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "pwcet_test_service.%d.%d.sock" (Unix.getpid ()) !counter)
 
-(* Start a server on a fresh socket, run [f socket scheduler], always
-   shut the server down. [on_ready] gates [f]: no polling races. *)
 (* Each daemon size setting has one range check, which both
    [Scheduler.create] and [serve] report from. *)
 let test_settings_checked_once () =
@@ -368,6 +366,8 @@ let test_settings_checked_once () =
       ( "negative result cache", { config with Scheduler.result_cache_max = -2 },
         "Scheduler.create: result_cache_max must be non-negative, got -2" ) ]
 
+(* Start a server on a fresh socket, run [f socket scheduler], always
+   shut the server down. [on_ready] gates [f]: no polling races. *)
 let with_server ?store ?(domains = 2) ?(queue_max = 64) ?(result_cache_max = 64) ?max_conns
     ?read_timeout_s ?chaos f =
   let scheduler =
