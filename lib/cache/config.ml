@@ -37,7 +37,6 @@ let block_of_address t addr = addr / t.line_bytes
 let set_of_block t block = block mod t.sets
 let set_of_address t addr = set_of_block t (block_of_address t addr)
 let miss_penalty t = t.miss_latency - t.hit_latency
-let latency t ~hit = if hit then t.hit_latency else t.miss_latency
 
 let pp fmt t =
   Format.fprintf fmt "%dB %d-way, %d sets x %dB lines (hit %d, miss %d)" (size_bytes t) t.ways

@@ -53,5 +53,4 @@ val miss_penalty : t -> int
 (** Extra cycles a miss costs over a hit ([miss - hit]); the unit of the
     fault-miss-map penalties. *)
 
-val latency : t -> hit:bool -> int
 val pp : Format.formatter -> t -> unit

@@ -40,6 +40,20 @@ val total_distribution :
     {!Prob.Dist.convolve_reference} (pinned by
     test/test_dist_engine.ml). *)
 
+val quantile_bound : fmm:Fmm.t -> pbf:float -> target:float -> int
+(** A Chernoff bound on the quantile at [target] of the exact (never
+    capped) law {!total_distribution} approximates:
+    [min over theta > 0 of (sum_s log M_s(theta) - log target) / theta],
+    rounded up and clamped to the largest sum, where [M_s] is set [s]'s
+    moment generating function, evaluated by log-sum-exp over its at
+    most [W+1] points. Markov's inequality on [e^(theta X)] and the
+    sets' independence give [P(X > q) <= target] in exact arithmetic,
+    so [q] is at least that law's quantile at [target]. The minimum is
+    found by a golden-section search over [log theta] (the bound is
+    quasi-convex in theta); its precision moves only the bound's
+    tightness. {!cut_distribution} starts its search here.
+    @raise Invalid_argument when [target] is negative or not finite. *)
+
 val cut_distribution :
   ?max_points:int -> ?jobs:int -> fmm:Fmm.t -> pbf:float -> target:float -> unit -> Prob.Dist.t
 (** {!total_distribution} cut above a self-certified bound [q] on its
@@ -47,8 +61,10 @@ val cut_distribution :
     convolutions never build a point above [q], and the law is accepted
     only once its lumped mass [P(X > q)] is at most [target], so every
     quantile at a target of at least [target] equals the whole law's
-    wherever neither caps. [q] starts at the largest per-set quantile
-    and doubles until the check passes. The cut reduction's leaves are
+    wherever neither caps. [q] starts at {!quantile_bound}, which the
+    check accepts on the first pass in exact arithmetic; should the
+    float check fail (rounding, or a cut law that reaches the cap), [q]
+    doubles until it passes. The cut reduction's leaves are
     ordered by their uncut sizes ({!Prob.Dist.power_size}), so its tree
     has the whole law's shape. Nothing above [q] (an exceedance curve,
     a quantile at a smaller target) can be read from the result.

@@ -1,7 +1,3 @@
-let fault_map cfg ~pfail state =
-  let pbf = Model.pbf_of_config ~pfail cfg in
-  Cache.Fault_map.sample cfg ~pbf state
-
 let faulty_way_counts (cfg : Cache.Config.t) ~pfail state =
   let ways = cfg.Cache.Config.ways in
   let pbf = Model.pbf_of_config ~pfail cfg in

@@ -38,7 +38,9 @@ let access_block t block =
 
 let access t addr = access_block t (Cache.Config.block_of_address t.cfg addr)
 
-let latency_oracle t addr = Cache.Config.latency t.cfg ~hit:(access t addr)
+let latency (cfg : Cache.Config.t) ~hit = if hit then cfg.hit_latency else cfg.miss_latency
+
+let latency_oracle t addr = latency t.cfg ~hit:(access t addr)
 
 let reset t =
   Array.fill t.stacks 0 (Array.length t.stacks) [];

@@ -18,6 +18,9 @@ val access : t -> int -> bool
 val access_block : t -> int -> bool
 (** Same, taking a memory-block number instead of an address. *)
 
+val latency : Cache.Config.t -> hit:bool -> int
+(** The fetch latency of a hit or a miss under a configuration. *)
+
 val latency_oracle : t -> int -> int
 (** [access] wrapped into a fetch-latency function for
     {!Machine.run}. *)

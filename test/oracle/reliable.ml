@@ -43,7 +43,7 @@ module Srb = struct
     hit
 
   let access t addr = access_block t (Cache.Config.block_of_address t.cfg addr)
-  let latency_oracle t addr = Cache.Config.latency t.cfg ~hit:(access t addr)
+  let latency_oracle t addr = Lru.latency t.cfg ~hit:(access t addr)
 
   let reset t =
     Lru.reset t.cache;

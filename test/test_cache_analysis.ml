@@ -308,7 +308,7 @@ let check_soundness ?(fault_counts = Array.make 16 0) prog =
       ~fetch:(fun addr ->
         let hit = Oracle.Lru.access sim addr in
         bump (if hit then hits else misses) addr;
-        C.latency small_cfg ~hit)
+        Oracle.Lru.latency small_cfg ~hit)
       compiled
   in
   (match result.Oracle.Machine.status with

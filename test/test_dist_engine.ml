@@ -974,32 +974,33 @@ let test_registry_differential () =
 
 (* Random monotone FMM tables drawn from a small row pool, so grouping
    sees plenty of duplicate rows; random pbf. *)
+let random_fmm_tables =
+  QCheck2.Gen.(
+    let row ways =
+      list_size (return ways) (int_bound 40) >|= fun deltas ->
+      let row = Array.make (ways + 1) 0 in
+      List.iteri (fun i d -> row.(i + 1) <- row.(i) + d) deltas;
+      row
+    in
+    int_range 1 4 >>= fun ways ->
+    int_range 0 3 >>= fun pool_bits ->
+    let sets = 8 in
+    list_size (return (1 + pool_bits)) (row ways) >>= fun pool ->
+    list_size (return sets) (int_bound pool_bits) >>= fun picks ->
+    float_range 1e-6 0.5 >|= fun pbf ->
+    let pool = Array.of_list pool in
+    let table = Array.of_list (List.map (fun i -> Array.copy pool.(i)) picks) in
+    (sets, ways, table, pbf))
+
+let fmm_of_table ~sets ~ways table =
+  let config = Cache.Config.make ~sets ~ways ~line_bytes:16 () in
+  Pwcet.Fmm.of_table ~config ~mechanism:Pwcet.Mechanism.No_protection table
+
 let test_random_fmm_differential =
-  let gen =
-    QCheck2.Gen.(
-      let row ways =
-        list_size (return ways) (int_bound 40) >|= fun deltas ->
-        let row = Array.make (ways + 1) 0 in
-        List.iteri (fun i d -> row.(i + 1) <- row.(i) + d) deltas;
-        row
-      in
-      int_range 1 4 >>= fun ways ->
-      int_range 0 3 >>= fun pool_bits ->
-      let sets = 8 in
-      list_size (return (1 + pool_bits)) (row ways) >>= fun pool ->
-      list_size (return sets) (int_bound pool_bits) >>= fun picks ->
-      float_range 1e-6 0.5 >|= fun pbf ->
-      let pool = Array.of_list pool in
-      let table = Array.of_list (List.map (fun i -> Array.copy pool.(i)) picks) in
-      (sets, ways, table, pbf))
-  in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:150 ~name:"random FMM tables: grouped = reference quantiles"
-       gen (fun (sets, ways, table, pbf) ->
-         let config = Cache.Config.make ~sets ~ways ~line_bytes:16 () in
-         let fmm =
-           Pwcet.Fmm.of_table ~config ~mechanism:Pwcet.Mechanism.No_protection table
-         in
+       random_fmm_tables (fun (sets, ways, table, pbf) ->
+         let fmm = fmm_of_table ~sets ~ways table in
          let reference = Oracle.Penalty.total_distribution ~fmm ~pbf () in
          let grouped = Pwcet.Penalty.total_distribution ~fmm ~pbf () in
          Float.abs (D.total_mass reference -. D.total_mass grouped) <= 1e-12
@@ -1104,13 +1105,10 @@ let test_grid_pfail_byte_identity () =
 
 (* --- the cut law ---------------------------------------------------------- *)
 
-(* Every grid-pfail law, whole and cut at 1e-15 as a grid cell with the
-   benchmark's targets cuts it: the 1,800 quantiles at 1e-15, 1e-12 and
-   1e-9 are equal. [check] sees each law's label, whole law and cut
-   law. *)
-let grid_pfail_targets = [ 1e-15; 1e-12; 1e-9 ]
-
-let each_grid_pfail_law check =
+(* Every grid-pfail law's FMM and pbf: the registry at 16x4x16 and
+   32x4x16, three mechanisms, pfail 1e-6, 1e-5, 1e-4 and 1e-3. [check]
+   sees each law's label, FMM and pbf. *)
+let each_grid_pfail_fmm check =
   List.iter
     (fun (e : Benchmarks.Registry.entry) ->
       let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
@@ -1124,16 +1122,27 @@ let each_grid_pfail_law check =
             (fun (mechanism, fmm) ->
               List.iter
                 (fun pfail ->
-                  let pbf = Fault.Model.pbf_of_config ~pfail config in
                   check
                     (Printf.sprintf "%s/%s %dx4 %g" e.Benchmarks.Registry.name
                        (Pwcet.Mechanism.short_name mechanism) sets pfail)
-                    (Pwcet.Penalty.total_distribution ~fmm ~pbf ())
-                    (Pwcet.Penalty.cut_distribution ~fmm ~pbf ~target:1e-15 ()))
+                    fmm
+                    (Fault.Model.pbf_of_config ~pfail config))
                 [ 1e-6; 1e-5; 1e-4; 1e-3 ])
             (Pwcet.Estimator.fmm_grid task ~mechanisms:Pwcet.Mechanism.all ()))
         [ 16; 32 ])
     Benchmarks.Registry.all
+
+(* Every grid-pfail law, whole and cut at 1e-15 as a grid cell with the
+   benchmark's targets cuts it: the 1,800 quantiles at 1e-15, 1e-12 and
+   1e-9 are equal. [check] sees each law's label, whole law and cut
+   law. *)
+let grid_pfail_targets = [ 1e-15; 1e-12; 1e-9 ]
+
+let each_grid_pfail_law check =
+  each_grid_pfail_fmm (fun label fmm pbf ->
+      check label
+        (Pwcet.Penalty.total_distribution ~fmm ~pbf ())
+        (Pwcet.Penalty.cut_distribution ~fmm ~pbf ~target:1e-15 ()))
 
 let test_grid_pfail_cut_quantiles () =
   let laws = ref 0 and capped = ref [] and shorter = ref 0 in
@@ -1168,6 +1177,70 @@ let test_grid_pfail_cut_quantiles () =
     (fun label ->
       Alcotest.(check bool) (label ^ " cut law at the cap") true (List.mem label !capped))
     [ "select/none 32x4 0.0001"; "select/none 32x4 0.001" ]
+
+(* [Penalty.quantile_bound], the cut search's start, is a Chernoff
+   bound: at least the whole law's quantile at its target, on random
+   FMM tables at random pbf and targets (none of these laws reaches the
+   cap, which the guard covers all the same). *)
+let test_random_quantile_bounds =
+  let gen =
+    QCheck2.Gen.(pair random_fmm_tables (float_range 0.0 40.0 >|= fun e -> 0.5 *. exp (-.e)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"random FMM tables: quantile_bound >= quantile" gen
+       (fun ((sets, ways, table, pbf), target) ->
+         let fmm = fmm_of_table ~sets ~ways table in
+         let whole = Pwcet.Penalty.total_distribution ~fmm ~pbf () in
+         D.size whole >= 65536
+         || Pwcet.Penalty.quantile_bound ~fmm ~pbf ~target >= D.quantile whole ~target))
+
+(* The cut law at [quantile_bound], built here as [cut_distribution]'s
+   first pass builds it (the active sets grouped by FMM row in
+   first-seen order, each group's power cut at [q], the powers reduced
+   largest uncut size first), passes the exceedance check on every one
+   of the 600 grid-pfail laws, and is the law [cut_distribution]
+   returns, bit for bit: no law's search makes a second pass. *)
+let first_cut_pass ~fmm ~pbf q =
+  let ways = (Pwcet.Fmm.config fmm).Cache.Config.ways in
+  let rows = Hashtbl.create 16 and order = ref [] in
+  for set = 0 to (Pwcet.Fmm.config fmm).Cache.Config.sets - 1 do
+    if Pwcet.Fmm.misses fmm ~set ~faulty:ways <> 0 then begin
+      let row = Array.init (ways + 1) (fun w -> Pwcet.Fmm.misses fmm ~set ~faulty:w) in
+      match Hashtbl.find_opt rows row with
+      | Some count -> incr count
+      | None ->
+        let count = ref 1 in
+        Hashtbl.add rows row count;
+        order := (set, count) :: !order
+    end
+  done;
+  let leaves =
+    List.rev_map (fun (set, count) -> (Pwcet.Penalty.set_distribution ~fmm ~pbf ~set (), !count))
+      !order
+  in
+  let powers =
+    List.mapi (fun i (d, count) -> (D.power_size d count, i, D.convolve_pow ~above:q d count)) leaves
+  in
+  let sorted = List.sort (fun (a, i, _) (b, j, _) -> compare (b, i) (a, j)) powers in
+  match
+    Parallel.Pool.reduce_pairs ~jobs:1 (D.convolve ~above:q)
+      (Array.of_list (List.map (fun (_, _, d) -> d) sorted))
+  with
+  | Some d -> d
+  | None -> D.point 0
+
+let test_grid_pfail_first_pass () =
+  let laws = ref 0 and accepted = ref 0 in
+  each_grid_pfail_fmm (fun label fmm pbf ->
+      incr laws;
+      let q = Pwcet.Penalty.quantile_bound ~fmm ~pbf ~target:1e-15 in
+      let first = first_cut_pass ~fmm ~pbf q in
+      if D.exceedance first q <= 1e-15 then incr accepted;
+      Alcotest.(check string) (label ^ " the search's law is its first pass")
+        (D.to_wire first)
+        (D.to_wire (Pwcet.Penalty.cut_distribution ~fmm ~pbf ~target:1e-15 ())));
+  Alcotest.(check int) "laws" 600 !laws;
+  Alcotest.(check int) "first passes accepted" 600 !accepted
 
 (* [Dist.power_size] is the size of the uncut power, which orders a
    cut reduction's leaves as the whole one's: every active set of the
@@ -1447,6 +1520,8 @@ let () =
         ; Alcotest.test_case "every bound, each branch" `Quick test_cut_every_bound
         ; Alcotest.test_case "grid-pfail cut quantiles = whole" `Quick
             test_grid_pfail_cut_quantiles
+        ; test_random_quantile_bounds
+        ; Alcotest.test_case "grid-pfail first cut pass" `Quick test_grid_pfail_first_pass
         ; Alcotest.test_case "power sizes" `Quick test_power_sizes
         ; Alcotest.test_case "cut estimate refusals" `Quick test_cut_estimate_refusals
         ] )

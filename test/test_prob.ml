@@ -420,7 +420,7 @@ let test_sampler_statistics () =
 let test_sampler_fault_map_consistency () =
   let cfg = Cache.Config.paper_default in
   let state = Random.State.make [| 12 |] in
-  let fm = Fault.Sampler.fault_map cfg ~pfail:1e-2 state in
+  let fm = Cache.Fault_map.sample cfg ~pbf:(FModel.pbf_of_config ~pfail:1e-2 cfg) state in
   let counts = Cache.Fault_map.faulty_counts fm in
   Alcotest.(check int) "sets" cfg.Cache.Config.sets (Array.length counts);
   Array.iter (fun c -> Alcotest.(check bool) "range" true (c >= 0 && c <= 4)) counts
