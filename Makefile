@@ -96,11 +96,14 @@ release-dist:
 
 # Runtime invariant auditor over the full benchmark registry:
 # per-mechanism structural checks (FMM shape/monotonicity, distribution
-# mass, exceedance-curve shape, mechanism dominance) plus seeded
-# Monte-Carlo fault-injection bound-violation search. Small geometry
-# keeps it fast; drop the overrides for the paper-default 16x4.
+# mass, exceedance-curve shape, support ceiling, mechanism dominance)
+# plus a seeded fault-injection campaign whose fault patterns are timed
+# by trace replay against their own FMM bound. 10,000 patterns per
+# campaign, so that faults are drawn at all at the default pfail; the
+# small geometry keeps it fast; drop the overrides for the
+# paper-default 16x4.
 audit:
-	dune exec bin/pwcet_tool.exe -- audit --sets 8 --ways 2
+	dune exec bin/pwcet_tool.exe -- audit --sets 8 --ways 2 --samples 10000
 
 clean:
 	dune clean

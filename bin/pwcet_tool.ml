@@ -1073,9 +1073,8 @@ let audit_cmd =
     List.iter
       (fun (e : Benchmarks.Registry.entry) ->
         let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
-        let task =
-          Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config ()
-        in
+        let program = compiled.Minic.Compile.program and data = compiled.Minic.Compile.data in
+        let task = Pwcet.Estimator.prepare ~program ~config () in
         let ests =
           List.map
             (fun mech -> (mech, Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~jobs ()))
@@ -1084,7 +1083,9 @@ let audit_cmd =
         let baseline = List.assoc Pwcet.Mechanism.No_protection ests in
         let reports =
           List.map (fun (_, est) -> Pwcet.Audit.check_estimate est) ests
-          @ List.map (fun (_, est) -> Pwcet.Audit.monte_carlo ~samples ~seed est) ests
+          @ List.map
+              (fun (_, est) -> Pwcet.Audit.check_campaign ~program ~data ~samples ~seed ~jobs est)
+              ests
           @ List.filter_map
               (fun (mech, est) ->
                 if Pwcet.Mechanism.equal mech Pwcet.Mechanism.No_protection then None
@@ -1103,15 +1104,19 @@ let audit_cmd =
   in
   let samples_arg =
     Arg.(value & opt int 10
-         & info [ "samples" ] ~docv:"N" ~doc:"Monte-Carlo fault maps per (benchmark, mechanism).")
+         & info [ "samples" ] ~docv:"N" ~doc:"Sampled fault patterns per (benchmark, mechanism).")
   in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed for the fault-injection search.") in
+  let seed_arg =
+    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Seed of the fault-injection campaigns.")
+  in
   Cmd.v
     (cmd_info "audit"
        ~doc:"Run the runtime invariant auditor over the whole benchmark registry: FMM \
-             shape, distribution mass conservation, exceedance monotonicity, mechanism \
-             dominance, and a seeded Monte-Carlo fault-injection bound-violation search. \
-             Exits 1 on any violation.")
+             shape, distribution mass conservation, exceedance monotonicity, the penalty \
+             support ceiling, mechanism dominance, and a seeded fault-injection campaign \
+             (the one validate runs) whose fault patterns are timed by trace replay against \
+             their own FMM bound. Exits 1 on any violation. Results are the same for every \
+             --jobs value.")
     Term.(const run $ pfail_arg $ config_term $ jobs_arg $ samples_arg $ seed_arg)
 
 (* --- cache (artifact-store maintenance) -------------------------------------- *)

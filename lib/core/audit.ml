@@ -121,87 +121,55 @@ let check_dominance ~baseline ~other =
   in
   run "mechanism-dominance" tests
 
-let check_estimate ?label:l e =
-  let what =
-    match l with
-    | Some l -> Some l
-    | None -> Some (Mechanism.short_name e.Estimator.mechanism)
+(* The penalty law cannot reach past every set's worst FMM row at once
+   (eq. 3 removes the all-dead column under RW): its largest support
+   point is at most that ceiling. The cap folds mass upward onto kept
+   points, never past the largest one. *)
+let check_ceiling ?what e =
+  let w = label what in
+  let fmm = e.Estimator.fmm in
+  let ceiling = Fmm.max_penalty_misses fmm * Cache.Config.miss_penalty (Fmm.config fmm) in
+  let top =
+    List.fold_left (fun acc (x, _) -> max acc x) 0 (Prob.Dist.support e.Estimator.penalty)
   in
+  run "ceiling"
+    [
+      ( top <= ceiling,
+        Printf.sprintf "ceiling%s: penalty support reaches %d, above %d" w top ceiling );
+    ]
+
+let what_of ?label e =
+  Some (match label with Some l -> l | None -> Mechanism.short_name e.Estimator.mechanism)
+
+let check_estimate ?label:l e =
+  let what = what_of ?label:l e in
   merge
     [
       check_fmm ?what e.Estimator.fmm;
       check_distribution ?what e.Estimator.penalty;
       check_exceedance_curve ?what (Estimator.exceedance_curve e);
+      check_ceiling ?what e;
     ]
 
-(* Monte-Carlo bound-violation search: draw concrete fault maps from
-   the model (eq. 2), price each one through the FMM, and compare the
-   empirical exceedance frequency against the analytic curve at a few
-   analytic quantiles. The analytic curve upper-bounds the true law, so
-   an empirical frequency above it by more than binomial sampling noise
-   (5 sigma plus discretisation slack) is a soundness violation, not
-   bad luck. Each sampled penalty must also stay under the
-   distribution's support ceiling — a deterministic check. *)
-let monte_carlo ?(samples = 10) ?(seed = 42) e =
-  let task = e.Estimator.task in
-  let config = task.Estimator.config in
-  let ways = config.Cache.Config.ways in
-  let miss_penalty = Cache.Config.miss_penalty config in
-  let rng = Random.State.make [| seed |] in
-  let sample_penalty () =
-    let map = Cache.Fault_map.sample config ~pbf:e.Estimator.pbf rng in
-    let map =
-      (* The RW mechanism's reliable way never holds faulty blocks;
-         masking one way reproduces eq. 3's binomial over W-1 ways. *)
-      match e.Estimator.mechanism with
-      | Mechanism.Reliable_way -> Cache.Fault_map.mask_way map ~way:(ways - 1)
-      | Mechanism.No_protection | Mechanism.Shared_reliable_buffer -> map
-    in
-    let misses = ref 0 in
-    for set = 0 to config.Cache.Config.sets - 1 do
-      misses := !misses + Fmm.misses e.Estimator.fmm ~set ~faulty:(Cache.Fault_map.faulty_in_set map set)
-    done;
-    !misses * miss_penalty
-  in
-  (* Stream the samples: Welford moments plus per-threshold exceedance
-     counters, so the sample count never implies O(samples) live
-     memory — the flags on `pwcet_tool audit` invite millions. *)
-  let ceiling = Fmm.max_penalty_misses e.Estimator.fmm * miss_penalty in
-  let thresholds =
-    List.sort_uniq compare
-      (List.map (fun t -> Prob.Dist.quantile e.Estimator.penalty ~target:t) [ 0.5; 0.1; 0.01 ])
-  in
-  let threshold_arr = Array.of_list thresholds in
-  let exceed_counts = Array.make (Array.length threshold_arr) 0 in
-  let moments = Sim.Welford.create () in
-  let over_ceiling = ref 0 and worst = ref min_int in
-  for _ = 1 to samples do
-    let p = sample_penalty () in
-    Sim.Welford.add moments (float_of_int p);
-    if p > !worst then worst := p;
-    if p > ceiling then incr over_ceiling;
-    Array.iteri (fun i x -> if p > x then exceed_counts.(i) <- exceed_counts.(i) + 1) threshold_arr
-  done;
-  let ceiling_test =
-    ( !over_ceiling = 0,
-      Printf.sprintf
-        "monte-carlo: %d of %d sampled penalties exceed support ceiling %d (max %d, mean %.1f)"
-        !over_ceiling samples ceiling !worst (Sim.Welford.mean moments) )
-  in
-  let n = float_of_int samples in
-  let tail_tests =
-    List.mapi
-      (fun i x ->
-        let analytic = Prob.Dist.exceedance e.Estimator.penalty x in
-        let empirical = float_of_int exceed_counts.(i) /. n in
-        let noise = (5.0 *. sqrt (Float.max analytic (1.0 /. n) /. n)) +. (1.0 /. n) in
-        ( empirical <= analytic +. noise,
-          Printf.sprintf
-            "monte-carlo: empirical P(X > %d) = %.3g exceeds analytic %.3g + noise %.3g" x
-            empirical analytic noise ))
-      thresholds
-  in
-  run "monte-carlo" (ceiling_test :: tail_tests)
+(* Fault injection: the validate campaign draws fault patterns from the
+   estimate's law and times each by trace replay, so an FMM that
+   under-counts some set's fault misses shows up as a sample above its
+   own per-pattern bound, and an unsound law as an empirical exceedance
+   above the analytic curve past sampling noise. *)
+let check_campaign ?label:l ~program ~data ~samples ~seed ~jobs e =
+  let w = label (what_of ?label:l e) in
+  let c = Validate.check ~program ~data ~est:e ~samples ~seed ~jobs in
+  run "campaign"
+    [
+      ( c.Validate.bound_ok,
+        Printf.sprintf "campaign%s: %d of %d sampled fault patterns exceed their FMM bound" w
+          c.Validate.result.Sim.Campaign.bound_violations samples );
+      ( c.Validate.curve_ok,
+        Printf.sprintf
+          "campaign%s: empirical exceedance above the analytic curve past sampling noise (max \
+           gap %.3g over %d curve points)"
+          w c.Validate.max_gap c.Validate.curve_points );
+    ]
 
 let pp_violation fmt v = Format.fprintf fmt "VIOLATION %s: %s" v.check v.detail
 

@@ -15,10 +15,12 @@
     - {b Mechanism dominance}: RW/SRB exceedance curves lie on or below
       the unprotected baseline at every value (mitigation can only
       remove misses).
-    - {b Monte-Carlo bound search}: concrete fault maps sampled from
-      the model, priced through the FMM, must not empirically exceed
-      the analytic exceedance curve beyond sampling noise, nor the
-      distribution's support ceiling.
+    - {b Support ceiling}: the penalty law's largest point is at most
+      every set's worst FMM row at once, times the miss penalty.
+    - {b Fault injection}: fault patterns sampled from the model,
+      timed by trace replay against their own FMM bound ({!Validate}),
+      must each stay under that bound, and their empirical exceedance
+      must stay under the analytic curve within sampling noise.
 
     All float comparisons carry small tolerances for compensated-sum
     noise; a reported violation is a real defect, not float wobble. *)
@@ -42,11 +44,24 @@ val check_dominance : baseline:Estimator.estimate -> other:Estimator.estimate ->
 
 val check_estimate : ?label:string -> Estimator.estimate -> report
 (** {!check_fmm} + {!check_distribution} + {!check_exceedance_curve}
-    on one estimate's artefacts. *)
+    + the support ceiling on one estimate's artefacts. *)
 
-val monte_carlo : ?samples:int -> ?seed:int -> Estimator.estimate -> report
-(** Seeded fault-injection search (default 10 samples, seed 42) —
-    deterministic for fixed arguments. *)
+val check_campaign :
+  ?label:string ->
+  program:Isa.Program.t ->
+  data:(int * int) list ->
+  samples:int ->
+  seed:int ->
+  jobs:int ->
+  Estimator.estimate ->
+  report
+(** {!Validate.check} on the estimate's program (which must be the
+    one its task was prepared from, with its initial [data]) as two
+    checks: no sample above its per-pattern FMM bound, and the
+    empirical curve under the analytic one. Deterministic for fixed
+    arguments and the same for every [jobs].
+    @raise Robust.Pwcet_error.Error with [Invalid_input] if the program
+    traps or does not halt. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

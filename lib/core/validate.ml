@@ -25,8 +25,8 @@ let sim_mechanism : Mechanism.t -> Sim.Campaign.mechanism = function
    Both sides use the weak form P(X >= x): the analytic distribution is
    [wcet_ff + penalty], so P(X >= x) = P(penalty > x - 1 - wcet_ff) at
    the integer support (the Audit.check_dominance convention). The
-   empirical frequency is allowed the Monte-Carlo binomial noise slack
-   (5 sigma + 1/n) Audit.monte_carlo already uses. *)
+   empirical frequency is allowed the campaign's binomial noise slack
+   (5 sigma + 1/n, [Sim.Campaign.noise_allowance]). *)
 let compare_curve ~(est : Estimator.estimate) (r : Sim.Campaign.result) =
   let wcet_ff = est.Estimator.task.Estimator.wcet_ff in
   let n = float_of_int r.Sim.Campaign.samples in
@@ -41,7 +41,7 @@ let compare_curve ~(est : Estimator.estimate) (r : Sim.Campaign.result) =
       let x = Sim.Campaign.cycles_of_bucket r d in
       let empirical = float_of_int !above /. n in
       let analytic = Prob.Dist.exceedance est.Estimator.penalty (x - 1 - wcet_ff) in
-      let noise = (5.0 *. sqrt (Float.max analytic (1.0 /. n) /. n)) +. (1.0 /. n) in
+      let noise = Sim.Campaign.noise_allowance ~samples:r.Sim.Campaign.samples analytic in
       incr points;
       let gap = empirical -. analytic in
       if gap > !max_gap then max_gap := gap;

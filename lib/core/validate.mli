@@ -41,9 +41,10 @@ val check :
   campaign_check
 (** Runs one campaign with the estimate's FMM table as per-sample
     bound, and compares curves. The empirical frequency at an observed
-    value may exceed the analytic bound by binomial sampling noise (the
-    [Audit.monte_carlo] 5-sigma convention); anything beyond that fails
-    [curve_ok].
+    value may exceed the analytic bound by binomial sampling noise
+    ([Sim.Campaign.noise_allowance]); anything beyond that fails
+    [curve_ok]. [Audit.check_campaign] turns the result into an audit
+    report.
     @raise Robust.Pwcet_error.Error with [Invalid_input] if the program
     traps or does not halt. *)
 

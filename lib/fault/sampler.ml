@@ -1,20 +1,3 @@
-let faulty_way_counts (cfg : Cache.Config.t) ~pfail state =
-  let ways = cfg.Cache.Config.ways in
-  let pbf = Model.pbf_of_config ~pfail cfg in
-  let pmf = Model.way_distribution ~ways ~pbf in
-  let draw () =
-    let u = Random.State.float state 1.0 in
-    let rec go w acc =
-      if w >= ways then ways
-      else begin
-        let acc = acc +. pmf.(w) in
-        if u < acc then w else go (w + 1) acc
-      end
-    in
-    go 0 0.0
-  in
-  Array.init cfg.Cache.Config.sets (fun _ -> draw ())
-
 let way_cdf ~ways ~pbf ~rw =
   let pmf = if rw then Model.way_distribution_rw ~ways ~pbf else Model.way_distribution ~ways ~pbf in
   let n = Array.length pmf in

@@ -1,11 +1,6 @@
 (** Monte-Carlo sampling of fault configurations, for cross-validating
     the analytic pipeline against concrete simulation. *)
 
-val faulty_way_counts : Cache.Config.t -> pfail:float -> Random.State.t -> int array
-(** Per-set faulty-way counts drawn from the binomial law (eq. 2) by
-    inversion; statistically identical to counting the faulty blocks of
-    a {!Cache.Fault_map.sample} at the [pbf] of [pfail] (eq. 1). *)
-
 val way_cdf : ways:int -> pbf:float -> rw:bool -> float array
 (** Cumulative distribution of the per-set faulty-way count (eq. 2, or
     eq. 3 when [rw]), prepared for inverse-CDF sampling from an

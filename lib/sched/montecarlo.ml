@@ -68,10 +68,7 @@ let run ~seed ~samples ~reexec_budget ~policy ~models ~analytic =
   let rev = ref [] in
   for i = n - 1 downto 0 do
     let empirical = float_of_int misses.(i) /. nf in
-    (* Same 5-sigma convention as Validate/Audit: binomial std-dev at
-       the analytic rate (floored at one observable event) plus a
-       one-event quantisation term. *)
-    let noise = (5.0 *. sqrt (Float.max analytic.(i) (1.0 /. nf) /. nf)) +. (1.0 /. nf) in
+    let noise = Sim.Campaign.noise_allowance ~samples analytic.(i) in
     rev :=
       {
         misses = misses.(i);

@@ -197,28 +197,16 @@ let replay_misses t scratch ~sample ~bound_misses_acc =
   let cdf = t.cdf and table = t.table in
   let stream = Rng.stream ~seed:spec.seed ~sample in
   let misses = ref 0 and dead_n = ref 0 and bacc = ref 0 in
-  (match spec.bound with
-  | None ->
-    for s = 0 to sets - 1 do
-      let f = Fault.Sampler.index_of_u ~cdf (Rng.uniform ~stream ~draw:s) in
-      let c = ways - f in
-      if c = 0 && srb then begin
-        scratch.dead.(!dead_n) <- s;
-        incr dead_n
-      end
-      else misses := !misses + Array.unsafe_get (Array.unsafe_get table s) c
-    done
-  | Some b ->
-    for s = 0 to sets - 1 do
-      let f = Fault.Sampler.index_of_u ~cdf (Rng.uniform ~stream ~draw:s) in
-      bacc := !bacc + b.bound_misses.(s).(f);
-      let c = ways - f in
-      if c = 0 && srb then begin
-        scratch.dead.(!dead_n) <- s;
-        incr dead_n
-      end
-      else misses := !misses + Array.unsafe_get (Array.unsafe_get table s) c
-    done);
+  for s = 0 to sets - 1 do
+    let f = Fault.Sampler.index_of_u ~cdf (Rng.uniform ~stream ~draw:s) in
+    (match spec.bound with Some b -> bacc := !bacc + b.bound_misses.(s).(f) | None -> ());
+    let c = ways - f in
+    if c = 0 && srb then begin
+      scratch.dead.(!dead_n) <- s;
+      incr dead_n
+    end
+    else misses := !misses + Array.unsafe_get (Array.unsafe_get table s) c
+  done;
   bound_misses_acc := !bacc;
   let merged = !dead_n >= 2 in
   if !dead_n = 1 then misses := !misses + t.alone.(scratch.dead.(0))
@@ -369,6 +357,10 @@ let exceedance r x =
     if cycles_of_bucket r d > x then strictly_above := !strictly_above + r.counts.(d)
   done;
   float_of_int !strictly_above /. float_of_int r.samples
+
+let noise_allowance ~samples analytic =
+  let n = float_of_int samples in
+  (5.0 *. sqrt (Float.max analytic (1.0 /. n) /. n)) +. (1.0 /. n)
 
 let digest r =
   let b = Buffer.create ((8 * Array.length r.counts) + 64) in

@@ -93,6 +93,13 @@ val curve : result -> (int * float) list
 val exceedance : result -> int -> float
 (** Strict empirical [P(T > x)]. *)
 
+val noise_allowance : samples:int -> float -> float
+(** [noise_allowance ~samples analytic]: how far an empirical frequency
+    over [samples] trials may lie above the analytic probability
+    [analytic] before it counts as a violation rather than bad luck —
+    five binomial standard deviations at the analytic rate (floored at
+    one observable event) plus one event of quantisation. *)
+
 val digest : result -> string
 (** Hex digest over the histogram, the moment bits and the counters —
     equal digests mean bit-identical campaign results (the determinism

@@ -4,36 +4,38 @@ type t = {
   faulty : bool array array;  (* faulty.(set).(way) *)
 }
 
-let fault_free (cfg : Config.t) =
+let fault_free (cfg : Cache.Config.t) =
   {
-    sets = cfg.Config.sets;
-    ways = cfg.Config.ways;
-    faulty = Array.init cfg.Config.sets (fun _ -> Array.make cfg.Config.ways false);
+    sets = cfg.Cache.Config.sets;
+    ways = cfg.Cache.Config.ways;
+    faulty = Array.init cfg.Cache.Config.sets (fun _ -> Array.make cfg.Cache.Config.ways false);
   }
 
-let of_faulty_counts (cfg : Config.t) counts =
-  if Array.length counts <> cfg.Config.sets then
+let of_faulty_counts (cfg : Cache.Config.t) counts =
+  if Array.length counts <> cfg.Cache.Config.sets then
     invalid_arg "Fault_map.of_faulty_counts: wrong number of sets";
   Array.iter
     (fun c ->
-      if c < 0 || c > cfg.Config.ways then
+      if c < 0 || c > cfg.Cache.Config.ways then
         invalid_arg "Fault_map.of_faulty_counts: count outside [0, ways]")
     counts;
   {
-    sets = cfg.Config.sets;
-    ways = cfg.Config.ways;
-    faulty = Array.init cfg.Config.sets (fun s -> Array.init cfg.Config.ways (fun w -> w < counts.(s)));
+    sets = cfg.Cache.Config.sets;
+    ways = cfg.Cache.Config.ways;
+    faulty =
+      Array.init cfg.Cache.Config.sets (fun s ->
+          Array.init cfg.Cache.Config.ways (fun w -> w < counts.(s)));
   }
 
-let sample (cfg : Config.t) ~pbf state =
+let sample (cfg : Cache.Config.t) ~pbf state =
   if not (Float.is_finite pbf) || pbf < 0.0 || pbf > 1.0 then
     invalid_arg "Fault_map.sample: pbf outside [0,1]";
   {
-    sets = cfg.Config.sets;
-    ways = cfg.Config.ways;
+    sets = cfg.Cache.Config.sets;
+    ways = cfg.Cache.Config.ways;
     faulty =
-      Array.init cfg.Config.sets (fun _ ->
-          Array.init cfg.Config.ways (fun _ -> Random.State.float state 1.0 < pbf));
+      Array.init cfg.Cache.Config.sets (fun _ ->
+          Array.init cfg.Cache.Config.ways (fun _ -> Random.State.float state 1.0 < pbf));
   }
 
 let is_faulty t ~set ~way = t.faulty.(set).(way)
@@ -56,10 +58,3 @@ let mask_way t ~way =
     t with
     faulty = Array.map (fun row -> Array.mapi (fun w f -> if w = way then false else f) row) t.faulty;
   }
-
-let pp fmt t =
-  for s = 0 to t.sets - 1 do
-    Format.fprintf fmt "set %2d: %s@." s
-      (String.concat ""
-         (List.init t.ways (fun w -> if t.faulty.(s).(w) then "X" else ".")))
-  done

@@ -7,10 +7,10 @@ type t = {
 }
 
 let create ?fault_map (cfg : Cache.Config.t) =
-  let fm = match fault_map with Some m -> m | None -> Cache.Fault_map.fault_free cfg in
+  let fm = match fault_map with Some m -> m | None -> Fault_map.fault_free cfg in
   {
     cfg;
-    capacity = Array.init cfg.Cache.Config.sets (Cache.Fault_map.working_in_set fm);
+    capacity = Array.init cfg.Cache.Config.sets (Fault_map.working_in_set fm);
     stacks = Array.make cfg.Cache.Config.sets [];
     hit_count = 0;
     miss_count = 0;

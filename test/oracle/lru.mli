@@ -8,7 +8,7 @@
 
 type t
 
-val create : ?fault_map:Cache.Fault_map.t -> Cache.Config.t -> t
+val create : ?fault_map:Fault_map.t -> Cache.Config.t -> t
 (** Empty (cold) cache; default fault map is fault-free. *)
 
 val access : t -> int -> bool

@@ -1,5 +1,5 @@
 let rw_cache ~fault_map ?(reliable_way = 0) cfg =
-  Lru.create ~fault_map:(Cache.Fault_map.mask_way fault_map ~way:reliable_way) cfg
+  Lru.create ~fault_map:(Fault_map.mask_way fault_map ~way:reliable_way) cfg
 
 module Srb = struct
   type t = {
@@ -18,7 +18,7 @@ module Srb = struct
       cache = Lru.create ~fault_map cfg;
       all_faulty =
         Array.init cfg.Cache.Config.sets (fun s ->
-            Cache.Fault_map.working_in_set fault_map s = 0);
+            Fault_map.working_in_set fault_map s = 0);
       buffer = None;
       srb_refs = 0;
       hit_count = 0;

@@ -134,8 +134,8 @@ let test_wcet_sound_with_faults () =
       let chmc = Cache_analysis.Chmc.analyze ~graph ~loops ~config () in
       let wcet_ff = (Ipet.Wcet.compute ~graph ~loops ~chmc ~config ()).Ipet.Wcet.wcet in
       let penalty = C.miss_penalty config in
-      let fm = Cache.Fault_map.sample config ~pbf:0.25 state in
-      let counts = Cache.Fault_map.faulty_counts fm in
+      let fm = Oracle.Fault_map.sample config ~pbf:0.25 state in
+      let counts = Oracle.Fault_map.faulty_counts fm in
       let bound fmm counts =
         let total = ref wcet_ff in
         Array.iteri
@@ -169,7 +169,7 @@ let test_wcet_sound_with_faults () =
         Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism:Pwcet.Mechanism.Reliable_way ()
       in
       let rw = Oracle.Reliable.rw_cache ~fault_map:fm config in
-      let rw_counts = Cache.Fault_map.faulty_counts (Cache.Fault_map.mask_way fm ~way:0) in
+      let rw_counts = Oracle.Fault_map.faulty_counts (Oracle.Fault_map.mask_way fm ~way:0) in
       let cyc_rw =
         (Oracle.Machine.run_compiled ~fetch:(Oracle.Lru.latency_oracle rw) compiled)
           .Oracle.Machine.cycles

@@ -4,7 +4,7 @@
    curves. *)
 
 module C = Cache.Config
-module FM = Cache.Fault_map
+module FM = Oracle.Fault_map
 module Lru = Oracle.Lru
 module R = Oracle.Reliable
 

@@ -6,7 +6,7 @@ module A = Oracle.Acs
 module Chmc = Cache_analysis.Chmc
 module Srb = Cache_analysis.Srb_analysis
 module C = Cache.Config
-module FM = Cache.Fault_map
+module FM = Oracle.Fault_map
 
 (* --- ACS algebra -------------------------------------------------------- *)
 

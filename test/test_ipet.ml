@@ -185,7 +185,7 @@ let check_decomposition prog fault_counts =
            else acc + (delta_for prog ~set ~working:(config.C.ways - f) * C.miss_penalty config))
          0
   in
-  let fm = Cache.Fault_map.of_faulty_counts config fault_counts in
+  let fm = Oracle.Fault_map.of_faulty_counts config fault_counts in
   let cycles = simulate ~fault_map:fm compiled in
   Alcotest.(check bool)
     (Printf.sprintf "cycles %d <= wcet %d + penalty %d" cycles wcet_ff penalty_bound)

@@ -398,32 +398,53 @@ let test_prob_all_faulty () =
 
 (* --- sampler ----------------------------------------------------------------- *)
 
+(* Mean faulty ways per set over [n] draws of a whole cache's counts. *)
+let mean_faulty_per_set cfg n draw =
+  let total = ref 0 in
+  for _ = 1 to n do
+    Array.iter (fun c -> total := !total + c) (draw ())
+  done;
+  float_of_int !total /. float_of_int (n * cfg.Cache.Config.sets)
+
+(* Per-set faulty-way counts drawn from eq. 2 by inversion, the draw the
+   campaign engine makes from its own uniforms. *)
+let inversion_counts cfg ~pbf state =
+  let cdf = Fault.Sampler.way_cdf ~ways:cfg.Cache.Config.ways ~pbf ~rw:false in
+  Array.init cfg.Cache.Config.sets (fun _ ->
+      Fault.Sampler.index_of_u ~cdf (Random.State.float state 1.0))
+
 let test_sampler_statistics () =
   let cfg = Cache.Config.paper_default in
   let state = Random.State.make [| 11 |] in
   (* Large pfail so counts are non-trivial. *)
-  let pfail = 1e-3 in
-  let pbf = FModel.pbf_of_config ~pfail cfg in
-  let n = 2000 in
-  let total = ref 0 in
-  for _ = 1 to n do
-    let counts = Fault.Sampler.faulty_way_counts cfg ~pfail state in
-    Array.iter (fun c -> total := !total + c) counts
-  done;
-  let mean_per_set = float_of_int !total /. float_of_int (n * cfg.Cache.Config.sets) in
+  let pbf = FModel.pbf_of_config ~pfail:1e-3 cfg in
+  let mean_per_set = mean_faulty_per_set cfg 2000 (fun () -> inversion_counts cfg ~pbf state) in
   let expected = 4.0 *. pbf in
   Alcotest.(check bool)
     (Printf.sprintf "mean %.4f vs expected %.4f" mean_per_set expected)
     true
     (Float.abs (mean_per_set -. expected) < 0.05 *. expected +. 0.01)
 
+(* Counting the faulty blocks of per-block Bernoulli maps (eq. 1) and
+   drawing per-set counts by inversion (eq. 2) are the same law. *)
 let test_sampler_fault_map_consistency () =
   let cfg = Cache.Config.paper_default in
   let state = Random.State.make [| 12 |] in
-  let fm = Cache.Fault_map.sample cfg ~pbf:(FModel.pbf_of_config ~pfail:1e-2 cfg) state in
-  let counts = Cache.Fault_map.faulty_counts fm in
+  let pbf = FModel.pbf_of_config ~pfail:1e-2 cfg in
+  let fm = Oracle.Fault_map.sample cfg ~pbf state in
+  let counts = Oracle.Fault_map.faulty_counts fm in
   Alcotest.(check int) "sets" cfg.Cache.Config.sets (Array.length counts);
-  Array.iter (fun c -> Alcotest.(check bool) "range" true (c >= 0 && c <= 4)) counts
+  Array.iter (fun c -> Alcotest.(check bool) "range" true (c >= 0 && c <= 4)) counts;
+  let n = 2000 in
+  let of_maps =
+    mean_faulty_per_set cfg n (fun () ->
+        Oracle.Fault_map.faulty_counts (Oracle.Fault_map.sample cfg ~pbf state))
+  in
+  let by_inversion = mean_faulty_per_set cfg n (fun () -> inversion_counts cfg ~pbf state) in
+  Alcotest.(check bool)
+    (Printf.sprintf "fault maps %.4f vs inversion %.4f" of_maps by_inversion)
+    true
+    (Float.abs (of_maps -. by_inversion) < 0.05 *. by_inversion)
 
 let () =
   Alcotest.run "prob+fault"

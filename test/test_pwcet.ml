@@ -4,7 +4,7 @@
    soundness of the pWCET bound against concrete faulty execution. *)
 
 module C = Cache.Config
-module FM = Cache.Fault_map
+module FM = Oracle.Fault_map
 module M = Pwcet.Mechanism
 module Fmm = Pwcet.Fmm
 module Est = Pwcet.Estimator

@@ -5,7 +5,7 @@
    exercises CFG shapes the hand-written benchmarks never produce. *)
 
 module C = Cache.Config
-module FM = Cache.Fault_map
+module FM = Oracle.Fault_map
 
 let config = C.paper_default
 

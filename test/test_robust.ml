@@ -203,7 +203,7 @@ let test_nan_rejection () =
   expect_invalid "way_distribution_rw inf" (fun () ->
       Fault.Model.way_distribution_rw ~ways:4 ~pbf:Float.infinity);
   expect_invalid "fault_map sample nan" (fun () ->
-      Cache.Fault_map.sample small_config ~pbf:Float.nan (Random.State.make [| 1 |]))
+      Oracle.Fault_map.sample small_config ~pbf:Float.nan (Random.State.make [| 1 |]))
 
 (* --- FMM provenance and degraded estimates --------------------------------- *)
 
@@ -375,8 +375,13 @@ let starved_estimate_sound =
 
 (* --- auditor ---------------------------------------------------------------- *)
 
+let compiled_of name =
+  let entry = Option.get (Benchmarks.Registry.find name) in
+  let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
+  (compiled.Minic.Compile.program, compiled.Minic.Compile.data)
+
 let test_audit_passes_on_real_estimates () =
-  let program, _, _ = graph_of "fibcall" in
+  let program, data = compiled_of "fibcall" in
   let task = Pwcet.Estimator.prepare ~program ~config:small_config () in
   let ests =
     List.map (fun m -> (m, Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:m ())) M.all
@@ -385,7 +390,9 @@ let test_audit_passes_on_real_estimates () =
   let report =
     Pwcet.Audit.merge
       (List.map (fun (_, e) -> Pwcet.Audit.check_estimate e) ests
-      @ List.map (fun (_, e) -> Pwcet.Audit.monte_carlo ~samples:20 ~seed:7 e) ests
+      @ List.map
+          (fun (_, e) -> Pwcet.Audit.check_campaign ~program ~data ~samples:20 ~seed:7 ~jobs:1 e)
+          ests
       @ List.filter_map
           (fun (m, e) ->
             if M.equal m M.No_protection then None
@@ -395,6 +402,27 @@ let test_audit_passes_on_real_estimates () =
   if not (Pwcet.Audit.ok report) then
     Alcotest.failf "unexpected violations: %s" (Format.asprintf "%a" Pwcet.Audit.pp_report report);
   Alcotest.(check bool) "ran checks" true (report.Pwcet.Audit.checks > 0)
+
+(* An all-zero FMM claims faults never cost a miss. Its law is the
+   point 0, which every structural check accepts, so only fault
+   patterns timed by trace replay can refute it. *)
+let test_audit_flags_unsound_fmm () =
+  let program, data = compiled_of "crc" in
+  let task = Pwcet.Estimator.prepare ~program ~config:small_config () in
+  let sets = small_config.Cache.Config.sets and ways = small_config.Cache.Config.ways in
+  List.iter
+    (fun m ->
+      let fmm =
+        Pwcet.Fmm.of_table ~config:small_config ~mechanism:m
+          (Array.init sets (fun _ -> Array.make (ways + 1) 0))
+      in
+      let e = Pwcet.Estimator.estimate_of_fmm task ~fmm ~pfail:1e-2 () in
+      let what = M.short_name m in
+      Alcotest.(check bool) (what ^ ": structural checks pass") true
+        (Pwcet.Audit.ok (Pwcet.Audit.check_estimate e));
+      let r = Pwcet.Audit.check_campaign ~program ~data ~samples:1000 ~seed:42 ~jobs:1 e in
+      Alcotest.(check bool) (what ^ ": campaign flags the FMM") false (Pwcet.Audit.ok r))
+    M.all
 
 let test_audit_flags_bad_artefacts () =
   let bad_curve = [ (10, 0.5); (20, 0.7); (30, 0.1) ] in
@@ -438,6 +466,7 @@ let () =
         [ wcet_ladder_dominates; fmm_ladder_dominates; starved_estimate_sound ] )
     ; ( "audit",
         [ Alcotest.test_case "real estimates pass" `Quick test_audit_passes_on_real_estimates
+        ; Alcotest.test_case "flags an unsound FMM" `Quick test_audit_flags_unsound_fmm
         ; Alcotest.test_case "bad artefacts flagged" `Quick test_audit_flags_bad_artefacts
         ] )
     ]

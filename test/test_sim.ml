@@ -74,7 +74,7 @@ let mechanism_name = function
 let oracle_cycles ?max_steps compiled config mechanism campaign ~sample =
   let counts = Array.make config.Cfg.sets 0 in
   SimC.sample_faulty_counts campaign ~sample counts;
-  let fault_map = Cache.Fault_map.of_faulty_counts config counts in
+  let fault_map = Oracle.Fault_map.of_faulty_counts config counts in
   let fetch =
     match mechanism with
     | SimC.No_protection | SimC.Reliable_way ->

@@ -4,7 +4,7 @@
    soundness against the concrete SRB simulator. *)
 
 module C = Cache.Config
-module FM = Cache.Fault_map
+module FM = Oracle.Fault_map
 module D = Prob.Dist
 module Chmc = Cache_analysis.Chmc
 module Srb_an = Cache_analysis.Srb_analysis
