@@ -494,7 +494,10 @@ let analyze_cmd =
           (mech, est))
         Pwcet.Mechanism.all
     in
-    report_store_stats store;
+    (* A pWCET alone needs only the law cut at [target]; the curve and
+       the audit read the whole law, which then answers the pWCET too. *)
+    if show_curve || check then
+      List.iter (fun (_, est) -> ignore (Pwcet.Estimator.penalty est)) results;
     List.iter
       (fun (mech, est) ->
         Printf.printf "%-30s pWCET(%g) = %d cycles%s\n" (Pwcet.Mechanism.name mech) target
@@ -504,6 +507,8 @@ let analyze_cmd =
         if show_fmm then
           Format.printf "%a@." Pwcet.Fmm.pp est.Pwcet.Estimator.fmm)
       results;
+    (* After the reads, so that the count includes the penalty laws. *)
+    report_store_stats store;
     if show_curve then begin
       let series =
         List.map
@@ -577,11 +582,14 @@ type evaluation = {
 let ok_cells ev =
   List.filter_map (fun (_, outcome) -> Result.to_option outcome) ev.results
 
-(* Re-run every cell as an independent end-to-end estimate, its law cut
-   as the grid cuts it —
+(* Re-run every cell as an independent end-to-end estimate, its
+   quantiles read as the grid reads them (one law, cut at the smallest
+   target) —
    deliberately WITHOUT the store, so a cached run is checked against
-   genuine recomputation — and demand equal fault-free WCET, pbf,
-   penalty support, quantiles and provenance. The sharing must be a
+   genuine recomputation — and demand equal fault-free WCET, pbf, FMM
+   table, quantiles and provenance. The law is a function of the FMM
+   table and pbf alone, so equal inputs mean an equal law without
+   building a second, whole one. The sharing must be a
    pure refactoring of the computation, never an approximation. *)
 let verify_cells ~jobs ~budget ~verified spec ev =
   let tasks = Hashtbl.create 16 in
@@ -604,17 +612,14 @@ let verify_cells ~jobs ~budget ~verified spec ev =
       let task = task_of point in
       let independent =
         Pwcet.Estimator.estimate task ~pfail:point.Grid.pfail ~mechanism:point.Grid.mechanism
-          ~engine:spec.Grid.engine ~exact:spec.Grid.exact ~jobs ?cut:(Grid.cut spec) ?budget ()
+          ~engine:spec.Grid.engine ~exact:spec.Grid.exact ~jobs ?budget ()
       in
       let est = Hashtbl.find ev.fresh (Grid.point_key point) in
       let same =
         Pwcet.Estimator.fault_free_wcet task = cell.wcet_ff
         && independent.Pwcet.Estimator.pbf = cell.pbf
-        && Prob.Dist.support independent.Pwcet.Estimator.penalty
-           = Prob.Dist.support est.Pwcet.Estimator.penalty
-        && List.for_all
-             (fun (target, q) -> Pwcet.Estimator.pwcet independent ~target = q)
-             cell.pwcets
+        && Pwcet.Fmm.table independent.Pwcet.Estimator.fmm = Pwcet.Fmm.table est.Pwcet.Estimator.fmm
+        && Pwcet.Estimator.pwcets independent ~targets:(List.map fst cell.pwcets) = cell.pwcets
         && Robust.Rung.equal (Pwcet.Estimator.worst_rung independent) cell.rung
       in
       if not same then
@@ -988,14 +993,18 @@ let validate_cmd =
         let program = compiled.Minic.Compile.program in
         let data = compiled.Minic.Compile.data in
         let task = Pwcet.Estimator.prepare ~program ~config () in
+        (* One fetch trace per program, shared by its three campaigns. *)
+        let trace =
+          try Sim.Campaign.trace ~program ~data ~config with
+          | Robust.Pwcet_error.Error (Robust.Pwcet_error.Invalid_input msg) ->
+            Printf.eprintf "%s: %s\n" label msg;
+            exit exit_invalid_input
+        in
         List.iter
           (fun mechanism ->
             let est = Pwcet.Estimator.estimate task ~pfail ~mechanism ~jobs () in
             let c =
-              try Pwcet.Validate.check ~program ~data ~est ~samples ~seed ~jobs with
-              | Robust.Pwcet_error.Error (Robust.Pwcet_error.Invalid_input msg) ->
-                Printf.eprintf "%s: %s\n" label msg;
-                exit exit_invalid_input
+              try Pwcet.Validate.check ~trace ~est ~samples ~seed ~jobs with
               | Failure msg ->
                 Printf.eprintf "%s/%s: campaign failed: %s\n" label
                   (Pwcet.Mechanism.short_name mechanism) msg;
@@ -1075,6 +1084,7 @@ let audit_cmd =
         let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
         let program = compiled.Minic.Compile.program and data = compiled.Minic.Compile.data in
         let task = Pwcet.Estimator.prepare ~program ~config () in
+        let trace = Sim.Campaign.trace ~program ~data ~config in
         let ests =
           List.map
             (fun mech -> (mech, Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~jobs ()))
@@ -1084,7 +1094,7 @@ let audit_cmd =
         let reports =
           List.map (fun (_, est) -> Pwcet.Audit.check_estimate est) ests
           @ List.map
-              (fun (_, est) -> Pwcet.Audit.check_campaign ~program ~data ~samples ~seed ~jobs est)
+              (fun (_, est) -> Pwcet.Audit.check_campaign ~trace ~samples ~seed ~jobs est)
               ests
           @ List.filter_map
               (fun (mech, est) ->
@@ -2042,7 +2052,7 @@ let refined_cmd =
       Pwcet.Srb_refined.compute ~graph:task.Pwcet.Estimator.graph
         ~loops:task.Pwcet.Estimator.loops ~config ~pbf ()
     in
-    let q_srb = ff + Prob.Dist.quantile srb.Pwcet.Estimator.penalty ~target in
+    let q_srb = Pwcet.Estimator.pwcet srb ~target in
     let q_ref = ff + Pwcet.Srb_refined.quantile refined ~target in
     Printf.printf "benchmark            : %s (pfail %g, target %g)\n" name pfail target;
     Printf.printf "fault-free WCET      : %d\n" ff;
@@ -2132,7 +2142,7 @@ let chaos_cmd =
       in
       md5
         (Printf.sprintf "%d|%.17g|%d" ff est.Pwcet.Estimator.pbf
-           (ff + Prob.Dist.quantile est.Pwcet.Estimator.penalty ~target))
+           (Pwcet.Estimator.pwcet est ~target))
     in
     let sweep_of ?store () =
       let spec =

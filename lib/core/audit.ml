@@ -108,7 +108,8 @@ let check_dominance ~baseline ~other =
   in
   let exceed e x =
     (* absolute value x: P(wcet_ff + penalty > x), weak form at support *)
-    Prob.Dist.exceedance e.Estimator.penalty (x - 1 - Estimator.fault_free_wcet e.Estimator.task)
+    Prob.Dist.exceedance (Estimator.penalty e)
+      (x - 1 - Estimator.fault_free_wcet e.Estimator.task)
   in
   let tests =
     List.map
@@ -130,7 +131,7 @@ let check_ceiling ?what e =
   let fmm = e.Estimator.fmm in
   let ceiling = Fmm.max_penalty_misses fmm * Cache.Config.miss_penalty (Fmm.config fmm) in
   let top =
-    List.fold_left (fun acc (x, _) -> max acc x) 0 (Prob.Dist.support e.Estimator.penalty)
+    List.fold_left (fun acc (x, _) -> max acc x) 0 (Prob.Dist.support (Estimator.penalty e))
   in
   run "ceiling"
     [
@@ -146,7 +147,7 @@ let check_estimate ?label:l e =
   merge
     [
       check_fmm ?what e.Estimator.fmm;
-      check_distribution ?what e.Estimator.penalty;
+      check_distribution ?what (Estimator.penalty e);
       check_exceedance_curve ?what (Estimator.exceedance_curve e);
       check_ceiling ?what e;
     ]
@@ -156,9 +157,9 @@ let check_estimate ?label:l e =
    under-counts some set's fault misses shows up as a sample above its
    own per-pattern bound, and an unsound law as an empirical exceedance
    above the analytic curve past sampling noise. *)
-let check_campaign ?label:l ~program ~data ~samples ~seed ~jobs e =
+let check_campaign ?label:l ~trace ~samples ~seed ~jobs e =
   let w = label (what_of ?label:l e) in
-  let c = Validate.check ~program ~data ~est:e ~samples ~seed ~jobs in
+  let c = Validate.check ~trace ~est:e ~samples ~seed ~jobs in
   run "campaign"
     [
       ( c.Validate.bound_ok,

@@ -48,20 +48,17 @@ val check_estimate : ?label:string -> Estimator.estimate -> report
 
 val check_campaign :
   ?label:string ->
-  program:Isa.Program.t ->
-  data:(int * int) list ->
+  trace:Sim.Campaign.trace ->
   samples:int ->
   seed:int ->
   jobs:int ->
   Estimator.estimate ->
   report
-(** {!Validate.check} on the estimate's program (which must be the
-    one its task was prepared from, with its initial [data]) as two
-    checks: no sample above its per-pattern FMM bound, and the
-    empirical curve under the analytic one. Deterministic for fixed
-    arguments and the same for every [jobs].
-    @raise Robust.Pwcet_error.Error with [Invalid_input] if the program
-    traps or does not halt. *)
+(** {!Validate.check} on [trace] (of the estimate's program with its
+    initial data, at the estimate's geometry) as two checks: no sample
+    above its per-pattern FMM bound, and the empirical curve under the
+    analytic one. Deterministic for fixed arguments and the same for
+    every [jobs]. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -16,8 +16,18 @@ type estimate = {
   pfail : float;
   pbf : float;
   fmm : Fmm.t;
-  penalty : Prob.Dist.t;
-  cut : float option;
+  slot : slot;
+}
+
+(* The penalty law an estimate has built so far: a law cut above a bound
+   on its quantile at [target], which answers quantiles at [target] and
+   above, or the whole law, which answers everything. [build] makes
+   either: [Some target] a cut law, [None] the whole one. *)
+and law = Cut of float * Prob.Dist.t | Whole of Prob.Dist.t
+
+and slot = {
+  build : float option -> Prob.Dist.t;
+  law : law option Atomic.t;
 }
 
 (* --- artifact-store plumbing --------------------------------------------- *)
@@ -216,51 +226,94 @@ let fmm_grid task ~mechanisms ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?bu
   let tables = hits @ computed in
   List.map (fun m -> (m, snd (List.find (fun (m', _) -> Mechanism.equal m m') tables))) mechanisms
 
-(* A cut law keys apart from the whole law of the same point, so a
-   whole-law read can never receive a cut one. *)
-let estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?cut ?budget ?store () =
+(* The penalty law is built on first read, not here: a caller that
+   reads quantiles only gets a law cut at its smallest target, one that
+   reads the curve the whole law. A cut law keys apart from the whole
+   law of the same point, so a whole-law read can never receive a cut
+   one. The key's parts are taken now, on the calling domain, so a law
+   built later on another domain forces nothing shared; they are taken
+   whenever there is a store, so every key [cached] makes carries them. *)
+let estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store () =
   let pbf = Fault.Model.pbf_of_config ~pfail task.config in
-  let penalty =
+  let parts = match store with Some _ -> parts () | None -> [] in
+  let build cut =
     cached ~store ~budget
       ~parts:(fun () ->
         ("artifact", "penalty")
         :: ("pfail", float_key pfail)
         :: (match cut with Some target -> [ ("cut", float_key target) ] | None -> [])
-        @ parts ())
+        @ parts)
       ~kind:dist_kind ~version:dist_version ~encode:Prob.Dist.to_wire ~decode:Prob.Dist.of_wire
       (fun () ->
         match cut with
         | Some target -> Penalty.cut_distribution ~jobs ~fmm ~pbf ~target ()
         | None -> Penalty.total_distribution ~jobs ~fmm ~pbf ())
   in
-  { task; mechanism; pfail; pbf; fmm; penalty; cut }
+  { task; mechanism; pfail; pbf; fmm; slot = { build; law = Atomic.make None } }
 
-let estimate task ~pfail ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?cut ?budget
-    ?store () =
+let estimate task ~pfail ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?budget ?store
+    () =
   (* Forced by the first store lookup, if any; local to this call. *)
   let identity = lazy (identity task) in
   let parts () = fmm_parts ~identity:(Lazy.force identity) ~mechanism ~engine ~exact in
   let fmm = compute_fmm task ~parts ~mechanism ~engine ~exact ~jobs ?budget ?store () in
-  estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?cut ?budget ?store ()
+  estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
 
-let estimate_of_fmm task ~fmm ~pfail ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?cut ?budget
+let estimate_of_fmm task ~fmm ~pfail ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?budget
     ?store () =
   let mechanism = Fmm.mechanism fmm in
   let parts () = fmm_parts ~identity:(identity task) ~mechanism ~engine ~exact in
-  estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?cut ?budget ?store ()
+  estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
 
-(* NaN fails [target < cut]; [Dist.quantile] refuses it below. *)
+(* [want] is the law a read needs: [Some target] for a quantile at
+   [target], [None] for the whole law. The slot is filled by
+   compare-and-set, never by [Lazy], which raises when two domains force
+   it at once: domains that miss together each build the law, which is
+   deterministic, so a lost race wastes work and changes nothing. A law
+   replaces the slot's only when it answers more. *)
+let answers law want =
+  match (law, want) with
+  | Whole _, _ -> true
+  | Cut (cut, _), Some target -> cut <= target
+  | Cut _, None -> false
+
+let dist = function Whole d | Cut (_, d) -> d
+
+let law e want =
+  match Atomic.get e.slot.law with
+  | Some held when answers held want -> dist held
+  | _ ->
+    let built =
+      match want with
+      | Some target -> Cut (target, e.slot.build want)
+      | None -> Whole (e.slot.build None)
+    in
+    let rec install () =
+      match Atomic.get e.slot.law with
+      | Some held when answers held want -> ()
+      | held -> if not (Atomic.compare_and_set e.slot.law held (Some built)) then install ()
+    in
+    install ();
+    dist built
+
+let penalty e = law e None
+
+(* A NaN or negative target is refused by [Penalty.cut_distribution] or
+   [Dist.quantile], whichever the read reaches; [Float.min] keeps a NaN
+   among [targets], so it reaches one of them too. *)
 let pwcet e ~target =
-  (match e.cut with
-   | Some cut when target < cut ->
-     invalid_arg
-       (Printf.sprintf "Estimator.pwcet: target %g is below the cut law's target %g" target cut)
-   | _ -> ());
-  e.task.wcet_ff + Prob.Dist.quantile e.penalty ~target
+  e.task.wcet_ff + Prob.Dist.quantile (law e (Some target)) ~target
+
+(* The first read is at the smallest target, so one cut law answers
+   every target. *)
+let pwcets e ~targets =
+  (match targets with
+   | [] -> ()
+   | t :: ts -> ignore (law e (Some (List.fold_left Float.min t ts))));
+  List.map (fun target -> (target, pwcet e ~target)) targets
 
 let exceedance_curve e =
-  if e.cut <> None then invalid_arg "Estimator.exceedance_curve: the law is cut above a quantile";
-  List.map (fun (x, p) -> (e.task.wcet_ff + x, p)) (Prob.Dist.exceedance_curve e.penalty)
+  List.map (fun (x, p) -> (e.task.wcet_ff + x, p)) (Prob.Dist.exceedance_curve (penalty e))
 
 let fault_free_wcet task = task.wcet_ff
 let worst_rung e = Robust.Rung.worst e.task.wcet_rung (Fmm.worst_rung e.fmm)

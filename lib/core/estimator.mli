@@ -33,14 +33,10 @@ type estimate = private {
   pfail : float;
   pbf : float;  (** derived block-failure probability (eq. 1) *)
   fmm : Fmm.t;
-  penalty : Prob.Dist.t;
-      (** total fault-induced penalty distribution, cut above a bound on
-          its quantile when [cut] is set *)
-  cut : float option;
-      (** [Some target]: [penalty] is {!Penalty.cut_distribution} at
-          [target], which answers quantiles at [target] and above only;
-          see {!pwcet} and {!exceedance_curve} *)
+  slot : slot;  (** the penalty law built so far; read it through {!penalty} or {!pwcet} *)
 }
+
+and slot
 
 val code_version : string
 (** Version stamp of the analysis semantics, baked into every artifact
@@ -118,17 +114,12 @@ val estimate :
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?jobs:int ->
-  ?cut:float ->
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
   unit ->
   estimate
-(** [cut] builds the penalty law with {!Penalty.cut_distribution} at
-    that target instead of whole: much cheaper for a caller that reads
-    only quantiles at [cut] or above, as {!pwcet} then enforces. Its
-    store key carries [("cut", float_key target)], apart from the whole
-    law's. @raise Invalid_argument when [cut] is negative or not
-    finite.
+(** Computes the FMM now; the penalty law waits for its first read (see
+    {!pwcet} and {!penalty}).
 
     [jobs] (default 1) runs the independent per-set FMM analyses and
     penalty-distribution builds on that many OCaml domains; results are
@@ -137,7 +128,9 @@ val estimate :
     (soundly) rather than raising.
 
     [store] caches the FMM table (per mechanism/engine flags) and the
-    per-point penalty distribution (additionally per pfail). [jobs]
+    per-point penalty distribution (additionally per pfail, and for a
+    cut law per target: its key carries [("cut", float_key target)],
+    apart from the whole law's), the latter when it is read. [jobs]
     deliberately stays out of every key — results are bit-identical
     across job counts — so warm hits are bit-identical to cold
     recomputation by construction (pinned by test/test_store.ml), and
@@ -197,7 +190,6 @@ val estimate_of_fmm :
   ?engine:[ `Path | `Ilp ] ->
   ?exact:bool ->
   ?jobs:int ->
-  ?cut:float ->
   ?budget:Robust.Budget.t ->
   ?store:Store.Artifact.t ->
   unit ->
@@ -211,14 +203,28 @@ val estimate_of_fmm :
     to that {!estimate} call. *)
 
 val pwcet : estimate -> target:float -> int
-(** pWCET at the target exceedance probability, in cycles.
-    @raise Invalid_argument when the estimate is cut at a larger target
-    than [target], whose quantile the cut law cannot answer. *)
+(** pWCET at the target exceedance probability, in cycles. Reuses the
+    estimate's law when it answers [target] (the whole law, or a law cut
+    at a target at most [target]); otherwise builds the law cut at
+    [target] with {!Penalty.cut_distribution}, keeps it and reads it.
+    Its quantile equals the whole law's wherever neither law reaches
+    the convolution cap.
+    @raise Invalid_argument when [target] is negative or not finite. *)
+
+val pwcets : estimate -> targets:float list -> (float * int) list
+(** [(target, pwcet e ~target)] for each target, in list order. The
+    first law it builds is cut at the smallest target, so one cut law
+    answers them all.
+    @raise Invalid_argument when a target is negative or not finite. *)
+
+val penalty : estimate -> Prob.Dist.t
+(** The whole penalty law, built on the first whole-law read and kept.
+    Every reader of more than quantiles (curves, support, audits,
+    fault-injection comparisons) goes through here. *)
 
 val exceedance_curve : estimate -> (int * float) list
-(** [(wcet_value, P(WCET >= value))] staircase — Fig. 3's curves.
-    @raise Invalid_argument on a cut estimate, whose law stops at the
-    cut. *)
+(** [(wcet_value, P(WCET >= value))] staircase of the whole law —
+    Fig. 3's curves. *)
 
 val fault_free_wcet : task -> int
 

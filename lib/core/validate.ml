@@ -29,6 +29,7 @@ let sim_mechanism : Mechanism.t -> Sim.Campaign.mechanism = function
    (5 sigma + 1/n, [Sim.Campaign.noise_allowance]). *)
 let compare_curve ~(est : Estimator.estimate) (r : Sim.Campaign.result) =
   let wcet_ff = est.Estimator.task.Estimator.wcet_ff in
+  let penalty = Estimator.penalty est in
   let n = float_of_int r.Sim.Campaign.samples in
   let points = ref 0 in
   let max_gap = ref neg_infinity in
@@ -40,7 +41,7 @@ let compare_curve ~(est : Estimator.estimate) (r : Sim.Campaign.result) =
     if counts.(d) > 0 then begin
       let x = Sim.Campaign.cycles_of_bucket r d in
       let empirical = float_of_int !above /. n in
-      let analytic = Prob.Dist.exceedance est.Estimator.penalty (x - 1 - wcet_ff) in
+      let analytic = Prob.Dist.exceedance penalty (x - 1 - wcet_ff) in
       let noise = Sim.Campaign.noise_allowance ~samples:r.Sim.Campaign.samples analytic in
       incr points;
       let gap = empirical -. analytic in
@@ -50,13 +51,10 @@ let compare_curve ~(est : Estimator.estimate) (r : Sim.Campaign.result) =
   done;
   (!points, (if !points = 0 then 0.0 else !max_gap), !all_ok)
 
-let check ~program ~data ~(est : Estimator.estimate) ~samples ~seed ~jobs =
+let check ~trace ~(est : Estimator.estimate) ~samples ~seed ~jobs =
   let spec =
     {
-      Sim.Campaign.program;
-      data;
-      config = est.Estimator.task.Estimator.config;
-      mechanism = sim_mechanism est.Estimator.mechanism;
+      Sim.Campaign.mechanism = sim_mechanism est.Estimator.mechanism;
       pbf = est.Estimator.pbf;
       samples;
       seed;
@@ -70,7 +68,7 @@ let check ~program ~data ~(est : Estimator.estimate) ~samples ~seed ~jobs =
     }
   in
   let t0 = Robust.Budget.now () in
-  let campaign = Sim.Campaign.prepare spec in
+  let campaign = Sim.Campaign.prepare trace spec in
   let result = Sim.Campaign.run campaign in
   let elapsed = Float.max 1e-9 (Robust.Budget.now () -. t0) in
   let curve_points, max_gap, curve_ok = compare_curve ~est result in

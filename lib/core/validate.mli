@@ -32,21 +32,22 @@ val ok : campaign_check -> bool
 val sim_mechanism : Mechanism.t -> Sim.Campaign.mechanism
 
 val check :
-  program:Isa.Program.t ->
-  data:(int * int) list ->
+  trace:Sim.Campaign.trace ->
   est:Estimator.estimate ->
   samples:int ->
   seed:int ->
   jobs:int ->
   campaign_check
-(** Runs one campaign with the estimate's FMM table as per-sample
-    bound, and compares curves. The empirical frequency at an observed
+(** Runs one campaign on [trace] with the estimate's FMM table as
+    per-sample bound, and compares curves with the estimate's whole law.
+    [trace] is {!Sim.Campaign.trace} of the program the estimate's task
+    was prepared from, its initial data and the estimate's geometry; a
+    caller that checks several mechanisms of one program builds it once
+    and passes it to each. The empirical frequency at an observed
     value may exceed the analytic bound by binomial sampling noise
     ([Sim.Campaign.noise_allowance]); anything beyond that fails
     [curve_ok]. [Audit.check_campaign] turns the result into an audit
-    report.
-    @raise Robust.Pwcet_error.Error with [Invalid_input] if the program
-    traps or does not halt. *)
+    report. *)
 
 val write_json :
   path:string ->

@@ -168,10 +168,6 @@ let digest results =
 
 (* --- the one-pass evaluator --------------------------------------------- *)
 
-(* A cell reads only its quantiles, so its law is cut above a bound on
-   the quantile at its smallest target. *)
-let cut spec = match spec.targets with [] -> None | t :: ts -> Some (List.fold_left min t ts)
-
 (* DAG node values.  Each (benchmark, geometry) panel contributes:
    - one prepare node: CFG, context, CHMC, fault-free WCET (shared by
      every mechanism and pfail at that geometry), the FMM store lookup,
@@ -217,7 +213,6 @@ let run ?(jobs = 1) ?budget ?store ?digest ?skip ?on_cell ?chaos spec =
   List.iter (fun (name, program) -> Hashtbl.replace programs name program) spec.benchmarks;
   let digest = match digest with Some d -> d | None -> program_digests spec in
   let engine = spec.engine and exact = spec.exact in
-  let cut = cut spec in
   (* A panel's nodes are created lazily, only when some cell of that
      panel actually needs computing — a fully replayed panel costs
      nothing.  Returns the assemble node. *)
@@ -301,15 +296,17 @@ let run ?(jobs = 1) ?budget ?store ?digest ?skip ?on_cell ?chaos spec =
                  in
                  let e =
                    Estimator.estimate_of_fmm task ~fmm ~pfail:point.pfail ~engine ~exact ~jobs:1
-                     ?cut ?budget ?store ()
+                     ?budget ?store ()
                  in
+                 (* One read of every target: a single law, cut at the
+                    smallest one. *)
+                 let pwcets = Estimator.pwcets e ~targets:spec.targets in
                  let cell =
                    {
                      point;
                      wcet_ff = Estimator.fault_free_wcet task;
                      pbf = e.Estimator.pbf;
-                     pwcets =
-                       List.map (fun target -> (target, Estimator.pwcet e ~target)) spec.targets;
+                     pwcets;
                      rung = Estimator.worst_rung e;
                      degraded = Fmm.degraded_cells fmm;
                    }

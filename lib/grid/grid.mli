@@ -17,9 +17,10 @@
        ({!Pwcet.Estimator.fmm_grid} / {!Pwcet.Fmm.compute_multi});}
     {- per (mechanism, pfail) cell only the cheap suffix: binomial
        reweight, convolution, quantile reads. A cell reads quantiles
-       only, so its law is cut above a self-certified bound on the
-       quantile at the spec's smallest target ({!cut},
-       {!Pwcet.Penalty.cut_distribution}), never built whole.}}
+       only, all at once ({!Pwcet.Estimator.pwcets}), so its law is cut
+       above a self-certified bound on the quantile at the spec's
+       smallest target ({!Pwcet.Penalty.cut_distribution}), never built
+       whole.}}
 
     The per-set FMM rows are DAG nodes of their own (between a panel's
     prepare node and the node assembling its maps), so a lone panel's
@@ -29,7 +30,7 @@
     mode, the grid's only scheduler; results are merged in canonical cell order, so
     the output — and {!digest} — is bit-identical for every [jobs]
     value, and every cell is bit-identical to an independent
-    {!Pwcet.Estimator.estimate} call cut the same way (pinned by
+    {!Pwcet.Estimator.estimate} call read the same way (pinned by
     test/test_grid.ml), whose quantiles equal the whole law's on every
     grid-pfail law (test/test_dist_engine.ml). *)
 
@@ -62,10 +63,6 @@ type cell = {
   rung : Robust.Rung.t;  (** loosest ladder rung anywhere in the cell *)
   degraded : int;  (** non-[Exact] FMM cells behind this estimate *)
 }
-
-val cut : spec -> float option
-(** The target every cell's law is cut at: the smallest of the spec's
-    targets ([None] without targets). *)
 
 val points : spec -> point list
 (** The grid's cells in canonical order — benchmark x geometry x
@@ -102,11 +99,10 @@ val run :
     bit-identical for every value. [skip] short-circuits points whose
     cell is already known (journal replay) — a fully replayed panel
     never even builds its analysis nodes. [on_cell] observes each
-    {e freshly computed} cell, with the estimate it was read from (cut
-    at {!cut}), as it
-    completes, possibly from a worker domain and in completion (not
-    canonical) order — callers that append to a journal must serialise
-    themselves.
+    {e freshly computed} cell, with the estimate it was read from (its
+    law cut at the spec's smallest target), as it completes, possibly
+    from a worker domain and in completion (not canonical) order —
+    callers that append to a journal must serialise themselves.
 
     [budget] is threaded into every analysis stage, each of which
     degrades internally and completes — a starved grid yields looser

@@ -156,7 +156,7 @@ let law_of_estimate spec ~bench (est : Pwcet.Estimator.estimate) =
      down to the sched layer's (much smaller) point budget. *)
   let law =
     Prob.Dist.mixture ~max_points:spec.max_points
-      [ (1.0, Prob.Dist.shift wcet_ff est.penalty) ]
+      [ (1.0, Prob.Dist.shift wcet_ff (Pwcet.Estimator.penalty est)) ]
   in
   { bench; law; wcet_ff; law_rung = Pwcet.Estimator.worst_rung est }
 

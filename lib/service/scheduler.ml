@@ -266,25 +266,32 @@ let prepared_task t ~program ~config ~digest (a : Protocol.analyze) =
       Pwcet.Estimator.prepare ~program ~config ~program_digest:digest ~engine:a.engine
         ~exact:a.exact ?store:t.store ())
 
+(* An estimate builds its penalty law on first read. The memo shares one
+   estimate among requests at any target, and [respond] runs on the
+   front-end thread, so the worker builds the whole law, which answers
+   every target, before the estimate leaves it. *)
+let whole_law est =
+  ignore (Pwcet.Estimator.penalty est);
+  est
+
 (* The computation a worker domain runs. [jobs:1]: request-level
    parallelism comes from the pool itself; nested per-set domains
    would oversubscribe it. *)
 let compute t ~program ~config ~digest ?budget (a : Protocol.analyze) () =
   if a.delay_ms > 0 then Unix.sleepf (float_of_int a.delay_ms /. 1000.0);
-  match budget with
-  | Some b ->
-    (* Budgeted bypass: fresh prepare + estimate, no task cache, no
-       store (a degraded, wall-clock-dependent result must never be
-       memoised), deadline riding the whole ladder. *)
-    let task =
-      Pwcet.Estimator.prepare ~program ~config ~engine:a.engine ~exact:a.exact ~budget:b ()
-    in
-    Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
-      ~exact:a.exact ~jobs:1 ~budget:b ()
-  | None ->
-    let task = prepared_task t ~program ~config ~digest a in
-    Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
-      ~exact:a.exact ~jobs:1 ?store:t.store ()
+  let task, store =
+    match budget with
+    | Some b ->
+      (* Budgeted bypass: fresh prepare + estimate, no task cache, no
+         store (a degraded, wall-clock-dependent result must never be
+         memoised), deadline riding the whole ladder. *)
+      ( Pwcet.Estimator.prepare ~program ~config ~engine:a.engine ~exact:a.exact ~budget:b (),
+        None )
+    | None -> (prepared_task t ~program ~config ~digest a, t.store)
+  in
+  whole_law
+    (Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
+       ~exact:a.exact ~jobs:1 ?budget ?store ())
 
 let respond t (a : Protocol.analyze) ~computed outcome : Protocol.response =
   match outcome with
@@ -361,8 +368,9 @@ let bench_estimate t ~config (spec : Sched.Campaign.spec) bench =
   single_flight_inline t ~count_join:true ~count_compute:true t.bench_estimates
     (request_key ~identity a) (fun () ->
       let task = prepared_task t ~program ~config ~digest a in
-      Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
-        ~exact:a.exact ~jobs:1 ?store:t.store ())
+      whole_law
+        (Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
+           ~exact:a.exact ~jobs:1 ?store:t.store ()))
 
 (* The campaign computation a worker domain runs. [jobs:1] as in
    [compute]: request-level parallelism comes from the pool itself. *)

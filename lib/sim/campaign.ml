@@ -9,9 +9,6 @@ type bound = {
 }
 
 type spec = {
-  program : Isa.Program.t;
-  data : (int * int) list;
-  config : Cache.Config.t;
   mechanism : mechanism;
   pbf : float;
   samples : int;
@@ -20,15 +17,19 @@ type spec = {
   bound : bound option;
 }
 
-type t = {
-  spec : spec;
+type trace = {
+  config : Cache.Config.t;
   accesses : int;
-  fault_free_cycles : int;
   fault_free_misses : int;
   gset : int array;  (** cache set of the k-th fetch *)
   gblock : int array;  (** memory block of the k-th fetch *)
   table : int array array;  (** [sets x (ways+1)] misses by working capacity *)
   alone : int array;  (** SRB misses of a set when it is the only dead one *)
+}
+
+type t = {
+  spec : spec;
+  trace : trace;
   cdf : float array;  (** faulty-way-count law for inverse sampling *)
 }
 
@@ -67,19 +68,13 @@ let lru_replay blocks off len stack cap =
 let cycles_of_misses config ~accesses misses =
   (accesses * config.Cache.Config.hit_latency) + (Cache.Config.miss_penalty config * misses)
 
-let prepare spec =
-  let config = spec.config in
+(* Everything of a campaign that neither the fault law nor the
+   mechanism changes: the fetch trace of one run and the per-(set,
+   capacity) miss tables. *)
+let trace ~program ~data ~config =
   let sets = config.Cache.Config.sets and ways = config.Cache.Config.ways in
-  if spec.samples <= 0 then invalid_arg "Sim.Campaign.prepare: samples must be positive";
-  (match spec.bound with
-  | Some b ->
-    if
-      Array.length b.bound_misses <> sets
-      || Array.exists (fun row -> Array.length row <> ways + 1) b.bound_misses
-    then invalid_arg "Sim.Campaign.prepare: bound table shape"
-  | None -> ());
-  let code = Code.decode ~config spec.program in
-  let machine = Machine.create ~code ~data:spec.data in
+  let code = Code.decode ~config program in
+  let machine = Machine.create ~code ~data in
   (* One run extracts the fetch trace — identical for every fault
      pattern, because faults change timing only. *)
   let buf = ref (Array.make 4096 0) and blen = ref 0 in
@@ -137,21 +132,23 @@ let prepare spec =
         done;
         !m)
   in
-  let cdf = Fault.Sampler.way_cdf ~ways ~pbf:spec.pbf ~rw:(spec.mechanism = Reliable_way) in
   (* LRU sets are independent, so the fault-free run misses exactly what
      each set's sub-trace misses at full capacity. *)
   let fault_free_misses = Array.fold_left (fun acc row -> acc + row.(ways)) 0 table in
-  {
-    spec;
-    accesses = n;
-    fault_free_cycles = cycles_of_misses config ~accesses:n fault_free_misses;
-    fault_free_misses;
-    gset;
-    gblock;
-    table;
-    alone;
-    cdf;
-  }
+  { config; accesses = n; fault_free_misses; gset; gblock; table; alone }
+
+let prepare trace spec =
+  let sets = trace.config.Cache.Config.sets and ways = trace.config.Cache.Config.ways in
+  if spec.samples <= 0 then invalid_arg "Sim.Campaign.prepare: samples must be positive";
+  (match spec.bound with
+  | Some b ->
+    if
+      Array.length b.bound_misses <> sets
+      || Array.exists (fun row -> Array.length row <> ways + 1) b.bound_misses
+    then invalid_arg "Sim.Campaign.prepare: bound table shape"
+  | None -> ());
+  let cdf = Fault.Sampler.way_cdf ~ways ~pbf:spec.pbf ~rw:(spec.mechanism = Reliable_way) in
+  { spec; trace; cdf }
 
 type result = {
   samples : int;
@@ -170,7 +167,7 @@ type result = {
 }
 
 let sample_faulty_counts t ~sample counts =
-  let sets = t.spec.config.Cache.Config.sets in
+  let sets = t.trace.config.Cache.Config.sets in
   if Array.length counts <> sets then invalid_arg "Sim.Campaign.sample_faulty_counts: bad length";
   let stream = Rng.stream ~seed:t.spec.seed ~sample in
   for s = 0 to sets - 1 do
@@ -184,7 +181,7 @@ type scratch = {
 }
 
 let fresh_scratch t =
-  let sets = t.spec.config.Cache.Config.sets in
+  let sets = t.trace.config.Cache.Config.sets in
   { dead = Array.make sets 0; flag = Array.make sets false }
 
 (* Misses of one sample: O(sets) table lookups plus the
@@ -192,9 +189,9 @@ let fresh_scratch t =
    (in misses) when a bound table is present. *)
 let replay_misses t scratch ~sample ~bound_misses_acc =
   let spec = t.spec in
-  let sets = spec.config.Cache.Config.sets and ways = spec.config.Cache.Config.ways in
+  let sets = t.trace.config.Cache.Config.sets and ways = t.trace.config.Cache.Config.ways in
   let srb = spec.mechanism = Shared_reliable_buffer in
-  let cdf = t.cdf and table = t.table in
+  let cdf = t.cdf and table = t.trace.table in
   let stream = Rng.stream ~seed:spec.seed ~sample in
   let misses = ref 0 and dead_n = ref 0 and bacc = ref 0 in
   for s = 0 to sets - 1 do
@@ -209,16 +206,16 @@ let replay_misses t scratch ~sample ~bound_misses_acc =
   done;
   bound_misses_acc := !bacc;
   let merged = !dead_n >= 2 in
-  if !dead_n = 1 then misses := !misses + t.alone.(scratch.dead.(0))
+  if !dead_n = 1 then misses := !misses + t.trace.alone.(scratch.dead.(0))
   else if merged then begin
     (* Several dead sets share the single buffer: replay their merged
        sub-trace exactly. *)
     for k = 0 to !dead_n - 1 do
       scratch.flag.(scratch.dead.(k)) <- true
     done;
-    let gset = t.gset and gblock = t.gblock and flag = scratch.flag in
+    let gset = t.trace.gset and gblock = t.trace.gblock and flag = scratch.flag in
     let buf = ref (-1) and m = ref 0 in
-    for k = 0 to t.accesses - 1 do
+    for k = 0 to t.trace.accesses - 1 do
       if Array.unsafe_get flag (Array.unsafe_get gset k) then begin
         let b = Array.unsafe_get gblock k in
         if b <> !buf then begin
@@ -238,7 +235,7 @@ let replay_cycles t ~sample =
   let scratch = fresh_scratch t in
   let acc = ref 0 in
   let misses, _ = replay_misses t scratch ~sample ~bound_misses_acc:acc in
-  cycles_of_misses t.spec.config ~accesses:t.accesses misses
+  cycles_of_misses t.trace.config ~accesses:t.trace.accesses misses
 
 type chunk_result = {
   hist : int array;
@@ -260,15 +257,14 @@ let chunk_bounds samples =
       (start, stop - start))
 
 let run t =
-  let spec = t.spec in
-  let config = spec.config in
+  let spec = t.spec and config = t.trace.config in
   let mp = Cache.Config.miss_penalty config in
-  let hit_cycles = t.accesses * config.Cache.Config.hit_latency in
+  let hit_cycles = t.trace.accesses * config.Cache.Config.hit_latency in
   (* Misses are monotone in capacity (LRU inclusion), and an SRB buffer
      serves a dead set no better than its working-ways stack did, so no
      sample can miss less than the fault-free run — bucket 0 is the
      fault-free miss count and the histogram spans up to all-miss. *)
-  let hsize = t.accesses - t.fault_free_misses + 1 in
+  let hsize = t.trace.accesses - t.trace.fault_free_misses + 1 in
   let worker (start, count) =
     let scratch = fresh_scratch t in
     let hist = Array.make hsize 0 in
@@ -279,7 +275,7 @@ let run t =
     for sample = start to start + count - 1 do
       let misses, merged = replay_misses t scratch ~sample ~bound_misses_acc:bacc in
       if merged then incr replays;
-      let delta = misses - t.fault_free_misses in
+      let delta = misses - t.trace.fault_free_misses in
       if delta < 0 || delta >= hsize then
         failwith "Sim.Campaign.run: miss count outside the provable range";
       hist.(delta) <- hist.(delta) + 1;
@@ -324,9 +320,9 @@ let run t =
   done;
   {
     samples = spec.samples;
-    accesses = t.accesses;
-    fault_free_cycles = t.fault_free_cycles;
-    fault_free_misses = t.fault_free_misses;
+    accesses = t.trace.accesses;
+    fault_free_cycles = hit_cycles + (mp * t.trace.fault_free_misses);
+    fault_free_misses = t.trace.fault_free_misses;
     hit_cycles;
     miss_penalty = mp;
     counts = Array.sub hist 0 (!top + 1);

@@ -38,9 +38,6 @@ type bound = {
 }
 
 type spec = {
-  program : Isa.Program.t;
-  data : (int * int) list;
-  config : Cache.Config.t;
   mechanism : mechanism;
   pbf : float;
   samples : int;
@@ -53,14 +50,28 @@ type spec = {
           a per-pattern soundness check far stronger than comparing
           curves *)
 }
+(** A campaign's fault law and sampling: everything but the program,
+    which its {!trace} carries. *)
 
-type t
+type trace
+(** A program's fetch trace under one cache geometry, with its
+    per-(set, capacity) miss tables: the part of a campaign that no
+    mechanism, fault law or sample count changes, so campaigns on one
+    program share it. *)
 
-val prepare : spec -> t
+val trace : program:Isa.Program.t -> data:(int * int) list -> config:Cache.Config.t -> trace
 (** Decodes the program, runs it once to extract the fetch trace, and
     precomputes the per-(set, capacity) miss tables.
     @raise Robust.Pwcet_error.Error with [Invalid_input] if the program
     traps or does not halt. *)
+
+type t
+
+val prepare : trace -> spec -> t
+(** A campaign on the trace's program and geometry under the spec's
+    faulty-way law.
+    @raise Invalid_argument when [samples] is not positive or the bound
+    table does not have the trace's geometry. *)
 
 type result = {
   samples : int;

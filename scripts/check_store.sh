@@ -12,6 +12,8 @@
 #   5. a corrupted object                          -> cache verify exits 1,
 #      the next run quarantines + recomputes       -> bit-identical JSON
 #   6. suite kill -9 + --resume                    -> bit-identical table
+#   7. analyze cold, warm and --no-cache           -> identical stdout,
+#                                                     warm run writes nothing
 #
 # Any deviation exits non-zero, failing `make check`.
 set -eu
@@ -82,4 +84,17 @@ set -e
 grep -q "resuming" "$WORK/suite_res.err" || fail "suite resume did not replay"
 cmp -s "$WORK/suite_ref.out" "$WORK/suite_res.out" || fail "resumed suite table differs"
 
-echo "check_store: OK (cold/warm/no-cache/kill-9/resume/corruption all bit-identical)"
+# --- 7. analyze: laws built on read are stored and served -------------------
+# analyze reads each law at its target only, so it stores the cut laws;
+# the warm run must serve them and write nothing.
+ANALYZE_ARGS="fibcall --sets 8 --ways 2"
+rm -rf "$CACHE"
+"$TOOL" analyze $ANALYZE_ARGS --cache-dir "$CACHE" > "$WORK/an_cold.out" 2> /dev/null
+"$TOOL" analyze $ANALYZE_ARGS --cache-dir "$CACHE" > "$WORK/an_warm.out" 2> "$WORK/an_warm.err"
+cmp -s "$WORK/an_cold.out" "$WORK/an_warm.out" || fail "warm analyze stdout differs from cold"
+grep -q ", 0 writes" "$WORK/an_warm.err" || fail "warm analyze recomputed artifacts"
+"$TOOL" analyze $ANALYZE_ARGS --cache-dir "$CACHE" --no-cache > "$WORK/an_nocache.out" \
+  2> /dev/null
+cmp -s "$WORK/an_cold.out" "$WORK/an_nocache.out" || fail "--no-cache analyze stdout differs"
+
+echo "check_store: OK (cold/warm/no-cache/kill-9/resume/corruption/analyze all bit-identical)"

@@ -114,7 +114,7 @@ let test_store_transparent_under_chaos () =
   let program = program_of "fibcall" in
   let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
   let fingerprint est =
-    ( D.support est.Pwcet.Estimator.penalty,
+    ( D.support (Pwcet.Estimator.penalty est),
       Pwcet.Estimator.pwcet est ~target:1e-12,
       est.Pwcet.Estimator.pbf )
   in

@@ -1279,8 +1279,10 @@ let test_power_sizes () =
     (D.power_size ~max_points:64 d 40);
   Alcotest.(check int) "point" 1 (D.power_size (D.point 5) 9)
 
-(* A cut estimate answers quantiles at its target and above only:
-   below it, and for the exceedance curve, it raises. *)
+(* An estimate builds its law on first read. A quantile read cuts the
+   law at its target; a read below an earlier cut builds a lower one;
+   a whole-law read builds the whole law, whatever was read before.
+   NaN and negative targets are refused. *)
 let test_cut_estimate_refusals () =
   let entry = Option.get (Benchmarks.Registry.find "fibcall") in
   let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
@@ -1288,25 +1290,109 @@ let test_cut_estimate_refusals () =
   let task = Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config () in
   let mechanism = Pwcet.Mechanism.No_protection in
   let whole = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism () in
-  let cut = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism ~cut:1e-12 () in
+  let whole_curve = Pwcet.Estimator.exceedance_curve whole in
+  let cut = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism () in
   List.iter
     (fun target ->
       Alcotest.(check int)
         (Printf.sprintf "pwcet at %g" target)
         (Pwcet.Estimator.pwcet whole ~target) (Pwcet.Estimator.pwcet cut ~target))
-    [ 1e-12; 1e-9; 1e-6 ];
+    [ 1e-12; 1e-9; 1e-6; 1e-15 ];
   let refuses label f =
     match f () with
-    | _ -> Alcotest.failf "%s: answered a cut law's query" label
+    | _ -> Alcotest.failf "%s: answered" label
     | exception Invalid_argument _ -> ()
   in
-  refuses "pwcet below the cut" (fun () -> Pwcet.Estimator.pwcet cut ~target:1e-15);
-  refuses "exceedance curve" (fun () -> Pwcet.Estimator.exceedance_curve cut);
-  refuses "negative cut" (fun () ->
-      Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism ~cut:(-1.0) ());
-  refuses "NaN cut" (fun () -> Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism ~cut:nan ());
-  Alcotest.(check int) "whole curve" (List.length (D.support whole.Pwcet.Estimator.penalty))
-    (List.length (Pwcet.Estimator.exceedance_curve whole))
+  refuses "negative target" (fun () -> Pwcet.Estimator.pwcet cut ~target:(-1.0));
+  refuses "NaN target" (fun () -> Pwcet.Estimator.pwcet cut ~target:nan);
+  refuses "NaN among targets" (fun () -> Pwcet.Estimator.pwcets cut ~targets:[ 1e-9; nan ]);
+  let fresh = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism () in
+  refuses "NaN first read" (fun () -> Pwcet.Estimator.pwcet fresh ~target:nan);
+  refuses "negative target, whole law" (fun () -> Pwcet.Estimator.pwcet whole ~target:(-1.0));
+  refuses "NaN target, whole law" (fun () -> Pwcet.Estimator.pwcet whole ~target:nan);
+  Alcotest.check support "curve after pwcet" whole_curve
+    (Pwcet.Estimator.exceedance_curve cut);
+  Alcotest.(check int) "whole curve" (D.size (Pwcet.Estimator.penalty whole))
+    (List.length whole_curve)
+
+(* The analyze path's laws: the registry at 16x4x16 and 8x2x16, three
+   mechanisms, pfail 1e-6, 1e-5, 1e-4 and 1e-3. An estimate read at
+   1e-15, 1e-12 and 1e-9 in ascending order (one law, cut at 1e-15) and
+   one read in descending order (three cuts, each below the last)
+   answer the whole law's quantiles. *)
+let test_analyze_path_quantiles () =
+  let targets = [ 1e-15; 1e-12; 1e-9 ] and reads = ref 0 in
+  List.iter
+    (fun (e : Benchmarks.Registry.entry) ->
+      let compiled = Minic.Compile.compile e.Benchmarks.Registry.program in
+      List.iter
+        (fun (sets, ways) ->
+          let config = Cache.Config.make ~sets ~ways ~line_bytes:16 () in
+          let task =
+            Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config ()
+          in
+          List.iter
+            (fun (mechanism, fmm) ->
+              List.iter
+                (fun pfail ->
+                  let estimate () = Pwcet.Estimator.estimate_of_fmm task ~fmm ~pfail () in
+                  let whole = Pwcet.Estimator.penalty (estimate ()) in
+                  List.iter
+                    (fun order ->
+                      let est = estimate () in
+                      List.iter
+                        (fun target ->
+                          incr reads;
+                          Alcotest.(check int)
+                            (Printf.sprintf "%s/%s %dx%d %g at %g" e.Benchmarks.Registry.name
+                               (Pwcet.Mechanism.short_name mechanism) sets ways pfail target)
+                            (Pwcet.Estimator.fault_free_wcet task + D.quantile whole ~target)
+                            (Pwcet.Estimator.pwcet est ~target))
+                        order)
+                    [ targets; List.rev targets ])
+                [ 1e-6; 1e-5; 1e-4; 1e-3 ])
+            (Pwcet.Estimator.fmm_grid task ~mechanisms:Pwcet.Mechanism.all ()))
+        [ (16, 4); (8, 2) ])
+    Benchmarks.Registry.all;
+  Alcotest.(check int) "reads" (List.length Benchmarks.Registry.all * 2 * 3 * 4 * 2 * 3) !reads
+
+(* Two domains read one estimate at once, one its pWCET first and its
+   whole law second, the other the other way round: both answer what a
+   sequential read of another estimate answers, and neither raises. *)
+let test_shared_estimate_domains () =
+  let entry = Option.get (Benchmarks.Registry.find "crc") in
+  let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
+  let config = Cache.Config.make ~sets:16 ~ways:4 ~line_bytes:16 () in
+  let task = Pwcet.Estimator.prepare ~program:compiled.Minic.Compile.program ~config () in
+  let fmm =
+    List.assoc Pwcet.Mechanism.No_protection
+      (Pwcet.Estimator.fmm_grid task ~mechanisms:[ Pwcet.Mechanism.No_protection ] ())
+  in
+  let estimate () = Pwcet.Estimator.estimate_of_fmm task ~fmm ~pfail:1e-4 () in
+  let read ~law_first est =
+    let law () = D.to_wire (Pwcet.Estimator.penalty est) in
+    let pwcet () = Pwcet.Estimator.pwcet est ~target:1e-15 in
+    if law_first then
+      let l = law () in
+      (pwcet (), l)
+    else
+      let q = pwcet () in
+      (q, law ())
+  in
+  let expected = read ~law_first:false (estimate ()) in
+  let answers = Alcotest.(pair int string) in
+  for round = 1 to 8 do
+    let est = estimate () in
+    let ready = Atomic.make 0 in
+    let reader law_first () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do Domain.cpu_relax () done;
+      read ~law_first est
+    in
+    let a = Domain.spawn (reader false) and b = Domain.spawn (reader true) in
+    Alcotest.check answers (Printf.sprintf "round %d pwcet first" round) expected (Domain.join a);
+    Alcotest.check answers (Printf.sprintf "round %d law first" round) expected (Domain.join b)
+  done
 
 (* --- shared-PMF hoist ---------------------------------------------------- *)
 
@@ -1334,9 +1420,10 @@ let test_shared_pmf_identity () =
    the reweighting redone per point) must be bit-identical to
    independent estimate calls at each grid point, for every jobs value
    and mechanism. The estimates are collected through [on_cell]. The
-   grid cuts its laws at its smallest target, so its laws are compared
-   with independent estimates cut the same way, and its quantiles with
-   the whole law's too. *)
+   grid reads its quantiles from one law cut at its smallest target,
+   so they are compared with an independent estimate read the same way
+   and with the whole law's. The law is a function of the FMM table and
+   pbf alone, so those are compared instead of a second law. *)
 let test_sweep_matches_estimates () =
   let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
   let grid = [ 1e-6; 1e-5; 1e-4; 1e-3 ] in
@@ -1372,15 +1459,17 @@ let test_sweep_matches_estimates () =
                 Printf.sprintf "%s/%s pfail %g jobs %d" name
                   (Pwcet.Mechanism.short_name mechanism) pfail jobs
               in
-              let independent =
-                Pwcet.Estimator.estimate task ~pfail ~mechanism ~jobs ?cut:(Grid.cut spec) ()
-              in
+              let independent = Pwcet.Estimator.estimate task ~pfail ~mechanism ~jobs () in
               let whole = Pwcet.Estimator.estimate task ~pfail ~mechanism ~jobs () in
               Alcotest.(check (float 0.)) (label ^ " pbf")
                 independent.Pwcet.Estimator.pbf est.Pwcet.Estimator.pbf;
-              Alcotest.check support (label ^ " penalty")
-                (D.support independent.Pwcet.Estimator.penalty)
-                (D.support est.Pwcet.Estimator.penalty);
+              Alcotest.(check (array (array int))) (label ^ " fmm")
+                (Pwcet.Fmm.table independent.Pwcet.Estimator.fmm)
+                (Pwcet.Fmm.table est.Pwcet.Estimator.fmm);
+              Alcotest.(check (list (pair (float 0.) int)))
+                (label ^ " pwcets")
+                (Pwcet.Estimator.pwcets independent ~targets:quantile_targets)
+                (Pwcet.Estimator.pwcets est ~targets:quantile_targets);
               List.iter
                 (fun target ->
                   Alcotest.(check int)
@@ -1524,6 +1613,8 @@ let () =
         ; Alcotest.test_case "grid-pfail first cut pass" `Quick test_grid_pfail_first_pass
         ; Alcotest.test_case "power sizes" `Quick test_power_sizes
         ; Alcotest.test_case "cut estimate refusals" `Quick test_cut_estimate_refusals
+        ; Alcotest.test_case "analyze path quantiles = whole" `Quick test_analyze_path_quantiles
+        ; Alcotest.test_case "shared estimate across domains" `Quick test_shared_estimate_domains
         ] )
     ; ( "dense branches",
         [ Alcotest.test_case "rows over a, descending j" `Quick test_rows_over_a

@@ -395,16 +395,17 @@ let test_sim_campaign_jobs_bit_identical () =
   let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
   let entry = Option.get (Benchmarks.Registry.find "crc") in
   let compiled = Minic.Compile.compile entry.Benchmarks.Registry.program in
+  let trace =
+    Sim.Campaign.trace ~program:compiled.Minic.Compile.program ~data:compiled.Minic.Compile.data
+      ~config
+  in
   List.iter
     (fun mechanism ->
       let run jobs =
         Sim.Campaign.run
-          (Sim.Campaign.prepare
+          (Sim.Campaign.prepare trace
              {
-               Sim.Campaign.program = compiled.Minic.Compile.program;
-               data = compiled.Minic.Compile.data;
-               config;
-               mechanism;
+               Sim.Campaign.mechanism;
                pbf = 0.3;
                samples = 4000;
                seed = 5;

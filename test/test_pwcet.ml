@@ -175,7 +175,7 @@ let test_exceedance_curves_ordered () =
   let probes = List.map fst (Est.exceedance_curve none) in
   let exceed est x =
     (* P(WCET > x) = P(penalty > x - wcet_ff) *)
-    D.exceedance est.Est.penalty (x - Est.fault_free_wcet est.Est.task)
+    D.exceedance (Est.penalty est) (x - Est.fault_free_wcet est.Est.task)
   in
   List.iter
     (fun x ->
@@ -284,7 +284,7 @@ let test_monte_carlo_matches_analytic () =
      points; tolerance ~4 sigma of the binomial proportion. *)
   List.iter
     (fun (x, _) ->
-      let analytic = D.exceedance est.Est.penalty x in
+      let analytic = D.exceedance (Est.penalty est) x in
       if analytic > 0.005 && analytic < 0.995 then begin
         let count = Array.fold_left (fun acc v -> if v > x then acc + 1 else acc) 0 samples in
         let empirical = float_of_int count /. float_of_int n in
@@ -294,7 +294,7 @@ let test_monte_carlo_matches_analytic () =
           true
           (Float.abs (analytic -. empirical) <= (4.5 *. sigma) +. 1e-9)
       end)
-    (D.support est.Est.penalty)
+    (D.support (Est.penalty est))
 
 (* --- report data ------------------------------------------------------------- *)
 

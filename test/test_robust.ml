@@ -383,6 +383,7 @@ let compiled_of name =
 let test_audit_passes_on_real_estimates () =
   let program, data = compiled_of "fibcall" in
   let task = Pwcet.Estimator.prepare ~program ~config:small_config () in
+  let trace = Sim.Campaign.trace ~program ~data ~config:small_config in
   let ests =
     List.map (fun m -> (m, Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:m ())) M.all
   in
@@ -391,7 +392,7 @@ let test_audit_passes_on_real_estimates () =
     Pwcet.Audit.merge
       (List.map (fun (_, e) -> Pwcet.Audit.check_estimate e) ests
       @ List.map
-          (fun (_, e) -> Pwcet.Audit.check_campaign ~program ~data ~samples:20 ~seed:7 ~jobs:1 e)
+          (fun (_, e) -> Pwcet.Audit.check_campaign ~trace ~samples:20 ~seed:7 ~jobs:1 e)
           ests
       @ List.filter_map
           (fun (m, e) ->
@@ -409,6 +410,7 @@ let test_audit_passes_on_real_estimates () =
 let test_audit_flags_unsound_fmm () =
   let program, data = compiled_of "crc" in
   let task = Pwcet.Estimator.prepare ~program ~config:small_config () in
+  let trace = Sim.Campaign.trace ~program ~data ~config:small_config in
   let sets = small_config.Cache.Config.sets and ways = small_config.Cache.Config.ways in
   List.iter
     (fun m ->
@@ -420,7 +422,7 @@ let test_audit_flags_unsound_fmm () =
       let what = M.short_name m in
       Alcotest.(check bool) (what ^ ": structural checks pass") true
         (Pwcet.Audit.ok (Pwcet.Audit.check_estimate e));
-      let r = Pwcet.Audit.check_campaign ~program ~data ~samples:1000 ~seed:42 ~jobs:1 e in
+      let r = Pwcet.Audit.check_campaign ~trace ~samples:1000 ~seed:42 ~jobs:1 e in
       Alcotest.(check bool) (what ^ ": campaign flags the FMM") false (Pwcet.Audit.ok r))
     M.all
 

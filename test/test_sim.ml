@@ -47,18 +47,10 @@ let same_run (reference, ref_trace) m (r, sim_trace) =
   && SimM.registers m = reference.M.regs
   && sim_trace = ref_trace
 
-let spec_of compiled config mechanism ~pbf ~samples =
-  {
-    SimC.program = compiled.Minic.Compile.program;
-    data = compiled.Minic.Compile.data;
-    config;
-    mechanism;
-    pbf;
-    samples;
-    seed = 9;
-    jobs = 1;
-    bound = None;
-  }
+let campaign_of compiled config mechanism ~pbf ~samples =
+  SimC.prepare
+    (SimC.trace ~program:compiled.Minic.Compile.program ~data:compiled.Minic.Compile.data ~config)
+    { SimC.mechanism; pbf; samples; seed = 9; jobs = 1; bound = None }
 
 let mechanisms = [ SimC.No_protection; SimC.Reliable_way; SimC.Shared_reliable_buffer ]
 
@@ -100,8 +92,7 @@ let test_registry_unit_latency () =
       let m = sim_of_compiled unit_config compiled in
       Alcotest.(check bool) (name ^ " same run") true
         (same_run reference m (traced_run compiled m));
-      let spec = spec_of compiled unit_config SimC.No_protection ~pbf:0.0 ~samples:1 in
-      let r = SimC.run (SimC.prepare spec) in
+      let r = SimC.run (campaign_of compiled unit_config SimC.No_protection ~pbf:0.0 ~samples:1) in
       Alcotest.(check int) (name ^ " cycles") (fst reference).M.cycles r.SimC.fault_free_cycles)
     Benchmarks.Registry.all
 
@@ -124,9 +115,7 @@ let test_faulty_matches_oracles () =
       List.iter
         (fun mechanism ->
           let samples = 8 in
-          let campaign =
-            SimC.prepare (spec_of compiled small_config mechanism ~pbf:0.25 ~samples)
-          in
+          let campaign = campaign_of compiled small_config mechanism ~pbf:0.25 ~samples in
           for sample = 0 to samples - 1 do
             Alcotest.(check int)
               (Printf.sprintf "%s %s @%d" name (mechanism_name mechanism) sample)
@@ -148,9 +137,7 @@ let test_replay_matches_oracle () =
           (* pbf high enough that dead sets — including several at once,
              the SRB merged-replay path — occur routinely in a few
              hundred samples on a 2-way cache. *)
-          let campaign =
-            SimC.prepare (spec_of compiled small_config mechanism ~pbf:0.3 ~samples)
-          in
+          let campaign = campaign_of compiled small_config mechanism ~pbf:0.3 ~samples in
           for sample = 0 to samples - 1 do
             Alcotest.(check int)
               (Printf.sprintf "%s %s replay=oracle @%d" name (mechanism_name mechanism) sample)
@@ -169,15 +156,16 @@ let test_fault_free_cycles () =
           let reference =
             M.run_compiled ~fetch:(Oracle.Lru.latency_oracle (Oracle.Lru.create config)) compiled
           in
-          let spec = spec_of compiled config SimC.No_protection ~pbf:0.0 ~samples:1 in
-          let r = SimC.run (SimC.prepare spec) in
+          let r = SimC.run (campaign_of compiled config SimC.No_protection ~pbf:0.0 ~samples:1) in
           Alcotest.(check int) e.Benchmarks.Registry.name reference.M.cycles
             r.SimC.fault_free_cycles)
         [ small_config; Cfg.paper_default ])
     Benchmarks.Registry.all
 
 (* The six campaign digests scripts/check_sim.sh prints: fibcall and crc
-   at 8 sets x 2 ways, 20000 samples, seed 42, pfail 1e-4. *)
+   at 8 sets x 2 ways, 20000 samples, seed 42, pfail 1e-4. As in
+   [pwcet_tool validate], a program's three campaigns share one trace;
+   a campaign that builds its own gives the same digest. *)
 let test_check_sim_digests () =
   let expected =
     [ ("fibcall", "none", "b64fb7b902601dab1b6835bb659cf99f")
@@ -188,25 +176,34 @@ let test_check_sim_digests () =
     ; ("crc", "rw", "ea96a54195931333d778eb6afa115ef8")
     ]
   in
+  let traces = Hashtbl.create 2 in
+  let trace_of name =
+    match Hashtbl.find_opt traces name with
+    | Some shared -> shared
+    | None ->
+      let compiled = compile name in
+      let program = compiled.Minic.Compile.program and data = compiled.Minic.Compile.data in
+      let shared = (program, data, SimC.trace ~program ~data ~config:small_config) in
+      Hashtbl.replace traces name shared;
+      shared
+  in
   List.iter
     (fun (name, mech, digest) ->
-      let compiled = compile name in
-      let program = compiled.Minic.Compile.program in
+      let program, data, trace = trace_of name in
       let task = Pwcet.Estimator.prepare ~program ~config:small_config () in
       let mechanism = Option.get (Pwcet.Mechanism.of_string mech) in
       let est = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism () in
-      let c =
-        Pwcet.Validate.check ~program ~data:compiled.Minic.Compile.data ~est ~samples:20_000
-          ~seed:42 ~jobs:1
-      in
+      let check trace = Pwcet.Validate.check ~trace ~est ~samples:20_000 ~seed:42 ~jobs:1 in
+      let c = check trace in
       Alcotest.(check bool) (name ^ " " ^ mech ^ " ok") true (Pwcet.Validate.ok c);
-      Alcotest.(check string) (name ^ " " ^ mech) digest c.Pwcet.Validate.digest)
+      Alcotest.(check string) (name ^ " " ^ mech) digest c.Pwcet.Validate.digest;
+      Alcotest.(check string) (name ^ " " ^ mech ^ " own trace") digest
+        (check (SimC.trace ~program ~data ~config:small_config)).Pwcet.Validate.digest)
     expected
 
 let test_campaign_moments_match_histogram () =
   let compiled = compile "crc" in
-  let spec = spec_of compiled small_config SimC.No_protection ~pbf:0.3 ~samples:500 in
-  let r = SimC.run (SimC.prepare spec) in
+  let r = SimC.run (campaign_of compiled small_config SimC.No_protection ~pbf:0.3 ~samples:500) in
   Alcotest.(check int) "histogram mass" r.SimC.samples (Array.fold_left ( + ) 0 r.SimC.counts);
   (* recompute mean/min/max from the histogram *)
   let total = ref 0.0 and mn = ref max_int and mx = ref min_int in
@@ -252,9 +249,7 @@ let qcheck_differential =
                 cache, under every mechanism *)
              let config = Cfg.make ~sets:4 ~ways:2 ~line_bytes:8 () in
              let replay_ok mechanism =
-               let campaign =
-                 SimC.prepare (spec_of compiled config mechanism ~pbf:0.3 ~samples:3)
-               in
+               let campaign = campaign_of compiled config mechanism ~pbf:0.3 ~samples:3 in
                List.for_all
                  (fun sample ->
                    SimC.replay_cycles campaign ~sample

@@ -124,7 +124,7 @@ let test_never_worse_than_conservative () =
           let refined = refined_of task ~pbf in
           List.iter
             (fun tgt ->
-              let q_cons = Prob.Dist.quantile srb.Pwcet.Estimator.penalty ~target:tgt in
+              let q_cons = Prob.Dist.quantile (Pwcet.Estimator.penalty srb) ~target:tgt in
               let q_ref = Pwcet.Srb_refined.quantile refined ~target:tgt in
               Alcotest.(check bool)
                 (Printf.sprintf "%s pfail=%g target=%g: %d <= %d" name pfail tgt q_ref q_cons)
@@ -146,7 +146,7 @@ let test_improves_in_single_dead_regime () =
   let refined = refined_of task ~pbf in
   Alcotest.(check bool) "strict improvement" true
     (Pwcet.Srb_refined.quantile refined ~target
-    < Prob.Dist.quantile srb.Pwcet.Estimator.penalty ~target)
+    < Prob.Dist.quantile (Pwcet.Estimator.penalty srb) ~target)
 
 let test_exceedance_decreasing () =
   let _, task = prepare "fibcall" in

@@ -440,7 +440,7 @@ let test_dist_wire_roundtrip () =
   let config = Cache.Config.paper_default in
   let task = Pwcet.Estimator.prepare ~program ~config () in
   let est = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:M.No_protection () in
-  let dist = est.Pwcet.Estimator.penalty in
+  let dist = (Pwcet.Estimator.penalty est) in
   match D.of_wire (D.to_wire dist) with
   | Error msg -> Alcotest.failf "of_wire failed: %s" msg
   | Ok dist' ->
@@ -491,7 +491,7 @@ let zero_point_law () =
 
 let test_dist_wire_zero_points () =
   let _, est = zero_point_law () in
-  let dist = est.Pwcet.Estimator.penalty in
+  let dist = Pwcet.Estimator.penalty est in
   let zeros = List.filter (fun (_, p) -> Int64.bits_of_float p = 0L) (D.support dist) in
   Alcotest.(check bool) "law has +0.0 points" true (zeros <> []);
   match D.of_wire (D.to_wire dist) with
@@ -557,8 +557,14 @@ let test_fmm_wire_rejects_corruption () =
 
 (* --- end-to-end estimator caching ------------------------------------------- *)
 
+(* An estimate builds (and stores) its penalty law on first read; the
+   tests below that count store traffic read the whole law at once. *)
+let whole est =
+  ignore (Pwcet.Estimator.penalty est);
+  est
+
 let est_fingerprint est =
-  ( D.support est.Pwcet.Estimator.penalty,
+  ( D.support (Pwcet.Estimator.penalty est),
     Pwcet.Estimator.pwcet est ~target:1e-15,
     Pwcet.Estimator.worst_rung est,
     Pwcet.Fmm.table est.Pwcet.Estimator.fmm )
@@ -570,13 +576,17 @@ let test_estimator_warm_bit_identical () =
   let st = Artifact.open_store ~dir () in
   let cold_task = Pwcet.Estimator.prepare ~program ~config ~store:st () in
   let cold =
-    Pwcet.Estimator.estimate cold_task ~pfail:1e-4 ~mechanism:M.Shared_reliable_buffer ~store:st ()
+    whole
+      (Pwcet.Estimator.estimate cold_task ~pfail:1e-4 ~mechanism:M.Shared_reliable_buffer
+         ~store:st ())
   in
   Alcotest.(check bool) "cold run wrote artifacts" true ((Artifact.stats st).Artifact.puts > 0);
   let st2 = Artifact.open_store ~dir () in
   let warm_task = Pwcet.Estimator.prepare ~program ~config ~store:st2 () in
   let warm =
-    Pwcet.Estimator.estimate warm_task ~pfail:1e-4 ~mechanism:M.Shared_reliable_buffer ~store:st2 ()
+    whole
+      (Pwcet.Estimator.estimate warm_task ~pfail:1e-4 ~mechanism:M.Shared_reliable_buffer
+         ~store:st2 ())
   in
   let s2 = Artifact.stats st2 in
   Alcotest.(check int) "warm run recomputed nothing" 0 s2.Artifact.puts;
@@ -595,17 +605,21 @@ let test_estimator_warm_zero_points () =
   let task, cold = zero_point_law () in
   let dir = fresh_dir () in
   let st = Artifact.open_store ~dir () in
-  let first = Pwcet.Estimator.estimate task ~pfail:1e-6 ~mechanism:M.No_protection ~store:st () in
+  let first =
+    whole (Pwcet.Estimator.estimate task ~pfail:1e-6 ~mechanism:M.No_protection ~store:st ())
+  in
   let st2 = Artifact.open_store ~dir () in
-  let warm = Pwcet.Estimator.estimate task ~pfail:1e-6 ~mechanism:M.No_protection ~store:st2 () in
+  let warm =
+    whole (Pwcet.Estimator.estimate task ~pfail:1e-6 ~mechanism:M.No_protection ~store:st2 ())
+  in
   let s2 = Artifact.stats st2 in
   Alcotest.(check int) "nothing corrupt" 0 s2.Artifact.corrupt;
   Alcotest.(check int) "nothing recomputed" 0 s2.Artifact.puts;
   Alcotest.(check int) "every lookup hit" (s2.Artifact.hits + s2.Artifact.misses) s2.Artifact.hits;
-  Alcotest.(check string) "warm == cold" (D.to_wire cold.Pwcet.Estimator.penalty)
-    (D.to_wire warm.Pwcet.Estimator.penalty);
-  Alcotest.(check string) "stored == cold" (D.to_wire cold.Pwcet.Estimator.penalty)
-    (D.to_wire first.Pwcet.Estimator.penalty)
+  Alcotest.(check string) "warm == cold" (D.to_wire (Pwcet.Estimator.penalty cold))
+    (D.to_wire (Pwcet.Estimator.penalty warm));
+  Alcotest.(check string) "stored == cold" (D.to_wire (Pwcet.Estimator.penalty cold))
+    (D.to_wire (Pwcet.Estimator.penalty first))
 
 let test_estimator_survives_vandalised_store () =
   (* Flip a byte in EVERY stored object: the next run must quarantine
@@ -616,7 +630,7 @@ let test_estimator_survives_vandalised_store () =
   let st = Artifact.open_store ~dir () in
   let task = Pwcet.Estimator.prepare ~program ~config ~store:st () in
   let reference =
-    Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:M.Reliable_way ~store:st ()
+    whole (Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:M.Reliable_way ~store:st ())
   in
   let objects_root = Filename.concat dir "objects" in
   let vandalised = ref 0 in
@@ -639,7 +653,7 @@ let test_estimator_survives_vandalised_store () =
   let st2 = Artifact.open_store ~dir () in
   let task2 = Pwcet.Estimator.prepare ~program ~config ~store:st2 () in
   let recomputed =
-    Pwcet.Estimator.estimate task2 ~pfail:1e-4 ~mechanism:M.Reliable_way ~store:st2 ()
+    whole (Pwcet.Estimator.estimate task2 ~pfail:1e-4 ~mechanism:M.Reliable_way ~store:st2 ())
   in
   let s2 = Artifact.stats st2 in
   Alcotest.(check int) "every object quarantined" !vandalised s2.Artifact.corrupt;
@@ -670,10 +684,13 @@ let test_estimator_identity_deferred () =
   let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
   let use task dir =
     let st = Artifact.open_store ~dir () in
-    let est = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:M.Reliable_way ~store:st () in
+    let est =
+      whole (Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:M.Reliable_way ~store:st ())
+    in
     let fmms = Pwcet.Estimator.fmm_grid task ~mechanisms:M.all ~store:st () in
     List.iter
-      (fun (_, fmm) -> ignore (Pwcet.Estimator.estimate_of_fmm task ~fmm ~pfail:1e-5 ~store:st ()))
+      (fun (_, fmm) ->
+        ignore (whole (Pwcet.Estimator.estimate_of_fmm task ~fmm ~pfail:1e-5 ~store:st ())))
       fmms;
     let hits, missing = Pwcet.Estimator.fmm_lookup task ~mechanisms:M.all ~store:st () in
     Alcotest.(check int) "every table stored" 3 (List.length hits);
@@ -707,14 +724,15 @@ let test_estimator_identity_deferred () =
    grid's penalty laws, which became cut laws under keys of their own
    (("cut", ...)) on purpose, so that a whole-law read never receives
    one: their six keys were captured then, and the five others are the
-   original values. *)
+   original values. Since an estimate builds its law on first read, the
+   test reads the estimate's whole law before listing the objects. *)
 let test_persisted_keys_pinned () =
   let program = task_of "fibcall" in
   let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
   let dir = fresh_dir () in
   let st = Artifact.open_store ~dir () in
   let task = Pwcet.Estimator.prepare ~program ~config ~store:st () in
-  ignore (Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:M.Reliable_way ~store:st ());
+  ignore (whole (Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:M.Reliable_way ~store:st ()));
   let spec =
     { Grid.benchmarks = [ ("fibcall", program) ];
       configs = [ config ];
@@ -748,6 +766,46 @@ let test_persisted_keys_pinned () =
   Alcotest.(check string)
     "grid run key" "7e483e619295af2283968fad2e445abd"
     (Artifact.key (Grid.identity spec))
+
+(* The analyze path's store traffic. A cold pWCET read writes one law,
+   cut at the target read, and the objects a grid cell at the same point
+   and target writes; a warm read writes nothing and answers the same. A
+   whole-law read then writes the whole law under its own key: the
+   whole-law key of "persisted keys pinned". *)
+let test_estimator_cut_on_read () =
+  let program = task_of "fibcall" in
+  let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
+  let read dir =
+    let st = Artifact.open_store ~dir () in
+    let task = Pwcet.Estimator.prepare ~program ~config ~store:st () in
+    let est = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:M.Reliable_way ~store:st () in
+    let before = (Artifact.stats st).Artifact.puts in
+    let pwcet = Pwcet.Estimator.pwcet est ~target:1e-15 in
+    let stats = Artifact.stats st in
+    (est, pwcet, stats.Artifact.puts - before, stats.Artifact.puts)
+  in
+  let dir = fresh_dir () in
+  let est, cold, read_writes, _ = read dir in
+  Alcotest.(check int) "the read writes one law" 1 read_writes;
+  let grid_dir = fresh_dir () in
+  let spec =
+    { Grid.benchmarks = [ ("fibcall", program) ]; configs = [ config ];
+      mechanisms = [ M.Reliable_way ]; pfail_grid = [ 1e-4 ]; targets = [ 1e-15 ];
+      engine = `Path; exact = false; impl = `Sliced }
+  in
+  ignore (Grid.run ~store:(Artifact.open_store ~dir:grid_dir ()) spec);
+  let cut_objects = store_objects dir in
+  Alcotest.(check (list (pair string string))) "the grid's objects" (store_objects grid_dir)
+    cut_objects;
+  let _, warm, _, warm_writes = read dir in
+  Alcotest.(check int) "warm pwcet" cold warm;
+  Alcotest.(check int) "warm writes" 0 warm_writes;
+  ignore (Pwcet.Estimator.penalty est);
+  Alcotest.(check (list string))
+    "the whole law's key" [ "02/026a5be17fd8cd45586b71de328b0734" ]
+    (List.filter_map
+       (fun (name, bytes) -> if List.mem (name, bytes) cut_objects then None else Some name)
+       (store_objects dir))
 
 let test_estimator_budget_bypasses_store () =
   let program = task_of "fibcall" in
@@ -879,6 +937,7 @@ let () =
         ; Alcotest.test_case "identity deferred without a store" `Quick
             test_estimator_identity_deferred
         ; Alcotest.test_case "persisted keys pinned" `Quick test_persisted_keys_pinned
+        ; Alcotest.test_case "cut law written on read" `Quick test_estimator_cut_on_read
         ; Alcotest.test_case "warm read of +0.0 points" `Quick test_estimator_warm_zero_points
         ] )
     ]
