@@ -485,14 +485,8 @@ let analyze_cmd =
       (Pwcet.Estimator.fault_free_wcet task)
       (rung_tag task.Pwcet.Estimator.wcet_rung);
     let results =
-      List.map
-        (fun mech ->
-          let est =
-            Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~engine ~exact ~jobs ?budget
-              ?store ()
-          in
-          (mech, est))
-        Pwcet.Mechanism.all
+      Pwcet.Estimator.estimates task ~pfail ~mechanisms:Pwcet.Mechanism.all ~engine ~exact ~jobs
+        ?budget ?store ()
     in
     (* A pWCET alone needs only the law cut at [target]; the curve and
        the audit read the whole law, which then answers the pWCET too. *)
@@ -1001,8 +995,7 @@ let validate_cmd =
             exit exit_invalid_input
         in
         List.iter
-          (fun mechanism ->
-            let est = Pwcet.Estimator.estimate task ~pfail ~mechanism ~jobs () in
+          (fun (mechanism, est) ->
             let c =
               try Pwcet.Validate.check ~trace ~est ~samples ~seed ~jobs with
               | Failure msg ->
@@ -1029,7 +1022,7 @@ let validate_cmd =
                 r.Sim.Campaign.bound_violations;
             if not (Pwcet.Validate.ok c) then incr failures;
             rows := (label, c) :: !rows)
-          Pwcet.Mechanism.all)
+          (Pwcet.Estimator.estimates task ~pfail ~mechanisms:Pwcet.Mechanism.all ~jobs ()))
       names;
     Option.iter
       (fun path ->
@@ -1052,7 +1045,7 @@ let validate_cmd =
              ~doc:"Benchmarks to validate (default: the whole registry).")
   in
   let samples_arg =
-    Arg.(value & opt int 1_000_000
+    Arg.(value & opt (int_conv ~docv:"N" (Pwcet.Param.at_least 1)) 1_000_000
          & info [ "samples" ] ~docv:"N" ~doc:"Monte-Carlo samples per (benchmark, mechanism).")
   in
   let seed_arg =
@@ -1086,9 +1079,7 @@ let audit_cmd =
         let task = Pwcet.Estimator.prepare ~program ~config () in
         let trace = Sim.Campaign.trace ~program ~data ~config in
         let ests =
-          List.map
-            (fun mech -> (mech, Pwcet.Estimator.estimate task ~pfail ~mechanism:mech ~jobs ()))
-            Pwcet.Mechanism.all
+          Pwcet.Estimator.estimates task ~pfail ~mechanisms:Pwcet.Mechanism.all ~jobs ()
         in
         let baseline = List.assoc Pwcet.Mechanism.No_protection ests in
         let reports =
@@ -1113,7 +1104,7 @@ let audit_cmd =
     else print_endline "\naudit passed: no invariant violations"
   in
   let samples_arg =
-    Arg.(value & opt int 10
+    Arg.(value & opt (int_conv ~docv:"N" (Pwcet.Param.at_least 1)) 10
          & info [ "samples" ] ~docv:"N" ~doc:"Sampled fault patterns per (benchmark, mechanism).")
   in
   let seed_arg =
@@ -2075,27 +2066,9 @@ let refined_cmd =
 
 (* --- chaos (deterministic fault-injection soak) ------------------------------ *)
 
-(* The soak harness behind scripts/check_chaos.sh: [campaigns] seeded
-   campaigns cycle through the analyze / sweep / grid / sched
-   workloads, each under its own deterministic injector (seeded purely
-   from (--seed, campaign index)), each against its own throwaway
-   store. Every campaign is classified:
-
-     match    the result digest is bit-identical to the fault-free
-              reference (the self-healing layers fully masked the
-              injected faults);
-     typed    the run surfaced a typed error (a killed DAG node's
-              [Worker_crash] cells) — visible, attributable, sound;
-     corrupt  the result differs from the reference with no typed
-              error — silent corruption, the one outcome the
-              architecture promises never happens;
-     escape   an exception leaked out of a workload.
-
-   The soak digest folds every campaign's (workload, verdict, result
-   digest) triple; it is a pure function of (--seed, --plan,
-   --campaigns) — the same at any --jobs — because pool-node faults
-   are keyed by node index and store faults are fully masked. Exit 1
-   on any corrupt or escape. *)
+(* The soak ([Soak.run]) behind scripts/check_chaos.sh: prints the failing
+   (or, with --verbose, every) campaign, the tallies and the soak digest.
+   Exit 1 on any corrupt or escape. *)
 
 let chaos_cmd =
   let run campaigns seed plan_name jobs dir_opt verbose =
@@ -2110,191 +2083,36 @@ let chaos_cmd =
         Printf.eprintf "chaos: %s\n" msg;
         exit exit_invalid_input
     in
-    let bench = "fibcall" in
-    let _, compiled = compile_target bench in
-    let program = compiled.Minic.Compile.program in
-    let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
-    let target = 1e-12 in
-    let root =
+    let dir =
       match dir_opt with
       | Some d -> d
       | None ->
         Filename.concat (Filename.get_temp_dir_name ())
           (Printf.sprintf "pwcet_chaos.%d" (Unix.getpid ()))
     in
-    let rec rm_rf path =
-      match Sys.is_directory path with
-      | true ->
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      | false -> ( try Sys.remove path with Sys_error _ -> ())
-      | exception Sys_error _ -> ()
-    in
-    (try Unix.mkdir root 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let md5 s = Digest.to_hex (Digest.string s) in
-    (* --- workloads, shared between reference and chaotic runs --- *)
-    let analyze_of ?store () =
-      let task = Pwcet.Estimator.prepare ~program ~config ?store () in
-      let ff = Pwcet.Estimator.fault_free_wcet task in
-      let est =
-        Pwcet.Estimator.estimate task ~pfail:Pwcet.Param.pfail
-          ~mechanism:Pwcet.Mechanism.Shared_reliable_buffer ?store ()
-      in
-      md5
-        (Printf.sprintf "%d|%.17g|%d" ff est.Pwcet.Estimator.pbf
-           (Pwcet.Estimator.pwcet est ~target))
-    in
-    let sweep_of ?store () =
-      let spec =
-        { Grid.benchmarks = [ (bench, program) ]; configs = [ config ];
-          mechanisms = [ Pwcet.Mechanism.No_protection; Pwcet.Mechanism.Shared_reliable_buffer ];
-          pfail_grid = [ 1e-5; 1e-4; 1e-3 ]; targets = [ target ]; engine = `Path;
-          exact = false; impl = `Sliced }
-      in
-      let buf = Buffer.create 256 in
-      List.iter
-        (fun ((p : Grid.point), outcome) ->
-          match outcome with
-          | Ok (c : Grid.cell) ->
-            Buffer.add_string buf
-              (Printf.sprintf "%s|%.17g|%d;" (Pwcet.Mechanism.short_name p.mechanism) p.pfail
-                 (List.assoc target c.pwcets))
-          | Error e -> failwith (Robust.Pwcet_error.to_string e))
-        (Grid.run ~jobs:1 ?store spec);
-      md5 (Buffer.contents buf)
-    in
-    let grid_spec =
-      { Grid.benchmarks = [ (bench, program) ];
-        configs = [ config ];
-        mechanisms = Pwcet.Mechanism.all;
-        pfail_grid = [ 1e-5; 1e-4 ];
-        targets = [ target ];
-        engine = `Path;
-        exact = false;
-        impl = `Sliced }
-    in
-    let sched_spec =
-      match
-        Sched.Campaign.make ~count:2 ~n_tasks:3 ~utilisation:0.5 ~seed:42
-          ~benchmarks:[ bench ] ~sets:8 ~ways:2 ~line:16 ()
-      with
-      | Ok spec -> spec
-      | Error msg ->
-        Printf.eprintf "chaos: internal sched spec invalid: %s\n" msg;
-        exit 1
-    in
-    (* --- fault-free references, computed once --- *)
-    let analyze_ref = analyze_of () in
-    let sweep_ref = sweep_of () in
-    let grid_ref = Grid.run ~jobs:1 grid_spec in
-    let grid_ref_digest = Grid.digest grid_ref in
-    let sched_ref = (Sched.Campaign.run sched_spec).Sched.Campaign.digest in
-    (* --- the soak --- *)
-    let workloads = [| "analyze"; "sweep"; "grid"; "sched" |] in
-    let tallies = Array.make_matrix (Array.length workloads) 4 0 in
-    let soak = Buffer.create 4096 in
-    let injected = ref 0 in
-    for i = 0 to campaigns - 1 do
-      let cseed = Sim.Rng.stream ~seed ~sample:i in
-      let injector = Chaos.Injector.create ~seed:cseed plan in
-      let dir = Filename.concat root (Printf.sprintf "c%d" i) in
-      let with_store f =
-        Fun.protect
-          ~finally:(fun () -> rm_rf dir)
-          (fun () -> f (Store.Artifact.open_store ~chaos:injector ~dir ()))
-      in
-      let w = i mod Array.length workloads in
-      let thunk () =
-        match w with
-        | 0 ->
-          with_store (fun store ->
-              let d = analyze_of ~store () in
-              if d = analyze_ref then (`Match, d, None)
-              else (`Corrupt, d, Some "analyze digest mismatch"))
-        | 1 ->
-          with_store (fun store ->
-              let d = sweep_of ~store () in
-              (* Journal fuzz rides along: a torn chaotic append must
-                 cost exactly the records that never returned, never a
-                 poisoned resume. *)
-              let jpath = Filename.concat root (Printf.sprintf "c%d.journal" i) in
-              let writer =
-                Store.Journal.create ~chaos:injector ~path:jpath ~run_key:"chaos-soak" ()
-              in
-              let appended = ref [] in
-              (try
-                 for r = 0 to 4 do
-                   let record = Printf.sprintf "record-%d-%d" i r in
-                   Store.Journal.append writer record;
-                   appended := record :: !appended
-                 done
-               with Unix.Unix_error _ -> ());
-              Store.Journal.close writer;
-              let _, replayed = Store.Journal.resume ~path:jpath ~run_key:"chaos-soak" () in
-              (try Sys.remove jpath with Sys_error _ -> ());
-              if replayed <> List.rev !appended then
-                (`Corrupt, d, Some "journal replay mismatch")
-              else if d = sweep_ref then (`Match, d, None)
-              else (`Corrupt, d, Some "sweep digest mismatch"))
-        | 2 ->
-          with_store (fun store ->
-              let outcomes = Grid.run ~jobs ~store ~chaos:injector grid_spec in
-              let d = Grid.digest outcomes in
-              let errors = List.exists (fun (_, r) -> Result.is_error r) outcomes in
-              let silent =
-                List.exists2
-                  (fun (_, r) (_, r0) ->
-                    match (r, r0) with
-                    | Ok c, Ok c0 -> Grid.cell_to_wire c <> Grid.cell_to_wire c0
-                    | Ok _, Error _ -> true
-                    | Error _, _ -> false)
-                  outcomes grid_ref
-              in
-              if silent then (`Corrupt, d, Some "grid cell differs from reference")
-              else if errors then (`Typed, d, None)
-              else if d = grid_ref_digest then (`Match, d, None)
-              else (`Corrupt, d, Some "grid digest mismatch"))
-        | _ ->
-          with_store (fun store ->
-              let t = Sched.Campaign.run ~store ~jobs sched_spec in
-              let d = t.Sched.Campaign.digest in
-              if d = sched_ref then (`Match, d, None)
-              else (`Corrupt, d, Some "sched digest mismatch"))
-      in
-      let verdict, digest, detail =
-        try thunk () with e -> (`Escape, "-", Some (Printexc.to_string e))
-      in
-      let v_idx, v_name =
-        match verdict with
-        | `Match -> (0, "match")
-        | `Typed -> (1, "typed")
-        | `Corrupt -> (2, "corrupt")
-        | `Escape -> (3, "escape")
-      in
-      tallies.(w).(v_idx) <- tallies.(w).(v_idx) + 1;
-      injected := !injected + Chaos.Injector.total_injected injector;
-      Buffer.add_string soak (Printf.sprintf "%d:%s:%s:%s\n" i workloads.(w) v_name digest);
-      if verbose || v_idx >= 2 then
-        Printf.printf "campaign %3d  %-7s  %-7s%s\n" i workloads.(w) v_name
-          (match detail with None -> "" | Some m -> "  " ^ m)
-    done;
-    (try Unix.rmdir root with Unix.Unix_error _ -> ());
-    let corrupts = Array.fold_left (fun a t -> a + t.(2)) 0 tallies in
-    let escapes = Array.fold_left (fun a t -> a + t.(3)) 0 tallies in
+    let report = Soak.run ~campaigns ~seed ~plan ~jobs ~dir in
+    let failed (c : Soak.campaign) = c.verdict = Soak.Corrupt || c.verdict = Soak.Escape in
+    List.iter
+      (fun (c : Soak.campaign) ->
+        if verbose || failed c then
+          Printf.printf "campaign %3d  %-7s  %-7s%s\n" c.index c.workload
+            (Soak.verdict_name c.verdict)
+            (match c.detail with None -> "" | Some m -> "  " ^ m))
+      report.Soak.campaigns;
     Printf.printf "plan        : %s  (seed %d, %d campaigns, jobs %d)\n" plan.Chaos.Plan.name
       seed campaigns jobs;
-    Array.iteri
-      (fun w name ->
-        let t = tallies.(w) in
-        Printf.printf "%-12s: %d run, %d match, %d typed, %d corrupt, %d escape\n" name
-          (t.(0) + t.(1) + t.(2) + t.(3))
-          t.(0) t.(1) t.(2) t.(3))
-      workloads;
-    Printf.printf "injected    : %d faults\n" !injected;
-    Printf.printf "soak digest : %s\n" (md5 (Buffer.contents soak));
-    if corrupts > 0 || escapes > 0 then begin
-      Printf.printf "verdict     : FAIL — %d silent corruption(s), %d escape(s)\n" corrupts
-        escapes;
+    List.iter
+      (fun workload ->
+        let n = Soak.count ~workload report in
+        Printf.printf "%-12s: %d run, %d match, %d typed, %d corrupt, %d escape\n" workload
+          (n Soak.Match + n Soak.Typed + n Soak.Corrupt + n Soak.Escape)
+          (n Soak.Match) (n Soak.Typed) (n Soak.Corrupt) (n Soak.Escape))
+      Soak.workloads;
+    Printf.printf "injected    : %d faults\n" report.Soak.injected;
+    Printf.printf "soak digest : %s\n" report.Soak.digest;
+    if List.exists failed report.Soak.campaigns then begin
+      Printf.printf "verdict     : FAIL — %d silent corruption(s), %d escape(s)\n"
+        (Soak.count report Soak.Corrupt) (Soak.count report Soak.Escape);
       exit 1
     end
     else Printf.printf "verdict     : OK — every campaign bit-identical or typed\n"

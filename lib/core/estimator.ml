@@ -77,30 +77,33 @@ let identity task =
   | Some identity -> identity
   | None -> identity_of ~program:task.program ~config:task.config
 
+(* The stored artifact under [key], decoded. A payload that decodes but
+   fails semantic validation is quarantined exactly like a checksum
+   failure — corruption costs a recompute, never a wrong result. *)
+let read st ~key ~kind ~version ~decode =
+  match Store.Artifact.get st ~key ~kind ~version with
+  | None -> None
+  | Some payload -> (
+    match decode payload with
+    | Ok v -> Some v
+    | Error reason ->
+      Store.Artifact.quarantine st ~key ~reason;
+      None)
+
 (* Read-through cache wrapper; [parts] is forced only when the store is
    consulted. Budgeted runs bypass the store in both
    directions: their outcomes depend on wall-clock, so a cached
-   degraded table could mask an exact one (and vice versa). A payload
-   that decodes but fails semantic validation is quarantined exactly
-   like a checksum failure — corruption costs a recompute, never a
-   wrong result. *)
+   degraded table could mask an exact one (and vice versa). *)
 let cached ~store ~budget ~parts ~kind ~version ~encode ~decode compute =
   match store with
   | Some st when budget = None -> (
     let key = Store.Artifact.key (parts ()) in
-    let recompute_and_put () =
+    match read st ~key ~kind ~version ~decode with
+    | Some v -> v
+    | None ->
       let v = compute () in
       Store.Artifact.put st ~key ~kind ~version (encode v);
-      v
-    in
-    match Store.Artifact.get st ~key ~kind ~version with
-    | None -> recompute_and_put ()
-    | Some payload -> (
-      match decode payload with
-      | Ok v -> v
-      | Error reason ->
-        Store.Artifact.quarantine st ~key ~reason;
-        recompute_and_put ()))
+      v)
   | _ -> compute ()
 
 let prepare ~program ~config ?program_digest ?(engine = `Path) ?(exact = false) ?budget ?store
@@ -144,8 +147,8 @@ let prepare ~program ~config ?program_digest ?(engine = `Path) ?(exact = false) 
 
 (* The FMM (and everything upstream of it) is pfail-independent: pfail
    only enters through the binomial reweighting of the per-set penalty
-   distributions. [compute_fmm] is the expensive pfail-free prefix,
-   [estimate_with_fmm] the cheap per-pfail suffix — the grid amortises
+   distributions. [fmm_grid] is the expensive pfail-free prefix,
+   [estimate_of_fmm] the cheap per-pfail suffix — the grid amortises
    the former across its pfail points, and the store persists both
    across processes. [jobs] stays out of every key: results are
    bit-identical across job counts. The ("impl", "sliced") part names
@@ -156,40 +159,22 @@ let fmm_parts ~identity ~mechanism ~engine ~exact =
   @ [ ("mechanism", Mechanism.short_name mechanism); ("engine", engine_tag engine);
       ("exact", string_of_bool exact); ("impl", "sliced") ]
 
-let compute_fmm task ~parts ~mechanism ~engine ~exact ~jobs ?budget ?store () =
-  cached ~store ~budget
-    ~parts:(fun () -> ("artifact", "fmm") :: parts ())
-    ~kind:fmm_kind ~version:fmm_version ~encode:Fmm.to_wire
-    ~decode:(Fmm.of_wire ~config:task.config ~mechanism)
-    (fun () ->
-      Fmm.compute ~graph:task.graph ~loops:task.loops ~config:task.config ~mechanism ~engine
-        ~exact ~jobs ~ctx:task.ctx ?budget ~baseline:task.chmc ())
-
 (* Multi-mechanism FMM with store read-through: cached tables are
    served per mechanism, the misses are computed together through
    {!Fmm.compute_multi} (sharing the mechanism-independent row
-   prefixes), and every fresh table is persisted under the exact same
-   per-mechanism key [compute_fmm] uses — so grid runs and single runs
-   interchangeably warm each other's cache. [fmm_lookup] and [fmm_put]
-   are the two store halves, for callers that run the rows themselves. *)
+   prefixes), and every fresh table is persisted under its
+   per-mechanism key, so one FMM store path serves every caller.
+   [fmm_lookup] and [fmm_put] are the two store halves, for callers
+   that run the rows themselves. *)
 let fmm_key ~identity ~mechanism ~engine ~exact =
   Store.Artifact.key (("artifact", "fmm") :: fmm_parts ~identity ~mechanism ~engine ~exact)
 
 let fmm_lookup task ~mechanisms ?(engine = `Path) ?(exact = false) ?budget ?store () =
   let keyed = match store with Some st when budget = None -> Some (st, identity task) | _ -> None in
   let lookup mechanism =
-    match keyed with
-    | Some (st, identity) -> (
-      let key = fmm_key ~identity ~mechanism ~engine ~exact in
-      match Store.Artifact.get st ~key ~kind:fmm_kind ~version:fmm_version with
-      | None -> None
-      | Some payload -> (
-        match Fmm.of_wire ~config:task.config ~mechanism payload with
-        | Ok fmm -> Some fmm
-        | Error reason ->
-          Store.Artifact.quarantine st ~key ~reason;
-          None))
-    | None -> None
+    Option.bind keyed (fun (st, identity) ->
+        read st ~key:(fmm_key ~identity ~mechanism ~engine ~exact) ~kind:fmm_kind
+          ~version:fmm_version ~decode:(Fmm.of_wire ~config:task.config ~mechanism))
   in
   let hits, missing =
     List.fold_left
@@ -233,9 +218,15 @@ let fmm_grid task ~mechanisms ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?bu
    one. The key's parts are taken now, on the calling domain, so a law
    built later on another domain forces nothing shared; they are taken
    whenever there is a store, so every key [cached] makes carries them. *)
-let estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store () =
+let estimate_of_fmm task ~fmm ~pfail ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?budget
+    ?store () =
+  let mechanism = Fmm.mechanism fmm in
   let pbf = Fault.Model.pbf_of_config ~pfail task.config in
-  let parts = match store with Some _ -> parts () | None -> [] in
+  let parts =
+    match store with
+    | Some _ -> fmm_parts ~identity:(identity task) ~mechanism ~engine ~exact
+    | None -> []
+  in
   let build cut =
     cached ~store ~budget
       ~parts:(fun () ->
@@ -251,19 +242,16 @@ let estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
   in
   { task; mechanism; pfail; pbf; fmm; slot = { build; law = Atomic.make None } }
 
-let estimate task ~pfail ~mechanism ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?budget ?store
-    () =
-  (* Forced by the first store lookup, if any; local to this call. *)
-  let identity = lazy (identity task) in
-  let parts () = fmm_parts ~identity:(Lazy.force identity) ~mechanism ~engine ~exact in
-  let fmm = compute_fmm task ~parts ~mechanism ~engine ~exact ~jobs ?budget ?store () in
-  estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
+let estimates task ~pfail ~mechanisms ?engine ?exact ?jobs ?budget ?store () =
+  List.map
+    (fun (mechanism, fmm) ->
+      (mechanism, estimate_of_fmm task ~fmm ~pfail ?engine ?exact ?jobs ?budget ?store ()))
+    (fmm_grid task ~mechanisms ?engine ?exact ?jobs ?budget ?store ())
 
-let estimate_of_fmm task ~fmm ~pfail ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?budget
-    ?store () =
-  let mechanism = Fmm.mechanism fmm in
-  let parts () = fmm_parts ~identity:(identity task) ~mechanism ~engine ~exact in
-  estimate_with_fmm task ~fmm ~parts ~mechanism ~jobs ~pfail ?budget ?store ()
+let estimate task ~pfail ~mechanism ?engine ?exact ?jobs ?budget ?store () =
+  match estimates task ~pfail ~mechanisms:[ mechanism ] ?engine ?exact ?jobs ?budget ?store () with
+  | [ (_, e) ] -> e
+  | _ -> assert false
 
 (* [want] is the law a read needs: [Some target] for a quantile at
    [target], [None] for the whole law. The slot is filled by

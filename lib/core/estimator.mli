@@ -1,8 +1,8 @@
 (** End-to-end probabilistic WCET estimation — the paper's full pipeline.
 
     [prepare] runs the fault-free analysis (CFG recovery, cache
-    analysis, IPET) once per program/configuration. [estimate] adds the
-    fault dimension for one mechanism: FMM, per-set penalty
+    analysis, IPET) once per program/configuration. [estimates] adds the
+    fault dimension for each requested mechanism: FMM, per-set penalty
     distributions, cross-set convolution. The resulting pWCET
     distribution is [wcet_ff + penalty]; {!pwcet} reads the exceedance
     quantile at the target probability (the paper uses [1e-15]).
@@ -107,6 +107,34 @@ val prepare :
     holds [program_digest program] passes it and the task keys exactly
     as if [prepare] had hashed the program itself. *)
 
+val estimates :
+  task ->
+  pfail:float ->
+  mechanisms:Mechanism.t list ->
+  ?engine:[ `Path | `Ilp ] ->
+  ?exact:bool ->
+  ?jobs:int ->
+  ?budget:Robust.Budget.t ->
+  ?store:Store.Artifact.t ->
+  unit ->
+  (Mechanism.t * estimate) list
+(** One estimate per requested mechanism (in list order): {!fmm_grid}
+    (one {!Fmm.compute_multi} pass for every map), then
+    {!estimate_of_fmm} on each map with the same [engine], [exact] and
+    [store], so the penalty keys name the options the maps were
+    computed under. Each penalty law waits for its first read (see
+    {!pwcet} and {!penalty}).
+
+    [jobs] (default 1) runs the per-set FMM rows and penalty builds on
+    that many OCaml domains; results are identical for every value, so
+    [jobs] stays out of every store key and warm hits are bit-identical
+    to cold recomputation (pinned by test/test_store.ml). [budget]
+    flows into {!Fmm.compute_multi}: exhaustion loosens FMM cells
+    (soundly) rather than raising, and budgeted runs bypass the store
+    as in {!prepare}. [store] caches each FMM table (per
+    mechanism/engine flags) and, when read, each penalty law (also per
+    pfail, and a cut law per target: [("cut", float_key target)]). *)
+
 val estimate :
   task ->
   pfail:float ->
@@ -118,23 +146,8 @@ val estimate :
   ?store:Store.Artifact.t ->
   unit ->
   estimate
-(** Computes the FMM now; the penalty law waits for its first read (see
-    {!pwcet} and {!penalty}).
-
-    [jobs] (default 1) runs the independent per-set FMM analyses and
-    penalty-distribution builds on that many OCaml domains; results are
-    identical for every value.
-    [budget] flows into {!Fmm.compute}; exhaustion loosens FMM cells
-    (soundly) rather than raising.
-
-    [store] caches the FMM table (per mechanism/engine flags) and the
-    per-point penalty distribution (additionally per pfail, and for a
-    cut law per target: its key carries [("cut", float_key target)],
-    apart from the whole law's), the latter when it is read. [jobs]
-    deliberately stays out of every key — results are bit-identical
-    across job counts — so warm hits are bit-identical to cold
-    recomputation by construction (pinned by test/test_store.ml), and
-    budgeted runs bypass the store as in {!prepare}. *)
+(** {!estimates} for one mechanism: it shares {!fmm_grid}'s one FMM
+    store path, so single and grid runs warm each other's cache. *)
 
 val fmm_grid :
   task ->
@@ -146,15 +159,10 @@ val fmm_grid :
   ?store:Store.Artifact.t ->
   unit ->
   (Mechanism.t * Fmm.t) list
-(** One FMM per requested mechanism (in list order), computing the
-    misses together through {!Fmm.compute_multi} so the
-    mechanism-independent per-set row prefixes (degraded fixpoints,
-    signature memo, delta bounds) are paid once instead of once per
-    mechanism. Each table is bit-identical to what a standalone
-    {!estimate} at the same options would compute, and is read from /
-    written to [store] under the exact per-mechanism key {!estimate}
-    uses — grid and single runs warm each other's cache. Budgeted runs
-    bypass the store as everywhere else. *)
+(** One FMM per requested mechanism (in list order): the tables [store]
+    holds, the rest computed together by {!Fmm.compute_multi}, so the
+    mechanism-independent row prefixes are paid once. Each table is
+    read from / written to [store] under its per-mechanism key. *)
 
 val fmm_lookup :
   task ->
@@ -194,13 +202,11 @@ val estimate_of_fmm :
   ?store:Store.Artifact.t ->
   unit ->
   estimate
-(** The per-pfail suffix of {!estimate} for a map obtained from
-    {!fmm_grid} (or a previous estimate): binomial reweight,
-    convolution, penalty caching. [engine]/[exact] must match
-    the options the map was computed under — they only enter the
-    penalty artifact's store key, which must agree with the key an
-    equivalent {!estimate} call would use. The result is bit-identical
-    to that {!estimate} call. *)
+(** The per-pfail suffix of {!estimates} for a map obtained from
+    {!fmm_grid} (or a previous estimate). [engine]/[exact] must match
+    the options the map was computed under: they only enter the penalty
+    store key, which must agree with an equivalent {!estimates} call's.
+    The result is bit-identical to that call. *)
 
 val pwcet : estimate -> target:float -> int
 (** pWCET at the target exceedance probability, in cycles. Reuses the

@@ -210,14 +210,6 @@ let compute_multi ~graph ~loops ~config ~mechanisms ?engine ?exact ?(jobs = 1) ?
     assemble_multi m
       (Parallel.Pool.map_result ?deadline ~jobs (compute_rows_multi m) m.m_used_sets)
 
-let compute ~graph ~loops ~config ~mechanism ?engine ?exact ?jobs ?ctx ?budget ?baseline () =
-  match
-    compute_multi ~graph ~loops ~config ~mechanisms:[ mechanism ] ?engine ?exact ?jobs ?ctx
-      ?budget ?baseline ()
-  with
-  | [ (_, t) ] -> t
-  | _ -> assert false
-
 let of_table ~config ~mechanism ?provenance ?(errors = []) table =
   if Array.length table <> config.Cache.Config.sets then
     invalid_arg "Fmm.of_table: wrong number of rows";

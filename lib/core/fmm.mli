@@ -20,57 +20,6 @@
 
 type t
 
-val compute :
-  graph:Cfg.Graph.t ->
-  loops:Cfg.Loop.loop list ->
-  config:Cache.Config.t ->
-  mechanism:Mechanism.t ->
-  ?engine:[ `Path | `Ilp ] ->
-  ?exact:bool ->
-  ?jobs:int ->
-  ?ctx:Cache_analysis.Context.t ->
-  ?budget:Robust.Budget.t ->
-  ?baseline:Cache_analysis.Chmc.t ->
-  unit ->
-  t
-(** Runs the fault-free analysis once, then one degraded classification
-    + miss-delta bound per (referenced set, fault count). [engine] picks
-    the bounding engine (tree-based path engine by default, or the IPET
-    ILP); [exact] selects branch-and-bound when the ILP engine is
-    used. [jobs] (default 1) fans the independent per-set rows out
-    across that many OCaml domains; the resulting table is bit-identical
-    for every value of [jobs].
-
-    The degraded analysis runs no fixpoint: the baseline CHMC keeps
-    every reference's Must/May ages at full associativity, and
-    {!Cache_analysis.Chmc.degraded} classifies each (set, fault count)
-    by thresholds on them. The tables are bit-identical to the test
-    oracle's, which re-runs a whole-CFG degraded analysis per (set,
-    fault count) (pinned by the differential tests).
-
-    [ctx] supplies a precomputed {!Cache_analysis.Context.t} for
-    [graph]/[loops]/[config]; built on the fly when absent.
-
-    [budget] bounds the work ({!Robust.Budget.t}): ILP node caps flow
-    into the per-cell solver, whose exhaustion degrades that cell down
-    the Exact -> Relaxed -> Structural ladder; the deadline is also
-    checked between per-set rows, and a row whose worker crashes or
-    starts past the deadline falls back to a constant
-    {!Ipet.Delta.structural_extra_misses} row tagged [Structural], with
-    the cause recorded in {!errors}. [compute] never raises on budget
-    exhaustion or worker crashes — the result is merely looser.
-
-    [baseline] supplies the precomputed fault-free CHMC for
-    [graph]/[loops]/[config] (the same value
-    [Cache_analysis.Chmc.analyze ~ctx ~graph ~loops ~config ()]
-    returns); computed on the fly when absent. The analysis is
-    deterministic, so passing it is a pure recompute-skip. Its ages
-    also serve every degraded classification, so it must cover every
-    referenced set (no [only_sets] restriction).
-
-    [compute] is {!compute_multi} with [~mechanisms:[mechanism]]: one
-    row loop serves both. *)
-
 val compute_multi :
   graph:Cfg.Graph.t ->
   loops:Cfg.Loop.loop list ->
@@ -85,21 +34,47 @@ val compute_multi :
   unit ->
   (Mechanism.t * t) list
 (** One map per requested mechanism (in [mechanisms] order, duplicates
-    allowed), sharing everything that is mechanism-independent: the
-    fault-free baseline, the SRB reachability analysis (run once iff
-    SRB is requested), and — the expensive part — the whole
-    [f = 1 .. W-1] prefix of every per-set row, whose degraded
-    analyses, signature memo and delta bounds never consult the
-    mechanism. Only the dead-set column (f = W) is evaluated per
-    mechanism: RW copies column W-1, None/SRB classify the dead set.
+    allowed). Runs the fault-free analysis once, then one degraded
+    classification + miss-delta bound per (referenced set, fault
+    count). [engine] picks the bounding engine (tree-based path engine
+    by default, or the IPET ILP); [exact] selects branch-and-bound when
+    the ILP engine is used. [jobs] (default 1) fans the independent
+    per-set rows out across that many OCaml domains; the maps are
+    bit-identical for every value of [jobs].
 
-    Each returned map is bit-identical to the map a one-mechanism call
-    with the same parameters produces — pinned by the differential
-    tests — so asking for [k] mechanisms at once is a pure cost
-    optimisation ([k] mechanisms for roughly the price of one).
-    Budget/crash fallback matches {!compute}, with one difference in failure
-    granularity: the shared prefix means a crashed or starved set
-    degrades that set's row for {e every} mechanism. *)
+    The maps share everything mechanism-independent: the baseline, the
+    SRB reachability analysis (run once iff SRB is requested) and the
+    whole [f = 1 .. W-1] prefix of every per-set row. Only the dead-set
+    column (f = W) is evaluated per mechanism: RW copies column W-1,
+    None/SRB classify the dead set. Each map is bit-identical to a
+    one-mechanism call's (pinned by the differential tests).
+
+    The degraded analysis runs no fixpoint: the baseline CHMC keeps
+    every reference's Must/May ages at full associativity, and
+    {!Cache_analysis.Chmc.degraded} classifies each (set, fault count)
+    by thresholds on them. The tables are bit-identical to the test
+    oracle's, which re-runs a whole-CFG degraded analysis per (set,
+    fault count).
+
+    [ctx] supplies a precomputed {!Cache_analysis.Context.t} for
+    [graph]/[loops]/[config]; built on the fly when absent.
+
+    [budget] bounds the work ({!Robust.Budget.t}): ILP node caps flow
+    into the per-cell solver, whose exhaustion degrades that cell down
+    the Exact -> Relaxed -> Structural ladder; the deadline is also
+    checked between per-set rows, and a row whose worker crashes or
+    starts past the deadline falls back, for every mechanism, to a
+    constant {!Ipet.Delta.structural_extra_misses} row tagged
+    [Structural], with the cause recorded in {!errors}. It never raises
+    on budget exhaustion or worker crashes — the result is merely
+    looser.
+
+    [baseline] supplies the precomputed fault-free CHMC for
+    [graph]/[loops]/[config] (the value
+    [Cache_analysis.Chmc.analyze ~ctx ~graph ~loops ~config ()]
+    returns); computed on the fly when absent. Its ages serve every
+    degraded classification, so it must cover every referenced set (no
+    [only_sets] restriction). *)
 
 (** {2 [compute_multi] step by step}
 

@@ -145,7 +145,10 @@ let test_wcet_sound_with_faults () =
       in
       (* No protection. *)
       let fmm_none =
-        Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism:Pwcet.Mechanism.No_protection ()
+        snd
+          (List.hd
+             (Pwcet.Fmm.compute_multi ~graph ~loops ~config
+                ~mechanisms:[ Pwcet.Mechanism.No_protection ] ()))
       in
       let sim = Oracle.Lru.create ~fault_map:fm config in
       let cyc =
@@ -155,8 +158,10 @@ let test_wcet_sound_with_faults () =
       Alcotest.(check bool) (e.R.name ^ " none") true (cyc <= bound fmm_none counts);
       (* SRB. *)
       let fmm_srb =
-        Pwcet.Fmm.compute ~graph ~loops ~config
-          ~mechanism:Pwcet.Mechanism.Shared_reliable_buffer ()
+        snd
+          (List.hd
+             (Pwcet.Fmm.compute_multi ~graph ~loops ~config
+                ~mechanisms:[ Pwcet.Mechanism.Shared_reliable_buffer ] ()))
       in
       let srb = Oracle.Reliable.Srb.create ~fault_map:fm config in
       let cyc_srb =
@@ -166,7 +171,10 @@ let test_wcet_sound_with_faults () =
       Alcotest.(check bool) (e.R.name ^ " srb") true (cyc_srb <= bound fmm_srb counts);
       (* RW. *)
       let fmm_rw =
-        Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism:Pwcet.Mechanism.Reliable_way ()
+        snd
+          (List.hd
+             (Pwcet.Fmm.compute_multi ~graph ~loops ~config
+                ~mechanisms:[ Pwcet.Mechanism.Reliable_way ] ()))
       in
       let rw = Oracle.Reliable.rw_cache ~fault_map:fm config in
       let rw_counts = Oracle.Fault_map.faulty_counts (Oracle.Fault_map.mask_way fm ~way:0) in

@@ -3,8 +3,9 @@
    schedule (its mixer pinned to fixed values, reproducible from the seed,
    order-independent where the caller owns the numbering), the store's
    retry/quarantine/degraded-mode reactions, torn journal appends, the
-   worker pool's crash/respawn protocol, and the grid engine's typed,
-   jobs-invariant surfacing of killed DAG nodes. *)
+   worker pool's crash/respawn protocol, the grid engine's typed,
+   jobs-invariant surfacing of killed DAG nodes, and the soak's
+   digests. *)
 
 module Plan = Chaos.Plan
 module Injector = Chaos.Injector
@@ -28,15 +29,7 @@ let fresh_dir =
     let dir =
       Filename.concat tmp_root (Printf.sprintf "case%d.%d" (Unix.getpid ()) !counter)
     in
-    let rec rm path =
-      if Sys.file_exists path then
-        if Sys.is_directory path then begin
-          Array.iter (fun name -> rm (Filename.concat path name)) (Sys.readdir path);
-          Unix.rmdir path
-        end
-        else Sys.remove path
-    in
-    rm dir;
+    Soak.remove_tree dir;
     dir
 
 let program_of name =
@@ -351,6 +344,30 @@ let test_grid_chaos_digest_jobs_invariant () =
       | Ok _, Error _ -> Alcotest.fail "reference grid has an error cell")
     chaotic1 reference
 
+(* --- the soak ------------------------------------------------------------------ *)
+
+(* The soak digests scripts/check_chaos.sh's `pwcet_tool chaos` runs
+   print, recorded from the command line before the soak moved into the
+   library: 200 campaigns at seed 7 (the same at jobs 1 and 3) and 40 at
+   seed 1234, under the `all` plan. *)
+let test_soak_digests_pinned () =
+  (try Unix.mkdir tmp_root 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let soak ~campaigns ~seed ~jobs expected =
+    let dir = fresh_dir () in
+    let report = Soak.run ~campaigns ~seed ~plan:Plan.all_plan ~jobs ~dir in
+    let label = Printf.sprintf "%d campaigns, seed %d, jobs %d" campaigns seed jobs in
+    check_int (label ^ ": no corrupt or escape") 0
+      (Soak.count report Soak.Corrupt + Soak.count report Soak.Escape);
+    check (label ^ ": faults injected") true (report.Soak.injected > 0);
+    check_int (label ^ ": one verdict per campaign") campaigns
+      (List.length report.Soak.campaigns);
+    check (label ^ ": scratch removed") false (Sys.file_exists dir);
+    Alcotest.(check string) (label ^ ": digest") expected report.Soak.digest
+  in
+  soak ~campaigns:200 ~seed:7 ~jobs:1 "874790f3bbfd7313f356d2e71eac4719";
+  soak ~campaigns:200 ~seed:7 ~jobs:3 "874790f3bbfd7313f356d2e71eac4719";
+  soak ~campaigns:40 ~seed:1234 ~jobs:2 "69562e711babec1691fa0c7f823597df"
+
 let () =
   Alcotest.run "chaos"
     [ ( "determinism",
@@ -381,4 +398,6 @@ let () =
         ; Alcotest.test_case "grid digest jobs-invariant under chaos" `Quick
             test_grid_chaos_digest_jobs_invariant
         ] )
+    ; ( "soak",
+        [ Alcotest.test_case "digests pinned" `Quick test_soak_digests_pinned ] )
     ]

@@ -35,7 +35,9 @@ let test_compute_multi_bit_identical () =
           let oracle = Oracle.Fmm.tables ~graph ~loops ~config ~mechanisms:M.all () in
           List.iter2
             (fun (mechanism, fmm) (_, expected) ->
-              let solo = Fmm.compute ~graph ~loops ~config ~mechanism () in
+              let solo =
+                snd (List.hd (Fmm.compute_multi ~graph ~loops ~config ~mechanisms:[ mechanism ] ()))
+              in
               let tag s = Printf.sprintf "%s/%s %s" name (M.short_name mechanism) s in
               Alcotest.(check (array (array int))) (tag "oracle table") expected (Fmm.table fmm);
               Alcotest.(check (array (array int)))

@@ -368,8 +368,11 @@ let test_fmm_jobs_bit_identical () =
       let graph, loops = task_of name in
       List.iter
         (fun mechanism ->
-          let seq = Fmm.compute ~graph ~loops ~config ~mechanism ~jobs:1 () in
-          let par = Fmm.compute ~graph ~loops ~config ~mechanism ~jobs:4 () in
+          let compute jobs =
+            snd
+              (List.hd (Fmm.compute_multi ~graph ~loops ~config ~mechanisms:[ mechanism ] ~jobs ()))
+          in
+          let seq = compute 1 and par = compute 4 in
           Alcotest.(check (array (array int)))
             (Printf.sprintf "%s/%s table" name (M.name mechanism))
             (Fmm.table seq) (Fmm.table par))
@@ -379,7 +382,9 @@ let test_fmm_jobs_bit_identical () =
 let test_penalty_jobs_bit_identical () =
   let config = Cache.Config.paper_default in
   let graph, loops = task_of "crc" in
-  let fmm = Fmm.compute ~graph ~loops ~config ~mechanism:M.No_protection () in
+  let fmm =
+    snd (List.hd (Fmm.compute_multi ~graph ~loops ~config ~mechanisms:[ M.No_protection ] ()))
+  in
   let pbf = Fault.Model.pbf_of_config ~pfail:1e-4 config in
   let seq = Pwcet.Penalty.total_distribution ~jobs:1 ~fmm ~pbf () in
   let par = Pwcet.Penalty.total_distribution ~jobs:4 ~fmm ~pbf () in

@@ -78,7 +78,10 @@ let prepare prog =
   (compiled, task)
 
 let compute_fmm task mechanism =
-  Fmm.compute ~graph:task.Est.graph ~loops:task.Est.loops ~config ~mechanism ()
+  snd
+    (List.hd
+       (Fmm.compute_multi ~graph:task.Est.graph ~loops:task.Est.loops ~config
+          ~mechanisms:[ mechanism ] ()))
 
 let test_fmm_monotone_rows () =
   let _, task = prepare loop_prog in

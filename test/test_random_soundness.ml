@@ -19,7 +19,9 @@ let check_program seed_counter program =
       let ff = Pwcet.Estimator.fault_free_wcet task in
       let graph = task.Pwcet.Estimator.graph and loops = task.Pwcet.Estimator.loops in
       let penalty = C.miss_penalty config in
-      let fmm mech = Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism:mech () in
+      let fmm mech =
+        snd (List.hd (Pwcet.Fmm.compute_multi ~graph ~loops ~config ~mechanisms:[ mech ] ()))
+      in
       let fmm_none = fmm Pwcet.Mechanism.No_protection in
       let fmm_srb = fmm Pwcet.Mechanism.Shared_reliable_buffer in
       let fmm_rw = fmm Pwcet.Mechanism.Reliable_way in

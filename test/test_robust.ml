@@ -217,11 +217,14 @@ let graph_of name =
 
 let test_fmm_deadline_fallback () =
   let _, graph, loops = graph_of "fibcall" in
-  let exact = Pwcet.Fmm.compute ~graph ~loops ~config:small_config ~mechanism:M.No_protection () in
-  let starved =
-    Pwcet.Fmm.compute ~graph ~loops ~config:small_config ~mechanism:M.No_protection
-      ~budget:expired_budget ()
+  let compute ?budget () =
+    snd
+      (List.hd
+         (Pwcet.Fmm.compute_multi ~graph ~loops ~config:small_config
+            ~mechanisms:[ M.No_protection ] ?budget ()))
   in
+  let exact = compute () in
+  let starved = compute ~budget:expired_budget () in
   Alcotest.(check bool) "exact run has exact rung" true
     (Rung.equal (Pwcet.Fmm.worst_rung exact) Rung.Exact);
   Alcotest.(check (list (pair int string))) "exact run has no errors" []
@@ -313,8 +316,10 @@ let fmm_ladder_dominates =
          | None -> true
          | Some (graph, loops, chmc) ->
            let compute ~exact =
-             Pwcet.Fmm.compute ~graph ~loops ~config:small_config
-               ~mechanism:M.No_protection ~engine:`Ilp ~exact ()
+             snd
+               (List.hd
+                  (Pwcet.Fmm.compute_multi ~graph ~loops ~config:small_config
+                     ~mechanisms:[ M.No_protection ] ~engine:`Ilp ~exact ()))
            in
            let exact_fmm = compute ~exact:true in
            let relaxed_fmm = compute ~exact:false in

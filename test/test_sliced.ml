@@ -20,14 +20,18 @@ let graph_of name =
   let graph = Cfg.Graph.build compiled.Minic.Compile.program in
   (graph, Cfg.Loop.detect graph)
 
-(* Each mechanism's table from a one-mechanism [Fmm.compute] against the
+(* Each mechanism's table from a one-mechanism [Fmm.compute_multi] against the
    oracle's. *)
 let oracle_pairs ~graph ~loops ~config ~engine ~mechanisms =
   List.map
     (fun (mechanism, expected) ->
       ( mechanism,
         expected,
-        Pwcet.Fmm.table (Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism ~engine ()) ))
+        Pwcet.Fmm.table
+          (snd
+             (List.hd
+                (Pwcet.Fmm.compute_multi ~graph ~loops ~config ~mechanisms:[ mechanism ]
+                   ~engine ()))) ))
     (Oracle.Fmm.tables ~graph ~loops ~config ~mechanisms ~engine ())
 
 let check_tables ~graph ~loops ~config ~engine label =

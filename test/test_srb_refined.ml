@@ -169,7 +169,10 @@ let test_pathwise_single_dead () =
   let refined = refined_of task ~pbf in
   let excl = Pwcet.Srb_refined.exclusive_dead_set_misses refined in
   let fmm_none =
-    Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism:Pwcet.Mechanism.No_protection ()
+    snd
+      (List.hd
+         (Pwcet.Fmm.compute_multi ~graph ~loops ~config
+            ~mechanisms:[ Pwcet.Mechanism.No_protection ] ()))
   in
   let penalty = C.miss_penalty config in
   let state = Random.State.make [| 55 |] in
@@ -203,7 +206,10 @@ let test_pathwise_dead_pair () =
   let ff = Pwcet.Estimator.fault_free_wcet task in
   let baseline = task.Pwcet.Estimator.chmc in
   let fmm_none =
-    Pwcet.Fmm.compute ~graph ~loops ~config ~mechanism:Pwcet.Mechanism.No_protection ()
+    snd
+      (List.hd
+         (Pwcet.Fmm.compute_multi ~graph ~loops ~config
+            ~mechanisms:[ Pwcet.Mechanism.No_protection ] ()))
   in
   let penalty = C.miss_penalty config in
   let pair_misses s1 s2 =
