@@ -2072,10 +2072,6 @@ let refined_cmd =
 
 let chaos_cmd =
   let run campaigns seed plan_name jobs dir_opt verbose =
-    if campaigns < 1 then begin
-      Printf.eprintf "chaos: --campaigns must be at least 1\n";
-      exit exit_invalid_input
-    end;
     let plan =
       match Chaos.Plan.named plan_name with
       | Ok p -> p
@@ -2090,7 +2086,12 @@ let chaos_cmd =
         Filename.concat (Filename.get_temp_dir_name ())
           (Printf.sprintf "pwcet_chaos.%d" (Unix.getpid ()))
     in
-    let report = Soak.run ~campaigns ~seed ~plan ~jobs ~dir in
+    let report =
+      try Soak.run ~campaigns ~seed ~plan ~jobs ~dir with
+      | Unix.Unix_error (e, fn, arg) ->
+        Printf.eprintf "chaos: %s %s: %s\n" fn arg (Unix.error_message e);
+        exit exit_invalid_input
+    in
     let failed (c : Soak.campaign) = c.verdict = Soak.Corrupt || c.verdict = Soak.Escape in
     List.iter
       (fun (c : Soak.campaign) ->
@@ -2118,7 +2119,7 @@ let chaos_cmd =
     else Printf.printf "verdict     : OK — every campaign bit-identical or typed\n"
   in
   let campaigns_arg =
-    Arg.(value & opt int 200
+    Arg.(value & opt (int_conv ~docv:"N" (Pwcet.Param.at_least 1)) 200
          & info [ "campaigns" ] ~docv:"N" ~doc:"Soak campaigns to run (cycling workloads).")
   in
   let seed_arg =

@@ -99,10 +99,6 @@ let fold_refs f t init =
     t.classes;
   !acc
 
-let miss_cost_per_execution = function
-  | Always_miss | Not_classified -> true
-  | Always_hit | First_miss _ -> false
-
 let pp_classification fmt = function
   | Always_hit -> Format.pp_print_string fmt "AH"
   | First_miss Global -> Format.pp_print_string fmt "FM(global)"

@@ -103,8 +103,4 @@ val cache_set : t -> node:int -> offset:int -> int
 val fold_refs : (node:int -> offset:int -> classification -> 'a -> 'a) -> t -> 'a -> 'a
 (** Folds over all reachable references in node/offset order. *)
 
-val miss_cost_per_execution : classification -> bool
-(** True when the reference must be costed as a miss on {e every}
-    execution (always-miss / not-classified). *)
-
 val pp_classification : Format.formatter -> classification -> unit

@@ -8,13 +8,6 @@ type fault =
 type rule = { site : string; p : float; fault : fault }
 type t = { name : string; rules : rule list }
 
-let fault_to_string = function
-  | Io_error err -> Printf.sprintf "io-error(%s)" (Unix.error_message err)
-  | Short_io -> "short-io"
-  | Bit_flip -> "bit-flip"
-  | Stall s -> Printf.sprintf "stall(%gs)" s
-  | Kill -> "kill"
-
 let rule site p fault =
   if not (Float.is_finite p) || p < 0.0 || p > 1.0 then
     invalid_arg (Printf.sprintf "Chaos.Plan.rule: probability %g outside [0, 1]" p);

@@ -23,8 +23,6 @@ type fault =
 type rule = { site : string; p : float; fault : fault }
 type t = { name : string; rules : rule list }
 
-val fault_to_string : fault -> string
-
 val rule : string -> float -> fault -> rule
 (** @raise Invalid_argument if [p] lies outside [0, 1]. *)
 

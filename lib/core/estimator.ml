@@ -19,10 +19,11 @@ type estimate = {
   slot : slot;
 }
 
-(* The penalty law an estimate has built so far: a law cut above a bound
-   on its quantile at [target], which answers quantiles at [target] and
-   above, or the whole law, which answers everything. [build] makes
-   either: [Some target] a cut law, [None] the whole one. *)
+(* The penalty law an estimate has built so far: an upper law cut at
+   [depth] (a bound on its quantile there, the mass above it lumped on
+   the largest sum), which answers every read at [depth] and above, or
+   the whole law, which answers everything. [build] makes either:
+   [Some depth] a cut law, [None] the whole one. *)
 and law = Cut of float * Prob.Dist.t | Whole of Prob.Dist.t
 
 and slot = {
@@ -39,7 +40,10 @@ let code_version = "pwcet-analysis-1"
 
 let wcet_kind = "WCET" and wcet_version = 1
 let fmm_kind = "FMM " and fmm_version = 1
-let dist_kind = "DIST" and dist_version = 1
+(* DIST 2: a cut law's lump sits on the largest sum. A version-1 cut
+   law, lumped just past its cut, is not an upper law, so it reads as a
+   miss. *)
+let dist_kind = "DIST" and dist_version = 2
 
 let artifact_kinds =
   [ (wcet_kind, wcet_version); (fmm_kind, fmm_version); (dist_kind, dist_version) ]
@@ -211,9 +215,9 @@ let fmm_grid task ~mechanisms ?(engine = `Path) ?(exact = false) ?(jobs = 1) ?bu
   let tables = hits @ computed in
   List.map (fun m -> (m, snd (List.find (fun (m', _) -> Mechanism.equal m m') tables))) mechanisms
 
-(* The penalty law is built on first read, not here: a caller that
-   reads quantiles only gets a law cut at its smallest target, one that
-   reads the curve the whole law. A cut law keys apart from the whole
+(* The penalty law is built on first read, not here: a caller gets a
+   law cut at the smallest probability it reads, or, for [penalty], the
+   whole law. A cut law keys apart from the whole
    law of the same point, so a whole-law read can never receive a cut
    one. The key's parts are taken now, on the calling domain, so a law
    built later on another domain forces nothing shared; they are taken
@@ -253,8 +257,8 @@ let estimate task ~pfail ~mechanism ?engine ?exact ?jobs ?budget ?store () =
   | [ (_, e) ] -> e
   | _ -> assert false
 
-(* [want] is the law a read needs: [Some target] for a quantile at
-   [target], [None] for the whole law. The slot is filled by
+(* [want] is the law a read needs: [Some depth] for a read at [depth]
+   or above, [None] for the whole law. The slot is filled by
    compare-and-set, never by [Lazy], which raises when two domains force
    it at once: domains that miss together each build the law, which is
    deterministic, so a lost race wastes work and changes nothing. A law
@@ -262,18 +266,21 @@ let estimate task ~pfail ~mechanism ?engine ?exact ?jobs ?budget ?store () =
 let answers law want =
   match (law, want) with
   | Whole _, _ -> true
-  | Cut (cut, _), Some target -> cut <= target
+  | Cut (cut, _), Some depth -> cut <= depth
   | Cut _, None -> false
 
 let dist = function Whole d | Cut (_, d) -> d
 
-let law e want =
+let held e ~depth =
+  match Atomic.get e.slot.law with Some law -> answers law (Some depth) | None -> false
+
+let read e want =
   match Atomic.get e.slot.law with
   | Some held when answers held want -> dist held
   | _ ->
     let built =
       match want with
-      | Some target -> Cut (target, e.slot.build want)
+      | Some depth -> Cut (depth, e.slot.build want)
       | None -> Whole (e.slot.build None)
     in
     let rec install () =
@@ -284,20 +291,21 @@ let law e want =
     install ();
     dist built
 
-let penalty e = law e None
+let penalty e = read e None
+let law e ~depth = read e (Some depth)
 
 (* A NaN or negative target is refused by [Penalty.cut_distribution] or
    [Dist.quantile], whichever the read reaches; [Float.min] keeps a NaN
    among [targets], so it reaches one of them too. *)
 let pwcet e ~target =
-  e.task.wcet_ff + Prob.Dist.quantile (law e (Some target)) ~target
+  e.task.wcet_ff + Prob.Dist.quantile (law e ~depth:target) ~target
 
 (* The first read is at the smallest target, so one cut law answers
    every target. *)
 let pwcets e ~targets =
   (match targets with
    | [] -> ()
-   | t :: ts -> ignore (law e (Some (List.fold_left Float.min t ts))));
+   | t :: ts -> ignore (law e ~depth:(List.fold_left Float.min t ts)));
   List.map (fun target -> (target, pwcet e ~target)) targets
 
 let exceedance_curve e =

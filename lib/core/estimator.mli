@@ -33,7 +33,7 @@ type estimate = private {
   pfail : float;
   pbf : float;  (** derived block-failure probability (eq. 1) *)
   fmm : Fmm.t;
-  slot : slot;  (** the penalty law built so far; read it through {!penalty} or {!pwcet} *)
+  slot : slot;  (** the penalty law built so far; read it through {!law}, {!pwcet} or {!penalty} *)
 }
 
 and slot
@@ -208,13 +208,25 @@ val estimate_of_fmm :
     store key, which must agree with an equivalent {!estimates} call's.
     The result is bit-identical to that call. *)
 
+val law : estimate -> depth:float -> Prob.Dist.t
+(** The upper cut law at [depth]: the estimate's law when it answers
+    [depth] (the whole law, or a law cut at a depth at most [depth]);
+    otherwise the law {!Penalty.cut_distribution} builds at [depth],
+    which the estimate keeps. Its points at most the cut, and so its
+    quantiles at every target of at least [depth], are the whole law's
+    wherever neither law reaches the convolution cap; above the cut its
+    mass sits on the largest sum, so its [P(X > x)] bounds the whole
+    law's from above at every [x].
+    @raise Invalid_argument when [depth] is negative or not finite. *)
+
+val held : estimate -> depth:float -> bool
+(** Whether the estimate already holds a law that answers [depth] —
+    whether {!law}[ ~depth], and so {!pwcet} at a target of at least
+    [depth], reads it without building one. *)
+
 val pwcet : estimate -> target:float -> int
-(** pWCET at the target exceedance probability, in cycles. Reuses the
-    estimate's law when it answers [target] (the whole law, or a law cut
-    at a target at most [target]); otherwise builds the law cut at
-    [target] with {!Penalty.cut_distribution}, keeps it and reads it.
-    Its quantile equals the whole law's wherever neither law reaches
-    the convolution cap.
+(** pWCET at the target exceedance probability, in cycles: the quantile
+    at [target] of {!law}[ ~depth:target].
     @raise Invalid_argument when [target] is negative or not finite. *)
 
 val pwcets : estimate -> targets:float list -> (float * int) list
@@ -224,9 +236,8 @@ val pwcets : estimate -> targets:float list -> (float * int) list
     @raise Invalid_argument when a target is negative or not finite. *)
 
 val penalty : estimate -> Prob.Dist.t
-(** The whole penalty law, built on the first whole-law read and kept.
-    Every reader of more than quantiles (curves, support, audits,
-    fault-injection comparisons) goes through here. *)
+(** The whole penalty law, built on the first whole-law read and kept,
+    for the readers an upper cut law would change (see DESIGN.md §7). *)
 
 val exceedance_curve : estimate -> (int * float) list
 (** [(wcet_value, P(WCET >= value))] staircase of the whole law —

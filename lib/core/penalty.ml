@@ -187,7 +187,12 @@ let quantile_bound ~fmm ~pbf ~target =
    passes, so the search ends. A start below the quantile, such as the
    largest per-set quantile, costs failed passes: doubling from that
    one failed 620 per 150 grid-pfail laws at pfail 1e-6
-   (EXPERIMENTS.md, eleventh performance pass). *)
+   (EXPERIMENTS.md, eleventh performance pass).
+
+   The accepted law's lump then moves to the largest sum any fault
+   pattern can reach, every set at its worst FMM column: the law puts
+   all the mass above [q] on a value no sum exceeds, so its [P(X > x)]
+   is at least the exact law's at every [x], and it is an upper law. *)
 let cut_distribution ?max_points ?(jobs = 1) ~fmm ~pbf ~target () =
   check_target "cut_distribution" target;
   let leaves = leaves ~fmm ~pbf in
@@ -197,6 +202,7 @@ let cut_distribution ?max_points ?(jobs = 1) ~fmm ~pbf ~target () =
   let sizes = Array.map (fun (d, count) -> Prob.Dist.power_size ?max_points d count) leaves in
   let rec search q =
     let law = reduce ?max_points ~above:q ~sizes ~jobs leaves in
-    if Prob.Dist.exceedance law q <= target then law else search (max (2 * q) (q + step))
+    if Prob.Dist.exceedance law q <= target then (q, law) else search (max (2 * q) (q + step))
   in
-  search (chernoff_bound ~step ~target leaves)
+  let q, law = search (chernoff_bound ~step ~target leaves) in
+  Prob.Dist.lift_lump ~above:q ~top:(Fmm.max_penalty_misses fmm * step) law

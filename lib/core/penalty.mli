@@ -66,7 +66,13 @@ val cut_distribution :
     float check fail (rounding, or a cut law that reaches the cap), [q]
     doubles until it passes. The cut reduction's leaves are
     ordered by their uncut sizes ({!Prob.Dist.power_size}), so its tree
-    has the whole law's shape. Nothing above [q] (an exceedance curve,
-    a quantile at a smaller target) can be read from the result.
+    has the whole law's shape.
+
+    The accepted law is an {e upper cut law}: its lumped mass sits on
+    the largest sum, [Fmm.max_penalty_misses fmm * miss_penalty]
+    ({!Prob.Dist.lift_lump}, one O(n) copy of the penalties). Every
+    point at most [q] is the whole law's, and above [q] its [P(X > x)]
+    is the lumped mass, at least the exact law's: a curve read from it
+    bounds the exact curve from above, and is exact down to [target].
     Deterministic and bit-identical for every [jobs].
     @raise Invalid_argument when [target] is negative or not finite. *)

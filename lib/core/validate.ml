@@ -21,6 +21,15 @@ let sim_mechanism : Mechanism.t -> Sim.Campaign.mechanism = function
   | Mechanism.Reliable_way -> Sim.Campaign.Reliable_way
   | Mechanism.Shared_reliable_buffer -> Sim.Campaign.Shared_reliable_buffer
 
+(* The analytic side reads the upper law cut far below one sample's
+   weight. A sampled pattern's penalty is at most its FMM bound, which
+   lies above the cut with probability at most [depth], so a campaign
+   of [samples] puts a sample there with probability at most 1e-9, and
+   every observed value is read where the cut law's points are the
+   whole law's. Above the cut the upper law's exceedance, the lumped
+   mass, only raises the analytic side, by at most [depth]. *)
+let depth ~samples = 1e-9 /. float_of_int samples
+
 (* Empirical vs analytic exceedance at every observed execution time.
    Both sides use the weak form P(X >= x): the analytic distribution is
    [wcet_ff + penalty], so P(X >= x) = P(penalty > x - 1 - wcet_ff) at
@@ -29,7 +38,7 @@ let sim_mechanism : Mechanism.t -> Sim.Campaign.mechanism = function
    (5 sigma + 1/n, [Sim.Campaign.noise_allowance]). *)
 let compare_curve ~(est : Estimator.estimate) (r : Sim.Campaign.result) =
   let wcet_ff = est.Estimator.task.Estimator.wcet_ff in
-  let penalty = Estimator.penalty est in
+  let penalty = Estimator.law est ~depth:(depth ~samples:r.Sim.Campaign.samples) in
   let n = float_of_int r.Sim.Campaign.samples in
   let points = ref 0 in
   let max_gap = ref neg_infinity in

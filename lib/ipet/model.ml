@@ -75,8 +75,6 @@ let lp t = t.lp
 let graph t = t.graph
 let reachable t u = t.reachable.(u)
 
-let edge_var t e = Hashtbl.find t.edge_vars e
-
 let execution_terms t u =
   let terms =
     List.filter_map

@@ -18,9 +18,6 @@ val graph : t -> Cfg.Graph.t
 
 val reachable : t -> int -> bool
 
-val edge_var : t -> int * int -> Ilp.Lp.var
-(** @raise Not_found for edges not in the model. *)
-
 val execution_terms : t -> int -> (Ilp.Lp.var * int) list * int
 (** [execution_terms t u] is the execution count of node [u] as (linear
     terms, constant): the sum of incoming edge variables, plus 1 when

@@ -65,15 +65,6 @@ let is_control_flow = function
   | Beq2 _ | Beqz _ | J _ | Jal _ | Jr _ | Halt -> true
   | Alu _ | Alui _ | Shift _ | Li _ | Lw _ | Sw _ | Lb _ | Sb _ | Nop -> false
 
-let branch_targets = function
-  | Beq2 (_, _, _, t) | Beqz (_, _, t) | J t | Jal t -> [ t ]
-  | Jr _ | Alu _ | Alui _ | Shift _ | Li _ | Lw _ | Sw _ | Lb _ | Sb _ | Nop | Halt -> []
-
-let falls_through = function
-  | J _ | Jr _ | Halt -> false
-  | Beq2 _ | Beqz _ | Jal _ | Alu _ | Alui _ | Shift _ | Li _ | Lw _ | Sw _ | Lb _ | Sb _ | Nop ->
-    true
-
 let binop_name = function
   | Add -> "add"
   | Sub -> "sub"
@@ -98,9 +89,6 @@ let cond_name = function
   | Ltz -> "bltz"
   | Gez -> "bgez"
 
-let pp_binop fmt op = Format.pp_print_string fmt (binop_name op)
-let pp_cond fmt c = Format.pp_print_string fmt (cond_name c)
-
 let pp pp_target fmt = function
   | Alu (op, rd, rs, rt) ->
     Format.fprintf fmt "%s %a, %a, %a" (binop_name op) Reg.pp rd Reg.pp rs Reg.pp rt
@@ -123,5 +111,4 @@ let pp pp_target fmt = function
   | Nop -> Format.pp_print_string fmt "nop"
   | Halt -> Format.pp_print_string fmt "halt"
 
-let pp_labeled fmt i = pp Format.pp_print_string fmt i
 let pp_resolved fmt i = pp Format.pp_print_int fmt i

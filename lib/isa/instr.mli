@@ -63,15 +63,5 @@ val is_control_flow : 'a t -> bool
 (** True for branches, jumps, [Jr] and [Halt] — anything that ends a
     basic block. *)
 
-val branch_targets : resolved -> int list
-(** Static targets of a resolved instruction ([Jr] has none). *)
-
-val falls_through : 'a t -> bool
-(** Whether control may continue at the next instruction. *)
-
-val pp_binop : Format.formatter -> binop -> unit
-val pp_cond : Format.formatter -> cond -> unit
-
 val pp : (Format.formatter -> 'target -> unit) -> Format.formatter -> 'target t -> unit
-val pp_labeled : Format.formatter -> labeled -> unit
 val pp_resolved : Format.formatter -> resolved -> unit

@@ -2,11 +2,6 @@ let check p k =
   if not (Float.is_finite p) || p < 0.0 || p > 1.0 then invalid_arg "Probfloat: p outside [0,1]";
   if k < 0 then invalid_arg "Probfloat: negative exponent"
 
-let pow_one_minus ~p ~k =
-  check p k;
-  if p = 1.0 then if k = 0 then 1.0 else 0.0
-  else exp (float_of_int k *. Float.log1p (-.p))
-
 let one_minus_pow_one_minus ~p ~k =
   check p k;
   if p = 1.0 then if k = 0 then 0.0 else 1.0

@@ -6,9 +6,6 @@ val one_minus_pow_one_minus : p:float -> k:int -> float
     [expm1]/[log1p] so that tiny [p] does not cancel.
     @raise Invalid_argument when [p] is outside [0,1] or [k < 0]. *)
 
-val pow_one_minus : p:float -> k:int -> float
-(** [(1 - p)^k] without forming [1 - p] when [p] is tiny. *)
-
 val pow_one_minus_real : p:float -> n:float -> float
 (** [(1 - p)^n] for a real non-negative exponent — rate composition
     over fractional event counts (jobs per hour, per-unit splits of a

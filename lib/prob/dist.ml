@@ -270,6 +270,27 @@ let lumped_mass ~above a b =
     a.penalties;
   Kahan.total acc
 
+(* A law cut above [above] has one point past it, its lump. Moving that
+   point up changes no probability, so the lifted law shares the
+   probabilities and the exceedance suffix (as [shift] does), and only
+   the penalties are copied. A law with several points past [above] (a
+   power or a leaf no convolution cut) has them merged into one, whose
+   mass is their suffix sum. *)
+let lift_lump ~above ~top t =
+  let n = size t in
+  let i = count_upto t.penalties above in
+  if i = n then t
+  else begin
+    let penalties = Array.sub t.penalties 0 (i + 1) in
+    penalties.(i) <- max top t.penalties.(n - 1);
+    if i = n - 1 then { t with penalties }
+    else begin
+      let probs = Array.sub t.probs 0 (i + 1) in
+      probs.(i) <- (suffix t).(i);
+      of_sorted_arrays penalties probs
+    end
+  end
+
 (* Reference convolution kernel: accumulate the n*m products in a hash
    table, sort, cap. Nothing in the analysis calls it: it is the oracle
    the tests hold the merge kernel to, and it lives here because it

@@ -115,6 +115,20 @@ val convolve : ?max_points:int -> ?above:int -> t -> t -> t
     uncut one.
     @raise Invalid_argument when [max_points < 1]. *)
 
+val lift_lump : above:int -> top:int -> t -> t
+(** [lift_lump ~above:q ~top t] moves the mass of [t]'s points above
+    [q] — the lump of a law cut at [q] (see {!convolve}'s [above]) — to
+    one point at [top], or at [t]'s largest penalty if that is higher;
+    a law with no point above [q] is returned as is. Every point at most
+    [q], and so every quantile at a target no smaller than [P(X > q)],
+    is unchanged. With [top] the largest sum the exact law can reach,
+    the lifted law's [P(X > x)] is at least the exact law's at every
+    [x] (to the rounding of the lumped mass): it is an upper law, which
+    a curve may be read from. With one point above [q] the
+    probabilities and the exceedance suffix are shared with [t], and
+    only the penalties are copied; several are merged into one, of
+    their suffix sum. O(n). *)
+
 val convolve_reference : ?max_points:int -> ?above:int -> t -> t -> t
 (** The original hash-table convolution kernel: every product
     accumulated into a hash table keyed by penalty, sorted, then capped

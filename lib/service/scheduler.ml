@@ -268,10 +268,16 @@ let prepared_task t ~program ~config ~digest (a : Protocol.analyze) =
 
 (* An estimate builds its penalty law on first read. The memo shares one
    estimate among requests at any target, and [respond] runs on the
-   front-end thread, so the worker builds the whole law, which answers
-   every target, before the estimate leaves it. *)
-let whole_law est =
-  ignore (Pwcet.Estimator.penalty est);
+   front-end thread, so the worker builds the law before the estimate
+   leaves it: the upper law cut at the smaller of the request's target
+   and [floor]. One memoised estimate then answers every later target
+   at or above the floor, and a law cut at 1e-18 is a fraction of the
+   whole law's size. 1e-18 is the exceedance plot's floor
+   ([Reporting.Ascii_plot]), well below any target a deployment reads. *)
+let floor = 1e-18
+
+let cut_law ~target est =
+  ignore (Pwcet.Estimator.law est ~depth:(Float.min target floor));
   est
 
 (* The computation a worker domain runs. [jobs:1]: request-level
@@ -289,7 +295,7 @@ let compute t ~program ~config ~digest ?budget (a : Protocol.analyze) () =
         None )
     | None -> (prepared_task t ~program ~config ~digest a, t.store)
   in
-  whole_law
+  cut_law ~target:a.target
     (Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
        ~exact:a.exact ~jobs:1 ?budget ?store ())
 
@@ -317,6 +323,31 @@ let admit t =
 let note_slow_client t = locked t (fun () -> t.slow_clients <- t.slow_clients + 1)
 let note_rejected_conn t = locked t (fun () -> t.rejected_conns <- t.rejected_conns + 1)
 
+(* [f] as a pool job outside any single flight, under the pool's
+   admission control, its success counted as a computation. *)
+let pooled t f ~respond =
+  let iv = ivar () in
+  let job () =
+    let outcome = guarded f in
+    if Result.is_ok outcome then locked t (fun () -> t.computations <- t.computations + 1);
+    fill iv outcome
+  in
+  if Parallel.Workers.submit t.pool job then respond ~computed:true (wait iv) else shed t
+
+(* A memoised or joined estimate answers the request unless its target
+   lies below the cut the estimate holds: a target below the floor that
+   no request reached first, or an estimate a sched campaign memoised
+   before it read the law. Then the deeper cut is built on a worker,
+   like every computation, so it is under admission control and never
+   holds up the front end; it replaces the held law, so later requests
+   at that depth read it. Two such requests at once each build it, and
+   the deterministic laws are the same. *)
+let deepen t (a : Protocol.analyze) ~computed outcome =
+  match outcome with
+  | Ok est when not (Pwcet.Estimator.held est ~depth:a.target) ->
+    pooled t (fun () -> cut_law ~target:a.target est) ~respond:(respond t a)
+  | _ -> respond t a ~computed outcome
+
 let analyze t (a : Protocol.analyze) : Protocol.response =
   admit t;
   match
@@ -330,19 +361,12 @@ let analyze t (a : Protocol.analyze) : Protocol.response =
     | Some ms ->
       (* Budgeted: private computation, admission control only. *)
       let budget = Robust.Budget.make ~timeout:(float_of_int ms /. 1000.0) () in
-      let iv = ivar () in
-      let job () =
-        let outcome = guarded (compute t ~program ~config ~digest ~budget a) in
-        if Result.is_ok outcome then locked t (fun () -> t.computations <- t.computations + 1);
-        fill iv outcome
-      in
-      if Parallel.Workers.submit t.pool job then respond t a ~computed:true (wait iv)
-      else shed t
+      pooled t (compute t ~program ~config ~digest ~budget a) ~respond:(respond t a)
     | None ->
       single_flight_pooled t ~count_join:true ~count_compute:true t.estimates
         (request_key ~identity a)
         (compute t ~program ~config ~digest a)
-        ~respond:(respond t a))
+        ~respond:(deepen t a))
 
 (* --- bulk schedulability campaigns ----------------------------------------- *)
 
@@ -368,9 +392,14 @@ let bench_estimate t ~config (spec : Sched.Campaign.spec) bench =
   single_flight_inline t ~count_join:true ~count_compute:true t.bench_estimates
     (request_key ~identity a) (fun () ->
       let task = prepared_task t ~program ~config ~digest a in
-      whole_law
-        (Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
-           ~exact:a.exact ~jobs:1 ?store:t.store ()))
+      let est =
+        Pwcet.Estimator.estimate task ~pfail:a.pfail ~mechanism:a.mechanism ~engine:a.engine
+          ~exact:a.exact ~jobs:1 ?store:t.store ()
+      in
+      (* [Sched.Campaign.law_of_estimate] reads the whole law: built
+         here, inside the flight, so that joiners share it. *)
+      ignore (Pwcet.Estimator.penalty est);
+      est)
 
 (* The campaign computation a worker domain runs. [jobs:1] as in
    [compute]: request-level parallelism comes from the pool itself. *)

@@ -99,7 +99,7 @@ let run ~campaigns ~seed ~plan ~jobs ~dir =
     | Ok spec -> spec
     | Error msg -> invalid_arg ("Soak.run: internal sched spec invalid: " ^ msg)
   in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Store.Artifact.mkdir_p dir;
   (* Fault-free references, computed once. *)
   let analyze_ref = analyze_of ~program ~config () in
   let sweep_ref = sweep_of ~program ~config () in

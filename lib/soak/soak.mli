@@ -40,10 +40,11 @@ type report = {
 }
 
 val run : campaigns:int -> seed:int -> plan:Chaos.Plan.t -> jobs:int -> dir:string -> report
-(** Runs the soak in the scratch directory [dir] (created if missing,
-    emptied as the soak goes and then removed). [jobs] is the worker
-    count of the grid and sched campaigns. Never prints.
-    @raise Invalid_argument if [campaigns < 1]. *)
+(** Runs the soak in the scratch directory [dir] (created with its
+    missing parents, emptied as the soak goes and then removed). [jobs]
+    is the worker count of the grid and sched campaigns. Never prints.
+    @raise Invalid_argument if [campaigns < 1].
+    @raise Unix.Unix_error if [dir] cannot be created. *)
 
 val count : ?workload:string -> report -> verdict -> int
 (** The soak's tallies: campaigns with this verdict (of [workload] only). *)

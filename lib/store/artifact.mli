@@ -54,6 +54,11 @@ val open_store : ?chaos:Chaos.Injector.t -> dir:string -> unit -> t
     [store.fsync] and [store.rename] on this handle.
     @raise Sys_error if [dir] cannot be created. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and every missing parent ([mkdir -p]); an
+    existing one is left alone.
+    @raise Unix.Unix_error when a component cannot be created. *)
+
 val root : t -> string
 
 val key : (string * string) list -> string

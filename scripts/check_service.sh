@@ -5,6 +5,10 @@
 #   1. serve on a temp socket with a store      -> readiness via ping
 #   2. analyze round trip, then a warm repeat   -> identical pWCET line,
 #                                                  repeat not recomputed
+#      then at a target below the memo's floor  -> pWCET line equal to a
+#      (1e-20)                                     direct `analyze`, and a
+#                                                  default-target repeat
+#                                                  not recomputed
 #      then the same benchmark at a second      -> computed (stats delta
 #      geometry                                    1), pWCET line equal to
 #                                                  a direct `analyze`
@@ -59,6 +63,23 @@ grep -q "computed       : false" "$WORK/warm.out" || fail "warm repeat recompute
 grep "pWCET" "$WORK/cold.out" > "$WORK/cold.pwcet"
 grep "pWCET" "$WORK/warm.out" > "$WORK/warm.pwcet"
 cmp -s "$WORK/cold.pwcet" "$WORK/warm.pwcet" || fail "warm pWCET differs from cold"
+
+# The memo holds each law cut at a floor of 1e-18: a target below it is
+# answered from a deeper cut, equal to the direct pipeline's, and the
+# default target still reads the memo afterwards.
+"$TOOL" client -s "$SOCK" analyze crc $GEOM --target 1e-20 > "$WORK/deep.out" \
+  || fail "analyze at 1e-20 failed"
+"$TOOL" analyze crc $GEOM --target 1e-20 > "$WORK/direct_deep.out" \
+  || fail "direct analyze at 1e-20 failed"
+grep "^no protection" "$WORK/direct_deep.out" | sed 's/.*pWCET/pWCET/' > "$WORK/direct_deep.pwcet"
+grep "pWCET" "$WORK/deep.out" > "$WORK/deep.pwcet"
+[ -s "$WORK/direct_deep.pwcet" ] || fail "no pWCET line in direct analyze output at 1e-20"
+cmp -s "$WORK/direct_deep.pwcet" "$WORK/deep.pwcet" \
+  || fail "pWCET at 1e-20 differs from direct analyze"
+"$TOOL" client -s "$SOCK" analyze crc $GEOM > "$WORK/after_deep.out" \
+  || fail "default-target analyze after 1e-20 failed"
+grep -q "computed       : false" "$WORK/after_deep.out" \
+  || fail "default-target request after 1e-20 recomputed"
 
 # The daemon memoises each compiled program, never an identity: a second
 # geometry must key its own computation and match the direct pipeline.

@@ -368,6 +368,25 @@ let test_soak_digests_pinned () =
   soak ~campaigns:200 ~seed:7 ~jobs:3 "874790f3bbfd7313f356d2e71eac4719";
   soak ~campaigns:40 ~seed:1234 ~jobs:2 "69562e711babec1691fa0c7f823597df"
 
+(* A scratch directory whose parents do not exist yet is created with
+   them; one that cannot be created raises the [Unix_error] that `chaos`
+   reports in one line. *)
+let test_soak_dir_parents () =
+  (try Unix.mkdir tmp_root 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let parent = fresh_dir () in
+  let dir = Filename.concat (Filename.concat parent "a") "b" in
+  let report = Soak.run ~campaigns:1 ~seed:1 ~plan:Plan.none ~jobs:1 ~dir in
+  check_int "one campaign" 1 (List.length report.Soak.campaigns);
+  check_int "no corrupt or escape" 0
+    (Soak.count report Soak.Corrupt + Soak.count report Soak.Escape);
+  check "scratch removed" false (Sys.file_exists dir);
+  let file = Filename.concat parent "file" in
+  Out_channel.with_open_bin file ignore;
+  (match Soak.run ~campaigns:1 ~seed:1 ~plan:Plan.none ~jobs:1 ~dir:(Filename.concat file "x") with
+   | _ -> Alcotest.fail "a directory under a file was created"
+   | exception Unix.Unix_error (Unix.ENOTDIR, "mkdir", _) -> ());
+  Soak.remove_tree parent
+
 let () =
   Alcotest.run "chaos"
     [ ( "determinism",
@@ -399,5 +418,7 @@ let () =
             test_grid_chaos_digest_jobs_invariant
         ] )
     ; ( "soak",
-        [ Alcotest.test_case "digests pinned" `Quick test_soak_digests_pinned ] )
+        [ Alcotest.test_case "digests pinned" `Quick test_soak_digests_pinned
+        ; Alcotest.test_case "scratch parents created" `Quick test_soak_dir_parents
+        ] )
     ]

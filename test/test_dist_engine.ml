@@ -1134,35 +1134,38 @@ let each_grid_pfail_fmm check =
 
 (* Every grid-pfail law, whole and cut at 1e-15 as a grid cell with the
    benchmark's targets cuts it: the 1,800 quantiles at 1e-15, 1e-12 and
-   1e-9 are equal. [check] sees each law's label, whole law and cut
-   law. *)
+   1e-9 are equal. *)
 let grid_pfail_targets = [ 1e-15; 1e-12; 1e-9 ]
 
-let each_grid_pfail_law check =
-  each_grid_pfail_fmm (fun label fmm pbf ->
-      check label
-        (Pwcet.Penalty.total_distribution ~fmm ~pbf ())
-        (Pwcet.Penalty.cut_distribution ~fmm ~pbf ~target:1e-15 ()))
+(* The largest sum a law can reach, where a cut law's lump sits. *)
+let largest_sum fmm =
+  Pwcet.Fmm.max_penalty_misses fmm * Cache.Config.miss_penalty (Pwcet.Fmm.config fmm)
 
 let test_grid_pfail_cut_quantiles () =
   let laws = ref 0 and capped = ref [] and shorter = ref 0 in
-  each_grid_pfail_law (fun label whole cut ->
+  each_grid_pfail_fmm (fun label fmm pbf ->
+      let whole = Pwcet.Penalty.total_distribution ~fmm ~pbf ()
+      and cut = Pwcet.Penalty.cut_distribution ~fmm ~pbf ~target:1e-15 () in
       incr laws;
       if D.size cut = 65536 then capped := label :: !capped;
       (* Where the whole law never reached the cap, the cut law's points
-         below its last one (the lumped point, if it was cut) are the
-         whole law's bit for bit, and the last one carries the rest of
-         its mass. *)
+         at most its cut [q] (the search's first pass, "grid-pfail first
+         cut pass") are the whole law's bit for bit, and one point above
+         it, on the largest sum, carries the rest of its mass. *)
       if D.size whole < 65536 then begin
-        let points = D.support cut in
-        let last, lumped = List.nth points (List.length points - 1) in
-        let below, rest = List.partition (fun (x, _) -> x < last) (D.support whole) in
-        if rest <> [ (last, lumped) ] then incr shorter;
-        Alcotest.check support (label ^ " points below the cut") below
-          (List.filter (fun (x, _) -> x < last) points);
-        let tail = Numeric.Kahan.sum_by snd rest in
-        Alcotest.(check bool) (label ^ " lumped mass") true
-          (Float.abs (tail -. lumped) <= 1e-12 *. tail)
+        let q = Pwcet.Penalty.quantile_bound ~fmm ~pbf ~target:1e-15 in
+        let upto = List.partition (fun (x, _) -> x <= q) in
+        let below, rest = upto (D.support whole) and kept, lump = upto (D.support cut) in
+        Alcotest.check support (label ^ " points below the cut") below kept;
+        match (rest, lump) with
+        | [], [] -> ()
+        | _ :: _, [ (x, lumped) ] ->
+          incr shorter;
+          Alcotest.(check int) (label ^ " the lump is on the largest sum") (largest_sum fmm) x;
+          let tail = Numeric.Kahan.sum_by snd rest in
+          Alcotest.(check bool) (label ^ " lumped mass") true
+            (Float.abs (tail -. lumped) <= 1e-12 *. tail)
+        | _ -> Alcotest.failf "%s: %d points above the cut" label (List.length lump)
       end;
       List.iter
         (fun target ->
@@ -1198,8 +1201,9 @@ let test_random_quantile_bounds =
    first pass builds it (the active sets grouped by FMM row in
    first-seen order, each group's power cut at [q], the powers reduced
    largest uncut size first), passes the exceedance check on every one
-   of the 600 grid-pfail laws, and is the law [cut_distribution]
-   returns, bit for bit: no law's search makes a second pass. *)
+   of the 600 grid-pfail laws, and is, once its lump is lifted to the
+   largest sum, the law [cut_distribution] returns, bit for bit: no
+   law's search makes a second pass. *)
 let first_cut_pass ~fmm ~pbf q =
   let ways = (Pwcet.Fmm.config fmm).Cache.Config.ways in
   let rows = Hashtbl.create 16 and order = ref [] in
@@ -1237,7 +1241,7 @@ let test_grid_pfail_first_pass () =
       let first = first_cut_pass ~fmm ~pbf q in
       if D.exceedance first q <= 1e-15 then incr accepted;
       Alcotest.(check string) (label ^ " the search's law is its first pass")
-        (D.to_wire first)
+        (D.to_wire (D.lift_lump ~above:q ~top:(largest_sum fmm) first))
         (D.to_wire (Pwcet.Penalty.cut_distribution ~fmm ~pbf ~target:1e-15 ())));
   Alcotest.(check int) "laws" 600 !laws;
   Alcotest.(check int) "first passes accepted" 600 !accepted

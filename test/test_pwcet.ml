@@ -357,6 +357,73 @@ let test_total_distribution_skips_zero_rows () =
         (D.support unskipped) (D.support skipped))
     M.all
 
+(* --- the upper cut law ------------------------------------------------------ *)
+
+(* Random monotone FMM tables with a zero first column (a few shared row
+   shapes, as on real caches), either mechanism, a log-uniform pbf and
+   cut target. *)
+let random_cut_case =
+  QCheck2.Gen.(
+    let row ways =
+      list_size (return ways) (int_bound 40) >|= fun deltas ->
+      let row = Array.make (ways + 1) 0 in
+      List.iteri (fun i d -> row.(i + 1) <- row.(i) + d) deltas;
+      row
+    in
+    int_range 1 4 >>= fun ways ->
+    oneofl [ 1; 2; 4; 8 ] >>= fun sets ->
+    list_size (return 3) (row ways) >>= fun pool ->
+    list_size (return sets) (int_bound 2) >>= fun picks ->
+    oneofl [ M.No_protection; M.Reliable_way ] >>= fun mechanism ->
+    float_range 0.0 13.0 >>= fun pbf_e ->
+    float_range 0.0 40.0 >|= fun target_e ->
+    let pool = Array.of_list pool in
+    let table = Array.of_list (List.map (fun i -> Array.copy pool.(i)) picks) in
+    (sets, ways, table, mechanism, 0.5 *. exp (-.pbf_e), 0.5 *. exp (-.target_e)))
+
+(* Against the whole law: the cut law's points below its last are the
+   whole law's first points, bit for bit, and its last point is either
+   the whole law's (nothing was cut) or the lump, on the largest sum
+   with the rest of the mass; its [P(X > x)] is at least the whole
+   law's at every value (to the rounding of the lumped mass); and its
+   quantile at every target no smaller than the cut's is the whole
+   law's. *)
+let test_upper_cut_law_dominates =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"upper cut law dominates the whole law" random_cut_case
+       (fun (sets, ways, table, mechanism, pbf, target) ->
+         let config = C.make ~sets ~ways ~line_bytes:16 () in
+         let fmm = Fmm.of_table ~config ~mechanism table in
+         let whole = Pwcet.Penalty.total_distribution ~fmm ~pbf () in
+         let cut = Pwcet.Penalty.cut_distribution ~fmm ~pbf ~target () in
+         let w = Array.of_list (D.support whole) and c = Array.of_list (D.support cut) in
+         let m = Array.length c and n = Array.length w in
+         let top = Fmm.max_penalty_misses fmm * C.miss_penalty config in
+         let prefix = m <= n && Array.sub c 0 (m - 1) = Array.sub w 0 (m - 1) in
+         let last =
+           c.(m - 1) = w.(n - 1) && m = n
+           || fst c.(m - 1) = top
+              &&
+              let rest =
+                Numeric.Kahan.sum_by snd (Array.to_list (Array.sub w (m - 1) (n - m + 1)))
+              in
+              Float.abs (snd c.(m - 1) -. rest) <= 1e-12 *. rest
+         in
+         let values =
+           List.concat_map (fun (x, _) -> [ x - 1; x ]) (Array.to_list w @ Array.to_list c)
+         in
+         let dominates =
+           List.for_all
+             (fun x -> D.exceedance cut x >= D.exceedance whole x *. (1.0 -. 1e-12))
+             values
+         in
+         let quantiles =
+           List.for_all
+             (fun t -> D.quantile cut ~target:t = D.quantile whole ~target:t)
+             [ target; target *. 10.0; Float.sqrt target; 0.5 ]
+         in
+         prefix && last && dominates && quantiles))
+
 let () =
   Alcotest.run "pwcet"
     [ ( "fig1 worked example",
@@ -382,7 +449,9 @@ let () =
         ; Alcotest.test_case "monte carlo vs analytic" `Quick test_monte_carlo_matches_analytic
         ] )
     ; ( "penalty",
-        [ Alcotest.test_case "zero rows skipped" `Quick test_total_distribution_skips_zero_rows ] )
+        [ Alcotest.test_case "zero rows skipped" `Quick test_total_distribution_skips_zero_rows
+        ; test_upper_cut_law_dominates
+        ] )
     ; ( "report",
         [ Alcotest.test_case "gains" `Quick test_report_gains
         ; Alcotest.test_case "categories" `Quick test_report_categories

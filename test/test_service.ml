@@ -836,6 +836,46 @@ let test_result_cache () =
       check_int "identical pwcet" first.Protocol.pwcet second.Protocol.pwcet;
       check_int "two computations" 2 (daemon_stats ~socket).Protocol.computations)
 
+(* The memo holds each estimate's law cut at the floor (1e-18). A hit at
+   a target below it deepens that law on a worker, and answers what a
+   fresh estimate answers; the deeper law then serves its target, and
+   every target above it, from the memo. *)
+let test_memo_hit_below_floor () =
+  let req = Protocol.default_analyze ~bench:"crc" in
+  let deep = { req with Protocol.target = 1e-20 } in
+  let ask socket r =
+    match Client.request ~socket (Protocol.Analyze r) with
+    | Ok (Protocol.Result r) -> r
+    | Ok other -> Alcotest.failf "unexpected response: %s" (Protocol.response_to_string other)
+    | Error e -> Alcotest.failf "analyze failed: %s" e
+  in
+  let entry = Option.get (Benchmarks.Registry.find "crc") in
+  let program = (Minic.Compile.compile entry.Benchmarks.Registry.program).Minic.Compile.program in
+  let config =
+    Cache.Config.make ~sets:req.Protocol.sets ~ways:req.Protocol.ways ~line_bytes:req.Protocol.line
+      ()
+  in
+  let fresh target =
+    let task = Pwcet.Estimator.prepare ~program ~config () in
+    Pwcet.Estimator.pwcet
+      (Pwcet.Estimator.estimate task ~pfail:req.Protocol.pfail ~mechanism:req.Protocol.mechanism ())
+      ~target
+  in
+  with_server (fun socket _scheduler ->
+      let first = ask socket req in
+      check "first computed" true first.Protocol.computed;
+      let below = ask socket deep in
+      check "the deeper cut is computed" true below.Protocol.computed;
+      check_int "pwcet at 1e-20 = a fresh estimate's" (fresh 1e-20) below.Protocol.pwcet;
+      let again = ask socket deep in
+      check "the deeper cut is memoised" false again.Protocol.computed;
+      check_int "same pwcet at 1e-20" below.Protocol.pwcet again.Protocol.pwcet;
+      let default = ask socket req in
+      check "default target from the memo" false default.Protocol.computed;
+      check_int "pwcet at 1e-15 = a fresh estimate's" (fresh req.Protocol.target)
+        default.Protocol.pwcet;
+      check_int "two computations" 2 (daemon_stats ~socket).Protocol.computations)
+
 let test_warm_requests_consistent () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -1133,6 +1173,7 @@ let () =
         ; Alcotest.test_case "grid bulk identity" `Quick test_grid_bulk_identity
         ; Alcotest.test_case "budgeted request degrades" `Quick test_budgeted_request_degrades
         ; Alcotest.test_case "result cache" `Quick test_result_cache
+        ; Alcotest.test_case "memo hit below the floor" `Quick test_memo_hit_below_floor
         ; Alcotest.test_case "warm requests consistent" `Quick test_warm_requests_consistent
         ; Alcotest.test_case "identity_of_digest = identity_of" `Quick test_identity_of_digest
         ; Alcotest.test_case "geometry isolation" `Quick test_geometry_isolation

@@ -807,6 +807,40 @@ let test_estimator_cut_on_read () =
        (fun (name, bytes) -> if List.mem (name, bytes) cut_objects then None else Some name)
        (store_objects dir))
 
+(* A DIST entry of format version 1 holds a cut law lumped just past its
+   cut, which is not an upper law: under version 2 it reads as a version
+   miss, and the law is recomputed and written over it. The stale entry
+   here holds the point 0, whose quantile is not the law's. *)
+let test_estimator_dist_v1_miss () =
+  let program = task_of "fibcall" in
+  let config = Cache.Config.make ~sets:8 ~ways:2 ~line_bytes:16 () in
+  let dir = fresh_dir () in
+  let read () =
+    let st = Artifact.open_store ~dir () in
+    let task = Pwcet.Estimator.prepare ~program ~config ~store:st () in
+    let est = Pwcet.Estimator.estimate task ~pfail:1e-4 ~mechanism:M.No_protection ~store:st () in
+    let before = store_objects dir in
+    let pwcet = Pwcet.Estimator.pwcet est ~target:1e-15 in
+    (st, est, pwcet, List.filter (fun o -> not (List.mem o before)) (store_objects dir))
+  in
+  let _, cold_est, cold, written = read () in
+  let law_key =
+    match written with
+    | [ (name, _) ] -> Filename.basename name
+    | _ -> Alcotest.failf "%d objects written by the read" (List.length written)
+  in
+  let stale = Artifact.open_store ~dir () in
+  Artifact.put stale ~key:law_key ~kind:"DIST" ~version:1 (D.to_wire (D.point 0));
+  let st, est, warm, _ = read () in
+  let stats = Artifact.stats st in
+  Alcotest.(check int) "the version-1 law is a version miss" 1 stats.Artifact.version_mismatch;
+  Alcotest.(check int) "recomputed pwcet" cold warm;
+  Alcotest.(check string) "recomputed law"
+    (D.to_wire (Pwcet.Estimator.law cold_est ~depth:1e-15))
+    (D.to_wire (Pwcet.Estimator.law est ~depth:1e-15));
+  Alcotest.(check bool) "rewritten at version 2" true
+    (Artifact.get (Artifact.open_store ~dir ()) ~key:law_key ~kind:"DIST" ~version:2 <> None)
+
 let test_estimator_budget_bypasses_store () =
   let program = task_of "fibcall" in
   let config = Cache.Config.paper_default in
@@ -938,6 +972,7 @@ let () =
             test_estimator_identity_deferred
         ; Alcotest.test_case "persisted keys pinned" `Quick test_persisted_keys_pinned
         ; Alcotest.test_case "cut law written on read" `Quick test_estimator_cut_on_read
+        ; Alcotest.test_case "version-1 law is a miss" `Quick test_estimator_dist_v1_miss
         ; Alcotest.test_case "warm read of +0.0 points" `Quick test_estimator_warm_zero_points
         ] )
     ]
